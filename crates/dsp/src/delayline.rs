@@ -30,7 +30,10 @@ impl DelayLine {
     #[inline]
     pub fn push(&mut self, x: f32) {
         self.buf[self.write] = x;
-        self.write = (self.write + 1) % self.buf.len();
+        self.write += 1;
+        if self.write == self.buf.len() {
+            self.write = 0;
+        }
     }
 
     /// Read the sample `delay` samples in the past (integer tap).
@@ -40,21 +43,39 @@ impl DelayLine {
     pub fn read(&self, delay: usize) -> f32 {
         let n = self.buf.len();
         let d = delay.clamp(1, n);
-        let idx = (self.write + n - d) % n;
-        self.buf[idx]
+        // write < n and 1 <= d <= n, so the sum is below 2n: one
+        // compare-and-subtract is the `% n`.
+        let idx = self.write + n - d;
+        self.buf[if idx >= n { idx - n } else { idx }]
     }
 
     /// Read a fractional tap with linear interpolation.
     /// `delay` is clamped to `[1, capacity - 1]`.
+    ///
+    /// Bit for bit [`read_frac_reference`](Self::read_frac_reference): the
+    /// clamped delay is at least 1, so the truncating cast is its `floor`
+    /// (a `floorf` call on the SSE2 baseline), and converting the integer
+    /// back is exact for every tap a buffer can hold.
     #[inline]
     pub fn read_frac(&self, delay: f32) -> f32 {
         let max = (self.buf.len() - 1) as f32;
         let d = delay.clamp(1.0, max);
+        let tap = d as usize;
+        let frac = d - tap as f32;
+        let a = self.read(tap);
+        let b = self.read(tap + 1);
+        a * (1.0 - frac) + b * frac
+    }
+
+    /// The textbook form of [`read_frac`](Self::read_frac): `floor` for the
+    /// integer tap, `%` for the ring index.
+    pub fn read_frac_reference(&self, delay: f32) -> f32 {
+        let n = self.buf.len();
+        let tap = |delay: usize| self.buf[(self.write + n - delay.clamp(1, n)) % n];
+        let d = delay.clamp(1.0, (n - 1) as f32);
         let d0 = d.floor();
         let frac = d - d0;
-        let a = self.read(d0 as usize);
-        let b = self.read(d0 as usize + 1);
-        a * (1.0 - frac) + b * frac
+        tap(d0 as usize) * (1.0 - frac) + tap(d0 as usize + 1) * frac
     }
 
     /// Zero the whole history.

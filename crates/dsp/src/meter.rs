@@ -62,17 +62,22 @@ impl LevelMeter {
     }
 }
 
+/// The Goertzel recurrence coefficient `2·cos(2π·f/fs)` of one bin.
+pub fn goertzel_coeff(freq_hz: f32, sample_rate: u32) -> f32 {
+    let w = core::f32::consts::TAU * freq_hz / sample_rate as f32;
+    2.0 * w.cos()
+}
+
 /// Goertzel single-bin spectral power of `samples` at `freq_hz`.
 ///
-/// The spectrum-tap bookkeeping node evaluates a handful of bands per cycle
-/// with this; it is the cheap alternative to a full FFT for a small number
-/// of bins.
+/// The cheap alternative to a full FFT for a small number of bins; for
+/// several bins of one signal use [`goertzel_bank`], which this function is
+/// the per-band reference of.
 pub fn goertzel_power(samples: &[f32], freq_hz: f32, sample_rate: u32) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
-    let w = core::f32::consts::TAU * freq_hz / sample_rate as f32;
-    let coeff = 2.0 * w.cos();
+    let coeff = goertzel_coeff(freq_hz, sample_rate);
     let mut s_prev = 0.0f32;
     let mut s_prev2 = 0.0f32;
     for &x in samples {
@@ -82,6 +87,36 @@ pub fn goertzel_power(samples: &[f32], freq_hz: f32, sample_rate: u32) -> f32 {
     }
     let power = s_prev * s_prev + s_prev2 * s_prev2 - coeff * s_prev * s_prev2;
     power.max(0.0) / (samples.len() as f32 * samples.len() as f32 / 4.0)
+}
+
+/// Goertzel power of `N` bins in one pass over `samples`: the `N`
+/// recurrences are independent, so they advance side by side per sample
+/// (and vectorize) instead of costing `N` sequential passes. `coeffs` are
+/// [`goertzel_coeff`]s; band `k` of the result is bit for bit what the
+/// one-bin recurrence gives for `coeffs[k]`.
+///
+/// The spectrum-tap bookkeeping node evaluates its eight bands with this.
+pub fn goertzel_bank<const N: usize>(samples: &[f32], coeffs: &[f32; N]) -> [f32; N] {
+    if samples.is_empty() {
+        return [0.0; N];
+    }
+    let mut s_prev = [0.0f32; N];
+    let mut s_prev2 = [0.0f32; N];
+    for &x in samples {
+        for k in 0..N {
+            let s = x + coeffs[k] * s_prev[k] - s_prev2[k];
+            s_prev2[k] = s_prev[k];
+            s_prev[k] = s;
+        }
+    }
+    let norm = samples.len() as f32 * samples.len() as f32 / 4.0;
+    let mut power = [0.0f32; N];
+    for k in 0..N {
+        let p =
+            s_prev[k] * s_prev[k] + s_prev2[k] * s_prev2[k] - coeffs[k] * s_prev[k] * s_prev2[k];
+        power[k] = p.max(0.0) / norm;
+    }
+    power
 }
 
 #[cfg(test)]

@@ -12,6 +12,37 @@ pub enum Waveform {
     Triangle,
 }
 
+/// Advance a unit phase accumulator by `inc` and wrap it: bit for bit
+/// [`advance_phase_reference`]'s `x - x.floor()`, without the `floorf`
+/// call that `floor` is on the SSE2 baseline.
+///
+/// `phase` must be `+0.0` or an earlier result of this function, hence in
+/// `[0, 1]` (1.0 itself appears when a tiny negative sum rounds up). With
+/// `|inc| <= 0.5` the sum then lies in `[-0.5, 1.5]`, its floor is −1, 0 or
+/// 1, and one compare-and-add subtracts exactly that; any larger increment
+/// (an oscillator above Nyquist, a non-finite speed) takes the `floor` form.
+#[inline]
+pub fn advance_phase(phase: f32, inc: f32) -> f32 {
+    let sum = phase + inc;
+    if inc.abs() <= 0.5 {
+        if sum < 0.0 {
+            sum + 1.0
+        } else if sum >= 1.0 {
+            sum - 1.0
+        } else {
+            sum
+        }
+    } else {
+        advance_phase_reference(phase, inc)
+    }
+}
+
+/// The textbook form [`advance_phase`] must equal exactly.
+pub fn advance_phase_reference(phase: f32, inc: f32) -> f32 {
+    let sum = phase + inc;
+    sum - sum.floor()
+}
+
 /// A phase-accumulator oscillator.
 ///
 /// Phase is kept in `[0, 1)`; frequency may be changed between samples
@@ -72,8 +103,7 @@ impl Oscillator {
                 }
             }
         };
-        self.phase += self.freq_hz / self.sample_rate;
-        self.phase -= self.phase.floor();
+        self.phase = advance_phase(self.phase, self.freq_hz / self.sample_rate);
         v
     }
 

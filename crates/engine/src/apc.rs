@@ -5,16 +5,17 @@
 //! paper measures the non-graph phases at ~0.8 ms combined, leaving
 //! `T(Graph) ≤ 2.1 ms` inside the 2.9 ms sound-card budget.
 //!
-//! [`AudioEngine`] owns the four decks (with their timecode generators and
-//! decoders), the control surface, and a pluggable graph executor; each
-//! [`run_apc`](AudioEngine::run_apc) performs the four phases and returns
-//! their individual timings.
+//! [`AudioEngine`] owns the control surface and two sessions on one
+//! [`VenuePool`]: the four-node front graph (one task per deck — TP and
+//! GP, see [`crate::front`]) and the task graph proper. Each
+//! [`run_apc`](AudioEngine::run_apc) is front cycle → phase alignment →
+//! graph cycle → VC, and returns the four phase timings.
 
-use crate::deck::TrackPlayer;
 use crate::degrade::{
     DegradationPolicy, DegradeAction, DegradeConfig, DegradeEvent, NetDegradeAction,
     NetDegradeConfig, NetDegradeEvent, NetLatencyPolicy,
 };
+use crate::front::{FrontEnd, FrontWork};
 use crate::graphbuild::{build_shaped_graph, GraphShape, NodeMap};
 use crate::modes::{reachable_edits, AdmissionControl, BlueprintCache, NodeCostModel};
 use crate::netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
@@ -23,19 +24,18 @@ use crate::profiling::HotspotProfiler;
 use crate::reconfig::{
     apply_edit, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
-use crate::timecode::{TimecodeDecoder, TimecodeGenerator};
 use djstar_core::exec::{
     BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
     SequentialExecutor, SleepExecutor, StealExecutor, Strategy, SwapError, VenuePool,
 };
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, FlightWindow};
+use djstar_core::graph::{GraphTopology, TaskGraph};
 use djstar_core::net::NetStats;
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::work::burn;
 use djstar_workload::faults::FaultSpec;
 use djstar_workload::scenario::Scenario;
-use djstar_workload::track::synth_track;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -104,24 +104,13 @@ impl ApcTiming {
     }
 }
 
-/// In-flight state of one venue-batched cycle, produced by
-/// [`AudioEngine::venue_prepare`] and consumed by
-/// [`AudioEngine::venue_finish`].
-#[derive(Debug, Clone, Copy)]
-pub struct VenueCyclePrep {
-    /// The staged cycle epoch, or `None` for engines (sequential) whose
-    /// graph runs inline on the driver during `venue_finish`.
-    pub epoch: Option<u64>,
-    /// Timecode-phase duration measured during prepare.
-    pub tp: Duration,
-    /// Preprocessing-phase duration measured during prepare.
-    pub gp: Duration,
-}
-
-/// The DJ Star engine: decks, timecode, control surface and graph executor.
+/// The DJ Star engine: deck front end, control surface and graph executor.
 pub struct AudioEngine {
     scenario: Scenario,
     executor: Box<dyn GraphExecutor>,
+    /// The deck front end (TP + GP): a second session beside `executor` on
+    /// the same pool, holding the decks' players and timecode state.
+    front: FrontEnd,
     map: NodeMap,
     shape: GraphShape,
     /// Control events dropped for referring to decks/slots that do not
@@ -142,14 +131,6 @@ pub struct AudioEngine {
     /// Stagings whose PLAN blueprint failed to compile — surfaced as
     /// [`ReconfigError::Blueprint`] and counted here for telemetry.
     stage_failures: u64,
-    decks: Vec<Option<TrackPlayer>>,
-    tc_gen: Vec<TimecodeGenerator>,
-    tc_dec: Vec<TimecodeDecoder>,
-    tc_buf: AudioBuf,
-    decoded_speed: [f32; 4],
-    /// Momentary platter-nudge offsets from the controller, decaying per
-    /// cycle like a released jog wheel.
-    nudge: [f32; 4],
     aux: AuxWork,
     deck_bufs: Vec<AudioBuf>,
     ctrl: Vec<f32>,
@@ -182,11 +163,13 @@ pub struct AudioEngine {
     net_degrade: Option<NetLatencyPolicy>,
     /// Total concealed frames already reported to the network governor.
     net_conceals_seen: u64,
-    /// The shared worker pool this engine's executor is registered on, if
-    /// it was built through [`on_pool`](Self::on_pool). Kept so a
-    /// thread-resize rebuild re-registers on the *same* pool instead of
-    /// spawning private threads.
-    pool: Option<Arc<VenuePool>>,
+    /// The worker pool both sessions are registered on: the caller's for
+    /// an engine built through [`on_pool`](Self::on_pool), otherwise a
+    /// private one of exactly this engine's lanes.
+    pool: Arc<VenuePool>,
+    /// `pool` is private: a thread resize replaces it with one of the new
+    /// size. A shared pool is kept, and must have the lanes asked for.
+    private_pool: bool,
     /// Venue session id tagged into telemetry and flight exports
     /// (0 = single-session).
     session: u32,
@@ -239,6 +222,40 @@ pub struct NetDegradeOutcome {
     pub commit_ns: u64,
 }
 
+/// Register `graph` as a session of `strategy` with `threads` lanes on
+/// `pool` (every executor is a dispatch policy over a pool; SEQ is the one
+/// that never stages work on it). `plan` supplies the blueprint PLAN
+/// replays and is not called for any other strategy.
+pub(crate) fn executor_on_pool(
+    graph: TaskGraph,
+    strategy: Strategy,
+    threads: usize,
+    pool: &Arc<VenuePool>,
+    plan: impl FnOnce(&GraphTopology) -> ScheduleBlueprint,
+) -> Box<dyn GraphExecutor> {
+    use djstar_core::graph::Priority::Depth;
+    let frames = djstar_dsp::BUFFER_FRAMES;
+    match strategy {
+        Strategy::Sequential => Box::new(SequentialExecutor::new(graph, frames)),
+        Strategy::Busy => Box::new(BusyExecutor::with_pool(graph, threads, frames, Depth, pool)),
+        Strategy::Sleep => Box::new(SleepExecutor::with_pool(
+            graph, threads, frames, Depth, pool,
+        )),
+        Strategy::Steal => Box::new(StealExecutor::with_pool(
+            graph, threads, frames, Depth, pool,
+        )),
+        // Extension strategy: a 2000-poll spin budget (~tens of µs)
+        // before parking; tune via the executor handle if needed.
+        Strategy::Hybrid => Box::new(HybridExecutor::with_pool(
+            graph, threads, frames, 2_000, Depth, pool,
+        )),
+        Strategy::Planned => {
+            let blueprint = plan(graph.topology());
+            Box::new(PlannedExecutor::with_pool(graph, frames, blueprint, pool))
+        }
+    }
+}
+
 impl AudioEngine {
     /// Build an engine running `scenario` with the given strategy and
     /// thread count, and paper-scale auxiliary work.
@@ -257,7 +274,8 @@ impl AudioEngine {
 
     /// Build an engine around an arbitrary [`GraphShape`] — the seed of the
     /// live-reconfiguration protocol (further shapes arrive via
-    /// [`reconfigure`](Self::reconfigure)).
+    /// [`reconfigure`](Self::reconfigure)). The engine gets a private pool
+    /// of exactly its own lanes: `threads − 1` OS threads, none for SEQ.
     pub fn with_shape(
         scenario: Scenario,
         shape: GraphShape,
@@ -265,15 +283,16 @@ impl AudioEngine {
         threads: usize,
         aux: AuxWork,
     ) -> Self {
-        Self::with_shape_pooled(scenario, shape, strategy, threads, aux, None)
+        let pool = Self::private_pool(strategy, threads);
+        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, true)
     }
 
-    /// Build an engine whose executor registers on an existing shared
-    /// [`VenuePool`] instead of spawning private worker threads — the
-    /// venue-server constructor. `threads` is this session's lane count
-    /// and must not exceed the pool's. Sequential engines accept a pool
-    /// too (they simply never stage work on it), so a venue can host
-    /// mixed-strategy sessions uniformly.
+    /// Build an engine whose two sessions register on an existing shared
+    /// [`VenuePool`] instead of a private one — the venue-server
+    /// constructor. `threads` is this session's lane count and must not
+    /// exceed the pool's. Sequential engines accept a pool too (they
+    /// simply never stage work on it), so a venue can host mixed-strategy
+    /// sessions uniformly.
     pub fn on_pool(
         scenario: Scenario,
         strategy: Strategy,
@@ -282,35 +301,40 @@ impl AudioEngine {
         pool: &Arc<VenuePool>,
     ) -> Self {
         let shape = GraphShape::for_net(&scenario.net);
-        Self::with_shape_pooled(scenario, shape, strategy, threads, aux, Some(pool))
+        Self::with_shape_on(
+            scenario,
+            shape,
+            strategy,
+            threads,
+            aux,
+            Arc::clone(pool),
+            false,
+        )
     }
 
-    fn with_shape_pooled(
+    /// A pool of exactly the lanes a solo engine uses (SEQ runs everything
+    /// on the driver whatever `threads` says).
+    fn private_pool(strategy: Strategy, threads: usize) -> Arc<VenuePool> {
+        let lanes = if strategy == Strategy::Sequential {
+            1
+        } else {
+            threads
+        };
+        Arc::new(VenuePool::new(lanes))
+    }
+
+    fn with_shape_on(
         scenario: Scenario,
         shape: GraphShape,
         strategy: Strategy,
         threads: usize,
         aux: AuxWork,
-        pool: Option<&Arc<VenuePool>>,
+        pool: Arc<VenuePool>,
+        private_pool: bool,
     ) -> Self {
         let frames = djstar_dsp::BUFFER_FRAMES;
-        let (executor, map) =
-            Self::build_executor(&scenario, &shape, strategy, threads, frames, pool);
-        let decks = scenario
-            .decks
-            .iter()
-            .map(|d| {
-                d.active.then(|| {
-                    TrackPlayer::new(synth_track(
-                        d.track_seed,
-                        d.bpm,
-                        scenario.track_secs,
-                        d.style,
-                    ))
-                })
-            })
-            .collect();
-        let sr = djstar_dsp::SAMPLE_RATE;
+        let (executor, map) = Self::build_executor(&scenario, &shape, strategy, threads, &pool);
+        let front = FrontEnd::new(&scenario, aux, strategy, threads, &pool);
         let mut ctrl = vec![0.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = scenario.crossfader;
         ctrl[controls::MASTER_GAIN] = scenario.master_gain;
@@ -319,6 +343,7 @@ impl AudioEngine {
         }
         AudioEngine {
             executor,
+            front,
             map,
             shape,
             dropped_events: 0,
@@ -326,12 +351,6 @@ impl AudioEngine {
             modes: None,
             admission: None,
             stage_failures: 0,
-            decks,
-            tc_gen: (0..4).map(|_| TimecodeGenerator::new(sr)).collect(),
-            tc_dec: (0..4).map(|_| TimecodeDecoder::new(sr)).collect(),
-            tc_buf: AudioBuf::zeroed(2, frames),
-            decoded_speed: [0.0; 4],
-            nudge: [0.0; 4],
             aux,
             deck_bufs: (0..4).map(|_| AudioBuf::zeroed(2, frames)).collect(),
             ctrl,
@@ -347,76 +366,29 @@ impl AudioEngine {
             saved_aux: None,
             net_degrade: None,
             net_conceals_seen: 0,
-            pool: pool.cloned(),
+            pool,
+            private_pool,
             session: 0,
             scenario,
         }
     }
 
-    /// Build the executor (and its landmark map) for a scenario + shape.
-    /// Shared by the constructors and the thread-resize rebuild path.
+    /// Build the graph executor (and its landmark map) for a scenario +
+    /// shape on `pool`. Shared by the constructors and the thread-resize
+    /// rebuild path.
     fn build_executor(
         scenario: &Scenario,
         shape: &GraphShape,
         strategy: Strategy,
         threads: usize,
-        frames: usize,
-        pool: Option<&Arc<VenuePool>>,
+        pool: &Arc<VenuePool>,
     ) -> (Box<dyn GraphExecutor>, NodeMap) {
-        use djstar_core::graph::Priority;
         let (graph, map) = build_shaped_graph(scenario, shape);
-        let executor: Box<dyn GraphExecutor> = match (strategy, pool) {
-            // Sequential never stages pool work; a venue runs it inline on
-            // the driver while the pool crunches the parallel sessions.
-            (Strategy::Sequential, _) => Box::new(SequentialExecutor::new(graph, frames)),
-            (Strategy::Busy, None) => Box::new(BusyExecutor::new(graph, threads, frames)),
-            (Strategy::Busy, Some(p)) => Box::new(BusyExecutor::with_pool(
-                graph,
-                threads,
-                frames,
-                Priority::Depth,
-                p,
-            )),
-            (Strategy::Sleep, None) => Box::new(SleepExecutor::new(graph, threads, frames)),
-            (Strategy::Sleep, Some(p)) => Box::new(SleepExecutor::with_pool(
-                graph,
-                threads,
-                frames,
-                Priority::Depth,
-                p,
-            )),
-            (Strategy::Steal, None) => Box::new(StealExecutor::new(graph, threads, frames)),
-            (Strategy::Steal, Some(p)) => Box::new(StealExecutor::with_pool(
-                graph,
-                threads,
-                frames,
-                Priority::Depth,
-                p,
-            )),
-            // Extension strategy: a 2000-poll spin budget (~tens of µs)
-            // before parking; tune via the executor handle if needed.
-            (Strategy::Hybrid, None) => {
-                Box::new(HybridExecutor::new(graph, threads, frames, 2_000))
-            }
-            (Strategy::Hybrid, Some(p)) => Box::new(HybridExecutor::with_pool(
-                graph,
-                threads,
-                frames,
-                2_000,
-                Priority::Depth,
-                p,
-            )),
-            // Extension strategy: probe node durations on a throwaway
-            // sequential engine, list-schedule them onto `threads`
-            // processors, and replay that static schedule.
-            (Strategy::Planned, pool) => {
-                let blueprint = Self::compile_plan_for(scenario, shape, threads);
-                match pool {
-                    None => Box::new(PlannedExecutor::new(graph, frames, blueprint)),
-                    Some(p) => Box::new(PlannedExecutor::with_pool(graph, frames, blueprint, p)),
-                }
-            }
-        };
+        // PLAN: probe node durations on a throwaway sequential engine,
+        // list-schedule them onto `threads` processors, and replay that.
+        let executor = executor_on_pool(graph, strategy, threads, pool, |_| {
+            Self::compile_plan_for(scenario, shape, threads)
+        });
         (executor, map)
     }
 
@@ -710,10 +682,11 @@ impl AudioEngine {
     /// glitch-free swap path. If the script contains
     /// [`GraphEdit::ResizeThreads`], the executor is instead **rebuilt**
     /// with the final shape and new worker count — the one reconfiguration
-    /// that tears the pool down and resets graph-node state (deck
-    /// playback, timecode and control state live in the engine and
-    /// survive either way). Returns the executor's generation after the
-    /// change (a rebuild starts over at generation 0).
+    /// that resets graph-node state (deck playback, timecode and control
+    /// state move into the rebuilt front session and survive either way).
+    /// A private pool is replaced by one of the new size; an engine on a
+    /// shared pool re-registers both sessions on it. Returns the executor's
+    /// generation after the change (a rebuild starts over at generation 0).
     pub fn reconfigure(&mut self, edits: &[GraphEdit]) -> Result<u64, ReconfigError> {
         let mut shape = self.shape;
         let mut resize: Option<usize> = None;
@@ -729,17 +702,16 @@ impl AudioEngine {
             }
         }
         if let Some(threads) = resize {
-            let frames = djstar_dsp::BUFFER_FRAMES;
-            let (executor, map) = Self::build_executor(
-                &self.scenario,
-                &shape,
-                self.strategy(),
-                threads,
-                frames,
-                self.pool.as_ref(),
-            );
+            let strategy = self.strategy();
+            if self.private_pool {
+                self.pool = Self::private_pool(strategy, threads);
+            }
+            let (executor, map) =
+                Self::build_executor(&self.scenario, &shape, strategy, threads, &self.pool);
             self.executor = executor;
+            self.front.rebuild(strategy, threads, &self.pool);
             self.executor.set_session(self.session);
+            self.front.set_session(self.session);
             self.executor.set_faults(self.faults);
             self.executor.set_flight_recorder(self.flight_cfg);
             self.map = map;
@@ -896,11 +868,11 @@ impl AudioEngine {
         match action {
             DegradeAction::Shed => {
                 self.saved_aux = Some(self.aux);
-                self.aux = self.aux.scaled(0.5);
+                self.set_aux(self.aux.scaled(0.5));
             }
             DegradeAction::Restore => {
                 if let Some(aux) = self.saved_aux.take() {
-                    self.aux = aux;
+                    self.set_aux(aux);
                 }
             }
         }
@@ -913,6 +885,14 @@ impl AudioEngine {
             stage_ns,
             commit_ns,
         })
+    }
+
+    /// Change the non-graph phase weights, here and in the deck tasks.
+    fn set_aux(&mut self, aux: AuxWork) {
+        self.aux = aux;
+        for d in 0..4 {
+            self.front.deck_mut(d).set_aux(aux);
+        }
     }
 
     /// Arm the network latency/dropout governor. Once armed, the host
@@ -1123,7 +1103,7 @@ impl AudioEngine {
                 if d >= 4 {
                     return false;
                 }
-                self.nudge[d] = (self.nudge[d] + delta).clamp(-0.5, 0.5);
+                self.front.deck_mut(d).nudge(delta);
             }
             // Graph-node controls need the node to exist in this shape.
             DeckEq(d, eq) => {
@@ -1202,63 +1182,13 @@ impl AudioEngine {
         true
     }
 
-    /// Phase 1 — TP: generate + decode each deck's timecode control signal.
-    fn timecode_phase(&mut self) {
-        for d in 0..4 {
-            let cfg = &self.scenario.decks[d];
-            // The virtual platter: scenario tempo plus a gentle DJ nudge
-            // wobble so the decoder has something to track.
-            let speed = if cfg.active {
-                cfg.tempo
-                    * (1.0 + 0.015 * ((self.cycle as f32) * 0.045 + d as f32).sin())
-                    * (1.0 + self.nudge[d])
-            } else {
-                0.0
-            };
-            // A released jog wheel spins back to neutral.
-            self.nudge[d] *= 0.9;
-            self.tc_gen[d].generate(speed, &mut self.tc_buf);
-            let reading = self.tc_dec[d].decode(&self.tc_buf);
-            self.decoded_speed[d] = reading.speed;
-            self.aux_sink += burn(self.aux.tp_iters, reading.speed.abs() + d as f32 * 0.1);
-        }
-    }
-
-    /// Phase 2 — GP: pull time-stretched deck audio + phase alignment.
-    fn preprocess_phase(&mut self) {
-        for d in 0..4 {
-            match &mut self.decks[d] {
-                Some(player) => {
-                    let tempo = if self.decoded_speed[d].abs() > 0.05 {
-                        self.decoded_speed[d].abs()
-                    } else {
-                        self.scenario.decks[d].tempo
-                    };
-                    player.pull(tempo, &mut self.deck_bufs[d]);
-                    self.aux_sink += burn(self.aux.gp_iters, tempo);
-                }
-                None => self.deck_bufs[d].clear(),
-            }
-        }
-        // Phase alignment: the pairwise beat offsets DJ Star displays.
-        let mut align = 0.0f32;
-        for a in 0..4 {
-            for b in (a + 1)..4 {
-                if let (Some(pa), Some(pb)) = (&self.decks[a], &self.decks[b]) {
-                    align += pa.phase_offset_to(pb);
-                }
-            }
-        }
-        self.aux_sink += align * 1e-20;
-    }
-
     /// Phase 4 — VC: master tempo and accounting.
     fn various_calculations_phase(&mut self) {
         let mut bpm_sum = 0.0;
         let mut active = 0u32;
         for d in 0..4 {
-            if let Some(p) = &self.decks[d] {
-                bpm_sum += self.scenario.decks[d].bpm * p.tempo();
+            if let Some(tempo) = self.front.deck_mut(d).player().map(|p| p.tempo()) {
+                bpm_sum += self.scenario.decks[d].bpm * tempo;
                 active += 1;
             }
         }
@@ -1278,6 +1208,7 @@ impl AudioEngine {
     pub fn set_session(&mut self, session: u32) {
         self.session = session;
         self.executor.set_session(session);
+        self.front.set_session(session);
         if let Some(c) = self.flight_cfg.as_mut() {
             c.session = session;
             self.executor.set_flight_recorder(self.flight_cfg);
@@ -1289,44 +1220,56 @@ impl AudioEngine {
         self.session
     }
 
-    /// The shared worker pool this engine stages onto, if it was built
-    /// with [`on_pool`](Self::on_pool).
-    pub fn pool(&self) -> Option<&Arc<VenuePool>> {
-        self.pool.as_ref()
+    /// The worker pool this engine's two sessions (front graph and task
+    /// graph) are registered on. For an engine built with
+    /// [`on_pool`](Self::on_pool) it is the caller's shared pool; otherwise
+    /// it is private to this engine — `threads()` lanes, replaced on a
+    /// thread resize, its workers joined when the engine drops.
+    pub fn pool(&self) -> &Arc<VenuePool> {
+        &self.pool
     }
 
-    /// First half of a venue-batched cycle: run the driver-side phases
-    /// that precede the graph (TP, GP, beat clock) and *stage* the graph
-    /// cycle on the shared pool without dispatching it. The venue server
-    /// stages every session, then issues one [`VenuePool::dispatch`] for
-    /// the whole batch, drives lane 0 via [`VenuePool::run_driver_parts`],
-    /// and finishes each session with [`venue_finish`](Self::venue_finish).
+    /// The deck buffers the last front cycle produced (one stereo buffer
+    /// per deck, silent for idle decks): the graph's external audio.
+    pub fn deck_buffers(&self) -> &[AudioBuf] {
+        &self.deck_bufs
+    }
+
+    /// Venue cycle, step 1: *stage* this session's front cycle (TP + GP
+    /// per deck) on the shared pool without dispatching it. The venue
+    /// server stages every session, issues one [`VenuePool::dispatch`],
+    /// drives lane 0 via [`VenuePool::run_driver_parts`], then collects
+    /// each session with [`venue_front_collect`](Self::venue_front_collect).
     ///
-    /// Sequential engines stage nothing (`epoch: None`); their graph runs
-    /// inline on the driver during `venue_finish`, overlapping with the
-    /// pool workers crunching the parallel sessions.
-    pub fn venue_prepare(&mut self) -> VenueCyclePrep {
+    /// Sequential engines stage nothing (`None`); their front cycle — like
+    /// their graph cycle later — runs inline on the driver at collection,
+    /// overlapping with the pool workers crunching the parallel sessions.
+    pub fn venue_front_stage(&mut self) -> Option<u64> {
         self.cycle += 1;
-
-        let t0 = Instant::now();
-        self.timecode_phase();
-        let tp = t0.elapsed();
-
-        let t1 = Instant::now();
-        self.preprocess_phase();
-        let gp = t1.elapsed();
-
-        self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
-        let epoch = self.executor.venue_stage(&self.deck_bufs, &self.ctrl);
-        VenueCyclePrep { epoch, tp, gp }
+        self.front.stage(self.cycle)
     }
 
-    /// Second half of a venue-batched cycle: collect the staged graph
-    /// result (or run it inline for sequential engines), then run the
-    /// VC phase. Must follow [`venue_prepare`](Self::venue_prepare) and,
-    /// for staged engines, the pool's dispatch + driver parts.
-    pub fn venue_finish(&mut self, prep: VenueCyclePrep) -> ApcTiming {
-        let result = match prep.epoch {
+    /// Venue cycle, step 2: wait for the staged front cycle (or run it
+    /// inline), copy the deck buffers out and do the phase alignment.
+    /// Returns the task time the decks spent, from which the venue derives
+    /// this session's share of the batched front window.
+    pub fn venue_front_collect(&mut self, epoch: Option<u64>) -> FrontWork {
+        self.front.collect(epoch, self.cycle);
+        self.front.finish(&mut self.deck_bufs)
+    }
+
+    /// Venue cycle, step 3: stage the graph cycle on the pool, exactly as
+    /// step 1 staged the front (`None` again means "sequential, inline").
+    pub fn venue_graph_stage(&mut self) -> Option<u64> {
+        self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
+        self.executor.venue_stage(&self.deck_bufs, &self.ctrl)
+    }
+
+    /// Venue cycle, step 4: collect the staged graph result (or run it
+    /// inline for sequential engines), then run the VC phase. `tp` and
+    /// `gp` are this session's shares of the batched front window.
+    pub fn venue_finish(&mut self, epoch: Option<u64>, tp: Duration, gp: Duration) -> ApcTiming {
+        let result = match epoch {
             Some(epoch) => self.executor.venue_collect(epoch),
             None => self.executor.run_cycle(&self.deck_bufs, &self.ctrl),
         };
@@ -1336,24 +1279,24 @@ impl AudioEngine {
         let vc = t3.elapsed();
 
         ApcTiming {
-            tp: prep.tp,
-            gp: prep.gp,
+            tp,
+            gp,
             graph: result.duration,
             vc,
         }
     }
 
-    /// Run one full APC and return the phase timings.
+    /// Run one full APC and return the phase timings. `tp` and `gp` are
+    /// the front cycle's wall-clock window (handshake, deck tasks on all
+    /// lanes, buffer hand-over, phase alignment) split by the tasks' own
+    /// measured TP and GP time.
     pub fn run_apc(&mut self) -> ApcTiming {
         self.cycle += 1;
 
         let t0 = Instant::now();
-        self.timecode_phase();
-        let tp = t0.elapsed();
-
-        let t1 = Instant::now();
-        self.preprocess_phase();
-        let gp = t1.elapsed();
+        self.front.run(self.cycle);
+        let work = self.front.finish(&mut self.deck_bufs);
+        let (tp, gp) = work.shares(t0.elapsed(), work.total_ns());
 
         self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
         let result = self.executor.run_cycle(&self.deck_bufs, &self.ctrl);
@@ -1626,7 +1569,7 @@ mod tests {
         use crate::events::{ControlEvent, EventQueue};
         let mut e = light_engine(Strategy::Sequential, 1);
         e.warmup(20);
-        let baseline = e.decoded_speed[0];
+        let baseline = e.front.deck_mut(0).decoded_speed();
         let mut q = EventQueue::standard();
         q.push(0, ControlEvent::Nudge(0, 0.3));
         e.apply_events(&mut q);
@@ -1634,17 +1577,17 @@ mod tests {
         // a sudden platter acceleration (like a real stylus reading).
         e.run_apc();
         e.run_apc();
-        let nudged = e.decoded_speed[0];
+        let nudged = e.front.deck_mut(0).decoded_speed();
         assert!(
             nudged > baseline * 1.06,
             "nudge had no effect: {baseline} -> {nudged}"
         );
         // The nudge decays back.
         e.warmup(80);
+        let settled = e.front.deck_mut(0).decoded_speed();
         assert!(
-            (e.decoded_speed[0] - baseline).abs() < 0.08,
-            "nudge did not decay: {}",
-            e.decoded_speed[0]
+            (settled - baseline).abs() < 0.08,
+            "nudge did not decay: {settled}"
         );
     }
 

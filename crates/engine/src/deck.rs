@@ -217,15 +217,22 @@ impl TrackPlayer {
     /// relative to `other`, in `(-0.5, 0.5]` beats. DJ Star shows this to
     /// the DJ for beatmatching.
     pub fn phase_offset_to(&self, other: &TrackPlayer) -> f32 {
-        let mut d = self.beat_phase - other.beat_phase;
-        if d > 0.5 {
-            d -= 1.0;
-        }
-        if d <= -0.5 {
-            d += 1.0;
-        }
-        d
+        beat_phase_offset(self.beat_phase, other.beat_phase)
     }
+}
+
+/// The fractional beat offset of beat phase `a` relative to `b`, in
+/// `(-0.5, 0.5]` beats — [`TrackPlayer::phase_offset_to`] on bare phases,
+/// for callers that cannot borrow both players at once.
+pub fn beat_phase_offset(a: f32, b: f32) -> f32 {
+    let mut d = a - b;
+    if d > 0.5 {
+        d -= 1.0;
+    }
+    if d <= -0.5 {
+        d += 1.0;
+    }
+    d
 }
 
 #[cfg(test)]

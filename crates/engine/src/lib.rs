@@ -7,7 +7,8 @@
 //!   external turntables ([`timecode`]), 16 % of the APC in the paper.
 //! * **GP** — graph preprocessing: time stretching, phase alignment and
 //!   buffer management for each deck ([`deck`]), the largest non-graph
-//!   chunk (33 %).
+//!   chunk (33 %). Serial in the paper; here TP and GP run as one task per
+//!   deck on the graph's own pool lanes ([`front`]).
 //! * **Graph** — the 67-node task graph ([`graphbuild`], executed by
 //!   `djstar-core`), 38 %.
 //! * **VC** — various calculations (master tempo, accounting).
@@ -20,6 +21,7 @@ pub mod apc;
 pub mod deck;
 pub mod degrade;
 pub mod events;
+pub mod front;
 pub mod graphbuild;
 pub mod modes;
 pub mod netnodes;
@@ -33,12 +35,12 @@ pub mod venue;
 
 pub use apc::{
     fault_plan_from_spec, ApcTiming, AudioEngine, AuxWork, DegradeOutcome, NetDegradeOutcome,
-    VenueCyclePrep,
 };
 pub use degrade::{
     DegradationPolicy, DegradeAction, DegradeConfig, DegradeEvent, NetDegradeAction,
     NetDegradeConfig, NetDegradeEvent, NetLatencyPolicy,
 };
+pub use front::FrontWork;
 pub use graphbuild::{build_djstar_graph, build_shaped_graph, GraphShape, NodeMap};
 pub use modes::{
     canonical_shape, reachable_edits, shape_fingerprint, AdmissionControl, BlueprintCache,

@@ -13,7 +13,7 @@ use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::{Compressor, HardClip, Limiter};
 use djstar_dsp::effects::Effect;
 use djstar_dsp::eq::{ChannelFilter, ThreeBandEq};
-use djstar_dsp::meter::{goertzel_power, LevelMeter};
+use djstar_dsp::meter::{goertzel_bank, goertzel_coeff, LevelMeter};
 use djstar_dsp::mix::{crossfader_gain, mix_into};
 use djstar_dsp::work::burn;
 use djstar_workload::profile::{NodeClass, WorkProfile};
@@ -749,17 +749,21 @@ impl Processor for KeyDetectNode {
 
 /// Spectrum tap: 8 Goertzel bands of the master signal.
 pub struct SpectrumTapNode {
-    bands_hz: [f32; 8],
+    /// Recurrence coefficients of the eight bands.
+    coeffs: [f32; 8],
     cost: CostModel,
 }
 
 impl SpectrumTapNode {
+    /// Band centres of the master spectrum analyzer (Hz).
+    const BANDS_HZ: [f32; 8] = [
+        60.0, 150.0, 400.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 15_000.0,
+    ];
+
     /// The master spectrum analyzer.
     pub fn new(profile: WorkProfile, seed: u32) -> Self {
         SpectrumTapNode {
-            bands_hz: [
-                60.0, 150.0, 400.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 15_000.0,
-            ],
+            coeffs: Self::BANDS_HZ.map(|f| goertzel_coeff(f, djstar_dsp::SAMPLE_RATE)),
             cost: CostModel::new(NodeClass::Bookkeeping, profile, seed),
         }
     }
@@ -769,11 +773,9 @@ impl Processor for SpectrumTapNode {
     fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, _ctx: &CycleCtx<'_>) {
         output.clear();
         if let Some(src) = inputs.first() {
-            for (k, &f) in self.bands_hz.iter().enumerate() {
-                let p = goertzel_power(src.samples(), f, djstar_dsp::SAMPLE_RATE);
-                if k < output.frames() {
-                    output.set_sample(0, k, p);
-                }
+            let bands = goertzel_bank(src.samples(), &self.coeffs);
+            for (k, &p) in bands.iter().enumerate().take(output.frames()) {
+                output.set_sample(0, k, p);
             }
         }
         self.cost.apply(output);

@@ -28,6 +28,7 @@
 use crate::graphbuild::{build_shaped_graph, GraphShape, NodeMap};
 use crate::modes::Unschedulable;
 use djstar_core::exec::{BlueprintError, ScheduleBlueprint, StagedGeneration, Strategy, SwapError};
+use djstar_core::graph::GraphTopology;
 use djstar_workload::scenario::Scenario;
 use std::fmt;
 
@@ -284,6 +285,19 @@ impl StagedTopology {
     }
 }
 
+/// A PLAN blueprint for `topo` on `threads` workers from a list schedule
+/// with every node costing one unit — what staging uses when no measured
+/// durations are at hand, and all the four-node front graph ever needs.
+pub(crate) fn unit_cost_blueprint(
+    topo: &GraphTopology,
+    threads: usize,
+) -> Result<ScheduleBlueprint, BlueprintError> {
+    let sim = djstar_sim::SimGraph::from_topology(topo);
+    let durations = djstar_sim::DurationModel::Constant(vec![1; topo.len()]);
+    let schedule = djstar_sim::list_schedule(&sim, &durations, 0, threads as u32);
+    djstar_sim::compile_blueprint(&sim, &schedule)
+}
+
 /// Build a complete generation for `shape`: the shaped task graph, its
 /// buffers, and — when `strategy` is PLAN — a schedule blueprint compiled
 /// for `threads` workers (uniform node durations; callers with measured
@@ -302,11 +316,7 @@ pub fn stage_topology(
 ) -> Result<StagedTopology, BlueprintError> {
     let (graph, map) = build_shaped_graph(scenario, shape);
     let staged = if strategy == Strategy::Planned {
-        let topo = graph.topology();
-        let sim = djstar_sim::SimGraph::from_topology(topo);
-        let durations = djstar_sim::DurationModel::Constant(vec![1; topo.len()]);
-        let schedule = djstar_sim::list_schedule(&sim, &durations, 0, threads as u32);
-        let bp = djstar_sim::compile_blueprint(&sim, &schedule)?;
+        let bp = unit_cost_blueprint(graph.topology(), threads)?;
         StagedGeneration::with_plan(graph, frames, bp)
     } else {
         StagedGeneration::new(graph, frames)

@@ -20,6 +20,7 @@
 //! signal analysis per deck — is preserved.
 
 use djstar_dsp::buffer::AudioBuf;
+use djstar_dsp::osc::advance_phase;
 
 /// Carrier frequency at speed 1.0 (Hz).
 pub const CARRIER_HZ: f32 = 1_000.0;
@@ -56,8 +57,7 @@ impl TimecodeGenerator {
             let r = (core::f32::consts::TAU * (self.phase + quad_off)).sin() * amp;
             out.set_sample(0, i, l);
             out.set_sample(1, i, r);
-            self.phase += dphi;
-            self.phase -= self.phase.floor();
+            self.phase = advance_phase(self.phase, dphi);
         }
     }
 }

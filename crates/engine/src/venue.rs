@@ -3,16 +3,22 @@
 //! A venue hosts N DJ sessions — each a full [`AudioEngine`] with its own
 //! decks, timecode, control surface and task graph — against **one**
 //! persistent [`VenuePool`]. Every sound-card period the server batches
-//! the sessions' graph cycles onto the pool:
+//! the sessions' cycles onto the pool in two batches of the same shape —
+//! first every session's front graph (TP + GP, one task per deck), then
+//! every session's task graph:
 //!
-//! 1. [`AudioEngine::venue_prepare`] for every session (driver-side TP/GP
-//!    phases, then stage the graph cycle on the pool without waking
-//!    anyone),
+//! 1. stage every session ([`AudioEngine::venue_front_stage`], later
+//!    [`AudioEngine::venue_graph_stage`]) without waking anyone,
 //! 2. one [`VenuePool::dispatch`] publishing the whole batch to the
 //!    workers,
 //! 3. [`VenuePool::run_driver_parts`] so the driver contributes lane 0,
-//! 4. [`AudioEngine::venue_finish`] per session (collect the graph
-//!    result — or run it inline for sequential sessions — then VC).
+//! 4. collect per session ([`AudioEngine::venue_front_collect`], later
+//!    [`AudioEngine::venue_finish`], which also runs VC); a sequential
+//!    session's cycle runs inline on the driver here instead.
+//!
+//! The front batch is one wall-clock window shared by all sessions; each
+//! session's `tp`/`gp` is its share of that window by measured task time,
+//! so the shares sum to the time the venue actually spent there.
 //!
 //! **Admission control** keeps the venue schedulable: a candidate session
 //! is probed on a throwaway sequential engine, its per-cycle cost is
@@ -32,7 +38,8 @@
 //! offending session.
 
 use crate::apc::DegradeOutcome;
-use crate::apc::{ApcTiming, AudioEngine, AuxWork, VenueCyclePrep};
+use crate::apc::{ApcTiming, AudioEngine, AuxWork};
+use crate::front::FrontWork;
 use djstar_core::exec::{Strategy, VenuePool};
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
@@ -87,6 +94,10 @@ struct VenueSession {
     cycles: u64,
     misses: u64,
     last: ApcTiming,
+    /// In-flight scratch of the current batch: the staged epoch (front
+    /// batch, then graph batch) and the front task time just collected.
+    epoch: Option<u64>,
+    front: FrontWork,
 }
 
 /// A multi-session host: one worker pool, N engines, per-session
@@ -94,9 +105,6 @@ struct VenueSession {
 pub struct VenueServer {
     pool: Arc<VenuePool>,
     sessions: Vec<VenueSession>,
-    /// Scratch for in-flight cycle preps, kept allocated between cycles
-    /// so the steady-state batch loop performs zero allocations.
-    preps: Vec<Option<VenueCyclePrep>>,
     deadline_ns: u64,
     margin: f64,
     rejections: u64,
@@ -110,7 +118,6 @@ impl VenueServer {
         VenueServer {
             pool: Arc::new(VenuePool::new(threads)),
             sessions: Vec::new(),
-            preps: Vec::new(),
             deadline_ns: deadline.as_nanos() as u64,
             margin,
             rejections: 0,
@@ -240,8 +247,9 @@ impl VenueServer {
             cycles: 0,
             misses: 0,
             last: ApcTiming::default(),
+            epoch: None,
+            front: FrontWork::default(),
         });
-        self.preps.push(None);
         Ok(id)
     }
 
@@ -251,7 +259,6 @@ impl VenueServer {
         match self.sessions.iter().position(|s| s.id == id) {
             Some(i) => {
                 self.sessions.remove(i);
-                self.preps.pop();
                 true
             }
             None => false,
@@ -315,14 +322,27 @@ impl VenueServer {
         if self.sessions.is_empty() {
             return t0.elapsed();
         }
-        for (i, s) in self.sessions.iter_mut().enumerate() {
-            self.preps[i] = Some(s.engine.venue_prepare());
+        // Front batch: every session's four deck tasks on the pool lanes.
+        for s in &mut self.sessions {
+            s.epoch = s.engine.venue_front_stage();
         }
         self.pool.dispatch();
         self.pool.run_driver_parts();
-        for (i, s) in self.sessions.iter_mut().enumerate() {
-            let prep = self.preps[i].take().expect("prep staged above");
-            let t = s.engine.venue_finish(prep);
+        let mut front_total_ns = 0;
+        for s in &mut self.sessions {
+            s.front = s.engine.venue_front_collect(s.epoch);
+            front_total_ns += s.front.total_ns();
+        }
+        let front_window = t0.elapsed();
+        // Graph batch.
+        for s in &mut self.sessions {
+            s.epoch = s.engine.venue_graph_stage();
+        }
+        self.pool.dispatch();
+        self.pool.run_driver_parts();
+        for s in &mut self.sessions {
+            let (tp, gp) = s.front.shares(front_window, front_total_ns);
+            let t = s.engine.venue_finish(s.epoch, tp, gp);
             s.cycles += 1;
             s.last = t;
             let missed = t.total().as_nanos() as u64 > self.deadline_ns;

@@ -6,7 +6,9 @@
 //! audio path: the warm `stage_edits` hit (a take-once `swap_remove`
 //! from the cache), the cycle-boundary commit (name-keyed carry-over
 //! resolves through the index built at staging time), and the following
-//! audio cycles. The neighborhood precompile — the background stager's
+//! audio cycles — each a front cycle (the four deck tasks on the pool
+//! lanes, which a graph generation swap must leave untouched) followed by
+//! a graph cycle. The neighborhood precompile — the background stager's
 //! job, never the audio thread's — runs between windows and may
 //! allocate freely.
 //!

@@ -1,11 +1,13 @@
 //! Proof that the venue's multi-session hot path allocates nothing.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after
-//! warm-up, full batched venue cycles — every session's TP/GP phases,
-//! one pool dispatch, driver lane-0 parts, per-session collection, VC
-//! and deadline accounting — must not allocate: cycle preps live in a
-//! scratch vector sized at admission, the pool entry table is reused,
-//! and the engines' own phases were already allocation-free solo.
+//! warm-up, full batched venue cycles — the front batch (every session's
+//! four TP + GP deck tasks staged, dispatched and collected on the pool
+//! lanes, buffer hand-over, phase alignment, window shares), the graph
+//! batch (stage, dispatch, driver lane-0 parts, per-session collection),
+//! VC and deadline accounting — must not allocate: in-flight state lives
+//! in the session records made at admission, the pool entry table is
+//! reused, and the engines' own phases were already allocation-free solo.
 //!
 //! Own integration binary for the same reason as `net_alloc.rs`: a
 //! global allocator is process-wide and sibling tests would pollute the
@@ -62,15 +64,19 @@ fn spec(strategy: Strategy, threads: usize, networked: bool) -> SessionSpec {
 #[test]
 fn steady_state_venue_cycles_do_not_allocate() {
     let mut venue = VenueServer::new(3, Duration::from_secs(1), 0.0);
-    // A mixed batch: pooled stealer, pooled busy-waiter, inline
+    // A mixed batch: pooled stealer, pooled busy-waiter, a blueprint
+    // replayer (whose front session replays a blueprint too), inline
     // sequential, one of them networked — every dispatch flavor the
-    // venue hot path has.
+    // venue hot path has, in both of its batches.
     venue
         .admit_bounded(spec(Strategy::Steal, 3, true), 1)
         .expect("admit steal");
     venue
         .admit_bounded(spec(Strategy::Busy, 2, false), 1)
         .expect("admit busy");
+    venue
+        .admit_bounded(spec(Strategy::Planned, 2, false), 1)
+        .expect("admit planned");
     venue
         .admit_bounded(spec(Strategy::Sequential, 1, false), 1)
         .expect("admit sequential");
