@@ -12,6 +12,7 @@ use djstar_dsp::mix::{mix_into, mix_into_scalar};
 use djstar_dsp::osc::NoiseSource;
 use djstar_dsp::simd;
 use djstar_dsp::stretch::TimeStretcher;
+use djstar_workload::track::{synth_track, synth_track_reference, TrackStyle};
 
 fn music_buf() -> AudioBuf {
     let mut noise = NoiseSource::new(17);
@@ -165,6 +166,23 @@ fn bench_simd_pairs() {
     bench("buf_rms/simd", || buf.rms());
 }
 
+/// A 30-s deck track, per-sample reference vs the run-based table-driven
+/// path every engine loads through (bit-equal; four of these per set).
+fn bench_track_synth() {
+    group("track_synth_30s");
+    for (style, seed, bpm) in [
+        (TrackStyle::House, 11, 126.0),
+        (TrackStyle::Ambient, 44, 128.0),
+    ] {
+        bench(&format!("track_synth/{style:?}/reference"), || {
+            synth_track_reference(seed, bpm, 30.0, style)
+        });
+        bench(&format!("track_synth/{style:?}/fast"), || {
+            synth_track(seed, bpm, 30.0, style)
+        });
+    }
+}
+
 fn bench_burn() {
     group("burn_kernel");
     for iters in [1_000u32, 16_000] {
@@ -179,5 +197,6 @@ fn main() {
     bench_filters();
     bench_fft();
     bench_simd_pairs();
+    bench_track_synth();
     bench_burn();
 }

@@ -392,6 +392,17 @@ impl AudioEngine {
         (executor, map)
     }
 
+    /// A warmed-up throwaway SEQ × 1 engine on a clone of `scenario` — the
+    /// measuring half of PLAN compilation and of venue admission. The clone
+    /// shares the scenario's track library, so a probe loads no track the
+    /// engine it stands in for has loaded or will load.
+    pub(crate) fn probe(scenario: &Scenario, shape: GraphShape, aux: AuxWork) -> AudioEngine {
+        let mut probe =
+            AudioEngine::with_shape(scenario.clone(), shape, Strategy::Sequential, 1, aux);
+        probe.warmup(4);
+        probe
+    }
+
     /// Compile a PLAN blueprint for `scenario`: probe per-node durations on
     /// a throwaway sequential engine, feed the per-node means to the list
     /// scheduler with a resource constraint of `threads` processors, and
@@ -412,25 +423,8 @@ impl AudioEngine {
         const PROBE_CYCLES: usize = 12;
         // Aux weights only shape the non-graph phases, so the probe always
         // runs light regardless of what the real engine will use.
-        let mut probe = AudioEngine::with_shape(
-            scenario.clone(),
-            *shape,
-            Strategy::Sequential,
-            1,
-            AuxWork::light(),
-        );
-        probe.warmup(4);
-        let samples = probe.measured_node_durations(PROBE_CYCLES);
-        let means: Vec<u64> = samples
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    1
-                } else {
-                    (s.iter().sum::<u64>() / s.len() as u64).max(1)
-                }
-            })
-            .collect();
+        let mut probe = Self::probe(scenario, *shape, AuxWork::light());
+        let means = probe.mean_node_durations(PROBE_CYCLES);
         let sim_graph = djstar_sim::SimGraph::from_topology(probe.executor_mut().topology());
         let durations = djstar_sim::DurationModel::Constant(means);
         let schedule = djstar_sim::list_schedule(&sim_graph, &durations, 0, threads as u32);
@@ -1364,6 +1358,17 @@ impl AudioEngine {
         samples
     }
 
+    /// Per-node mean of [`measured_node_durations`](Self::measured_node_durations)
+    /// over `cycles` traced APCs, at least 1 ns (also for a node that never
+    /// ran) — the constant-duration model a probe engine hands the list
+    /// scheduler.
+    pub(crate) fn mean_node_durations(&mut self, cycles: usize) -> Vec<u64> {
+        self.measured_node_durations(cycles)
+            .iter()
+            .map(|s| (s.iter().sum::<u64>() / s.len().max(1) as u64).max(1))
+            .collect()
+    }
+
     /// Calibrate a scenario's work profile so the *sequential* graph time
     /// approaches `target`: measures, rescales, and returns the adjusted
     /// scenario. Multiplicative updates converge in one or two rounds when
@@ -1433,6 +1438,66 @@ mod tests {
                 "{strategy:?} diverged from sequential"
             );
         }
+    }
+
+    /// The allocation behind deck `d`'s loaded track.
+    fn deck_track(e: &mut AudioEngine, d: usize) -> djstar_workload::Track {
+        let player = e.front.deck_mut(d).player();
+        player.expect("active deck").track().clone()
+    }
+
+    #[test]
+    fn a_scenario_loads_each_track_once_for_engine_and_probes() {
+        use crate::venue::{SessionSpec, VenueServer};
+        use djstar_workload::Track;
+        let s = Scenario::light_test();
+        // A PLAN engine (its constructor runs `compile_plan_for`'s probe),
+        // the two kinds of probe on their own, and an admitted session whose
+        // `admit` probed first.
+        let mut engine = AudioEngine::with_aux(s.clone(), Strategy::Planned, 2, AuxWork::light());
+        let mut plan_probe = AudioEngine::probe(&s, GraphShape::paper_default(), AuxWork::light());
+        let mut admit_probe = AudioEngine::probe(&s, GraphShape::for_net(&s.net), AuxWork::light());
+        let mut server = VenueServer::new(2, Duration::from_millis(500), 0.1);
+        let id = server
+            .admit(SessionSpec {
+                scenario: s.clone(),
+                strategy: Strategy::Planned,
+                threads: 2,
+                aux: AuxWork::light(),
+            })
+            .expect("a light session fits a 500 ms period");
+        // Equal configuration, constructed on its own: its own load.
+        let mut stranger = light_engine(Strategy::Sequential, 1);
+        for d in 0..4 {
+            let loaded = s.track(d);
+            assert!(Track::ptr_eq(&loaded, &deck_track(&mut engine, d)));
+            assert!(Track::ptr_eq(&loaded, &deck_track(&mut plan_probe, d)));
+            assert!(Track::ptr_eq(&loaded, &deck_track(&mut admit_probe, d)));
+            let admitted = server.engine_mut(id).expect("admitted above");
+            assert!(Track::ptr_eq(&loaded, &deck_track(admitted, d)));
+            let other = deck_track(&mut stranger, d);
+            assert!(!Track::ptr_eq(&loaded, &other));
+            assert_eq!(loaded.samples(), other.samples());
+        }
+        // An edit after the clone reaches the next engine built from it.
+        let mut edited = s.clone();
+        edited.decks[0].track_seed += 1;
+        edited.decks[1].bpm = 140.0;
+        edited.track_secs = 1.0;
+        let mut e = AudioEngine::with_aux(edited, Strategy::Sequential, 1, AuxWork::light());
+        assert_ne!(deck_track(&mut e, 0).samples(), s.track(0).samples());
+        assert_eq!(deck_track(&mut e, 1).bpm(), 140.0);
+        assert_eq!(deck_track(&mut e, 2).samples().len(), 44_100);
+    }
+
+    #[test]
+    fn mean_node_durations_are_positive_for_every_node() {
+        let mut e = light_engine(Strategy::Sequential, 1);
+        let means = e.mean_node_durations(3);
+        assert_eq!(means.len(), e.executor_mut().topology().len());
+        assert!(means.iter().all(|&m| m >= 1));
+        // No cycle traced: the floor, not a division by zero.
+        assert!(e.mean_node_durations(0).iter().all(|&m| m == 1));
     }
 
     #[test]

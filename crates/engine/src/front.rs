@@ -31,7 +31,6 @@ use djstar_core::processor::{CycleCtx, Processor};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::work::burn;
 use djstar_workload::scenario::Scenario;
-use djstar_workload::track::synth_track;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,21 +63,13 @@ pub(crate) struct DeckFront {
 }
 
 impl DeckFront {
-    /// Deck `d` of `scenario` (synthesizes its track when the deck is
-    /// active) with the TP/GP weights of `aux`.
+    /// Deck `d` of `scenario` (loads its track from the scenario's library
+    /// when the deck is active) with the TP/GP weights of `aux`.
     fn new(scenario: &Scenario, d: usize, aux: AuxWork) -> Self {
         let cfg = &scenario.decks[d];
-        let player = cfg.active.then(|| {
-            TrackPlayer::new(synth_track(
-                cfg.track_seed,
-                cfg.bpm,
-                scenario.track_secs,
-                cfg.style,
-            ))
-        });
         let mut front = Self::vacant(d);
         front.tempo = cfg.tempo;
-        front.player = player;
+        front.player = cfg.active.then(|| TrackPlayer::new(scenario.track(d)));
         front.set_aux(aux);
         front
     }

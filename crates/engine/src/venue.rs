@@ -40,6 +40,7 @@
 use crate::apc::DegradeOutcome;
 use crate::apc::{ApcTiming, AudioEngine, AuxWork};
 use crate::front::FrontWork;
+use crate::graphbuild::GraphShape;
 use djstar_core::exec::{Strategy, VenuePool};
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
@@ -172,20 +173,9 @@ impl VenueServer {
     /// list-schedule makespan of its measured graph plus the median of
     /// its measured non-graph phases.
     pub fn probe_session_bound(spec: &SessionSpec) -> u64 {
-        let mut probe =
-            AudioEngine::with_aux(spec.scenario.clone(), Strategy::Sequential, 1, spec.aux);
-        probe.warmup(4);
-        let samples = probe.measured_node_durations(PROBE_CYCLES);
-        let means: Vec<u64> = samples
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    1
-                } else {
-                    (s.iter().sum::<u64>() / s.len() as u64).max(1)
-                }
-            })
-            .collect();
+        let shape = GraphShape::for_net(&spec.scenario.net);
+        let mut probe = AudioEngine::probe(&spec.scenario, shape, spec.aux);
+        let means = probe.mean_node_durations(PROBE_CYCLES);
         let mut aux: Vec<u64> = (0..PROBE_CYCLES)
             .map(|_| {
                 let t = probe.run_apc();

@@ -2,7 +2,8 @@
 
 use crate::netspec::NetSpec;
 use crate::profile::WorkProfile;
-use crate::track::TrackStyle;
+use crate::track::{synth_track, Track, TrackStyle};
+use std::sync::{Arc, Mutex};
 
 /// Configuration of one deck.
 #[derive(Debug, Clone, Copy)]
@@ -67,6 +68,31 @@ impl DeckConfig {
     }
 }
 
+/// Everything that decides a deck's track.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct TrackKey {
+    seed: u64,
+    bpm_bits: u32,
+    secs_bits: u32,
+    style: TrackStyle,
+}
+
+/// The tracks one scenario has loaded: per deck, the last track asked for
+/// and what it was synthesized from. The handle is shared by a scenario and
+/// its clones and by nothing else — there is no process-wide cache, so two
+/// scenarios constructed independently each pay for their own set.
+#[derive(Clone, Default)]
+struct TrackLibrary(Arc<Mutex<[Option<Loaded>; 4]>>);
+
+type Loaded = (TrackKey, Track);
+
+impl std::fmt::Debug for TrackLibrary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let loaded = self.0.lock().map_or(0, |s| s.iter().flatten().count());
+        write!(f, "TrackLibrary({loaded} loaded)")
+    }
+}
+
 /// A complete performance scenario.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -82,6 +108,8 @@ pub struct Scenario {
     pub track_secs: f32,
     /// Network scenario (remote decks + broadcast); disabled by default.
     pub net: NetSpec,
+    /// Tracks already synthesized for this scenario or a clone of it.
+    library: TrackLibrary,
 }
 
 impl Scenario {
@@ -118,6 +146,35 @@ impl Scenario {
             work: WorkProfile::paper_scale(),
             track_secs: 30.0,
             net: NetSpec::default(),
+            library: TrackLibrary::default(),
+        }
+    }
+
+    /// Deck `d`'s track, synthesized on first request and shared from then
+    /// on with every clone of this scenario (an engine, its PLAN-compile
+    /// probe, an admission probe, a calibration round): loading a set
+    /// synthesizes each deck once. A deck whose seed, tempo, style or length
+    /// has been edited since gets a fresh track, which replaces the old one.
+    pub fn track(&self, d: usize) -> Track {
+        let cfg = &self.decks[d];
+        let key = TrackKey {
+            seed: cfg.track_seed,
+            bpm_bits: cfg.bpm.to_bits(),
+            secs_bits: self.track_secs.to_bits(),
+            style: cfg.style,
+        };
+        let mut slots = self
+            .library
+            .0
+            .lock()
+            .expect("synthesis is total (tempo clamped), so no holder of the lock panics");
+        match &slots[d] {
+            Some((k, track)) if *k == key => track.clone(),
+            _ => {
+                let track = synth_track(cfg.track_seed, cfg.bpm, self.track_secs, cfg.style);
+                slots[d] = Some((key, track.clone()));
+                track
+            }
         }
     }
 
@@ -156,6 +213,43 @@ mod tests {
         // Different tracks per deck, as in the paper.
         let seeds: std::collections::HashSet<u64> = s.decks.iter().map(|d| d.track_seed).collect();
         assert_eq!(seeds.len(), 4);
+    }
+
+    #[test]
+    fn clones_share_tracks_and_independent_scenarios_do_not() {
+        let s = Scenario::light_test();
+        let first = s.track(1);
+        assert!(Track::ptr_eq(&first, &s.track(1)));
+        assert!(Track::ptr_eq(&first, &s.clone().track(1)));
+        // A clone made before the first request shares what is loaded later.
+        let early = s.clone();
+        assert!(Track::ptr_eq(&s.track(2), &early.track(2)));
+        // Equal configuration, separate construction: separate load.
+        let other = Scenario::light_test();
+        assert!(!Track::ptr_eq(&first, &other.track(1)));
+        assert_eq!(first.samples(), other.track(1).samples());
+    }
+
+    #[test]
+    fn editing_a_deck_after_a_clone_yields_the_new_track() {
+        let s = Scenario::light_test();
+        let old = s.track(0);
+        let mut seed = s.clone();
+        seed.decks[0].track_seed += 1;
+        assert_ne!(seed.track(0).samples(), old.samples());
+        let mut bpm = s.clone();
+        bpm.decks[0].bpm = 140.0;
+        assert_eq!(bpm.track(0).bpm(), 140.0);
+        let mut secs = s.clone();
+        secs.track_secs = 1.0;
+        assert_eq!(secs.track(0).samples().len(), 44_100);
+        let mut style = s.clone();
+        style.decks[0].style = TrackStyle::Ambient;
+        assert_ne!(style.track(0).samples(), old.samples());
+        // The original still gets its own track back, bit for bit, and
+        // other decks were never disturbed.
+        assert_eq!(s.track(0).samples(), old.samples());
+        assert!(Track::ptr_eq(&s.track(1), &style.track(1)));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! because the effect nodes' data-dependent cost follows signal energy.
 
 use djstar_dsp::rng::SmallRng;
+use djstar_dsp::SAMPLE_RATE;
+use std::sync::Arc;
 
 /// Stylistic presets for the synthesizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,10 +22,13 @@ pub enum TrackStyle {
     Ambient,
 }
 
-/// A mono PCM track.
+/// A mono PCM track. Cloning shares the sample buffer.
 #[derive(Debug, Clone)]
 pub struct Track {
-    samples: Vec<f32>,
+    /// `Arc<Vec<_>>`, not `Arc<[_]>`: converting a filled `Vec` into an
+    /// `Arc` slice copies it, and that transient second buffer is what a
+    /// load's peak RSS would then measure.
+    samples: Arc<Vec<f32>>,
     sample_rate: u32,
     bpm: f32,
 }
@@ -32,6 +37,11 @@ impl Track {
     /// The PCM samples.
     pub fn samples(&self) -> &[f32] {
         &self.samples
+    }
+
+    /// Whether `a` and `b` are clones of one synthesis (same allocation).
+    pub fn ptr_eq(a: &Track, b: &Track) -> bool {
+        Arc::ptr_eq(&a.samples, &b.samples)
     }
 
     /// Sample rate in Hz.
@@ -54,47 +64,205 @@ impl Track {
         if len == 0 {
             return 0.0;
         }
-        let sum: f32 = (start..start + len)
-            .map(|i| self.samples.get(i).copied().unwrap_or(0.0).powi(2))
+        let end = start.saturating_add(len).min(self.samples.len());
+        let sum: f32 = self
+            .samples
+            .get(start..end)
+            .unwrap_or(&[])
+            .iter()
+            .map(|s| s.powi(2))
             .sum();
         (sum / len as f32).sqrt()
     }
 }
 
+/// Samples per beat at `bpm`, clamped to [64 samples, 60 s] so that a
+/// non-finite, non-positive or absurd tempo (the cast saturates: NaN and
+/// negatives to 0, +inf to `usize::MAX`) still yields a bar length that can
+/// be divided by and multiplied by 16.
+fn beat_len(bpm: f32) -> usize {
+    ((60.0 / bpm * SAMPLE_RATE as f32) as usize).clamp(64, 60 * SAMPLE_RATE as usize)
+}
+
+/// What `seed` and `style` decide about a track, shared by both renderers.
+struct Voicing {
+    root_hz: f32,
+    bass_notes: [f32; 8],
+    lead_notes: [f32; 16],
+    kick_every: usize,
+    hat_level: f32,
+    pad_level: f32,
+}
+
+impl Voicing {
+    fn new(seed: u64, style: TrackStyle) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Minor-pentatonic-ish root offsets for the bass line.
+        let scale = [0, 3, 5, 7, 10];
+        let root_hz = 55.0 * 2f32.powf(rng.below(5) as f32 / 12.0);
+        let mut note = |base: f32| base * 2f32.powf(scale[rng.below(scale.len())] as f32 / 12.0);
+        let bass_notes = std::array::from_fn(|_| note(root_hz));
+        let lead_notes = std::array::from_fn(|_| note(root_hz * 4.0));
+        let (kick_every, hat_level, pad_level) = match style {
+            TrackStyle::House => (1, 0.25, 0.0),
+            TrackStyle::Breakbeat => (2, 0.4, 0.0),
+            TrackStyle::Ambient => (4, 0.05, 0.3),
+        };
+        Voicing {
+            root_hz,
+            bass_notes,
+            lead_notes,
+            kick_every,
+            hat_level,
+            pad_level,
+        }
+    }
+}
+
+/// The hat's noise source: xorshift32 in `[-1, 1]`, drawn once per hat sample.
+struct Noise(u32);
+
+impl Noise {
+    fn new(seed: u64) -> Self {
+        Noise(seed as u32 | 1)
+    }
+
+    fn next(&mut self) -> f32 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 17;
+        self.0 ^= self.0 << 5;
+        (self.0 as f32 / u32::MAX as f32) * 2.0 - 1.0
+    }
+}
+
+/// Kick at `in_beat` samples into its beat: 55 Hz decaying sine with a
+/// downward pitch sweep.
+fn kick_at(in_beat: usize) -> f32 {
+    let tt = in_beat as f32 / SAMPLE_RATE as f32;
+    let pitch = 55.0 + 140.0 * (-tt * 40.0).exp();
+    0.9 * (-tt * 18.0).exp() * (core::f32::consts::TAU * pitch * tt).sin()
+}
+
+/// Hat envelope (level included) `hat_pos` samples into the off-beat burst.
+fn hat_env_at(hat_level: f32, hat_pos: usize) -> f32 {
+    let tt = hat_pos as f32 / SAMPLE_RATE as f32;
+    hat_level * (-tt * 200.0).exp()
+}
+
 /// Synthesize a deterministic track.
 ///
 /// `seed` selects note material; `bpm` the tempo; `seconds` the length.
+///
+/// Bit for bit the samples of [`synth_track_reference`], produced run by
+/// run: a bar falls into sixteen runs (sixteenth notes) inside which beat,
+/// bass note and lead note are constant, so the per-sample index arithmetic
+/// is paid once per run, and the kick and the hat envelope — functions of
+/// the position in the beat only — are tabulated once per track. Every
+/// floating-point expression keeps the reference's operand order.
 pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Track {
-    let sr = 44_100u32;
-    let n = (seconds * sr as f32) as usize;
-    let mut rng = SmallRng::seed_from_u64(seed);
+    use core::f32::consts::TAU;
+    let sr = SAMPLE_RATE as f32;
+    let n = (seconds * sr) as usize;
     let mut samples = vec![0.0f32; n];
+    let v = Voicing::new(seed, style);
+    let mut noise = Noise::new(seed);
 
-    let beat_len = (60.0 / bpm * sr as f32) as usize;
+    let beat_len = beat_len(bpm);
     let bar_len = beat_len * 4;
-    // Minor-pentatonic-ish root offsets for the bass line.
-    let scale = [0, 3, 5, 7, 10];
-    let root_hz = 55.0 * 2f32.powf(rng.below(5) as f32 / 12.0);
-    let bass_notes: Vec<f32> = (0..8)
-        .map(|_| root_hz * 2f32.powf(scale[rng.below(scale.len())] as f32 / 12.0))
+    // The hat burst covers in-beat positions `[hat_start, hat_start + hat_len)`.
+    let hat_start = beat_len - beat_len / 2;
+    let hat_len = beat_len / 8;
+    let kick: Vec<f32> = (0..beat_len.min(n)).map(kick_at).collect();
+    let hat_env: Vec<f32> = (0..hat_len.min(n))
+        .map(|p| hat_env_at(v.hat_level, p))
         .collect();
-    let lead_notes: Vec<f32> = (0..16)
-        .map(|_| root_hz * 4.0 * 2f32.powf(scale[rng.below(scale.len())] as f32 / 12.0))
-        .collect();
+    let w_pad = TAU * v.root_hz * 2.0;
 
-    let (kick_every, hat_level, pad_level) = match style {
-        TrackStyle::House => (1, 0.25, 0.0),
-        TrackStyle::Breakbeat => (2, 0.4, 0.0),
-        TrackStyle::Ambient => (4, 0.05, 0.3),
-    };
+    // Run `j` of a bar starts at in-bar sample ceil(j * bar_len / 16).
+    let run_start = |j: usize| (j * bar_len).div_ceil(16);
+    'bars: for bar in 0usize.. {
+        // Loud / quiet alternation every 4 bars.
+        let loud = (bar / 4).is_multiple_of(2);
+        let section_gain = if loud { 1.0 } else { 0.35 };
+        let bass_gain = 0.35 * section_gain;
+        let lead_gain = 0.18 * section_gain;
+        for j in 0..16 {
+            let first = bar * bar_len + run_start(j);
+            if first >= n {
+                break 'bars;
+            }
+            let beat = j / 4;
+            let f_bass = v.bass_notes[(j / 2 + bar * 8) % v.bass_notes.len()];
+            let w_lead = TAU * v.lead_notes[(j + bar * 16) % v.lead_notes.len()];
+            let kick_on = loud && beat.is_multiple_of(v.kick_every);
+            // The run in in-beat coordinates, cut where the hat burst
+            // starts and ends; only the middle piece carries the hat.
+            let lo = run_start(j) - beat * beat_len;
+            let hi = lo + (run_start(j + 1) - run_start(j)).min(n - first);
+            let cuts = [
+                lo,
+                hat_start.clamp(lo, hi),
+                (hat_start + hat_len).clamp(lo, hi),
+                hi,
+            ];
+            for (piece, w) in cuts.windows(2).enumerate() {
+                let (from, to) = (w[0], w[1]);
+                if from == to {
+                    continue;
+                }
+                let i0 = first + (from - lo);
+                let out = &mut samples[i0..i0 + (to - from)];
+                let kick = kick_on.then(|| &kick[from..to]);
+                let hat = (loud && piece == 1).then(|| &hat_env[from - hat_start..to - hat_start]);
+                for (k, out) in out.iter_mut().enumerate() {
+                    let t = (i0 + k) as f32 / sr;
+                    let mut s = 0.0f32;
+                    if let Some(kick) = kick {
+                        s += kick[k];
+                    }
+                    if let Some(hat) = hat {
+                        s += hat[k] * noise.next();
+                    }
+                    // Bass: saw following the note sequence, eighth notes.
+                    let saw = 2.0 * ((t * f_bass).fract()) - 1.0;
+                    s += bass_gain * saw;
+                    // Lead: sine arpeggio, sixteenth notes.
+                    s += lead_gain * (w_lead * t).sin();
+                    // Ambient pad.
+                    if v.pad_level > 0.0 {
+                        s += v.pad_level * (w_pad * t).sin() * 0.5;
+                    }
+                    *out = (s * 0.8).clamp(-1.0, 1.0);
+                }
+            }
+        }
+    }
+    Track {
+        samples: Arc::new(samples),
+        sample_rate: SAMPLE_RATE,
+        bpm,
+    }
+}
 
-    let mut noise_state = seed as u32 | 1;
-    let mut noise = move || {
-        noise_state ^= noise_state << 13;
-        noise_state ^= noise_state >> 17;
-        noise_state ^= noise_state << 5;
-        (noise_state as f32 / u32::MAX as f32) * 2.0 - 1.0
-    };
+/// The per-sample definition of a track: every position derived from the
+/// sample index by division and remainder, every voice evaluated in place.
+/// Test and bench oracle for [`synth_track`]; nothing at run time calls it.
+pub fn synth_track_reference(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Track {
+    let sr = SAMPLE_RATE;
+    let n = (seconds * sr as f32) as usize;
+    let mut samples = vec![0.0f32; n];
+    let Voicing {
+        root_hz,
+        bass_notes,
+        lead_notes,
+        kick_every,
+        hat_level,
+        pad_level,
+    } = Voicing::new(seed, style);
+    let mut noise = Noise::new(seed);
+
+    let beat_len = beat_len(bpm);
+    let bar_len = beat_len * 4;
 
     for (i, out) in samples.iter_mut().enumerate() {
         let t = i as f32 / sr as f32;
@@ -107,18 +275,14 @@ pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Trac
         let section_gain = if loud { 1.0 } else { 0.35 };
 
         let mut s = 0.0f32;
-        // Kick: 55 Hz decaying sine with a downward pitch sweep.
         if beat.is_multiple_of(kick_every) && loud {
-            let tt = in_beat as f32 / sr as f32;
-            let pitch = 55.0 + 140.0 * (-tt * 40.0).exp();
-            s += 0.9 * (-tt * 18.0).exp() * (core::f32::consts::TAU * pitch * tt).sin();
+            s += kick_at(in_beat);
         }
         // Hat: noise burst on the off-beat.
         let off = in_bar + beat_len / 2;
         let hat_pos = off % beat_len;
         if hat_pos < beat_len / 8 && loud {
-            let tt = hat_pos as f32 / sr as f32;
-            s += hat_level * (-tt * 200.0).exp() * noise();
+            s += hat_env_at(hat_level, hat_pos) * noise.next();
         }
         // Bass: saw following the note sequence, eighth notes.
         let eighth = (in_bar * 8 / bar_len + bar * 8) % bass_notes.len();
@@ -135,7 +299,7 @@ pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Trac
         *out = (s * 0.8).clamp(-1.0, 1.0);
     }
     Track {
-        samples,
+        samples: Arc::new(samples),
         sample_rate: sr,
         bpm,
     }
@@ -194,5 +358,78 @@ mod tests {
         let t = synth_track(1, 120.0, 0.5, TrackStyle::House);
         assert_eq!(t.window_rms(10_000_000, 128), 0.0);
         assert_eq!(t.window_rms(0, 0), 0.0);
+        assert_eq!(t.window_rms(usize::MAX, 128), 0.0);
+        // A window hanging over the end counts the overhang as silence.
+        let n = t.samples().len();
+        let tail = t.window_rms(n - 64, 64);
+        let over = t.window_rms(n - 64, 128);
+        assert!(tail > 0.0 && (over - tail / 2f32.sqrt()).abs() < 1e-6);
+        assert!(t.window_rms(n - 64, usize::MAX) < 1e-6);
+    }
+
+    fn bits(t: &Track) -> Vec<u32> {
+        t.samples().iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn fast_path_equals_reference_bit_for_bit() {
+        let styles = [
+            TrackStyle::House,
+            TrackStyle::Breakbeat,
+            TrackStyle::Ambient,
+        ];
+        // The four `paper_default` decks, plus two tempi whose beat lengths
+        // (27 194 and 25 689 samples) put run boundaries off the /4, /8 and
+        // /16 grid; the second is odd, so the hat burst starts mid-sample-pair.
+        let decks = [
+            (11, 126.0),
+            (22, 132.0),
+            (33, 124.0),
+            (44, 128.0),
+            (5, 97.3),
+            (6, 103.0),
+        ];
+        assert_eq!(beat_len(103.0) % 2, 1);
+        // 0 s, shorter than a beat, ending mid-beat, ending mid-bar, and
+        // long enough to cross a loud -> quiet -> loud section change.
+        let lengths = [0.0, 0.2, 0.7, 3.1, 17.0];
+        for style in styles {
+            for (seed, bpm) in decks {
+                for secs in lengths {
+                    let fast = synth_track(seed, bpm, secs, style);
+                    let reference = synth_track_reference(seed, bpm, secs, style);
+                    assert_eq!(fast.samples().len(), (secs * 44_100.0) as usize);
+                    assert!(
+                        bits(&fast) == bits(&reference),
+                        "{style:?} seed {seed} bpm {bpm} secs {secs}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_bpm_is_clamped_not_a_panic() {
+        for bpm in [0.0, -120.0, f32::NAN, f32::INFINITY, 1e-30, 1e30] {
+            let len = beat_len(bpm);
+            assert!((64..=60 * 44_100).contains(&len), "bpm {bpm}: {len}");
+            let fast = synth_track(3, bpm, 0.5, TrackStyle::House);
+            let reference = synth_track_reference(3, bpm, 0.5, TrackStyle::House);
+            assert_eq!(bits(&fast), bits(&reference), "bpm {bpm}");
+            assert!(fast.samples().iter().all(|s| s.is_finite()));
+        }
+        // A valid tempo is untouched by the clamp.
+        assert_eq!(beat_len(126.0), 21_000);
+    }
+
+    #[test]
+    fn clones_share_the_samples() {
+        let a = synth_track(1, 120.0, 0.5, TrackStyle::House);
+        let b = a.clone();
+        assert!(Track::ptr_eq(&a, &b));
+        assert!(!Track::ptr_eq(
+            &a,
+            &synth_track(1, 120.0, 0.5, TrackStyle::House)
+        ));
     }
 }
