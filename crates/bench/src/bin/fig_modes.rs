@@ -26,7 +26,7 @@ use djstar_bench::{
 };
 use djstar_core::exec::Strategy;
 use djstar_engine::apc::{AudioEngine, AuxWork};
-use djstar_engine::modes::{AdmissionControl, NodeCostModel};
+use djstar_engine::modes::{AdmissionControl, ModeCacheStats, NodeCostModel};
 use djstar_engine::reconfig::{apply_edit, GraphEdit};
 use djstar_engine::soundcard::SoundCardSim;
 use djstar_engine::GraphShape;
@@ -50,8 +50,7 @@ struct RunResult {
     commit_blown: u64,
     checksum: u64,
     stage_ns: Vec<u64>,
-    cache_hits: u64,
-    cache_misses: u64,
+    cache: ModeCacheStats,
 }
 
 /// Replay `script` over `cycles` APCs against a fresh sound card. With
@@ -118,15 +117,13 @@ fn run(
         }
         card.submit(&out, cycle_ns + commit_cost);
     }
-    let stats = engine.mode_cache().map(|c| c.stats()).unwrap_or_default();
     RunResult {
         misses: card.underruns(),
         swaps,
         commit_blown,
         checksum,
         stage_ns,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
+        cache: engine.mode_stats(),
     }
 }
 
@@ -368,10 +365,14 @@ fn main() {
                 warm_misses: warm.misses,
                 cold_checksum: cold.checksum,
                 warm_checksum: warm.checksum,
-                cache_hits: warm.cache_hits,
-                cache_misses: warm.cache_misses,
+                cache_hits: warm.cache.hits,
+                cache_misses: warm.cache.misses,
                 swaps: warm.swaps,
                 commit_blown: warm.commit_blown,
+                entry_bytes: warm.cache.entry_bytes,
+                parts_in_bin: warm.cache.parts_in_bin,
+                parts_built_on_hit: warm.cache.parts_built_on_hit,
+                retired_pending: warm.cache.retired_pending,
             }
         };
         let mut entry = run_pair();

@@ -16,7 +16,7 @@
 
 use super::pool::{PoolBinding, SessionState, VenuePool};
 use super::{
-    CycleResult, ExecGraph, GraphExecutor, RawEvent, Shared, StagedGeneration, Strategy, SwapError,
+    Adoption, CycleResult, ExecGraph, GraphExecutor, RawEvent, Shared, StagedGeneration, Strategy,
 };
 use crate::faults::FaultPlan;
 use crate::flight::{FlightConfig, FlightWindow, Span, SpanKind};
@@ -422,12 +422,12 @@ impl GraphExecutor for HybridExecutor {
         self.shared.base.take_window()
     }
 
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Result<u64, SwapError> {
-        let (exec, _plan) = staged.into_parts();
+    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
+        let (exec, plan) = staged.into_parts();
         self.pool.pool().quiesce();
         // SAFETY: `&mut self` proves no cycle in flight; the pool is
         // quiescent, so workers touch no node state until the next batch.
-        Ok(unsafe { self.shared.base.adopt_exec(exec) })
+        unsafe { self.shared.base.adopt_exec(exec, plan) }
     }
 
     fn generation(&self) -> u64 {

@@ -39,7 +39,12 @@
 //! swap, which makes the fresh cells' `done_epoch == 0` unable to alias any
 //! live epoch; runtime state (processor boxes and output buffers) of nodes
 //! that survive the swap is carried over by node name, so DSP state and the
-//! last rendered audio persist and the handover is glitch-free.
+//! last rendered audio persist and the handover is glitch-free. A staged
+//! generation may be *hollow* — its surviving nodes hold a
+//! [`Vacant`](crate::processor::Vacant) placeholder for the carry-over to
+//! fill — and the adopt hands the generation it replaced back to the
+//! caller as a [`RetiredGeneration`] instead of freeing it on the audio
+//! thread.
 
 mod busy;
 mod hybrid;
@@ -180,9 +185,41 @@ impl StagedGeneration {
         self.plan.as_ref()
     }
 
+    /// The processor slot of `node`: how a stager installs a real
+    /// processor where the graph was built with a
+    /// [`Vacant`](crate::processor::Vacant) one. The replacement must
+    /// declare the same `output_channels` (the node's buffer is already
+    /// laid out).
+    pub fn part_mut(&mut self, node: NodeId) -> &mut Box<dyn Processor> {
+        &mut self.exec.runtimes[node.idx()].0.get_mut().processor
+    }
+
+    /// Bytes of the buffers and per-node cells this generation owns
+    /// (topology, blueprint and processors not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.exec.arena.capacity_floats() * std::mem::size_of::<f32>()
+            + self.exec.len()
+                * (std::mem::size_of::<NodeCell>() + std::mem::size_of::<RuntimeCell>())
+    }
+
     pub(crate) fn into_parts(self) -> (ExecGraph, Option<ScheduleBlueprint>) {
         (self.exec, self.plan)
     }
+}
+
+/// What [`GraphExecutor::adopt_generation`] returns: the new generation
+/// number or the refusal, and the generation to drop elsewhere.
+pub type Adoption = (Result<u64, SwapError>, RetiredGeneration);
+
+/// A generation an executor no longer runs: the one an adopt replaced, or
+/// a staged one it refused. It exists only to be dropped — by whoever
+/// receives it, away from the audio thread. Processors of nodes that did
+/// not survive the swap die with it; it is never adopted again.
+#[allow(dead_code)] // held only to be dropped
+pub struct RetiredGeneration {
+    exec: ExecGraph,
+    /// The staged blueprint and, for PLAN, the one the swap replaced.
+    plans: [Option<ScheduleBlueprint>; 2],
 }
 
 /// Why an executor refused to adopt a staged generation. The running
@@ -200,6 +237,13 @@ pub enum SwapError {
         /// Workers the blueprint was compiled for.
         got: usize,
     },
+    /// A staged node holds a [`Vacant`](crate::processor::Vacant)
+    /// placeholder and the running generation has no node of that name and
+    /// channel count to carry a processor over from.
+    MissingPart {
+        /// Name of the unfilled node.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for SwapError {
@@ -210,6 +254,12 @@ impl std::fmt::Display for SwapError {
                 write!(
                     f,
                     "blueprint compiled for {got} workers, executor has {expected}"
+                )
+            }
+            SwapError::MissingPart { name } => {
+                write!(
+                    f,
+                    "staged node {name} is vacant and nothing runs to fill it"
                 )
             }
         }
@@ -323,8 +373,10 @@ pub trait GraphExecutor: Send {
     /// both generations (matched by name) is carried over; workers are not
     /// torn down — the next cycle's epoch store publishes the new graph.
     /// Returns the new generation number; on `Err` the running generation
-    /// is unchanged.
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Result<u64, SwapError>;
+    /// is unchanged. Either way a generation comes back — the replaced one,
+    /// or the refused `staged` — for the caller to drop off the audio
+    /// thread: the adopt itself frees neither.
+    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption;
 
     /// The topology generation currently running (0 before any swap).
     fn generation(&self) -> u64;
@@ -436,10 +488,6 @@ pub struct ExecGraph {
     arena: djstar_dsp::BufferArena,
     /// Placeholder for initializing input reference arrays.
     empty: AudioBuf,
-    /// Node index by unique name, built once at construction (staging
-    /// time) so generation swaps resolve carried-over nodes without
-    /// allocating on the audio thread.
-    name_index: std::collections::HashMap<String, usize>,
 }
 
 impl ExecGraph {
@@ -459,9 +507,8 @@ impl ExecGraph {
         // One arena slot per node output, all in a single cache-aligned
         // allocation (planar slabs, cache-line-rounded so neighboring nodes
         // never share a line).
-        let specs: Vec<(usize, usize)> = processors
-            .iter()
-            .map(|p| (p.output_channels(), frames))
+        let specs: Vec<(usize, usize)> = (0..topo.len())
+            .map(|n| (topo.channels(NodeId(n as u32)), frames))
             .collect();
         let arena = djstar_dsp::BufferArena::new(&specs);
         let runtimes: Box<[RuntimeCell]> = processors
@@ -483,16 +530,12 @@ impl ExecGraph {
                 waiter: AtomicUsize::new(0),
             })
             .collect();
-        let name_index = (0..topo.len())
-            .map(|n| (topo.name(NodeId(n as u32)).to_string(), n))
-            .collect();
         ExecGraph {
             topo: Arc::new(topo),
             cells,
             runtimes,
             arena,
             empty: AudioBuf::zeroed(1, 1),
-            name_index,
         }
     }
 
@@ -576,30 +619,46 @@ impl ExecGraph {
         }
     }
 
+    /// The node of `old` that node `n` of this graph continues.
+    fn survivor_in(&self, n: usize, old: &ExecGraph) -> Option<usize> {
+        let id = NodeId(n as u32);
+        let survivor = old
+            .topo
+            .survivor(self.topo.name(id), self.topo.channels(id));
+        survivor.map(NodeId::idx)
+    }
+
     /// Carry runtime state over from `old` for every node that survives a
     /// topology swap. Nodes are matched by their unique name; a surviving
     /// node keeps its processor box (filters, delay lines, knob settings)
-    /// and — when the buffer layout matches — its last rendered output, so
-    /// reads between the swap and the next cycle still see valid audio.
-    /// Returns the number of carried nodes. Driver only, between cycles
-    /// (`&mut` on both graphs proves it).
-    pub fn carry_over_from(&mut self, old: &mut ExecGraph) -> usize {
-        // The name index was built when `old` was constructed (staging
-        // time), so the swap itself allocates nothing.
+    /// and its last rendered output, so reads between the swap and the next
+    /// cycle still see valid audio; `old` is left holding what this graph
+    /// held there (a [`Vacant`](crate::processor::Vacant), for a hollow
+    /// generation). Fails when a vacant node has no survivor to take a
+    /// processor from, with every processor back where it was. Returns the
+    /// number of carried nodes. Driver only, between cycles (`&mut` on both
+    /// graphs proves it); allocates only on the error path.
+    pub fn carry_over_from(&mut self, old: &mut ExecGraph) -> Result<usize, SwapError> {
         let mut carried = 0;
         for n in 0..self.runtimes.len() {
-            let Some(&o) = old.name_index.get(self.topo.name(NodeId(n as u32))) else {
+            let Some(o) = self.survivor_in(n, old) else {
+                if self.runtimes[n].0.get_mut().processor.is_vacant() {
+                    // Swapping is its own inverse: undo, newest first.
+                    for m in (0..n).rev() {
+                        if let Some(o) = self.survivor_in(m, old) {
+                            let back = &mut old.runtimes[o].0.get_mut().processor;
+                            std::mem::swap(&mut self.runtimes[m].0.get_mut().processor, back);
+                        }
+                    }
+                    let name = self.topo.name(NodeId(n as u32)).to_string();
+                    return Err(SwapError::MissingPart { name });
+                }
                 continue;
             };
             let new_rt = self.runtimes[n].0.get_mut();
             let old_rt = old.runtimes[o].0.get_mut();
-            if new_rt.processor.output_channels() != old_rt.processor.output_channels() {
-                continue;
-            }
             std::mem::swap(&mut new_rt.processor, &mut old_rt.processor);
-            if new_rt.output.channels() == old_rt.output.channels()
-                && new_rt.output.frames() == old_rt.output.frames()
-            {
+            if new_rt.output.frames() == old_rt.output.frames() {
                 // Copy, never swap: both outputs are views into their own
                 // generation's arena, and the old arena dies with the old
                 // graph — a swapped-in view would dangle.
@@ -607,7 +666,7 @@ impl ExecGraph {
             }
             carried += 1;
         }
-        carried
+        Ok(carried)
     }
 
     /// Copy a node's output. Driver only, between cycles.
@@ -787,18 +846,28 @@ impl Shared {
     }
 
     /// Swap in a staged generation's graph, carrying over runtime state of
-    /// surviving nodes. Returns the new generation number.
+    /// surviving nodes. Returns the new generation number with the graph
+    /// that was running; on `Err` (a vacant node nothing can fill) the
+    /// running graph is untouched and the refused one comes back. `plan`,
+    /// the staged blueprint, is retired with either.
     ///
     /// # Safety
     /// Driver-only, with no cycle in flight (the pool must be quiesced, so
     /// workers sit in the batch wait loop touching only pool atomics).
-    pub(crate) unsafe fn adopt_exec(&self, mut staged: ExecGraph) -> u64 {
-        let old = self.exec.get_mut();
-        staged.carry_over_from(old);
-        *old = staged;
-        // Publication rides the next epoch Release store; the counter is
-        // driver-read bookkeeping only.
-        self.generation.fetch_add(1, Ordering::Relaxed) + 1
+    pub(crate) unsafe fn adopt_exec(
+        &self,
+        mut exec: ExecGraph,
+        plan: Option<ScheduleBlueprint>,
+    ) -> Adoption {
+        let running = self.exec.get_mut();
+        let verdict = exec.carry_over_from(running).map(|_| {
+            std::mem::swap(running, &mut exec);
+            // Publication rides the next epoch Release store; the counter
+            // is driver-read bookkeeping only.
+            self.generation.fetch_add(1, Ordering::Relaxed) + 1
+        });
+        let plans = [plan, None];
+        (verdict, RetiredGeneration { exec, plans })
     }
 
     /// The installed fault plan, if any.

@@ -27,8 +27,8 @@
 
 use super::pool::{PoolBinding, SessionState, VenuePool};
 use super::{
-    CycleResult, DriverCell, ExecGraph, GraphExecutor, RawEvent, Shared, StagedGeneration,
-    Strategy, SwapError,
+    Adoption, CycleResult, DriverCell, ExecGraph, GraphExecutor, RawEvent, RetiredGeneration,
+    Shared, StagedGeneration, Strategy, SwapError,
 };
 use crate::faults::FaultPlan;
 use crate::flight::{FlightConfig, FlightWindow, Span, SpanKind};
@@ -625,35 +625,44 @@ impl GraphExecutor for PlannedExecutor {
         self.shared.base.take_window()
     }
 
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Result<u64, SwapError> {
+    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
         self.pool.pool().quiesce();
-        let (exec, plan) = staged.into_parts();
+        let (exec, staged_plan) = staged.into_parts();
         let threads = self.shared.base.threads;
-        // Take the staged plan, or fall back to round-robin so a topology
-        // swap without a freshly compiled schedule still runs correctly
-        // (at BUSY-placement quality) instead of failing.
-        let plan = match plan {
-            Some(p) => p,
-            None => ScheduleBlueprint::round_robin(exec.topology(), threads, Priority::Depth),
-        };
-        if plan.threads() != threads {
-            return Err(SwapError::ThreadMismatch {
+        // Recompile the staged plan against the staged topology before
+        // touching any live state; without one, fall back to round-robin so
+        // a topology swap still runs correctly (at BUSY-placement quality).
+        let plan = match &staged_plan {
+            Some(p) if p.threads() != threads => Err(SwapError::ThreadMismatch {
                 expected: threads,
-                got: plan.threads(),
-            });
-        }
-        // Recompile against the staged topology before touching any live
-        // state: on failure the running generation is untouched.
-        let plan = plan
-            .recompile_for(exec.topology())
-            .map_err(SwapError::Blueprint)?;
+                got: p.threads(),
+            }),
+            Some(p) => p
+                .recompile_for(exec.topology())
+                .map_err(SwapError::Blueprint),
+            None => Ok(ScheduleBlueprint::round_robin(
+                exec.topology(),
+                threads,
+                Priority::Depth,
+            )),
+        };
+        let mut plan = match plan {
+            Ok(plan) => plan,
+            Err(e) => {
+                let plans = [staged_plan, None];
+                return (Err(e), RetiredGeneration { exec, plans });
+            }
+        };
         // SAFETY: `&mut self` proves no cycle in flight; workers are waiting
         // on the epoch and read the plan only after acquiring the next
         // epoch's Release store, which publishes both swaps.
-        unsafe {
-            *self.shared.plan.get_mut() = plan;
-            Ok(self.shared.base.adopt_exec(exec))
+        let (verdict, mut retired) = unsafe { self.shared.base.adopt_exec(exec, staged_plan) };
+        if verdict.is_ok() {
+            // SAFETY: as above; `plan` now holds the replaced blueprint.
+            std::mem::swap(unsafe { self.shared.plan.get_mut() }, &mut plan);
         }
+        retired.plans[1] = Some(plan);
+        (verdict, retired)
     }
 
     fn generation(&self) -> u64 {

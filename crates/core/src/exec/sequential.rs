@@ -6,7 +6,8 @@
 //! graph execution and processed sequentially."
 
 use super::{
-    CycleResult, ExecGraph, GraphExecutor, RawEvent, StagedGeneration, Strategy, SwapError,
+    Adoption, CycleResult, ExecGraph, GraphExecutor, RawEvent, RetiredGeneration, StagedGeneration,
+    Strategy,
 };
 use crate::faults::FaultPlan;
 use crate::flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
@@ -289,14 +290,17 @@ impl GraphExecutor for SequentialExecutor {
         self.flight.as_mut().map(|r| r.take_window())
     }
 
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Result<u64, SwapError> {
-        let (mut exec, _plan) = staged.into_parts();
-        exec.carry_over_from(&mut self.exec);
-        self.exec = exec;
-        // The epoch keeps counting: nothing in the fresh graph can claim to
-        // be done for a past or future cycle.
-        self.generation += 1;
-        Ok(self.generation)
+    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
+        let (mut exec, plan) = staged.into_parts();
+        let verdict = exec.carry_over_from(&mut self.exec).map(|_| {
+            std::mem::swap(&mut self.exec, &mut exec);
+            // The epoch keeps counting: nothing in the fresh graph can
+            // claim to be done for a past or future cycle.
+            self.generation += 1;
+            self.generation
+        });
+        let plans = [plan, None];
+        (verdict, RetiredGeneration { exec, plans })
     }
 
     fn generation(&self) -> u64 {

@@ -23,8 +23,8 @@
 
 use super::pool::{PoolBinding, SessionState, VenuePool};
 use super::{
-    CycleResult, DriverCell, ExecGraph, GraphExecutor, RawEvent, Shared, StagedGeneration,
-    Strategy, SwapError,
+    Adoption, CycleResult, DriverCell, ExecGraph, GraphExecutor, RawEvent, Shared,
+    StagedGeneration, Strategy,
 };
 use crate::deque::{Steal, WorkDeque};
 use crate::faults::FaultPlan;
@@ -528,8 +528,8 @@ impl GraphExecutor for StealExecutor {
         self.shared.base.take_window()
     }
 
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Result<u64, SwapError> {
-        let (exec, _plan) = staged.into_parts();
+    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
+        let (exec, plan) = staged.into_parts();
         let nodes = exec.len();
         self.pool.pool().quiesce();
         let ws = &self.shared;
@@ -545,7 +545,7 @@ impl GraphExecutor for StealExecutor {
                         .collect(),
                 );
             }
-            Ok(ws.base.adopt_exec(exec))
+            ws.base.adopt_exec(exec, plan)
         }
     }
 

@@ -171,6 +171,12 @@ impl std::error::Error for GraphError {}
 #[derive(Debug)]
 pub struct GraphTopology {
     names: Vec<String>,
+    /// Node index by name (the last node of a name when names repeat),
+    /// built once at construction so a generation swap resolves surviving
+    /// nodes without allocating on the audio thread.
+    name_index: std::collections::HashMap<String, u32>,
+    /// Output channel count of each node, as its processor declared it.
+    channels: Vec<u8>,
     sections: Vec<Section>,
     preds: Vec<Vec<u32>>,
     succs: Vec<Vec<u32>>,
@@ -214,6 +220,18 @@ impl GraphTopology {
     /// Name of a node.
     pub fn name(&self, n: NodeId) -> &str {
         &self.names[n.idx()]
+    }
+
+    /// The node a generation swap would carry state over from into a node
+    /// called `name` with `channels` outputs: same name, same layout.
+    pub fn survivor(&self, name: &str, channels: usize) -> Option<NodeId> {
+        let n = NodeId(*self.name_index.get(name)?);
+        (self.channels(n) == channels).then_some(n)
+    }
+
+    /// Output channel count of a node.
+    pub fn channels(&self, n: NodeId) -> usize {
+        self.channels[n.idx()] as usize
     }
 
     /// Section of a node.
@@ -543,7 +561,11 @@ impl TaskGraphBuilder {
         let mut sections = Vec::with_capacity(n);
         let mut preds = Vec::with_capacity(n);
         let mut processors = Vec::with_capacity(n);
-        for node in self.nodes {
+        let mut name_index = std::collections::HashMap::with_capacity(n);
+        let mut channels = Vec::with_capacity(n);
+        for (i, node) in self.nodes.into_iter().enumerate() {
+            name_index.insert(node.name.clone(), i as u32);
+            channels.push(node.processor.output_channels() as u8);
             names.push(node.name);
             sections.push(node.section);
             preds.push(node.preds);
@@ -552,6 +574,8 @@ impl TaskGraphBuilder {
         Ok(TaskGraph {
             topo: GraphTopology {
                 names,
+                name_index,
+                channels,
                 sections,
                 preds,
                 succs,

@@ -71,8 +71,8 @@ pub mod trace;
 
 pub use exec::{
     BlueprintError, BusyExecutor, CycleResult, ExecGraph, GraphExecutor, HybridExecutor,
-    PlannedExecutor, PlannedNode, ScheduleBlueprint, SequentialExecutor, SleepExecutor,
-    StagedGeneration, StealExecutor, Strategy, SwapError,
+    PlannedExecutor, PlannedNode, RetiredGeneration, ScheduleBlueprint, SequentialExecutor,
+    SleepExecutor, StagedGeneration, StealExecutor, Strategy, SwapError,
 };
 pub use faults::FaultPlan;
 pub use flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};

@@ -60,6 +60,46 @@ pub trait Processor: Send {
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         None
     }
+
+    /// True only for [`Vacant`]: the node holds no processor of its own and
+    /// must be given one (installed, or carried over by a generation swap)
+    /// before it runs.
+    fn is_vacant(&self) -> bool {
+        false
+    }
+}
+
+/// The zero-sized placeholder a *hollow* generation's node holds: it says
+/// how many output channels the node has and nothing else, so a staged
+/// generation owns topology, buffers and blueprint but no DSP state. A
+/// generation swap refuses to run one (`SwapError::MissingPart`).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Vacant<const CHANNELS: usize>;
+
+impl<const CHANNELS: usize> Processor for Vacant<CHANNELS> {
+    fn process(&mut self, _inputs: &[&AudioBuf], output: &mut AudioBuf, _ctx: &CycleCtx<'_>) {
+        debug_assert!(false, "a vacant node ran: its generation was never filled");
+        output.clear();
+    }
+
+    fn output_channels(&self) -> usize {
+        CHANNELS
+    }
+
+    fn is_vacant(&self) -> bool {
+        true
+    }
+}
+
+/// A boxed [`Vacant`] with `channels` outputs (1 = mono, anything else
+/// stereo — the two layouts a [`Processor`] may have). Zero-sized, so the
+/// box owns no allocation and dropping it frees nothing.
+pub fn vacant(channels: usize) -> Box<dyn Processor> {
+    if channels == 1 {
+        Box::new(Vacant::<1>)
+    } else {
+        Box::new(Vacant::<2>)
+    }
 }
 
 /// A pass-through processor: copies its first input (or clears the output

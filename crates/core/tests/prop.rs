@@ -273,7 +273,7 @@ fn generation_swaps_preserve_exactly_once_and_dep_safety() {
             check_cycles(ex.as_mut(), &a, 3, &format!("{tag} gen0"));
             for (gen, preds) in [(1u64, &b), (2, &c)] {
                 let staged = StagedGeneration::new(build_graph(preds), 4);
-                let got = ex.adopt_generation(staged).expect("swap must succeed");
+                let got = ex.adopt_generation(staged).0.expect("swap must succeed");
                 assert_eq!(got, gen, "{tag}");
                 assert_eq!(ex.generation(), gen, "{tag}");
                 assert_eq!(ex.topology().len(), preds.len(), "{tag}");
@@ -299,7 +299,7 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     let bp_b = ScheduleBlueprint::round_robin(g_b.topology(), threads, Priority::CriticalPath);
     let staged = StagedGeneration::with_plan(g_b, 4, bp_b);
     assert!(staged.has_plan());
-    assert_eq!(ex.adopt_generation(staged).unwrap(), 1);
+    assert_eq!(ex.adopt_generation(staged).0.unwrap(), 1);
     check_cycles(&mut ex, &b, 2, "planned post-swap");
 
     // Wrong worker count: rejected, running generation untouched.
@@ -308,7 +308,7 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
         ScheduleBlueprint::round_robin(g.topology(), threads + 1, Priority::Depth)
     };
     let staged = StagedGeneration::with_plan(build_graph(&a), 4, bad_plan);
-    match ex.adopt_generation(staged) {
+    match ex.adopt_generation(staged).0 {
         Err(SwapError::ThreadMismatch { expected, got }) => {
             assert_eq!((expected, got), (threads, threads + 1));
         }
@@ -321,7 +321,7 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     let stale = ex.blueprint().clone();
     let bigger: Vec<Vec<u32>> = (0..b.len() + 4).map(|_| Vec::new()).collect();
     let staged = StagedGeneration::with_plan(build_graph(&bigger), 4, stale);
-    match ex.adopt_generation(staged) {
+    match ex.adopt_generation(staged).0 {
         Err(SwapError::Blueprint(_)) => {}
         other => panic!("expected Blueprint error, got {other:?}"),
     }
@@ -389,6 +389,7 @@ fn swap_carries_processor_state_by_name() {
         assert_eq!(out.sample(0, 0), 5.0, "{tag} pre-swap");
 
         ex.adopt_generation(StagedGeneration::new(counter_graph(5, "b"), 4))
+            .0
             .unwrap();
         for _ in 0..3 {
             ex.run_cycle(&[], &[]);
@@ -402,6 +403,67 @@ fn swap_carries_processor_state_by_name() {
         let mut tap = AudioBuf::zeroed(2, 4);
         ex.read_output(node_named(ex.as_ref(), "b0"), &mut tap);
         assert_eq!(tap.sample(0, 0), 8.0, "{tag} successor");
+    }
+}
+
+#[test]
+fn hollow_swap_takes_survivors_and_refuses_orphans() {
+    use djstar_core::processor::vacant;
+    // A generation whose nodes are `Vacant` placeholders: "acc" survives
+    // (same name, stereo like the running one), so the swap carries the
+    // running counter in; "b0" gets a real processor installed beforehand.
+    let hollow = |acc_channels: usize| {
+        let mut b = TaskGraphBuilder::new();
+        let acc = b.add("acc", Section::Master, vacant(acc_channels), &[]);
+        b.add("b0", Section::DeckA, vacant(2), &[acc]);
+        StagedGeneration::new(b.build().unwrap(), 4)
+    };
+    let tap = || -> Box<dyn djstar_core::processor::Processor> {
+        Box::new(FnProcessor(
+            |inp: &[&AudioBuf], out: &mut AudioBuf, _: &CycleCtx<'_>| {
+                out.samples_mut().fill(inp[0].sample(0, 0));
+            },
+        ))
+    };
+    let execs: Vec<Box<dyn GraphExecutor>> = vec![
+        Box::new(SequentialExecutor::new(counter_graph(2, "a"), 4)),
+        Box::new(BusyExecutor::new(counter_graph(2, "a"), 2, 4)),
+    ];
+    for mut ex in execs {
+        let tag = format!("{:?}", ex.strategy());
+        for _ in 0..5 {
+            ex.run_cycle(&[], &[]);
+        }
+        // "b0" left vacant and nothing called "b0" runs: typed refusal,
+        // and the running generation keeps counting as if nothing happened.
+        let (verdict, _refused) = ex.adopt_generation(hollow(2));
+        assert_eq!(
+            verdict,
+            Err(SwapError::MissingPart { name: "b0".into() }),
+            "{tag}"
+        );
+        // A survivor of the wrong layout does not count as one.
+        let mut mono = hollow(1);
+        *mono.part_mut(NodeId(1)) = tap();
+        let (verdict, _refused) = ex.adopt_generation(mono);
+        assert_eq!(
+            verdict,
+            Err(SwapError::MissingPart { name: "acc".into() }),
+            "{tag}"
+        );
+        assert_eq!(ex.generation(), 0, "{tag}");
+        assert_eq!(ex.topology().len(), 3, "{tag}");
+        ex.run_cycle(&[], &[]);
+
+        let mut filled = hollow(2);
+        *filled.part_mut(NodeId(1)) = tap();
+        let (verdict, _retired) = ex.adopt_generation(filled);
+        assert_eq!(verdict, Ok(1), "{tag}");
+        ex.run_cycle(&[], &[]);
+        let mut out = AudioBuf::zeroed(2, 4);
+        ex.read_output(node_named(ex.as_ref(), "b0"), &mut out);
+        // 6 cycles before the swap, 1 after: the carried counter reads 7.
+        assert_eq!(out.sample(0, 0), 7.0, "{tag}");
     }
 }
 
@@ -422,6 +484,7 @@ fn swap_to_larger_graph_grows_steal_deques() {
     let mut ex = StealExecutor::new(build_graph(&small), 4, 4);
     check_cycles(&mut ex, &small, 2, "steal small");
     ex.adopt_generation(StagedGeneration::new(build_graph(&big), 4))
+        .0
         .unwrap();
     check_cycles(&mut ex, &big, 3, "steal big");
 }

@@ -16,17 +16,20 @@ use crate::degrade::{
     NetDegradeConfig, NetDegradeEvent, NetLatencyPolicy,
 };
 use crate::front::{FrontEnd, FrontWork};
-use crate::graphbuild::{build_shaped_graph, GraphShape, NodeMap};
-use crate::modes::{reachable_edits, AdmissionControl, BlueprintCache, NodeCostModel};
+use crate::graphbuild::{build_shaped_graph, hollow_graph, GraphShape, NodeMap};
+use crate::modes::{
+    reachable_edits, AdmissionControl, BlueprintCache, ModeCacheStats, NodeCostModel, PartsBin,
+};
 use crate::netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
 use crate::nodes::controls;
 use crate::profiling::HotspotProfiler;
 use crate::reconfig::{
-    apply_edit, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
+    apply_edit, list_blueprint, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
 use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
-    SequentialExecutor, SleepExecutor, StealExecutor, Strategy, SwapError, VenuePool,
+    BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
+    RetiredGeneration, ScheduleBlueprint, SequentialExecutor, SleepExecutor, StealExecutor,
+    Strategy, SwapError, VenuePool,
 };
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, FlightWindow};
@@ -131,6 +134,16 @@ pub struct AudioEngine {
     /// Stagings whose PLAN blueprint failed to compile — surfaced as
     /// [`ReconfigError::Blueprint`] and counted here for telemetry.
     stage_failures: u64,
+    /// What a node costs: measured by the PLAN probe at construction (one
+    /// nanosecond a node for every other strategy, which schedules
+    /// online), replaced by [`recalibrate_admission`](Self::recalibrate_admission).
+    /// Staged blueprints and a model-less admission controller both price
+    /// shapes with it.
+    costs: NodeCostModel,
+    /// Generations (and their landmark maps) that commits replaced or
+    /// refused, kept so the audio thread frees nothing at a switch; dropped
+    /// at the next control-plane call.
+    retired: Vec<(RetiredGeneration, NodeMap)>,
     aux: AuxWork,
     deck_bufs: Vec<AudioBuf>,
     ctrl: Vec<f32>,
@@ -256,6 +269,9 @@ pub(crate) fn executor_on_pool(
     }
 }
 
+/// Traced cycles a duration probe averages over.
+pub(crate) const PROBE_CYCLES: usize = 12;
+
 impl AudioEngine {
     /// Build an engine running `scenario` with the given strategy and
     /// thread count, and paper-scale auxiliary work.
@@ -333,7 +349,8 @@ impl AudioEngine {
         private_pool: bool,
     ) -> Self {
         let frames = djstar_dsp::BUFFER_FRAMES;
-        let (executor, map) = Self::build_executor(&scenario, &shape, strategy, threads, &pool);
+        let (executor, map, costs) =
+            Self::build_executor(&scenario, &shape, strategy, threads, &pool);
         let front = FrontEnd::new(&scenario, aux, strategy, threads, &pool);
         let mut ctrl = vec![0.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = scenario.crossfader;
@@ -351,6 +368,8 @@ impl AudioEngine {
             modes: None,
             admission: None,
             stage_failures: 0,
+            costs,
+            retired: Vec::new(),
             aux,
             deck_bufs: (0..4).map(|_| AudioBuf::zeroed(2, frames)).collect(),
             ctrl,
@@ -373,23 +392,30 @@ impl AudioEngine {
         }
     }
 
-    /// Build the graph executor (and its landmark map) for a scenario +
-    /// shape on `pool`. Shared by the constructors and the thread-resize
-    /// rebuild path.
+    /// Build the graph executor, its landmark map and the engine's node
+    /// cost model for a scenario + shape on `pool`. Shared by the
+    /// constructors and the thread-resize rebuild path.
     fn build_executor(
         scenario: &Scenario,
         shape: &GraphShape,
         strategy: Strategy,
         threads: usize,
         pool: &Arc<VenuePool>,
-    ) -> (Box<dyn GraphExecutor>, NodeMap) {
+    ) -> (Box<dyn GraphExecutor>, NodeMap, NodeCostModel) {
         let (graph, map) = build_shaped_graph(scenario, shape);
         // PLAN: probe node durations on a throwaway sequential engine,
         // list-schedule them onto `threads` processors, and replay that.
-        let executor = executor_on_pool(graph, strategy, threads, pool, |_| {
-            Self::compile_plan_for(scenario, shape, threads)
+        // Later generations are priced by the same measurement.
+        let costs = if strategy == Strategy::Planned {
+            Self::probe_costs(scenario, shape)
+        } else {
+            NodeCostModel::uniform(1)
+        };
+        let executor = executor_on_pool(graph, strategy, threads, pool, |topo| {
+            list_blueprint(topo, costs.durations_for(topo), threads)
+                .expect("a list schedule always compiles to a valid blueprint")
         });
-        (executor, map)
+        (executor, map, costs)
     }
 
     /// A warmed-up throwaway SEQ × 1 engine on a clone of `scenario` — the
@@ -420,16 +446,20 @@ impl AudioEngine {
         shape: &GraphShape,
         threads: usize,
     ) -> ScheduleBlueprint {
-        const PROBE_CYCLES: usize = 12;
+        let (graph, _) = hollow_graph(scenario, shape);
+        let topo = graph.topology();
+        let costs = Self::probe_costs(scenario, shape);
+        list_blueprint(topo, costs.durations_for(topo), threads)
+            .expect("a list schedule always compiles to a valid blueprint")
+    }
+
+    /// The [`NodeCostModel`] of `shape`'s nodes as a throwaway sequential
+    /// engine measures them — [`compile_plan_for`](Self::compile_plan_for)'s
+    /// probe, kept as a model so it can price other shapes too.
+    fn probe_costs(scenario: &Scenario, shape: &GraphShape) -> NodeCostModel {
         // Aux weights only shape the non-graph phases, so the probe always
         // runs light regardless of what the real engine will use.
-        let mut probe = Self::probe(scenario, *shape, AuxWork::light());
-        let means = probe.mean_node_durations(PROBE_CYCLES);
-        let sim_graph = djstar_sim::SimGraph::from_topology(probe.executor_mut().topology());
-        let durations = djstar_sim::DurationModel::Constant(means);
-        let schedule = djstar_sim::list_schedule(&sim_graph, &durations, 0, threads as u32);
-        djstar_sim::compile_blueprint(&sim_graph, &schedule)
-            .expect("a list schedule always compiles to a valid blueprint")
+        Self::probe(scenario, *shape, AuxWork::light()).calibrated_costs(PROBE_CYCLES)
     }
 
     /// The scheduling strategy in use.
@@ -479,9 +509,11 @@ impl AudioEngine {
 
     /// Stage a new topology generation for the current shape plus `edits`.
     /// This is the expensive half of a reconfiguration — graph build,
-    /// buffer allocation, PLAN blueprint compilation. To stage on another
-    /// thread while cycles keep running, copy the scenario and shape and
-    /// call [`stage_topology`] there (the result is `Send`); the
+    /// buffer allocation, PLAN blueprint compilation, and a processor for
+    /// every node the running graph has no counterpart for. To stage on
+    /// another thread while cycles keep running, copy the scenario, shape
+    /// and [`costs`](Self::costs), call [`stage_topology`] and
+    /// [`StagedTopology::fill`] there (the result is `Send`); the
     /// cycle-boundary half is [`commit`](Self::commit) either way.
     ///
     /// With [`enable_admission`](Self::enable_admission) armed, the target
@@ -489,7 +521,8 @@ impl AudioEngine {
     /// ([`ReconfigError::Unschedulable`]) before anything is built. With
     /// [`enable_mode_cache`](Self::enable_mode_cache) armed, an admitted
     /// shape whose generation was precompiled is served straight from the
-    /// cache — a take-once hit that allocates nothing.
+    /// cache and its missing parts from the bin — a take-once hit that
+    /// allocates nothing.
     ///
     /// [`GraphEdit::ResizeThreads`] is rejected here
     /// ([`EditError::ResizeNeedsRebuild`]); it only makes sense through
@@ -502,27 +535,43 @@ impl AudioEngine {
         self.stage_shape(&shape)
     }
 
-    /// Admission gate → cache lookup → cold stage, in that order. The
+    /// Admission gate → hollow generation (cache hit, else built here) →
+    /// fill what the running graph cannot hand over, in that order. The
     /// shared tail of [`stage_edits`](Self::stage_edits) and
     /// [`reconfigure`](Self::reconfigure).
     fn stage_shape(&mut self, shape: &GraphShape) -> Result<StagedTopology, ReconfigError> {
+        self.retired.clear();
         if let Some(adm) = self.admission.as_mut() {
             adm.check(&self.scenario, shape)?;
         }
-        if let Some(hit) = self.modes.as_mut().and_then(|c| c.take(shape)) {
-            return Ok(hit);
+        let hit = self.modes.as_mut().and_then(|c| c.take(shape));
+        let was_hit = hit.is_some();
+        let mut staged = match hit {
+            Some(hit) => hit,
+            None => self.stage_hollow(shape).map_err(ReconfigError::Blueprint)?,
+        };
+        let mut no_bin = PartsBin::default();
+        let bin = self.modes.as_mut().map_or(&mut no_bin, |c| &mut c.bin);
+        let built = staged.fill(&self.scenario, self.executor.topology(), bin);
+        if let (true, Some(cache)) = (was_hit, self.modes.as_mut()) {
+            cache.stats.parts_built_on_hit += built as u64;
         }
+        Ok(staged)
+    }
+
+    /// [`stage_topology`] for this engine, failures counted.
+    fn stage_hollow(&mut self, shape: &GraphShape) -> Result<StagedTopology, BlueprintError> {
+        let (strategy, threads) = (self.strategy(), self.threads());
+        let frames = djstar_dsp::BUFFER_FRAMES;
         stage_topology(
             &self.scenario,
             shape,
-            self.strategy(),
-            self.threads(),
-            djstar_dsp::BUFFER_FRAMES,
+            strategy,
+            threads,
+            frames,
+            &self.costs,
         )
-        .map_err(|e| {
-            self.stage_failures += 1;
-            ReconfigError::Blueprint(e)
-        })
+        .inspect_err(|_| self.stage_failures += 1)
     }
 
     /// Arm the mode-aware blueprint cache with room for `capacity` staged
@@ -537,6 +586,15 @@ impl AudioEngine {
     /// The blueprint cache, when armed.
     pub fn mode_cache(&self) -> Option<&BlueprintCache> {
         self.modes.as_ref()
+    }
+
+    /// The cache's counters and footprint (zeros when unarmed) with the
+    /// engine's own `retired_pending` filled in.
+    pub fn mode_stats(&self) -> ModeCacheStats {
+        ModeCacheStats {
+            retired_pending: self.retired.len() as u64,
+            ..self.modes.as_ref().map(|c| c.stats()).unwrap_or_default()
+        }
     }
 
     /// Mutable access to the blueprint cache, when armed.
@@ -554,14 +612,26 @@ impl AudioEngine {
 
     /// Reinstall a cache detached by
     /// [`take_mode_cache`](Self::take_mode_cache).
-    pub fn install_mode_cache(&mut self, cache: BlueprintCache) {
+    pub fn install_mode_cache(&mut self, mut cache: BlueprintCache) {
+        // Commits made while it was detached never reached its flag.
+        cache.stocked = false;
         self.modes = Some(cache);
     }
 
     /// Arm schedulability admission: every subsequent staging first proves
-    /// the target shape fits the margined deadline or is rejected typed.
-    pub fn enable_admission(&mut self, ctrl: AdmissionControl) {
+    /// the target shape fits the margined deadline or is rejected typed. A
+    /// controller without a cost model of its own prices with the engine's
+    /// ([`costs`](Self::costs)).
+    pub fn enable_admission(&mut self, mut ctrl: AdmissionControl) {
+        if ctrl.costs().is_none() {
+            ctrl.set_costs(self.costs.clone());
+        }
         self.admission = Some(ctrl);
+    }
+
+    /// The node cost model staged blueprints are list-scheduled under.
+    pub fn costs(&self) -> &NodeCostModel {
+        &self.costs
     }
 
     /// The admission controller, when armed.
@@ -574,15 +644,17 @@ impl AudioEngine {
         self.admission = None;
     }
 
-    /// Swap a recalibrated [`NodeCostModel`] into the admission controller
-    /// and invalidate every cached blueprint in the same breath — a
-    /// blueprint compiled against stale costs must never be committed, and
-    /// the cache's epoch bump also voids any background precompile still
-    /// in flight.
+    /// Swap in a recalibrated [`NodeCostModel`] — the engine's own, which
+    /// prices every blueprint staged from here on, and the admission
+    /// controller's — and invalidate every cached blueprint in the same
+    /// breath: a blueprint compiled against stale costs must never be
+    /// committed, and the cache's epoch bump also voids any background
+    /// precompile still in flight.
     pub fn recalibrate_admission(&mut self, costs: NodeCostModel) {
         if let Some(adm) = self.admission.as_mut() {
-            adm.set_costs(costs);
+            adm.set_costs(costs.clone());
         }
+        self.costs = costs;
         if let Some(cache) = self.modes.as_mut() {
             cache.invalidate();
         }
@@ -603,13 +675,16 @@ impl AudioEngine {
     /// background thread via [`take_mode_cache`](Self::take_mode_cache) —
     /// and the next mode switch is a warm hit. Returns how many fresh
     /// generations were staged. No-op `0` when the cache is unarmed.
+    ///
+    /// Also the engine's housekeeping call: it frees the generations
+    /// earlier commits retired, and restocks the parts bin against the
+    /// graph now running so the next hit finds every part it needs.
     pub fn precompile_neighborhood(&mut self) -> usize {
+        self.retired.clear();
         if self.modes.is_none() {
             return 0;
         }
         let base = self.shape;
-        let strategy = self.strategy();
-        let threads = self.threads();
         let mut staged_new = 0;
         for edit in reachable_edits(&base) {
             let mut target = base;
@@ -632,22 +707,16 @@ impl AudioEngine {
                 continue;
             }
             let epoch = cache.epoch();
-            match stage_topology(
-                &self.scenario,
-                &target,
-                strategy,
-                threads,
-                djstar_dsp::BUFFER_FRAMES,
-            ) {
-                Ok(staged) => {
-                    if let Some(cache) = self.modes.as_mut() {
-                        if cache.insert_at(epoch, staged) {
-                            staged_new += 1;
-                        }
+            if let Ok(staged) = self.stage_hollow(&target) {
+                if let Some(cache) = self.modes.as_mut() {
+                    if cache.insert_at(epoch, staged) {
+                        staged_new += 1;
                     }
                 }
-                Err(_) => self.stage_failures += 1,
             }
+        }
+        if let Some(cache) = self.modes.as_mut().filter(|c| !c.stocked) {
+            cache.restock(&self.scenario, self.executor.topology());
         }
         staged_new
     }
@@ -662,14 +731,26 @@ impl AudioEngine {
     /// Commit a staged generation: the executor adopts the new graph at
     /// the next cycle boundary (name-keyed state carry-over, no worker
     /// teardown) and the engine's shape and landmark map swap with it.
-    /// Returns the new generation number. On error nothing changes.
+    /// Returns the new generation number. On error — a
+    /// [`SwapError::MissingPart`] for a generation that was never
+    /// [`fill`](StagedTopology::fill)ed against the running graph — nothing
+    /// changes. Frees nothing either way: the generation that comes back
+    /// (replaced or refused) waits, with its map, for the next
+    /// [`stage_edits`](Self::stage_edits) or
+    /// [`precompile_neighborhood`](Self::precompile_neighborhood).
     pub fn commit(&mut self, staged: StagedTopology) -> Result<u64, SwapError> {
-        let StagedTopology { shape, map, staged } = staged;
-        let generation = self.executor.adopt_generation(staged)?;
-        self.shape = shape;
-        self.map = map;
-        self.commit_cycles.push(self.cycle);
-        Ok(generation)
+        let (shape, mut map) = (staged.shape, staged.map);
+        let (verdict, retired) = self.executor.adopt_generation(staged.staged);
+        if verdict.is_ok() {
+            self.shape = shape;
+            std::mem::swap(&mut self.map, &mut map);
+            self.commit_cycles.push(self.cycle);
+            if let Some(cache) = self.modes.as_mut() {
+                cache.stocked = false;
+            }
+        }
+        self.retired.push((retired, map));
+        verdict
     }
 
     /// Stage and commit `edits` in one call. Topology edits ride the
@@ -700,9 +781,10 @@ impl AudioEngine {
             if self.private_pool {
                 self.pool = Self::private_pool(strategy, threads);
             }
-            let (executor, map) =
+            let (executor, map, costs) =
                 Self::build_executor(&self.scenario, &shape, strategy, threads, &self.pool);
             self.executor = executor;
+            self.costs = costs;
             self.front.rebuild(strategy, threads, &self.pool);
             self.executor.set_session(self.session);
             self.front.set_session(self.session);

@@ -24,6 +24,7 @@
 use crate::netnodes::{jitter_config_from_spec, net_plan_from_spec, BroadcastSink, NetDeckSource};
 use crate::nodes::*;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
+use djstar_core::processor::{vacant, Processor};
 use djstar_dsp::effects::EffectKind;
 use djstar_workload::scenario::Scenario;
 
@@ -197,14 +198,103 @@ pub fn build_djstar_graph(scenario: &Scenario) -> (TaskGraph, NodeMap) {
 /// which is what lets the executors' generation swap carry processor
 /// state over by name when the shape changes.
 pub fn build_shaped_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph, NodeMap) {
+    assemble(scenario, shape, |spec| spec.build())
+}
+
+/// The same graph with every node *hollow*: names, sections, edges and
+/// output layouts of [`build_shaped_graph`], each node holding a
+/// zero-sized [`vacant`] placeholder instead of its processor. What a mode
+/// switch stages and the mode cache keeps; [`build_part`] makes the
+/// processors a generation swap cannot carry over.
+pub fn hollow_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph, NodeMap) {
+    assemble(scenario, shape, |spec| vacant(spec.channels))
+}
+
+/// The processor of the node called `name` in `shape`'s graph, exactly as
+/// [`build_shaped_graph`] constructs it (same parameters, same seed);
+/// `None` when the shape has no such node.
+pub fn build_part(
+    scenario: &Scenario,
+    shape: &GraphShape,
+    name: &str,
+) -> Option<Box<dyn Processor>> {
+    let mut part = None;
+    walk_nodes(scenario, shape, &mut |spec| {
+        if spec.name == name {
+            part = Some(spec.build());
+        }
+    });
+    part
+}
+
+fn assemble(
+    scenario: &Scenario,
+    shape: &GraphShape,
+    part: impl Fn(&NodeSpec<'_>) -> Box<dyn Processor>,
+) -> (TaskGraph, NodeMap) {
     let mut b = TaskGraphBuilder::new();
+    let map = walk_nodes(scenario, shape, &mut |spec| {
+        let processor = part(&spec);
+        debug_assert_eq!(processor.output_channels(), spec.channels, "{}", spec.name);
+        b.add(spec.name, spec.section, processor, spec.preds);
+    });
+    let graph = b.build().expect("the DJ Star graph is a valid DAG");
+    (graph, map)
+}
+
+/// Constructs a node's processor from its burn seed.
+type Make<'a> = &'a dyn Fn(u32) -> Box<dyn Processor>;
+
+/// What a node *is* — id, name, section, predecessors, output channels —
+/// kept apart from the processor that computes it, which
+/// [`build`](Self::build) constructs on demand.
+pub(crate) struct NodeSpec<'a> {
+    pub id: NodeId,
+    pub name: String,
+    pub section: Section,
+    pub channels: usize,
+    pub preds: &'a [NodeId],
+    make: Make<'a>,
+}
+
+impl NodeSpec<'_> {
+    /// Construct the node's processor. Its burn seed is its 1-based
+    /// position in the graph, so a part built alone equals the one a whole
+    /// graph build makes for that node.
+    pub fn build(&self) -> Box<dyn Processor> {
+        (self.make)(self.id.0 + 1)
+    }
+}
+
+const MONO: usize = 1;
+const STEREO: usize = 2;
+
+/// Present every node of `shape`'s graph to `visit`, in build order, and
+/// return the landmark ids. The one description of the graph:
+/// [`build_shaped_graph`], [`hollow_graph`] and [`build_part`] differ only
+/// in what they do with each [`NodeSpec`].
+pub(crate) fn walk_nodes(
+    scenario: &Scenario,
+    shape: &GraphShape,
+    visit: &mut dyn FnMut(NodeSpec<'_>),
+) -> NodeMap {
+    let mut count = 0u32;
+    let mut add =
+        |name: String, section: Section, channels: usize, preds: &[NodeId], make: Make<'_>| {
+            let id = NodeId(count);
+            count += 1;
+            visit(NodeSpec {
+                id,
+                name,
+                section,
+                channels,
+                preds,
+                make,
+            });
+            id
+        };
     let profile = scenario.work;
     let sr = djstar_dsp::SAMPLE_RATE;
-    let mut seed = 0u32;
-    let mut next_seed = || {
-        seed += 1;
-        seed
-    };
     let deck_letter = |d: usize| ["A", "B", "C", "D"][d];
     let net_plan = net_plan_from_spec(&scenario.net);
 
@@ -226,11 +316,12 @@ pub fn build_shaped_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph
         if shape.remote_decks[d] {
             let depth = (shape.net_depth[d] > 0).then_some(shape.net_depth[d]);
             let jcfg = jitter_config_from_spec(&scenario.net, depth);
-            net_src[d] = Some(b.add(
+            net_src[d] = Some(add(
                 format!("NetSrc{}", deck_letter(d)),
                 section,
-                Box::new(NetDeckSource::new(d, net_plan, jcfg, profile, next_seed())),
+                STEREO,
                 &[],
+                &|seed| Box::new(NetDeckSource::new(d, net_plan, jcfg, profile, seed)),
             ));
         }
         let sp_preds: Vec<NodeId> = net_src[d].into_iter().collect();
@@ -238,11 +329,12 @@ pub fn build_shaped_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph
         let mut sp = [NodeId(0); 4];
         #[allow(clippy::needless_range_loop)] // `band` names the SP slot
         for band in 0..4 {
-            sp[band] = b.add(
+            sp[band] = add(
                 format!("SP{}{}", deck_letter(d), band + 1),
                 section,
-                Box::new(SpFilterNode::new(d, band, profile, next_seed())),
+                STEREO,
                 &sp_preds,
+                &|seed| Box::new(SpFilterNode::new(d, band, profile, seed)),
             );
         }
         // Effect chain: the first slot sums the four bands, the rest run
@@ -257,53 +349,58 @@ pub fn build_shaped_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph
             } else {
                 vec![fx[slot - 1]]
             };
-            let effect = DECK_FX[slot % 4].build(sr);
             let enabled = cfg.active && cfg.fx_enabled[slot % 4];
-            fx.push(b.add(
+            fx.push(add(
                 format!("FX{}{}", deck_letter(d), slot + 1),
                 section,
-                Box::new(EffectNode::new(effect, enabled, deck_profile, next_seed())),
+                STEREO,
                 &preds,
+                &|seed| {
+                    let effect = DECK_FX[slot % 4].build(sr);
+                    Box::new(EffectNode::new(effect, enabled, deck_profile, seed))
+                },
             ));
         }
         // Channel strip.
-        let channel = b.add(
+        let channel = add(
             format!("Channel{}", deck_letter(d)),
             section,
-            Box::new(ChannelNode::new(
-                d,
-                cfg.filter_pos,
-                cfg.eq_db,
-                profile,
-                next_seed(),
-            )),
+            STEREO,
             &[*fx.last().expect("at least one FX slot")],
+            &|seed| {
+                Box::new(ChannelNode::new(
+                    d,
+                    cfg.filter_pos,
+                    cfg.eq_db,
+                    profile,
+                    seed,
+                ))
+            },
         );
         // Independent bookkeeping sources.
-        b.add(
-            format!("LevelMeter{}", deck_letter(d)),
-            section,
-            Box::new(LevelMeterNode::for_deck(d, profile, next_seed())),
-            &[],
-        );
-        b.add(
-            format!("WaveformTap{}", deck_letter(d)),
-            section,
-            Box::new(WaveformTapNode::new(d, profile, next_seed())),
-            &[],
-        );
-        b.add(
-            format!("BeatPhase{}", deck_letter(d)),
-            section,
-            Box::new(BeatPhaseNode::new(d, profile, next_seed())),
-            &[],
-        );
-        b.add(
-            format!("KeyDetect{}", deck_letter(d)),
-            section,
-            Box::new(KeyDetectNode::new(d, profile, next_seed())),
-            &[],
-        );
+        let bookkeeping: [(&str, Make<'_>); 4] = [
+            ("LevelMeter", &|seed| {
+                Box::new(LevelMeterNode::for_deck(d, profile, seed))
+            }),
+            ("WaveformTap", &|seed| {
+                Box::new(WaveformTapNode::new(d, profile, seed))
+            }),
+            ("BeatPhase", &|seed| {
+                Box::new(BeatPhaseNode::new(d, profile, seed))
+            }),
+            ("KeyDetect", &|seed| {
+                Box::new(KeyDetectNode::new(d, profile, seed))
+            }),
+        ];
+        for (kind, make) in bookkeeping {
+            add(
+                format!("{kind}{}", deck_letter(d)),
+                section,
+                MONO,
+                &[],
+                make,
+            );
+        }
         decks[d] = Some(DeckNodes { sp, fx, channel });
     }
 
@@ -327,132 +424,93 @@ pub fn build_shaped_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph
     let wiring: String = wired.iter().map(|&(d, _)| deck_letter(d)).collect();
 
     // Master section.
-    let clock = b.add(
-        "ClockTick",
-        Section::Master,
-        Box::new(ClockTickNode::new(profile, next_seed())),
-        &[],
-    );
-    let sampler = b.add(
-        "AudioSampler",
-        Section::Master,
-        Box::new(SamplerNode::new(profile, next_seed())),
-        &[clock],
-    );
+    let master = Section::Master;
+    let clock = add("ClockTick".into(), master, MONO, &[], &|seed| {
+        Box::new(ClockTickNode::new(profile, seed))
+    });
+    let sampler = add("AudioSampler".into(), master, STEREO, &[clock], &|seed| {
+        Box::new(SamplerNode::new(profile, seed))
+    });
     let mixer_preds: Vec<NodeId> = channel_ids.iter().copied().chain([sampler]).collect();
-    let mixer = b.add(
+    let mixer = add(
         format!("Mixer[{wiring}]"),
-        Section::Master,
-        Box::new(MixerNode::with_sides(mixer_sides, profile, next_seed())),
+        master,
+        STEREO,
         &mixer_preds,
+        &|seed| Box::new(MixerNode::with_sides(mixer_sides.clone(), profile, seed)),
     );
-    let master_buffer = b.add(
-        "MasterBuffer",
-        Section::Master,
-        Box::new(MasterBufferNode::new(profile, next_seed())),
-        &[mixer],
-    );
-    let audio_out = b.add(
-        "AudioOut1",
-        Section::Master,
-        Box::new(AudioOutNode::new(profile, next_seed())),
-        &[master_buffer],
-    );
-    let record = b.add(
-        "RecordBuffer",
-        Section::Master,
-        Box::new(RecordBufferNode::new(profile, next_seed())),
-        &[master_buffer],
-    );
-    let cue = b.add(
+    let master_buffer = add("MasterBuffer".into(), master, STEREO, &[mixer], &|seed| {
+        Box::new(MasterBufferNode::new(profile, seed))
+    });
+    let to_master = [master_buffer];
+    let audio_out = add("AudioOut1".into(), master, STEREO, &to_master, &|seed| {
+        Box::new(AudioOutNode::new(profile, seed))
+    });
+    let record = add("RecordBuffer".into(), master, STEREO, &to_master, &|seed| {
+        Box::new(RecordBufferNode::new(profile, seed))
+    });
+    let cue = add(
         format!("CueBuffer[{wiring}]"),
-        Section::Master,
-        Box::new(CueBufferNode::new(cue_mask, profile, next_seed())),
+        master,
+        STEREO,
         &channel_ids,
+        &|seed| Box::new(CueBufferNode::new(cue_mask.clone(), profile, seed)),
     );
-    let monitor = b.add(
-        "MonitorBuffer",
-        Section::Master,
-        Box::new(MonitorBufferNode::new(profile, next_seed())),
-        &[cue],
-    );
-    b.add(
-        "MasterMeter",
-        Section::Master,
-        Box::new(LevelMeterNode::for_input(profile, next_seed())),
-        &[master_buffer],
-    );
-    b.add(
-        "SpectrumTap",
-        Section::Master,
-        Box::new(SpectrumTapNode::new(profile, next_seed())),
-        &[master_buffer],
-    );
-    b.add(
-        "HeadroomCalc",
-        Section::Master,
-        Box::new(HeadroomCalcNode::new(profile, next_seed())),
-        &[mixer],
-    );
-    b.add(
-        "AutoGain",
-        Section::Master,
-        Box::new(AutoGainNode::new(profile, next_seed())),
-        &[mixer],
-    );
-    b.add(
-        "TempoMaster",
-        Section::Master,
-        Box::new(TempoMasterNode::new(profile, next_seed())),
-        &[clock],
-    );
-    b.add(
-        "LatencyMon",
-        Section::Master,
-        Box::new(LatencyMonNode::new(profile, next_seed())),
-        &[audio_out],
-    );
-    let stats = b.add(
-        "StatsCollector",
-        Section::Master,
-        Box::new(StatsCollectorNode::new(profile, next_seed())),
+    let monitor = add("MonitorBuffer".into(), master, MONO, &[cue], &|seed| {
+        Box::new(MonitorBufferNode::new(profile, seed))
+    });
+    add("MasterMeter".into(), master, MONO, &to_master, &|seed| {
+        Box::new(LevelMeterNode::for_input(profile, seed))
+    });
+    add("SpectrumTap".into(), master, MONO, &to_master, &|seed| {
+        Box::new(SpectrumTapNode::new(profile, seed))
+    });
+    add("HeadroomCalc".into(), master, MONO, &[mixer], &|seed| {
+        Box::new(HeadroomCalcNode::new(profile, seed))
+    });
+    add("AutoGain".into(), master, MONO, &[mixer], &|seed| {
+        Box::new(AutoGainNode::new(profile, seed))
+    });
+    add("TempoMaster".into(), master, MONO, &[clock], &|seed| {
+        Box::new(TempoMasterNode::new(profile, seed))
+    });
+    add("LatencyMon".into(), master, MONO, &[audio_out], &|seed| {
+        Box::new(LatencyMonNode::new(profile, seed))
+    });
+    let stats = add(
+        "StatsCollector".into(),
+        master,
+        MONO,
         &[audio_out, record, monitor],
+        &|seed| Box::new(StatsCollectorNode::new(profile, seed)),
     );
     // Broadcast sink: encodes the master bus for N listeners. The name
     // carries the listener count, so a changed audience gets a fresh node
     // (its queues are sized at construction).
     let broadcast = (shape.listeners > 0).then(|| {
-        b.add(
+        add(
             format!("BroadcastSink[n{}]", shape.listeners),
-            Section::Master,
-            Box::new(BroadcastSink::new(
-                shape.listeners,
-                net_plan,
-                profile,
-                next_seed(),
-            )),
-            &[master_buffer],
+            master,
+            STEREO,
+            &to_master,
+            &|seed| Box::new(BroadcastSink::new(shape.listeners, net_plan, profile, seed)),
         )
     });
 
-    let graph = b.build().expect("the DJ Star graph is a valid DAG");
-    (
-        graph,
-        NodeMap {
-            decks,
-            mixer,
-            master_buffer,
-            audio_out,
-            record,
-            cue,
-            monitor,
-            clock,
-            sampler,
-            stats,
-            net_src,
-            broadcast,
-        },
-    )
+    NodeMap {
+        decks,
+        mixer,
+        master_buffer,
+        audio_out,
+        record,
+        cue,
+        monitor,
+        clock,
+        sampler,
+        stats,
+        net_src,
+        broadcast,
+    }
 }
 
 #[cfg(test)]

@@ -41,10 +41,12 @@ pub use degrade::{
     NetDegradeConfig, NetDegradeEvent, NetLatencyPolicy,
 };
 pub use front::FrontWork;
-pub use graphbuild::{build_djstar_graph, build_shaped_graph, GraphShape, NodeMap};
+pub use graphbuild::{
+    build_djstar_graph, build_part, build_shaped_graph, hollow_graph, GraphShape, NodeMap,
+};
 pub use modes::{
     canonical_shape, reachable_edits, shape_fingerprint, AdmissionControl, BlueprintCache,
-    ModeCacheStats, NodeCostModel, ShapeFingerprint, Unschedulable,
+    ModeCacheStats, NodeCostModel, PartsBin, ShapeFingerprint, Unschedulable,
 };
 pub use netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
 pub use reconfig::{

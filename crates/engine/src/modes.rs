@@ -11,13 +11,20 @@
 //!   64-bit key. Fields the build ignores (FX slots of an unloaded deck,
 //!   playout depth of a local deck) are zeroed first, so two shapes that
 //!   build the same graph share one cache slot.
-//! * [`BlueprintCache`] maps fingerprints to fully staged generations
-//!   ([`StagedTopology`]). Hits are *take-once*: the staged generation
-//!   moves out of the cache and into the commit, so a hit allocates
-//!   nothing. Capacity is bounded (LRU eviction) and a **generation
-//!   epoch** invalidates every entry when the node-cost calibration or
-//!   the worker count changes — a blueprint compiled against stale costs
-//!   must never be committed.
+//! * [`BlueprintCache`] maps fingerprints to staged *hollow* generations
+//!   ([`StagedTopology`]): topology, buffers and — for PLAN — a blueprint
+//!   list-scheduled under the engine's measured [`NodeCostModel`], but no
+//!   processor. A cached mode is a plan, not a second engine. Hits are
+//!   *take-once*: the generation moves out of the cache and into the
+//!   commit, so a hit allocates nothing. Capacity is bounded (LRU
+//!   eviction) and a **generation epoch** invalidates every entry when
+//!   the node-cost calibration or the worker count changes — a blueprint
+//!   compiled against stale costs must never be committed.
+//! * [`PartsBin`] holds the processors those plans will need: at most one
+//!   never-run part per node name that a cached generation has and the
+//!   running graph lacks. Filling a hit from the bin keeps the warm switch
+//!   allocation-free; everything else a generation needs is carried over
+//!   from the running graph by the commit.
 //! * [`reachable_edits`] enumerates the one-[`GraphEdit`] neighborhood of
 //!   a shape. The engine precompiles those targets off the audio thread
 //!   (`AudioEngine::precompile_neighborhood`), so the *next* switch is a
@@ -30,11 +37,13 @@
 //!   [`Unschedulable`] before a single node is built — mirroring the
 //!   venue layer's oracle-confirmed session admission.
 
-use crate::graphbuild::{build_shaped_graph, GraphShape};
-use crate::reconfig::{GraphEdit, StagedTopology};
-use djstar_core::graph::GraphTopology;
+use crate::graphbuild::{hollow_graph, walk_nodes, GraphShape};
+use crate::reconfig::{ids_in, in_mask, orphan_mask, GraphEdit, StagedTopology};
+use djstar_core::graph::{GraphTopology, NodeId};
+use djstar_core::processor::Processor;
 use djstar_sim::{cycle_budget_ns, session_bound_ns, DurationModel, SimGraph};
 use djstar_workload::scenario::Scenario;
+use std::collections::HashMap;
 use std::fmt;
 
 /// The admission check proved the target shape cannot meet the margined
@@ -159,6 +168,56 @@ pub struct ModeCacheStats {
     pub stale_rejected: u64,
     /// Times the whole cache was invalidated (epoch bumps).
     pub invalidations: u64,
+    /// Bytes of buffers and node cells the cached generations hold now.
+    pub entry_bytes: u64,
+    /// Never-run processors waiting in the [`PartsBin`] now.
+    pub parts_in_bin: u64,
+    /// Processors a cache *hit* had to construct because the bin lacked
+    /// them. Nonzero means a hit allocated: the bin was not restocked
+    /// ([`BlueprintCache::restock`]) after the last commit.
+    pub parts_built_on_hit: u64,
+    /// Replaced generations the engine holds, to be freed at its next
+    /// control-plane call (reported by `AudioEngine::mode_stats`; a bare
+    /// cache reads 0).
+    pub retired_pending: u64,
+}
+
+/// At most one never-run processor per node name: the parts cached
+/// generations need and the running graph cannot hand over. A part has
+/// processed no audio, so a node filled from the bin starts exactly like
+/// one built with its graph.
+#[derive(Default)]
+pub struct PartsBin {
+    parts: Vec<BinPart>,
+}
+
+struct BinPart {
+    name: String,
+    /// Position of the node in the graph the part was built for. It seeds
+    /// the part's burn kernel, so the part fits only a node of that name
+    /// *at that position*.
+    id: NodeId,
+    /// `None` once taken; the slot lingers until the next restock so a
+    /// warm hit frees nothing.
+    part: Option<Box<dyn Processor>>,
+}
+
+impl PartsBin {
+    /// Node names of the waiting parts (each at most once).
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        let waiting = self.parts.iter().filter(|p| p.part.is_some());
+        waiting.map(|p| p.name.as_str())
+    }
+
+    /// Take the part built for node `id` called `name`, if one waits.
+    pub(crate) fn take(&mut self, name: &str, id: NodeId) -> Option<Box<dyn Processor>> {
+        let slot = self.parts.iter_mut().find(|p| p.name == name)?;
+        if slot.id == id {
+            slot.part.take()
+        } else {
+            None
+        }
+    }
 }
 
 struct CacheEntry {
@@ -169,8 +228,8 @@ struct CacheEntry {
     staged: StagedTopology,
 }
 
-/// Bounded cache of fully staged generations, keyed by canonical shape
-/// fingerprint.
+/// Bounded cache of staged hollow generations, keyed by canonical shape
+/// fingerprint, plus the [`PartsBin`] that stocks their missing parts.
 ///
 /// Hits are take-once (the generation moves out, zero allocation on the
 /// taking thread); capacity evicts least-recently-inserted; and the
@@ -183,7 +242,12 @@ pub struct BlueprintCache {
     epoch: u64,
     clock: u64,
     entries: Vec<CacheEntry>,
-    stats: ModeCacheStats,
+    pub(crate) bin: PartsBin,
+    /// The bin and the entries' orphan masks cover every entry and describe
+    /// the graph that runs now: set by [`restock`](Self::restock), cleared
+    /// by an insert and — by the engine — when a commit changes that graph.
+    pub(crate) stocked: bool,
+    pub(crate) stats: ModeCacheStats,
 }
 
 impl BlueprintCache {
@@ -195,6 +259,8 @@ impl BlueprintCache {
             epoch: 0,
             clock: 0,
             entries: Vec::with_capacity(capacity),
+            bin: PartsBin::default(),
+            stocked: false,
             stats: ModeCacheStats::default(),
         }
     }
@@ -221,9 +287,71 @@ impl BlueprintCache {
         self.capacity
     }
 
-    /// Counters so far.
+    /// Counters so far, and the current footprint.
     pub fn stats(&self) -> ModeCacheStats {
-        self.stats
+        let entry_bytes: usize = self
+            .entries
+            .iter()
+            .map(|e| e.staged.staged.heap_bytes())
+            .sum();
+        ModeCacheStats {
+            entry_bytes: entry_bytes as u64,
+            parts_in_bin: self.bin.names().count() as u64,
+            ..self.stats
+        }
+    }
+
+    /// The parts bin.
+    pub fn bin(&self) -> &PartsBin {
+        &self.bin
+    }
+
+    /// Restore the bin invariant against the `running` graph: one
+    /// never-run part for every node name some cached generation has and
+    /// `running` cannot carry over, nothing else. Parts still waiting are
+    /// kept; where two generations want one name at different positions
+    /// the more recently used generation wins. Each generation also learns
+    /// which of its nodes those are, so a hit need not look. Constructs
+    /// processors — run it off the audio path, after each commit or cache
+    /// fill.
+    pub fn restock(&mut self, scenario: &Scenario, running: &GraphTopology) {
+        let mut old = std::mem::take(&mut self.bin);
+        let mut parts: Vec<BinPart> = Vec::new();
+        let mut recent_first: Vec<&mut CacheEntry> = self.entries.iter_mut().collect();
+        recent_first.sort_by_key(|e| std::cmp::Reverse(e.stamp));
+        for entry in recent_first {
+            let topo = entry.staged.staged.topology();
+            let orphans = orphan_mask(topo, running);
+            let mut to_build = 0u128;
+            for id in ids_in(orphans) {
+                let name = topo.name(id);
+                if parts.iter().any(|p| p.name == name) {
+                    continue;
+                }
+                match old.take(name, id) {
+                    Some(part) => parts.push(BinPart {
+                        name: name.to_string(),
+                        id,
+                        part: Some(part),
+                    }),
+                    None => to_build |= 1 << id.0,
+                }
+            }
+            if to_build != 0 {
+                walk_nodes(scenario, entry.staged.shape(), &mut |spec| {
+                    if in_mask(to_build, spec.id) {
+                        parts.push(BinPart {
+                            part: Some(spec.build()),
+                            id: spec.id,
+                            name: spec.name,
+                        });
+                    }
+                });
+            }
+            entry.staged.orphans = Some(orphans);
+        }
+        self.stocked = true;
+        self.bin = PartsBin { parts };
     }
 
     /// Is a generation for `shape` cached? (No effect on hit/miss
@@ -249,6 +377,9 @@ impl BlueprintCache {
                 self.stats.hits += 1;
                 let mut staged = self.entries.swap_remove(i).staged;
                 staged.shape = *shape;
+                if !self.stocked {
+                    staged.orphans = None;
+                }
                 Some(staged)
             }
             None => {
@@ -291,6 +422,7 @@ impl BlueprintCache {
             return false;
         }
         let key = shape_fingerprint(staged.shape());
+        self.stocked = false;
         self.clock += 1;
         let stamp = self.clock;
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
@@ -320,6 +452,8 @@ impl BlueprintCache {
     /// worker-count resize, strategy change.
     pub fn invalidate(&mut self) {
         self.entries.clear();
+        self.bin = PartsBin::default();
+        self.stocked = false;
         self.epoch += 1;
         self.stats.invalidations += 1;
     }
@@ -347,8 +481,8 @@ impl fmt::Debug for BlueprintCache {
 /// about what deck A's slots did, even if no `FXC5` ever ran.
 #[derive(Debug, Clone)]
 pub struct NodeCostModel {
-    exact: Vec<(String, u64)>,
-    kinds: Vec<(String, u64)>,
+    exact: HashMap<String, u64>,
+    kinds: HashMap<String, u64>,
     default_ns: u64,
 }
 
@@ -356,8 +490,8 @@ impl NodeCostModel {
     /// Every node costs `ns` — the structural (uncalibrated) model.
     pub fn uniform(ns: u64) -> Self {
         NodeCostModel {
-            exact: Vec::new(),
-            kinds: Vec::new(),
+            exact: HashMap::new(),
+            kinds: HashMap::new(),
             default_ns: ns.max(1),
         }
     }
@@ -375,8 +509,8 @@ impl NodeCostModel {
                 Some((v.iter().sum::<u64>() / v.len() as u64).max(1))
             }
         };
-        let mut exact: Vec<(String, u64)> = Vec::with_capacity(topo.len());
-        let mut kind_sums: Vec<(String, u64, u64)> = Vec::new();
+        let mut exact = HashMap::with_capacity(topo.len());
+        let mut kind_sums: HashMap<&str, (u64, u64)> = HashMap::new();
         let mut total = 0u64;
         let mut counted = 0u64;
         for i in 0..topo.len() {
@@ -384,22 +518,17 @@ impl NodeCostModel {
             let Some(cost) = samples.get(i).and_then(|v| mean(v)) else {
                 continue;
             };
-            exact.push((name.to_string(), cost));
+            exact.entry(name.to_string()).or_insert(cost);
             total += cost;
             counted += 1;
-            let kind = Self::kind_of(name);
-            match kind_sums.iter_mut().find(|(k, _, _)| k == kind) {
-                Some((_, sum, n)) => {
-                    *sum += cost;
-                    *n += 1;
-                }
-                None => kind_sums.push((kind.to_string(), cost, 1)),
-            }
+            let (sum, n) = kind_sums.entry(Self::kind_of(name)).or_default();
+            *sum += cost;
+            *n += 1;
         }
         let default_ns = total.checked_div(counted).map_or(1, |d| d.max(1));
         let kinds = kind_sums
             .into_iter()
-            .map(|(k, sum, n)| (k, (sum / n).max(1)))
+            .map(|(k, (sum, n))| (k.to_string(), (sum / n).max(1)))
             .collect();
         NodeCostModel {
             exact,
@@ -410,14 +539,9 @@ impl NodeCostModel {
 
     /// The cost (ns) estimated for a node named `name`.
     pub fn cost(&self, name: &str) -> u64 {
-        if let Some((_, c)) = self.exact.iter().find(|(n, _)| n == name) {
-            return *c;
-        }
-        let kind = Self::kind_of(name);
-        if let Some((_, c)) = self.kinds.iter().find(|(k, _)| k == kind) {
-            return *c;
-        }
-        self.default_ns
+        let priced = self.exact.get(name);
+        let priced = priced.or_else(|| self.kinds.get(Self::kind_of(name)));
+        priced.copied().unwrap_or(self.default_ns)
     }
 
     /// Per-node constant durations for every node of `topo`, in node
@@ -454,27 +578,36 @@ impl NodeCostModel {
 /// Verdicts are cached per canonical fingerprint (bounding a shape builds
 /// its graph, which is expensive), and [`set_costs`](Self::set_costs)
 /// clears them — callers must invalidate their [`BlueprintCache`] in the
-/// same breath.
+/// same breath. A controller built without a cost model takes the engine's
+/// when armed (`AudioEngine::enable_admission`), so staging and admission
+/// price a shape from one source; until then it prices structurally, one
+/// nanosecond a node.
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     deadline_ns: u64,
     margin: f64,
     threads: u32,
     aux_floor_ns: u64,
-    costs: NodeCostModel,
+    costs: Option<NodeCostModel>,
     verdicts: Vec<(ShapeFingerprint, Result<u64, Unschedulable>)>,
 }
 
 impl AdmissionControl {
     /// Admission against `deadline_ns` at safety `margin` for a
-    /// `threads`-worker executor, pricing nodes with `costs`.
-    pub fn new(deadline_ns: u64, margin: f64, threads: usize, costs: NodeCostModel) -> Self {
+    /// `threads`-worker executor, pricing nodes with `costs` (`None`: the
+    /// model of the engine it is armed on).
+    pub fn new(
+        deadline_ns: u64,
+        margin: f64,
+        threads: usize,
+        costs: impl Into<Option<NodeCostModel>>,
+    ) -> Self {
         AdmissionControl {
             deadline_ns,
             margin,
             threads: threads.max(1) as u32,
             aux_floor_ns: 0,
-            costs,
+            costs: costs.into(),
             verdicts: Vec::new(),
         }
     }
@@ -514,25 +647,29 @@ impl AdmissionControl {
         self.verdicts.clear();
     }
 
-    /// The cost model in use.
-    pub fn costs(&self) -> &NodeCostModel {
-        &self.costs
+    /// The cost model in use, when the controller has one of its own.
+    pub fn costs(&self) -> Option<&NodeCostModel> {
+        self.costs.as_ref()
     }
 
     /// Swap in a recalibrated cost model. Clears cached verdicts; the
     /// caller must invalidate its blueprint cache too.
     pub fn set_costs(&mut self, costs: NodeCostModel) {
-        self.costs = costs;
+        self.costs = Some(costs);
         self.verdicts.clear();
     }
 
     /// The list-schedule bound (ns) of `shape` under the cost model —
     /// uncached, for oracles and sweeps.
     pub fn bound_ns(&self, scenario: &Scenario, shape: &GraphShape) -> u64 {
-        let (graph, _) = build_shaped_graph(scenario, shape);
+        let (graph, _) = hollow_graph(scenario, shape);
         let topo = graph.topology();
         let sim = SimGraph::from_topology(topo);
-        let durations = DurationModel::Constant(self.costs.durations_for(topo));
+        let durations = match &self.costs {
+            Some(costs) => costs.durations_for(topo),
+            None => vec![1; topo.len()],
+        };
+        let durations = DurationModel::Constant(durations);
         session_bound_ns(&sim, &durations, self.threads, self.aux_floor_ns)
     }
 
@@ -563,6 +700,7 @@ impl AdmissionControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graphbuild::build_shaped_graph;
     use crate::reconfig::{apply_edit, stage_topology};
     use djstar_core::exec::Strategy;
 
@@ -621,7 +759,15 @@ mod tests {
 
     fn staged_for(shape: &GraphShape) -> StagedTopology {
         let scenario = Scenario::light_test();
-        stage_topology(&scenario, shape, Strategy::Busy, 2, 16).unwrap()
+        stage_topology(
+            &scenario,
+            shape,
+            Strategy::Busy,
+            2,
+            16,
+            &NodeCostModel::uniform(1),
+        )
+        .unwrap()
     }
 
     #[test]

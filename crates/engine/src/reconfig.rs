@@ -6,18 +6,21 @@
 //! the executor for every such edit would tear down the worker pool and
 //! miss deadlines, so reconfiguration is split into two halves:
 //!
-//! 1. **Stage** ([`stage_topology`], or
-//!    [`AudioEngine::stage_edits`](crate::apc::AudioEngine::stage_edits)):
-//!    build the new [`GraphShape`]'s task graph, allocate its buffers and
-//!    (for the PLAN strategy) compile a schedule blueprint. This is the
-//!    expensive part and runs on any thread — the audio thread never
-//!    blocks on it.
+//! 1. **Stage** ([`stage_topology`] + [`StagedTopology::fill`], or
+//!    [`AudioEngine::stage_edits`](crate::apc::AudioEngine::stage_edits)
+//!    for both): build the new [`GraphShape`]'s task graph *hollow* —
+//!    every node a placeholder — allocate its buffers and (for the PLAN
+//!    strategy) list-schedule a blueprint under the engine's measured
+//!    node costs; then give a real processor to exactly the nodes the
+//!    running graph has no counterpart for. This is the expensive part
+//!    and runs on any thread — the audio thread never blocks on it.
 //! 2. **Commit** ([`AudioEngine::commit`](crate::apc::AudioEngine::commit)):
 //!    hand the staged generation to the running executor between two
 //!    cycles. The executor's `adopt_generation` is a pointer-sized swap
 //!    plus a name-keyed carry-over of processor state and output buffers,
 //!    so surviving nodes (a playing deck, a ringing delay line) keep
-//!    their state and the workers never restart.
+//!    their state and the workers never restart. The replaced generation
+//!    is handed back and freed later, off the audio thread.
 //!
 //! The only edit that cannot ride this path is
 //! [`GraphEdit::ResizeThreads`]: worker counts are baked into each
@@ -25,10 +28,10 @@
 //! resets graph-node state). `AudioEngine::reconfigure` documents and
 //! implements that split.
 
-use crate::graphbuild::{build_shaped_graph, GraphShape, NodeMap};
-use crate::modes::Unschedulable;
+use crate::graphbuild::{hollow_graph, walk_nodes, GraphShape, NodeMap};
+use crate::modes::{NodeCostModel, PartsBin, Unschedulable};
 use djstar_core::exec::{BlueprintError, ScheduleBlueprint, StagedGeneration, Strategy, SwapError};
-use djstar_core::graph::GraphTopology;
+use djstar_core::graph::{GraphTopology, NodeId};
 use djstar_workload::scenario::Scenario;
 use std::fmt;
 
@@ -251,14 +254,46 @@ pub fn apply_edit(shape: &mut GraphShape, edit: GraphEdit) -> Result<(), EditErr
     Ok(())
 }
 
-/// A fully prepared topology generation: the staged core graph plus the
-/// engine-level landmarks that must swap with it. Built off the audio
-/// thread; committed by
+/// A prepared topology generation: the staged core graph plus the
+/// engine-level landmarks that must swap with it. Built hollow off the
+/// audio thread ([`stage_topology`]), [`fill`](Self::fill)ed against the
+/// graph it will replace, committed by
 /// [`AudioEngine::commit`](crate::apc::AudioEngine::commit).
 pub struct StagedTopology {
     pub(crate) shape: GraphShape,
     pub(crate) map: NodeMap,
     pub(crate) staged: StagedGeneration,
+    /// [`orphan_mask`] against the graph that runs now, when the mode cache
+    /// worked it out ahead of the switch (`BlueprintCache::restock`);
+    /// [`fill`](Self::fill) computes it otherwise.
+    pub(crate) orphans: Option<u128>,
+}
+
+/// Bit `n` is set when node `n` of `staged` is an orphan: `running` has no
+/// same-name, same-layout node to carry a processor over from.
+pub(crate) fn orphan_mask(staged: &GraphTopology, running: &GraphTopology) -> u128 {
+    assert!(
+        staged.len() <= 128,
+        "the largest DJ Star shape has 88 nodes"
+    );
+    let orphan = |&n: &u32| {
+        let id = NodeId(n);
+        let survivor = running.survivor(staged.name(id), staged.channels(id));
+        survivor.is_none()
+    };
+    (0..staged.len() as u32)
+        .filter(orphan)
+        .fold(0, |mask, n| mask | 1 << n)
+}
+
+/// Is node `id`'s bit set in `mask`?
+pub(crate) fn in_mask(mask: u128, id: NodeId) -> bool {
+    mask >> id.0 & 1 == 1
+}
+
+/// The node ids whose bit is set in `mask`.
+pub(crate) fn ids_in(mask: u128) -> impl Iterator<Item = NodeId> {
+    (0..128).map(NodeId).filter(move |&id| in_mask(mask, id))
 }
 
 impl StagedTopology {
@@ -283,26 +318,70 @@ impl StagedTopology {
     pub fn blueprint(&self) -> Option<&ScheduleBlueprint> {
         self.staged.plan()
     }
+
+    /// Give a processor to every vacant node that `running` — the graph
+    /// this generation will replace — has no same-name, same-layout node
+    /// for; the commit carries the rest over. A part comes from `bin` when
+    /// one built for that very node waits there (no allocation), else it
+    /// is constructed here, bit-identical to a whole-graph build. Returns
+    /// how many were constructed.
+    pub fn fill(
+        &mut self,
+        scenario: &Scenario,
+        running: &GraphTopology,
+        bin: &mut PartsBin,
+    ) -> usize {
+        let staged = &mut self.staged;
+        let orphans = self.orphans.take();
+        let orphans = orphans.unwrap_or_else(|| orphan_mask(staged.topology(), running));
+        let mut to_build = 0u128;
+        for id in ids_in(orphans) {
+            if staged.part_mut(id).is_vacant() {
+                match bin.take(staged.topology().name(id), id) {
+                    Some(part) => *staged.part_mut(id) = part,
+                    None => to_build |= 1 << id.0,
+                }
+            }
+        }
+        if to_build != 0 {
+            walk_nodes(scenario, &self.shape, &mut |spec| {
+                if in_mask(to_build, spec.id) {
+                    *staged.part_mut(spec.id) = spec.build();
+                }
+            });
+        }
+        to_build.count_ones() as usize
+    }
 }
 
-/// A PLAN blueprint for `topo` on `threads` workers from a list schedule
-/// with every node costing one unit — what staging uses when no measured
-/// durations are at hand, and all the four-node front graph ever needs.
-pub(crate) fn unit_cost_blueprint(
+/// A PLAN blueprint for `topo` on `threads` workers: the list schedule of
+/// the graph under per-node `durations` (ns, node order), frozen.
+pub(crate) fn list_blueprint(
     topo: &GraphTopology,
+    durations: Vec<u64>,
     threads: usize,
 ) -> Result<ScheduleBlueprint, BlueprintError> {
     let sim = djstar_sim::SimGraph::from_topology(topo);
-    let durations = djstar_sim::DurationModel::Constant(vec![1; topo.len()]);
+    let durations = djstar_sim::DurationModel::Constant(durations);
     let schedule = djstar_sim::list_schedule(&sim, &durations, 0, threads as u32);
     djstar_sim::compile_blueprint(&sim, &schedule)
 }
 
-/// Build a complete generation for `shape`: the shaped task graph, its
-/// buffers, and — when `strategy` is PLAN — a schedule blueprint compiled
-/// for `threads` workers (uniform node durations; callers with measured
-/// durations can stage their own blueprint via the core API). This is the
-/// expensive half of a reconfiguration and runs on any thread.
+/// [`list_blueprint`] with every node costing one unit — all the four-node
+/// front graph, whose tasks are alike, ever needs.
+pub(crate) fn unit_cost_blueprint(
+    topo: &GraphTopology,
+    threads: usize,
+) -> Result<ScheduleBlueprint, BlueprintError> {
+    list_blueprint(topo, vec![1; topo.len()], threads)
+}
+
+/// Build a hollow generation for `shape`: the shaped task graph with a
+/// placeholder in every node, its buffers, and — when `strategy` is PLAN —
+/// a schedule blueprint for `threads` workers, list-scheduled with each
+/// node priced by `costs` (exact name, else kind, else mean). This is the
+/// expensive half of a reconfiguration and runs on any thread;
+/// [`StagedTopology::fill`] makes the result committable.
 ///
 /// A blueprint that fails to compile is a typed
 /// [`BlueprintError`] — never a silent fall-back to an unplanned
@@ -313,10 +392,12 @@ pub fn stage_topology(
     strategy: Strategy,
     threads: usize,
     frames: usize,
+    costs: &NodeCostModel,
 ) -> Result<StagedTopology, BlueprintError> {
-    let (graph, map) = build_shaped_graph(scenario, shape);
+    let (graph, map) = hollow_graph(scenario, shape);
     let staged = if strategy == Strategy::Planned {
-        let bp = unit_cost_blueprint(graph.topology(), threads)?;
+        let topo = graph.topology();
+        let bp = list_blueprint(topo, costs.durations_for(topo), threads)?;
         StagedGeneration::with_plan(graph, frames, bp)
     } else {
         StagedGeneration::new(graph, frames)
@@ -325,6 +406,7 @@ pub fn stage_topology(
         shape: *shape,
         map,
         staged,
+        orphans: None,
     })
 }
 
@@ -418,11 +500,12 @@ mod tests {
         use djstar_workload::scenario::Scenario;
         let scenario = Scenario::light_test();
         let shape = GraphShape::paper_default();
-        let busy = stage_topology(&scenario, &shape, Strategy::Busy, 3, 16).unwrap();
+        let costs = NodeCostModel::uniform(1);
+        let busy = stage_topology(&scenario, &shape, Strategy::Busy, 3, 16, &costs).unwrap();
         assert!(!busy.has_plan());
         assert!(busy.blueprint().is_none());
         assert_eq!(busy.node_count(), 67);
-        let plan = stage_topology(&scenario, &shape, Strategy::Planned, 3, 16).unwrap();
+        let plan = stage_topology(&scenario, &shape, Strategy::Planned, 3, 16, &costs).unwrap();
         assert!(plan.has_plan());
         assert_eq!(plan.blueprint().map(|bp| bp.len()), Some(67));
     }

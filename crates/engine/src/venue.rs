@@ -38,16 +38,13 @@
 //! offending session.
 
 use crate::apc::DegradeOutcome;
-use crate::apc::{ApcTiming, AudioEngine, AuxWork};
+use crate::apc::{ApcTiming, AudioEngine, AuxWork, PROBE_CYCLES};
 use crate::front::FrontWork;
 use crate::graphbuild::GraphShape;
 use djstar_core::exec::{Strategy, VenuePool};
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cycles run on the throwaway probe engine when bounding a candidate.
-const PROBE_CYCLES: usize = 12;
 
 /// Everything the venue needs to know about a candidate session.
 #[derive(Debug, Clone)]

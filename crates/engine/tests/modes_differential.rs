@@ -52,6 +52,10 @@ fn lockstep(strategy: Strategy, threads: usize, precompile: bool) -> (u64, u64, 
     let mut fresh = engine(strategy, threads);
     cached.warmup(10);
     fresh.warmup(10);
+    // Staged blueprints are priced by each engine's own PLAN probe, and
+    // two probes never measure the same nanoseconds: give both sides one
+    // model, so equal blueprints mean an equal compile.
+    fresh.recalibrate_admission(cached.costs().clone());
     cached.enable_mode_cache(32);
     if precompile {
         cached.precompile_neighborhood();
@@ -223,4 +227,47 @@ fn recalibration_invalidates_midwalk_without_audible_effect() {
         stats.hits + stats.misses == SWITCHES as u64,
         "every switch takes exactly one cache lookup"
     );
+}
+
+#[test]
+fn a_reloaded_deck_starts_from_parts_that_never_ran() {
+    // Eject deck C mid-set and load it again. The cached engine serves the
+    // reload from its cache and the deck's thirteen processors from the
+    // parts bin; the fresh engine builds them on the spot. If the bin (or
+    // a recycled retired generation) ever handed out a processor that had
+    // processed audio, deck C's delay lines would still be ringing.
+    let mut cached = engine(Strategy::Busy, 2);
+    let mut fresh = engine(Strategy::Busy, 2);
+    cached.enable_mode_cache(32);
+    let mut both = |edit: Option<GraphEdit>, cycles: usize, compare_deck: bool| {
+        if let Some(edit) = edit {
+            cached.precompile_neighborhood();
+            for e in [&mut cached, &mut fresh] {
+                let staged = e.stage_edits(&[edit]).expect("stage");
+                e.commit(staged).expect("commit");
+            }
+        }
+        for cycle in 0..cycles {
+            cached.run_apc();
+            fresh.run_apc();
+            assert_eq!(cached.output().samples(), fresh.output().samples());
+            if !compare_deck {
+                continue;
+            }
+            let deck = cached.node_map().deck(2).expect("deck C loaded").clone();
+            let nodes = deck.sp.iter().chain(&deck.fx).chain([&deck.channel]);
+            for &node in nodes {
+                let (mut a, mut b) = (AudioBuf::stereo_default(), AudioBuf::stereo_default());
+                cached.executor_mut().read_output(node, &mut a);
+                fresh.executor_mut().read_output(node, &mut b);
+                assert_eq!(a.samples(), b.samples(), "node {node} at cycle {cycle}");
+            }
+        }
+    };
+    both(None, 30, true);
+    both(Some(GraphEdit::UnloadDeck(2)), 20, false);
+    both(Some(GraphEdit::LoadDeck(2)), 40, true);
+    let stats = cached.mode_cache().expect("cache enabled").stats();
+    assert_eq!((stats.hits, stats.misses), (2, 0), "{stats:?}");
+    assert_eq!(stats.parts_built_on_hit, 0, "the bin stocked every part");
 }

@@ -89,27 +89,32 @@ fn reconfigure_updates_shape_and_node_map() {
 #[test]
 fn staging_runs_off_the_audio_thread() {
     use djstar_engine::reconfig::{apply_edit, stage_topology};
+    use djstar_engine::{hollow_graph, PartsBin};
     let mut engine = light_engine(Strategy::Busy, 2);
     engine.warmup(10);
     // Stage on another thread while the "audio thread" keeps cycling:
-    // staging needs only copies of the scenario and shape, and the
-    // resulting StagedTopology is Send, so a real host builds it on a
-    // worker and hands it back for the cycle-boundary commit.
+    // staging needs only copies of the scenario, shape and cost model,
+    // and the resulting StagedTopology is Send, so a real host builds it
+    // on a worker and hands it back for the cycle-boundary commit. The
+    // worker knows which graph runs from its shape alone, so it can also
+    // make the parts that graph cannot hand over (FXB5 and the rewired
+    // mixer and cue bus here).
     let scenario = engine.scenario().clone();
-    let shape = *engine.shape();
+    let running = *engine.shape();
     let strategy = engine.strategy();
     let threads = engine.threads();
+    let costs = engine.costs().clone();
     let stager = std::thread::spawn(move || {
-        let mut shape = shape;
+        let mut shape = running;
         apply_edit(&mut shape, GraphEdit::UnloadDeck(3)).unwrap();
         apply_edit(&mut shape, GraphEdit::InsertFxSlot(1)).unwrap();
-        stage_topology(
-            &scenario,
-            &shape,
-            strategy,
-            threads,
-            djstar_dsp::BUFFER_FRAMES,
-        )
+        let frames = djstar_dsp::BUFFER_FRAMES;
+        stage_topology(&scenario, &shape, strategy, threads, frames, &costs).map(|mut staged| {
+            let (running, _) = hollow_graph(&scenario, &running);
+            let built = staged.fill(&scenario, running.topology(), &mut PartsBin::default());
+            assert_eq!(built, 3);
+            staged
+        })
     });
     engine.warmup(5); // audio keeps flowing while the stager works
     let staged = stager.join().expect("staging thread").expect("staging");
@@ -119,6 +124,46 @@ fn staging_runs_off_the_audio_thread() {
     engine.warmup(10);
     assert!(engine.output().is_finite());
     assert_eq!(engine.shape().fx_slots[1], 5);
+}
+
+#[test]
+fn an_unfilled_generation_is_refused_whole() {
+    use djstar_core::exec::SwapError;
+    use djstar_engine::reconfig::{apply_edit, stage_topology};
+    let mut engine = light_engine(Strategy::Busy, 2);
+    let mut twin = light_engine(Strategy::Busy, 2);
+    engine.warmup(10);
+    twin.warmup(10);
+    let before = (*engine.shape(), engine.generation());
+    // Staged hollow and never filled: FXB5 has no processor and the
+    // running graph has no FXB5 to carry one over from.
+    let mut shape = *engine.shape();
+    apply_edit(&mut shape, GraphEdit::InsertFxSlot(1)).unwrap();
+    let frames = djstar_dsp::BUFFER_FRAMES;
+    let staged = stage_topology(
+        engine.scenario(),
+        &shape,
+        Strategy::Busy,
+        2,
+        frames,
+        engine.costs(),
+    )
+    .expect("stages");
+    let refused = engine.commit(staged);
+    assert_eq!(
+        refused,
+        Err(SwapError::MissingPart {
+            name: "FXB5".into()
+        })
+    );
+    assert_eq!((*engine.shape(), engine.generation()), before);
+    assert!(engine.node_map().fx(1, 4).is_none());
+    assert!(engine.commit_cycles().is_empty());
+    for _ in 0..10 {
+        engine.run_apc();
+        twin.run_apc();
+        assert_eq!(engine.output().samples(), twin.output().samples());
+    }
 }
 
 #[test]

@@ -48,6 +48,16 @@ pub struct StrategyModes {
     /// charged and missed after (commit cost material) — same causal
     /// metric as E13.
     pub commit_blown: u64,
+    /// Bytes of buffers and node cells held by the cached (hollow)
+    /// generations at the end of the warm run.
+    pub entry_bytes: u64,
+    /// Never-run processors waiting in the parts bin at the end.
+    pub parts_in_bin: u64,
+    /// Processors a cache hit had to construct because the bin lacked
+    /// them — nonzero means a warm switch allocated.
+    pub parts_built_on_hit: u64,
+    /// Replaced generations still waiting to be freed at the end.
+    pub retired_pending: u64,
 }
 
 impl StrategyModes {
@@ -140,6 +150,10 @@ impl StrategyModes {
             ("cache_misses", Json::from(self.cache_misses)),
             ("swaps", Json::from(self.swaps)),
             ("commit_blown_deadlines", Json::from(self.commit_blown)),
+            ("entry_bytes", Json::from(self.entry_bytes)),
+            ("parts_in_bin", Json::from(self.parts_in_bin)),
+            ("parts_built_on_hit", Json::from(self.parts_built_on_hit)),
+            ("retired_pending", Json::from(self.retired_pending)),
         ])
     }
 }
@@ -333,6 +347,17 @@ impl ModesReport {
                 s.added_misses(),
             ));
         }
+        out.push_str("strategy  cached KiB  bin parts  built on hit  retired pending\n");
+        for s in &self.strategies {
+            out.push_str(&format!(
+                "{:<8} {:>11.1} {:>10} {:>13} {:>16}\n",
+                s.strategy,
+                s.entry_bytes as f64 / 1024.0,
+                s.parts_in_bin,
+                s.parts_built_on_hit,
+                s.retired_pending,
+            ));
+        }
         let agreed = self.admission.iter().filter(|t| t.agrees()).count();
         let accepted = self.admission.iter().filter(|t| t.accepted).count();
         let boundary = self.admission.iter().filter(|t| t.is_boundary()).count();
@@ -376,6 +401,10 @@ mod tests {
             cache_misses: 0,
             swaps: 3,
             commit_blown: 0,
+            entry_bytes: 2_000_000,
+            parts_in_bin: 16,
+            parts_built_on_hit: 0,
+            retired_pending: 1,
         }
     }
 
@@ -476,6 +505,8 @@ mod tests {
         assert!(j.starts_with("{\"bench\":\"modes\""));
         assert!(j.contains("\"strategies\":["));
         assert!(j.contains("\"stage_speedup\":"));
+        assert!(j.contains("\"entry_bytes\":2000000"));
+        assert!(j.contains("\"parts_built_on_hit\":0"));
         assert!(j.contains("\"admission\":["));
         assert!(j.contains("\"cache_speedup_ok\":true"));
         assert!(j.contains("\"bit_exact\":true"));
@@ -484,6 +515,7 @@ mod tests {
         let text = report().render();
         assert!(text.contains("SEQ"));
         assert!(text.contains("agree with sim oracle"));
+        assert!(text.contains("built on hit"));
         assert!(text.contains("cache-speedup-ok=true"));
     }
 }
