@@ -1,5 +1,19 @@
-//! Graph execution runtime: per-node atomic dependency state and the four
-//! executors (sequential baseline plus the paper's three strategies).
+//! Graph execution runtime: per-node atomic dependency state and the one
+//! executor, [`PoolExecutor`], that every strategy runs on.
+//!
+//! The paper's §V strategies share one queue and one graph and differ only
+//! in *how a thread waits for a dependency*. The code says the same: a
+//! [`PoolExecutor`] owns the session state, the pool membership and all
+//! instrumentation, and a small wait *policy* supplies the lane loop —
+//!
+//! | policy | labels | a lane waits by | hooks |
+//! |---|---|---|---|
+//! | [`Seq`] | SEQ | not at all: one lane walks the whole queue | — |
+//! | [`Spin`] / [`Replay`] | BUSY / PLAN | spinning on `done_epoch` (round-robin slots / blueprint slots) | `adopt` (PLAN: validate + swap the blueprint) |
+//! | [`Park`] | SLEEP, HYBRID | spinning `spin_budget` polls (0 / 2000), then parking on `pending` | — |
+//! | [`Steal`] | WS | popping, stealing, then parking in the idle set | `seed`, `settle`, `adopt` |
+//!
+//! The six `*Executor` names are type aliases of [`PoolExecutor`].
 //!
 //! # The epoch protocol
 //!
@@ -47,6 +61,7 @@
 //! thread.
 
 mod busy;
+mod executor;
 mod hybrid;
 mod planned;
 pub mod pool;
@@ -54,20 +69,21 @@ mod sequential;
 mod sleeping;
 mod stealing;
 
-pub use busy::BusyExecutor;
+pub use busy::{BusyExecutor, Spin};
+pub use executor::PoolExecutor;
 pub use hybrid::HybridExecutor;
-pub use planned::{BlueprintError, PlannedExecutor, PlannedNode, ScheduleBlueprint};
-pub use pool::{SessionId, VenuePool};
-pub use sequential::SequentialExecutor;
-pub use sleeping::SleepExecutor;
-pub use stealing::StealExecutor;
+pub use planned::{BlueprintError, PlannedExecutor, PlannedNode, Replay, ScheduleBlueprint};
+pub use pool::VenuePool;
+pub use sequential::{Seq, SequentialExecutor};
+pub use sleeping::{Park, SleepExecutor};
+pub use stealing::{Steal, StealExecutor};
 
 use crate::faults::FaultPlan;
-use crate::flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
+use crate::flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow};
 use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
 use crate::pad::CachePadded;
 use crate::processor::{CycleCtx, Processor};
-use crate::telemetry::{CounterSnapshot, CycleCounters, TelemetryRing};
+use crate::telemetry::{CycleCounters, TelemetryRing};
 use crate::trace::{ScheduleTrace, TraceEvent, TraceKind};
 use djstar_dsp::AudioBuf;
 use std::cell::UnsafeCell;
@@ -111,9 +127,6 @@ impl Strategy {
             Strategy::Planned => "PLAN",
         }
     }
-
-    /// The three parallel strategies.
-    pub const PARALLEL: [Strategy; 3] = [Strategy::Busy, Strategy::Sleep, Strategy::Steal];
 
     /// Every strategy, in the order the tables list them.
     pub const ALL: [Strategy; 6] = [
@@ -289,37 +302,25 @@ pub trait GraphExecutor: Send {
     /// Venue path, first half: publish this session's cycle (reset the
     /// graph, copy externals, bump the session epoch) WITHOUT dispatching
     /// pool workers, and stage it for the pool's next batch. Returns the
-    /// session epoch to pass to [`venue_collect`](Self::venue_collect), or
-    /// `None` when the executor does not run on a pool (Sequential) — the
-    /// caller then runs `run_cycle` inline instead. After staging every
-    /// session, the caller fires one `VenuePool::dispatch`, runs each
-    /// staged session's driver share via `VenuePool::run_driver_parts`,
-    /// and collects.
-    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> Option<u64> {
-        let _ = (external_audio, controls);
-        None
-    }
+    /// session epoch to pass to [`venue_collect`](Self::venue_collect).
+    /// After staging every session, the caller fires one
+    /// `VenuePool::dispatch`, runs each staged session's driver share via
+    /// `VenuePool::run_driver_parts`, and collects.
+    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> u64;
 
     /// Venue path, second half: wait for this session's staged cycle
     /// (published by [`venue_stage`](Self::venue_stage)) to complete and
     /// harvest its timing/telemetry/trace exactly as `run_cycle` would.
     /// Must only be called with the epoch returned by the matching
     /// `venue_stage`, after the batch was dispatched and the driver parts
-    /// ran. Default panics: executors that return `Some` from
-    /// `venue_stage` override it.
-    fn venue_collect(&mut self, epoch: u64) -> CycleResult {
-        let _ = epoch;
-        unreachable!("venue_collect on an executor that never stages");
-    }
+    /// ran.
+    fn venue_collect(&mut self, epoch: u64) -> CycleResult;
 
     /// Tag this executor's exported telemetry rings and flight windows
     /// with a venue session id (0 = single-session default). Takes effect
     /// for rings/recorders installed *after* the call; the venue server
-    /// sets it once, right after construction. Implementations without
-    /// telemetry may ignore it.
-    fn set_session(&mut self, session: u32) {
-        let _ = session;
-    }
+    /// sets it once, right after construction.
+    fn set_session(&mut self, session: u32);
 
     /// Enable/disable schedule tracing (adds overhead; off by default).
     fn set_tracing(&mut self, on: bool);
@@ -329,18 +330,13 @@ pub trait GraphExecutor: Send {
 
     /// Enable/disable telemetry counter collection. Far cheaper than
     /// tracing (a handful of `Relaxed` counter adds per node, no
-    /// allocation inside a cycle); off by default. Implementations that do
-    /// not support telemetry may ignore this.
-    fn set_telemetry(&mut self, on: bool) {
-        let _ = on;
-    }
+    /// allocation inside a cycle); off by default.
+    fn set_telemetry(&mut self, on: bool);
 
     /// Take the ring of per-cycle telemetry records collected so far.
     /// Collection continues afterwards (with a fresh ring) if telemetry is
-    /// still enabled. `None` when telemetry is off or unsupported.
-    fn take_telemetry(&mut self) -> Option<TelemetryRing> {
-        None
-    }
+    /// still enabled. `None` when telemetry is off.
+    fn take_telemetry(&mut self) -> Option<TelemetryRing>;
 
     /// Install (or clear, with `None`) a fault-injection plan. Driver-only
     /// between cycles (`&mut self`); takes effect from the next
@@ -349,24 +345,20 @@ pub trait GraphExecutor: Send {
     /// nothing more.
     fn set_faults(&mut self, plan: Option<FaultPlan>);
 
-    /// Install (or clear, with `None`) a flight recorder sized by `cfg`.
-    /// All buffers are allocated here, up front; from the next cycle the
-    /// executor records every Exec/BusyWait/Sleep/Steal/Unpark/Fault
-    /// interval into pre-allocated overwrite-oldest per-worker rings.
-    /// Disabled, the hot path pays one `Relaxed` flag load — the same
-    /// zero-cost-when-off contract as [`set_faults`](Self::set_faults).
-    /// Implementations that do not support recording may ignore this.
-    fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
-        let _ = cfg;
-    }
+    /// Install (or clear, with `None`) a flight recorder sized by `cfg`
+    /// and tagged with the executor's session id. All buffers are
+    /// allocated here, up front; from the next cycle the executor records
+    /// every Exec/BusyWait/Sleep/Steal/Unpark/Fault interval into
+    /// pre-allocated overwrite-oldest per-worker rings. Disabled, the hot
+    /// path pays one `Relaxed` flag load — the same zero-cost-when-off
+    /// contract as [`set_faults`](Self::set_faults).
+    fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>);
 
     /// Freeze and take the flight-recorder capture accumulated so far
     /// (spans + cycle stamps); recording continues into the emptied
-    /// buffers. `None` when no recorder is installed or recording is
-    /// unsupported. Driver-only between cycles (`&mut self`).
-    fn take_flight_window(&mut self) -> Option<FlightWindow> {
-        None
-    }
+    /// buffers. `None` when no recorder is installed. Driver-only between
+    /// cycles (`&mut self`).
+    fn take_flight_window(&mut self) -> Option<FlightWindow>;
 
     /// Adopt a staged topology generation at a cycle boundary (`&mut self`
     /// proves no cycle is in flight). Runtime state of nodes that exist in
@@ -587,13 +579,18 @@ impl ExecGraph {
         self.cells[node].done_epoch.load(Ordering::Acquire) == epoch
     }
 
-    /// Execute `node` for `epoch` and publish its completion.
+    /// Run `node`'s processor for `ctx.epoch` WITHOUT publishing its
+    /// completion; [`publish`](Self::publish) must follow. The two halves
+    /// exist so an instrumented caller can take the node's end timestamp
+    /// between them: stamped after the publishing store, a pre-empted
+    /// worker would let a successor's recorded start precede this node's
+    /// recorded end.
     ///
     /// # Safety
     /// Caller must be the exclusive executor of `node` this epoch, and every
     /// predecessor must already be done for `epoch` (observed with
     /// `Acquire`).
-    pub(crate) unsafe fn execute(&self, node: usize, ctx: &CycleCtx<'_>) {
+    pub(crate) unsafe fn process(&self, node: usize, ctx: &CycleCtx<'_>) {
         let preds = self.topo.preds(NodeId(node as u32));
         let mut inputs: [&AudioBuf; MAX_INPUTS] = [&self.empty; MAX_INPUTS];
         for (k, &p) in preds.iter().enumerate() {
@@ -605,9 +602,24 @@ impl ExecGraph {
         let rt = &mut *self.runtimes[node].0.get();
         rt.processor
             .process(&inputs[..preds.len()], &mut rt.output, ctx);
-        self.cells[node]
-            .done_epoch
-            .store(ctx.epoch, Ordering::Release);
+    }
+
+    /// Publish `node` as done for `epoch` (`Release`: the output written
+    /// by [`process`](Self::process) becomes visible to whoever acquires
+    /// it).
+    #[inline]
+    pub(crate) fn publish(&self, node: usize, epoch: u64) {
+        self.cells[node].done_epoch.store(epoch, Ordering::Release);
+    }
+
+    /// Execute `node` for `ctx.epoch` and publish its completion.
+    ///
+    /// # Safety
+    /// As [`process`](Self::process).
+    #[inline]
+    pub(crate) unsafe fn execute(&self, node: usize, ctx: &CycleCtx<'_>) {
+        self.process(node, ctx);
+        self.publish(node, ctx.epoch);
     }
 
     /// Reset pending counters for a new cycle. Driver only, between cycles.
@@ -669,23 +681,6 @@ impl ExecGraph {
         Ok(carried)
     }
 
-    /// Copy a node's output. Driver only, between cycles.
-    pub(crate) fn read_output_internal(&mut self, node: NodeId, dst: &mut AudioBuf) {
-        // `&mut self` proves no cycle is in flight.
-        let rt = self.runtimes[node.idx()].0.get_mut();
-        if rt.output.channels() == dst.channels() && rt.output.frames() == dst.frames() {
-            dst.copy_from(&rt.output);
-        } else {
-            dst.clear();
-            dst.mix_add(&rt.output, 1.0);
-        }
-    }
-
-    /// Mutable processor access. Driver only, between cycles.
-    pub(crate) fn node_processor_internal(&mut self, node: NodeId) -> &mut dyn Processor {
-        self.runtimes[node.idx()].0.get_mut().processor.as_mut()
-    }
-
     /// Copy a node's output through the `UnsafeCell` without `&mut self`.
     ///
     /// # Safety
@@ -722,30 +717,9 @@ pub(crate) struct RawEvent {
     pub end: Instant,
 }
 
-/// Convert worker-local raw events into a [`ScheduleTrace`] relative to
-/// `cycle_start`.
-pub(crate) fn finish_trace(
-    workers: u32,
-    cycle_start: Instant,
-    raw: Vec<(u32, Vec<RawEvent>)>,
-) -> ScheduleTrace {
-    let mut events = Vec::new();
-    for (worker, evs) in raw {
-        for e in evs {
-            events.push(TraceEvent {
-                node: e.node,
-                worker,
-                start_ns: e.start.duration_since(cycle_start).as_nanos() as u64,
-                end_ns: e.end.duration_since(cycle_start).as_nanos() as u64,
-                kind: e.kind,
-            });
-        }
-    }
-    ScheduleTrace { workers, events }
-}
-
-/// State shared between the driver and the worker threads of a threaded
-/// executor.
+/// One session's state, shared between the driver and the pool workers
+/// running its lanes. Everything here is strategy-independent; what a
+/// strategy adds (deques, a blueprint, a spin budget) lives in its policy.
 pub(crate) struct Shared {
     /// The current topology generation's runtime graph. Replaced only by
     /// the driver between cycles ([`Shared::adopt_exec`]); workers read it
@@ -753,15 +727,14 @@ pub(crate) struct Shared {
     exec: DriverCell<ExecGraph>,
     /// Number of generation swaps performed (driver-read telemetry).
     pub generation: AtomicU64,
-    /// Current cycle epoch; driver bumps with `Release`. Padded: every
-    /// worker polls it between cycles while `done_count` below is being
-    /// hammered by finishing workers.
+    /// Current cycle epoch; driver bumps with `Release`. Padded away from
+    /// `done_count` below, which finishing workers hammer.
     pub epoch: CachePadded<AtomicU64>,
     /// Nodes completed this cycle; workers increment with `Release`. The
-    /// single most contended atomic of the queue-based executors — it gets
+    /// single most contended atomic of the queue-based policies — it gets
     /// its own cache line.
     pub done_count: CachePadded<AtomicU32>,
-    /// Total worker count, including the driver (worker 0).
+    /// Lane count, including the driver (lane 0).
     pub threads: usize,
     /// Which precomputed topological order the queue walk uses.
     pub priority: Priority,
@@ -769,13 +742,11 @@ pub(crate) struct Shared {
     pub tracing: AtomicBool,
     /// Whether to record telemetry counters this cycle.
     pub telemetry: AtomicBool,
-    /// Whether the flight recorder is armed (one `Relaxed` load per cycle
-    /// per worker when off).
-    pub flight: AtomicBool,
-    /// The installed flight recorder, if any. Written only by the driver
-    /// between cycles ([`GraphExecutor::set_flight_recorder`] takes
-    /// `&mut`), lanes written by their owning workers during a cycle —
-    /// the contract documented in [`crate::flight`].
+    /// The installed flight recorder, if any (one plain load per cycle per
+    /// lane when off). Written only by the driver between cycles
+    /// ([`GraphExecutor::set_flight_recorder`] takes `&mut`), lanes
+    /// written by their owning workers during a cycle — the contract
+    /// documented in [`crate::flight`].
     pub recorder: DriverCell<Option<FlightRecorder>>,
     /// Per-worker telemetry counters, recorded `Relaxed` on the hot path
     /// and drained by the driver between cycles.
@@ -789,25 +760,25 @@ pub(crate) struct Shared {
     pub external: DriverCell<ExternalInputs>,
     /// Instant of the current cycle's start (for trace offsets).
     pub cycle_start: DriverCell<Instant>,
-    /// Thread handles by worker index; slot 0 is refreshed by the driver
-    /// each cycle (the driver participates as worker 0).
+    /// Thread handles by lane; slot 0 is refreshed by the driver each
+    /// cycle (the driver runs lane 0), the rest are the pool workers
+    /// serving those lanes.
     pub handles: DriverCell<Vec<std::thread::Thread>>,
     /// Per-worker trace sinks, drained by the driver after a traced cycle.
     pub trace_sinks: Vec<std::sync::Mutex<Vec<RawEvent>>>,
     /// Workers that have flushed their trace sink this cycle (traced cycles
     /// only); the driver waits for all of them before collecting.
     pub trace_flushed: AtomicU32,
-    /// Workers that have fully left the current cycle's work loop. Needed
-    /// by executors whose workers touch *shared* work queues (WS): a
-    /// lingering worker that has not yet observed completion must not be
-    /// able to pop work seeded for the next cycle, so the driver waits for
-    /// every worker to pass this barrier before `run_cycle` returns.
-    /// Padded for the same reason as `done_count`.
-    pub cycle_exited: CachePadded<AtomicU32>,
 }
 
 impl Shared {
-    pub(crate) fn new(exec: ExecGraph, threads: usize, priority: Priority) -> Self {
+    /// Session state for `exec` with one lane per handle.
+    pub(crate) fn new(
+        exec: ExecGraph,
+        handles: Vec<std::thread::Thread>,
+        priority: Priority,
+    ) -> Self {
+        let threads = handles.len();
         Shared {
             exec: DriverCell::new(exec),
             generation: AtomicU64::new(0),
@@ -817,18 +788,16 @@ impl Shared {
             priority,
             tracing: AtomicBool::new(false),
             telemetry: AtomicBool::new(false),
-            flight: AtomicBool::new(false),
             recorder: DriverCell::new(None),
             counters: (0..threads).map(|_| CycleCounters::new()).collect(),
             faults: DriverCell::new(None),
             external: DriverCell::new(ExternalInputs::default()),
             cycle_start: DriverCell::new(Instant::now()),
-            handles: DriverCell::new(Vec::new()),
+            handles: DriverCell::new(handles),
             trace_sinks: (0..threads)
                 .map(|_| std::sync::Mutex::new(Vec::new()))
                 .collect(),
             trace_flushed: AtomicU32::new(0),
-            cycle_exited: CachePadded::new(AtomicU32::new(0)),
         }
     }
 
@@ -863,122 +832,18 @@ impl Shared {
         let verdict = exec.carry_over_from(running).map(|_| {
             std::mem::swap(running, &mut exec);
             // Publication rides the next epoch Release store; the counter
-            // is driver-read bookkeeping only.
+            // is driver-read bookkeeping only. The epoch keeps counting
+            // across the swap, so nothing in the fresh graph can claim to
+            // be done for a past or future cycle.
             self.generation.fetch_add(1, Ordering::Relaxed) + 1
         });
         let plans = [plan, None];
         (verdict, RetiredGeneration { exec, plans })
     }
 
-    /// The installed fault plan, if any.
-    ///
-    /// Same access contexts as [`Shared::graph`]: the driver between
-    /// cycles, or a worker holding the epoch-acquire edge of the cycle the
-    /// plan was published for.
-    #[inline]
-    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
-        // SAFETY: writes are driver-only between cycles (`set_faults`
-        // takes `&mut self`), published by the next epoch Release store.
-        unsafe { self.faults.get() }.as_ref()
-    }
-
-    /// Whether the flight recorder is armed (hot-path check).
-    #[inline]
-    pub(crate) fn flight_on(&self) -> bool {
-        self.flight.load(Ordering::Relaxed)
-    }
-
-    /// Worker-side: record one span into `worker`'s lane. Caller must have
-    /// seen [`Shared::flight_on`] under the epoch-acquire edge of the
-    /// current cycle (recorder installs are driver-only between cycles,
-    /// published like `faults`).
-    #[inline]
-    pub(crate) fn record_span(
-        &self,
-        worker: usize,
-        cycle: u64,
-        node: u32,
-        kind: SpanKind,
-        start: Instant,
-        end: Instant,
-    ) {
-        // SAFETY: same publication contract as `fault_plan`.
-        if let Some(rec) = unsafe { self.recorder.get() }.as_ref() {
-            let span = Span {
-                cycle,
-                node,
-                worker: worker as u32,
-                start_ns: rec.now_ns(start),
-                end_ns: rec.now_ns(end),
-                kind,
-            };
-            // SAFETY: each worker owns exactly its own lane during a cycle.
-            unsafe { rec.record(worker, span) };
-        }
-    }
-
-    /// Worker-side: record a node's execution interval `[start, end]`,
-    /// carving the time its processor booked on the net counters into
-    /// leading [`SpanKind::NetWait`] / [`SpanKind::Conceal`] spans (the
-    /// remainder stays [`SpanKind::Exec`]). `net_before` is the worker's
-    /// [`CycleCounters::net_ns`] reading taken just before `execute`. The
-    /// three spans tile the interval exactly, so forensics blame still
-    /// sums to the overrun. Publication contract as [`record_span`].
-    pub(crate) fn record_exec_carved(
-        &self,
-        worker: usize,
-        cycle: u64,
-        node: u32,
-        start: Instant,
-        end: Instant,
-        net_before: (u64, u64),
-    ) {
-        let (w1, c1) = self.counters[worker].net_ns();
-        let wait = w1.wrapping_sub(net_before.0);
-        let conceal = c1.wrapping_sub(net_before.1);
-        if wait == 0 && conceal == 0 {
-            self.record_span(worker, cycle, node, SpanKind::Exec, start, end);
-            return;
-        }
-        // SAFETY: same publication contract as `fault_plan`.
-        if let Some(rec) = unsafe { self.recorder.get() }.as_ref() {
-            let s = rec.now_ns(start);
-            let e = rec.now_ns(end);
-            // Clamp so the carve never escapes the measured interval even
-            // if the counter booked more time than the wall clock saw.
-            let wait_end = s.saturating_add(wait).min(e);
-            let conceal_end = wait_end.saturating_add(conceal).min(e);
-            let emit = |kind, start_ns, end_ns| {
-                if end_ns > start_ns {
-                    let span = Span {
-                        cycle,
-                        node,
-                        worker: worker as u32,
-                        start_ns,
-                        end_ns,
-                        kind,
-                    };
-                    // SAFETY: each worker owns exactly its own lane
-                    // during a cycle.
-                    unsafe { rec.record(worker, span) };
-                }
-            };
-            emit(SpanKind::NetWait, s, wait_end);
-            emit(SpanKind::Conceal, wait_end, conceal_end);
-            emit(SpanKind::Exec, conceal_end, e);
-        }
-    }
-
-    /// Worker-side: the current net (wait, conceal) ns of `worker`'s
-    /// counters, for a later [`record_exec_carved`] diff.
-    #[inline]
-    pub(crate) fn net_ns_of(&self, worker: usize) -> (u64, u64) {
-        self.counters[worker].net_ns()
-    }
-
-    /// Driver-side: stamp a finished cycle's bounds into the recorder.
-    /// Call after the cycle-completion barrier, before the next
-    /// `prepare_cycle`.
+    /// Driver-side: stamp a finished cycle's bounds into the recorder, if
+    /// one is installed. Call after the cycle-completion barrier, before
+    /// the next `prepare_cycle`.
     pub(crate) fn stamp_cycle(&self, cycle: u64, end: Instant) {
         // SAFETY: driver between cycles (the only writer of the cell).
         if let Some(rec) = unsafe { self.recorder.get() }.as_ref() {
@@ -991,25 +856,6 @@ impl Shared {
             // SAFETY: driver-only between cycles.
             unsafe { rec.stamp(stamp) };
         }
-    }
-
-    /// Driver-side: install or clear the flight recorder. The caller must
-    /// hold `&mut` on the executor (no cycle in flight).
-    pub(crate) fn install_recorder(&self, cfg: Option<FlightConfig>) {
-        let rec = cfg.map(|c| FlightRecorder::new(self.threads, c));
-        self.flight.store(rec.is_some(), Ordering::Relaxed);
-        // SAFETY: driver-only between cycles (`&mut` held by caller).
-        unsafe { self.recorder.set(rec) };
-    }
-
-    /// Driver-side: freeze and take the recorder's capture; recording
-    /// continues into the emptied buffers. Same contract as
-    /// [`Shared::install_recorder`].
-    pub(crate) fn take_window(&self) -> Option<FlightWindow> {
-        // SAFETY: driver-only between cycles (`&mut` held by caller).
-        unsafe { self.recorder.get_mut() }
-            .as_mut()
-            .map(|r| r.take_window())
     }
 
     /// The topological order selected by this executor's priority.
@@ -1026,84 +872,52 @@ impl Shared {
             .succ_order(NodeId(node), self.priority)
     }
 
-    /// Driver-side: move every worker's counters into `out` (and reset
-    /// them). Call only after the cycle-completion barrier that orders all
-    /// worker-side counter updates before the driver's reads
-    /// (`wait_cycle_done`, or `wait_cycle_exited` for executors whose
-    /// workers keep recording until they leave the cycle loop).
-    pub(crate) fn drain_counters(&self, out: &mut [CounterSnapshot]) {
-        for (c, o) in self.counters.iter().zip(out.iter_mut()) {
-            c.drain_into(o);
-        }
-    }
-
-    /// Worker-side: signal that this worker has fully left the cycle loop.
-    pub(crate) fn signal_cycle_exit(&self) {
-        self.cycle_exited.fetch_add(1, Ordering::Release);
-    }
-
-    /// Driver-side: wait until `count` workers signalled their exit.
-    pub(crate) fn wait_cycle_exited(&self, count: u32) {
-        let mut spins = 0u32;
-        while self.cycle_exited.load(Ordering::Acquire) < count {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                core::hint::spin_loop();
-            }
-        }
-    }
-
     /// Worker-side: store this cycle's trace events and mark them flushed.
     pub(crate) fn flush_trace(&self, worker: usize, events: Vec<RawEvent>) {
         *self.trace_sinks[worker].lock().unwrap() = events;
         self.trace_flushed.fetch_add(1, Ordering::Release);
     }
 
-    /// Driver-side: wait until every worker flushed its trace this cycle.
-    pub(crate) fn wait_trace_flushed(&self) {
-        while self.trace_flushed.load(Ordering::Acquire) != self.threads as u32 {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Driver-side: prepare and publish a new cycle WITHOUT waking any
-    /// workers itself. Lane execution is driven by the venue pool: a single
-    /// batch-level wakeup ([`pool::VenuePool::dispatch`]) covers every staged
-    /// session; pool workers observe this session's epoch store through the
-    /// pool epoch's Release/Acquire edge.
+    /// Driver-side, first half of starting a cycle: reset the graph's
+    /// per-cycle state and copy the external inputs in. Nothing is
+    /// published yet — the policy's `seed` hook runs next, then
+    /// [`publish_cycle`](Self::publish_cycle).
     ///
     /// # Safety
     /// Must only be called by the driver with no cycle in flight.
-    pub(crate) unsafe fn prepare_cycle(
-        &self,
-        external_audio: &[AudioBuf],
-        controls: &[f32],
-    ) -> u64 {
+    pub(crate) unsafe fn prepare_cycle(&self, external_audio: &[AudioBuf], controls: &[f32]) {
         self.graph().reset_pending();
         self.done_count.store(0, Ordering::Relaxed);
         self.trace_flushed.store(0, Ordering::Relaxed);
-        self.cycle_exited.store(0, Ordering::Relaxed);
+        let ext = self.external.get_mut();
+        // Reuse allocations where layouts match.
+        if ext.audio.len() == external_audio.len()
+            && ext
+                .audio
+                .iter()
+                .zip(external_audio)
+                .all(|(a, b)| a.channels() == b.channels() && a.frames() == b.frames())
         {
-            let ext = self.external.get_mut();
-            // Reuse allocations where layouts match.
-            if ext.audio.len() == external_audio.len()
-                && ext
-                    .audio
-                    .iter()
-                    .zip(external_audio)
-                    .all(|(a, b)| a.channels() == b.channels() && a.frames() == b.frames())
-            {
-                for (dst, src) in ext.audio.iter_mut().zip(external_audio) {
-                    dst.copy_from(src);
-                }
-            } else {
-                ext.audio = external_audio.to_vec();
+            for (dst, src) in ext.audio.iter_mut().zip(external_audio) {
+                dst.copy_from(src);
             }
-            ext.controls.clear();
-            ext.controls.extend_from_slice(controls);
+        } else {
+            ext.audio = external_audio.to_vec();
         }
+        ext.controls.clear();
+        ext.controls.extend_from_slice(controls);
+    }
+
+    /// Driver-side, second half: start the cycle clock and publish the new
+    /// epoch WITHOUT waking any workers itself. Lane execution is driven by
+    /// the venue pool: a single batch-level wakeup
+    /// ([`pool::VenuePool::dispatch`]) covers every staged session; pool
+    /// workers observe this session's epoch store through the pool epoch's
+    /// Release/Acquire edge.
+    ///
+    /// # Safety
+    /// As [`prepare_cycle`](Self::prepare_cycle), which must have run.
+    pub(crate) unsafe fn publish_cycle(&self) -> u64 {
         self.handles.get_mut()[0] = std::thread::current();
         self.cycle_start.set(Instant::now());
         let epoch = self.epoch.load(Ordering::Relaxed) + 1;
@@ -1114,43 +928,7 @@ impl Shared {
     /// Driver-side: wait until all nodes finished (spin-then-yield).
     pub(crate) fn wait_cycle_done(&self) {
         let n = self.graph().len() as u32;
-        let mut spins = 0u32;
-        while self.done_count.load(Ordering::Acquire) != n {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                core::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Build the borrowed cycle context for `epoch`.
-    ///
-    /// # Safety
-    /// Caller must hold the epoch happens-before edge (pool worker after
-    /// the batch-epoch acquire, or the driver).
-    pub(crate) unsafe fn ctx(&self, epoch: u64) -> CycleCtx<'_> {
-        let ext = self.external.get();
-        CycleCtx {
-            epoch,
-            external_audio: &ext.audio,
-            controls: &ext.controls,
-            counters: None,
-        }
-    }
-
-    /// Build the cycle context for `epoch` with worker `me`'s counters
-    /// attached (for processors that record their own telemetry). Only used
-    /// when telemetry or the flight recorder is armed; the bare [`ctx`]
-    /// keeps the disarmed hot path free of the extra load.
-    ///
-    /// # Safety
-    /// Same obligation as [`ctx`](Self::ctx).
-    pub(crate) unsafe fn ctx_counted(&self, epoch: u64, me: usize) -> CycleCtx<'_> {
-        let mut ctx = unsafe { self.ctx(epoch) };
-        ctx.counters = Some(&self.counters[me]);
-        ctx
+        spin_yield_until(|| self.done_count.load(Ordering::Acquire) == n);
     }
 
     /// Record completion of one node; returns `true` when it was the last.
@@ -1160,16 +938,45 @@ impl Shared {
         prev == self.graph().len() as u32
     }
 
-    /// Collect per-worker traces after a traced cycle (driver only).
+    /// Driver-side, after a traced cycle: wait until every lane flushed
+    /// its events, then merge them into one trace.
     pub(crate) fn collect_trace(&self) -> ScheduleTrace {
+        while self.trace_flushed.load(Ordering::Acquire) != self.threads as u32 {
+            std::thread::yield_now();
+        }
+        // SAFETY: driver-owned; set by `publish_cycle` this cycle.
         let cycle_start = unsafe { *self.cycle_start.get() };
-        let raw: Vec<(u32, Vec<RawEvent>)> = self
-            .trace_sinks
-            .iter()
-            .enumerate()
-            .map(|(w, m)| (w as u32, std::mem::take(&mut *m.lock().unwrap())))
-            .collect();
-        finish_trace(self.threads as u32, cycle_start, raw)
+        let since = |t: Instant| t.duration_since(cycle_start).as_nanos() as u64;
+        let mut events = Vec::new();
+        for (worker, sink) in self.trace_sinks.iter().enumerate() {
+            for e in std::mem::take(&mut *sink.lock().unwrap()) {
+                events.push(TraceEvent {
+                    node: e.node,
+                    worker: worker as u32,
+                    start_ns: since(e.start),
+                    end_ns: since(e.end),
+                    kind: e.kind,
+                });
+            }
+        }
+        ScheduleTrace {
+            workers: self.threads as u32,
+            events,
+        }
+    }
+}
+
+/// Driver-side barrier wait: spin, yielding every 64th poll so an
+/// over-subscribed host still schedules the workers being waited for.
+pub(crate) fn spin_yield_until(done: impl Fn() -> bool) {
+    let mut spins = 0u32;
+    while !done() {
+        spins += 1;
+        if spins.is_multiple_of(64) {
+            std::thread::yield_now();
+        } else {
+            core::hint::spin_loop();
+        }
     }
 }
 
@@ -1342,13 +1149,13 @@ mod tests {
             &[a],
         );
         let g = b.build().unwrap();
-        let mut exec = ExecGraph::new(g, 8);
+        let exec = ExecGraph::new(g, 8);
         let ctx = CycleCtx::bare(1);
         for &n in exec.topology().queue().to_vec().iter() {
             unsafe { exec.execute(n as usize, &ctx) };
         }
         let mut out = AudioBuf::zeroed(2, 8);
-        exec.read_output_internal(NodeId(1), &mut out);
+        unsafe { exec.read_output_unsync(NodeId(1), &mut out) };
         assert!(out.samples().iter().all(|&s| s == 6.0));
     }
 
@@ -1407,7 +1214,7 @@ mod tests {
             &[],
         );
         let g = b.build().unwrap();
-        let mut exec = ExecGraph::new(g, 4);
+        let exec = ExecGraph::new(g, 4);
         let ext = AudioBuf::from_fn(2, 4, |_, _| 1.0);
         let ctx = CycleCtx {
             epoch: 1,
@@ -1417,7 +1224,7 @@ mod tests {
         };
         unsafe { exec.execute(0, &ctx) };
         let mut out = AudioBuf::zeroed(2, 4);
-        exec.read_output_internal(NodeId(0), &mut out);
+        unsafe { exec.read_output_unsync(NodeId(0), &mut out) };
         assert!(out.samples().iter().all(|&s| s == 0.5));
     }
 }

@@ -15,32 +15,23 @@
 //! Compared to BUSY, which round-robins the depth queue and spins on every
 //! unmet predecessor, PLAN (a) places nodes where the list scheduler wants
 //! them instead of `k mod T`, and (b) skips the dependency checks the
-//! compiler proved redundant. The epoch/pending protocol of the other
-//! executors is reused unchanged, so the memory-safety argument is
-//! identical: a worker reads a predecessor's output only after acquiring
-//! its `done_epoch`, and blueprint validation guarantees exactly-once
-//! ownership per cycle.
+//! compiler proved redundant. The wait itself is BUSY's
+//! ([`spin_then_exec`]), so the memory-safety argument is identical: a
+//! worker reads a predecessor's output only after acquiring its
+//! `done_epoch`, and blueprint validation guarantees exactly-once ownership
+//! per cycle.
 //!
 //! Deadlock freedom: [`ScheduleBlueprint`] construction verifies (by
 //! replaying the plan) that every wait refers to a node scheduled earlier
 //! in the induced partial order, so the waits-for relation is acyclic.
 
-use super::pool::{PoolBinding, SessionState, VenuePool};
-use super::{
-    Adoption, CycleResult, DriverCell, ExecGraph, GraphExecutor, RawEvent, RetiredGeneration,
-    Shared, StagedGeneration, Strategy, SwapError,
-};
-use crate::faults::FaultPlan;
-use crate::flight::{FlightConfig, FlightWindow, Span, SpanKind};
+use super::busy::spin_then_exec;
+use super::executor::{Lane, Policy, PoolExecutor};
+use super::pool::VenuePool;
+use super::{Adoption, DriverCell, ExecGraph, RetiredGeneration, Shared, Strategy, SwapError};
 use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
-use crate::processor::Processor;
-use crate::telemetry::{TelemetryRing, DEFAULT_RING_CAPACITY};
-use crate::trace::{ScheduleTrace, TraceKind};
-use djstar_dsp::AudioBuf;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One slot of a worker's precompiled schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,17 +291,19 @@ impl ScheduleBlueprint {
     }
 }
 
-/// Shared state: the common cycle machinery plus the current plan.
+/// The PLAN policy: BUSY's spin wait over a blueprint's slots.
 ///
 /// Like `Shared`'s graph, the plan is swapped only by the driver between
 /// cycles and published to workers by the next epoch Release store, so it
-/// lives in a [`DriverCell`] with the same safety argument.
-pub(crate) struct PlannedShared {
-    pub(crate) base: Shared,
+/// lives in a `DriverCell` with the same safety argument.
+pub struct Replay {
     plan: DriverCell<ScheduleBlueprint>,
 }
 
-impl PlannedShared {
+/// Executor that replays a [`ScheduleBlueprint`].
+pub type PlannedExecutor = PoolExecutor<Replay>;
+
+impl Replay {
     /// The current plan.
     ///
     /// Reads are sound everywhere a graph read is sound: drivers hold
@@ -322,16 +315,6 @@ impl PlannedShared {
         // next epoch Release store (see `Shared::graph`).
         unsafe { self.plan.get() }
     }
-}
-
-/// Executor that replays a [`ScheduleBlueprint`].
-pub struct PlannedExecutor {
-    shared: Arc<PlannedShared>,
-    pool: PoolBinding,
-    tracing: bool,
-    last_trace: Option<ScheduleTrace>,
-    telemetry: Option<TelemetryRing>,
-    session: u32,
 }
 
 impl PlannedExecutor {
@@ -363,278 +346,46 @@ impl PlannedExecutor {
         blueprint: ScheduleBlueprint,
         pool: &Arc<VenuePool>,
     ) -> Self {
-        let threads = blueprint.threads();
-        assert!((1..=64).contains(&threads), "1..=64 workers supported");
         let exec = ExecGraph::new(graph, frames);
-        // Recompile against *this* graph: the blueprint may have been
-        // compiled against a different (if structurally identical) build,
-        // and the executor must run waits derived from the real edges, not
-        // whatever the input blueprint claims.
         let plan = blueprint
             .recompile_for(exec.topology())
             .unwrap_or_else(|e| panic!("blueprint does not fit this graph: {e}"));
-        let shared = Arc::new(PlannedShared {
-            base: Shared::new(exec, threads, Priority::Depth),
+        let policy = Replay {
             plan: DriverCell::new(plan),
-        });
-        // SAFETY: no cycle in flight yet; workers only read handles during a
-        // cycle (after acquiring the epoch that published them).
-        unsafe { shared.base.handles.set(pool.session_handles(threads)) };
-        let pool = pool.register(SessionState::Planned(Arc::clone(&shared)));
-        PlannedExecutor {
-            shared,
-            pool,
-            tracing: false,
-            last_trace: None,
-            telemetry: None,
-            session: 0,
-        }
+        };
+        Self::register(exec, blueprint.threads(), Priority::Depth, pool, policy)
     }
 
     /// The blueprint being replayed (for the current generation).
     pub fn blueprint(&self) -> &ScheduleBlueprint {
-        self.shared.plan()
+        self.policy().plan()
     }
 }
 
-/// Replay worker `me`'s slice of the plan for `epoch`.
-pub(crate) fn run_cycle_part(sh: &PlannedShared, me: usize, epoch: u64) {
-    let tracing = sh.base.tracing.load(Ordering::Relaxed);
-    let telem = sh.base.telemetry.load(Ordering::Relaxed);
-    let rec = sh.base.flight_on();
-    let counters = &sh.base.counters[me];
-    let faults = sh.base.fault_plan();
-    // SAFETY: epoch acquired (pool worker via the batch edge, driver trivially).
-    let ctx = if telem || rec {
-        unsafe { sh.base.ctx_counted(epoch, me) }
-    } else {
-        unsafe { sh.base.ctx(epoch) }
-    };
-    if let Some(plan) = faults {
-        if rec {
-            let s0 = Instant::now();
-            if plan.inject_stalls(epoch, me, sh.base.threads, counters) > 0 {
-                sh.base.record_span(
-                    me,
-                    epoch,
-                    Span::NO_NODE,
-                    SpanKind::Fault,
-                    s0,
-                    Instant::now(),
-                );
-            }
-        } else {
-            plan.inject_stalls(epoch, me, sh.base.threads, counters);
-        }
-    }
-    let mut events: Vec<RawEvent> = Vec::new();
-    for entry in sh.plan().worker(me) {
-        let node = entry.node;
-        if tracing || telem || rec {
-            let w0 = Instant::now();
-            let mut spins = 0u64;
-            for &p in entry.waits() {
-                spins += sh.base.graph().spin_until_done(p as usize, epoch);
-            }
-            if spins > 0 {
-                let w1 = Instant::now();
-                if tracing {
-                    events.push(RawEvent {
-                        node,
-                        kind: TraceKind::BusyWait,
-                        start: w0,
-                        end: w1,
-                    });
-                }
-                if telem {
-                    counters.add_spin(spins, (w1 - w0).as_nanos() as u64);
-                }
-                if rec {
-                    sh.base
-                        .record_span(me, epoch, node, SpanKind::BusyWait, w0, w1);
-                }
-            }
-            let t0 = Instant::now();
-            let mut fault_end = t0;
-            if let Some(plan) = faults {
-                let injected = plan.inject_node(epoch, node, counters);
-                if rec && injected > 0 {
-                    fault_end = Instant::now();
-                }
-            }
-            let net0 = if rec { sh.base.net_ns_of(me) } else { (0, 0) };
-            // SAFETY: exactly-once ownership by blueprint validation; all
-            // predecessors observed done for this epoch (same-worker preds
-            // by program order, cross-worker preds by the waits above).
-            unsafe { sh.base.graph().execute(node as usize, &ctx) };
-            let t1 = Instant::now();
-            if tracing {
-                events.push(RawEvent {
-                    node,
-                    kind: TraceKind::Exec,
-                    start: t0,
-                    end: t1,
-                });
-            }
-            if telem {
-                counters.add_exec((t1 - t0).as_nanos() as u64);
-            }
-            if rec {
-                if fault_end > t0 {
-                    sh.base
-                        .record_span(me, epoch, node, SpanKind::Fault, t0, fault_end);
-                }
-                sh.base
-                    .record_exec_carved(me, epoch, node, fault_end, t1, net0);
-            }
-        } else {
-            for &p in entry.waits() {
-                sh.base.graph().spin_until_done(p as usize, epoch);
-            }
-            if let Some(plan) = faults {
-                plan.inject_node(epoch, node, counters);
-            }
-            // SAFETY: as above.
-            unsafe { sh.base.graph().execute(node as usize, &ctx) };
-        }
-        sh.base.node_finished();
-    }
-    if tracing {
-        sh.base.flush_trace(me, events);
-    }
-}
+impl Policy for Replay {
+    const STRATEGY: Strategy = Strategy::Planned;
 
-impl GraphExecutor for PlannedExecutor {
-    fn strategy(&self) -> Strategy {
-        Strategy::Planned
-    }
-
-    fn threads(&self) -> usize {
-        self.shared.base.threads
-    }
-
-    fn run_cycle(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> CycleResult {
-        let epoch = self
-            .venue_stage(external_audio, controls)
-            .expect("planned executor always stages");
-        self.pool.pool().dispatch();
-        run_cycle_part(&self.shared, 0, epoch);
-        let result = self.venue_collect(epoch);
-        self.pool.pool().quiesce();
-        result
-    }
-
-    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> Option<u64> {
-        self.pool.pool().quiesce();
-        let sh = &self.shared;
-        sh.base.tracing.store(self.tracing, Ordering::Relaxed);
-        sh.base
-            .telemetry
-            .store(self.telemetry.is_some(), Ordering::Relaxed);
-        // SAFETY: driver thread, no cycle in flight (`&mut self`), pool
-        // quiescent.
-        let epoch = unsafe { sh.base.prepare_cycle(external_audio, controls) };
-        self.pool.stage(epoch);
-        Some(epoch)
-    }
-
-    fn venue_collect(&mut self, epoch: u64) -> CycleResult {
-        let sh = &self.shared;
-        sh.base.wait_cycle_done();
-        let end = Instant::now();
-        // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
-        let start = unsafe { *sh.base.cycle_start.get() };
-        let duration = end - start;
-        if sh.base.flight_on() {
-            sh.base.stamp_cycle(epoch, end);
-        }
-        if let Some(ring) = self.telemetry.as_mut() {
-            // All counter updates happen-before the workers' final
-            // done-count increments, acquired by `wait_cycle_done`.
-            let slot = ring.begin_push(epoch, duration.as_nanos() as u64);
-            sh.base.drain_counters(slot);
-        }
-        if self.tracing {
-            sh.base.wait_trace_flushed();
-            self.last_trace = Some(sh.base.collect_trace());
-        }
-        CycleResult { duration }
-    }
-
-    fn set_session(&mut self, session: u32) {
-        self.session = session;
-        if let Some(r) = &self.telemetry {
-            self.telemetry = Some(TelemetryRing::with_session(
-                r.capacity(),
-                r.workers(),
-                session,
-            ));
+    unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
+        for slot in self.plan().worker(lane.me) {
+            // SAFETY: exactly-once ownership by blueprint validation;
+            // same-worker predecessors are done by program order, the
+            // cross-worker ones are `slot.waits()`.
+            unsafe { spin_then_exec(lane, slot.node, slot.waits()) };
         }
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    fn take_trace(&mut self) -> Option<ScheduleTrace> {
-        self.last_trace.take()
-    }
-
-    fn set_telemetry(&mut self, on: bool) {
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(TelemetryRing::with_session(
-                    DEFAULT_RING_CAPACITY,
-                    self.shared.base.threads,
-                    self.session,
-                ));
-            }
-        } else {
-            self.telemetry = None;
-        }
-    }
-
-    fn take_telemetry(&mut self) -> Option<TelemetryRing> {
-        let taken = self.telemetry.take();
-        if let Some(r) = &taken {
-            self.telemetry = Some(TelemetryRing::with_session(
-                r.capacity(),
-                r.workers(),
-                r.session(),
-            ));
-        }
-        taken
-    }
-
-    fn set_faults(&mut self, plan: Option<FaultPlan>) {
-        self.pool.pool().quiesce();
-        // SAFETY: driver-only between cycles (`&mut self`), pool quiescent;
-        // published to workers by the next epoch Release store.
-        unsafe { self.shared.base.faults.set(plan) };
-    }
-
-    fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
-        // Driver-only between cycles (`&mut self`).
-        self.pool.pool().quiesce();
-        self.shared.base.install_recorder(cfg);
-    }
-
-    fn take_flight_window(&mut self) -> Option<FlightWindow> {
-        // Driver-only between cycles (`&mut self`).
-        self.pool.pool().quiesce();
-        self.shared.base.take_window()
-    }
-
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
-        self.pool.pool().quiesce();
-        let (exec, staged_plan) = staged.into_parts();
-        let threads = self.shared.base.threads;
+    unsafe fn adopt(
+        &self,
+        sh: &Shared,
+        exec: ExecGraph,
+        staged_plan: Option<ScheduleBlueprint>,
+    ) -> Adoption {
         // Recompile the staged plan against the staged topology before
         // touching any live state; without one, fall back to round-robin so
         // a topology swap still runs correctly (at BUSY-placement quality).
         let plan = match &staged_plan {
-            Some(p) if p.threads() != threads => Err(SwapError::ThreadMismatch {
-                expected: threads,
+            Some(p) if p.threads() != sh.threads => Err(SwapError::ThreadMismatch {
+                expected: sh.threads,
                 got: p.threads(),
             }),
             Some(p) => p
@@ -642,7 +393,7 @@ impl GraphExecutor for PlannedExecutor {
                 .map_err(SwapError::Blueprint),
             None => Ok(ScheduleBlueprint::round_robin(
                 exec.topology(),
-                threads,
+                sh.threads,
                 Priority::Depth,
             )),
         };
@@ -653,36 +404,16 @@ impl GraphExecutor for PlannedExecutor {
                 return (Err(e), RetiredGeneration { exec, plans });
             }
         };
-        // SAFETY: `&mut self` proves no cycle in flight; workers are waiting
-        // on the epoch and read the plan only after acquiring the next
-        // epoch's Release store, which publishes both swaps.
-        let (verdict, mut retired) = unsafe { self.shared.base.adopt_exec(exec, staged_plan) };
+        // SAFETY: the caller's contract; workers read the plan only after
+        // acquiring the next epoch's Release store, which publishes both
+        // swaps.
+        let (verdict, mut retired) = unsafe { sh.adopt_exec(exec, staged_plan) };
         if verdict.is_ok() {
             // SAFETY: as above; `plan` now holds the replaced blueprint.
-            std::mem::swap(unsafe { self.shared.plan.get_mut() }, &mut plan);
+            std::mem::swap(unsafe { self.plan.get_mut() }, &mut plan);
         }
         retired.plans[1] = Some(plan);
         (verdict, retired)
-    }
-
-    fn generation(&self) -> u64 {
-        self.shared.base.generation.load(Ordering::Relaxed)
-    }
-
-    fn read_output(&mut self, node: NodeId, dst: &mut AudioBuf) {
-        self.pool.pool().quiesce();
-        // SAFETY: `&mut self` proves no cycle in flight; pool quiescent.
-        unsafe { self.shared.base.graph().read_output_unsync(node, dst) };
-    }
-
-    fn node_processor(&mut self, node: NodeId) -> &mut dyn Processor {
-        self.pool.pool().quiesce();
-        // SAFETY: as in `read_output`.
-        unsafe { self.shared.base.graph().node_processor_unsync(node) }
-    }
-
-    fn topology(&self) -> &GraphTopology {
-        self.shared.base.graph().topology()
     }
 }
 
@@ -690,6 +421,8 @@ impl GraphExecutor for PlannedExecutor {
 mod tests {
     use super::*;
     use crate::exec::test_support::{diamond_sum_graph, fan_graph, run_and_check};
+    use crate::exec::GraphExecutor;
+    use djstar_dsp::AudioBuf;
 
     #[test]
     fn round_robin_blueprint_matches_sequential() {

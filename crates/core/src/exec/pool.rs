@@ -3,9 +3,9 @@
 //! Before this module, every threaded executor privately owned `threads-1`
 //! OS threads: N concurrent sessions cost N×threads and fight the OS
 //! scheduler — exactly the oversubscription §V of the paper warns against.
-//! A [`VenuePool`] owns the threads once; each strategy becomes a *dispatch
-//! policy* over the pool's workers, and the single-session executors are
-//! thin wrappers around a one-session pool.
+//! A [`VenuePool`] owns the threads once; every executor is a session on a
+//! pool (a solo executor is the one session of a private pool, SEQ a
+//! one-lane session), and the pool runs lanes without knowing strategies.
 //!
 //! # The batch protocol
 //!
@@ -13,19 +13,19 @@
 //!
 //! 1. The driver *stages* each session: `Shared::prepare_cycle` resets the
 //!    session graph, copies externals and bumps the session epoch (a
-//!    `Release` store that wakes nobody), then [`VenuePool::stage`] marks
+//!    `Release` store that wakes nobody), then `VenuePool::stage` marks
 //!    the session's [`PoolEntry`] for the next batch.
 //! 2. One [`VenuePool::dispatch`] bumps the pool epoch (`Release`) and
 //!    unparks every pool worker. The pool epoch `Acquire` in the worker
 //!    loop publishes *all* staged-session driver writes at once.
 //! 3. Worker `w` walks the entry table in order and runs lane `w` of every
 //!    session staged for this batch (skipping sessions whose configured
-//!    thread count is ≤ `w`), using that strategy's unchanged
-//!    `run_cycle_part`. The driver does the same for lane 0 (directly, or
-//!    via [`VenuePool::run_driver_parts`]).
-//! 4. Per session, cycle completion is exactly what it always was: the
-//!    driver waits for the session's done-counter (and, for WS, its cycle
-//!    exit barrier).
+//!    lane count is ≤ `w`) through the session's `LaneRunner`. The
+//!    driver does the same for lane 0 (directly, or via
+//!    [`VenuePool::run_driver_parts`]).
+//! 4. Per session, cycle completion is the session's own business: the
+//!    driver waits for its done-counter (and, for WS, its cycle exit
+//!    barrier).
 //! 5. [`VenuePool::quiesce`] waits until every worker has finished walking
 //!    the entry table (`exited == workers`). Only after that may the
 //!    driver mutate the entry table (register/unregister), reseed WS
@@ -33,8 +33,8 @@
 //!    again plain single-threaded data.
 //!
 //! Deadlock freedom: driver and workers traverse staged sessions in the
-//! same entry order, and within a session the per-strategy protocols are
-//! unchanged. All park/wake sites already tolerate spurious wakeups, so
+//! same entry order, and within a session each policy's own argument
+//! applies. All park/wake sites tolerate spurious wakeups, so
 //! cross-session unparks (one OS thread serves the same lane of every
 //! session) are benign.
 
@@ -42,47 +42,14 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use super::hybrid::HybridShared;
-use super::planned::PlannedShared;
-use super::stealing::WsShared;
-use super::{busy, hybrid, planned, sleeping, stealing, DriverCell, Shared};
+use super::{spin_yield_until, DriverCell};
 use crate::pad::CachePadded;
 
-/// Opaque identifier of a session registered on a [`VenuePool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId(u64);
-
-impl SessionId {
-    /// The raw id, for tagging telemetry/flight exports.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-/// Per-strategy dispatch state of one registered session. Wraps the
-/// strategy's shared block and routes lane execution to its unchanged
-/// `run_cycle_part`.
-pub(crate) enum SessionState {
-    Busy(Arc<Shared>),
-    Sleep(Arc<Shared>),
-    Steal(Arc<WsShared>),
-    Hybrid(Arc<HybridShared>),
-    Planned(Arc<PlannedShared>),
-}
-
-impl SessionState {
-    fn base(&self) -> &Shared {
-        match self {
-            SessionState::Busy(sh) | SessionState::Sleep(sh) => sh,
-            SessionState::Steal(ws) => &ws.base,
-            SessionState::Hybrid(hy) => &hy.base,
-            SessionState::Planned(pl) => &pl.base,
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.base().threads
-    }
+/// What the pool knows about a registered session: how many lanes it has
+/// and how to run one. The strategy behind it is erased.
+pub(crate) trait LaneRunner: Send + Sync {
+    /// Lanes this session runs on (`1..=pool lanes`).
+    fn lanes(&self) -> usize;
 
     /// Run lane `me` of this session's cycle `epoch`.
     ///
@@ -90,15 +57,7 @@ impl SessionState {
     /// Caller holds the epoch happens-before edge (pool-epoch `Acquire`
     /// for workers; the driver published the cycle itself) and is the only
     /// participant running lane `me` of this session this cycle.
-    unsafe fn run_part(&self, me: usize, epoch: u64) {
-        match self {
-            SessionState::Busy(sh) => busy::run_cycle_part(sh, me, epoch),
-            SessionState::Sleep(sh) => sleeping::run_cycle_part(sh, me, epoch),
-            SessionState::Steal(ws) => stealing::run_cycle_part(ws, me, epoch),
-            SessionState::Hybrid(hy) => hybrid::run_cycle_part(hy, me, epoch),
-            SessionState::Planned(pl) => planned::run_cycle_part(pl, me, epoch),
-        }
-    }
+    unsafe fn run_lane(&self, me: usize, epoch: u64);
 }
 
 /// One registered session in the pool's entry table. Plain (non-atomic)
@@ -106,7 +65,7 @@ impl SessionState {
 /// proven every worker is parked outside the table.
 struct PoolEntry {
     id: u64,
-    state: SessionState,
+    session: Arc<dyn LaneRunner>,
     /// Pool epoch this session is staged for (a worker runs the entry only
     /// when this equals the batch it woke for).
     batch_epoch: u64,
@@ -143,10 +102,10 @@ fn worker_loop(core: &PoolCore, me: usize) {
         // touch the table again before our `exited` Release below.
         let entries = unsafe { core.entries.get() };
         for e in entries.iter() {
-            if e.batch_epoch == pe && me < e.state.threads() {
+            if e.batch_epoch == pe && me < e.session.lanes() {
                 // SAFETY: lane `me` of this session's staged cycle is ours
                 // alone; the epoch edge is held (see above).
-                unsafe { e.state.run_part(me, e.session_epoch) };
+                unsafe { e.session.run_lane(me, e.session_epoch) };
             }
         }
         core.exited.fetch_add(1, Ordering::Release);
@@ -254,46 +213,43 @@ impl VenuePool {
         v
     }
 
-    /// Register a session. Driver-only; waits for any in-flight batch.
-    pub(crate) fn register(self: &Arc<Self>, state: SessionState) -> PoolBinding {
-        assert!(
-            state.threads() <= self.threads,
-            "session wants {} lanes, pool has {}",
-            state.threads(),
-            self.threads
-        );
+    /// Register a session whose lanes were sized by
+    /// [`session_handles`](Self::session_handles). Driver-only; waits for
+    /// any in-flight batch.
+    pub(crate) fn register(self: &Arc<Self>, session: Arc<dyn LaneRunner>) -> PoolBinding {
+        debug_assert!(session.lanes() <= self.threads);
         self.quiesce();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // SAFETY: quiesced — the table is driver-owned.
         unsafe { self.core.entries.get_mut() }.push(PoolEntry {
             id,
-            state,
+            session,
             batch_epoch: 0,
             session_epoch: 0,
         });
         PoolBinding {
             pool: Arc::clone(self),
-            session: SessionId(id),
+            session: id,
         }
     }
 
-    fn unregister(&self, session: SessionId) {
+    fn unregister(&self, session: u64) {
         self.quiesce();
         // SAFETY: quiesced — the table is driver-owned.
-        unsafe { self.core.entries.get_mut() }.retain(|e| e.id != session.0);
+        unsafe { self.core.entries.get_mut() }.retain(|e| e.id != session);
     }
 
     /// Stage `session`'s prepared cycle `session_epoch` for the next batch.
     /// Driver-only; the previous batch must have been quiesced (the
     /// executors' `venue_stage` does this).
-    pub(crate) fn stage(&self, session: SessionId, session_epoch: u64) {
+    fn stage(&self, session: u64, session_epoch: u64) {
         debug_assert!(!self.in_flight.load(Ordering::Relaxed));
         let next = self.core.epoch.load(Ordering::Relaxed) + 1;
         // SAFETY: no batch in flight — the table is driver-owned.
         let entries = unsafe { self.core.entries.get_mut() };
         let e = entries
             .iter_mut()
-            .find(|e| e.id == session.0)
+            .find(|e| e.id == session)
             .expect("staged session is registered");
         e.batch_epoch = next;
         e.session_epoch = session_epoch;
@@ -324,7 +280,7 @@ impl VenuePool {
             if e.batch_epoch == pe {
                 // SAFETY: lane 0 belongs to the driver; we published the
                 // session epoch in `stage`.
-                unsafe { e.state.run_part(0, e.session_epoch) };
+                unsafe { e.session.run_lane(0, e.session_epoch) };
             }
         }
     }
@@ -338,15 +294,7 @@ impl VenuePool {
         if !self.in_flight.swap(false, Ordering::Relaxed) {
             return;
         }
-        let mut spins = 0u32;
-        while self.core.exited.load(Ordering::Acquire) != self.core.workers {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                core::hint::spin_loop();
-            }
-        }
+        spin_yield_until(|| self.core.exited.load(Ordering::Acquire) == self.core.workers);
     }
 }
 
@@ -367,7 +315,8 @@ impl Drop for VenuePool {
 /// unregisters the session on drop.
 pub(crate) struct PoolBinding {
     pool: Arc<VenuePool>,
-    session: SessionId,
+    /// This session's id in the pool's entry table.
+    session: u64,
 }
 
 impl PoolBinding {
@@ -399,39 +348,60 @@ mod tests {
     #[test]
     fn two_sessions_share_one_pool() {
         let pool = Arc::new(VenuePool::new(3));
-        let mut a = BusyExecutor::with_pool(diamond_sum_graph(), 3, FRAMES, Priority::Depth, &pool);
-        let mut b = StealExecutor::with_pool(fan_graph(7), 2, FRAMES, Priority::Depth, &pool);
-        assert_eq!(pool.sessions(), 2);
+        // Three sessions of three policies — SEQ is staged and run by
+        // `run_driver_parts` like any other one-lane session.
+        let graphs = [diamond_sum_graph, || fan_graph(7), || fan_graph(5)];
+        let mut sessions: Vec<Box<dyn GraphExecutor>> = vec![
+            Box::new(BusyExecutor::with_pool(
+                graphs[0](),
+                3,
+                FRAMES,
+                Priority::Depth,
+                &pool,
+            )),
+            Box::new(StealExecutor::with_pool(
+                graphs[1](),
+                2,
+                FRAMES,
+                Priority::Depth,
+                &pool,
+            )),
+            Box::new(SequentialExecutor::with_pool(graphs[2](), FRAMES, &pool)),
+        ];
+        assert_eq!(pool.sessions(), 3);
 
-        let mut seq_a = SequentialExecutor::new(diamond_sum_graph(), FRAMES);
-        let mut seq_b = SequentialExecutor::new(fan_graph(7), FRAMES);
+        // Each session's solo twin, on its own private pool.
+        let mut twins: Vec<_> = graphs
+            .iter()
+            .map(|g| SequentialExecutor::new(g(), FRAMES))
+            .collect();
         let mut buf = djstar_dsp::AudioBuf::zeroed(2, FRAMES);
         let mut want = djstar_dsp::AudioBuf::zeroed(2, FRAMES);
         for _ in 0..50 {
-            // Batched: stage both, one dispatch, driver parts, collect.
-            let ea = a.venue_stage(&[], &[]).unwrap();
-            let eb = b.venue_stage(&[], &[]).unwrap();
+            // Batched: stage all, one dispatch, driver parts, collect.
+            let epochs: Vec<u64> = sessions
+                .iter_mut()
+                .map(|s| s.venue_stage(&[], &[]))
+                .collect();
             pool.dispatch();
             pool.run_driver_parts();
-            a.venue_collect(ea);
-            b.venue_collect(eb);
+            for (s, e) in sessions.iter_mut().zip(epochs) {
+                s.venue_collect(e);
+            }
             pool.quiesce();
 
-            seq_a.run_cycle(&[], &[]);
-            seq_b.run_cycle(&[], &[]);
-            let last_a = a.topology().len() as u32 - 1;
-            let last_b = b.topology().len() as u32 - 1;
-            a.read_output(crate::graph::NodeId(last_a), &mut buf);
-            seq_a.read_output(crate::graph::NodeId(last_a), &mut want);
-            assert_eq!(buf.samples(), want.samples());
-            b.read_output(crate::graph::NodeId(last_b), &mut buf);
-            seq_b.read_output(crate::graph::NodeId(last_b), &mut want);
-            assert_eq!(buf.samples(), want.samples());
+            for (s, twin) in sessions.iter_mut().zip(&mut twins) {
+                twin.run_cycle(&[], &[]);
+                let last = crate::graph::NodeId(s.topology().len() as u32 - 1);
+                s.read_output(last, &mut buf);
+                twin.read_output(last, &mut want);
+                assert_eq!(buf.samples(), want.samples(), "{:?}", s.strategy());
+            }
         }
-        drop(a);
-        assert_eq!(pool.sessions(), 1);
-        drop(b);
-        assert_eq!(pool.sessions(), 0);
+        for left in (0..3).rev() {
+            sessions.pop();
+            assert_eq!(pool.sessions(), left);
+        }
     }
 
     #[test]
@@ -444,8 +414,8 @@ mod tests {
         {
             let mut b = BusyExecutor::with_pool(fan_graph(9), 2, FRAMES, Priority::Depth, &pool);
             for _ in 0..10 {
-                let ea = a.venue_stage(&[], &[]).unwrap();
-                let eb = b.venue_stage(&[], &[]).unwrap();
+                let ea = a.venue_stage(&[], &[]);
+                let eb = b.venue_stage(&[], &[]);
                 pool.dispatch();
                 pool.run_driver_parts();
                 a.venue_collect(ea);

@@ -18,59 +18,45 @@
 //! Idle workers park in an [`IdleSet`]; a worker that releases ready
 //! successors wakes sleepers to come and steal. "Sleeping in fact only
 //! occurs when there are solely nodes available with unfinished
-//! dependencies" — i.e. near the end of the graph (§VI). The driver (worker
+//! dependencies" — i.e. near the end of the graph (§VI). The driver (lane
 //! 0) never parks intra-cycle; it spin-yields so it can observe completion.
+//!
+//! WS is the one policy that uses every hook: `seed` fills the deques
+//! before the epoch is published, `settle` waits for the exit barrier (a
+//! lane still scanning deques must not see next cycle's seeds), and `adopt`
+//! grows the deques when a staged graph outgrows them.
 
-use super::pool::{PoolBinding, SessionState, VenuePool};
+use super::executor::{Lane, Policy, PoolExecutor, QueuePolicy};
+use super::pool::VenuePool;
 use super::{
-    Adoption, CycleResult, DriverCell, ExecGraph, GraphExecutor, RawEvent, Shared,
-    StagedGeneration, Strategy,
+    spin_yield_until, Adoption, DriverCell, ExecGraph, ScheduleBlueprint, Shared, Strategy,
 };
-use crate::deque::{Steal, WorkDeque};
-use crate::faults::FaultPlan;
-use crate::flight::{FlightConfig, FlightWindow, Span, SpanKind};
-use crate::graph::{GraphTopology, NodeId, Priority, Section, TaskGraph};
+use crate::deque::{Steal as Stolen, WorkDeque};
+use crate::flight::Span;
+use crate::graph::{NodeId, Section};
 use crate::idle::IdleSet;
-use crate::processor::{CycleCtx, Processor};
-use crate::telemetry::{TelemetryRing, DEFAULT_RING_CAPACITY};
-use crate::trace::{ScheduleTrace, TraceKind};
-use djstar_dsp::AudioBuf;
-use std::sync::atomic::{fence, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use crate::pad::CachePadded;
+use crate::trace::TraceKind;
+use std::sync::atomic::{fence, AtomicU32, Ordering};
 
-/// Shared state of the work-stealing executor: the common cycle machinery
-/// plus per-worker deques and the idle set.
-pub(crate) struct WsShared {
-    pub base: Shared,
-    /// Per-worker deques. Behind a [`DriverCell`] so a generation swap can
+/// The WS policy: per-lane deques of ready nodes plus the idle set.
+pub struct Steal {
+    /// Per-lane deques. Behind a [`DriverCell`] so a generation swap can
     /// replace them with larger ones; the replacement happens between
     /// cycles (after the exit barrier the deques are quiescent) and is
     /// published by the next epoch store, like the graph itself.
     deques: DriverCell<Vec<WorkDeque>>,
-    /// Filled by the driver right after spawning, before the first cycle.
-    pub idle: OnceLock<IdleSet>,
-}
-
-impl WsShared {
-    /// The per-worker deques; same access contract as [`Shared::graph`].
-    #[inline]
-    fn deques(&self) -> &[WorkDeque] {
-        // SAFETY: replaced only by the driver between cycles; workers read
-        // after the epoch-acquire edge.
-        unsafe { self.deques.get() }
-    }
+    idle: IdleSet,
+    /// Lanes that have fully left the current cycle's work loop. A
+    /// lingering lane that has not yet observed completion must not be able
+    /// to pop work seeded for the next cycle, so the driver waits for every
+    /// lane to pass this barrier before the cycle is collected. Padded for
+    /// the same reason as `Shared::done_count`.
+    exited: CachePadded<AtomicU32>,
 }
 
 /// Work-stealing executor.
-pub struct StealExecutor {
-    shared: Arc<WsShared>,
-    pool: PoolBinding,
-    tracing: bool,
-    last_trace: Option<ScheduleTrace>,
-    telemetry: Option<TelemetryRing>,
-    session: u32,
-}
+pub type StealExecutor = PoolExecutor<Steal>;
 
 /// Which worker a section's source nodes are seeded to (§V-C's
 /// deck-affinity categorization).
@@ -81,492 +67,185 @@ pub(crate) fn seed_target(section: Section, threads: usize) -> usize {
     }
 }
 
-impl StealExecutor {
-    /// Build the executor with `threads` workers (including the calling
-    /// thread) over `graph` with `frames`-frame buffers.
+fn deques_for(nodes: usize, threads: usize) -> Vec<WorkDeque> {
+    (0..threads).map(|_| WorkDeque::new(nodes.max(4))).collect()
+}
+
+impl QueuePolicy for Steal {
+    fn for_session(exec: &ExecGraph, threads: usize, pool: &VenuePool) -> Self {
+        Steal {
+            deques: DriverCell::new(deques_for(exec.len(), threads)),
+            idle: IdleSet::new(pool.session_handles(threads)),
+            exited: CachePadded::new(AtomicU32::new(0)),
+        }
+    }
+}
+
+impl Steal {
+    /// The per-lane deques; same access contract as [`Shared::graph`].
+    #[inline]
+    fn deques(&self) -> &[WorkDeque] {
+        // SAFETY: replaced only by the driver between cycles; workers read
+        // after the epoch-acquire edge.
+        unsafe { self.deques.get() }
+    }
+
+    /// One steal sweep over the other lanes' deques.
+    fn steal_sweep(&self, me: usize) -> Option<u32> {
+        let deques = self.deques();
+        for off in 1..deques.len() {
+            let victim = &deques[(me + off) % deques.len()];
+            loop {
+                match victim.steal() {
+                    Stolen::Success(n) => return Some(n),
+                    Stolen::Empty => break,
+                    Stolen::Retry => continue,
+                }
+            }
+        }
+        None
+    }
+
+    /// Execute `node`, release ready successors to this lane's deque, wake
+    /// thieves.
     ///
-    /// # Panics
-    /// Panics if `threads == 0` or `threads > 64`.
-    pub fn new(graph: TaskGraph, threads: usize, frames: usize) -> Self {
-        Self::with_priority(graph, threads, frames, Priority::Depth)
-    }
-
-    /// Like [`new`](Self::new), but with [`Priority::CriticalPath`] the
-    /// successors a finishing node releases are pushed in ascending
-    /// critical-path order, so the LIFO pop takes the longest-path successor
-    /// first.
-    pub fn with_priority(
-        graph: TaskGraph,
-        threads: usize,
-        frames: usize,
-        priority: Priority,
-    ) -> Self {
-        let pool = Arc::new(VenuePool::new(threads));
-        Self::with_pool(graph, threads, frames, priority, &pool)
-    }
-
-    /// Register this session on an existing shared [`VenuePool`] instead of
-    /// spawning private threads. `threads` is this session's lane count and
-    /// must not exceed the pool's.
-    pub fn with_pool(
-        graph: TaskGraph,
-        threads: usize,
-        frames: usize,
-        priority: Priority,
-        pool: &Arc<VenuePool>,
-    ) -> Self {
-        assert!((1..=64).contains(&threads), "1..=64 threads supported");
-        let exec = ExecGraph::new(graph, frames);
-        let nodes = exec.len();
-        let shared = Arc::new(WsShared {
-            base: Shared::new(exec, threads, priority),
-            deques: DriverCell::new((0..threads).map(|_| WorkDeque::new(nodes.max(4))).collect()),
-            idle: OnceLock::new(),
-        });
-        let handles = pool.session_handles(threads);
-        shared
-            .idle
-            .set(IdleSet::new(handles.clone()))
-            .expect("idle set initialized once");
-        // SAFETY: no cycle in flight yet.
-        unsafe { shared.base.handles.set(handles) };
-        let pool = pool.register(SessionState::Steal(Arc::clone(&shared)));
-        StealExecutor {
-            shared,
-            pool,
-            tracing: false,
-            last_trace: None,
-            telemetry: None,
-            session: 0,
+    /// # Safety
+    /// `node` must have been obtained from a deque `pop`/`steal` this epoch
+    /// (exactly-once ownership; readiness was established by the pending
+    /// protocol before the node entered a deque).
+    unsafe fn run_node(&self, lane: &mut Lane<'_>, node: u32) {
+        // SAFETY: the caller's contract.
+        unsafe { lane.exec(node) };
+        let sh = lane.sh;
+        let mine = &self.deques()[lane.me];
+        let mut released = 0u32;
+        // Under critical-path priority successors are visited in ascending
+        // cp-order, so the longest-path one is pushed last and popped first.
+        for &s in sh.succ_order(node) {
+            let pending = &sh.graph().cell(s as usize).pending;
+            if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                mine.push(s).expect("deque sized for the whole graph");
+                released += 1;
+            }
+        }
+        if released > 0 {
+            lane.count(|c| c.note_deque_depth(mine.len() as u64));
+            // Publish the pushes before scanning for sleepers (pairs with the
+            // fence idle workers issue between registering and re-checking).
+            fence(Ordering::SeqCst);
+            for _ in 0..released {
+                if self.idle.wake_one().is_none() {
+                    break;
+                }
+                lane.count(|c| c.add_unpark());
+            }
+        }
+        if lane.done() {
+            // Last node of the cycle: release every sleeper so all workers
+            // observe completion and return to the cycle barrier.
+            self.idle.wake_all();
         }
     }
 }
 
-/// One steal sweep over the other workers' deques.
-fn steal_sweep(ws: &WsShared, me: usize) -> Option<u32> {
-    let threads = ws.base.threads;
-    for off in 1..threads {
-        let victim = (me + off) % threads;
+impl Policy for Steal {
+    const STRATEGY: Strategy = Strategy::Steal;
+
+    unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
+        let sh = lane.sh;
+        let me = lane.me;
+        let total = sh.graph().len() as u32;
+        let cycle_done = || sh.done_count.load(Ordering::Acquire) == total;
         loop {
-            match ws.deques()[victim].steal() {
-                Steal::Success(n) => return Some(n),
-                Steal::Empty => break,
-                Steal::Retry => continue,
+            // 1. Local work, newest first (LIFO: §V-C cache-locality argument).
+            if let Some(node) = self.deques()[me].pop() {
+                // SAFETY: popped from own deque.
+                unsafe { self.run_node(lane, node) };
+                continue;
             }
-        }
-    }
-    None
-}
-
-/// True when every deque currently appears empty.
-fn all_deques_empty(ws: &WsShared) -> bool {
-    ws.deques().iter().all(|d| d.is_empty())
-}
-
-/// Execute `node`, release ready successors to `me`'s deque, wake thieves.
-///
-/// # Safety
-/// `node` must have been obtained from a deque `pop`/`steal` this epoch
-/// (exactly-once ownership; readiness was established by the pending
-/// protocol before the node entered a deque).
-#[allow(clippy::too_many_arguments)] // the three observability gates travel together
-unsafe fn run_node(
-    ws: &WsShared,
-    me: usize,
-    node: u32,
-    ctx: &CycleCtx<'_>,
-    tracing: bool,
-    telem: bool,
-    rec: bool,
-    events: &mut Vec<RawEvent>,
-) {
-    let counters = &ws.base.counters[me];
-    let faults = ws.base.fault_plan();
-    if tracing || telem || rec {
-        let t0 = Instant::now();
-        let mut fault_end = t0;
-        if let Some(plan) = faults {
-            let injected = plan.inject_node(ctx.epoch, node, counters);
-            if rec && injected > 0 {
-                fault_end = Instant::now();
+            // 2. Steal, oldest first from a victim.
+            let s0 = lane.clock();
+            let stolen = self.steal_sweep(me);
+            lane.count(|c| c.add_steal(stolen.is_some()));
+            if let Some(node) = stolen {
+                lane.waited(TraceKind::Steal, node, s0);
+                // SAFETY: stolen exactly once.
+                unsafe { self.run_node(lane, node) };
+                continue;
             }
-        }
-        let net0 = if rec { ws.base.net_ns_of(me) } else { (0, 0) };
-        ws.base.graph().execute(node as usize, ctx);
-        let t1 = Instant::now();
-        if tracing {
-            events.push(RawEvent {
-                node,
-                kind: TraceKind::Exec,
-                start: t0,
-                end: t1,
-            });
-        }
-        if telem {
-            counters.add_exec((t1 - t0).as_nanos() as u64);
-        }
-        if rec {
-            if fault_end > t0 {
-                ws.base
-                    .record_span(me, ctx.epoch, node, SpanKind::Fault, t0, fault_end);
-            }
-            ws.base
-                .record_exec_carved(me, ctx.epoch, node, fault_end, t1, net0);
-        }
-    } else {
-        if let Some(plan) = faults {
-            plan.inject_node(ctx.epoch, node, counters);
-        }
-        ws.base.graph().execute(node as usize, ctx);
-    }
-    let idle = ws.idle.get().expect("idle set initialized");
-    let mut released = 0u32;
-    // Under critical-path priority successors are visited in ascending
-    // cp-order, so the longest-path one is pushed last and popped first.
-    for &s in ws.base.succ_order(node) {
-        if ws
-            .base
-            .graph()
-            .cell(s as usize)
-            .pending
-            .fetch_sub(1, Ordering::AcqRel)
-            == 1
-        {
-            ws.deques()[me]
-                .push(s)
-                .expect("deque sized for the whole graph");
-            released += 1;
-        }
-    }
-    if released > 0 {
-        if telem {
-            counters.note_deque_depth(ws.deques()[me].len() as u64);
-        }
-        // Publish the pushes before scanning for sleepers (pairs with the
-        // fence idle workers issue between registering and re-checking).
-        fence(Ordering::SeqCst);
-        for _ in 0..released {
-            if idle.wake_one().is_none() {
+            // 3. Cycle complete?
+            if cycle_done() {
                 break;
             }
-            if telem {
-                counters.add_unpark();
+            // 4. Idle. The driver spin-yields (it must observe completion and
+            //    may be running on a thread the IdleSet has no handle for);
+            //    workers park until new work is released.
+            if me == 0 {
+                std::thread::yield_now();
+                continue;
             }
-        }
-    }
-    if ws.base.node_finished() {
-        // Last node of the cycle: release every sleeper so all workers
-        // observe completion and return to the cycle barrier.
-        idle.wake_all();
-    }
-}
-
-pub(crate) fn run_cycle_part(ws: &WsShared, me: usize, epoch: u64) {
-    let tracing = ws.base.tracing.load(Ordering::Relaxed);
-    let telem = ws.base.telemetry.load(Ordering::Relaxed);
-    let rec = ws.base.flight_on();
-    let counters = &ws.base.counters[me];
-    // SAFETY: epoch acquired.
-    let ctx = if telem || rec {
-        unsafe { ws.base.ctx_counted(epoch, me) }
-    } else {
-        unsafe { ws.base.ctx(epoch) }
-    };
-    let idle = ws.idle.get().expect("idle set initialized");
-    let total = ws.base.graph().len() as u32;
-    if let Some(plan) = ws.base.fault_plan() {
-        if rec {
-            let s0 = Instant::now();
-            if plan.inject_stalls(epoch, me, ws.base.threads, counters) > 0 {
-                ws.base.record_span(
-                    me,
-                    epoch,
-                    Span::NO_NODE,
-                    SpanKind::Fault,
-                    s0,
-                    Instant::now(),
-                );
+            self.idle.register(me);
+            fence(Ordering::SeqCst);
+            if self.deques().iter().all(|d| d.is_empty()) && !cycle_done() {
+                let w0 = lane.clock();
+                std::thread::park();
+                let ns = lane.waited(TraceKind::Idle, Span::NO_NODE, w0);
+                lane.count(|c| c.add_park(1, ns));
             }
-        } else {
-            plan.inject_stalls(epoch, me, ws.base.threads, counters);
+            self.idle.deregister(me);
         }
-    }
-    let mut events: Vec<RawEvent> = Vec::new();
-    loop {
-        // 1. Local work, newest first (LIFO: §V-C cache-locality argument).
-        if let Some(node) = ws.deques()[me].pop() {
-            // SAFETY: popped from own deque.
-            unsafe { run_node(ws, me, node, &ctx, tracing, telem, rec, &mut events) };
-            continue;
-        }
-        // 2. Steal, oldest first from a victim.
-        let stolen = if tracing || telem || rec {
-            let s0 = Instant::now();
-            let stolen = steal_sweep(ws, me);
-            if telem {
-                counters.add_steal(stolen.is_some());
-            }
-            if tracing {
-                if let Some(node) = stolen {
-                    events.push(RawEvent {
-                        node,
-                        kind: TraceKind::Steal,
-                        start: s0,
-                        end: Instant::now(),
-                    });
-                }
-            }
-            if rec {
-                if let Some(node) = stolen {
-                    ws.base
-                        .record_span(me, epoch, node, SpanKind::Steal, s0, Instant::now());
-                }
-            }
-            stolen
-        } else {
-            steal_sweep(ws, me)
-        };
-        if let Some(node) = stolen {
-            // SAFETY: stolen exactly once.
-            unsafe { run_node(ws, me, node, &ctx, tracing, telem, rec, &mut events) };
-            continue;
-        }
-        // 3. Cycle complete?
-        if ws.base.done_count.load(Ordering::Acquire) == total {
-            break;
-        }
-        // 4. Idle. The driver spin-yields (it must observe completion and
-        //    may be running on a thread the IdleSet has no handle for);
-        //    workers park until new work is released.
-        if me == 0 {
-            std::thread::yield_now();
-            continue;
-        }
-        idle.register(me);
-        fence(Ordering::SeqCst);
-        if !all_deques_empty(ws) || ws.base.done_count.load(Ordering::Acquire) == total {
-            idle.deregister(me);
-            continue;
-        }
-        if tracing || telem || rec {
-            let w0 = Instant::now();
-            std::thread::park();
-            let w1 = Instant::now();
-            if tracing {
-                events.push(RawEvent {
-                    node: u32::MAX,
-                    kind: TraceKind::Idle,
-                    start: w0,
-                    end: w1,
-                });
-            }
-            if telem {
-                counters.add_park(1, (w1 - w0).as_nanos() as u64);
-            }
-            if rec {
-                ws.base
-                    .record_span(me, epoch, Span::NO_NODE, SpanKind::Idle, w0, w1);
-            }
-        } else {
-            std::thread::park();
-        }
-        idle.deregister(me);
-    }
-    if tracing {
-        ws.base.flush_trace(me, events);
-    }
-    // Exit barrier: a worker that has left this loop can no longer pop
-    // work, so once every worker has signalled, the driver may safely seed
-    // the next cycle's deques. (Telemetry relies on it too: the idle-park
-    // counters above may be recorded after this worker's last
-    // `node_finished`, so the driver drains only after this barrier.)
-    ws.base.signal_cycle_exit();
-}
-
-impl GraphExecutor for StealExecutor {
-    fn strategy(&self) -> Strategy {
-        Strategy::Steal
+        // Exit barrier: a lane that has left this loop can no longer pop
+        // work, so once every lane has signalled, the driver may safely seed
+        // the next cycle's deques. (Telemetry relies on it too: the
+        // idle-park counters above may be recorded after this lane's last
+        // `done`, so the driver drains only after this barrier.)
+        self.exited.fetch_add(1, Ordering::Release);
     }
 
-    fn threads(&self) -> usize {
-        self.shared.base.threads
-    }
-
-    fn run_cycle(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> CycleResult {
-        let epoch = self
-            .venue_stage(external_audio, controls)
-            .expect("ws executor always stages");
-        self.pool.pool().dispatch();
-        run_cycle_part(&self.shared, 0, epoch);
-        let result = self.venue_collect(epoch);
-        self.pool.pool().quiesce();
-        result
-    }
-
-    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> Option<u64> {
-        // The previous batch must be fully exited before the deques are
-        // reseeded (a lagging pool worker could still be scanning them).
-        self.pool.pool().quiesce();
-        let ws = &self.shared;
-        ws.base.tracing.store(self.tracing, Ordering::Relaxed);
-        ws.base
-            .telemetry
-            .store(self.telemetry.is_some(), Ordering::Relaxed);
-        // Seed source nodes by section affinity *before* publishing the
-        // epoch; the deques are quiescent between cycles, so these pushes
-        // are ordinary owner pushes logically performed on behalf of each
-        // target worker.
-        let topo = ws.base.graph().topology();
-        ws.base.graph().reset_pending();
+    /// Seed source nodes by section affinity *before* the epoch is
+    /// published; the deques are quiescent between cycles, so these pushes
+    /// are ordinary owner pushes logically performed on behalf of each
+    /// target lane.
+    fn seed(&self, sh: &Shared) {
+        self.exited.store(0, Ordering::Relaxed);
+        let topo = sh.graph().topology();
         for &src in topo.sources() {
-            let target = seed_target(topo.section(NodeId(src)), ws.base.threads);
-            ws.deques()[target]
+            let target = seed_target(topo.section(NodeId(src)), sh.threads);
+            self.deques()[target]
                 .push(src)
                 .expect("deque sized for the whole graph");
         }
-        if self.telemetry.is_some() {
-            // Seeded depth counts toward each worker's deque high water.
-            for (i, d) in ws.deques().iter().enumerate() {
-                ws.base.counters[i].note_deque_depth(d.len() as u64);
+        if sh.telemetry.load(Ordering::Relaxed) {
+            // Seeded depth counts toward each lane's deque high water.
+            for (d, c) in self.deques().iter().zip(sh.counters.iter()) {
+                c.note_deque_depth(d.len() as u64);
             }
         }
-        // SAFETY: driver thread, no cycle in flight. (`prepare_cycle`
-        // resets the pending counters again; that is idempotent.)
-        let epoch = unsafe { ws.base.prepare_cycle(external_audio, controls) };
-        self.pool.stage(epoch);
-        Some(epoch)
     }
 
-    fn venue_collect(&mut self, epoch: u64) -> CycleResult {
-        let ws = &self.shared;
-        ws.base.wait_cycle_done();
-        // All nodes are done; now wait for every worker to leave the work
-        // loop so none can touch the deques we will seed next cycle.
-        ws.base.wait_cycle_exited(ws.base.threads as u32);
-        let end = Instant::now();
-        // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
-        let start = unsafe { *ws.base.cycle_start.get() };
-        let duration = end - start;
-        if ws.base.flight_on() {
-            ws.base.stamp_cycle(epoch, end);
-        }
-        if let Some(ring) = self.telemetry.as_mut() {
-            // Drain strictly after the exit barrier: idle-park counters can
-            // be recorded after a worker's last `node_finished`, but always
-            // before its `signal_cycle_exit`.
-            let slot = ring.begin_push(epoch, duration.as_nanos() as u64);
-            ws.base.drain_counters(slot);
-        }
-        if self.tracing {
-            ws.base.wait_trace_flushed();
-            self.last_trace = Some(ws.base.collect_trace());
-        }
-        CycleResult { duration }
+    /// All nodes are done; wait for every lane to leave the work loop so
+    /// none can touch the deques the next cycle seeds.
+    fn settle(&self, sh: &Shared) {
+        let lanes = sh.threads as u32;
+        spin_yield_until(|| self.exited.load(Ordering::Acquire) == lanes);
     }
 
-    fn set_session(&mut self, session: u32) {
-        self.session = session;
-        if let Some(r) = &self.telemetry {
-            self.telemetry = Some(TelemetryRing::with_session(
-                r.capacity(),
-                r.workers(),
-                session,
-            ));
-        }
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    fn take_trace(&mut self) -> Option<ScheduleTrace> {
-        self.last_trace.take()
-    }
-
-    fn set_telemetry(&mut self, on: bool) {
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(TelemetryRing::with_session(
-                    DEFAULT_RING_CAPACITY,
-                    self.shared.base.threads,
-                    self.session,
-                ));
-            }
-        } else {
-            self.telemetry = None;
-        }
-    }
-
-    fn take_telemetry(&mut self) -> Option<TelemetryRing> {
-        let taken = self.telemetry.take();
-        if let Some(r) = &taken {
-            self.telemetry = Some(TelemetryRing::with_session(
-                r.capacity(),
-                r.workers(),
-                r.session(),
-            ));
-        }
-        taken
-    }
-
-    fn set_faults(&mut self, plan: Option<FaultPlan>) {
-        self.pool.pool().quiesce();
-        // SAFETY: driver-only between cycles (`&mut self`), pool quiescent;
-        // published to workers by the next epoch Release store.
-        unsafe { self.shared.base.faults.set(plan) };
-    }
-
-    fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
-        // Driver-only between cycles (`&mut self`).
-        self.pool.pool().quiesce();
-        self.shared.base.install_recorder(cfg);
-    }
-
-    fn take_flight_window(&mut self) -> Option<FlightWindow> {
-        // Driver-only between cycles (`&mut self`).
-        self.pool.pool().quiesce();
-        self.shared.base.take_window()
-    }
-
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
-        let (exec, plan) = staged.into_parts();
-        let nodes = exec.len();
-        self.pool.pool().quiesce();
-        let ws = &self.shared;
-        // SAFETY: `&mut self` proves no cycle is in flight, and the exit
-        // barrier plus the pool quiesce guarantee every worker has left the
-        // work loop — the deques are quiescent. Both the deque replacement
-        // and the graph swap are published by the next epoch Release store.
+    unsafe fn adopt(
+        &self,
+        sh: &Shared,
+        exec: ExecGraph,
+        plan: Option<ScheduleBlueprint>,
+    ) -> Adoption {
+        // SAFETY: the exit barrier plus the pool quiesce guarantee every
+        // lane has left the work loop — the deques are quiescent. Both the
+        // deque replacement and the graph swap are published by the next
+        // epoch Release store.
         unsafe {
-            if ws.deques().iter().any(|d| d.capacity() < nodes) {
-                ws.deques.set(
-                    (0..ws.base.threads)
-                        .map(|_| WorkDeque::new(nodes.max(4)))
-                        .collect(),
-                );
+            if self.deques().iter().any(|d| d.capacity() < exec.len()) {
+                self.deques.set(deques_for(exec.len(), sh.threads));
             }
-            ws.base.adopt_exec(exec, plan)
+            sh.adopt_exec(exec, plan)
         }
-    }
-
-    fn generation(&self) -> u64 {
-        self.shared.base.generation.load(Ordering::Relaxed)
-    }
-
-    fn read_output(&mut self, node: NodeId, dst: &mut AudioBuf) {
-        self.pool.pool().quiesce();
-        // SAFETY: `&mut self` proves no cycle in flight; pool quiescent.
-        unsafe { self.shared.base.graph().read_output_unsync(node, dst) };
-    }
-
-    fn node_processor(&mut self, node: NodeId) -> &mut dyn Processor {
-        self.pool.pool().quiesce();
-        // SAFETY: as in `read_output`.
-        unsafe { self.shared.base.graph().node_processor_unsync(node) }
-    }
-
-    fn topology(&self) -> &GraphTopology {
-        self.shared.base.graph().topology()
     }
 }
 
@@ -574,6 +253,9 @@ impl GraphExecutor for StealExecutor {
 mod tests {
     use super::*;
     use crate::exec::test_support::{diamond_sum_graph, fan_graph, run_and_check};
+    use crate::exec::GraphExecutor;
+    use crate::graph::Priority;
+    use djstar_dsp::AudioBuf;
 
     #[test]
     fn computes_same_result_as_sequential() {

@@ -52,6 +52,21 @@ pub enum SpanKind {
     Conceal,
 }
 
+/// Every schedule-trace interval kind is also a flight span kind.
+impl From<crate::trace::TraceKind> for SpanKind {
+    fn from(kind: crate::trace::TraceKind) -> Self {
+        use crate::trace::TraceKind;
+        match kind {
+            TraceKind::Exec => SpanKind::Exec,
+            TraceKind::BusyWait => SpanKind::BusyWait,
+            TraceKind::Sleep => SpanKind::Sleep,
+            TraceKind::Idle => SpanKind::Idle,
+            TraceKind::Steal => SpanKind::Steal,
+            TraceKind::Unpark => SpanKind::Unpark,
+        }
+    }
+}
+
 impl SpanKind {
     /// Stable label, used as the Chrome Trace `cat` field.
     pub fn label(self) -> &'static str {

@@ -12,11 +12,15 @@
 //! * [`processor`] — the [`Processor`](processor::Processor) trait node
 //!   payloads implement, and the per-cycle context handed to them.
 //! * [`exec`] — the runtime: an [`ExecGraph`](exec::ExecGraph) with atomic
-//!   per-node dependency state, plus one executor per strategy:
+//!   per-node dependency state, and one executor,
+//!   [`PoolExecutor`](exec::PoolExecutor), a session on a shared
+//!   [`VenuePool`](exec::VenuePool) whose wait policy is the strategy. The
+//!   per-strategy names are aliases of it:
 //!   [`SequentialExecutor`](exec::SequentialExecutor),
 //!   [`BusyExecutor`](exec::BusyExecutor),
 //!   [`SleepExecutor`](exec::SleepExecutor),
-//!   [`StealExecutor`](exec::StealExecutor) and the precompiled-schedule
+//!   [`StealExecutor`](exec::StealExecutor),
+//!   [`HybridExecutor`](exec::HybridExecutor) and the precompiled-schedule
 //!   [`PlannedExecutor`](exec::PlannedExecutor) (a [`ScheduleBlueprint`]
 //!   compiled offline, e.g. from `djstar-sim`'s list scheduler).
 //! * [`deque`] — a fixed-capacity Chase–Lev work-stealing deque (owner pops
@@ -50,7 +54,7 @@
 //! # Memory-safety argument
 //!
 //! Node payloads live in `UnsafeCell`s and are accessed without locks. The
-//! safety invariant, enforced by every executor, is *exactly-once ownership
+//! safety invariant, enforced by every wait policy, is *exactly-once ownership
 //! per cycle*: a node is executed by exactly one thread per cycle, and a
 //! thread only reads a predecessor's output after observing its
 //! `done_epoch` equal to the current epoch with `Acquire` ordering (the

@@ -16,7 +16,7 @@ use crate::degrade::{
     NetDegradeConfig, NetDegradeEvent, NetLatencyPolicy,
 };
 use crate::front::{FrontEnd, FrontWork};
-use crate::graphbuild::{build_shaped_graph, hollow_graph, GraphShape, NodeMap};
+use crate::graphbuild::{build_shaped_graph, GraphShape, NodeMap};
 use crate::modes::{
     reachable_edits, AdmissionControl, BlueprintCache, ModeCacheStats, NodeCostModel, PartsBin,
 };
@@ -236,9 +236,8 @@ pub struct NetDegradeOutcome {
 }
 
 /// Register `graph` as a session of `strategy` with `threads` lanes on
-/// `pool` (every executor is a dispatch policy over a pool; SEQ is the one
-/// that never stages work on it). `plan` supplies the blueprint PLAN
-/// replays and is not called for any other strategy.
+/// `pool` (one for SEQ). `plan` supplies the blueprint PLAN replays and is
+/// not called for any other strategy.
 pub(crate) fn executor_on_pool(
     graph: TaskGraph,
     strategy: Strategy,
@@ -249,7 +248,7 @@ pub(crate) fn executor_on_pool(
     use djstar_core::graph::Priority::Depth;
     let frames = djstar_dsp::BUFFER_FRAMES;
     match strategy {
-        Strategy::Sequential => Box::new(SequentialExecutor::new(graph, frames)),
+        Strategy::Sequential => Box::new(SequentialExecutor::with_pool(graph, frames, pool)),
         Strategy::Busy => Box::new(BusyExecutor::with_pool(graph, threads, frames, Depth, pool)),
         Strategy::Sleep => Box::new(SleepExecutor::with_pool(
             graph, threads, frames, Depth, pool,
@@ -258,7 +257,7 @@ pub(crate) fn executor_on_pool(
             graph, threads, frames, Depth, pool,
         )),
         // Extension strategy: a 2000-poll spin budget (~tens of µs)
-        // before parking; tune via the executor handle if needed.
+        // before parking.
         Strategy::Hybrid => Box::new(HybridExecutor::with_pool(
             graph, threads, frames, 2_000, Depth, pool,
         )),
@@ -429,33 +428,9 @@ impl AudioEngine {
         probe
     }
 
-    /// Compile a PLAN blueprint for `scenario`: probe per-node durations on
-    /// a throwaway sequential engine, feed the per-node means to the list
-    /// scheduler with a resource constraint of `threads` processors, and
-    /// freeze its per-processor timelines into a replayable blueprint
-    /// (§IV's "optimal schedule", made executable).
-    pub fn compile_plan(scenario: &Scenario, threads: usize) -> ScheduleBlueprint {
-        Self::compile_plan_for(scenario, &GraphShape::paper_default(), threads)
-    }
-
-    /// [`compile_plan`](Self::compile_plan) for an arbitrary shape. The
-    /// duration probe runs on a sequential engine built with the same
-    /// shape, so the blueprint fits the shaped topology exactly.
-    pub fn compile_plan_for(
-        scenario: &Scenario,
-        shape: &GraphShape,
-        threads: usize,
-    ) -> ScheduleBlueprint {
-        let (graph, _) = hollow_graph(scenario, shape);
-        let topo = graph.topology();
-        let costs = Self::probe_costs(scenario, shape);
-        list_blueprint(topo, costs.durations_for(topo), threads)
-            .expect("a list schedule always compiles to a valid blueprint")
-    }
-
     /// The [`NodeCostModel`] of `shape`'s nodes as a throwaway sequential
-    /// engine measures them — [`compile_plan_for`](Self::compile_plan_for)'s
-    /// probe, kept as a model so it can price other shapes too.
+    /// engine measures them: what PLAN's list schedule is compiled from,
+    /// kept as a model so it can price other shapes too.
     fn probe_costs(scenario: &Scenario, shape: &GraphShape) -> NodeCostModel {
         // Aux weights only shape the non-graph phases, so the probe always
         // runs light regardless of what the real engine will use.
@@ -828,13 +803,9 @@ impl AudioEngine {
     /// executor. Like the fault plan, the config survives generation
     /// swaps and thread-resize rebuilds until cleared — though a rebuild
     /// discards any spans recorded on the torn-down executor.
-    pub fn set_flight_recorder(&mut self, mut cfg: Option<FlightConfig>) {
-        // The engine's session id is authoritative: windows captured here
-        // are always tagged with it so venue forensics can blame the
-        // offending session.
-        if let Some(c) = cfg.as_mut() {
-            c.session = self.session;
-        }
+    pub fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
+        // The executor tags the windows it captures with its session id,
+        // so venue forensics can blame the offending session.
         self.flight_cfg = cfg;
         self.executor.set_flight_recorder(cfg);
     }
@@ -1285,8 +1256,7 @@ impl AudioEngine {
         self.session = session;
         self.executor.set_session(session);
         self.front.set_session(session);
-        if let Some(c) = self.flight_cfg.as_mut() {
-            c.session = session;
+        if self.flight_cfg.is_some() {
             self.executor.set_flight_recorder(self.flight_cfg);
         }
     }
@@ -1316,39 +1286,33 @@ impl AudioEngine {
     /// server stages every session, issues one [`VenuePool::dispatch`],
     /// drives lane 0 via [`VenuePool::run_driver_parts`], then collects
     /// each session with [`venue_front_collect`](Self::venue_front_collect).
-    ///
-    /// Sequential engines stage nothing (`None`); their front cycle — like
-    /// their graph cycle later — runs inline on the driver at collection,
-    /// overlapping with the pool workers crunching the parallel sessions.
-    pub fn venue_front_stage(&mut self) -> Option<u64> {
+    /// Returns the staged epoch to collect with.
+    pub fn venue_front_stage(&mut self) -> u64 {
         self.cycle += 1;
         self.front.stage(self.cycle)
     }
 
-    /// Venue cycle, step 2: wait for the staged front cycle (or run it
-    /// inline), copy the deck buffers out and do the phase alignment.
-    /// Returns the task time the decks spent, from which the venue derives
-    /// this session's share of the batched front window.
-    pub fn venue_front_collect(&mut self, epoch: Option<u64>) -> FrontWork {
-        self.front.collect(epoch, self.cycle);
+    /// Venue cycle, step 2: wait for the staged front cycle, copy the deck
+    /// buffers out and do the phase alignment. Returns the task time the
+    /// decks spent, from which the venue derives this session's share of
+    /// the batched front window.
+    pub fn venue_front_collect(&mut self, epoch: u64) -> FrontWork {
+        self.front.collect(epoch);
         self.front.finish(&mut self.deck_bufs)
     }
 
     /// Venue cycle, step 3: stage the graph cycle on the pool, exactly as
-    /// step 1 staged the front (`None` again means "sequential, inline").
-    pub fn venue_graph_stage(&mut self) -> Option<u64> {
+    /// step 1 staged the front.
+    pub fn venue_graph_stage(&mut self) -> u64 {
         self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
         self.executor.venue_stage(&self.deck_bufs, &self.ctrl)
     }
 
-    /// Venue cycle, step 4: collect the staged graph result (or run it
-    /// inline for sequential engines), then run the VC phase. `tp` and
-    /// `gp` are this session's shares of the batched front window.
-    pub fn venue_finish(&mut self, epoch: Option<u64>, tp: Duration, gp: Duration) -> ApcTiming {
-        let result = match epoch {
-            Some(epoch) => self.executor.venue_collect(epoch),
-            None => self.executor.run_cycle(&self.deck_bufs, &self.ctrl),
-        };
+    /// Venue cycle, step 4: collect the staged graph result, then run the
+    /// VC phase. `tp` and `gp` are this session's shares of the batched
+    /// front window.
+    pub fn venue_finish(&mut self, epoch: u64, tp: Duration, gp: Duration) -> ApcTiming {
+        let result = self.executor.venue_collect(epoch);
 
         let t3 = Instant::now();
         self.various_calculations_phase();
@@ -1533,7 +1497,7 @@ mod tests {
         use crate::venue::{SessionSpec, VenueServer};
         use djstar_workload::Track;
         let s = Scenario::light_test();
-        // A PLAN engine (its constructor runs `compile_plan_for`'s probe),
+        // A PLAN engine (its constructor probes node costs for the plan),
         // the two kinds of probe on their own, and an admitted session whose
         // `admit` probed first.
         let mut engine = AudioEngine::with_aux(s.clone(), Strategy::Planned, 2, AuxWork::light());
@@ -1580,17 +1544,6 @@ mod tests {
         assert!(means.iter().all(|&m| m >= 1));
         // No cycle traced: the floor, not a division by zero.
         assert!(e.mean_node_durations(0).iter().all(|&m| m == 1));
-    }
-
-    #[test]
-    fn compiled_plan_covers_the_whole_graph() {
-        let bp = AudioEngine::compile_plan(&Scenario::light_test(), 4);
-        assert_eq!(bp.threads(), 4);
-        assert_eq!(bp.len(), 67);
-        // The list scheduler keeps every lane busy on this graph.
-        for w in 0..4 {
-            assert!(!bp.worker(w).is_empty(), "worker {w} got no nodes");
-        }
     }
 
     #[test]

@@ -279,19 +279,14 @@ impl FrontEnd {
     }
 
     /// Venue path, first half: stage the front cycle for the pool's next
-    /// batch. `None` for SEQ, which [`collect`](Self::collect) runs inline.
-    pub(crate) fn stage(&mut self, cycle: u64) -> Option<u64> {
+    /// batch.
+    pub(crate) fn stage(&mut self, cycle: u64) -> u64 {
         self.exec.venue_stage(&[], &Self::controls(cycle))
     }
 
-    /// Venue path, second half: wait for the staged cycle, or run it now.
-    pub(crate) fn collect(&mut self, epoch: Option<u64>, cycle: u64) {
-        match epoch {
-            Some(epoch) => {
-                self.exec.venue_collect(epoch);
-            }
-            None => self.run(cycle),
-        }
+    /// Venue path, second half: wait for the staged cycle.
+    pub(crate) fn collect(&mut self, epoch: u64) {
+        self.exec.venue_collect(epoch);
     }
 
     /// Driver-side tail of a front cycle: copy each deck's pulled audio

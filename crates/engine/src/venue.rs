@@ -13,8 +13,8 @@
 //!    workers,
 //! 3. [`VenuePool::run_driver_parts`] so the driver contributes lane 0,
 //! 4. collect per session ([`AudioEngine::venue_front_collect`], later
-//!    [`AudioEngine::venue_finish`], which also runs VC); a sequential
-//!    session's cycle runs inline on the driver here instead.
+//!    [`AudioEngine::venue_finish`], which also runs VC). A sequential
+//!    session is a one-lane session like any other: step 3 runs it.
 //!
 //! The front batch is one wall-clock window shared by all sessions; each
 //! session's `tp`/`gp` is its share of that window by measured task time,
@@ -94,7 +94,7 @@ struct VenueSession {
     last: ApcTiming,
     /// In-flight scratch of the current batch: the staged epoch (front
     /// batch, then graph batch) and the front task time just collected.
-    epoch: Option<u64>,
+    epoch: u64,
     front: FrontWork,
 }
 
@@ -234,7 +234,7 @@ impl VenueServer {
             cycles: 0,
             misses: 0,
             last: ApcTiming::default(),
-            epoch: None,
+            epoch: 0,
             front: FrontWork::default(),
         });
         Ok(id)

@@ -122,10 +122,11 @@ fn front_and_graph_are_two_sessions_on_one_pool() {
         assert_eq!(engine.pool().threads(), 3);
         assert_eq!(engine.pool().sessions(), 2, "{strategy:?}");
     }
-    // SEQ: a one-lane pool with no worker, both graphs inline on the driver.
+    // SEQ: a one-lane pool with no worker; both graphs are one-lane
+    // sessions whose only lane is the driver's.
     let seq = AudioEngine::with_aux(scenario(), Strategy::Sequential, 4, AuxWork::light());
     assert_eq!(seq.pool().threads(), 1);
-    assert_eq!(seq.pool().sessions(), 0);
+    assert_eq!(seq.pool().sessions(), 2);
 }
 
 #[test]
