@@ -5,7 +5,7 @@ use djstar_bench::microbench::{bench, group};
 use djstar_dsp::biquad::{process_chain, process_chain_scalar, Biquad, FilterKind};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::{Compressor, Limiter};
-use djstar_dsp::effects::EffectKind;
+use djstar_dsp::effects::{Chorus, EchoDelay, EffectKind, Flanger, Phaser};
 use djstar_dsp::eq::ThreeBandEq;
 use djstar_dsp::meter::goertzel_power;
 use djstar_dsp::mix::{mix_into, mix_into_scalar};
@@ -28,6 +28,22 @@ fn bench_effects() {
         let mut buf = music_buf();
         bench(&format!("effects_128f/{kind:?}"), || fx.process(&mut buf));
     }
+    // The per-frame references of the block-rate effects (bit-equal), built
+    // as `EffectKind::build` builds the rows above.
+    let sr = djstar_dsp::SAMPLE_RATE;
+    macro_rules! reference_row {
+        ($kind:ident, $fx:expr) => {
+            let (mut fx, mut buf) = ($fx, music_buf());
+            bench(
+                concat!("effects_128f/", stringify!($kind), "/reference"),
+                || fx.process_reference(&mut buf),
+            );
+        };
+    }
+    reference_row!(EchoDelay, EchoDelay::new(sr, 0.25, 0.45, 0.5));
+    reference_row!(Flanger, Flanger::new(sr, 0.4, 0.7, 0.5));
+    reference_row!(Phaser, Phaser::new(sr, 0.3, 4, 0.6));
+    reference_row!(Chorus, Chorus::new(sr, 0.8, 0.5));
 }
 
 fn bench_filters() {

@@ -2,7 +2,7 @@
 
 use crate::buffer::AudioBuf;
 use crate::delayline::StereoDelayLine;
-use crate::effects::Effect;
+use crate::effects::{modulation_table, Effect, MOD_BLOCK};
 use crate::osc::{Oscillator, Waveform};
 
 /// A two-voice stereo chorus. Each voice reads a 15–30 ms delay tap swept by
@@ -33,10 +33,11 @@ impl Chorus {
             rate_hz,
         }
     }
-}
 
-impl Effect for Chorus {
-    fn process(&mut self, buf: &mut AudioBuf) {
+    /// The per-frame definition of the chorus: one step of each LFO, then
+    /// per channel one `push` and two `read_frac`s. Test and bench oracle
+    /// for [`process`](Effect::process); nothing at run time calls it.
+    pub fn process_reference(&mut self, buf: &mut AudioBuf) {
         let channels = buf.channels();
         let frames = buf.frames();
         let center = CENTER_S * self.sample_rate;
@@ -52,6 +53,36 @@ impl Effect for Chorus {
                 line.push(dry);
                 let wet = 0.5 * (line.read_frac(d_a) + line.read_frac(d_b));
                 buf.set_sample(ch, i, dry * (1.0 - self.mix) + wet * self.mix);
+            }
+        }
+    }
+}
+
+impl Effect for Chorus {
+    /// Bit for bit [`process_reference`](Chorus::process_reference), block
+    /// by block: both voices' delays for up to `MOD_BLOCK` frames go into
+    /// stack tables, then each channel plane runs against its delay line.
+    fn process(&mut self, buf: &mut AudioBuf) {
+        let channels = buf.channels().min(2);
+        let frames = buf.frames();
+        let center = CENTER_S * self.sample_rate;
+        let swing = SWING_S * self.sample_rate;
+        let mix = self.mix;
+        let mut delays = [[0.0f32; MOD_BLOCK]; 2];
+        for start in (0..frames).step_by(MOD_BLOCK) {
+            let len = (frames - start).min(MOD_BLOCK);
+            let [d_a, d_b] = &mut delays;
+            let (d_a, d_b) = (&mut d_a[..len], &mut d_b[..len]);
+            modulation_table(&mut self.lfo_a, d_a, center, swing);
+            modulation_table(&mut self.lfo_b, d_b, center, swing);
+            for ch in 0..channels {
+                let plane = &mut buf.channel_mut(ch)[start..start + len];
+                self.lines
+                    .channel(ch)
+                    .modulated_taps(plane, [d_a, d_b], |dry, [a, b]| {
+                        let wet = 0.5 * (a + b);
+                        dry * (1.0 - mix) + wet * mix
+                    });
             }
         }
     }

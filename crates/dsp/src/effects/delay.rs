@@ -2,7 +2,7 @@
 
 use crate::buffer::AudioBuf;
 use crate::delayline::StereoDelayLine;
-use crate::effects::Effect;
+use crate::effects::{Effect, MOD_BLOCK};
 
 /// A classic feedback delay ("echo"): the signal is delayed by a fixed time
 /// and fed back with a gain < 1, mixed with the dry signal.
@@ -31,10 +31,11 @@ impl EchoDelay {
     pub fn delay_samples(&self) -> usize {
         self.delay_samples
     }
-}
 
-impl Effect for EchoDelay {
-    fn process(&mut self, buf: &mut AudioBuf) {
+    /// The per-frame definition of the echo: per channel one `read`, one
+    /// `push`. Test and bench oracle for [`process`](Effect::process);
+    /// nothing at run time calls it.
+    pub fn process_reference(&mut self, buf: &mut AudioBuf) {
         let channels = buf.channels();
         let frames = buf.frames();
         for i in 0..frames {
@@ -44,6 +45,27 @@ impl Effect for EchoDelay {
                 let wet = line.read(self.delay_samples);
                 line.push(dry + wet * self.feedback);
                 buf.set_sample(ch, i, dry * (1.0 - self.mix) + wet * self.mix);
+            }
+        }
+    }
+}
+
+impl Effect for EchoDelay {
+    /// Bit for bit [`process_reference`](EchoDelay::process_reference), one
+    /// channel plane at a time: the delay line hands back up to
+    /// `MOD_BLOCK` wet taps while it takes the feedback, then the plane is
+    /// mixed against them.
+    fn process(&mut self, buf: &mut AudioBuf) {
+        let mix = self.mix;
+        let mut wet = [0.0f32; MOD_BLOCK];
+        for ch in 0..buf.channels().min(2) {
+            let line = self.lines.channel(ch);
+            for plane in buf.channel_mut(ch).chunks_mut(MOD_BLOCK) {
+                let taps = &mut wet[..plane.len()];
+                line.feedback_block(plane, self.delay_samples, self.feedback, taps);
+                for (x, tap) in plane.iter_mut().zip(&*taps) {
+                    *x = *x * (1.0 - mix) + tap * mix;
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::buffer::AudioBuf;
 use crate::delayline::StereoDelayLine;
-use crate::effects::Effect;
+use crate::effects::{modulation_table, Effect, MOD_BLOCK};
 use crate::osc::{Oscillator, Waveform};
 
 /// A stereo flanger sweeping a 1–8 ms delay with a sine LFO.
@@ -32,14 +32,21 @@ impl Flanger {
             sample_rate: sample_rate as f32,
         }
     }
-}
 
-impl Effect for Flanger {
-    fn process(&mut self, buf: &mut AudioBuf) {
-        let channels = buf.channels();
-        let frames = buf.frames();
+    /// Centre and swing of the modulated delay, in samples.
+    fn sweep(&self) -> (f32, f32) {
         let center = (MIN_DELAY_S + MAX_DELAY_S) / 2.0 * self.sample_rate;
         let swing = (MAX_DELAY_S - MIN_DELAY_S) / 2.0 * self.sample_rate * self.depth;
+        (center, swing)
+    }
+
+    /// The per-frame definition of the flanger: one LFO step, then per
+    /// channel one `push` and one `read_frac`. Test and bench oracle for
+    /// [`process`](Effect::process); nothing at run time calls it.
+    pub fn process_reference(&mut self, buf: &mut AudioBuf) {
+        let channels = buf.channels();
+        let frames = buf.frames();
+        let (center, swing) = self.sweep();
         for i in 0..frames {
             let lfo = self.lfo.next_sample();
             let delay = center + swing * lfo;
@@ -49,6 +56,29 @@ impl Effect for Flanger {
                 line.push(dry);
                 let wet = line.read_frac(delay);
                 buf.set_sample(ch, i, dry * (1.0 - self.mix) + wet * self.mix);
+            }
+        }
+    }
+}
+
+impl Effect for Flanger {
+    /// Bit for bit [`process_reference`](Flanger::process_reference), block
+    /// by block: the LFO's delays for up to `MOD_BLOCK` frames go into a
+    /// stack table, then each channel plane runs against its delay line.
+    fn process(&mut self, buf: &mut AudioBuf) {
+        let channels = buf.channels().min(2);
+        let frames = buf.frames();
+        let (center, swing) = self.sweep();
+        let mix = self.mix;
+        let mut delays = [0.0f32; MOD_BLOCK];
+        for start in (0..frames).step_by(MOD_BLOCK) {
+            let delays = &mut delays[..(frames - start).min(MOD_BLOCK)];
+            modulation_table(&mut self.lfo, delays, center, swing);
+            for ch in 0..channels {
+                let plane = &mut buf.channel_mut(ch)[start..start + delays.len()];
+                self.lines
+                    .channel(ch)
+                    .modulated_taps(plane, [delays], |dry, [wet]| dry * (1.0 - mix) + wet * mix);
             }
         }
     }

@@ -28,6 +28,22 @@ pub use tremolo::Tremolo;
 pub use widener::StereoWidener;
 
 use crate::buffer::AudioBuf;
+use crate::osc::Oscillator;
+
+/// Frames per modulation table: the LFO-swept effects tabulate their
+/// modulation (delay, allpass coefficient) for this many frames on the
+/// stack, then run each channel plane against the table; longer buffers go
+/// through in chunks of this size.
+pub(crate) const MOD_BLOCK: usize = crate::BUFFER_FRAMES;
+
+/// Fill `table` with the next `table.len()` steps of `lfo`, mapped to
+/// `offset + scale * lfo`.
+fn modulation_table(lfo: &mut Oscillator, table: &mut [f32], offset: f32, scale: f32) {
+    lfo.fill(table);
+    for m in table {
+        *m = offset + scale * *m;
+    }
+}
 
 /// A stateful in-place audio effect.
 pub trait Effect: Send {

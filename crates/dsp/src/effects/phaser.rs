@@ -1,7 +1,7 @@
 //! Phaser: a chain of LFO-swept first-order allpass sections.
 
 use crate::buffer::AudioBuf;
-use crate::effects::Effect;
+use crate::effects::{modulation_table, Effect, MOD_BLOCK};
 use crate::osc::{Oscillator, Waveform};
 
 /// First-order allpass section state per channel.
@@ -46,10 +46,11 @@ impl Phaser {
     pub fn stage_count(&self) -> usize {
         self.stages.len()
     }
-}
 
-impl Effect for Phaser {
-    fn process(&mut self, buf: &mut AudioBuf) {
+    /// The per-frame definition of the phaser: one LFO step, then per
+    /// channel one pass down the allpass chain. Test and bench oracle for
+    /// [`process`](Effect::process); nothing at run time calls it.
+    pub fn process_reference(&mut self, buf: &mut AudioBuf) {
         let channels = buf.channels();
         let frames = buf.frames();
         for i in 0..frames {
@@ -63,6 +64,35 @@ impl Effect for Phaser {
                     wet = st[ch].tick(a, wet);
                 }
                 buf.set_sample(ch, i, dry * (1.0 - self.mix) + wet * self.mix);
+            }
+        }
+    }
+}
+
+impl Effect for Phaser {
+    /// Bit for bit [`process_reference`](Phaser::process_reference), block
+    /// by block: the LFO's allpass coefficients for up to `MOD_BLOCK`
+    /// frames go into a stack table, then each channel plane runs down the
+    /// chain against it.
+    fn process(&mut self, buf: &mut AudioBuf) {
+        let channels = buf.channels().min(2);
+        let frames = buf.frames();
+        let mix = self.mix;
+        let mut coeffs = [0.0f32; MOD_BLOCK];
+        for start in (0..frames).step_by(MOD_BLOCK) {
+            let coeffs = &mut coeffs[..(frames - start).min(MOD_BLOCK)];
+            // Sweep the allpass coefficient between 0.2 and 0.8.
+            modulation_table(&mut self.lfo, coeffs, 0.5, 0.3);
+            for ch in 0..channels {
+                let plane = &mut buf.channel_mut(ch)[start..start + coeffs.len()];
+                for (x, &a) in plane.iter_mut().zip(&*coeffs) {
+                    let dry = *x;
+                    let mut wet = dry;
+                    for st in &mut self.stages {
+                        wet = st[ch].tick(a, wet);
+                    }
+                    *x = dry * (1.0 - mix) + wet * mix;
+                }
             }
         }
     }

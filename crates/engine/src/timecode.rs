@@ -45,18 +45,16 @@ impl TimecodeGenerator {
     /// `speed` (1.0 = nominal forward, negative = reverse, 0 = stopped).
     pub fn generate(&mut self, speed: f32, out: &mut AudioBuf) {
         assert_eq!(out.channels(), 2, "timecode is a stereo signal");
-        let frames = out.frames();
         let amp = speed.abs().clamp(0.0, 2.0).sqrt().min(1.0);
         let dphi = CARRIER_HZ * speed / self.sample_rate;
         // Right channel lags 90° going forward, leads in reverse (because
         // the phase increment is negative, the same -90° offset flips its
         // temporal meaning — exactly like a physical quadrature pickup).
         let quad_off = -0.25f32;
-        for i in 0..frames {
-            let l = (core::f32::consts::TAU * self.phase).sin() * amp;
-            let r = (core::f32::consts::TAU * (self.phase + quad_off)).sin() * amp;
-            out.set_sample(0, i, l);
-            out.set_sample(1, i, r);
+        let (left, right) = out.as_planar_slices_mut();
+        for (l, r) in left.iter_mut().zip(right) {
+            *l = (core::f32::consts::TAU * self.phase).sin() * amp;
+            *r = (core::f32::consts::TAU * (self.phase + quad_off)).sin() * amp;
             self.phase = advance_phase(self.phase, dphi);
         }
     }
@@ -86,8 +84,10 @@ pub struct TimecodeDecoder {
     sample_rate: f32,
     position: f64,
     last_speed: f32,
-    window_l: std::collections::VecDeque<f32>,
-    window_r: std::collections::VecDeque<f32>,
+    /// The last (at most) `WINDOW` samples of each channel, oldest first:
+    /// flat, so the analysis reads them as slices.
+    window_l: Vec<f32>,
+    window_r: Vec<f32>,
 }
 
 /// Amplitude below which the signal is treated as silence (needle up).
@@ -96,6 +96,17 @@ const SILENCE_FLOOR: f32 = 1e-3;
 /// Sliding analysis window (samples): 512 tracks speeds down to ~0.2.
 const WINDOW: usize = 512;
 
+/// Slide `window` (capacity `WINDOW`) over `incoming`: afterwards it holds
+/// the last `WINDOW` samples seen, oldest first. Never grows the
+/// allocation — the decode path runs inside the real-time APC every cycle.
+fn slide(window: &mut Vec<f32>, incoming: &[f32]) {
+    let incoming = &incoming[incoming.len().saturating_sub(WINDOW)..];
+    let drop = (window.len() + incoming.len()).saturating_sub(WINDOW);
+    window.copy_within(drop.., 0);
+    window.truncate(window.len() - drop);
+    window.extend_from_slice(incoming);
+}
+
 impl TimecodeDecoder {
     /// A decoder for the given sample rate.
     pub fn new(sample_rate: u32) -> Self {
@@ -103,8 +114,8 @@ impl TimecodeDecoder {
             sample_rate: sample_rate as f32,
             position: 0.0,
             last_speed: 0.0,
-            window_l: std::collections::VecDeque::with_capacity(WINDOW),
-            window_r: std::collections::VecDeque::with_capacity(WINDOW),
+            window_l: Vec::with_capacity(WINDOW),
+            window_r: Vec::with_capacity(WINDOW),
         }
     }
 
@@ -112,15 +123,8 @@ impl TimecodeDecoder {
     pub fn decode(&mut self, buf: &AudioBuf) -> TimecodeReading {
         assert_eq!(buf.channels(), 2, "timecode is a stereo signal");
         let frames = buf.frames();
-        // Slide the analysis window.
-        for i in 0..frames {
-            if self.window_l.len() == WINDOW {
-                self.window_l.pop_front();
-                self.window_r.pop_front();
-            }
-            self.window_l.push_back(buf.sample(0, i));
-            self.window_r.push_back(buf.sample(1, i));
-        }
+        slide(&mut self.window_l, buf.channel(0));
+        slide(&mut self.window_r, buf.channel(1));
         let amplitude = buf.peak();
         if amplitude < SILENCE_FLOOR {
             self.last_speed = 0.0;
@@ -130,10 +134,7 @@ impl TimecodeDecoder {
                 position: self.position,
             };
         }
-        // In-place slices of the ring contents — the decode path must not
-        // allocate (it runs inside the real-time APC every cycle).
-        let l: &[f32] = self.window_l.make_contiguous();
-        let r: &[f32] = self.window_r.make_contiguous();
+        let (l, r) = (&self.window_l[..], &self.window_r[..]);
         // |speed| from the zero-crossing rate of the left channel over the
         // window, refined by linear interpolation of the crossing instants.
         let mut crossings = 0u32;
@@ -273,6 +274,125 @@ mod tests {
             last = dec.decode(&buf).speed;
         }
         assert!((last - 1.3).abs() < 0.1, "speed {last}");
+    }
+
+    /// The seed's decoder, kept as the oracle for the flat windows: two
+    /// `VecDeque`s popped and pushed once per sample, made contiguous for
+    /// the analysis.
+    struct DequeDecoder {
+        position: f64,
+        last_speed: f32,
+        window_l: std::collections::VecDeque<f32>,
+        window_r: std::collections::VecDeque<f32>,
+    }
+
+    impl DequeDecoder {
+        fn decode(&mut self, buf: &AudioBuf) -> TimecodeReading {
+            let sample_rate = 44_100.0f32;
+            let frames = buf.frames();
+            for i in 0..frames {
+                if self.window_l.len() == WINDOW {
+                    self.window_l.pop_front();
+                    self.window_r.pop_front();
+                }
+                self.window_l.push_back(buf.sample(0, i));
+                self.window_r.push_back(buf.sample(1, i));
+            }
+            let amplitude = buf.peak();
+            if amplitude < SILENCE_FLOOR {
+                self.last_speed = 0.0;
+                return TimecodeReading {
+                    speed: 0.0,
+                    amplitude,
+                    position: self.position,
+                };
+            }
+            let l: &[f32] = self.window_l.make_contiguous();
+            let r: &[f32] = self.window_r.make_contiguous();
+            let mut crossings = 0u32;
+            let mut first_cross = None;
+            let mut last_cross = None;
+            for i in 1..l.len() {
+                let (a, b) = (l[i - 1], l[i]);
+                if a <= 0.0 && b > 0.0 {
+                    let frac = if (b - a).abs() > 1e-12 {
+                        -a / (b - a)
+                    } else {
+                        0.0
+                    };
+                    let t = (i - 1) as f32 + frac;
+                    if first_cross.is_none() {
+                        first_cross = Some(t);
+                    }
+                    last_cross = Some(t);
+                    crossings += 1;
+                }
+            }
+            let freq = match (first_cross, last_cross) {
+                (Some(f0), Some(f1)) if crossings >= 2 && f1 > f0 => {
+                    (crossings - 1) as f32 / (f1 - f0) * sample_rate
+                }
+                _ => CARRIER_HZ * self.last_speed.abs() * 0.9,
+            };
+            let mut cross = 0.0f32;
+            for i in 0..l.len() - 1 {
+                cross += l[i] * r[i + 1] - l[i + 1] * r[i];
+            }
+            let dir = if cross >= 0.0 { 1.0 } else { -1.0 };
+            let speed = dir * freq / CARRIER_HZ;
+            self.last_speed = speed;
+            self.position += (freq * dir / sample_rate) as f64 * frames as f64;
+            TimecodeReading {
+                speed,
+                amplitude,
+                position: self.position,
+            }
+        }
+    }
+
+    #[test]
+    fn flat_window_decodes_bit_equal_to_the_deque_form() {
+        // Buffer lengths that fill the window in uneven steps, overfill it
+        // in one call (> WINDOW) and leave it untouched (0).
+        for frames in [128usize, 1, 100, 511, 512, 700, 0] {
+            let mut gen = TimecodeGenerator::new(44_100);
+            let mut flat = TimecodeDecoder::new(44_100);
+            let mut deque = DequeDecoder {
+                position: 0.0,
+                last_speed: 0.0,
+                window_l: std::collections::VecDeque::with_capacity(WINDOW),
+                window_r: std::collections::VecDeque::with_capacity(WINDOW),
+            };
+            let mut buf = AudioBuf::zeroed(2, frames);
+            for block in 0..400 {
+                // A platter that speeds up, reverses, crawls and stops.
+                let speed = match block / 50 {
+                    0 => 1.0,
+                    1 => 1.0 + (block - 50) as f32 * 0.01,
+                    2 => -0.8,
+                    3 => 0.05,
+                    4 => 0.0,
+                    _ => 0.3 + (block % 7) as f32 * 0.2,
+                };
+                gen.generate(speed, &mut buf);
+                let (got, want) = (flat.decode(&buf), deque.decode(&buf));
+                assert_eq!(
+                    (
+                        got.speed.to_bits(),
+                        got.amplitude.to_bits(),
+                        got.position.to_bits()
+                    ),
+                    (
+                        want.speed.to_bits(),
+                        want.amplitude.to_bits(),
+                        want.position.to_bits()
+                    ),
+                    "{frames} frames, block {block}"
+                );
+            }
+            assert_eq!(flat.window_l.capacity(), WINDOW, "the window never regrows");
+            assert_eq!(flat.window_r.capacity(), WINDOW);
+        }
     }
 
     #[test]

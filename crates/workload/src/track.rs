@@ -84,6 +84,14 @@ fn beat_len(bpm: f32) -> usize {
     ((60.0 / bpm * SAMPLE_RATE as f32) as usize).clamp(64, 60 * SAMPLE_RATE as usize)
 }
 
+/// Samples in a track of `seconds`, clamped to [0, one hour] so that a
+/// non-finite or negative length (the cast saturates: NaN and negatives to
+/// 0, +inf to `usize::MAX`, a capacity overflow in `vec!`) still yields a
+/// track that can be allocated.
+fn track_len(seconds: f32) -> usize {
+    ((seconds * SAMPLE_RATE as f32) as usize).min(3_600 * SAMPLE_RATE as usize)
+}
+
 /// What `seed` and `style` decide about a track, shared by both renderers.
 struct Voicing {
     root_hz: f32,
@@ -162,7 +170,7 @@ fn hat_env_at(hat_level: f32, hat_pos: usize) -> f32 {
 pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Track {
     use core::f32::consts::TAU;
     let sr = SAMPLE_RATE as f32;
-    let n = (seconds * sr) as usize;
+    let n = track_len(seconds);
     let mut samples = vec![0.0f32; n];
     let v = Voicing::new(seed, style);
     let mut noise = Noise::new(seed);
@@ -249,7 +257,7 @@ pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Trac
 /// Test and bench oracle for [`synth_track`]; nothing at run time calls it.
 pub fn synth_track_reference(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Track {
     let sr = SAMPLE_RATE;
-    let n = (seconds * sr as f32) as usize;
+    let n = track_len(seconds);
     let mut samples = vec![0.0f32; n];
     let Voicing {
         root_hz,
@@ -420,6 +428,19 @@ mod tests {
         }
         // A valid tempo is untouched by the clamp.
         assert_eq!(beat_len(126.0), 21_000);
+
+        // Likewise the length. None: an empty track from both renderers.
+        for seconds in [0.0, -1.0, f32::NAN, f32::NEG_INFINITY, 1e-30] {
+            assert_eq!(track_len(seconds), 0, "seconds {seconds}");
+            let fast = synth_track(3, 126.0, seconds, TrackStyle::House);
+            let reference = synth_track_reference(3, 126.0, seconds, TrackStyle::House);
+            assert!(fast.samples().is_empty() && reference.samples().is_empty());
+        }
+        // Too long: one hour (`usize::MAX` samples overflowed `vec!`).
+        for seconds in [f32::INFINITY, 1e30, 3_600.5] {
+            assert_eq!(track_len(seconds), 3_600 * 44_100, "seconds {seconds}");
+        }
+        assert_eq!(track_len(30.0), 30 * 44_100);
     }
 
     #[test]

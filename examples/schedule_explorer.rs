@@ -3,11 +3,16 @@
 //!
 //! ```sh
 //! cargo run --release --example schedule_explorer -- [threads] [--dot]
+//! cargo run --release --example schedule_explorer -- --costs [light|paper]
 //! ```
 //!
-//! With `--dot` the graph is printed in Graphviz format instead.
+//! With `--dot` the graph is printed in Graphviz format instead. With
+//! `--costs` the *nodes* layer of the budget tree (APC → phases → nodes →
+//! kernel families) is printed instead: SEQ x 1 on the light (default) or
+//! paper-scale work profile, one row per node, most expensive first.
 
 use djstar_core::exec::Strategy;
+use djstar_core::graph::NodeId;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::graphbuild::build_djstar_graph;
 use djstar_sim::earliest::earliest_start;
@@ -15,7 +20,62 @@ use djstar_sim::gantt::render_schedule;
 use djstar_sim::list::list_schedule;
 use djstar_sim::model::{DurationModel, SimGraph};
 use djstar_sim::strategy::{simulate_strategy, OverheadModel, SimStrategy};
+use djstar_stats::summary::Summary;
+use djstar_workload::profile::WorkProfile;
 use djstar_workload::scenario::Scenario;
+
+/// Per-node cost table of the scenario `benchmark/`'s `dsp_seq` (light) or
+/// `paper_busy` (paper) workload runs, on SEQ x 1 so a node's duration is
+/// its own work and nothing else.
+fn print_costs(profile: &str) {
+    let (work, aux) = match profile {
+        "light" => (WorkProfile::light(), AuxWork::light()),
+        "paper" => (WorkProfile::paper_scale(), AuxWork::paper_scale()),
+        other => {
+            eprintln!("--costs takes `light` or `paper`, not `{other}`");
+            std::process::exit(2);
+        }
+    };
+    let mut scenario = Scenario::paper_default();
+    scenario.work = work;
+    eprintln!("measuring node durations (200 warm-up + 4000 cycles) ...");
+    let mut engine = AudioEngine::with_aux(scenario, Strategy::Sequential, 1, aux);
+    engine.warmup(200);
+    let samples = engine.measured_node_durations(4_000);
+    let topology = engine.executor_mut().topology();
+    let mut rows: Vec<(&str, Summary)> = samples
+        .iter()
+        .enumerate()
+        .filter_map(|(id, ns)| {
+            let ns: Vec<f64> = ns.iter().map(|&d| d as f64).collect();
+            Some((topology.name(NodeId(id as u32)), Summary::of(&ns)?))
+        })
+        .collect();
+    rows.sort_by(|a, b| b.1.mean.total_cmp(&a.1.mean));
+    let total: f64 = rows.iter().map(|(_, s)| s.mean).sum();
+
+    println!("## Node costs: {profile} profile, SEQ x 1, 4000 cycles\n");
+    println!(
+        "{:<14} {:>10} {:>10} {:>7}",
+        "node", "mean ns", "p50 ns", "share"
+    );
+    println!(
+        "{:<14} {:>10.0} {:>10} {:>6.1}%",
+        format!("total ({})", rows.len()),
+        total,
+        "",
+        100.0
+    );
+    for (name, s) in &rows {
+        println!(
+            "{:<14} {:>10.0} {:>10.0} {:>6.1}%",
+            name,
+            s.mean,
+            s.median,
+            100.0 * s.mean / total
+        );
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,6 +84,11 @@ fn main() {
         .filter_map(|a| a.parse().ok())
         .find(|&t: &usize| (1..=16).contains(&t))
         .unwrap_or(4);
+
+    if let Some(at) = args.iter().position(|a| a == "--costs") {
+        print_costs(args.get(at + 1).map_or("light", String::as_str));
+        return;
+    }
 
     if args.iter().any(|a| a == "--dot") {
         let (graph, _) = build_djstar_graph(&Scenario::paper_default());
