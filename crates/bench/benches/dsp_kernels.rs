@@ -96,7 +96,7 @@ fn spfilter_chain() -> Vec<Biquad> {
 }
 
 /// Every vectorized kernel, scalar vs SIMD on the same corpus — the raw
-/// per-kernel speedups the E16 gate (`fig_dsp_simd`) checks.
+/// per-kernel speedups (the benchmark's `dsp.*_ns` rows track the SIMD side).
 fn bench_simd_pairs() {
     group("simd_vs_scalar_128f");
 

@@ -33,9 +33,8 @@ fn main() {
 
     // The light scenario's ~1.5 us nodes make this a *worst case*: the
     // dominant cost is two clock reads per node, which is a fixed ns/node
-    // tax. The acceptance guard (< 2 % of mean graph time) is measured by
-    // telemetry_report on the calibrated paper-scale workload, whose nodes
-    // are ~10x longer.
+    // tax. On the paper-scale workloads, whose nodes are ~10x longer, the
+    // benchmark's `bench.trace_overhead_pct` row tracks the recording cost.
     group("end-to-end overhead (light scenario, SEQ, 300 cycles)");
     let scenario = Scenario::light_test();
     let cycles = 300;
@@ -64,5 +63,5 @@ fn main() {
     println!("telemetry on : {best_on:>12.1} ns/cycle (median)");
     let per_node = (best_on - best_off) / 67.0;
     println!("overhead     : {pct:+.3} % on ~1.5 us nodes ({per_node:.0} ns/node fixed tax)");
-    println!("(the 2 % acceptance budget applies at paper scale — see telemetry_report)");
+    println!("(paper scale: see the benchmark's bench.trace_overhead_pct row)");
 }

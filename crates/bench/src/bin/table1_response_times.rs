@@ -74,7 +74,7 @@ fn main() {
         .min(4);
     println!("\n# Telemetry (real engines, {real_threads} thread(s), 400 cycles)\n");
     for strat in [Strategy::Busy, Strategy::Sleep, Strategy::Steal] {
-        let label = djstar_bench::telemetry::strategy_label(strat).to_lowercase();
+        let label = strat.label().to_lowercase();
         let report = djstar_bench::telemetry::capture_and_export(
             &format!("table1_{label}_{real_threads}t"),
             &h.scenario,

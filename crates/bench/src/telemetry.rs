@@ -2,12 +2,9 @@
 //!
 //! The executors record per-worker [`CycleCounters`] into a
 //! [`TelemetryRing`]; this module runs an engine with telemetry enabled,
-//! drains the ring, and writes the two artifact kinds the evaluation keeps:
-//!
-//! * `results/telemetry_<tag>.jsonl` — one JSON object per cycle with the
-//!   full per-worker counter snapshots (raw material for later analysis),
-//! * `BENCH_telemetry.json` — the aggregated per-strategy baseline
-//!   (mean/percentile graph and wait times, counter totals, miss ledger).
+//! drains the ring, writes `results/telemetry_<tag>.jsonl` (one JSON object
+//! per cycle with the full per-worker counter snapshots) and returns the
+//! aggregated [`TelemetryReport`] the binaries print.
 //!
 //! [`CycleCounters`]: djstar_core::telemetry::CycleCounters
 
@@ -15,43 +12,18 @@ use djstar_core::exec::Strategy;
 use djstar_core::telemetry::TelemetryRing;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_stats::telemetry::{cycle_json_for_session, TelemetryReport};
-use djstar_stats::Json;
 use djstar_workload::scenario::Scenario;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The sound-card cycle budget (128 frames at 44.1 kHz, §VI's 2.9 ms) that
 /// the miss ledger accounts graph times against.
-pub const DEADLINE_NS: u64 = 2_902_494;
-
-/// Short label for a strategy, as used in artifact names and reports.
-pub fn strategy_label(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Sequential => "SEQ",
-        Strategy::Busy => "BUSY",
-        Strategy::Sleep => "SLEEP",
-        Strategy::Steal => "WS",
-        Strategy::Hybrid => "HYBRID",
-        Strategy::Planned => "PLAN",
-    }
-}
+const DEADLINE_NS: u64 = 2_902_494;
 
 /// Run `cycles` APCs of `scenario` under `strategy` with telemetry enabled
-/// (after `warmup` untracked cycles) and return the drained ring.
-pub fn collect_telemetry(
-    scenario: &Scenario,
-    strategy: Strategy,
-    threads: usize,
-    warmup: usize,
-    cycles: usize,
-) -> TelemetryRing {
-    collect_telemetry_with_drops(scenario, strategy, threads, warmup, cycles).0
-}
-
-/// [`collect_telemetry`], also returning the engine's dropped-event count
-/// so reports can carry it. Harnesses that never feed control events
-/// always see 0, but the export path must not silently omit the counter.
-pub fn collect_telemetry_with_drops(
+/// (after `warmup` untracked cycles); return the drained ring and the
+/// engine's dropped-event count.
+fn collect_telemetry(
     scenario: &Scenario,
     strategy: Strategy,
     threads: usize,
@@ -72,14 +44,14 @@ pub fn collect_telemetry_with_drops(
 
 /// Aggregate a ring into a [`TelemetryReport`] against [`DEADLINE_NS`].
 /// The report carries the ring's venue session id (0 for solo engines).
-pub fn report_for(strategy: Strategy, threads: usize, ring: &TelemetryRing) -> TelemetryReport {
-    TelemetryReport::from_records(strategy_label(strategy), threads, DEADLINE_NS, ring.iter())
+fn report_for(strategy: Strategy, threads: usize, ring: &TelemetryRing) -> TelemetryReport {
+    TelemetryReport::from_records(strategy.label(), threads, DEADLINE_NS, ring.iter())
         .expect("telemetry ring is non-empty after a measured run")
         .with_session(ring.session())
 }
 
 /// `results/telemetry_<tag>.jsonl`, creating `results/` if needed.
-pub fn jsonl_path(tag: &str) -> PathBuf {
+fn jsonl_path(tag: &str) -> PathBuf {
     let dir = Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("[telemetry] cannot create {}: {e}", dir.display());
@@ -87,35 +59,23 @@ pub fn jsonl_path(tag: &str) -> PathBuf {
     dir.join(format!("telemetry_{tag}.jsonl"))
 }
 
-/// Write a ring as JSONL, one cycle record per line, oldest first. Every
-/// line carries the ring's venue session id (0 for solo engines) so
-/// multi-session exports stay attributable.
-pub fn write_jsonl(path: &Path, ring: &TelemetryRing) -> std::io::Result<()> {
+/// Write a ring as JSONL, one cycle record per line, oldest first.
+fn write_jsonl(path: &Path, ring: &TelemetryRing) -> std::io::Result<()> {
     let mut out = String::new();
     render_jsonl(&mut out, ring);
     let mut f = std::fs::File::create(path)?;
     f.write_all(out.as_bytes())
 }
 
-/// Append a ring's JSONL lines to `out` (used to concatenate several
-/// sessions' rings into one venue export).
-pub fn render_jsonl(out: &mut String, ring: &TelemetryRing) {
+/// Append a ring's JSONL lines to `out`. Every line carries the ring's
+/// venue session id (0 for solo engines) so multi-session exports stay
+/// attributable.
+fn render_jsonl(out: &mut String, ring: &TelemetryRing) {
     let session = ring.session();
     for record in ring.iter() {
         out.push_str(&cycle_json_for_session(record, session).render());
         out.push('\n');
     }
-}
-
-/// Write several rings — typically one per venue session — into a single
-/// JSONL file, each line tagged with its ring's session id.
-pub fn write_jsonl_multi(path: &Path, rings: &[TelemetryRing]) -> std::io::Result<()> {
-    let mut out = String::new();
-    for ring in rings {
-        render_jsonl(&mut out, ring);
-    }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
 }
 
 /// Capture + export in one step: run, write `results/telemetry_<tag>.jsonl`,
@@ -129,7 +89,7 @@ pub fn capture_and_export(
     warmup: usize,
     cycles: usize,
 ) -> TelemetryReport {
-    let (ring, dropped) = collect_telemetry_with_drops(scenario, strategy, threads, warmup, cycles);
+    let (ring, dropped) = collect_telemetry(scenario, strategy, threads, warmup, cycles);
     let path = jsonl_path(tag);
     match write_jsonl(&path, &ring) {
         Ok(()) => eprintln!(
@@ -142,47 +102,11 @@ pub fn capture_and_export(
     report_for(strategy, threads, &ring).with_dropped_events(dropped)
 }
 
-/// Render `BENCH_telemetry.json`: run metadata plus one entry per report.
-pub fn bench_json(reports: &[TelemetryReport]) -> Json {
-    Json::object([
-        ("bench", Json::from("telemetry")),
-        ("deadline_ns", Json::from(DEADLINE_NS)),
-        (
-            "runs",
-            Json::array(reports.iter().map(TelemetryReport::to_json)),
-        ),
-    ])
-}
-
-/// Per-cycle graph times (ns) over `cycles` APCs, with telemetry on or off
-/// — the raw measurement behind the <2 % overhead guard.
-pub fn graph_times_ns(
-    scenario: &Scenario,
-    strategy: Strategy,
-    threads: usize,
-    warmup: usize,
-    cycles: usize,
-    telemetry: bool,
-) -> Vec<u64> {
-    let mut engine = AudioEngine::with_aux(scenario.clone(), strategy, threads, AuxWork::light());
-    engine.warmup(warmup);
-    engine.set_telemetry(telemetry);
-    (0..cycles)
-        .map(|_| engine.run_apc().graph.as_nanos() as u64)
-        .collect()
-}
-
-/// Median of a sample (ns). Robust to the multi-millisecond scheduler
-/// stalls shared hosts inject (see DESIGN.md §4.2) — a handful of stalled
-/// cycles shift a mean by far more than the sub-percent effect the
-/// overhead guard measures, but leave the median untouched.
-pub fn median_ns(mut samples: Vec<u64>) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
-}
-
 /// Median graph time (ns) over `cycles` APCs, with telemetry on or off.
+/// The median is robust to the multi-millisecond scheduler stalls shared
+/// hosts inject (see DESIGN.md §4.2): a handful of stalled cycles shift a
+/// mean by far more than the effect being measured, but leave the median
+/// untouched.
 pub fn median_graph_ns(
     scenario: &Scenario,
     strategy: Strategy,
@@ -191,61 +115,14 @@ pub fn median_graph_ns(
     cycles: usize,
     telemetry: bool,
 ) -> f64 {
-    median_ns(graph_times_ns(
-        scenario, strategy, threads, warmup, cycles, telemetry,
-    ))
-}
-
-/// Relative telemetry overhead: the median over many paired off/on block
-/// deltas, normalized by the fastest telemetry-off cycle.
-///
-/// Design, driven by how noisy shared hosts are (DESIGN.md §4.2):
-///
-/// * **One engine, paired blocks.** Telemetry is toggled off-then-on in
-///   adjacent `BLOCK`-cycle blocks on the *same* engine; each pair yields
-///   one delta `min(on block) - min(off block)`. Adjacency means
-///   seconds-scale drift (CPU frequency, noisy neighbors) cancels inside
-///   a pair — separate off-run-then-on-run measurements drift apart by
-///   more than the sub-percent effect under test.
-/// * **Minimum within a block.** Telemetry adds a uniform per-cycle cost
-///   while host noise only ever *adds* time, so the fastest cycle per
-///   block isolates the clean-path difference.
-/// * **Median across pairs.** A pair that straddles a preemption burst
-///   produces a wild delta of either sign; the median over dozens of
-///   pairs sheds those outliers entirely.
-///
-/// `cycles * trials` is the total cycle budget, split evenly off/on.
-pub fn overhead_fraction(
-    scenario: &Scenario,
-    strategy: Strategy,
-    threads: usize,
-    cycles: usize,
-    trials: usize,
-) -> f64 {
-    const BLOCK: usize = 25;
-    let pairs = (cycles.max(1) * trials.max(1) / (2 * BLOCK)).max(2);
     let mut engine = AudioEngine::with_aux(scenario.clone(), strategy, threads, AuxWork::light());
-    engine.warmup(50);
-    let block_min = |engine: &mut AudioEngine, telem: bool| -> u64 {
-        // Toggling happens between blocks, off the measured path; the ring
-        // (re)allocation it implies never lands inside a cycle.
-        engine.set_telemetry(telem);
-        (0..BLOCK)
-            .map(|_| engine.run_apc().graph.as_nanos() as u64)
-            .min()
-            .expect("BLOCK > 0")
-    };
-    let mut deltas = Vec::with_capacity(pairs);
-    let mut best_off = u64::MAX;
-    for _ in 0..pairs {
-        let off = block_min(&mut engine, false);
-        let on = block_min(&mut engine, true);
-        best_off = best_off.min(off);
-        deltas.push(on as f64 - off as f64);
-    }
-    deltas.sort_unstable_by(f64::total_cmp);
-    let median_delta = deltas[deltas.len() / 2];
-    median_delta / best_off as f64
+    engine.warmup(warmup);
+    engine.set_telemetry(telemetry);
+    let mut samples: Vec<u64> = (0..cycles)
+        .map(|_| engine.run_apc().graph.as_nanos() as u64)
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2] as f64
 }
 
 #[cfg(test)]
@@ -254,7 +131,7 @@ mod tests {
 
     #[test]
     fn collect_returns_one_record_per_cycle() {
-        let ring = collect_telemetry(&Scenario::light_test(), Strategy::Sequential, 1, 3, 17);
+        let (ring, _) = collect_telemetry(&Scenario::light_test(), Strategy::Sequential, 1, 3, 17);
         assert_eq!(ring.len(), 17);
         assert_eq!(ring.total_pushed(), 17);
         let report = report_for(Strategy::Sequential, 1, &ring);
@@ -265,7 +142,7 @@ mod tests {
 
     #[test]
     fn jsonl_has_one_line_per_cycle() {
-        let ring = collect_telemetry(&Scenario::light_test(), Strategy::Busy, 2, 2, 5);
+        let (ring, _) = collect_telemetry(&Scenario::light_test(), Strategy::Busy, 2, 2, 5);
         let dir = std::env::temp_dir().join("djstar_telemetry_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
@@ -325,14 +202,5 @@ mod tests {
                 id
             );
         }
-    }
-
-    #[test]
-    fn bench_json_lists_runs() {
-        let ring = collect_telemetry(&Scenario::light_test(), Strategy::Sequential, 1, 1, 4);
-        let r = report_for(Strategy::Sequential, 1, &ring);
-        let j = bench_json(&[r]).render();
-        assert!(j.starts_with("{\"bench\":\"telemetry\""));
-        assert!(j.contains("\"strategy\":\"SEQ\""));
     }
 }

@@ -12,8 +12,9 @@
 //! cross-strategy audio equality) byte-for-byte stable.
 //!
 //! [`set_force_scalar`] flips every dispatching kernel in the crate onto its
-//! scalar reference path; the E16 harness (`fig_dsp_simd`) uses it for
-//! whole-graph scalar↔SIMD A/B runs on an otherwise identical engine.
+//! scalar reference path; `tests/simd_parity.rs` uses it to hold the
+//! stretcher's two paths bit-equal and the `dsp_kernels` bench for timed
+//! scalar↔SIMD pairs.
 
 use core::sync::atomic::{AtomicBool, Ordering};
 

@@ -323,3 +323,58 @@ fn shaped_construction_matches_reconfigured_shape() {
     assert_eq!(direct.shape(), edited.shape());
     assert_eq!(direct.shape().node_count(), 67 - 13 + 2);
 }
+
+#[test]
+fn deadline_governor_sheds_and_restores_through_the_engine() {
+    use djstar_engine::degrade::{DegradeAction, DegradeConfig};
+    let mut engine = light_engine(Strategy::Busy, 2);
+    engine.warmup(5);
+    let full = *engine.shape();
+    assert!(full.fx_slots.iter().all(|&n| n > 1), "nothing to shed");
+    let cfg = DegradeConfig {
+        window: 8,
+        shed_misses: 4,
+        restore_clean: 16,
+        restore_tolerance: 0,
+        min_dwell: 4,
+    };
+    engine.enable_degradation(cfg);
+    // Scripted verdicts, two overload episodes: sustained misses, then
+    // clean air. A shed may only commit inside a miss phase and a
+    // restore only inside a clean one.
+    let script = [(true, 12), (false, 30), (true, 12), (false, 30)];
+    let mut actions = Vec::new();
+    for (missed, cycles) in script {
+        for _ in 0..cycles {
+            engine.run_apc();
+            assert!(engine.output().is_finite());
+            let Some(outcome) = engine.observe_deadline(missed) else {
+                continue;
+            };
+            match outcome.action {
+                DegradeAction::Shed => {
+                    assert!(missed, "shed during clean air");
+                    assert!(engine.is_degraded());
+                    for d in 0..4 {
+                        assert_eq!(engine.shape().fx_slots[d], 1, "deck {d} chain not trimmed");
+                    }
+                }
+                DegradeAction::Restore => {
+                    assert!(!missed, "restore under sustained misses");
+                    assert!(!engine.is_degraded());
+                    assert_eq!(*engine.shape(), full, "restore lost the saved shape");
+                }
+            }
+            assert_eq!(engine.generation(), outcome.generation);
+            actions.push(outcome.action);
+        }
+    }
+    use DegradeAction::{Restore, Shed};
+    assert_eq!(actions, [Shed, Restore, Shed, Restore]);
+    let events = engine.degrade_events();
+    assert_eq!(events.iter().map(|e| e.action).collect::<Vec<_>>(), actions);
+    for pair in events.windows(2) {
+        assert!(pair[1].cycle >= pair[0].cycle + cfg.min_dwell);
+    }
+    assert_eq!(*engine.shape(), full);
+}

@@ -103,3 +103,54 @@ fn fault_storm_and_lossy_net_in_one_session_leave_the_other_bit_exact() {
         "victim miss count changed beside a faulted session"
     );
 }
+
+/// Run [`CYCLES`] cycles of a venue whose two admitted sessions declare
+/// `2 × 400 ms` against a 1 s deadline, optionally offering a third
+/// (300 ms) that the budget cannot take. Returns both sessions' per-cycle
+/// audio checksums.
+fn run_admitted_pair(offer_refused: bool) -> (u64, u64) {
+    const BOUND_NS: u64 = 400_000_000;
+    let mut venue = VenueServer::new(LANES, std::time::Duration::from_secs(1), 0.0);
+    let a = venue
+        .admit_bounded(aggressor_spec(false), BOUND_NS)
+        .expect("admit first session");
+    let b = venue
+        .admit_bounded(victim_spec(), BOUND_NS)
+        .expect("admit second session");
+    if offer_refused {
+        let (sessions, load) = (venue.session_count(), venue.load_ns());
+        let refused = venue
+            .admit_bounded(aggressor_spec(true), 300_000_000)
+            .expect_err("the third session overflows the budget");
+        // The verdict is the simulator's admission oracle.
+        assert!(!djstar_sim::admissible(
+            &[BOUND_NS, BOUND_NS, 300_000_000],
+            venue.deadline_ns(),
+            venue.margin()
+        ));
+        assert_eq!(
+            (refused.bound_ns, refused.load_ns, refused.budget_ns),
+            (300_000_000, load, venue.budget_ns())
+        );
+        assert_eq!(venue.rejections(), 1);
+        assert_eq!(venue.session_count(), sessions);
+        assert_eq!(venue.load_ns(), load);
+        assert_eq!(venue.session_ids(), [a, b]);
+    }
+    let (mut sum_a, mut sum_b) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+    for _ in 0..CYCLES {
+        venue.run_cycle();
+        sum_a = fold_checksum(sum_a, &venue.engine_mut(a).unwrap().output());
+        sum_b = fold_checksum(sum_b, &venue.engine_mut(b).unwrap().output());
+    }
+    (sum_a, sum_b)
+}
+
+#[test]
+fn a_refused_session_leaves_the_admitted_ones_untouched() {
+    assert_eq!(
+        run_admitted_pair(true),
+        run_admitted_pair(false),
+        "a refusal changed an admitted session's audio"
+    );
+}

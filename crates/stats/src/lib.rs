@@ -13,61 +13,30 @@
 //! [`SpeedupTable`] for strategy × thread-count matrices,
 //! [`DeadlineTracker`] for miss accounting, and plain-text renderers
 //! ([`render`]) used by every harness binary so figures can be regenerated on
-//! a terminal without a plotting stack.
+//! a terminal without a plotting stack. Beside them sit the telemetry
+//! aggregate ([`TelemetryReport`]), causal miss forensics ([`analyze_miss`])
+//! and the Chrome-trace exporter for flight-recorder windows
+//! ([`window_to_ctf`]).
 
 pub mod ctf;
 pub mod deadline;
-pub mod dsp;
-pub mod faults;
-pub mod flightrec;
 pub mod forensics;
 pub mod histogram;
 pub mod json;
-pub mod modes;
-pub mod net;
 pub mod online;
-pub mod plan;
-pub mod reconfig;
 pub mod render;
 pub mod report;
 pub mod speedup;
 pub mod summary;
 pub mod telemetry;
-pub mod venue;
 
 pub use ctf::{window_from_ctf, window_to_ctf};
 pub use deadline::DeadlineTracker;
-pub use dsp::{DspReport, KernelSpeedup, StrategyDsp};
-pub use faults::{FaultReport, StrategyFaults};
-pub use flightrec::{FlightRecReport, StrategyFlightRec};
 pub use forensics::{analyze_miss, BlameBreakdown, MissContext, MissDossier, PathSlice, SliceKind};
 pub use histogram::{CumulativeView, Histogram};
 pub use json::Json;
-pub use modes::{ModeAdmissionTrial, ModesReport, StrategyModes};
-pub use net::{DepthTrade, FixedDepthRun, NetReport, StrategyNet};
 pub use online::OnlineStats;
-pub use plan::{scan_baseline_p50, PlanReport};
-pub use reconfig::{ReconfigReport, StrategyReconfig};
 pub use report::CsvReport;
 pub use speedup::SpeedupTable;
 pub use summary::Summary;
-pub use telemetry::{cycle_json, cycle_json_for_session, MissEntry, Percentiles, TelemetryReport};
-pub use venue::{AdmissionTrial, ScalingPoint, SessionLedgerEntry, StrategyVenue, VenueReport};
-
-/// Convert seconds to microseconds (the unit the paper reports graph times in).
-#[inline]
-pub fn secs_to_us(s: f64) -> f64 {
-    s * 1e6
-}
-
-/// Convert nanoseconds to milliseconds (the unit of Table I).
-#[inline]
-pub fn ns_to_ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
-/// Convert nanoseconds to microseconds.
-#[inline]
-pub fn ns_to_us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
+pub use telemetry::TelemetryReport;

@@ -7,10 +7,8 @@
 //! totals, a deadline-miss ledger naming the offending cycles, a JSONL
 //! line per cycle, and a human-readable report.
 
-use crate::histogram::Histogram;
 use crate::json::Json;
 use crate::online::OnlineStats;
-use crate::render;
 use crate::summary::Summary;
 use djstar_core::telemetry::{CounterSnapshot, CycleRecord};
 
@@ -93,10 +91,6 @@ pub struct TelemetryReport {
     /// derivable from the ring; attached by the capture path via
     /// [`with_dropped_events`](Self::with_dropped_events).
     pub dropped_events: u64,
-    /// Stagings whose PLAN blueprint failed to compile — typed refusals,
-    /// never silent planless commits; attached via
-    /// [`with_stage_failures`](Self::with_stage_failures).
-    pub stage_failures: u64,
     /// Venue session id the aggregated ring was recording for (0 = solo
     /// engine); attached via [`with_session`](Self::with_session).
     pub session: u32,
@@ -154,7 +148,6 @@ impl TelemetryReport {
             misses,
             miss_count,
             dropped_events: 0,
-            stage_failures: 0,
             session: 0,
         })
     }
@@ -165,20 +158,13 @@ impl TelemetryReport {
         self
     }
 
-    /// Attach the engine's blueprint-staging-failure counter to the
-    /// report.
-    pub fn with_stage_failures(mut self, failures: u64) -> Self {
-        self.stage_failures = failures;
-        self
-    }
-
     /// Attach the venue session id the ring was recording for.
     pub fn with_session(mut self, session: u32) -> Self {
         self.session = session;
         self
     }
 
-    /// The report as a JSON object (one entry of `BENCH_telemetry.json`).
+    /// The report as a JSON object: the machine-readable form of [`render`](Self::render).
     pub fn to_json(&self) -> Json {
         Json::object([
             ("strategy", Json::from(self.strategy.clone())),
@@ -193,7 +179,6 @@ impl TelemetryReport {
             ("wait_ns", self.wait_pct.to_json()),
             ("counters", counters_json(&self.totals)),
             ("dropped_events", Json::from(self.dropped_events)),
-            ("stage_failures", Json::from(self.stage_failures)),
             ("deadline_misses", Json::from(self.miss_count)),
             (
                 "miss_ledger",
@@ -283,33 +268,12 @@ impl TelemetryReport {
         }
         out
     }
-
-    /// Fig. 9-style histogram of per-cycle graph times (`samples_ns`,
-    /// typically re-collected from the same ring the report was built on).
-    pub fn render_histogram(&self, samples_ns: &[f64], bins: usize, width: usize) -> String {
-        if samples_ns.is_empty() {
-            return String::new();
-        }
-        let ms = 1e-6;
-        let hi = (self.graph_max_ns * ms * 1.05).max(1e-3);
-        let mut h = Histogram::new(0.0, hi, bins.max(1));
-        for &s in samples_ns {
-            h.record(s * ms);
-        }
-        render::histogram_bars(&h, width, "ms")
-    }
 }
 
-/// One cycle record as a JSONL line object: cycle stamp, graph time, and
-/// the full per-worker counter snapshots. Equivalent to
-/// [`cycle_json_for_session`] with the solo session id 0.
-pub fn cycle_json(record: &CycleRecord) -> Json {
-    cycle_json_for_session(record, 0)
-}
-
-/// [`cycle_json`] tagged with the venue session id the record's ring was
-/// recording for (`TelemetryRing::session`; 0 = solo engine), so venue
-/// JSONL exports attribute every cycle line to its session.
+/// One cycle record as a JSONL line object: cycle stamp, the venue session
+/// id the record's ring was recording for (`TelemetryRing::session`; 0 =
+/// solo engine, so venue exports attribute every line to its session),
+/// graph time, and the full per-worker counter snapshots.
 pub fn cycle_json_for_session(record: &CycleRecord, session: u32) -> Json {
     Json::object([
         ("cycle", Json::from(record.cycle)),
@@ -323,7 +287,7 @@ pub fn cycle_json_for_session(record: &CycleRecord, session: u32) -> Json {
 }
 
 /// A counter snapshot as a JSON object (field order fixed).
-pub fn counters_json(c: &CounterSnapshot) -> Json {
+fn counters_json(c: &CounterSnapshot) -> Json {
     Json::object([
         ("spin_iters", Json::from(c.spin_iters)),
         ("busy_wait_ns", Json::from(c.busy_wait_ns)),
@@ -409,7 +373,7 @@ mod tests {
     #[test]
     fn json_shapes_are_stable() {
         let r = record(7, 1234, 500, 100);
-        let line = cycle_json(&r).render();
+        let line = cycle_json_for_session(&r, 0).render();
         assert!(line.starts_with("{\"cycle\":7,\"session\":0,\"graph_ns\":1234,\"workers\":[{"));
         assert!(line.contains("\"exec_ns\":500"));
         let tagged = cycle_json_for_session(&r, 3).render();
@@ -504,7 +468,5 @@ mod tests {
         let text = report.render();
         assert!(text.contains("HYBRID @ 2 thread(s), 10 cycles"));
         assert!(text.contains("deadline"));
-        let hist = report.render_histogram(&[2_000_000.0; 10], 8, 40);
-        assert!(hist.contains("ms"));
     }
 }

