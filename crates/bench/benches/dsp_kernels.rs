@@ -5,7 +5,7 @@ use djstar_bench::microbench::{bench, group};
 use djstar_dsp::biquad::{process_chain, process_chain_scalar, Biquad, FilterKind};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::{Compressor, Limiter};
-use djstar_dsp::effects::{Chorus, EchoDelay, EffectKind, Flanger, Phaser};
+use djstar_dsp::effects::{EchoDelay, EffectKind, Flanger, Phaser};
 use djstar_dsp::eq::ThreeBandEq;
 use djstar_dsp::meter::goertzel_power;
 use djstar_dsp::mix::{mix_into, mix_into_scalar};
@@ -43,7 +43,6 @@ fn bench_effects() {
     reference_row!(EchoDelay, EchoDelay::new(sr, 0.25, 0.45, 0.5));
     reference_row!(Flanger, Flanger::new(sr, 0.4, 0.7, 0.5));
     reference_row!(Phaser, Phaser::new(sr, 0.3, 4, 0.6));
-    reference_row!(Chorus, Chorus::new(sr, 0.8, 0.5));
 }
 
 fn bench_filters() {

@@ -80,7 +80,7 @@ fn main() {
             "apc/graph/biquad" => "SpFilter cascades",
             "apc/graph/eq" => "3-band EQ",
             "apc/graph/mix" => "gain / sum / crossfade",
-            "apc/graph/fft" => "spectral effects",
+            "apc/graph/fft" => "FFT (no deck-chain node)",
             "apc/graph/dynamics" => "limiter / compressor / clip",
             "apc/preprocessing/stretch" => "WSOLA time stretch",
             _ => "",

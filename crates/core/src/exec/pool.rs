@@ -14,7 +14,7 @@
 //! 1. The driver *stages* each session: `Shared::prepare_cycle` resets the
 //!    session graph, copies externals and bumps the session epoch (a
 //!    `Release` store that wakes nobody), then `VenuePool::stage` marks
-//!    the session's [`PoolEntry`] for the next batch.
+//!    the session's `PoolEntry` for the next batch.
 //! 2. One [`VenuePool::dispatch`] bumps the pool epoch (`Release`) and
 //!    unparks every pool worker. The pool epoch `Acquire` in the worker
 //!    loop publishes *all* staged-session driver writes at once.

@@ -89,6 +89,37 @@ impl FaultPlan {
         }
     }
 
+    /// The calibrated fault storm of E14: occasional node spikes, a few
+    /// preempted lanes, and a sustained pressure wave that is high for
+    /// half of each period — long enough that a degradation governor with
+    /// a multi-cycle window must engage, with quiet stretches long enough
+    /// for it to restore. The `*_iters` fields carry placeholder weights;
+    /// callers rescale them against the measured kernel cost and deadline
+    /// headroom (see [`FaultPlan::with_iters`]).
+    pub fn storm(seed: u64) -> Self {
+        FaultPlan {
+            seed,
+            spike_rate: 0.02,
+            spike_iters: 1,
+            stall_lanes: 4,
+            stall_rate: 0.1,
+            stall_iters: 1,
+            pressure_period: 400,
+            pressure_len: 200,
+            pressure_iters: 1,
+        }
+    }
+
+    /// The same plan with calibrated iteration weights.
+    pub fn with_iters(self, spike: u32, stall: u32, pressure: u32) -> Self {
+        FaultPlan {
+            spike_iters: spike,
+            stall_iters: stall,
+            pressure_iters: pressure,
+            ..self
+        }
+    }
+
     /// True when no draw can ever fire.
     pub fn is_quiet(&self) -> bool {
         (self.spike_rate <= 0.0 || self.spike_iters == 0)
@@ -386,5 +417,31 @@ mod tests {
             snap.fault_spike_iters + snap.fault_stall_iters + snap.fault_pressure_iters,
             expect
         );
+    }
+
+    #[test]
+    fn quiet_is_quiet_and_storm_is_not() {
+        assert!(FaultPlan::quiet(7).is_quiet());
+        assert!(!FaultPlan::storm(7).with_iters(10, 10, 10).is_quiet());
+        // A storm with zeroed weights degenerates to quiet.
+        assert!(FaultPlan::storm(7).with_iters(0, 0, 0).is_quiet());
+    }
+
+    #[test]
+    fn presets_are_pure_functions_of_the_seed() {
+        assert_eq!(FaultPlan::storm(3), FaultPlan::storm(3));
+        assert_ne!(FaultPlan::storm(3).seed, FaultPlan::storm(4).seed);
+    }
+
+    #[test]
+    fn with_iters_only_touches_the_weights() {
+        let base = FaultPlan::storm(11);
+        let scaled = base.with_iters(100, 200, 300);
+        assert_eq!(scaled.spike_iters, 100);
+        assert_eq!(scaled.stall_iters, 200);
+        assert_eq!(scaled.pressure_iters, 300);
+        assert_eq!(scaled.seed, base.seed);
+        assert_eq!(scaled.spike_rate, base.spike_rate);
+        assert_eq!(scaled.pressure_period, base.pressure_period);
     }
 }

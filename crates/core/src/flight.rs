@@ -15,7 +15,7 @@
 //!
 //! # Memory-safety argument
 //!
-//! Each worker owns exactly one [`WorkerLane`] during a cycle and the
+//! Each worker owns exactly one `WorkerLane` during a cycle and the
 //! driver touches lanes only between cycles — the same epoch-protocol
 //! ownership discipline as `DriverCell` (see `exec`). The cycle-stamp ring
 //! is driver-only in both phases. All spans carry timestamps relative to

@@ -9,26 +9,26 @@
 //!   dependency edges, and the depth-sorted FIFO queue DJ Star stores the
 //!   graph in ("nodes are inserted according to their depth in the
 //!   dependency graph", §IV).
-//! * [`processor`] — the [`Processor`](processor::Processor) trait node
+//! * [`processor`] — the [`Processor`] trait node
 //!   payloads implement, and the per-cycle context handed to them.
-//! * [`exec`] — the runtime: an [`ExecGraph`](exec::ExecGraph) with atomic
+//! * [`exec`] — the runtime: an [`ExecGraph`] with atomic
 //!   per-node dependency state, and one executor,
 //!   [`PoolExecutor`](exec::PoolExecutor), a session on a shared
 //!   [`VenuePool`](exec::VenuePool) whose wait policy is the strategy. The
 //!   per-strategy names are aliases of it:
-//!   [`SequentialExecutor`](exec::SequentialExecutor),
-//!   [`BusyExecutor`](exec::BusyExecutor),
-//!   [`SleepExecutor`](exec::SleepExecutor),
-//!   [`StealExecutor`](exec::StealExecutor),
-//!   [`HybridExecutor`](exec::HybridExecutor) and the precompiled-schedule
-//!   [`PlannedExecutor`](exec::PlannedExecutor) (a [`ScheduleBlueprint`]
+//!   [`SequentialExecutor`],
+//!   [`BusyExecutor`],
+//!   [`SleepExecutor`],
+//!   [`StealExecutor`],
+//!   [`HybridExecutor`] and the precompiled-schedule
+//!   [`PlannedExecutor`] (a [`ScheduleBlueprint`]
 //!   compiled offline, e.g. from `djstar-sim`'s list scheduler).
 //! * [`deque`] — a fixed-capacity Chase–Lev work-stealing deque (owner pops
 //!   LIFO from the bottom, thieves steal FIFO from the top — the exact
 //!   convention of §V-C).
 //! * [`idle`] — a bitmask-based idle-worker set used to park and wake
 //!   work-stealing workers.
-//! * [`pad`] — [`CachePadded`](pad::CachePadded), the cache-line padding
+//! * [`pad`] — [`CachePadded`], the cache-line padding
 //!   applied to the hot shared atomics (deque ends, node completion state,
 //!   cycle counters) to stop false sharing.
 //! * [`trace`] — per-cycle schedule traces (which thread ran which node
@@ -43,7 +43,7 @@
 //!   zero-cost when no plan is installed.
 //! * [`net`] — seeded network-fault traces ([`net::NetFaultPlan`]: loss,
 //!   duplication, reorder, jitter bursts per `(cycle, stream)`) and the
-//!   zero-alloc adaptive [`net::JitterBuffer`] behind the engine's remote
+//!   zero-alloc [`net::JitterBuffer`] behind the engine's remote
 //!   deck sources; deterministic by construction, no sockets involved.
 //! * [`flight`] — the flight recorder: pre-allocated, overwrite-oldest
 //!   per-worker span rings capturing the last N cycles of

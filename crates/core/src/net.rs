@@ -1,5 +1,5 @@
-//! Networked deck sources: seeded packet-fault traces and the adaptive
-//! jitter buffer.
+//! Networked deck sources: seeded packet-fault traces and the jitter
+//! buffer.
 //!
 //! The paper's engine assumes every deck's samples are already in local
 //! memory. A venue-scale rig streams remote decks over a lossy network and
@@ -16,10 +16,10 @@
 //!   scan, so reception needs no queue and no allocation.
 //! * [`JitterBuffer`] — a preallocated seq-indexed ring that re-orders and
 //!   de-duplicates arrivals, conceals late/lost frames (hold-last with an
-//!   exponential fade), and optionally adapts its playout depth between
-//!   watermarks with min-dwell anti-oscillation and one-step-per-window
-//!   chunked restore. Depth changes are mode transitions with a bounded
-//!   cost: deepening holds one frame, shallowing skips one.
+//!   exponential fade), and moves its playout depth toward whatever target
+//!   it is given (the engine's network governor decides the target). Depth
+//!   changes are mode transitions with a bounded cost: deepening holds one
+//!   frame, shallowing skips one.
 //!
 //! Both halves are lock-free and allocation-free after construction:
 //! the executors' exactly-once node ownership means a consuming node runs
@@ -282,7 +282,7 @@ pub fn fill_remote_frame(stream_seed: u64, seq: u64, out: &mut AudioBuf) {
     }
 }
 
-/// Watermark / adaptation parameters of a [`JitterBuffer`].
+/// Depth range and concealment parameters of a [`JitterBuffer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterConfig {
     /// Smallest playout depth the buffer will run at (cycles of latency).
@@ -291,16 +291,6 @@ pub struct JitterConfig {
     pub max_depth: u32,
     /// Initial playout depth (clamped into `[min_depth, max_depth]`).
     pub start_depth: u32,
-    /// Enable watermark-driven depth adaptation.
-    pub adapt: bool,
-    /// Sliding window length (in pops) over which conceals are counted.
-    pub window: u32,
-    /// Deepen when conceals within a window reach this mark.
-    pub high_water: u32,
-    /// Shallow when a full window holds at most this many conceals.
-    pub low_water: u32,
-    /// Minimum cycles between two depth changes (anti-oscillation dwell).
-    pub min_dwell: u64,
     /// Per-consecutive-conceal gain applied to the held frame.
     pub fade: f32,
 }
@@ -311,36 +301,18 @@ impl Default for JitterConfig {
             min_depth: 1,
             max_depth: 12,
             start_depth: 1,
-            adapt: false,
-            window: 16,
-            high_water: 2,
-            low_water: 0,
-            min_dwell: 24,
             fade: 0.7,
         }
     }
 }
 
 impl JitterConfig {
-    /// A fixed-depth configuration (no adaptation).
+    /// A fixed-depth configuration.
     pub fn fixed(depth: u32) -> Self {
         JitterConfig {
             min_depth: depth,
             max_depth: depth,
             start_depth: depth,
-            adapt: false,
-            ..Default::default()
-        }
-    }
-
-    /// An adaptive configuration over `[min_depth, max_depth]` starting at
-    /// the minimum (latency-first).
-    pub fn adaptive(min_depth: u32, max_depth: u32) -> Self {
-        JitterConfig {
-            min_depth,
-            max_depth,
-            start_depth: min_depth,
-            adapt: true,
             ..Default::default()
         }
     }
@@ -397,7 +369,7 @@ struct Slot {
     frame: AudioBuf,
 }
 
-/// The lock-free, zero-alloc adaptive jitter buffer.
+/// The lock-free, zero-alloc jitter buffer.
 ///
 /// Single-owner by construction: exactly one graph node owns the buffer
 /// and the executors guarantee exactly-once node execution per cycle, so
@@ -423,11 +395,6 @@ pub struct JitterBuffer {
     last: AudioBuf,
     conceal_gain: f32,
     stats: NetStats,
-    // Adaptation state.
-    window_pops: u32,
-    window_conceals: u32,
-    last_change: u64,
-    has_changed: bool,
 }
 
 impl JitterBuffer {
@@ -457,15 +424,11 @@ impl JitterBuffer {
             last: AudioBuf::zeroed(channels, frames),
             conceal_gain: 1.0,
             stats: NetStats::default(),
-            window_pops: 0,
-            window_conceals: 0,
-            last_change: 0,
-            has_changed: false,
         }
     }
 
-    /// Sized for `plan`: capacity covers the adaptation range plus the
-    /// plan's delay horizon.
+    /// Sized for `plan`: capacity covers the depth range plus the plan's
+    /// delay horizon.
     pub fn for_plan(
         channels: usize,
         frames: usize,
@@ -491,25 +454,11 @@ impl JitterBuffer {
         self.stats
     }
 
-    /// Depth floor/ceiling currently in force.
-    pub fn depth_bounds(&self) -> (u32, u32) {
-        (self.cfg.min_depth, self.cfg.max_depth)
-    }
-
     /// Order a depth change (the engine's latency/dropout governor).
     /// Clamped into the configured bounds; applied one step per pop with
     /// the usual bounded transition cost.
     pub fn set_target_depth(&mut self, depth: u32) {
         self.target_depth = depth.clamp(self.cfg.min_depth, self.cfg.max_depth);
-    }
-
-    /// Widen or narrow the allowed depth range (governor reconfiguration).
-    pub fn set_depth_bounds(&mut self, min_depth: u32, max_depth: u32) {
-        self.cfg.min_depth = min_depth.min(max_depth);
-        self.cfg.max_depth = max_depth.max(min_depth);
-        self.target_depth = self
-            .target_depth
-            .clamp(self.cfg.min_depth, self.cfg.max_depth);
     }
 
     /// Record a packet the trace lost outright (reception observes this
@@ -546,8 +495,7 @@ impl JitterBuffer {
 
     /// Play one frame for `cycle` into `out`, advancing the playout head.
     /// Call after pushing the cycle's arrivals. Handles preroll, depth
-    /// transitions (one bounded step per cycle), concealment, and — when
-    /// `cfg.adapt` — watermark-driven depth adaptation.
+    /// transitions (one bounded step per cycle) and concealment.
     pub fn pop(&mut self, cycle: u64, out: &mut AudioBuf) -> PopOutcome {
         if !self.started {
             self.started = true;
@@ -556,7 +504,6 @@ impl JitterBuffer {
             // which establishes the invariant `cycle - next_play == depth`.
             self.next_play = cycle;
             self.preroll_until = cycle + self.depth as u64;
-            self.last_change = cycle;
         }
         if cycle < self.preroll_until {
             out.clear();
@@ -568,18 +515,13 @@ impl JitterBuffer {
                 // Deepen: hold one frame, let the buffer fill one deeper.
                 self.depth += 1;
                 self.stats.depth_changes += 1;
-                self.last_change = cycle;
-                self.has_changed = true;
                 self.emit_hold(out);
-                self.note_pop(cycle, false);
                 return PopOutcome::Held;
             }
             // Shallow: skip one frame to shed one cycle of latency.
             self.depth -= 1;
             self.stats.depth_changes += 1;
             self.stats.skipped += 1;
-            self.last_change = cycle;
-            self.has_changed = true;
             self.invalidate(self.next_play);
             self.next_play += 1;
         }
@@ -605,7 +547,6 @@ impl JitterBuffer {
             PopOutcome::Preroll
         };
         self.next_play += 1;
-        self.note_pop(cycle, outcome == PopOutcome::Concealed);
         outcome
     }
 
@@ -622,40 +563,6 @@ impl JitterBuffer {
             out.copy_from(&self.last);
         } else {
             out.clear();
-        }
-    }
-
-    /// Watermark adaptation: deepen fast when conceals cross the high
-    /// mark, shallow only after a full clean window (chunked restore),
-    /// both gated by the min-dwell.
-    fn note_pop(&mut self, cycle: u64, concealed: bool) {
-        if !self.cfg.adapt {
-            return;
-        }
-        self.window_pops += 1;
-        if concealed {
-            self.window_conceals += 1;
-        }
-        let dwell_over =
-            !self.has_changed || cycle.saturating_sub(self.last_change) >= self.cfg.min_dwell;
-        if self.window_conceals >= self.cfg.high_water.max(1) {
-            if self.target_depth < self.cfg.max_depth && dwell_over {
-                self.target_depth += 1;
-            }
-            self.window_pops = 0;
-            self.window_conceals = 0;
-            return;
-        }
-        if self.window_pops >= self.cfg.window.max(1) {
-            if self.window_conceals <= self.cfg.low_water
-                && self.target_depth > self.cfg.min_depth
-                && dwell_over
-                && self.depth == self.target_depth
-            {
-                self.target_depth -= 1;
-            }
-            self.window_pops = 0;
-            self.window_conceals = 0;
         }
     }
 }
@@ -837,35 +744,15 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_depth_stays_within_watermarks() {
-        let plan = stormy();
-        let cfg = JitterConfig::adaptive(1, 8);
-        let mut jb = JitterBuffer::for_plan(2, 16, &plan, cfg);
-        let mut out = AudioBuf::zeroed(2, 16);
-        let mut buf = [Arrival { seq: 0, dup: false }; MAX_ARRIVALS];
-        let mut changes = 0u64;
-        for c in 0..1_000u64 {
-            let n = plan.arrivals(c, 0, &mut buf);
-            for a in &buf[..n] {
-                let seq = a.seq;
-                jb.push_with(seq, |f| fill_remote_frame(3, seq, f));
-            }
-            jb.pop(c, &mut out);
-            assert!(jb.depth() >= 1 && jb.depth() <= 8, "depth {}", jb.depth());
-            assert!(jb.target_depth() >= 1 && jb.target_depth() <= 8);
-            changes = jb.stats().depth_changes;
-        }
-        assert!(changes > 0, "the storm should provoke adaptation");
-        // Min-dwell anti-oscillation: changes are bounded well below the
-        // cycle count.
-        assert!(changes < 1_000 / cfg.min_dwell + 8, "{changes} changes");
-    }
-
-    #[test]
     fn governor_ordered_depth_changes_apply_one_step_per_cycle() {
         let plan = NetFaultPlan::quiet(5);
-        let mut jb = JitterBuffer::for_plan(2, 8, &plan, JitterConfig::fixed(2));
-        jb.set_depth_bounds(1, 10);
+        let cfg = JitterConfig {
+            min_depth: 1,
+            max_depth: 10,
+            start_depth: 2,
+            ..JitterConfig::default()
+        };
+        let mut jb = JitterBuffer::for_plan(2, 8, &plan, cfg);
         let mut out = AudioBuf::zeroed(2, 8);
         let mut buf = [Arrival { seq: 0, dup: false }; MAX_ARRIVALS];
         for c in 0..20u64 {

@@ -215,7 +215,7 @@ impl Biquad {
 const MAX_FUSED: usize = 8;
 
 /// Filter `buf` through every section of `chain` in series, fusing up to
-/// [`MAX_FUSED`] sections into one pass over the buffer.
+/// `MAX_FUSED` sections into one pass over the buffer.
 pub fn process_chain(chain: &mut [Biquad], buf: &mut AudioBuf) {
     let _t = crate::kprof::timer(crate::kprof::Family::Biquad);
     chain_dispatch(chain, buf);

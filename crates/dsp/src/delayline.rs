@@ -1,5 +1,5 @@
 //! Fractional delay lines, the backbone of the time-based effects
-//! (delay/echo, flanger, chorus).
+//! (delay/echo, flanger).
 //!
 //! Two forms of every access: the per-sample [`push`](DelayLine::push) /
 //! [`read`](DelayLine::read) / [`read_frac`](DelayLine::read_frac), and the

@@ -3,29 +3,18 @@
 //! The paper notes the original effect algorithms are proprietary and
 //! "strictly sequential" (§V); these replacements are real sequential DSP
 //! with comparable structure: per-sample state machines over 128-frame
-//! buffers.
+//! buffers. The set is exactly what the engine's deck chains load
+//! (`graphbuild::DECK_FX` in `djstar-engine`, which tests the match).
 
-mod bitcrusher;
-mod chorus;
 mod delay;
 mod flanger;
 mod overdrive;
 mod phaser;
-mod reverb;
-mod spectral;
-mod tremolo;
-mod widener;
 
-pub use bitcrusher::Bitcrusher;
-pub use chorus::Chorus;
 pub use delay::EchoDelay;
 pub use flanger::Flanger;
 pub use overdrive::Overdrive;
 pub use phaser::Phaser;
-pub use reverb::Reverb;
-pub use spectral::SpectralFilter;
-pub use tremolo::Tremolo;
-pub use widener::StereoWidener;
 
 use crate::buffer::AudioBuf;
 use crate::osc::Oscillator;
@@ -64,28 +53,16 @@ pub enum EffectKind {
     EchoDelay,
     Flanger,
     Phaser,
-    Bitcrusher,
     Overdrive,
-    Chorus,
-    Tremolo,
-    StereoWidener,
-    Reverb,
-    SpectralFilter,
 }
 
 impl EffectKind {
     /// All built-in effect kinds.
-    pub const ALL: [EffectKind; 10] = [
+    pub const ALL: [EffectKind; 4] = [
         EffectKind::EchoDelay,
         EffectKind::Flanger,
         EffectKind::Phaser,
-        EffectKind::Bitcrusher,
         EffectKind::Overdrive,
-        EffectKind::Chorus,
-        EffectKind::Tremolo,
-        EffectKind::StereoWidener,
-        EffectKind::Reverb,
-        EffectKind::SpectralFilter,
     ];
 
     /// Construct a boxed instance with default parameters at `sample_rate`.
@@ -94,15 +71,7 @@ impl EffectKind {
             EffectKind::EchoDelay => Box::new(EchoDelay::new(sample_rate, 0.25, 0.45, 0.5)),
             EffectKind::Flanger => Box::new(Flanger::new(sample_rate, 0.4, 0.7, 0.5)),
             EffectKind::Phaser => Box::new(Phaser::new(sample_rate, 0.3, 4, 0.6)),
-            EffectKind::Bitcrusher => Box::new(Bitcrusher::new(8.0, 4, 0.6)),
             EffectKind::Overdrive => Box::new(Overdrive::new(3.0, 0.7)),
-            EffectKind::Chorus => Box::new(Chorus::new(sample_rate, 0.8, 0.5)),
-            EffectKind::Tremolo => Box::new(Tremolo::new(sample_rate, 5.0, 0.7)),
-            EffectKind::StereoWidener => Box::new(StereoWidener::new(1.6)),
-            EffectKind::Reverb => Box::new(Reverb::new(sample_rate, 0.5, 0.3, 0.35)),
-            EffectKind::SpectralFilter => {
-                Box::new(SpectralFilter::new(sample_rate, 300.0, 3_400.0, 0.8))
-            }
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! §III-B of the paper notes that "audio effects heavily rely on core
 //! algorithms such as Fourier transformation". This is a from-scratch
-//! iterative radix-2 Cooley–Tukey implementation used by the spectral
-//! effects and the master spectrum analyzer.
+//! iterative radix-2 Cooley–Tukey implementation, measured by the
+//! benchmark's kernel probes (no deck-chain effect runs one).
 //!
 //! Two entry points:
 //!
@@ -119,8 +119,7 @@ pub fn fft_inplace(data: &mut [Complex], inverse: bool) {
 ///
 /// Precomputes per-stage twiddle factors (both directions) and owns the
 /// split re/im scratch planes the butterflies run over, so repeated
-/// transforms (the spectral effect runs two per block per channel) do no
-/// trigonometry and no allocation.
+/// transforms do no trigonometry and no allocation.
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,

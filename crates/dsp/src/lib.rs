@@ -4,9 +4,9 @@
 //! 44.1 kHz through per-deck effect chains, channel strips (filter + EQ), a
 //! mixer and a master section (§II, Fig. 3). The original effects are
 //! proprietary; this crate provides real, from-scratch DSP with equivalent
-//! cost characteristics: RBJ biquad filters, a 3-band EQ, eight audio
-//! effects, dynamics (limiter/clipper/compressor), metering, a WSOLA time
-//! stretcher and a resampler.
+//! cost characteristics: RBJ biquad filters, a 3-band EQ, the four audio
+//! effects of the deck chains, dynamics (limiter/clipper/compressor),
+//! metering, a WSOLA time stretcher and a resampler.
 //!
 //! All processors operate in place on [`AudioBuf`] and implement the
 //! [`Effect`] trait so the task-graph nodes in `djstar-engine` can hold them
@@ -15,7 +15,6 @@
 pub mod arena;
 pub mod biquad;
 pub mod buffer;
-pub mod crossover;
 pub mod db;
 pub mod delayline;
 pub mod dynamics;
@@ -30,7 +29,6 @@ pub mod resample;
 pub mod rng;
 pub mod simd;
 pub mod stretch;
-pub mod svf;
 pub mod wav;
 pub mod work;
 

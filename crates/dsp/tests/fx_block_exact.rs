@@ -7,7 +7,7 @@
 
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::delayline::DelayLine;
-use djstar_dsp::effects::{Chorus, EchoDelay, Effect, Flanger, Phaser};
+use djstar_dsp::effects::{EchoDelay, Effect, Flanger, Phaser};
 use djstar_dsp::rng::SmallRng;
 
 const BLOCKS: usize = 400;
@@ -82,27 +82,6 @@ fn flanger_block_equals_reference() {
         "flanger 500 Hz",
         || Flanger::new(500, 7.0, 1.0, 0.5),
         Flanger::process_reference,
-    );
-}
-
-#[test]
-fn chorus_block_equals_reference() {
-    assert_twins(
-        "chorus default",
-        || Chorus::new(44_100, 0.8, 0.5),
-        Chorus::process_reference,
-    );
-    // 7.5–14.5 samples of delay on an 18-sample line.
-    assert_twins(
-        "chorus 500 Hz",
-        || Chorus::new(500, 9.0, 1.0),
-        Chorus::process_reference,
-    );
-    // At 40 Hz the whole sweep (0.6–1.16 samples) straddles the lower clamp.
-    assert_twins(
-        "chorus 40 Hz",
-        || Chorus::new(40, 3.0, 0.7),
-        Chorus::process_reference,
     );
 }
 

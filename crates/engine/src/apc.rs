@@ -11,10 +11,7 @@
 //! [`run_apc`](AudioEngine::run_apc) is front cycle → phase alignment →
 //! graph cycle → VC, and returns the four phase timings.
 
-use crate::degrade::{
-    DegradationPolicy, DegradeAction, DegradeConfig, DegradeEvent, NetDegradeAction,
-    NetDegradeConfig, NetDegradeEvent, NetLatencyPolicy,
-};
+use crate::degrade::{Governor, GovernorAction, GovernorConfig, GovernorEvent};
 use crate::front::{FrontEnd, FrontWork};
 use crate::graphbuild::{build_shaped_graph, GraphShape, NodeMap};
 use crate::modes::{
@@ -37,7 +34,6 @@ use djstar_core::graph::{GraphTopology, TaskGraph};
 use djstar_core::net::NetStats;
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::work::burn;
-use djstar_workload::faults::FaultSpec;
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,17 +159,17 @@ pub struct AudioEngine {
     /// degradation), so miss forensics can cross-reference overruns with
     /// commit activity.
     commit_cycles: Vec<u64>,
-    /// Degradation governor; `None` until
+    /// Deadline-axis governor; `None` until
     /// [`enable_degradation`](Self::enable_degradation).
-    degrade: Option<DegradationPolicy>,
+    degrade: Option<Governor>,
     /// FX chain lengths saved at shed time, restored on
-    /// [`DegradeAction::Restore`].
+    /// [`GovernorAction::Restore`].
     saved_fx: [usize; 4],
     /// Aux weights saved at shed time.
     saved_aux: Option<AuxWork>,
-    /// Network latency/dropout governor; `None` until
+    /// Network-axis (latency/dropout) governor; `None` until
     /// [`enable_net_degradation`](Self::enable_net_degradation).
-    net_degrade: Option<NetLatencyPolicy>,
+    net_degrade: Option<Governor>,
     /// Total concealed frames already reported to the network governor.
     net_conceals_seen: u64,
     /// The worker pool both sessions are registered on: the caller's for
@@ -188,45 +184,18 @@ pub struct AudioEngine {
     session: u32,
 }
 
-/// Convert a workload-layer [`FaultSpec`] into the executor-layer
-/// [`FaultPlan`], field by field. Public so harnesses can hand the same
-/// plan to the simulator's fault mirror for the lower-bound oracle.
-pub fn fault_plan_from_spec(spec: &FaultSpec) -> FaultPlan {
-    FaultPlan {
-        seed: spec.seed,
-        spike_rate: spec.spike_rate,
-        spike_iters: spec.spike_iters,
-        stall_lanes: spec.stall_lanes,
-        stall_rate: spec.stall_rate,
-        stall_iters: spec.stall_iters,
-        pressure_period: spec.pressure_period,
-        pressure_len: spec.pressure_len,
-        pressure_iters: spec.pressure_iters,
-    }
-}
-
-/// What [`AudioEngine::observe_deadline`] did when it committed a
-/// degradation transition: the action, the executor generation after the
-/// swap, and the cost of the two reconfiguration halves (the commit half
-/// is what could blow a deadline, and E14 gates on it never doing so).
+/// What [`AudioEngine::observe_deadline`] or
+/// [`AudioEngine::observe_network`] did when it committed a governor
+/// transition: the action and the rung it landed on, the executor
+/// generation after the swap, and the cost of the two reconfiguration
+/// halves (the commit half is what could blow a deadline).
 #[derive(Debug, Clone, Copy)]
-pub struct DegradeOutcome {
+pub struct GovernorOutcome {
     /// Which way the engine moved.
-    pub action: DegradeAction,
-    /// Executor generation after the swap.
-    pub generation: u64,
-    /// Wall time of the staging half (graph build, off the audio path).
-    pub stage_ns: u64,
-    /// Wall time of the cycle-boundary commit half.
-    pub commit_ns: u64,
-}
-
-/// What [`AudioEngine::observe_network`] did when it committed a
-/// jitter-buffer depth transition through the generation-swap path.
-#[derive(Debug, Clone, Copy)]
-pub struct NetDegradeOutcome {
-    /// Which way the latency/dropout trade moved.
-    pub action: NetDegradeAction,
+    pub action: GovernorAction,
+    /// The governor's new rung (deadline: 0 full, 1 shed; network: the
+    /// playout depth).
+    pub rung: u32,
     /// Executor generation after the swap.
     pub generation: u64,
     /// Wall time of the staging half (graph build, off the audio path).
@@ -829,9 +798,9 @@ impl AudioEngine {
     /// cleared. Fault work burns CPU inside the executor's timed windows
     /// but never touches audio buffers, so faulted runs stay bit-exact
     /// with fault-free ones.
-    pub fn set_faults(&mut self, spec: Option<&FaultSpec>) {
-        self.faults = spec.map(fault_plan_from_spec);
-        self.executor.set_faults(self.faults);
+    pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
+        self.faults = plan;
+        self.executor.set_faults(plan);
     }
 
     /// The fault plan currently installed, if any.
@@ -839,27 +808,31 @@ impl AudioEngine {
         self.faults
     }
 
-    /// Arm the graceful-degradation governor. Once armed, the host
-    /// reports each cycle's deadline verdict through
+    /// Arm the deadline-axis governor. Once armed, the host reports each
+    /// cycle's deadline verdict through
     /// [`observe_deadline`](Self::observe_deadline) and the engine sheds
     /// or restores quality through the glitch-free generation-swap path.
-    pub fn enable_degradation(&mut self, cfg: DegradeConfig) {
-        self.degrade = Some(DegradationPolicy::new(cfg));
+    ///
+    /// The governor starts on the engine's current rung: re-arming while
+    /// shed keeps the saved full-quality state as the restore target.
+    pub fn enable_degradation(&mut self, cfg: GovernorConfig) {
+        let rung = self.degrade.as_ref().map_or(0, Governor::rung);
+        self.degrade = Some(Governor::deadline(cfg, rung));
     }
 
     /// Currently running in degraded (shed) mode?
     pub fn is_degraded(&self) -> bool {
-        self.degrade.as_ref().is_some_and(|p| p.is_degraded())
+        self.degrade.as_ref().is_some_and(|g| g.rung() > 0)
     }
 
     /// Committed shed/restore transitions since the governor was armed
     /// (empty when it never was).
-    pub fn degrade_events(&self) -> &[DegradeEvent] {
-        self.degrade.as_ref().map_or(&[], |p| p.events())
+    pub fn degrade_events(&self) -> &[GovernorEvent] {
+        self.degrade.as_ref().map_or(&[], |g| g.events())
     }
 
     /// Report the just-finished cycle's deadline verdict to the
-    /// degradation governor and actuate any transition it orders.
+    /// deadline-axis governor and actuate any transition it orders.
     ///
     /// * **Shed**: save the FX chain lengths and aux weights, then in a
     ///   single staged generation trim every loaded deck's FX chain to
@@ -872,20 +845,17 @@ impl AudioEngine {
     /// Both directions reuse the [`stage_edits`](Self::stage_edits) /
     /// [`commit`](Self::commit) machinery, so node state carries over and
     /// the audio stream never glitches. If staging or the swap fails the
-    /// policy is left uncommitted and simply retries next cycle.
+    /// governor is left uncommitted and simply retries next cycle.
     ///
     /// Returns the committed transition, if one happened. No-op `None`
     /// when the governor is unarmed.
-    pub fn observe_deadline(&mut self, missed: bool) -> Option<DegradeOutcome> {
-        let cycle = self.cycle;
-        let action = {
-            let policy = self.degrade.as_mut()?;
-            policy.record(missed);
-            policy.pending(cycle)?
-        };
+    pub fn observe_deadline(&mut self, missed: bool) -> Option<GovernorOutcome> {
+        let governor = self.degrade.as_mut()?;
+        governor.record(u32::from(missed));
+        let action = governor.pending(self.cycle)?;
         let mut edits = Vec::new();
         match action {
-            DegradeAction::Shed => {
+            GovernorAction::Shed => {
                 self.saved_fx = self.shape.fx_slots;
                 for d in 0..4 {
                     if self.shape.deck_loaded[d] {
@@ -895,7 +865,7 @@ impl AudioEngine {
                     }
                 }
             }
-            DegradeAction::Restore => {
+            GovernorAction::Restore => {
                 for d in 0..4 {
                     if self.shape.deck_loaded[d] {
                         let want = self.saved_fx[d].clamp(1, GraphShape::MAX_FX_SLOTS);
@@ -906,28 +876,41 @@ impl AudioEngine {
                 }
             }
         }
-        let t0 = Instant::now();
-        let staged = self.stage_edits(&edits).ok()?;
-        let stage_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        let generation = self.commit(staged).ok()?;
-        let commit_ns = t1.elapsed().as_nanos() as u64;
+        let outcome = self.commit_transition(|e| &mut e.degrade, action, &edits)?;
         match action {
-            DegradeAction::Shed => {
+            GovernorAction::Shed => {
                 self.saved_aux = Some(self.aux);
                 self.set_aux(self.aux.scaled(0.5));
             }
-            DegradeAction::Restore => {
+            GovernorAction::Restore => {
                 if let Some(aux) = self.saved_aux.take() {
                     self.set_aux(aux);
                 }
             }
         }
-        if let Some(policy) = self.degrade.as_mut() {
-            policy.transition(cycle, action);
-        }
-        Some(DegradeOutcome {
+        Some(outcome)
+    }
+
+    /// The tail both governor axes share: stage and commit `edits` as one
+    /// generation, then commit `action` on the governor `axis` selects.
+    /// `None`, with the governor untouched, when staging or the swap fails.
+    fn commit_transition(
+        &mut self,
+        axis: fn(&mut Self) -> &mut Option<Governor>,
+        action: GovernorAction,
+        edits: &[GraphEdit],
+    ) -> Option<GovernorOutcome> {
+        let t0 = Instant::now();
+        let staged = self.stage_edits(edits).ok()?;
+        let stage_ns = t0.elapsed().as_nanos() as u64;
+        let t1 = Instant::now();
+        let generation = self.commit(staged).ok()?;
+        let commit_ns = t1.elapsed().as_nanos() as u64;
+        let cycle = self.cycle;
+        let rung = axis(self).as_mut()?.transition(cycle, action);
+        Some(GovernorOutcome {
             action,
+            rung,
             generation,
             stage_ns,
             commit_ns,
@@ -942,33 +925,37 @@ impl AudioEngine {
         }
     }
 
-    /// Arm the network latency/dropout governor. Once armed, the host
-    /// calls [`observe_network`](Self::observe_network) each cycle and the
-    /// engine trades jitter-buffer depth (latency) against dropout rate,
-    /// actuating every depth change through the same glitch-free
-    /// generation-swap path as quality degradation.
+    /// Arm the network-axis (latency/dropout) governor. Once armed, the
+    /// host calls [`observe_network`](Self::observe_network) each cycle
+    /// and the engine trades jitter-buffer depth (latency) against
+    /// dropout rate, actuating every depth change through the same
+    /// glitch-free generation-swap path as quality degradation.
     ///
-    /// The starting rung is the deepest depth any remote deck currently
-    /// runs at (so arming mid-flight never yanks an established buffer),
-    /// falling back to the config's floor on a fully local graph.
-    pub fn enable_net_degradation(&mut self, cfg: NetDegradeConfig) {
+    /// The ladder is the scenario's [`NetSpec`](djstar_workload::NetSpec)
+    /// depth range — the clamp the jitter buffers apply — climbed in
+    /// `depth_step` jumps. The starting rung is the deepest depth any
+    /// remote deck currently runs at (so arming mid-flight never yanks an
+    /// established buffer), falling back to the floor on a fully local
+    /// graph.
+    pub fn enable_net_degradation(&mut self, cfg: GovernorConfig, depth_step: u32) {
+        let (min, max) = (self.scenario.net.min_depth, self.scenario.net.max_depth);
         let start = (0..4)
             .filter_map(|d| self.net_deck_source(d).map(|s| s.target_depth()))
             .max()
-            .unwrap_or(cfg.min_depth);
+            .unwrap_or(min);
         self.net_conceals_seen = self.net_stats().concealed;
-        self.net_degrade = Some(NetLatencyPolicy::new(cfg, start));
+        self.net_degrade = Some(Governor::depth(cfg, min, max, depth_step, start));
     }
 
     /// Committed depth transitions since the network governor was armed.
-    pub fn net_degrade_events(&self) -> &[NetDegradeEvent] {
-        self.net_degrade.as_ref().map_or(&[], |p| p.events())
+    pub fn net_degrade_events(&self) -> &[GovernorEvent] {
+        self.net_degrade.as_ref().map_or(&[], |g| g.events())
     }
 
     /// The depth rung the network governor is currently targeting
     /// (`None` when unarmed).
     pub fn net_target_depth(&self) -> Option<u32> {
-        self.net_degrade.as_ref().map(|p| p.target_depth())
+        self.net_degrade.as_ref().map(Governor::rung)
     }
 
     /// Jitter-buffer statistics summed over every remote deck (all zeros
@@ -1028,9 +1015,9 @@ impl AudioEngine {
     /// Feed the just-finished cycle's concealment evidence to the network
     /// governor and actuate any depth transition it orders.
     ///
-    /// * **Deepen**: dropouts concentrated in the observation window —
-    ///   buy reliability with latency by climbing the depth ladder.
-    /// * **Shallow**: a full clean restore chunk — give one rung of
+    /// * **Shed**: dropouts concentrated in the observation window — buy
+    ///   reliability with latency by climbing the depth ladder.
+    /// * **Restore**: a full clean restore chunk — give one rung of
     ///   latency back.
     ///
     /// The transition rides [`stage_edits`](Self::stage_edits) /
@@ -1038,20 +1025,17 @@ impl AudioEngine {
     /// deck), so the `NetSrc` nodes — whose names carry no depth — are
     /// carried across the swap with their buffered audio intact; the new
     /// target is then applied to the carried buffers in place. If staging
-    /// or the swap fails the policy is left uncommitted and retries next
+    /// or the swap fails the governor is left uncommitted and retries next
     /// cycle. No-op `None` when unarmed or no deck is remote.
-    pub fn observe_network(&mut self) -> Option<NetDegradeOutcome> {
+    pub fn observe_network(&mut self) -> Option<GovernorOutcome> {
         self.net_degrade.as_ref()?;
         let concealed = self.net_stats().concealed;
         let delta = concealed.saturating_sub(self.net_conceals_seen);
         self.net_conceals_seen = concealed;
-        let cycle = self.cycle;
-        let action = {
-            let policy = self.net_degrade.as_mut()?;
-            policy.record(delta.min(u32::MAX as u64) as u32);
-            policy.pending(cycle)?
-        };
-        let depth = action.target();
+        let governor = self.net_degrade.as_mut()?;
+        governor.record(delta.min(u32::MAX as u64) as u32);
+        let action = governor.pending(self.cycle)?;
+        let depth = governor.rung_after(action);
         let edits: Vec<GraphEdit> = (0..4)
             .filter(|&d| self.shape.remote_decks[d])
             .map(|d| GraphEdit::SetNetDepth(d, depth))
@@ -1059,26 +1043,13 @@ impl AudioEngine {
         if edits.is_empty() {
             return None;
         }
-        let t0 = Instant::now();
-        let staged = self.stage_edits(&edits).ok()?;
-        let stage_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        let generation = self.commit(staged).ok()?;
-        let commit_ns = t1.elapsed().as_nanos() as u64;
+        let outcome = self.commit_transition(|e| &mut e.net_degrade, action, &edits)?;
         for d in 0..4 {
             if let Some(src) = self.net_deck_source(d) {
                 src.set_target_depth(depth);
             }
         }
-        if let Some(policy) = self.net_degrade.as_mut() {
-            policy.transition(cycle, action);
-        }
-        Some(NetDegradeOutcome {
-            action,
-            generation,
-            stage_ns,
-            commit_ns,
-        })
+        Some(outcome)
     }
 
     /// Cycles run so far.
@@ -1737,7 +1708,7 @@ mod tests {
     fn storm_faults_fire_and_leave_audio_bit_exact() {
         let mut clean = light_engine(Strategy::Busy, 2);
         let mut faulted = light_engine(Strategy::Busy, 2);
-        faulted.set_faults(Some(&FaultSpec::storm(0xE14).with_iters(40, 40, 20)));
+        faulted.set_faults(Some(FaultPlan::storm(0xE14).with_iters(40, 40, 20)));
         assert!(fault_events_in(&mut faulted, 40) > 0, "storm never fired");
         clean.warmup(40);
         assert_eq!(
@@ -1750,7 +1721,7 @@ mod tests {
     #[test]
     fn quiet_fault_plan_is_inert() {
         let mut e = light_engine(Strategy::Sleep, 2);
-        e.set_faults(Some(&FaultSpec::quiet(9)));
+        e.set_faults(Some(FaultPlan::quiet(9)));
         assert_eq!(fault_events_in(&mut e, 30), 0);
         e.set_faults(None);
         assert_eq!(e.fault_plan(), None);
@@ -1759,7 +1730,7 @@ mod tests {
     #[test]
     fn faults_survive_thread_resize_rebuild() {
         let mut e = light_engine(Strategy::Busy, 2);
-        e.set_faults(Some(&FaultSpec::storm(0xE14).with_iters(40, 40, 20)));
+        e.set_faults(Some(FaultPlan::storm(0xE14).with_iters(40, 40, 20)));
         e.reconfigure(&[GraphEdit::ResizeThreads(3)]).unwrap();
         assert_eq!(e.threads(), 3);
         assert!(
@@ -1805,7 +1776,7 @@ mod tests {
     fn degradation_sheds_then_restores_through_the_swap_path() {
         let mut e = light_engine(Strategy::Busy, 2);
         e.warmup(10);
-        e.enable_degradation(DegradeConfig {
+        e.enable_degradation(GovernorConfig {
             window: 8,
             shed_misses: 4,
             restore_clean: 6,
@@ -1823,7 +1794,7 @@ mod tests {
             }
         }
         let shed = shed.expect("sustained misses must shed");
-        assert_eq!(shed.action, DegradeAction::Shed);
+        assert_eq!(shed.action, GovernorAction::Shed);
         assert!(e.is_degraded());
         for d in 0..4 {
             assert_eq!(e.shape().fx_slots[d], 1, "deck {d} FX chain not shed");
@@ -1839,14 +1810,14 @@ mod tests {
             }
         }
         let restored = restored.expect("clean air must restore");
-        assert_eq!(restored.action, DegradeAction::Restore);
+        assert_eq!(restored.action, GovernorAction::Restore);
         assert!(!e.is_degraded());
         assert_eq!(*e.shape(), full_shape, "restore must rebuild full quality");
         assert!(restored.generation > shed.generation);
         let events = e.degrade_events();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].action, DegradeAction::Shed);
-        assert_eq!(events[1].action, DegradeAction::Restore);
+        assert_eq!(events[0].action, GovernorAction::Shed);
+        assert_eq!(events[1].action, GovernorAction::Restore);
         assert!(e.output().is_finite());
         assert!(e.output().rms() > 1e-4, "audio died across shed/restore");
     }
@@ -1929,20 +1900,20 @@ mod tests {
         let mut net = djstar_workload::NetSpec::lossy(3);
         net.jitter = 6;
         net.start_depth = 1;
-        net.adapt = false; // the engine governor is the only actuator
+        net.max_depth = 8;
         let mut e = AudioEngine::with_aux(net_scenario(net), Strategy::Busy, 2, AuxWork::light());
         e.warmup(10);
         let gen0 = e.generation();
-        e.enable_net_degradation(NetDegradeConfig {
-            window: 8,
-            deepen_conceals: 2,
-            restore_clean: 512,
-            restore_tolerance: 0,
-            min_dwell: 6,
-            depth_step: 2,
-            min_depth: 1,
-            max_depth: 8,
-        });
+        e.enable_net_degradation(
+            GovernorConfig {
+                window: 8,
+                shed_misses: 2,
+                restore_clean: 512,
+                restore_tolerance: 0,
+                min_dwell: 6,
+            },
+            2,
+        );
         assert_eq!(e.net_target_depth(), Some(1), "start at the node's depth");
         let mut outcomes = Vec::new();
         for _ in 0..200 {
@@ -1956,7 +1927,7 @@ mod tests {
             "heavy jitter on a depth-1 buffer must force a deepen"
         );
         let first = outcomes[0];
-        assert!(matches!(first.action, NetDegradeAction::Deepen(_)));
+        assert_eq!(first.action, GovernorAction::Shed);
         assert!(
             first.generation > gen0,
             "retune must ride a generation swap"
@@ -1983,7 +1954,7 @@ mod tests {
             AuxWork::light(),
         );
         e.warmup(10);
-        e.enable_net_degradation(NetDegradeConfig::default());
+        e.enable_net_degradation(GovernorConfig::NETWORK, 2);
         for _ in 0..100 {
             e.run_apc();
             assert!(
@@ -2013,5 +1984,40 @@ mod tests {
         }
         assert!(e.net_degrade_events().is_empty());
         assert_eq!(e.net_target_depth(), None);
+    }
+
+    #[test]
+    fn rearming_the_deadline_governor_while_shed_keeps_full_quality() {
+        let cfg = GovernorConfig {
+            window: 8,
+            shed_misses: 4,
+            restore_clean: 16,
+            restore_tolerance: 0,
+            min_dwell: 4,
+        };
+        let mut e = light_engine(Strategy::Busy, 2);
+        e.warmup(5);
+        let (full, full_aux) = (*e.shape(), e.aux);
+        e.enable_degradation(cfg);
+        let drive = |e: &mut AudioEngine, missed: bool, cycles: usize| {
+            for _ in 0..cycles {
+                e.run_apc();
+                e.observe_deadline(missed);
+            }
+        };
+        drive(&mut e, true, 12);
+        assert!(e.is_degraded());
+        // Re-arm while shed: the next transition must be the restore to
+        // the state saved before the first shed.
+        e.enable_degradation(cfg);
+        drive(&mut e, true, 12);
+        drive(&mut e, false, 80);
+        assert!(!e.is_degraded());
+        assert_eq!(
+            e.shape().fx_slots,
+            full.fx_slots,
+            "re-arming lost the full FX chains"
+        );
+        assert_eq!(e.aux, full_aux, "re-arming lost the full aux weights");
     }
 }

@@ -69,7 +69,8 @@ impl GraphShape {
         }
     }
 
-    /// The paper shape with the network machinery a [`NetSpec`] asks for.
+    /// The paper shape with the network machinery a
+    /// [`NetSpec`](djstar_workload::NetSpec) asks for.
     pub fn for_net(net: &djstar_workload::NetSpec) -> Self {
         let mut net_depth = [0u32; 4];
         for (d, slot) in net_depth.iter_mut().enumerate() {
@@ -687,6 +688,17 @@ mod tests {
         // The receiver stretches the deck's chain by one level.
         assert_eq!(t.critical_path_len(), 11);
         assert!(t.is_valid_execution_order(t.queue()));
+    }
+
+    #[test]
+    fn every_effect_kind_is_loaded_by_the_deck_chains() {
+        use std::collections::HashSet;
+        let all: HashSet<_> = EffectKind::ALL.into_iter().collect();
+        let loaded: HashSet<_> = DECK_FX.into_iter().collect();
+        assert_eq!(
+            all, loaded,
+            "an effect kind no deck chain loads is dead code"
+        );
     }
 
     #[test]

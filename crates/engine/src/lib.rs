@@ -33,13 +33,8 @@ pub mod sync;
 pub mod timecode;
 pub mod venue;
 
-pub use apc::{
-    fault_plan_from_spec, ApcTiming, AudioEngine, AuxWork, DegradeOutcome, NetDegradeOutcome,
-};
-pub use degrade::{
-    DegradationPolicy, DegradeAction, DegradeConfig, DegradeEvent, NetDegradeAction,
-    NetDegradeConfig, NetDegradeEvent, NetLatencyPolicy,
-};
+pub use apc::{ApcTiming, AudioEngine, AuxWork, GovernorOutcome};
+pub use degrade::{Governor, GovernorAction, GovernorConfig, GovernorEvent};
 pub use front::FrontWork;
 pub use graphbuild::{
     build_djstar_graph, build_part, build_shaped_graph, hollow_graph, GraphShape, NodeMap,

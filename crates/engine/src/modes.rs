@@ -233,8 +233,8 @@ struct CacheEntry {
 ///
 /// Hits are take-once (the generation moves out, zero allocation on the
 /// taking thread); capacity evicts least-recently-inserted; and the
-/// **epoch** guards against stale blueprints: [`invalidate`]
-/// (BlueprintCache::invalidate) bumps it and clears the cache, and any
+/// **epoch** guards against stale blueprints: [`invalidate`](BlueprintCache::invalidate)
+/// bumps it and clears the cache, and any
 /// insert stamped with an older epoch (a background precompile that
 /// raced a recalibration) is dropped instead of stored.
 pub struct BlueprintCache {

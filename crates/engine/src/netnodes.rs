@@ -3,8 +3,8 @@
 //!
 //! [`NetDeckSource`] replaces a deck's local audio feed with a simulated
 //! remote stream: a seeded [`NetFaultPlan`] decides — purely per
-//! `(seed, cycle, stream)` — which packets arrive this cycle, and an
-//! adaptive [`JitterBuffer`] reorders, de-duplicates and conceals. Because
+//! `(seed, cycle, stream)` — which packets arrive this cycle, and a
+//! [`JitterBuffer`] reorders, de-duplicates and conceals. Because
 //! the trace is stateless and the executors guarantee exactly-once node
 //! execution, the played audio is bit-identical for a fixed seed across
 //! every strategy and thread count.
@@ -30,7 +30,7 @@ use crate::nodes::{sum_inputs, CostModel};
 use djstar_workload::netspec::NetSpec;
 
 /// Convert the workload's engine-agnostic [`NetSpec`] into the core's
-/// packet-trace plan (the counterpart of `apc::fault_plan_from_spec`).
+/// packet-trace plan.
 pub fn net_plan_from_spec(spec: &NetSpec) -> NetFaultPlan {
     NetFaultPlan {
         seed: spec.seed,
@@ -49,7 +49,7 @@ pub fn net_plan_from_spec(spec: &NetSpec) -> NetFaultPlan {
 }
 
 /// The jitter-buffer configuration a [`NetSpec`] asks for; `start_depth`
-/// can be overridden (the degradation governor rebuilds shapes with an
+/// can be overridden (the network governor rebuilds shapes with an
 /// explicit per-deck depth).
 pub fn jitter_config_from_spec(spec: &NetSpec, start_depth: Option<u32>) -> JitterConfig {
     JitterConfig {
@@ -58,7 +58,6 @@ pub fn jitter_config_from_spec(spec: &NetSpec, start_depth: Option<u32>) -> Jitt
         start_depth: start_depth
             .unwrap_or(spec.start_depth)
             .clamp(spec.min_depth, spec.max_depth),
-        adapt: spec.adapt,
         ..JitterConfig::default()
     }
 }
@@ -115,15 +114,10 @@ impl NetDeckSource {
         self.buf.target_depth()
     }
 
-    /// Retarget the playout depth (the degradation governor's actuator);
+    /// Retarget the playout depth (the network governor's actuator);
     /// the buffer applies at most one bounded step per cycle.
     pub fn set_target_depth(&mut self, depth: u32) {
         self.buf.set_target_depth(depth);
-    }
-
-    /// Widen or narrow the adaptation range.
-    pub fn set_depth_bounds(&mut self, min_depth: u32, max_depth: u32) {
-        self.buf.set_depth_bounds(min_depth, max_depth);
     }
 }
 
@@ -318,7 +312,12 @@ mod tests {
     #[test]
     fn governor_can_retune_depth_through_the_node() {
         let plan = NetFaultPlan::quiet(3);
-        let mut node = NetDeckSource::new(0, plan, JitterConfig::adaptive(1, 8), light(), 1);
+        let cfg = JitterConfig {
+            min_depth: 1,
+            max_depth: 8,
+            ..JitterConfig::default()
+        };
+        let mut node = NetDeckSource::new(0, plan, cfg, light(), 1);
         let mut out = AudioBuf::zeroed(2, djstar_dsp::BUFFER_FRAMES);
         for c in 0..10u64 {
             node.process(&[], &mut out, &ctx(c));

@@ -119,7 +119,7 @@ pub(crate) fn sum_inputs(inputs: &[&AudioBuf], out: &mut AudioBuf) {
 /// The four SP nodes of a deck form a Linkwitz–Riley 4-band crossover
 /// (200 / 1200 / 5000 Hz): each node applies its branch of the LR4 split
 /// tree, so when the first effect node sums the four bands the deck signal
-/// reconstructs flat (see `djstar_dsp::crossover`). Each node owns its own
+/// reconstructs flat. Each node owns its own
 /// filter chain — the graph decomposition demands independent nodes — and
 /// the shared tree prefixes are simply duplicated per branch.
 pub struct SpFilterNode {

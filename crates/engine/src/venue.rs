@@ -37,7 +37,7 @@
 //! it records — so a `MissDossier` built from a venue capture names the
 //! offending session.
 
-use crate::apc::DegradeOutcome;
+use crate::apc::GovernorOutcome;
 use crate::apc::{ApcTiming, AudioEngine, AuxWork, PROBE_CYCLES};
 use crate::front::FrontWork;
 use crate::graphbuild::GraphShape;
@@ -336,7 +336,7 @@ impl VenueServer {
             if missed {
                 s.misses += 1;
             }
-            let _: Option<DegradeOutcome> = s.engine.observe_deadline(missed);
+            let _: Option<GovernorOutcome> = s.engine.observe_deadline(missed);
         }
         t0.elapsed()
     }

@@ -5,6 +5,8 @@
 //! draining their jitter buffers plus the broadcast sink fanning out to
 //! listeners — must not allocate: the trace is stateless arithmetic,
 //! the ring slots are preallocated, and concealment writes in place.
+//! The window also spans a depth transition the engine's network governor
+//! ordered, so the buffers' held and skipped frames are covered too.
 //!
 //! This lives in its own integration test binary because a global
 //! allocator is process-wide and the default harness is multi-threaded;
@@ -38,17 +40,26 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 use djstar_core::exec::Strategy;
 use djstar_engine::apc::{AudioEngine, AuxWork};
+use djstar_engine::degrade::GovernorConfig;
 use djstar_workload::scenario::Scenario;
 use djstar_workload::NetSpec;
+
+/// Deepen on the first conceal, straight to the ceiling, and never
+/// restore: one retarget through the engine's network governor.
+const DEEPEN_ONCE: GovernorConfig = GovernorConfig {
+    window: 1,
+    shed_misses: 1,
+    restore_clean: usize::MAX,
+    restore_tolerance: 0,
+    min_dwell: 0,
+};
 
 #[test]
 fn networked_cycles_do_not_allocate() {
     // Two remote decks, listeners on the sink, all fault classes firing:
     // the worst case the fault plan can throw at the buffers.
-    let mut net = NetSpec::bursty(0xA110C);
-    net.adapt = true; // watermark adaptation shares the hot path
     let mut scenario = Scenario::light_test();
-    scenario.net = net;
+    scenario.net = NetSpec::bursty(0xA110C);
     for (strategy, threads) in [
         (Strategy::Sequential, 1usize),
         (Strategy::Steal, 3),
@@ -57,6 +68,16 @@ fn networked_cycles_do_not_allocate() {
         let mut engine =
             AudioEngine::with_aux(scenario.clone(), strategy, threads, AuxWork::light());
         engine.warmup(30);
+        // Deepen every remote buffer to the ceiling through the engine on
+        // the first conceal; the buffers then step one rung per cycle
+        // inside the counted window.
+        engine.enable_net_degradation(DEEPEN_ONCE, 16);
+        let deepened = (0..200).any(|_| {
+            engine.run_apc();
+            engine.observe_network().is_some()
+        });
+        assert!(deepened, "{strategy:?}: the trace never concealed");
+        let changes = engine.net_stats().depth_changes;
         let exec = engine.executor_mut();
         // Count allocations across a 50-cycle window. A genuine hot-path
         // allocation repeats every window, so re-measuring once filters
@@ -81,6 +102,10 @@ fn networked_cycles_do_not_allocate() {
         assert!(
             stats.received > 0,
             "{strategy:?}: no packets flowed, the claim is vacuous"
+        );
+        assert!(
+            stats.depth_changes > changes,
+            "{strategy:?}: no depth transition inside the window"
         );
     }
 }

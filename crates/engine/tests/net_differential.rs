@@ -13,7 +13,7 @@ use djstar_core::exec::Strategy;
 use djstar_core::net::NetStats;
 use djstar_dsp::AudioBuf;
 use djstar_engine::apc::{AudioEngine, AuxWork};
-use djstar_engine::degrade::NetDegradeConfig;
+use djstar_engine::degrade::GovernorConfig;
 use djstar_engine::netnodes::net_plan_from_spec;
 use djstar_workload::scenario::Scenario;
 use djstar_workload::NetSpec;
@@ -28,7 +28,6 @@ fn with_net(net: NetSpec) -> Scenario {
 
 fn net_scenario() -> Scenario {
     let mut net = NetSpec::bursty(0xD1FF);
-    net.adapt = false;
     net.start_depth = 3;
     with_net(net)
 }
@@ -109,24 +108,22 @@ fn bursty_trace() -> NetSpec {
         min_depth: 1,
         max_depth: 12,
         start_depth: 1,
-        adapt: false,
     }
 }
 
 /// Deepen on the first concealed slot in a short window (a burst
-/// announces itself at once), give latency back one rung per clean
-/// stretch so the median depth stays at the floor between bursts.
-fn governor(net: &NetSpec) -> NetDegradeConfig {
-    NetDegradeConfig {
+/// announces itself at once), four depth cycles at a time; give latency
+/// back one rung per clean stretch so the median depth stays at the floor
+/// between bursts. The ladder is the trace's own depth range.
+fn governor() -> (GovernorConfig, u32) {
+    let cfg = GovernorConfig {
         window: 8,
-        deepen_conceals: 1,
+        shed_misses: 1,
         restore_clean: 48,
         restore_tolerance: 0,
         min_dwell: 2,
-        depth_step: 4,
-        min_depth: net.min_depth,
-        max_depth: net.max_depth,
-    }
+    };
+    (cfg, 4)
 }
 
 struct TradeRun {
@@ -143,12 +140,12 @@ struct TradeRun {
 /// Replay `net` on SEQ x 1, with the network governor armed when `cfg`
 /// is given (every depth change then commits through the staged
 /// generation-swap path).
-fn run_trade(net: NetSpec, cfg: Option<NetDegradeConfig>) -> TradeRun {
+fn run_trade(net: NetSpec, cfg: Option<(GovernorConfig, u32)>) -> TradeRun {
     let mut engine =
         AudioEngine::with_aux(with_net(net), Strategy::Sequential, 1, AuxWork::light());
     engine.warmup(TRADE_WARMUP);
-    if let Some(cfg) = cfg {
-        engine.enable_net_degradation(cfg);
+    if let Some((cfg, depth_step)) = cfg {
+        engine.enable_net_degradation(cfg, depth_step);
     }
     let before = engine.net_stats().concealed;
     let mut depths = Vec::with_capacity(TRADE_CYCLES);
@@ -177,7 +174,7 @@ fn adaptive_depth_beats_every_fixed_depth_at_equal_latency() {
     let (fixed, [adaptive, again]) = std::thread::scope(|s| {
         let fixed = [1u32, 2, 4, 8, 12]
             .map(|d| s.spawn(move || (d, run_trade(net.with_fixed_depth(d), None).dropouts)));
-        let adaptive = [(); 2].map(|()| s.spawn(move || run_trade(net, Some(governor(&net)))));
+        let adaptive = [(); 2].map(|()| s.spawn(move || run_trade(net, Some(governor()))));
         (
             fixed.map(|h| h.join().expect("fixed-depth run")),
             adaptive.map(|h| h.join().expect("adaptive run")),

@@ -326,12 +326,12 @@ fn shaped_construction_matches_reconfigured_shape() {
 
 #[test]
 fn deadline_governor_sheds_and_restores_through_the_engine() {
-    use djstar_engine::degrade::{DegradeAction, DegradeConfig};
+    use djstar_engine::degrade::{GovernorAction, GovernorConfig};
     let mut engine = light_engine(Strategy::Busy, 2);
     engine.warmup(5);
     let full = *engine.shape();
     assert!(full.fx_slots.iter().all(|&n| n > 1), "nothing to shed");
-    let cfg = DegradeConfig {
+    let cfg = GovernorConfig {
         window: 8,
         shed_misses: 4,
         restore_clean: 16,
@@ -352,14 +352,14 @@ fn deadline_governor_sheds_and_restores_through_the_engine() {
                 continue;
             };
             match outcome.action {
-                DegradeAction::Shed => {
+                GovernorAction::Shed => {
                     assert!(missed, "shed during clean air");
                     assert!(engine.is_degraded());
                     for d in 0..4 {
                         assert_eq!(engine.shape().fx_slots[d], 1, "deck {d} chain not trimmed");
                     }
                 }
-                DegradeAction::Restore => {
+                GovernorAction::Restore => {
                     assert!(!missed, "restore under sustained misses");
                     assert!(!engine.is_degraded());
                     assert_eq!(*engine.shape(), full, "restore lost the saved shape");
@@ -369,7 +369,7 @@ fn deadline_governor_sheds_and_restores_through_the_engine() {
             actions.push(outcome.action);
         }
     }
-    use DegradeAction::{Restore, Shed};
+    use GovernorAction::{Restore, Shed};
     assert_eq!(actions, [Shed, Restore, Shed, Restore]);
     let events = engine.degrade_events();
     assert_eq!(events.iter().map(|e| e.action).collect::<Vec<_>>(), actions);

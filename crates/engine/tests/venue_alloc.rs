@@ -41,6 +41,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 use djstar_core::exec::Strategy;
 use djstar_engine::apc::AuxWork;
+use djstar_engine::degrade::GovernorConfig;
 use djstar_engine::venue::{SessionSpec, VenueServer};
 use djstar_workload::scenario::Scenario;
 use djstar_workload::NetSpec;
@@ -49,9 +50,7 @@ use std::time::Duration;
 fn spec(strategy: Strategy, threads: usize, networked: bool) -> SessionSpec {
     let mut scenario = Scenario::light_test();
     if networked {
-        let mut net = NetSpec::bursty(0xA110C);
-        net.adapt = true;
-        scenario.net = net;
+        scenario.net = NetSpec::bursty(0xA110C);
     }
     SessionSpec {
         scenario,
@@ -61,6 +60,16 @@ fn spec(strategy: Strategy, threads: usize, networked: bool) -> SessionSpec {
     }
 }
 
+/// Deepen on the first conceal, straight to the ceiling, and never
+/// restore: one retarget through the engine's network governor.
+const DEEPEN_ONCE: GovernorConfig = GovernorConfig {
+    window: 1,
+    shed_misses: 1,
+    restore_clean: usize::MAX,
+    restore_tolerance: 0,
+    min_dwell: 0,
+};
+
 #[test]
 fn steady_state_venue_cycles_do_not_allocate() {
     let mut venue = VenueServer::new(3, Duration::from_secs(1), 0.0);
@@ -68,7 +77,7 @@ fn steady_state_venue_cycles_do_not_allocate() {
     // replayer (whose front session replays a blueprint too), inline
     // sequential, one of them networked — every dispatch flavor the
     // venue hot path has, in both of its batches.
-    venue
+    let networked = venue
         .admit_bounded(spec(Strategy::Steal, 3, true), 1)
         .expect("admit steal");
     venue
@@ -81,6 +90,24 @@ fn steady_state_venue_cycles_do_not_allocate() {
         .admit_bounded(spec(Strategy::Sequential, 1, false), 1)
         .expect("admit sequential");
     venue.run_cycles(30);
+    // Deepen the networked session's buffers to the ceiling through its
+    // engine on the first conceal; they then step one rung per cycle
+    // inside the counted window.
+    venue
+        .engine_mut(networked)
+        .unwrap()
+        .enable_net_degradation(DEEPEN_ONCE, 16);
+    let deepened = (0..200).any(|_| {
+        venue.run_cycle();
+        let engine = venue.engine_mut(networked).unwrap();
+        engine.observe_network().is_some()
+    });
+    assert!(deepened, "the trace never concealed");
+    let changes = venue
+        .engine_mut(networked)
+        .unwrap()
+        .net_stats()
+        .depth_changes;
     // Count allocations across a 50-cycle window. A genuine hot-path
     // allocation repeats every window, so re-measuring once filters the
     // rare one-shot lazy initialization std performs without weakening
@@ -95,4 +122,10 @@ fn steady_state_venue_cycles_do_not_allocate() {
         allocs = measure();
     }
     assert_eq!(allocs, 0, "venue cycles allocated {allocs} times");
+    let after = venue
+        .engine_mut(networked)
+        .unwrap()
+        .net_stats()
+        .depth_changes;
+    assert!(after > changes, "no depth transition inside the window");
 }

@@ -6,10 +6,10 @@
 //! no scheduling, fault or network state across session boundaries.
 
 use djstar_core::exec::Strategy;
+use djstar_core::faults::FaultPlan;
 use djstar_dsp::AudioBuf;
 use djstar_engine::apc::AuxWork;
 use djstar_engine::venue::{SessionSpec, VenueServer};
-use djstar_workload::faults::FaultSpec;
 use djstar_workload::scenario::Scenario;
 use djstar_workload::NetSpec;
 
@@ -20,7 +20,6 @@ fn victim_spec() -> SessionSpec {
     // B is itself networked (deterministic bursty trace) so the check
     // covers packet accounting, not just DSP state.
     let mut net = NetSpec::bursty(0xB0B);
-    net.adapt = false;
     net.start_depth = 3;
     let mut scenario = Scenario::light_test();
     scenario.net = net;
@@ -65,8 +64,8 @@ fn run_victim_beside(hostile: bool) -> (u64, djstar_core::net::NetStats, u64) {
         .expect("admit aggressor");
     let b = venue.admit_bounded(victim_spec(), 1).expect("admit victim");
     if hostile {
-        let storm = FaultSpec::storm(0xFEED).with_iters(40_000, 20_000, 60_000);
-        venue.engine_mut(a).unwrap().set_faults(Some(&storm));
+        let storm = FaultPlan::storm(0xFEED).with_iters(40_000, 20_000, 60_000);
+        venue.engine_mut(a).unwrap().set_faults(Some(storm));
     }
     let mut acc = 0xcbf2_9ce4_8422_2325u64;
     for _ in 0..CYCLES {

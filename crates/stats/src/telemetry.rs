@@ -1,7 +1,7 @@
 //! Aggregation and export of executor telemetry.
 //!
 //! The core layer hands out raw per-cycle records
-//! ([`CycleRecord`](djstar_core::telemetry::CycleRecord)); this module
+//! ([`CycleRecord`]); this module
 //! turns a run's worth of them into the artifacts the evaluation wants:
 //! graph-time and wait-time percentiles (p50/p90/p99/p99.9), counter
 //! totals, a deadline-miss ledger naming the offending cycles, a JSONL

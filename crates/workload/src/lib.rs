@@ -11,14 +11,12 @@
 //! [`profile`] holds the per-node-class compute weights that calibrate our
 //! graph's run-time distribution to the paper's.
 
-pub mod faults;
 pub mod netspec;
 pub mod profile;
 pub mod scenario;
 pub mod switches;
 pub mod track;
 
-pub use faults::FaultSpec;
 pub use netspec::NetSpec;
 pub use profile::WorkProfile;
 pub use scenario::{DeckConfig, Scenario};

@@ -5,9 +5,8 @@
 //! for remote deck streams and the broadcast downlink — loss, jitter,
 //! reordering, duplication, jitter bursts and listener stalls — without
 //! depending on executor internals (the engine converts a spec into
-//! `djstar-core`'s `NetFaultPlan`). Like [`FaultSpec`](crate::FaultSpec),
-//! every preset is a pure function of its seed, so a scenario names a
-//! replayable network trace, not a dice roll.
+//! `djstar-core`'s `NetFaultPlan`). Every preset is a pure function of its
+//! seed, so a scenario names a replayable network trace, not a dice roll.
 
 /// A seeded network scenario, engine-agnostic plain data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,14 +39,14 @@ pub struct NetSpec {
     pub burst_jitter: u32,
     /// Probability a broadcast listener's drain stalls in a given cycle.
     pub listener_stall_rate: f64,
-    /// Smallest jitter-buffer playout depth (cycles of added latency).
+    /// Smallest jitter-buffer playout depth (cycles of added latency):
+    /// the buffers' clamp and the floor of the engine's network governor.
     pub min_depth: u32,
-    /// Largest jitter-buffer playout depth.
+    /// Largest jitter-buffer playout depth: the buffers' clamp and the
+    /// governor's ceiling.
     pub max_depth: u32,
     /// Initial playout depth.
     pub start_depth: u32,
-    /// Enable watermark-driven depth adaptation.
-    pub adapt: bool,
 }
 
 impl Default for NetSpec {
@@ -71,7 +70,6 @@ impl Default for NetSpec {
             min_depth: 1,
             max_depth: 12,
             start_depth: 1,
-            adapt: false,
         }
     }
 }
@@ -107,15 +105,14 @@ impl NetSpec {
     }
 
     /// Bursty jitter on top of a lossy link: long quiet stretches with
-    /// periodic delay storms. This is the scenario where an adaptive
-    /// depth wins — a fixed buffer must either ride deep forever (latency)
-    /// or conceal through every burst (dropouts).
+    /// periodic delay storms. This is the scenario where the engine's
+    /// network governor wins — a fixed buffer must either ride deep
+    /// forever (latency) or conceal through every burst (dropouts).
     pub fn bursty(seed: u64) -> Self {
         NetSpec {
             burst_period: 256,
             burst_len: 64,
             burst_jitter: 8,
-            adapt: true,
             ..Self::lossy(seed)
         }
     }
@@ -135,25 +132,13 @@ impl NetSpec {
         self.remote_decks.iter().all(|&r| !r) && self.listeners == 0
     }
 
-    /// The same scenario pinned to a fixed playout depth (no adaptation) —
-    /// the fixed-depth arms of the E17 latency/dropout sweep.
+    /// The same scenario pinned to a fixed playout depth — the
+    /// fixed-depth arms of the E17 latency/dropout sweep.
     pub fn with_fixed_depth(self, depth: u32) -> Self {
         NetSpec {
             min_depth: depth,
             max_depth: depth,
             start_depth: depth,
-            adapt: false,
-            ..self
-        }
-    }
-
-    /// The same scenario with adaptation over `[min, max]`.
-    pub fn with_adaptive_depth(self, min: u32, max: u32) -> Self {
-        NetSpec {
-            min_depth: min,
-            max_depth: max,
-            start_depth: min,
-            adapt: true,
             ..self
         }
     }
@@ -192,9 +177,15 @@ mod tests {
             (fixed.min_depth, fixed.max_depth, fixed.start_depth),
             (6, 6, 6)
         );
-        assert!(!fixed.adapt);
-        let ad = NetSpec::bursty(1).with_adaptive_depth(1, 10);
-        assert!(ad.adapt);
-        assert_eq!(ad.start_depth, 1);
+        // Only the depth fields move.
+        assert_eq!(
+            fixed,
+            NetSpec {
+                min_depth: 6,
+                max_depth: 6,
+                start_depth: 6,
+                ..NetSpec::bursty(1)
+            }
+        );
     }
 }

@@ -9,10 +9,10 @@
 //! stall burns and degenerate waits in the mix.
 
 use djstar_core::exec::Strategy;
+use djstar_core::faults::FaultPlan;
 use djstar_core::flight::FlightConfig;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_stats::{analyze_miss, MissContext};
-use djstar_workload::faults::FaultSpec;
 use djstar_workload::scenario::Scenario;
 
 #[test]
@@ -30,7 +30,7 @@ fn blame_sums_to_overrun_across_strategies_and_threads() {
         for &t in thread_counts {
             let mut engine =
                 AudioEngine::with_aux(Scenario::light_test(), strategy, t, AuxWork::light());
-            engine.set_faults(Some(&FaultSpec::storm(0xE15).with_iters(50, 50, 25)));
+            engine.set_faults(Some(FaultPlan::storm(0xE15).with_iters(50, 50, 25)));
             engine.warmup(4);
             engine.set_flight_recorder(Some(FlightConfig {
                 spans_per_worker: 8192,
