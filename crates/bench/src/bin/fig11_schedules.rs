@@ -4,8 +4,8 @@
 //! in what order — gray boxes marking busy-wait intervals, white gaps
 //! marking sleeping threads, with node ids on the bars. We print the same
 //! picture twice: once from the virtual-time simulators (the comparable
-//! numbers) and once from a real traced cycle of each executor (structure
-//! only on a single-core host).
+//! numbers) and once from a real recorded cycle of each executor, folded
+//! out of its flight recorder (structure only on a single-core host).
 //!
 //! A median-makespan cycle is selected per strategy, matching the paper's
 //! "typical realizations of the schedules with execution times close to
@@ -13,6 +13,7 @@
 
 use djstar_bench::{build_harness, run_real_executors};
 use djstar_core::exec::Strategy;
+use djstar_core::flight::FlightConfig;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_sim::gantt::{render_schedule, render_trace};
 use djstar_sim::strategy::{simulate_makespans, simulate_strategy, SimStrategy};
@@ -73,12 +74,10 @@ fn main() {
             let mut engine =
                 AudioEngine::with_aux(h.scenario.clone(), strategy, threads, AuxWork::light());
             engine.warmup(30);
-            engine.executor_mut().set_tracing(true);
-            engine.run_apc();
-            if let Some(trace) = engine.executor_mut().take_trace() {
-                println!("## {label} (measured)\n");
-                println!("{}", render_trace(&trace, 110));
-            }
+            engine.set_flight_recorder(Some(FlightConfig::default()));
+            let trace = engine.run_apc_traced();
+            println!("## {label} (measured)\n");
+            println!("{}", render_trace(&trace, 110));
         }
     }
 }

@@ -24,8 +24,8 @@
 use super::executor::{Lane, Policy, PoolExecutor, QueuePolicy};
 use super::pool::VenuePool;
 use super::{ExecGraph, Strategy};
+use crate::flight::SpanKind;
 use crate::graph::NodeId;
-use crate::trace::TraceKind;
 
 /// The BUSY policy: static round-robin assignment + spin waits.
 pub struct Spin;
@@ -48,7 +48,7 @@ pub(super) unsafe fn spin_then_exec(lane: &mut Lane<'_>, node: u32, waits: &[u32
         spins += graph.spin_until_done(p as usize, lane.epoch);
     }
     if spins > 0 {
-        let ns = lane.waited(TraceKind::BusyWait, node, w0);
+        let ns = lane.waited(SpanKind::BusyWait, node, w0);
         lane.count(|c| c.add_spin(spins, ns));
     }
     // SAFETY: exclusive by the caller's contract; every predecessor was
@@ -82,7 +82,9 @@ impl QueuePolicy for Spin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{diamond_sum_graph, fan_graph, run_and_check};
+    use crate::exec::test_support::{
+        diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
+    };
     use crate::exec::GraphExecutor;
     use crate::graph::Priority;
     use djstar_dsp::AudioBuf;
@@ -128,10 +130,9 @@ mod tests {
     #[test]
     fn trace_respects_dependencies() {
         let mut ex = BusyExecutor::new(fan_graph(16), 4, 8);
-        ex.set_tracing(true);
+        record(&mut ex);
         for _ in 0..20 {
-            ex.run_cycle(&[], &[]);
-            let trace = ex.take_trace().unwrap();
+            let trace = traced_cycle(&mut ex);
             assert_eq!(trace.executions().len(), ex.topology().len());
             let topo = ex.topology();
             assert!(trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()));
@@ -141,9 +142,8 @@ mod tests {
     #[test]
     fn round_robin_assignment_visible_in_trace() {
         let mut ex = BusyExecutor::new(fan_graph(8), 2, 8);
-        ex.set_tracing(true);
-        ex.run_cycle(&[], &[]);
-        let trace = ex.take_trace().unwrap();
+        record(&mut ex);
+        let trace = traced_cycle(&mut ex);
         let topo = ex.topology();
         for e in trace.executions() {
             let k = topo.queue().iter().position(|&n| n == e.node).unwrap();

@@ -3,21 +3,21 @@
 //! [`Lane`] every policy drives.
 //!
 //! Policies never touch a clock, a counter or a recorder directly:
-//! `lane.exec(node)` runs one node with fault injection, tracing, telemetry
-//! and flight spans around it, `clock()` / `waited(..)` bracket a wait,
-//! `count(..)` books it. With nothing armed a lane takes zero clock reads.
+//! `lane.exec(node)` runs one node with fault injection, telemetry and
+//! flight spans around it, `clock()` / `waited(..)` bracket a wait,
+//! `count(..)` books it. A lane records each interval exactly once, into
+//! the flight recorder; with nothing armed it takes zero clock reads.
 
 use super::pool::{LaneRunner, PoolBinding, VenuePool};
 use super::{
-    Adoption, CycleResult, ExecGraph, GraphExecutor, RawEvent, ScheduleBlueprint, Shared,
-    StagedGeneration, Strategy,
+    Adoption, CycleResult, ExecGraph, GraphExecutor, ScheduleBlueprint, Shared, StagedGeneration,
+    Strategy,
 };
 use crate::faults::FaultPlan;
 use crate::flight::{FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
 use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing, DEFAULT_RING_CAPACITY};
-use crate::trace::{ScheduleTrace, TraceKind};
 use djstar_dsp::AudioBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -75,18 +75,15 @@ pub(crate) struct Lane<'a> {
     /// The flight recorder, when installed. This lane writes only its own
     /// span ring of it.
     rec: Option<&'a FlightRecorder>,
-    tracing: bool,
     telem: bool,
-    /// Anything armed: tracing, telemetry or the recorder.
+    /// Anything armed: telemetry or the recorder.
     armed: bool,
-    events: Vec<RawEvent>,
 }
 
 impl<'a> Lane<'a> {
     /// # Safety
     /// As [`Policy::run_lane`].
     unsafe fn begin(sh: &'a Shared, me: usize, epoch: u64) -> Self {
-        let tracing = sh.tracing.load(Ordering::Relaxed);
         let telem = sh.telemetry.load(Ordering::Relaxed);
         let counters = &sh.counters[me];
         // SAFETY: epoch edge held; externals, the fault plan and the
@@ -113,10 +110,8 @@ impl<'a> Lane<'a> {
             counters,
             faults,
             rec,
-            tracing,
             telem,
-            armed: tracing || telem || rec.is_some(),
-            events: Vec::new(),
+            armed: telem || rec.is_some(),
         }
     }
 
@@ -131,7 +126,7 @@ impl<'a> Lane<'a> {
     }
 
     /// Execute `node` and publish it done: the one copy of the
-    /// fault → net counters → process → trace / telemetry / flight block.
+    /// fault → net counters → process → telemetry / flight block.
     ///
     /// # Safety
     /// The caller is the exclusive executor of `node` this epoch and has
@@ -163,7 +158,6 @@ impl<'a> Lane<'a> {
         // is pre-empted right here.
         let t1 = Instant::now();
         graph.publish(node as usize, self.epoch);
-        self.trace(node, TraceKind::Exec, t0, t1);
         if self.telem {
             self.counters.add_exec((t1 - t0).as_nanos() as u64);
         }
@@ -191,14 +185,13 @@ impl<'a> Lane<'a> {
         self.armed.then(Instant::now)
     }
 
-    /// Close a wait interval opened by [`clock`](Self::clock): the trace
-    /// and the flight recorder get a `kind` interval on `node`. Returns its
-    /// length in ns for the caller to [`count`](Self::count).
-    pub(crate) fn waited(&mut self, kind: TraceKind, node: u32, since: Option<Instant>) -> u64 {
+    /// Close a wait interval opened by [`clock`](Self::clock): the flight
+    /// recorder gets a `kind` interval on `node`. Returns its length in ns
+    /// for the caller to [`count`](Self::count).
+    pub(crate) fn waited(&self, kind: SpanKind, node: u32, since: Option<Instant>) -> u64 {
         let Some(start) = since else { return 0 };
         let end = Instant::now();
-        self.trace(node, kind, start, end);
-        self.span(node, kind.into(), start, end);
+        self.span(node, kind, start, end);
         (end - start).as_nanos() as u64
     }
 
@@ -207,24 +200,6 @@ impl<'a> Lane<'a> {
     pub(crate) fn count(&self, book: impl FnOnce(&CycleCounters)) {
         if self.telem {
             book(self.counters);
-        }
-    }
-
-    fn trace(&mut self, node: u32, kind: TraceKind, start: Instant, end: Instant) {
-        if self.tracing {
-            self.events.push(RawEvent {
-                node,
-                kind,
-                start,
-                end,
-            });
-        }
-    }
-
-    /// Hand this lane's trace events to the driver (traced cycles only).
-    fn finish(self) {
-        if self.tracing {
-            self.sh.flush_trace(self.me, self.events);
         }
     }
 
@@ -304,7 +279,6 @@ impl<P: Policy> LaneRunner for Session<P> {
             let mut lane = Lane::begin(&self.shared, me, epoch);
             lane.stalls();
             self.policy.run_lane(&mut lane);
-            lane.finish();
         }
     }
 }
@@ -317,8 +291,9 @@ impl<P: Policy> LaneRunner for Session<P> {
 pub struct PoolExecutor<P> {
     session: Arc<Session<P>>,
     pool: PoolBinding,
-    tracing: bool,
-    last_trace: Option<ScheduleTrace>,
+    /// The last cycle epoch handed out; driver-owned, published to the
+    /// lanes through the pool entry under the pool epoch's `Release`.
+    epoch: u64,
     telemetry: Option<TelemetryRing>,
     tag: u32,
 }
@@ -346,8 +321,7 @@ impl<P: Policy> PoolExecutor<P> {
         PoolExecutor {
             session,
             pool,
-            tracing: false,
-            last_trace: None,
+            epoch: 0,
             telemetry: None,
             tag: 0,
         }
@@ -386,19 +360,19 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         // is reset (a lagging pool worker could still be inside it).
         self.pool.pool().quiesce();
         let Session { shared, policy } = &*self.session;
-        shared.tracing.store(self.tracing, Ordering::Relaxed);
         shared
             .telemetry
             .store(self.telemetry.is_some(), Ordering::Relaxed);
         // SAFETY: driver thread, no cycle in flight (`&mut self`), pool
         // quiescent.
-        let epoch = unsafe {
+        unsafe {
             shared.prepare_cycle(external_audio, controls);
             policy.seed(shared);
-            shared.publish_cycle()
-        };
-        self.pool.stage(epoch);
-        epoch
+            shared.start_cycle();
+        }
+        self.epoch += 1;
+        self.pool.stage(self.epoch);
+        self.epoch
     }
 
     fn venue_collect(&mut self, epoch: u64) -> CycleResult {
@@ -406,7 +380,7 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         shared.wait_cycle_done();
         policy.settle(shared);
         let end = Instant::now();
-        // SAFETY: driver-owned; set by `publish_cycle` this cycle.
+        // SAFETY: driver-owned; set by `start_cycle` this cycle.
         let start = unsafe { *shared.cycle_start.get() };
         let duration = end - start;
         shared.stamp_cycle(epoch, end);
@@ -420,9 +394,6 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
                 lane.drain_into(out);
             }
         }
-        if self.tracing {
-            self.last_trace = Some(shared.collect_trace());
-        }
         CycleResult { duration }
     }
 
@@ -431,14 +402,6 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         if let Some(r) = &self.telemetry {
             self.telemetry = Some(self.ring(r.capacity()));
         }
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    fn take_trace(&mut self) -> Option<ScheduleTrace> {
-        self.last_trace.take()
     }
 
     fn set_telemetry(&mut self, on: bool) {

@@ -59,7 +59,9 @@ impl HybridExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{diamond_sum_graph, fan_graph, run_and_check};
+    use crate::exec::test_support::{
+        diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
+    };
     use crate::exec::GraphExecutor;
     use crate::graph::NodeId;
     use djstar_dsp::AudioBuf;
@@ -106,10 +108,9 @@ mod tests {
     #[test]
     fn traces_are_dependency_safe() {
         let mut ex = HybridExecutor::new(fan_graph(12), 4, 8, 500);
-        ex.set_tracing(true);
+        record(&mut ex);
         for _ in 0..20 {
-            ex.run_cycle(&[], &[]);
-            let trace = ex.take_trace().unwrap();
+            let trace = traced_cycle(&mut ex);
             let topo = ex.topology();
             assert!(trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()));
             assert_eq!(trace.executions().len(), topo.len());

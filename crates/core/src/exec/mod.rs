@@ -21,10 +21,12 @@
 //! "done for epoch E" when its `done_epoch` atomic equals `E`. The protocol:
 //!
 //! 1. Between cycles, only the driver thread touches node state. It resets
-//!    pending-dependency counters, writes the external inputs, then
-//!    publishes the new epoch with a `Release` store (and wakes workers).
-//! 2. A worker acquires the epoch (`Acquire` load), which makes every
-//!    driver write of step 1 visible.
+//!    pending-dependency counters, writes the external inputs, picks the
+//!    next epoch from its own counter, then publishes the cycle with the
+//!    pool epoch's `Release` store (and wakes workers; see [`pool`]).
+//! 2. A worker acquires the pool epoch (`Acquire` load), which makes every
+//!    driver write of step 1 visible — the session epoch it then reads
+//!    from its pool entry included.
 //! 3. The executing worker of a node reads each predecessor's output only
 //!    after observing `done_epoch == E` with `Acquire`; the predecessor's
 //!    executor stored it with `Release` after writing the output. This
@@ -84,7 +86,6 @@ use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
 use crate::pad::CachePadded;
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing};
-use crate::trace::{ScheduleTrace, TraceEvent, TraceKind};
 use djstar_dsp::AudioBuf;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -310,7 +311,8 @@ pub trait GraphExecutor: Send {
 
     /// Venue path, second half: wait for this session's staged cycle
     /// (published by [`venue_stage`](Self::venue_stage)) to complete and
-    /// harvest its timing/telemetry/trace exactly as `run_cycle` would.
+    /// harvest its timing, telemetry and cycle stamp exactly as
+    /// `run_cycle` would.
     /// Must only be called with the epoch returned by the matching
     /// `venue_stage`, after the batch was dispatched and the driver parts
     /// ran.
@@ -322,15 +324,9 @@ pub trait GraphExecutor: Send {
     /// sets it once, right after construction.
     fn set_session(&mut self, session: u32);
 
-    /// Enable/disable schedule tracing (adds overhead; off by default).
-    fn set_tracing(&mut self, on: bool);
-
-    /// Take the trace of the most recent traced cycle.
-    fn take_trace(&mut self) -> Option<ScheduleTrace>;
-
-    /// Enable/disable telemetry counter collection. Far cheaper than
-    /// tracing (a handful of `Relaxed` counter adds per node, no
-    /// allocation inside a cycle); off by default.
+    /// Enable/disable telemetry counter collection (a handful of
+    /// `Relaxed` counter adds per node, no allocation inside a cycle); off
+    /// by default.
     fn set_telemetry(&mut self, on: bool);
 
     /// Take the ring of per-cycle telemetry records collected so far.
@@ -348,10 +344,13 @@ pub trait GraphExecutor: Send {
     /// Install (or clear, with `None`) a flight recorder sized by `cfg`
     /// and tagged with the executor's session id. All buffers are
     /// allocated here, up front; from the next cycle the executor records
-    /// every Exec/BusyWait/Sleep/Steal/Unpark/Fault interval into
-    /// pre-allocated overwrite-oldest per-worker rings. Disabled, the hot
-    /// path pays one `Relaxed` flag load — the same zero-cost-when-off
-    /// contract as [`set_faults`](Self::set_faults).
+    /// every Exec/BusyWait/Sleep/Steal/Unpark/Fault/NetWait/Conceal
+    /// interval into pre-allocated overwrite-oldest per-worker rings — the
+    /// executor's one recording primitive, which
+    /// [`ScheduleTrace::of_cycle`](crate::trace::ScheduleTrace::of_cycle)
+    /// folds into a cycle's schedule trace. Disabled, the hot path pays one
+    /// plain load of the empty slot — the same zero-cost-when-off contract
+    /// as [`set_faults`](Self::set_faults).
     fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>);
 
     /// Freeze and take the flight-recorder capture accumulated so far
@@ -708,15 +707,6 @@ impl ExecGraph {
     }
 }
 
-/// A raw trace event collected during a cycle (worker-local clock).
-#[derive(Clone, Copy)]
-pub(crate) struct RawEvent {
-    pub node: u32,
-    pub kind: TraceKind,
-    pub start: Instant,
-    pub end: Instant,
-}
-
 /// One session's state, shared between the driver and the pool workers
 /// running its lanes. Everything here is strategy-independent; what a
 /// strategy adds (deques, a blueprint, a spin budget) lives in its policy.
@@ -727,9 +717,6 @@ pub(crate) struct Shared {
     exec: DriverCell<ExecGraph>,
     /// Number of generation swaps performed (driver-read telemetry).
     pub generation: AtomicU64,
-    /// Current cycle epoch; driver bumps with `Release`. Padded away from
-    /// `done_count` below, which finishing workers hammer.
-    pub epoch: CachePadded<AtomicU64>,
     /// Nodes completed this cycle; workers increment with `Release`. The
     /// single most contended atomic of the queue-based policies — it gets
     /// its own cache line.
@@ -738,8 +725,6 @@ pub(crate) struct Shared {
     pub threads: usize,
     /// Which precomputed topological order the queue walk uses.
     pub priority: Priority,
-    /// Whether to record trace events this cycle.
-    pub tracing: AtomicBool,
     /// Whether to record telemetry counters this cycle.
     pub telemetry: AtomicBool,
     /// The installed flight recorder, if any (one plain load per cycle per
@@ -758,17 +743,12 @@ pub(crate) struct Shared {
     pub faults: DriverCell<Option<FaultPlan>>,
     /// External inputs for the current cycle.
     pub external: DriverCell<ExternalInputs>,
-    /// Instant of the current cycle's start (for trace offsets).
+    /// Instant of the current cycle's start (the recorder's cycle stamp).
     pub cycle_start: DriverCell<Instant>,
     /// Thread handles by lane; slot 0 is refreshed by the driver each
     /// cycle (the driver runs lane 0), the rest are the pool workers
     /// serving those lanes.
     pub handles: DriverCell<Vec<std::thread::Thread>>,
-    /// Per-worker trace sinks, drained by the driver after a traced cycle.
-    pub trace_sinks: Vec<std::sync::Mutex<Vec<RawEvent>>>,
-    /// Workers that have flushed their trace sink this cycle (traced cycles
-    /// only); the driver waits for all of them before collecting.
-    pub trace_flushed: AtomicU32,
 }
 
 impl Shared {
@@ -782,11 +762,9 @@ impl Shared {
         Shared {
             exec: DriverCell::new(exec),
             generation: AtomicU64::new(0),
-            epoch: CachePadded::new(AtomicU64::new(0)),
             done_count: CachePadded::new(AtomicU32::new(0)),
             threads,
             priority,
-            tracing: AtomicBool::new(false),
             telemetry: AtomicBool::new(false),
             recorder: DriverCell::new(None),
             counters: (0..threads).map(|_| CycleCounters::new()).collect(),
@@ -794,10 +772,6 @@ impl Shared {
             external: DriverCell::new(ExternalInputs::default()),
             cycle_start: DriverCell::new(Instant::now()),
             handles: DriverCell::new(handles),
-            trace_sinks: (0..threads)
-                .map(|_| std::sync::Mutex::new(Vec::new()))
-                .collect(),
-            trace_flushed: AtomicU32::new(0),
         }
     }
 
@@ -872,23 +846,16 @@ impl Shared {
             .succ_order(NodeId(node), self.priority)
     }
 
-    /// Worker-side: store this cycle's trace events and mark them flushed.
-    pub(crate) fn flush_trace(&self, worker: usize, events: Vec<RawEvent>) {
-        *self.trace_sinks[worker].lock().unwrap() = events;
-        self.trace_flushed.fetch_add(1, Ordering::Release);
-    }
-
     /// Driver-side, first half of starting a cycle: reset the graph's
     /// per-cycle state and copy the external inputs in. Nothing is
     /// published yet — the policy's `seed` hook runs next, then
-    /// [`publish_cycle`](Self::publish_cycle).
+    /// [`start_cycle`](Self::start_cycle).
     ///
     /// # Safety
     /// Must only be called by the driver with no cycle in flight.
     pub(crate) unsafe fn prepare_cycle(&self, external_audio: &[AudioBuf], controls: &[f32]) {
         self.graph().reset_pending();
         self.done_count.store(0, Ordering::Relaxed);
-        self.trace_flushed.store(0, Ordering::Relaxed);
         let ext = self.external.get_mut();
         // Reuse allocations where layouts match.
         if ext.audio.len() == external_audio.len()
@@ -908,21 +875,18 @@ impl Shared {
         ext.controls.extend_from_slice(controls);
     }
 
-    /// Driver-side, second half: start the cycle clock and publish the new
-    /// epoch WITHOUT waking any workers itself. Lane execution is driven by
-    /// the venue pool: a single batch-level wakeup
-    /// ([`pool::VenuePool::dispatch`]) covers every staged session; pool
-    /// workers observe this session's epoch store through the pool epoch's
-    /// Release/Acquire edge.
+    /// Driver-side, second half: start the cycle clock WITHOUT waking any
+    /// workers. Lane execution is driven by the venue pool: a single
+    /// batch-level wakeup ([`pool::VenuePool::dispatch`]) covers every
+    /// staged session, and its pool epoch's Release/Acquire edge publishes
+    /// this cycle — its epoch included, which workers read from their pool
+    /// entry.
     ///
     /// # Safety
     /// As [`prepare_cycle`](Self::prepare_cycle), which must have run.
-    pub(crate) unsafe fn publish_cycle(&self) -> u64 {
+    pub(crate) unsafe fn start_cycle(&self) {
         self.handles.get_mut()[0] = std::thread::current();
         self.cycle_start.set(Instant::now());
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        self.epoch.store(epoch, Ordering::Release);
-        epoch
     }
 
     /// Driver-side: wait until all nodes finished (spin-then-yield).
@@ -936,33 +900,6 @@ impl Shared {
     pub(crate) fn node_finished(&self) -> bool {
         let prev = self.done_count.fetch_add(1, Ordering::Release) + 1;
         prev == self.graph().len() as u32
-    }
-
-    /// Driver-side, after a traced cycle: wait until every lane flushed
-    /// its events, then merge them into one trace.
-    pub(crate) fn collect_trace(&self) -> ScheduleTrace {
-        while self.trace_flushed.load(Ordering::Acquire) != self.threads as u32 {
-            std::thread::yield_now();
-        }
-        // SAFETY: driver-owned; set by `publish_cycle` this cycle.
-        let cycle_start = unsafe { *self.cycle_start.get() };
-        let since = |t: Instant| t.duration_since(cycle_start).as_nanos() as u64;
-        let mut events = Vec::new();
-        for (worker, sink) in self.trace_sinks.iter().enumerate() {
-            for e in std::mem::take(&mut *sink.lock().unwrap()) {
-                events.push(TraceEvent {
-                    node: e.node,
-                    worker: worker as u32,
-                    start_ns: since(e.start),
-                    end_ns: since(e.end),
-                    kind: e.kind,
-                });
-            }
-        }
-        ScheduleTrace {
-            workers: self.threads as u32,
-            events,
-        }
     }
 }
 
@@ -984,8 +921,24 @@ pub(crate) fn spin_yield_until(done: impl Fn() -> bool) {
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
+    use crate::flight::FlightConfig;
     use crate::graph::{Section, TaskGraphBuilder};
     use crate::processor::FnProcessor;
+    use crate::trace::ScheduleTrace;
+
+    /// Install a default-sized flight recorder on `ex`.
+    pub(crate) fn record(ex: &mut dyn GraphExecutor) {
+        ex.set_flight_recorder(Some(FlightConfig::default()));
+    }
+
+    /// Run one cycle of `ex`, whose flight recorder must be installed, and
+    /// fold it into its schedule trace.
+    pub(crate) fn traced_cycle(ex: &mut dyn GraphExecutor) -> ScheduleTrace {
+        ex.run_cycle(&[], &[]);
+        let window = ex.take_flight_window().expect("recorder installed");
+        let cycle = window.cycles.last().expect("cycle stamped").cycle;
+        ScheduleTrace::of_cycle(&window, cycle).expect("stamp in its window")
+    }
 
     /// n0 fills 1.0, n1 fills 2.0, n2 sums its inputs, n3 copies n2.
     pub(crate) fn diamond_sum_graph() -> TaskGraph {

@@ -420,7 +420,9 @@ impl Policy for Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{diamond_sum_graph, fan_graph, run_and_check};
+    use crate::exec::test_support::{
+        diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
+    };
     use crate::exec::GraphExecutor;
     use djstar_dsp::AudioBuf;
 
@@ -480,10 +482,9 @@ mod tests {
         let g = fan_graph(16);
         let bp = ScheduleBlueprint::round_robin(g.topology(), 4, Priority::Depth);
         let mut ex = PlannedExecutor::new(g, 8, bp);
-        ex.set_tracing(true);
+        record(&mut ex);
         for _ in 0..20 {
-            ex.run_cycle(&[], &[]);
-            let trace = ex.take_trace().unwrap();
+            let trace = traced_cycle(&mut ex);
             assert_eq!(trace.executions().len(), ex.topology().len());
             let topo = ex.topology();
             assert!(trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()));

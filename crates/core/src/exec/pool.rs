@@ -12,9 +12,10 @@
 //! The pool runs a batch epoch on top of each session's cycle epoch:
 //!
 //! 1. The driver *stages* each session: `Shared::prepare_cycle` resets the
-//!    session graph, copies externals and bumps the session epoch (a
-//!    `Release` store that wakes nobody), then `VenuePool::stage` marks
-//!    the session's `PoolEntry` for the next batch.
+//!    session graph and copies externals, the executor takes the next
+//!    session epoch from its own driver-owned counter, then
+//!    `VenuePool::stage` marks the session's `PoolEntry` for the next batch
+//!    with that epoch (plain driver writes; nothing is published yet).
 //! 2. One [`VenuePool::dispatch`] bumps the pool epoch (`Release`) and
 //!    unparks every pool worker. The pool epoch `Acquire` in the worker
 //!    loop publishes *all* staged-session driver writes at once.
@@ -69,7 +70,8 @@ struct PoolEntry {
     /// Pool epoch this session is staged for (a worker runs the entry only
     /// when this equals the batch it woke for).
     batch_epoch: u64,
-    /// The session epoch published by `prepare_cycle` for that batch.
+    /// The session epoch the executor staged for that batch (its
+    /// driver-owned counter), published by the pool epoch `Release`.
     session_epoch: u64,
 }
 

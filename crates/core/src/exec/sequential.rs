@@ -54,9 +54,11 @@ impl SequentialExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::test_support::{record, traced_cycle};
     use crate::exec::GraphExecutor;
     use crate::graph::{NodeId, Section, TaskGraphBuilder};
     use crate::processor::{CycleCtx, FnProcessor};
+    use crate::trace::ScheduleTrace;
     use djstar_dsp::AudioBuf;
 
     fn chain_graph(n: usize) -> TaskGraph {
@@ -91,9 +93,8 @@ mod tests {
     #[test]
     fn trace_is_a_valid_order_on_one_worker() {
         let mut ex = SequentialExecutor::new(chain_graph(6), 4);
-        ex.set_tracing(true);
-        ex.run_cycle(&[], &[]);
-        let trace = ex.take_trace().unwrap();
+        record(&mut ex);
+        let trace = traced_cycle(&mut ex);
         assert_eq!(trace.executions().len(), 6);
         assert_eq!(trace.execution_order(), vec![0, 1, 2, 3, 4, 5]);
         let topo = ex.topology();
@@ -103,10 +104,18 @@ mod tests {
     }
 
     #[test]
-    fn take_trace_none_when_untraced() {
+    fn of_cycle_none_when_the_stamp_is_not_in_the_window() {
         let mut ex = SequentialExecutor::new(chain_graph(2), 4);
         ex.run_cycle(&[], &[]);
-        assert!(ex.take_trace().is_none());
+        assert!(ex.take_flight_window().is_none(), "nothing recorded");
+        record(&mut ex);
+        ex.run_cycle(&[], &[]);
+        let window = ex.take_flight_window().unwrap();
+        let cycle = window.cycles.last().unwrap().cycle;
+        assert!(ScheduleTrace::of_cycle(&window, cycle).is_some());
+        // The cycle before the recorder was installed, and the next one.
+        assert!(ScheduleTrace::of_cycle(&window, cycle - 1).is_none());
+        assert!(ScheduleTrace::of_cycle(&window, cycle + 1).is_none());
     }
 
     #[test]

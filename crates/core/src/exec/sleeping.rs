@@ -26,8 +26,8 @@
 use super::executor::{Lane, Policy, PoolExecutor, QueuePolicy};
 use super::pool::VenuePool;
 use super::{ExecGraph, NodeCell, Strategy};
+use crate::flight::SpanKind;
 use crate::graph::NodeId;
-use crate::trace::TraceKind;
 use std::sync::atomic::Ordering;
 
 /// The SLEEP / HYBRID policy: static round-robin assignment, spin for at
@@ -109,14 +109,14 @@ impl<const SPIN: bool> Policy for Park<SPIN> {
             match wait_ready(graph.cell(node as usize), lane.me, self.spin_budget) {
                 Waited::No => {}
                 Waited::Spun(spins) => {
-                    let ns = lane.waited(TraceKind::BusyWait, node, w0);
+                    let ns = lane.waited(SpanKind::BusyWait, node, w0);
                     lane.count(|c| c.add_spin(spins, ns));
                 }
                 Waited::Parked { spins, parks } => {
                     // The wait spanned the spin budget and the park; the
                     // duration is booked against the park, which dominates
                     // once the budget is exhausted.
-                    let ns = lane.waited(TraceKind::Sleep, node, w0);
+                    let ns = lane.waited(SpanKind::Sleep, node, w0);
                     lane.count(|c| {
                         if spins > 0 {
                             c.add_spin(spins, 0);
@@ -138,7 +138,7 @@ impl<const SPIN: bool> Policy for Park<SPIN> {
                         lane.count(|c| c.add_unpark());
                         let u0 = lane.clock();
                         handles[w - 1].unpark();
-                        lane.waited(TraceKind::Unpark, s, u0);
+                        lane.waited(SpanKind::Unpark, s, u0);
                     }
                 }
             }
@@ -156,7 +156,9 @@ impl QueuePolicy for Park<false> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{diamond_sum_graph, fan_graph, run_and_check};
+    use crate::exec::test_support::{
+        diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
+    };
     use crate::exec::GraphExecutor;
     use crate::graph::Priority;
     use djstar_dsp::AudioBuf;
@@ -200,14 +202,13 @@ mod tests {
     #[test]
     fn trace_has_sleep_kind_and_valid_order() {
         let mut ex = SleepExecutor::new(fan_graph(16), 4, 8);
-        ex.set_tracing(true);
+        record(&mut ex);
         let mut saw_any_sleep = false;
         for _ in 0..50 {
-            ex.run_cycle(&[], &[]);
-            let trace = ex.take_trace().unwrap();
+            let trace = traced_cycle(&mut ex);
             let topo = ex.topology();
             assert!(trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()));
-            saw_any_sleep |= trace.events.iter().any(|e| e.kind == TraceKind::Sleep);
+            saw_any_sleep |= trace.events.iter().any(|e| e.kind == SpanKind::Sleep);
         }
         // On a single-core CI box sleeping is in fact very likely, but we
         // only assert the structural properties above; `saw_any_sleep` keeps

@@ -32,11 +32,10 @@ use super::{
     spin_yield_until, Adoption, DriverCell, ExecGraph, ScheduleBlueprint, Shared, Strategy,
 };
 use crate::deque::{Steal as Stolen, WorkDeque};
-use crate::flight::Span;
+use crate::flight::{Span, SpanKind};
 use crate::graph::{NodeId, Section};
 use crate::idle::IdleSet;
 use crate::pad::CachePadded;
-use crate::trace::TraceKind;
 use std::sync::atomic::{fence, AtomicU32, Ordering};
 
 /// The WS policy: per-lane deques of ready nodes plus the idle set.
@@ -168,7 +167,7 @@ impl Policy for Steal {
             let stolen = self.steal_sweep(me);
             lane.count(|c| c.add_steal(stolen.is_some()));
             if let Some(node) = stolen {
-                lane.waited(TraceKind::Steal, node, s0);
+                lane.waited(SpanKind::Steal, node, s0);
                 // SAFETY: stolen exactly once.
                 unsafe { self.run_node(lane, node) };
                 continue;
@@ -189,7 +188,7 @@ impl Policy for Steal {
             if self.deques().iter().all(|d| d.is_empty()) && !cycle_done() {
                 let w0 = lane.clock();
                 std::thread::park();
-                let ns = lane.waited(TraceKind::Idle, Span::NO_NODE, w0);
+                let ns = lane.waited(SpanKind::Idle, Span::NO_NODE, w0);
                 lane.count(|c| c.add_park(1, ns));
             }
             self.idle.deregister(me);
@@ -252,7 +251,9 @@ impl Policy for Steal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{diamond_sum_graph, fan_graph, run_and_check};
+    use crate::exec::test_support::{
+        diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
+    };
     use crate::exec::GraphExecutor;
     use crate::graph::Priority;
     use djstar_dsp::AudioBuf;
@@ -298,10 +299,9 @@ mod tests {
     #[test]
     fn every_node_executed_exactly_once_per_cycle() {
         let mut ex = StealExecutor::new(fan_graph(16), 4, 8);
-        ex.set_tracing(true);
+        record(&mut ex);
         for _ in 0..30 {
-            ex.run_cycle(&[], &[]);
-            let trace = ex.take_trace().unwrap();
+            let trace = traced_cycle(&mut ex);
             let mut nodes: Vec<u32> = trace.executions().iter().map(|e| e.node).collect();
             nodes.sort_unstable();
             let expect: Vec<u32> = (0..ex.topology().len() as u32).collect();

@@ -1,17 +1,18 @@
 //! The flight recorder: always-on, real-time-safe span capture.
 //!
-//! [`trace::ScheduleTrace`](crate::trace::ScheduleTrace) is a one-off
-//! capture: tracing a cycle allocates per-event and the result is drained
-//! immediately (the Fig. 11 renderer). The flight recorder is the
-//! always-on complement — a **pre-allocated, overwrite-oldest** per-worker
-//! ring of [`Span`]s plus a driver-side ring of per-cycle [`CycleStamp`]s,
-//! recorded by every executor behind a single `Relaxed` flag load (the
-//! same zero-cost-when-disabled pattern as
-//! [`set_faults`](crate::exec::GraphExecutor::set_faults)). When a cycle
-//! blows its deadline, the last N cycles of Exec/BusyWait/Sleep/Steal/
-//! Unpark/Fault intervals are still in the buffer and can be frozen into a
-//! [`FlightWindow`] for forensic analysis (critical-path blame, Chrome
-//! Trace export) — without any allocation ever happening on the hot path.
+//! The recorder is the executors' one recording primitive: a
+//! **pre-allocated, overwrite-oldest** per-worker ring of [`Span`]s plus a
+//! driver-side ring of per-cycle [`CycleStamp`]s, recorded by every
+//! executor behind a single plain flag load (the same
+//! zero-cost-when-disabled pattern as
+//! [`set_faults`](crate::exec::GraphExecutor::set_faults)). A lane records
+//! every interval exactly once, here; the other views are folds over a
+//! frozen [`FlightWindow`]: the Fig. 11 schedule trace
+//! ([`ScheduleTrace::of_cycle`](crate::trace::ScheduleTrace::of_cycle)),
+//! per-node durations for the cost probes, and — when a cycle blows its
+//! deadline — forensic analysis of the last N cycles of Exec/BusyWait/
+//! Sleep/Steal/Unpark/Fault intervals (critical-path blame, Chrome Trace
+//! export), all without any allocation ever happening on the hot path.
 //!
 //! # Memory-safety argument
 //!
@@ -50,21 +51,6 @@ pub enum SpanKind {
     /// Synthesizing concealment for late/lost network frames (carved the
     /// same way from `net_conceal_ns`).
     Conceal,
-}
-
-/// Every schedule-trace interval kind is also a flight span kind.
-impl From<crate::trace::TraceKind> for SpanKind {
-    fn from(kind: crate::trace::TraceKind) -> Self {
-        use crate::trace::TraceKind;
-        match kind {
-            TraceKind::Exec => SpanKind::Exec,
-            TraceKind::BusyWait => SpanKind::BusyWait,
-            TraceKind::Sleep => SpanKind::Sleep,
-            TraceKind::Idle => SpanKind::Idle,
-            TraceKind::Steal => SpanKind::Steal,
-            TraceKind::Unpark => SpanKind::Unpark,
-        }
-    }
 }
 
 impl SpanKind {

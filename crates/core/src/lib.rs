@@ -32,11 +32,11 @@
 //!   applied to the hot shared atomics (deque ends, node completion state,
 //!   cycle counters) to stop false sharing.
 //! * [`trace`] — per-cycle schedule traces (which thread ran which node
-//!   when, including wait intervals), the data behind Fig. 11.
+//!   when, including wait intervals), the data behind Fig. 11: a view
+//!   folded out of a flight window, not a second capture.
 //! * [`telemetry`] — real-time-safe per-worker cycle counters (spin
 //!   iterations, park/unpark traffic, steal hit rates, execution time)
-//!   drained between cycles into a fixed-capacity ring; the always-on
-//!   complement to full tracing.
+//!   drained between cycles into a fixed-capacity ring.
 //! * [`faults`] — seeded, deterministic fault injection (node duration
 //!   spikes, worker stalls, CPU-pressure episodes) hooked into every
 //!   executor's node-execution path via [`exec::GraphExecutor::set_faults`];
@@ -45,11 +45,12 @@
 //!   duplication, reorder, jitter bursts per `(cycle, stream)`) and the
 //!   zero-alloc [`net::JitterBuffer`] behind the engine's remote
 //!   deck sources; deterministic by construction, no sockets involved.
-//! * [`flight`] — the flight recorder: pre-allocated, overwrite-oldest
-//!   per-worker span rings capturing the last N cycles of
-//!   Exec/BusyWait/Sleep/Steal/Unpark/Fault intervals with zero hot-path
-//!   allocation, behind [`exec::GraphExecutor::set_flight_recorder`]; the
-//!   raw material for deadline-miss forensics and Chrome-trace export.
+//! * [`flight`] — the flight recorder, the executors' one recording
+//!   primitive: pre-allocated, overwrite-oldest per-worker span rings
+//!   capturing the last N cycles of Exec/BusyWait/Sleep/Steal/Unpark/Fault
+//!   intervals with zero hot-path allocation, behind
+//!   [`exec::GraphExecutor::set_flight_recorder`]; the raw material for
+//!   schedule traces, deadline-miss forensics and Chrome-trace export.
 //!
 //! # Memory-safety argument
 //!
@@ -85,4 +86,4 @@ pub use net::{JitterBuffer, JitterConfig, NetFaultPlan, NetStats};
 pub use pad::CachePadded;
 pub use processor::{CycleCtx, Processor};
 pub use telemetry::{CounterSnapshot, CycleCounters, CycleRecord, TelemetryRing};
-pub use trace::{ScheduleTrace, TraceEvent, TraceKind};
+pub use trace::ScheduleTrace;

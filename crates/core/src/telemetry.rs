@@ -3,11 +3,11 @@
 //!
 //! The paper's evaluation (§VI) hinges on *where the time goes* inside an
 //! audio processing cycle — spinning (BUSY), parked waiting (SLEEP), steal
-//! traffic (WS). Schedule traces capture that, but tracing allocates and
-//! costs a timestamp pair per interval, so it cannot stay on in production
-//! runs. This module is the always-on counterpart: plain `Relaxed` atomic
-//! counters, preallocated once per executor, recorded on the hot path and
-//! drained by the driver into a fixed-capacity ring **between** cycles.
+//! traffic (WS). Flight spans capture that interval by interval, at a
+//! timestamp pair each; this module is the aggregate counterpart: plain
+//! `Relaxed` atomic counters, preallocated once per executor, recorded on
+//! the hot path and drained by the driver into a fixed-capacity ring
+//! **between** cycles.
 //!
 //! Real-time discipline:
 //!

@@ -8,10 +8,21 @@ use djstar_core::exec::{
     BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
     SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor, Strategy, SwapError,
 };
+use djstar_core::flight::FlightConfig;
 use djstar_core::graph::{NodeId, Priority, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{CycleCtx, FnProcessor};
+use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::rng::SmallRng;
 use djstar_dsp::AudioBuf;
+
+/// Run one cycle of `ex`, whose flight recorder must be installed, and
+/// fold it into its schedule trace.
+fn traced_cycle(ex: &mut dyn GraphExecutor) -> ScheduleTrace {
+    ex.run_cycle(&[], &[]);
+    let window = ex.take_flight_window().expect("recorder installed");
+    let cycle = window.cycles.last().expect("cycle stamped").cycle;
+    ScheduleTrace::of_cycle(&window, cycle).expect("stamp in its window")
+}
 
 /// Random DAG description: for node i, a set of predecessors drawn from the
 /// earlier nodes (at most 8, matching MAX_INPUTS).
@@ -128,10 +139,9 @@ fn traces_on_random_dags_respect_dependencies() {
         let preds = random_dag(&mut rng, 16);
         let threads = 2 + rng.below(3);
         let mut ex = StealExecutor::new(build_graph(&preds), threads, 4);
-        ex.set_tracing(true);
+        ex.set_flight_recorder(Some(FlightConfig::default()));
         for _ in 0..5 {
-            ex.run_cycle(&[], &[]);
-            let trace = ex.take_trace().unwrap();
+            let trace = traced_cycle(&mut ex);
             assert_eq!(trace.executions().len(), preds.len());
             let topo = ex.topology();
             assert!(trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()));
@@ -153,10 +163,9 @@ fn planned_executor_runs_every_node_exactly_once_on_random_dags() {
         let g = build_graph(&preds);
         let bp = ScheduleBlueprint::round_robin(g.topology(), threads, priority);
         let mut ex = PlannedExecutor::new(g, 4, bp);
-        ex.set_tracing(true);
+        ex.set_flight_recorder(Some(FlightConfig::default()));
         for _ in 0..5 {
-            ex.run_cycle(&[], &[]);
-            let trace = ex.take_trace().unwrap();
+            let trace = traced_cycle(&mut ex);
             // Exactly once: the execution count matches the node count and
             // no node appears twice.
             let mut nodes: Vec<u32> = trace.executions().iter().map(|e| e.node).collect();
@@ -223,15 +232,15 @@ fn make_executor(
     }
 }
 
-/// Run `cycles` traced cycles and check exactly-once execution, dependency
-/// safety and the schedule-independent sink value against `preds`.
+/// Run `cycles` recorded cycles and check exactly-once execution,
+/// dependency safety and the schedule-independent sink value against
+/// `preds`.
 fn check_cycles(ex: &mut dyn GraphExecutor, preds: &[Vec<u32>], cycles: usize, tag: &str) {
     let want = expected_values(preds);
     let sink = preds.len() - 1;
-    ex.set_tracing(true);
+    ex.set_flight_recorder(Some(FlightConfig::default()));
     for c in 0..cycles {
-        ex.run_cycle(&[], &[]);
-        let trace = ex.take_trace().unwrap();
+        let trace = traced_cycle(ex);
         let mut nodes: Vec<u32> = trace.executions().iter().map(|e| e.node).collect();
         nodes.sort_unstable();
         assert_eq!(
@@ -245,7 +254,7 @@ fn check_cycles(ex: &mut dyn GraphExecutor, preds: &[Vec<u32>], cycles: usize, t
             "{tag} cycle {c}: dependency violated"
         );
     }
-    ex.set_tracing(false);
+    ex.set_flight_recorder(None);
     let mut out = AudioBuf::zeroed(2, 4);
     ex.read_output(NodeId(sink as u32), &mut out);
     assert!(

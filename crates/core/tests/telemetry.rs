@@ -1,19 +1,22 @@
 //! Consistency properties of the telemetry layer, checked against the
-//! tracing layer on randomly generated DAGs across every strategy and
-//! 1–8 worker threads (seeded [`SmallRng`]; the workspace builds offline,
-//! without proptest).
+//! schedule traces folded out of the flight recorder on randomly generated
+//! DAGs across every strategy and 1–8 worker threads (seeded
+//! [`SmallRng`]; the workspace builds offline, without proptest).
 //!
-//! The load-bearing property is *exactness*: when tracing and telemetry
-//! are both enabled, each node execution feeds the same `Instant` pair to
-//! both layers, so the sum of per-worker `exec_ns` must equal the trace's
-//! total execution time to the nanosecond.
+//! The load-bearing property is *exactness*: when the recorder and
+//! telemetry are both armed, each node execution feeds the same `Instant`
+//! pair to both, so the sum of per-worker `exec_ns` must equal the folded
+//! trace's total execution time to the nanosecond — also when injected
+//! faults split a node's interval into several spans.
 
 use djstar_core::exec::{
     BusyExecutor, GraphExecutor, HybridExecutor, SequentialExecutor, SleepExecutor, StealExecutor,
 };
+use djstar_core::faults::FaultPlan;
+use djstar_core::flight::{FlightConfig, Span, SpanKind};
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{CycleCtx, FnProcessor};
-use djstar_core::trace::TraceKind;
+use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::rng::SmallRng;
 use djstar_dsp::AudioBuf;
 
@@ -90,15 +93,29 @@ fn executors(graph: &[Vec<u32>], threads: usize) -> Vec<(&'static str, Box<dyn G
 #[test]
 fn counters_are_consistent_with_traces_on_all_strategies() {
     let mut rng = SmallRng::seed_from_u64(0x7E1E_3E7E);
+    // Node intervals a storm split into Fault + Exec spans: the fold must
+    // merge them back for the equality below to hold.
+    let mut carved = 0usize;
     for threads in 1..=8usize {
         let dag = random_dag(&mut rng, 40);
         let nodes = dag.len() as u64;
         for (label, mut exec) in executors(&dag, threads) {
-            exec.set_tracing(true);
+            exec.set_flight_recorder(Some(FlightConfig::default()));
             exec.set_telemetry(true);
             for cycle in 0..4u64 {
+                if cycle == 2 {
+                    exec.set_faults(Some(FaultPlan::storm(threads as u64)));
+                }
                 exec.run_cycle(&[], &[]);
-                let trace = exec.take_trace().expect("tracing on");
+                let window = exec.take_flight_window().expect("recorder on");
+                assert_eq!(window.dropped_spans, 0, "{label}/{threads}t");
+                let stamp = window.cycles.last().expect("cycle stamped");
+                let trace = ScheduleTrace::of_cycle(&window, stamp.cycle).unwrap();
+                carved += window
+                    .spans
+                    .iter()
+                    .filter(|s| s.kind == SpanKind::Fault && s.node != Span::NO_NODE)
+                    .count();
                 let ring = exec.take_telemetry().expect("telemetry on");
                 assert_eq!(ring.len(), 1, "{label}/{threads}t: one record per take");
                 let rec = ring.latest().unwrap();
@@ -136,7 +153,7 @@ fn counters_are_consistent_with_traces_on_all_strategies() {
                 let steal_events = trace
                     .events
                     .iter()
-                    .filter(|e| e.kind == TraceKind::Steal)
+                    .filter(|e| e.kind == SpanKind::Steal)
                     .count() as u64;
                 assert_eq!(t.steal_hits, steal_events, "{label}/{threads}t");
 
@@ -150,6 +167,10 @@ fn counters_are_consistent_with_traces_on_all_strategies() {
             }
         }
     }
+    assert!(
+        carved > 0,
+        "the storm split no node interval: nothing checked"
+    );
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Proof that the telemetry hot path allocates nothing.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after
-//! warm-up, running telemetry-enabled (tracing-off) cycles on every
-//! strategy must not allocate on the *driver* thread or any worker: the
-//! ring and all counter storage are preallocated, and `begin_push` only
-//! overwrites a slot in place.
+//! warm-up, running telemetry-enabled cycles on every strategy — also
+//! with the flight recorder, the executors' one span capture, armed —
+//! must not allocate on the *driver* thread or any worker: the ring, the
+//! span rings and all counter storage are preallocated, and recording
+//! only overwrites slots in place.
 //!
 //! This lives in its own integration test binary because a global
 //! allocator is process-wide; the single test keeps the count

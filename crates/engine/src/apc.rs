@@ -19,7 +19,6 @@ use crate::modes::{
 };
 use crate::netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
 use crate::nodes::controls;
-use crate::profiling::HotspotProfiler;
 use crate::reconfig::{
     apply_edit, list_blueprint, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
@@ -32,6 +31,7 @@ use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, FlightWindow};
 use djstar_core::graph::{GraphTopology, TaskGraph};
 use djstar_core::net::NetStats;
+use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::work::burn;
 use djstar_workload::scenario::Scenario;
@@ -751,7 +751,7 @@ impl AudioEngine {
         self.commit(staged).map_err(ReconfigError::Swap)
     }
 
-    /// The underlying executor (for tracing, knob turning, output reads).
+    /// The underlying executor (for knob turning, output reads).
     pub fn executor_mut(&mut self) -> &mut dyn GraphExecutor {
         self.executor.as_mut()
     }
@@ -1324,15 +1324,24 @@ impl AudioEngine {
         }
     }
 
-    /// Run one APC with each phase recorded into `profiler` (the §III
-    /// hotspot analysis).
-    pub fn run_apc_profiled(&mut self, profiler: &mut HotspotProfiler) -> ApcTiming {
-        let t = self.run_apc();
-        profiler.record("apc/timecode", t.tp.as_nanos() as u64);
-        profiler.record("apc/preprocessing", t.gp.as_nanos() as u64);
-        profiler.record("apc/graph", t.graph.as_nanos() as u64);
-        profiler.record("apc/various", t.vc.as_nanos() as u64);
-        t
+    /// Run one APC and fold its graph cycle out of the flight recorder
+    /// into a [`ScheduleTrace`] (Fig. 11's measured gantt). Takes the
+    /// recorder's window, so everything captured before is consumed.
+    ///
+    /// # Panics
+    /// Panics if no flight recorder is installed, or if the window lost
+    /// spans to the overwrite-oldest policy (the trace would be partial).
+    pub fn run_apc_traced(&mut self) -> ScheduleTrace {
+        self.run_apc();
+        let window = self
+            .take_flight_window()
+            .expect("run_apc_traced needs an installed flight recorder");
+        assert_eq!(
+            window.dropped_spans, 0,
+            "flight window overflowed: a traced cycle lost spans"
+        );
+        let cycle = window.cycles.last().expect("the cycle was stamped").cycle;
+        ScheduleTrace::of_cycle(&window, cycle).expect("a window holds its own stamp")
     }
 
     /// Copy the final output packet (the `AudioOut1` node's buffer).
@@ -1356,22 +1365,38 @@ impl AudioEngine {
         (0..cycles).map(|_| self.run_apc().graph).collect()
     }
 
-    /// Run `cycles` traced APCs and collect per-node execution-duration
-    /// samples (ns), indexed by node id — the empirical input for the
-    /// schedule simulator.
+    /// Run `cycles` traced APCs ([`run_apc_traced`](Self::run_apc_traced))
+    /// and collect per-node execution-duration samples (ns), indexed by
+    /// node id — the empirical input for the schedule simulator. Sample
+    /// `k` of every node is from the `k`-th cycle.
+    ///
+    /// The samples are a fold over flight spans. With no recorder
+    /// installed, a default-sized one is installed for the call and
+    /// removed afterwards. If the caller installed one
+    /// ([`set_flight_recorder`](Self::set_flight_recorder)), the call
+    /// measures through it: whatever it captured before is discarded, each
+    /// cycle's window is consumed, and it stays installed.
+    ///
+    /// # Panics
+    /// Panics if a cycle's window lost spans, rather than return a
+    /// sample set with a node sample silently missing.
     pub fn measured_node_durations(&mut self, cycles: usize) -> Vec<Vec<u64>> {
         let n = self.executor.topology().len();
         let mut samples = vec![Vec::with_capacity(cycles); n];
-        self.executor.set_tracing(true);
+        let borrowed = self.flight_cfg.is_some();
+        if borrowed {
+            self.take_flight_window();
+        } else {
+            self.set_flight_recorder(Some(FlightConfig::default()));
+        }
         for _ in 0..cycles {
-            self.run_apc();
-            if let Some(trace) = self.executor.take_trace() {
-                for e in trace.executions() {
-                    samples[e.node as usize].push(e.duration_ns());
-                }
+            for e in self.run_apc_traced().executions() {
+                samples[e.node as usize].push(e.duration_ns());
             }
         }
-        self.executor.set_tracing(false);
+        if !borrowed {
+            self.set_flight_recorder(None);
+        }
         samples
     }
 
@@ -1547,6 +1572,42 @@ mod tests {
     }
 
     #[test]
+    fn measured_durations_fold_to_telemetry_exec_ns_exactly() {
+        // Remote decks book net wait and concealment every cycle, so their
+        // nodes' spans are carved into NetWait / Conceal / Exec pieces;
+        // the fold must merge them back to the interval telemetry timed.
+        let mut e = AudioEngine::with_aux(
+            net_scenario(djstar_workload::NetSpec::bursty(5)),
+            Strategy::Busy,
+            2,
+            AuxWork::light(),
+        );
+        e.warmup(5);
+        e.set_telemetry(true);
+        let _ = e.take_telemetry();
+        let cycles = 24;
+        let samples = e.measured_node_durations(cycles);
+        assert!(e.take_flight_window().is_none(), "own recorder removed");
+        let ring = e.take_telemetry().expect("telemetry on");
+        let records: Vec<_> = ring.iter().collect();
+        assert_eq!(records.len(), cycles);
+        let mut net_ns = 0;
+        for (k, rec) in records.iter().enumerate() {
+            let t = rec.totals();
+            let folded: u64 = samples.iter().map(|s| s[k]).sum();
+            assert_eq!(folded, t.exec_ns, "cycle {k}: fold vs exec_ns");
+            net_ns += t.net_wait_ns + t.net_conceal_ns;
+        }
+        assert!(net_ns > 0, "no span was carved: nothing checked");
+
+        // Through a caller's recorder: same samples shape, still installed.
+        e.set_flight_recorder(Some(FlightConfig::default()));
+        let samples = e.measured_node_durations(3);
+        assert!(samples.iter().all(|s| s.len() == 3));
+        assert!(e.take_flight_window().is_some(), "caller's recorder kept");
+    }
+
+    #[test]
     fn crossfader_control_changes_output() {
         let mut e = light_engine(Strategy::Sequential, 1);
         e.warmup(40);
@@ -1575,23 +1636,6 @@ mod tests {
         // All faders down: only the (clock-triggered) sampler contributes,
         // and between one-shots the mix is silent or near-silent.
         assert!(out.rms() < 0.2, "rms {}", out.rms());
-    }
-
-    #[test]
-    fn hotspot_profiling_accumulates_phases() {
-        let mut e = light_engine(Strategy::Sequential, 1);
-        let mut p = HotspotProfiler::new();
-        for _ in 0..5 {
-            e.run_apc_profiled(&mut p);
-        }
-        for region in [
-            "apc/timecode",
-            "apc/preprocessing",
-            "apc/graph",
-            "apc/various",
-        ] {
-            assert!(p.total_of(region) > 0, "{region} missing");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! An APC is therefore: front cycle → `FrontEnd::finish` on the driver
 //! (copy the four pulled buffers out, pairwise phase alignment) → graph
-//! cycle → VC. Faults, tracing, telemetry and the flight recorder are never
+//! cycle → VC. Faults, telemetry and the flight recorder are never
 //! armed on the front session; they keep describing the 67-node graph.
 //!
 //! Each task times its own TP and GP halves. The driver measures the

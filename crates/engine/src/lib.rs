@@ -14,8 +14,8 @@
 //! * **VC** — various calculations (master tempo, accounting).
 //!
 //! [`apc::AudioEngine`] drives all four phases against a simulated sound
-//! card ([`soundcard`]) with the 2.9 ms deadline, and [`profiling`] is the
-//! scoped-timer hotspot profiler used to regenerate the §III analysis.
+//! card ([`soundcard`]) with the 2.9 ms deadline, timing each phase in its
+//! [`ApcTiming`] — the numbers the §III hotspot analysis sums.
 
 pub mod apc;
 pub mod deck;
@@ -26,7 +26,6 @@ pub mod graphbuild;
 pub mod modes;
 pub mod netnodes;
 pub mod nodes;
-pub mod profiling;
 pub mod reconfig;
 pub mod soundcard;
 pub mod sync;

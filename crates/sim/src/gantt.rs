@@ -6,7 +6,8 @@
 //! carrying node ids, `.` for waiting, and spaces for idle time.
 
 use crate::model::Schedule;
-use djstar_core::trace::{ScheduleTrace, TraceKind};
+use djstar_core::flight::SpanKind;
+use djstar_core::trace::ScheduleTrace;
 
 /// Render a simulated [`Schedule`] as one text row per processor.
 pub fn render_schedule(s: &Schedule, width: usize) -> String {
@@ -29,8 +30,8 @@ pub fn render_schedule(s: &Schedule, width: usize) -> String {
 }
 
 /// Render a measured [`ScheduleTrace`] (Fig. 11 proper): `=` executing,
-/// `.` busy-waiting or sleeping, `s` a successful steal sweep, `^` waking
-/// a parked peer, space idle.
+/// `.` busy-waiting, sleeping or burning a stall, `s` a successful steal
+/// sweep, `^` waking a parked peer, space idle.
 pub fn render_trace(t: &ScheduleTrace, width: usize) -> String {
     let makespan = t.events.iter().map(|e| e.end_ns).max().unwrap_or(0).max(1);
     let mut out = String::new();
@@ -38,13 +39,21 @@ pub fn render_trace(t: &ScheduleTrace, width: usize) -> String {
         let mut row = vec![b' '; width];
         for e in t.worker_timeline(worker) {
             let ch = match e.kind {
-                TraceKind::Exec => b'=',
-                TraceKind::BusyWait | TraceKind::Sleep | TraceKind::Idle => b'.',
-                TraceKind::Steal => b's',
-                TraceKind::Unpark => b'^',
+                SpanKind::Exec => b'=',
+                SpanKind::Steal => b's',
+                SpanKind::Unpark => b'^',
+                // A trace folds a node's work spans into its Exec; what
+                // is left of Fault / NetWait / Conceal has no node (a
+                // stall burn) and kept the lane from running work.
+                SpanKind::BusyWait
+                | SpanKind::Sleep
+                | SpanKind::Idle
+                | SpanKind::Fault
+                | SpanKind::NetWait
+                | SpanKind::Conceal => b'.',
             };
             paint(&mut row, width, makespan, e.start_ns, e.end_ns, ch);
-            if e.kind == TraceKind::Exec {
+            if e.kind == SpanKind::Exec {
                 label(&mut row, width, makespan, e.start_ns, e.node);
             }
         }
@@ -102,7 +111,7 @@ pub fn schedule_csv(s: &Schedule) -> String {
 mod tests {
     use super::*;
     use crate::model::{Schedule, ScheduleEntry};
-    use djstar_core::trace::TraceEvent;
+    use djstar_core::flight::Span;
 
     fn two_proc_schedule() -> Schedule {
         Schedule {
@@ -143,29 +152,30 @@ mod tests {
 
     #[test]
     fn trace_render_shows_wait_marks() {
+        let span = |node, worker, start_ns, end_ns, kind| Span {
+            cycle: 1,
+            node,
+            worker,
+            start_ns,
+            end_ns,
+            kind,
+        };
         let t = ScheduleTrace {
-            workers: 1,
+            workers: 2,
             events: vec![
-                TraceEvent {
-                    node: 5,
-                    worker: 0,
-                    start_ns: 0,
-                    end_ns: 400,
-                    kind: TraceKind::BusyWait,
-                },
-                TraceEvent {
-                    node: 5,
-                    worker: 0,
-                    start_ns: 400,
-                    end_ns: 1_000,
-                    kind: TraceKind::Exec,
-                },
+                span(5, 0, 0, 400, SpanKind::BusyWait),
+                span(5, 0, 400, 1_000, SpanKind::Exec),
+                span(Span::NO_NODE, 1, 0, 600, SpanKind::Fault),
             ],
         };
         let s = render_trace(&t, 50);
         assert!(s.contains('.'), "{s}");
         assert!(s.contains('='), "{s}");
         assert!(s.contains('5'), "{s}");
+        // The stall burn on T1 renders as a wait, not as work.
+        let t1 = s.lines().nth(1).unwrap();
+        assert!(t1.starts_with("T1 |..."), "{s}");
+        assert!(!t1.contains('='), "{s}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod venue;
 pub use earliest::{earliest_start, EarliestStartResult};
 pub use faults::{faulted_cycle_bound_ns, faulted_model, unavoidable_misses};
 pub use list::list_schedule;
-pub use metrics::{ScheduleMetrics, WaitBreakdown};
+pub use metrics::ScheduleMetrics;
 pub use model::{DurationModel, Schedule, ScheduleEntry, SimGraph};
 pub use netsim::{dropout_by_depth, dropouts_at_depth, lost_packets, min_adequate_depth};
 pub use planned::{compile_blueprint, simulate_plan, simulate_plan_makespans};

@@ -1,12 +1,10 @@
-//! Schedule quality metrics: utilization, wait breakdown, load balance.
+//! Schedule quality metrics: utilization and load balance.
 //!
 //! The paper reads these quantities off Fig. 11 informally ("many active
 //! waiting boxes", "the sleeping schedule has a longer total execution
-//! time"); this module computes them exactly, for both simulated
-//! [`Schedule`]s and measured `ScheduleTrace`s.
+//! time"); this module computes them exactly for simulated [`Schedule`]s.
 
 use crate::model::Schedule;
-use djstar_core::trace::{ScheduleTrace, TraceKind};
 
 /// Aggregate metrics of one schedule/cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,23 +39,6 @@ impl ScheduleMetrics {
         Self::finish(s.makespan_ns(), per_proc_busy_ns, per_proc_nodes)
     }
 
-    /// Compute metrics of a measured trace (execution events only).
-    pub fn of_trace(t: &ScheduleTrace) -> Self {
-        let procs = t.workers.max(1) as usize;
-        let mut per_proc_busy_ns = vec![0u64; procs];
-        let mut per_proc_nodes = vec![0usize; procs];
-        for e in &t.events {
-            if e.kind == TraceKind::Exec {
-                let p = e.worker as usize;
-                if p < procs {
-                    per_proc_busy_ns[p] += e.duration_ns();
-                    per_proc_nodes[p] += 1;
-                }
-            }
-        }
-        Self::finish(t.makespan_ns(), per_proc_busy_ns, per_proc_nodes)
-    }
-
     fn finish(makespan_ns: u64, per_proc_busy_ns: Vec<u64>, per_proc_nodes: Vec<usize>) -> Self {
         let procs = per_proc_busy_ns.len();
         let busy_ns: u64 = per_proc_busy_ns.iter().sum();
@@ -80,39 +61,10 @@ impl ScheduleMetrics {
     }
 }
 
-/// Wait-time breakdown of a measured trace (the gray boxes and white gaps
-/// of Fig. 11, summed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitBreakdown {
-    /// Total busy-wait (spin) time across workers (ns).
-    pub busy_wait_ns: u64,
-    /// Total sleep time across workers (ns).
-    pub sleep_ns: u64,
-    /// Total WS idle time across workers (ns).
-    pub idle_ns: u64,
-}
-
-impl WaitBreakdown {
-    /// Extract the breakdown from a trace.
-    pub fn of_trace(t: &ScheduleTrace) -> Self {
-        WaitBreakdown {
-            busy_wait_ns: t.total_ns(TraceKind::BusyWait),
-            sleep_ns: t.total_ns(TraceKind::Sleep),
-            idle_ns: t.total_ns(TraceKind::Idle),
-        }
-    }
-
-    /// Total non-executing time (ns).
-    pub fn total_ns(&self) -> u64 {
-        self.busy_wait_ns + self.sleep_ns + self.idle_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ScheduleEntry;
-    use djstar_core::trace::TraceEvent;
 
     fn two_proc() -> Schedule {
         Schedule {
@@ -149,43 +101,6 @@ mod tests {
         assert_eq!(m.per_proc_busy_ns, vec![60, 40]);
         assert_eq!(m.per_proc_nodes, vec![1, 2]);
         assert!((m.imbalance - 60.0 / 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_metrics_count_exec_only() {
-        let t = ScheduleTrace {
-            workers: 2,
-            events: vec![
-                TraceEvent {
-                    node: 0,
-                    worker: 0,
-                    start_ns: 0,
-                    end_ns: 50,
-                    kind: TraceKind::Exec,
-                },
-                TraceEvent {
-                    node: 1,
-                    worker: 1,
-                    start_ns: 0,
-                    end_ns: 30,
-                    kind: TraceKind::BusyWait,
-                },
-                TraceEvent {
-                    node: 1,
-                    worker: 1,
-                    start_ns: 30,
-                    end_ns: 50,
-                    kind: TraceKind::Exec,
-                },
-            ],
-        };
-        let m = ScheduleMetrics::of_trace(&t);
-        assert_eq!(m.busy_ns, 70);
-        assert_eq!(m.per_proc_busy_ns, vec![50, 20]);
-        let w = WaitBreakdown::of_trace(&t);
-        assert_eq!(w.busy_wait_ns, 30);
-        assert_eq!(w.sleep_ns, 0);
-        assert_eq!(w.total_ns(), 30);
     }
 
     #[test]

@@ -3,13 +3,16 @@
 
 use djstar_core::exec::{
     BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
-    SequentialExecutor, SleepExecutor, StealExecutor,
+    SequentialExecutor, SleepExecutor, StealExecutor, Strategy,
 };
 use djstar_core::faults::FaultPlan;
+use djstar_core::flight::{FlightConfig, SpanKind};
 use djstar_core::graph::{NodeId, Priority};
-use djstar_core::trace::TraceKind;
+use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::AudioBuf;
+use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::graphbuild::build_djstar_graph;
+use djstar_sim::gantt::render_trace;
 use djstar_workload::scenario::Scenario;
 
 fn executors(threads: usize) -> Vec<Box<dyn GraphExecutor>> {
@@ -22,6 +25,20 @@ fn executors(threads: usize) -> Vec<Box<dyn GraphExecutor>> {
         Box::new(StealExecutor::new(mk(), threads, frames)),
         Box::new(HybridExecutor::new(mk(), threads, frames, 1_000)),
     ]
+}
+
+/// Install a default-sized flight recorder on `ex`.
+fn record(ex: &mut dyn GraphExecutor) {
+    ex.set_flight_recorder(Some(FlightConfig::default()));
+}
+
+/// Run one cycle of `ex`, whose flight recorder must be installed, and
+/// fold it into its schedule trace.
+fn traced_cycle(ex: &mut dyn GraphExecutor, audio: &[AudioBuf], controls: &[f32]) -> ScheduleTrace {
+    ex.run_cycle(audio, controls);
+    let window = ex.take_flight_window().expect("recorder installed");
+    let cycle = window.cycles.last().expect("cycle stamped").cycle;
+    ScheduleTrace::of_cycle(&window, cycle).expect("stamp in its window")
 }
 
 fn deck_audio() -> Vec<AudioBuf> {
@@ -39,10 +56,9 @@ fn every_strategy_executes_all_67_nodes_exactly_once() {
     let audio = deck_audio();
     let controls = vec![0.5, 0.9, 0.0, 0.8, 0.8, 0.8, 0.8];
     for mut ex in executors(4) {
-        ex.set_tracing(true);
+        record(ex.as_mut());
         for cycle in 0..25 {
-            ex.run_cycle(&audio, &controls);
-            let trace = ex.take_trace().expect("trace enabled");
+            let trace = traced_cycle(ex.as_mut(), &audio, &controls);
             let mut nodes: Vec<u32> = trace.executions().iter().map(|e| e.node).collect();
             nodes.sort_unstable();
             assert_eq!(
@@ -61,10 +77,9 @@ fn traces_respect_dependencies_across_strategies_and_threads() {
     let controls = vec![0.5, 0.9, 0.0, 0.8, 0.8, 0.8, 0.8];
     for threads in [2, 3, 4, 5] {
         for mut ex in executors(threads) {
-            ex.set_tracing(true);
+            record(ex.as_mut());
             for _ in 0..10 {
-                ex.run_cycle(&audio, &controls);
-                let trace = ex.take_trace().unwrap();
+                let trace = traced_cycle(ex.as_mut(), &audio, &controls);
                 let topo = ex.topology();
                 assert!(
                     trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()),
@@ -81,9 +96,8 @@ fn sequential_trace_follows_queue_order_exactly() {
     let (graph, _) = build_djstar_graph(&Scenario::light_test());
     let queue = graph.topology().queue().to_vec();
     let mut ex = SequentialExecutor::new(graph, djstar_dsp::BUFFER_FRAMES);
-    ex.set_tracing(true);
-    ex.run_cycle(&deck_audio(), &[]);
-    let order = ex.take_trace().unwrap().execution_order();
+    record(&mut ex);
+    let order = traced_cycle(&mut ex, &deck_audio(), &[]).execution_order();
     assert_eq!(order, queue);
 }
 
@@ -91,31 +105,29 @@ fn sequential_trace_follows_queue_order_exactly() {
 fn busy_trace_contains_busywait_not_sleep() {
     let (graph, _) = build_djstar_graph(&Scenario::light_test());
     let mut ex = BusyExecutor::new(graph, 4, djstar_dsp::BUFFER_FRAMES);
-    ex.set_tracing(true);
+    record(&mut ex);
     let mut kinds = std::collections::HashSet::new();
     for _ in 0..20 {
-        ex.run_cycle(&deck_audio(), &[]);
-        for e in ex.take_trace().unwrap().events {
+        for e in traced_cycle(&mut ex, &deck_audio(), &[]).events {
             kinds.insert(e.kind);
         }
     }
-    assert!(kinds.contains(&TraceKind::Exec));
-    assert!(!kinds.contains(&TraceKind::Sleep), "BUSY must never sleep");
+    assert!(kinds.contains(&SpanKind::Exec));
+    assert!(!kinds.contains(&SpanKind::Sleep), "BUSY must never sleep");
 }
 
 #[test]
 fn sleep_trace_contains_sleep_not_busywait() {
     let (graph, _) = build_djstar_graph(&Scenario::light_test());
     let mut ex = SleepExecutor::new(graph, 4, djstar_dsp::BUFFER_FRAMES);
-    ex.set_tracing(true);
+    record(&mut ex);
     let mut kinds = std::collections::HashSet::new();
     for _ in 0..20 {
-        ex.run_cycle(&deck_audio(), &[]);
-        for e in ex.take_trace().unwrap().events {
+        for e in traced_cycle(&mut ex, &deck_audio(), &[]).events {
             kinds.insert(e.kind);
         }
     }
-    assert!(!kinds.contains(&TraceKind::BusyWait), "SLEEP must not spin");
+    assert!(!kinds.contains(&SpanKind::BusyWait), "SLEEP must not spin");
 }
 
 #[test]
@@ -145,9 +157,26 @@ fn executors_are_reusable_after_idle_gaps() {
         ex.run_cycle(&audio, &[]);
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    ex.set_tracing(true);
-    ex.run_cycle(&audio, &[]);
-    assert_eq!(ex.take_trace().unwrap().executions().len(), 67);
+    record(&mut ex);
+    let trace = traced_cycle(&mut ex, &audio, &[]);
+    assert_eq!(trace.executions().len(), 67);
+}
+
+/// Fig. 11's measured gantts (`fig11_schedules` with `DJSTAR_REAL=1`):
+/// one recorded APC per strategy, folded and rendered.
+#[test]
+fn recorded_cycles_render_as_fig11_gantts() {
+    for strategy in [Strategy::Busy, Strategy::Sleep, Strategy::Steal] {
+        let mut engine =
+            AudioEngine::with_aux(Scenario::light_test(), strategy, 4, AuxWork::light());
+        engine.warmup(3);
+        engine.set_flight_recorder(Some(FlightConfig::default()));
+        let trace = engine.run_apc_traced();
+        assert_eq!(trace.executions().len(), 67, "{strategy:?}");
+        let gantt = render_trace(&trace, 110);
+        let rows = gantt.lines().filter(|l| l.starts_with('T')).count();
+        assert_eq!(rows, 4, "{strategy:?}:\n{gantt}");
+    }
 }
 
 /// All six strategies over the real graph, each paired with its master
