@@ -102,29 +102,6 @@ pub fn capture_and_export(
     report_for(strategy, threads, &ring).with_dropped_events(dropped)
 }
 
-/// Median graph time (ns) over `cycles` APCs, with telemetry on or off.
-/// The median is robust to the multi-millisecond scheduler stalls shared
-/// hosts inject (see DESIGN.md §4.2): a handful of stalled cycles shift a
-/// mean by far more than the effect being measured, but leave the median
-/// untouched.
-pub fn median_graph_ns(
-    scenario: &Scenario,
-    strategy: Strategy,
-    threads: usize,
-    warmup: usize,
-    cycles: usize,
-    telemetry: bool,
-) -> f64 {
-    let mut engine = AudioEngine::with_aux(scenario.clone(), strategy, threads, AuxWork::light());
-    engine.warmup(warmup);
-    engine.set_telemetry(telemetry);
-    let mut samples: Vec<u64> = (0..cycles)
-        .map(|_| engine.run_apc().graph.as_nanos() as u64)
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

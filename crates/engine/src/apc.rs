@@ -130,11 +130,11 @@ pub struct AudioEngine {
     /// Stagings whose PLAN blueprint failed to compile — surfaced as
     /// [`ReconfigError::Blueprint`] and counted here for telemetry.
     stage_failures: u64,
-    /// What a node costs: measured by the PLAN probe at construction (one
-    /// nanosecond a node for every other strategy, which schedules
-    /// online), replaced by [`recalibrate_admission`](Self::recalibrate_admission).
-    /// Staged blueprints and a model-less admission controller both price
-    /// shapes with it.
+    /// What a node costs — the engine's one model: measured by the probe
+    /// twin (at PLAN construction, or by the venue admission that admitted
+    /// this session), one nanosecond a node otherwise, replaced by
+    /// [`recalibrate_admission`](Self::recalibrate_admission). Staged
+    /// blueprints and the admission check both price shapes with it.
     costs: NodeCostModel,
     /// Generations (and their landmark maps) that commits replaced or
     /// refused, kept so the audio thread frees nothing at a switch; dropped
@@ -237,8 +237,25 @@ pub(crate) fn executor_on_pool(
     }
 }
 
-/// Traced cycles a duration probe averages over.
-pub(crate) const PROBE_CYCLES: usize = 12;
+/// Recorded cycles the probe twin averages over.
+const PROBE_CYCLES: usize = 12;
+
+/// The probe twin: a throwaway SEQ × 1 engine running `shape` on a clone
+/// of `scenario` with `aux` weights, warmed up for 4 cycles, then
+/// [`PROBE_CYCLES`] recorded ones — the measuring half of PLAN compilation
+/// and of venue admission. Returns the per-node mean cost model and the
+/// aux floor: the median TP + GP + VC of the same cycles (ns), phases the
+/// flight recorder does not cover. The clone shares the scenario's track
+/// library, so the twin loads no track the engine it stands in for has
+/// loaded or will load.
+pub(crate) fn probe(scenario: &Scenario, shape: GraphShape, aux: AuxWork) -> (NodeCostModel, u64) {
+    let mut twin = AudioEngine::with_shape(scenario.clone(), shape, Strategy::Sequential, 1, aux);
+    twin.warmup(4);
+    let (samples, mut aux_ns) = twin.record_cycles(PROBE_CYCLES);
+    aux_ns.sort_unstable();
+    let costs = NodeCostModel::from_samples(twin.executor.topology(), &samples);
+    (costs, aux_ns[aux_ns.len() / 2])
+}
 
 impl AudioEngine {
     /// Build an engine running `scenario` with the given strategy and
@@ -268,7 +285,7 @@ impl AudioEngine {
         aux: AuxWork,
     ) -> Self {
         let pool = Self::private_pool(strategy, threads);
-        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, true)
+        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, true, None)
     }
 
     /// Build an engine whose two sessions register on an existing shared
@@ -276,24 +293,20 @@ impl AudioEngine {
     /// constructor. `threads` is this session's lane count and must not
     /// exceed the pool's. Sequential engines accept a pool too (they
     /// simply never stage work on it), so a venue can host mixed-strategy
-    /// sessions uniformly.
-    pub fn on_pool(
+    /// sessions uniformly. `costs` is the node cost model venue
+    /// admission's probe already measured for this session, so a PLAN
+    /// engine builds no second probe twin (`None`: probe here if PLAN).
+    pub(crate) fn on_pool(
         scenario: Scenario,
         strategy: Strategy,
         threads: usize,
         aux: AuxWork,
         pool: &Arc<VenuePool>,
+        costs: Option<NodeCostModel>,
     ) -> Self {
         let shape = GraphShape::for_net(&scenario.net);
-        Self::with_shape_on(
-            scenario,
-            shape,
-            strategy,
-            threads,
-            aux,
-            Arc::clone(pool),
-            false,
-        )
+        let pool = Arc::clone(pool);
+        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, false, costs)
     }
 
     /// A pool of exactly the lanes a solo engine uses (SEQ runs everything
@@ -307,6 +320,7 @@ impl AudioEngine {
         Arc::new(VenuePool::new(lanes))
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn with_shape_on(
         scenario: Scenario,
         shape: GraphShape,
@@ -315,10 +329,19 @@ impl AudioEngine {
         aux: AuxWork,
         pool: Arc<VenuePool>,
         private_pool: bool,
+        costs: Option<NodeCostModel>,
     ) -> Self {
         let frames = djstar_dsp::BUFFER_FRAMES;
-        let (executor, map, costs) =
-            Self::build_executor(&scenario, &shape, strategy, threads, &pool);
+        // PLAN replays a list schedule of measured node costs; every other
+        // strategy schedules online and needs none.
+        let costs = costs.unwrap_or_else(|| match strategy {
+            // Aux weights only shape the non-graph phases, so this probe
+            // runs light whatever the engine will use.
+            Strategy::Planned => probe(&scenario, shape, AuxWork::light()).0,
+            _ => NodeCostModel::uniform(1),
+        });
+        let (executor, map) =
+            Self::build_executor(&scenario, &shape, strategy, threads, &pool, &costs);
         let front = FrontEnd::new(&scenario, aux, strategy, threads, &pool);
         let mut ctrl = vec![0.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = scenario.crossfader;
@@ -360,50 +383,24 @@ impl AudioEngine {
         }
     }
 
-    /// Build the graph executor, its landmark map and the engine's node
-    /// cost model for a scenario + shape on `pool`. Shared by the
-    /// constructors and the thread-resize rebuild path.
+    /// Build the graph executor and its landmark map for a scenario +
+    /// shape on `pool`; PLAN list-schedules `costs` onto `threads` lanes
+    /// and replays that. Shared by the constructors and the thread-resize
+    /// rebuild path.
     fn build_executor(
         scenario: &Scenario,
         shape: &GraphShape,
         strategy: Strategy,
         threads: usize,
         pool: &Arc<VenuePool>,
-    ) -> (Box<dyn GraphExecutor>, NodeMap, NodeCostModel) {
+        costs: &NodeCostModel,
+    ) -> (Box<dyn GraphExecutor>, NodeMap) {
         let (graph, map) = build_shaped_graph(scenario, shape);
-        // PLAN: probe node durations on a throwaway sequential engine,
-        // list-schedule them onto `threads` processors, and replay that.
-        // Later generations are priced by the same measurement.
-        let costs = if strategy == Strategy::Planned {
-            Self::probe_costs(scenario, shape)
-        } else {
-            NodeCostModel::uniform(1)
-        };
         let executor = executor_on_pool(graph, strategy, threads, pool, |topo| {
             list_blueprint(topo, costs.durations_for(topo), threads)
                 .expect("a list schedule always compiles to a valid blueprint")
         });
-        (executor, map, costs)
-    }
-
-    /// A warmed-up throwaway SEQ × 1 engine on a clone of `scenario` — the
-    /// measuring half of PLAN compilation and of venue admission. The clone
-    /// shares the scenario's track library, so a probe loads no track the
-    /// engine it stands in for has loaded or will load.
-    pub(crate) fn probe(scenario: &Scenario, shape: GraphShape, aux: AuxWork) -> AudioEngine {
-        let mut probe =
-            AudioEngine::with_shape(scenario.clone(), shape, Strategy::Sequential, 1, aux);
-        probe.warmup(4);
-        probe
-    }
-
-    /// The [`NodeCostModel`] of `shape`'s nodes as a throwaway sequential
-    /// engine measures them: what PLAN's list schedule is compiled from,
-    /// kept as a model so it can price other shapes too.
-    fn probe_costs(scenario: &Scenario, shape: &GraphShape) -> NodeCostModel {
-        // Aux weights only shape the non-graph phases, so the probe always
-        // runs light regardless of what the real engine will use.
-        Self::probe(scenario, *shape, AuxWork::light()).calibrated_costs(PROBE_CYCLES)
+        (executor, map)
     }
 
     /// The scheduling strategy in use.
@@ -485,8 +482,9 @@ impl AudioEngine {
     /// [`reconfigure`](Self::reconfigure).
     fn stage_shape(&mut self, shape: &GraphShape) -> Result<StagedTopology, ReconfigError> {
         self.retired.clear();
+        let threads = self.threads();
         if let Some(adm) = self.admission.as_mut() {
-            adm.check(&self.scenario, shape)?;
+            adm.check(&self.scenario, shape, &self.costs, threads)?;
         }
         let hit = self.modes.as_mut().and_then(|c| c.take(shape));
         let was_hit = hit.is_some();
@@ -541,11 +539,6 @@ impl AudioEngine {
         }
     }
 
-    /// Mutable access to the blueprint cache, when armed.
-    pub fn mode_cache_mut(&mut self) -> Option<&mut BlueprintCache> {
-        self.modes.as_mut()
-    }
-
     /// Detach the cache so a background thread can fill it with
     /// [`stage_topology`] results ([`StagedTopology`] is `Send`) while the
     /// audio thread keeps cycling cache-less; reinstall with
@@ -563,24 +556,18 @@ impl AudioEngine {
     }
 
     /// Arm schedulability admission: every subsequent staging first proves
-    /// the target shape fits the margined deadline or is rejected typed. A
-    /// controller without a cost model of its own prices with the engine's
-    /// ([`costs`](Self::costs)).
+    /// the target shape's bound — under [`costs`](Self::costs) on
+    /// [`threads`](Self::threads) lanes — fits the margined deadline, or is
+    /// rejected typed.
     pub fn enable_admission(&mut self, mut ctrl: AdmissionControl) {
-        if ctrl.costs().is_none() {
-            ctrl.set_costs(self.costs.clone());
-        }
+        ctrl.forget_bounds();
         self.admission = Some(ctrl);
     }
 
-    /// The node cost model staged blueprints are list-scheduled under.
+    /// The node cost model staged blueprints are list-scheduled under and
+    /// the admission check prices shapes with.
     pub fn costs(&self) -> &NodeCostModel {
         &self.costs
-    }
-
-    /// The admission controller, when armed.
-    pub fn admission(&self) -> Option<&AdmissionControl> {
-        self.admission.as_ref()
     }
 
     /// Disarm admission; staging accepts every valid shape again.
@@ -588,19 +575,23 @@ impl AudioEngine {
         self.admission = None;
     }
 
-    /// Swap in a recalibrated [`NodeCostModel`] — the engine's own, which
-    /// prices every blueprint staged from here on, and the admission
-    /// controller's — and invalidate every cached blueprint in the same
-    /// breath: a blueprint compiled against stale costs must never be
-    /// committed, and the cache's epoch bump also voids any background
-    /// precompile still in flight.
+    /// Swap in a recalibrated [`NodeCostModel`], which prices every
+    /// blueprint staged and every shape admitted from here on.
     pub fn recalibrate_admission(&mut self, costs: NodeCostModel) {
-        if let Some(adm) = self.admission.as_mut() {
-            adm.set_costs(costs.clone());
-        }
         self.costs = costs;
+        self.reprice();
+    }
+
+    /// The cost model or the lane count changed: void every cached
+    /// blueprint and admission bound. A blueprint compiled against stale
+    /// inputs must never be committed, and the cache's epoch bump also
+    /// voids any background precompile still in flight.
+    fn reprice(&mut self) {
         if let Some(cache) = self.modes.as_mut() {
             cache.invalidate();
+        }
+        if let Some(adm) = self.admission.as_mut() {
+            adm.forget_bounds();
         }
     }
 
@@ -628,7 +619,7 @@ impl AudioEngine {
         if self.modes.is_none() {
             return 0;
         }
-        let base = self.shape;
+        let (base, threads) = (self.shape, self.threads());
         let mut staged_new = 0;
         for edit in reachable_edits(&base) {
             let mut target = base;
@@ -637,7 +628,10 @@ impl AudioEngine {
             }
             // Never precompile what admission would reject at switch time.
             if let Some(adm) = self.admission.as_mut() {
-                if adm.check(&self.scenario, &target).is_err() {
+                if adm
+                    .check(&self.scenario, &target, &self.costs, threads)
+                    .is_err()
+                {
                     continue;
                 }
             }
@@ -725,10 +719,12 @@ impl AudioEngine {
             if self.private_pool {
                 self.pool = Self::private_pool(strategy, threads);
             }
-            let (executor, map, costs) =
-                Self::build_executor(&self.scenario, &shape, strategy, threads, &self.pool);
+            // A SEQ × 1 probe does not depend on the lane count: the
+            // engine's model prices the rebuilt generation too.
+            let (scenario, pool, costs) = (&self.scenario, &self.pool, &self.costs);
+            let (executor, map) =
+                Self::build_executor(scenario, &shape, strategy, threads, pool, costs);
             self.executor = executor;
-            self.costs = costs;
             self.front.rebuild(strategy, threads, &self.pool);
             self.executor.set_session(self.session);
             self.front.set_session(self.session);
@@ -737,14 +733,9 @@ impl AudioEngine {
             self.map = map;
             self.shape = shape;
             self.commit_cycles.push(self.cycle);
-            // Worker counts are baked into every cached blueprint and
-            // admission bound: void them all.
-            if let Some(cache) = self.modes.as_mut() {
-                cache.invalidate();
-            }
-            if let Some(adm) = self.admission.as_mut() {
-                adm.set_threads(threads);
-            }
+            // Lane counts are baked into every cached blueprint and
+            // admission bound.
+            self.reprice();
             return Ok(self.executor.generation());
         }
         let staged = self.stage_shape(&shape)?;
@@ -1238,8 +1229,8 @@ impl AudioEngine {
     }
 
     /// The worker pool this engine's two sessions (front graph and task
-    /// graph) are registered on. For an engine built with
-    /// [`on_pool`](Self::on_pool) it is the caller's shared pool; otherwise
+    /// graph) are registered on. For a venue session it is the venue's
+    /// shared pool; otherwise
     /// it is private to this engine — `threads()` lanes, replaced on a
     /// thread resize, its workers joined when the engine drops.
     pub fn pool(&self) -> &Arc<VenuePool> {
@@ -1333,6 +1324,11 @@ impl AudioEngine {
     /// spans to the overwrite-oldest policy (the trace would be partial).
     pub fn run_apc_traced(&mut self) -> ScheduleTrace {
         self.run_apc();
+        self.fold_last_cycle()
+    }
+
+    /// Take the flight window and fold the cycle just run out of it.
+    fn fold_last_cycle(&mut self) -> ScheduleTrace {
         let window = self
             .take_flight_window()
             .expect("run_apc_traced needs an installed flight recorder");
@@ -1381,8 +1377,15 @@ impl AudioEngine {
     /// Panics if a cycle's window lost spans, rather than return a
     /// sample set with a node sample silently missing.
     pub fn measured_node_durations(&mut self, cycles: usize) -> Vec<Vec<u64>> {
+        self.record_cycles(cycles).0
+    }
+
+    /// [`measured_node_durations`](Self::measured_node_durations) and each
+    /// recorded cycle's TP + GP + VC (ns).
+    fn record_cycles(&mut self, cycles: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
         let n = self.executor.topology().len();
         let mut samples = vec![Vec::with_capacity(cycles); n];
+        let mut aux_ns = Vec::with_capacity(cycles);
         let borrowed = self.flight_cfg.is_some();
         if borrowed {
             self.take_flight_window();
@@ -1390,25 +1393,16 @@ impl AudioEngine {
             self.set_flight_recorder(Some(FlightConfig::default()));
         }
         for _ in 0..cycles {
-            for e in self.run_apc_traced().executions() {
+            let t = self.run_apc();
+            aux_ns.push((t.tp + t.gp + t.vc).as_nanos() as u64);
+            for e in self.fold_last_cycle().executions() {
                 samples[e.node as usize].push(e.duration_ns());
             }
         }
         if !borrowed {
             self.set_flight_recorder(None);
         }
-        samples
-    }
-
-    /// Per-node mean of [`measured_node_durations`](Self::measured_node_durations)
-    /// over `cycles` traced APCs, at least 1 ns (also for a node that never
-    /// ran) — the constant-duration model a probe engine hands the list
-    /// scheduler.
-    pub(crate) fn mean_node_durations(&mut self, cycles: usize) -> Vec<u64> {
-        self.measured_node_durations(cycles)
-            .iter()
-            .map(|s| (s.iter().sum::<u64>() / s.len().max(1) as u64).max(1))
-            .collect()
+        (samples, aux_ns)
     }
 
     /// Calibrate a scenario's work profile so the *sequential* graph time
@@ -1494,11 +1488,13 @@ mod tests {
         use djstar_workload::Track;
         let s = Scenario::light_test();
         // A PLAN engine (its constructor probes node costs for the plan),
-        // the two kinds of probe on their own, and an admitted session whose
-        // `admit` probed first.
+        // the probe on its own with both callers' arguments, and an
+        // admitted session whose `admit` probed first. A probe that loaded
+        // its own tracks would leave them in the shared library, not the
+        // engine's.
         let mut engine = AudioEngine::with_aux(s.clone(), Strategy::Planned, 2, AuxWork::light());
-        let mut plan_probe = AudioEngine::probe(&s, GraphShape::paper_default(), AuxWork::light());
-        let mut admit_probe = AudioEngine::probe(&s, GraphShape::for_net(&s.net), AuxWork::light());
+        probe(&s, GraphShape::paper_default(), AuxWork::light());
+        probe(&s, GraphShape::for_net(&s.net), AuxWork::paper_scale());
         let mut server = VenueServer::new(2, Duration::from_millis(500), 0.1);
         let id = server
             .admit(SessionSpec {
@@ -1513,8 +1509,6 @@ mod tests {
         for d in 0..4 {
             let loaded = s.track(d);
             assert!(Track::ptr_eq(&loaded, &deck_track(&mut engine, d)));
-            assert!(Track::ptr_eq(&loaded, &deck_track(&mut plan_probe, d)));
-            assert!(Track::ptr_eq(&loaded, &deck_track(&mut admit_probe, d)));
             let admitted = server.engine_mut(id).expect("admitted above");
             assert!(Track::ptr_eq(&loaded, &deck_track(admitted, d)));
             let other = deck_track(&mut stranger, d);
@@ -1533,13 +1527,36 @@ mod tests {
     }
 
     #[test]
-    fn mean_node_durations_are_positive_for_every_node() {
-        let mut e = light_engine(Strategy::Sequential, 1);
-        let means = e.mean_node_durations(3);
-        assert_eq!(means.len(), e.executor_mut().topology().len());
-        assert!(means.iter().all(|&m| m >= 1));
-        // No cycle traced: the floor, not a division by zero.
-        assert!(e.mean_node_durations(0).iter().all(|&m| m == 1));
+    fn a_resize_keeps_the_engine_cost_model_for_staging_and_admission() {
+        use crate::modes::shape_bound_ns;
+        let mut e = light_engine(Strategy::Planned, 2);
+        let costs = NodeCostModel::uniform(1_000);
+        e.recalibrate_admission(costs.clone());
+        let mut target = *e.shape();
+        target.fx_slots[0] += 1;
+        let edit = [GraphEdit::InsertFxSlot(0)];
+        let one_lane = shape_bound_ns(e.scenario(), &target, &costs, 1, 0);
+        let two_lanes = shape_bound_ns(e.scenario(), &target, &costs, 2, 0);
+        assert!(two_lanes < one_lane);
+        // A budget 1 ns under the one-lane bound: the two-lane engine fits.
+        e.enable_admission(AdmissionControl::new(one_lane - 1, 0.0));
+        assert!(e.stage_edits(&edit).is_ok());
+
+        e.reconfigure(&[GraphEdit::ResizeThreads(1)])
+            .expect("resize");
+        assert_eq!(e.threads(), 1);
+        let topo = e.executor.topology();
+        assert!(
+            e.costs().durations_for(topo).iter().all(|&c| c == 1_000),
+            "a resize must not re-probe the engine's model"
+        );
+        // Admission prices the shape from that same model on one lane now.
+        match e.stage_edits(&edit) {
+            Err(ReconfigError::Unschedulable(u)) => {
+                assert_eq!((u.bound_ns, u.budget_ns), (one_lane, one_lane - 1));
+            }
+            other => panic!("a 1 ns-tight budget must reject, got {:?}", other.err()),
+        }
     }
 
     #[test]

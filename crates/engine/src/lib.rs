@@ -47,4 +47,4 @@ pub use reconfig::{
     apply_edit, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
 pub use soundcard::SoundCardSim;
-pub use venue::{AdmissionRejection, SessionCounters, SessionSpec, VenueServer};
+pub use venue::{SessionCounters, SessionSpec, VenueServer};

@@ -30,12 +30,12 @@
 //!   (`AudioEngine::precompile_neighborhood`), so the *next* switch is a
 //!   warm hit with high probability.
 //! * [`AdmissionControl`] runs a schedulability check before anything is
-//!   staged: a list-schedule bound ([`djstar_sim::session_bound_ns`]) on
-//!   the *target* shape under the calibrated [`NodeCostModel`], compared
+//!   staged: the list-schedule bound ([`shape_bound_ns`]) of the *target*
+//!   shape under the engine's [`NodeCostModel`] and lane count, compared
 //!   against the margined deadline ([`djstar_sim::cycle_budget_ns`]).
-//!   A shape the simulator proves unschedulable is rejected with a typed
-//!   [`Unschedulable`] before a single node is built — mirroring the
-//!   venue layer's oracle-confirmed session admission.
+//!   A shape whose bound does not fit is rejected with a typed
+//!   [`Unschedulable`] before a single node is built. Venue session
+//!   admission is the same check with the other sessions' load beside it.
 
 use crate::graphbuild::{hollow_graph, walk_nodes, GraphShape};
 use crate::reconfig::{ids_in, in_mask, orphan_mask, GraphEdit, StagedTopology};
@@ -46,15 +46,18 @@ use djstar_workload::scenario::Scenario;
 use std::collections::HashMap;
 use std::fmt;
 
-/// The admission check proved the target shape cannot meet the margined
-/// deadline. Nothing was staged; the running generation is untouched.
+/// Admission proved a bound cannot fit the margined deadline beside the
+/// load already on the pool. Nothing was staged or built; what runs is
+/// untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unschedulable {
-    /// List-schedule bound of the target shape (plus aux floor), ns.
+    /// List-schedule bound of the candidate (plus its aux floor), ns.
     pub bound_ns: u64,
-    /// The margined cycle budget the bound must fit, ns.
+    /// Summed bounds already on the pool (0 for a mode switch), ns.
+    pub load_ns: u64,
+    /// The margined cycle budget load + bound must fit, ns.
     pub budget_ns: u64,
-    /// Node count of the rejected shape.
+    /// Node count of the rejected graph.
     pub node_count: usize,
 }
 
@@ -62,8 +65,8 @@ impl fmt::Display for Unschedulable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "shape of {} nodes bounded at {} ns exceeds the {} ns cycle budget",
-            self.node_count, self.bound_ns, self.budget_ns
+            "graph of {} nodes bounded at {} ns beside a load of {} ns exceeds the {} ns cycle budget",
+            self.node_count, self.bound_ns, self.load_ns, self.budget_ns
         )
     }
 }
@@ -570,54 +573,49 @@ impl NodeCostModel {
     }
 }
 
-/// Schedulability admission for mode switches: before a target shape is
-/// staged, bound its cycle cost with a list schedule under the calibrated
-/// [`NodeCostModel`] and reject it ([`Unschedulable`]) when the bound
-/// exceeds the margined deadline.
+/// The list-schedule bound (ns) of `shape`'s graph on `lanes` lanes with
+/// every node priced by `costs`, plus `aux_floor_ns` for the phases the
+/// graph does not cover — the one bound both admission checks compare.
+/// Builds the shape's hollow graph, so call it off the audio path.
+pub fn shape_bound_ns(
+    scenario: &Scenario,
+    shape: &GraphShape,
+    costs: &NodeCostModel,
+    lanes: usize,
+    aux_floor_ns: u64,
+) -> u64 {
+    let (graph, _) = hollow_graph(scenario, shape);
+    let topo = graph.topology();
+    let durations = DurationModel::Constant(costs.durations_for(topo));
+    let sim = SimGraph::from_topology(topo);
+    session_bound_ns(&sim, &durations, lanes.max(1) as u32, aux_floor_ns)
+}
+
+/// Schedulability admission: a bound must fit the margined deadline
+/// beside the load already on the pool, or it is rejected as
+/// [`Unschedulable`]. A mode switch brings no load ([`check`](Self::check),
+/// on the engine's [`NodeCostModel`] and lane count); a venue session
+/// brings the other sessions' bounds (`VenueServer::admit`).
 ///
-/// Verdicts are cached per canonical fingerprint (bounding a shape builds
-/// its graph, which is expensive), and [`set_costs`](Self::set_costs)
-/// clears them — callers must invalidate their [`BlueprintCache`] in the
-/// same breath. A controller built without a cost model takes the engine's
-/// when armed (`AudioEngine::enable_admission`), so staging and admission
-/// price a shape from one source; until then it prices structurally, one
-/// nanosecond a node.
+/// Mode-switch bounds are remembered per canonical fingerprint (bounding a
+/// shape builds its graph, which is expensive). The engine forgets them
+/// whenever its cost model or lane count changes.
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     deadline_ns: u64,
     margin: f64,
-    threads: u32,
-    aux_floor_ns: u64,
-    costs: Option<NodeCostModel>,
-    verdicts: Vec<(ShapeFingerprint, Result<u64, Unschedulable>)>,
+    bounds: Vec<(ShapeFingerprint, u64)>,
 }
 
 impl AdmissionControl {
-    /// Admission against `deadline_ns` at safety `margin` for a
-    /// `threads`-worker executor, pricing nodes with `costs` (`None`: the
-    /// model of the engine it is armed on).
-    pub fn new(
-        deadline_ns: u64,
-        margin: f64,
-        threads: usize,
-        costs: impl Into<Option<NodeCostModel>>,
-    ) -> Self {
+    /// Admission against `deadline_ns` at safety `margin` (a fraction in
+    /// `[0, 1)`).
+    pub fn new(deadline_ns: u64, margin: f64) -> Self {
         AdmissionControl {
             deadline_ns,
             margin,
-            threads: threads.max(1) as u32,
-            aux_floor_ns: 0,
-            costs: costs.into(),
-            verdicts: Vec::new(),
+            bounds: Vec::new(),
         }
-    }
-
-    /// Add a fixed per-cycle floor (ns) for non-graph work sharing the
-    /// cycle (aux mixing, soundcard submit).
-    pub fn with_aux_floor(mut self, aux_floor_ns: u64) -> Self {
-        self.aux_floor_ns = aux_floor_ns;
-        self.verdicts.clear();
-        self
     }
 
     /// The margined cycle budget a bound must fit (ns).
@@ -635,65 +633,48 @@ impl AdmissionControl {
         self.margin
     }
 
-    /// Worker count the bound schedules for.
-    pub fn threads(&self) -> usize {
-        self.threads as usize
-    }
-
-    /// Retarget the worker count (an executor resize). Clears cached
-    /// verdicts; the caller must invalidate its blueprint cache too.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1) as u32;
-        self.verdicts.clear();
-    }
-
-    /// The cost model in use, when the controller has one of its own.
-    pub fn costs(&self) -> Option<&NodeCostModel> {
-        self.costs.as_ref()
-    }
-
-    /// Swap in a recalibrated cost model. Clears cached verdicts; the
-    /// caller must invalidate its blueprint cache too.
-    pub fn set_costs(&mut self, costs: NodeCostModel) {
-        self.costs = Some(costs);
-        self.verdicts.clear();
-    }
-
-    /// The list-schedule bound (ns) of `shape` under the cost model —
-    /// uncached, for oracles and sweeps.
-    pub fn bound_ns(&self, scenario: &Scenario, shape: &GraphShape) -> u64 {
-        let (graph, _) = hollow_graph(scenario, shape);
-        let topo = graph.topology();
-        let sim = SimGraph::from_topology(topo);
-        let durations = match &self.costs {
-            Some(costs) => costs.durations_for(topo),
-            None => vec![1; topo.len()],
-        };
-        let durations = DurationModel::Constant(durations);
-        session_bound_ns(&sim, &durations, self.threads, self.aux_floor_ns)
-    }
-
-    /// Admit or reject `shape`: `Ok(bound_ns)` when its list-schedule
-    /// bound fits the margined budget, a typed [`Unschedulable`]
-    /// otherwise. Verdicts are cached by canonical fingerprint.
-    pub fn check(&mut self, scenario: &Scenario, shape: &GraphShape) -> Result<u64, Unschedulable> {
-        let key = shape_fingerprint(shape);
-        if let Some((_, verdict)) = self.verdicts.iter().find(|(k, _)| *k == key) {
-            return *verdict;
-        }
-        let bound_ns = self.bound_ns(scenario, shape);
+    /// The one comparison: `Ok(bound_ns)` when `load_ns + bound_ns` (a
+    /// saturating sum) fits the margined budget, otherwise the typed
+    /// rejection for a graph of `nodes` nodes.
+    pub fn admit(&self, bound_ns: u64, load_ns: u64, nodes: usize) -> Result<u64, Unschedulable> {
         let budget_ns = self.budget_ns();
-        let verdict = if bound_ns <= budget_ns {
+        if load_ns.saturating_add(bound_ns) <= budget_ns {
             Ok(bound_ns)
         } else {
             Err(Unschedulable {
                 bound_ns,
+                load_ns,
                 budget_ns,
-                node_count: shape.node_count(),
+                node_count: nodes,
             })
+        }
+    }
+
+    /// Admit or reject a mode switch to `shape`: its [`shape_bound_ns`]
+    /// under `costs` on `lanes` lanes, against the budget alone.
+    pub fn check(
+        &mut self,
+        scenario: &Scenario,
+        shape: &GraphShape,
+        costs: &NodeCostModel,
+        lanes: usize,
+    ) -> Result<u64, Unschedulable> {
+        let key = shape_fingerprint(shape);
+        let bound_ns = match self.bounds.iter().find(|(k, _)| *k == key) {
+            Some(&(_, bound_ns)) => bound_ns,
+            None => {
+                let bound_ns = shape_bound_ns(scenario, shape, costs, lanes, 0);
+                self.bounds.push((key, bound_ns));
+                bound_ns
+            }
         };
-        self.verdicts.push((key, verdict));
-        verdict
+        self.admit(bound_ns, 0, shape.node_count())
+    }
+
+    /// Forget every remembered bound: the cost model or the lane count
+    /// they were computed under changed.
+    pub(crate) fn forget_bounds(&mut self) {
+        self.bounds.clear();
     }
 }
 
@@ -890,23 +871,24 @@ mod tests {
         let scenario = Scenario::light_test();
         let shape = GraphShape::paper_default();
         let costs = NodeCostModel::uniform(100);
-        let mut generous = AdmissionControl::new(1_000_000_000, 0.1, 2, costs.clone());
+        let mut generous = AdmissionControl::new(1_000_000_000, 0.1);
         let bound = generous
-            .check(&scenario, &shape)
+            .check(&scenario, &shape, &costs, 2)
             .expect("a 1s deadline admits everything");
         assert!(bound > 0);
 
         // A budget exactly at the bound admits; one below rejects with
         // the same bound — the boundary the differential battery walks.
-        let mut exact = AdmissionControl::new(bound, 0.0, 2, costs.clone());
-        assert_eq!(exact.check(&scenario, &shape), Ok(bound));
-        let mut tight = AdmissionControl::new(bound - 1, 0.0, 2, costs);
-        let err = tight.check(&scenario, &shape).unwrap_err();
+        let mut exact = AdmissionControl::new(bound, 0.0);
+        assert_eq!(exact.check(&scenario, &shape, &costs, 2), Ok(bound));
+        let mut tight = AdmissionControl::new(bound - 1, 0.0);
+        let err = tight.check(&scenario, &shape, &costs, 2).unwrap_err();
         assert_eq!(err.bound_ns, bound);
+        assert_eq!(err.load_ns, 0, "a mode switch brings no load");
         assert_eq!(err.budget_ns, bound - 1);
         assert_eq!(err.node_count, shape.node_count());
-        // Verdicts are cached: a second check agrees without rebuilding.
-        assert_eq!(tight.check(&scenario, &shape), Err(err));
+        // Bounds are remembered: a second check agrees without rebuilding.
+        assert_eq!(tight.check(&scenario, &shape, &costs, 2), Err(err));
     }
 
     #[test]
@@ -915,17 +897,44 @@ mod tests {
         let mut shape = GraphShape::paper_default();
         shape.deck_loaded[1] = false;
         shape.fx_slots[2] = 7;
-        let ctrl = AdmissionControl::new(50_000, 0.2, 3, NodeCostModel::uniform(250));
-        let bound = ctrl.bound_ns(&scenario, &shape);
+        let ctrl = AdmissionControl::new(50_000, 0.2);
+        let bound = shape_bound_ns(&scenario, &shape, &NodeCostModel::uniform(250), 3, 0);
         // Recompute independently through the public sim API.
         let (graph, _) = build_shaped_graph(&scenario, &shape);
         let topo = graph.topology();
         let sim = SimGraph::from_topology(topo);
         let durations = DurationModel::Constant(vec![250; topo.len()]);
         assert_eq!(bound, session_bound_ns(&sim, &durations, 3, 0));
-        assert_eq!(
-            bound <= ctrl.budget_ns(),
-            djstar_sim::admissible(&[bound], 50_000, 0.2)
-        );
+        let oracle = djstar_sim::admissible(&[bound], 50_000, 0.2);
+        assert_eq!(bound <= ctrl.budget_ns(), oracle);
+        assert_eq!(ctrl.admit(bound, 0, shape.node_count()).is_ok(), oracle);
+    }
+
+    #[test]
+    fn the_one_check_is_a_saturating_sum_against_the_margined_budget() {
+        let ctrl = AdmissionControl::new(1000, 0.1);
+        assert_eq!(ctrl.budget_ns(), 900);
+        // load + bound == budget admits; one more nanosecond rejects.
+        assert_eq!(ctrl.admit(300, 600, 5), Ok(300));
+        let err = ctrl.admit(301, 600, 5).unwrap_err();
+        let want = Unschedulable {
+            bound_ns: 301,
+            load_ns: 600,
+            budget_ns: 900,
+            node_count: 5,
+        };
+        assert_eq!(err, want);
+        assert_eq!(ctrl.admit(0, 0, 0), Ok(0));
+        // Saturating sum: huge loads never wrap into admissibility.
+        assert!(ctrl.admit(1, u64::MAX, 5).is_err());
+        assert!(ctrl.admit(u64::MAX, u64::MAX, 5).is_err());
+        // Every verdict is the simulator's oracle on the same two bounds.
+        for (load, bound) in [(0, 900), (0, 901), (899, 1), (900, 1), (u64::MAX, 1)] {
+            assert_eq!(
+                ctrl.admit(bound, load, 1).is_ok(),
+                djstar_sim::admissible(&[load, bound], 1000, 0.1),
+                "load {load}, bound {bound}"
+            );
+        }
     }
 }

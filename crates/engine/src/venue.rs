@@ -20,15 +20,17 @@
 //! session's `tp`/`gp` is its share of that window by measured task time,
 //! so the shares sum to the time the venue actually spent there.
 //!
-//! **Admission control** keeps the venue schedulable: a candidate session
-//! is probed on a throwaway sequential engine, its per-cycle cost is
-//! bounded with the sim oracle ([`djstar_sim::session_bound_ns`] — list
-//! schedule of its graph on the lanes it requests, plus the measured
-//! floor of its non-graph phases), and the session is admitted only if
-//! the summed bounds of all sessions fit the deadline with the configured
-//! safety margin ([`djstar_sim::admissible`]). Rejections are counted and
-//! reported; the E18 harness cross-checks every rejection against the
-//! same oracle.
+//! **Admission control** is the engine's one [`AdmissionControl`]: a
+//! candidate session is measured by one probe twin (a throwaway SEQ × 1
+//! engine), its per-cycle cost is bounded by [`shape_bound_ns`] — the list
+//! schedule of its graph on the lanes it requests, nodes priced at their
+//! mean probed cost, plus the median of its non-graph phases — and it is
+//! admitted only if that bound fits the margined deadline beside the
+//! summed bounds of the sessions already admitted. The probe's cost model
+//! goes on to the admitted engine, so a PLAN session is not probed twice.
+//! The bound is a mean-cost list bound that has not been proven sound:
+//! measured two-session batches run longer than the summed bounds
+//! (`sim.bound_slack_pct` reads negative). Rejections are counted.
 //!
 //! **Per-session accounting**: each session carries its own cycle/miss
 //! counters (verdict: that session's TP+GP+Graph+VC against the venue
@@ -37,10 +39,10 @@
 //! it records — so a `MissDossier` built from a venue capture names the
 //! offending session.
 
-use crate::apc::GovernorOutcome;
-use crate::apc::{ApcTiming, AudioEngine, AuxWork, PROBE_CYCLES};
+use crate::apc::{probe, ApcTiming, AudioEngine, AuxWork, GovernorOutcome};
 use crate::front::FrontWork;
 use crate::graphbuild::GraphShape;
+use crate::modes::{shape_bound_ns, AdmissionControl, NodeCostModel, Unschedulable};
 use djstar_core::exec::{Strategy, VenuePool};
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
@@ -57,17 +59,6 @@ pub struct SessionSpec {
     pub threads: usize,
     /// Non-graph phase weights.
     pub aux: AuxWork,
-}
-
-/// Why a session was turned away, with the numbers that decided it.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionRejection {
-    /// The candidate's probed per-cycle bound (ns).
-    pub bound_ns: u64,
-    /// Summed bounds of the sessions already admitted (ns).
-    pub load_ns: u64,
-    /// The venue's per-cycle budget: deadline × (1 − margin), in ns.
-    pub budget_ns: u64,
 }
 
 /// Per-session counters surfaced to telemetry export and reports.
@@ -103,8 +94,7 @@ struct VenueSession {
 pub struct VenueServer {
     pool: Arc<VenuePool>,
     sessions: Vec<VenueSession>,
-    deadline_ns: u64,
-    margin: f64,
+    admission: AdmissionControl,
     rejections: u64,
     next_id: u32,
 }
@@ -116,31 +106,30 @@ impl VenueServer {
         VenueServer {
             pool: Arc::new(VenuePool::new(threads)),
             sessions: Vec::new(),
-            deadline_ns: deadline.as_nanos() as u64,
-            margin,
+            admission: AdmissionControl::new(deadline.as_nanos() as u64, margin),
             rejections: 0,
             next_id: 1,
         }
     }
 
-    /// The shared pool (e.g. to build extra engines on it directly).
+    /// The shared pool.
     pub fn pool(&self) -> &Arc<VenuePool> {
         &self.pool
     }
 
     /// The venue deadline in nanoseconds.
     pub fn deadline_ns(&self) -> u64 {
-        self.deadline_ns
+        self.admission.deadline_ns()
     }
 
     /// The admission safety margin.
     pub fn margin(&self) -> f64 {
-        self.margin
+        self.admission.margin()
     }
 
     /// The per-cycle budget admission tests against (ns).
     pub fn budget_ns(&self) -> u64 {
-        djstar_sim::cycle_budget_ns(self.deadline_ns, self.margin)
+        self.admission.budget_ns()
     }
 
     /// Summed admission bounds of the current session set (ns).
@@ -165,33 +154,16 @@ impl VenueServer {
         self.sessions.iter().map(|s| s.id).collect()
     }
 
-    /// Probe a candidate on a throwaway sequential engine and bound its
-    /// per-cycle cost on `spec.threads` pool lanes with the sim oracle:
-    /// list-schedule makespan of its measured graph plus the median of
-    /// its measured non-graph phases.
-    pub fn probe_session_bound(spec: &SessionSpec) -> u64 {
-        let shape = GraphShape::for_net(&spec.scenario.net);
-        let mut probe = AudioEngine::probe(&spec.scenario, shape, spec.aux);
-        let means = probe.mean_node_durations(PROBE_CYCLES);
-        let mut aux: Vec<u64> = (0..PROBE_CYCLES)
-            .map(|_| {
-                let t = probe.run_apc();
-                (t.tp + t.gp + t.vc).as_nanos() as u64
-            })
-            .collect();
-        aux.sort_unstable();
-        let aux_floor = aux[aux.len() / 2];
-        let graph = djstar_sim::SimGraph::from_topology(probe.executor_mut().topology());
-        let durations = djstar_sim::DurationModel::Constant(means);
-        djstar_sim::session_bound_ns(&graph, &durations, spec.threads as u32, aux_floor)
-    }
-
     /// Admit `spec` if the venue stays schedulable with it, building its
     /// engine on the shared pool and tagging it with a fresh session id.
-    /// Otherwise count and return the rejection.
-    pub fn admit(&mut self, spec: SessionSpec) -> Result<u32, AdmissionRejection> {
-        let bound = Self::probe_session_bound(&spec);
-        self.admit_bounded(spec, bound)
+    /// The bound comes from one probe twin of the session's shape at its
+    /// aux weights, on `spec.threads` lanes; the probe's cost model becomes
+    /// the admitted engine's. Otherwise count and return the rejection.
+    pub fn admit(&mut self, spec: SessionSpec) -> Result<u32, Unschedulable> {
+        let shape = GraphShape::for_net(&spec.scenario.net);
+        let (costs, aux_floor_ns) = probe(&spec.scenario, shape, spec.aux);
+        let bound_ns = shape_bound_ns(&spec.scenario, &shape, &costs, spec.threads, aux_floor_ns);
+        self.admit_priced(spec, bound_ns, Some(costs))
     }
 
     /// [`admit`](Self::admit) with a caller-supplied bound (skips the
@@ -200,32 +172,35 @@ impl VenueServer {
         &mut self,
         spec: SessionSpec,
         bound_ns: u64,
-    ) -> Result<u32, AdmissionRejection> {
+    ) -> Result<u32, Unschedulable> {
+        self.admit_priced(spec, bound_ns, None)
+    }
+
+    fn admit_priced(
+        &mut self,
+        spec: SessionSpec,
+        bound_ns: u64,
+        costs: Option<NodeCostModel>,
+    ) -> Result<u32, Unschedulable> {
         assert!(
             spec.threads >= 1 && spec.threads <= self.pool.threads(),
             "session wants {} lanes but the pool has {}",
             spec.threads,
             self.pool.threads()
         );
-        let mut bounds: Vec<u64> = self.sessions.iter().map(|s| s.bound_ns).collect();
-        bounds.push(bound_ns);
-        if !djstar_sim::admissible(&bounds, self.deadline_ns, self.margin) {
-            self.rejections += 1;
-            return Err(AdmissionRejection {
-                bound_ns,
-                load_ns: self.load_ns(),
-                budget_ns: self.budget_ns(),
-            });
-        }
+        let node_count = GraphShape::for_net(&spec.scenario.net).node_count();
+        self.admission
+            .admit(bound_ns, self.load_ns(), node_count)
+            .inspect_err(|_| self.rejections += 1)?;
         let id = self.next_id;
         self.next_id += 1;
-        let mut engine = AudioEngine::on_pool(
-            spec.scenario,
-            spec.strategy,
-            spec.threads,
-            spec.aux,
-            &self.pool,
-        );
+        let SessionSpec {
+            scenario,
+            strategy,
+            threads,
+            aux,
+        } = spec;
+        let mut engine = AudioEngine::on_pool(scenario, strategy, threads, aux, &self.pool, costs);
         engine.set_session(id);
         self.sessions.push(VenueSession {
             id,
@@ -322,6 +297,7 @@ impl VenueServer {
         }
         let front_window = t0.elapsed();
         // Graph batch.
+        let deadline_ns = self.deadline_ns();
         for s in &mut self.sessions {
             s.epoch = s.engine.venue_graph_stage();
         }
@@ -332,7 +308,7 @@ impl VenueServer {
             let t = s.engine.venue_finish(s.epoch, tp, gp);
             s.cycles += 1;
             s.last = t;
-            let missed = t.total().as_nanos() as u64 > self.deadline_ns;
+            let missed = t.total().as_nanos() as u64 > deadline_ns;
             if missed {
                 s.misses += 1;
             }
@@ -406,8 +382,10 @@ mod tests {
         let err = venue
             .admit_bounded(spec(Strategy::Busy, 2), 40_000)
             .expect_err("third must be rejected");
+        assert_eq!(err.bound_ns, 40_000);
         assert_eq!(err.load_ns, 80_000);
         assert_eq!(err.budget_ns, 90_000);
+        assert_eq!(err.node_count, GraphShape::paper_default().node_count());
         assert_eq!(venue.rejections(), 1);
         assert_eq!(venue.session_count(), 2);
         // The oracle agrees the rejection was necessary.
@@ -421,13 +399,19 @@ mod tests {
     #[test]
     fn probed_admission_fills_then_rejects() {
         let mut venue = VenueServer::new(2, Duration::from_secs(2), 0.0);
-        let s = spec(Strategy::Sleep, 2);
-        let bound = VenueServer::probe_session_bound(&s);
-        assert!(bound > 0);
-        let fit = djstar_sim::max_sessions(bound, venue.deadline_ns(), venue.margin());
-        assert!(fit >= 1, "a light session must fit a 2 s deadline");
-        venue.admit(s).expect("probed admit");
+        let id = venue
+            .admit(spec(Strategy::Sleep, 2))
+            .expect("a light session must fit a 2 s deadline");
         assert_eq!(venue.session_count(), 1);
+        let bound = venue.bound_ns(id).expect("admitted above");
+        assert!(bound > 0);
+        assert!(bound <= venue.budget_ns());
+        // Nothing is left for a session that wants the whole budget.
+        let err = venue
+            .admit_bounded(spec(Strategy::Sleep, 2), venue.budget_ns())
+            .expect_err("the budget is spent");
+        assert_eq!((err.bound_ns, err.load_ns), (venue.budget_ns(), bound));
+        assert_eq!(venue.rejections(), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! straddles the budget by exactly one nanosecond.
 //!
 //! A uniform cost model keeps every bound a pure function of the shape,
-//! so the battery is fully deterministic across hosts.
+//! so the battery is fully deterministic across hosts. The engines run on
+//! [`THREADS`] lanes: admission bounds a shape on the engine's own lanes.
 
 use djstar_core::exec::Strategy;
 use djstar_engine::apc::{AudioEngine, AuxWork};
@@ -106,10 +107,17 @@ fn oracle_bound_ns(scenario: &Scenario, shape: &GraphShape, costs: &NodeCostMode
     djstar_sim::session_bound_ns(&sim, &durations, THREADS as u32, 0)
 }
 
-/// Engine verdict for one `(deadline, margin, target)` trial: arm
-/// admission, stage the diff script, drop the staged generation (accept)
-/// without committing. Returns the full staging result so callers can
-/// inspect the typed rejection.
+/// A `THREADS`-lane engine on `scenario`.
+fn engine_on(scenario: &Scenario) -> AudioEngine {
+    let engine = AudioEngine::with_aux(scenario.clone(), Strategy::Busy, THREADS, AuxWork::light());
+    assert_eq!(engine.threads(), THREADS);
+    engine
+}
+
+/// Engine verdict for one `(deadline, margin, target)` trial: price the
+/// engine with `costs`, arm admission, stage the diff script, drop the
+/// staged generation (accept) without committing. Returns the full
+/// staging result so callers can inspect the typed rejection.
 fn engine_verdict(
     engine: &mut AudioEngine,
     costs: &NodeCostModel,
@@ -117,12 +125,8 @@ fn engine_verdict(
     margin: f64,
     target: &GraphShape,
 ) -> Result<(), ReconfigError> {
-    engine.enable_admission(AdmissionControl::new(
-        deadline_ns,
-        margin,
-        THREADS,
-        costs.clone(),
-    ));
+    engine.recalibrate_admission(costs.clone());
+    engine.enable_admission(AdmissionControl::new(deadline_ns, margin));
     let edits = edits_to(engine.shape(), target);
     let verdict = engine.stage_edits(&edits).map(drop);
     engine.disable_admission();
@@ -133,7 +137,7 @@ fn engine_verdict(
 fn stage_edits_agrees_with_sim_oracle_over_shape_family() {
     let scenario = Scenario::light_test();
     let costs = NodeCostModel::uniform(COST_NS);
-    let mut engine = AudioEngine::with_aux(scenario.clone(), Strategy::Busy, 2, AuxWork::light());
+    let mut engine = engine_on(&scenario);
     let family = shape_family();
     assert!(family.len() >= 8, "walk produced too few distinct shapes");
 
@@ -166,6 +170,7 @@ fn stage_edits_agrees_with_sim_oracle_over_shape_family() {
                     "engine rejected a shape the oracle admits (bound {bound})"
                 );
                 assert_eq!(u.bound_ns, bound, "rejection must carry the oracle's bound");
+                assert_eq!(u.load_ns, 0, "a mode switch brings no load");
                 assert_eq!(
                     u.budget_ns, pivot,
                     "zero-margin budget is the deadline itself"
@@ -190,8 +195,7 @@ fn stage_edits_agrees_with_sim_oracle_over_shape_family() {
 fn boundary_budgets_flip_the_verdict_by_one_nanosecond() {
     let scenario = Scenario::light_test();
     let costs = NodeCostModel::uniform(COST_NS);
-    let mut engine =
-        AudioEngine::with_aux(scenario.clone(), Strategy::Sequential, 1, AuxWork::light());
+    let mut engine = engine_on(&scenario);
     for shape in shape_family().into_iter().take(4) {
         let bound = oracle_bound_ns(&scenario, &shape, &costs);
         // Budget exactly at the bound: schedulable by definition.
@@ -223,8 +227,7 @@ fn margin_shrinks_the_budget_like_the_oracle_says() {
     // both the engine and the oracle.
     let scenario = Scenario::light_test();
     let costs = NodeCostModel::uniform(COST_NS);
-    let mut engine =
-        AudioEngine::with_aux(scenario.clone(), Strategy::Sequential, 1, AuxWork::light());
+    let mut engine = engine_on(&scenario);
     let shape = GraphShape::paper_default();
     let bound = oracle_bound_ns(&scenario, &shape, &costs);
     // Deadline chosen so bound <= deadline but bound > 0.9 * deadline.
@@ -237,5 +240,41 @@ fn margin_shrinks_the_budget_like_the_oracle_says() {
             assert_eq!(u.budget_ns, djstar_sim::cycle_budget_ns(deadline, 0.1));
         }
         other => panic!("margined trial should reject, got {other:?}"),
+    }
+}
+
+#[test]
+fn the_probe_model_prices_exactly_the_per_node_means() {
+    // Venue admission used to bound a session with its probe's raw
+    // per-node means; it now prices the same shape through a
+    // `NodeCostModel`. On every shape of the family (names unique) the
+    // model must hand the list scheduler exactly those means, floor 1 ns
+    // included, so no bound moves.
+    let scenario = Scenario::light_test();
+    for shape in shape_family() {
+        let (graph, _) = build_shaped_graph(&scenario, &shape);
+        let topo = graph.topology();
+        let names: Vec<&str> = (0..topo.len())
+            .map(|i| topo.name(djstar_core::graph::NodeId(i as u32)))
+            .collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "node names must be unique");
+        // Deterministic samples; every fifth node sampled at 0 ns.
+        let sample = |i: u64, k: u64| match i % 5 {
+            0 => 0,
+            _ => 100 + (i * 7_919 + k * 104_729) % 3_000,
+        };
+        let samples: Vec<Vec<u64>> = (0..topo.len() as u64)
+            .map(|i| (0..12).map(|k| sample(i, k)).collect())
+            .collect();
+        let means: Vec<u64> = samples
+            .iter()
+            .map(|s| (s.iter().sum::<u64>() / s.len().max(1) as u64).max(1))
+            .collect();
+        assert!(means.contains(&1), "the 1 ns floor is exercised");
+        let model = NodeCostModel::from_samples(topo, &samples);
+        assert_eq!(model.durations_for(topo), means, "shape {shape:?}");
     }
 }

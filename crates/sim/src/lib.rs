@@ -52,4 +52,4 @@ pub use planned::{compile_blueprint, simulate_plan, simulate_plan_makespans};
 pub use strategy::{
     simulate_hybrid, simulate_strategy, simulate_ws_config, OverheadModel, SimStrategy, WsConfig,
 };
-pub use venue::{admissible, cycle_budget_ns, max_sessions, session_bound_ns};
+pub use venue::{admissible, cycle_budget_ns, session_bound_ns};
