@@ -15,7 +15,7 @@ use super::{
 };
 use crate::faults::FaultPlan;
 use crate::flight::{FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
-use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
+use crate::graph::{GraphTopology, NodeId, Priority, Section, TaskGraph};
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing, DEFAULT_RING_CAPACITY};
 use djstar_dsp::AudioBuf;
@@ -133,8 +133,11 @@ impl<'a> Lane<'a> {
     /// observed every predecessor done (see [`ExecGraph::process`]).
     pub(crate) unsafe fn exec(&mut self, node: u32) {
         let graph = self.sh.graph();
+        // An APC-phase node is not graph work: no faults, no exec booking.
+        let is_apc = || graph.topology().section(NodeId(node)) == Section::Apc;
+        let faults = self.faults.filter(|_| !is_apc());
         if !self.armed {
-            if let Some(plan) = self.faults {
+            if let Some(plan) = faults {
                 plan.inject_node(self.epoch, node, self.counters);
             }
             // SAFETY: the caller's contract.
@@ -143,7 +146,7 @@ impl<'a> Lane<'a> {
         }
         let t0 = Instant::now();
         let mut fault_end = t0;
-        if let Some(plan) = self.faults {
+        if let Some(plan) = faults {
             let injected = plan.inject_node(self.epoch, node, self.counters);
             if self.rec.is_some() && injected > 0 {
                 fault_end = Instant::now();
@@ -158,7 +161,7 @@ impl<'a> Lane<'a> {
         // is pre-empted right here.
         let t1 = Instant::now();
         graph.publish(node as usize, self.epoch);
-        if self.telem {
+        if self.telem && !is_apc() {
             self.counters.add_exec((t1 - t0).as_nanos() as u64);
         }
         if let Some(rec) = self.rec {
@@ -599,5 +602,39 @@ mod tests {
                 ex.run_cycle(&[], &[]);
             }
         }
+    }
+
+    /// An APC-phase node runs and is recorded like any node, but takes no
+    /// fault and is not booked as graph execution.
+    #[test]
+    fn apc_nodes_are_recorded_but_never_faulted_or_booked() {
+        let pt = || Box::new(crate::processor::Passthrough) as Box<dyn crate::processor::Processor>;
+        let mut b = TaskGraphBuilder::new();
+        let phase = b.add("phase", Section::Apc, pt(), &[]);
+        b.add("graph", Section::Master, pt(), &[phase]);
+        let mut ex = SequentialExecutor::new(b.build().unwrap(), 8);
+        let every_node_spikes = FaultPlan {
+            spike_rate: 1.0,
+            spike_iters: 10,
+            ..FaultPlan::quiet(1)
+        };
+        ex.set_faults(Some(every_node_spikes));
+        ex.set_telemetry(true);
+        ex.set_flight_recorder(Some(FlightConfig::default()));
+        for _ in 0..3 {
+            ex.run_cycle(&[], &[]);
+        }
+        for record in ex.take_telemetry().expect("telemetry is on").iter() {
+            let t = record.totals();
+            assert_eq!((t.nodes_executed, t.fault_spikes), (1, 1));
+        }
+        let window = ex.take_flight_window().expect("recorder installed");
+        let spans = |kind| window.spans.iter().filter(move |s| s.kind == kind);
+        assert_eq!(
+            spans(SpanKind::Exec).filter(|s| s.node == phase.0).count(),
+            3
+        );
+        assert!(spans(SpanKind::Fault).all(|s| s.node != phase.0));
+        assert_eq!(spans(SpanKind::Fault).count(), 3);
     }
 }

@@ -193,6 +193,12 @@ impl VenuePool {
         self.threads
     }
 
+    /// Batches dispatched so far: the pool epoch, which every
+    /// [`dispatch`](Self::dispatch) advances by one.
+    pub fn batches(&self) -> u64 {
+        self.core.epoch.load(Ordering::Relaxed)
+    }
+
     /// Number of registered sessions.
     pub fn sessions(&self) -> usize {
         self.quiesce();

@@ -44,26 +44,34 @@ pub enum Section {
     DeckC,
     DeckD,
     Master,
+    /// The APC's phases outside Fig. 3 (timecode processing, graph
+    /// preprocessing, various calculations) when they run as nodes of the
+    /// graph. Executors inject no faults into them and book none of their
+    /// time as graph execution in telemetry; the flight recorder records
+    /// them like any node.
+    Apc,
 }
 
 impl Section {
-    /// All sections in deck order, master last.
-    pub const ALL: [Section; 5] = [
+    /// All sections in deck order, master, then the APC phases.
+    pub const ALL: [Section; 6] = [
         Section::DeckA,
         Section::DeckB,
         Section::DeckC,
         Section::DeckD,
         Section::Master,
+        Section::Apc,
     ];
 
-    /// Deck index 0–3, or `None` for the master section.
+    /// Deck index 0–3, or `None` for the master section and the APC
+    /// phases.
     pub fn deck_index(self) -> Option<usize> {
         match self {
             Section::DeckA => Some(0),
             Section::DeckB => Some(1),
             Section::DeckC => Some(2),
             Section::DeckD => Some(3),
-            Section::Master => None,
+            Section::Master | Section::Apc => None,
         }
     }
 

@@ -5,15 +5,17 @@
 //! paper measures the non-graph phases at ~0.8 ms combined, leaving
 //! `T(Graph) ≤ 2.1 ms` inside the 2.9 ms sound-card budget.
 //!
-//! [`AudioEngine`] owns the control surface and two sessions on one
-//! [`VenuePool`]: the four-node front graph (one task per deck — TP and
-//! GP, see [`crate::front`]) and the task graph proper. Each
-//! [`run_apc`](AudioEngine::run_apc) is front cycle → phase alignment →
-//! graph cycle → VC, and returns the four phase timings.
+//! [`AudioEngine`] owns the control surface and one session on a
+//! [`VenuePool`]: one task graph per cycle, whose nodes are the paper's
+//! graph plus TP, GP and VC (four deck fronts and a VC node, see
+//! [`crate::front`]). Each [`run_apc`](AudioEngine::run_apc) is one pool
+//! dispatch, and returns the four phase timings: TP, GP and VC are their
+//! nodes' task time as a share of the session's lanes, the graph is the
+//! rest of the cycle's window.
 
 use crate::degrade::{Governor, GovernorAction, GovernorConfig, GovernorEvent};
-use crate::front::{FrontEnd, FrontWork};
-use crate::graphbuild::{build_shaped_graph, GraphShape, NodeMap};
+use crate::front::{DeckFront, VariousCalc};
+use crate::graphbuild::{build_shaped_graph, ApcNodes, GraphShape, NodeMap};
 use crate::modes::{
     reachable_edits, AdmissionControl, BlueprintCache, ModeCacheStats, NodeCostModel, PartsBin,
 };
@@ -24,16 +26,15 @@ use crate::reconfig::{
 };
 use djstar_core::exec::{
     BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
-    RetiredGeneration, ScheduleBlueprint, SequentialExecutor, SleepExecutor, StealExecutor,
-    Strategy, SwapError, VenuePool,
+    RetiredGeneration, SequentialExecutor, SleepExecutor, StealExecutor, Strategy, SwapError,
+    VenuePool,
 };
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, FlightWindow};
-use djstar_core::graph::{GraphTopology, TaskGraph};
+use djstar_core::graph::NodeId;
 use djstar_core::net::NetStats;
 use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::buffer::AudioBuf;
-use djstar_dsp::work::burn;
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,12 +84,14 @@ impl AuxWork {
     }
 }
 
-/// Timing breakdown of one APC.
+/// Timing breakdown of one APC. The four phases sum to the cycle's
+/// window: `tp`, `gp` and `vc` are their nodes' task time divided by the
+/// session's lanes, and `graph` is the rest of the window.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ApcTiming {
     /// Timecode processing.
     pub tp: Duration,
-    /// Graph preprocessing (time stretch, phase alignment, buffers).
+    /// Graph preprocessing (time stretch, buffers).
     pub gp: Duration,
     /// Task-graph execution.
     pub graph: Duration,
@@ -103,13 +106,12 @@ impl ApcTiming {
     }
 }
 
-/// The DJ Star engine: deck front end, control surface and graph executor.
+/// The DJ Star engine: control surface and the executor of its one task
+/// graph, whose APC-phase nodes hold the decks' players, timecode state,
+/// master tempo and beat clock.
 pub struct AudioEngine {
     scenario: Scenario,
     executor: Box<dyn GraphExecutor>,
-    /// The deck front end (TP + GP): a second session beside `executor` on
-    /// the same pool, holding the decks' players and timecode state.
-    front: FrontEnd,
     map: NodeMap,
     shape: GraphShape,
     /// Control events dropped for referring to decks/slots that do not
@@ -141,13 +143,8 @@ pub struct AudioEngine {
     /// at the next control-plane call.
     retired: Vec<(RetiredGeneration, NodeMap)>,
     aux: AuxWork,
-    deck_bufs: Vec<AudioBuf>,
     ctrl: Vec<f32>,
     cycle: u64,
-    beat_clock: f64,
-    master_bpm: f32,
-    /// Burn-result sink keeping the aux work observable.
-    aux_sink: f32,
     /// Installed fault plan, kept so a thread-resize rebuild can
     /// reinstall it on the fresh executor.
     faults: Option<FaultPlan>,
@@ -172,9 +169,9 @@ pub struct AudioEngine {
     net_degrade: Option<Governor>,
     /// Total concealed frames already reported to the network governor.
     net_conceals_seen: u64,
-    /// The worker pool both sessions are registered on: the caller's for
-    /// an engine built through [`on_pool`](Self::on_pool), otherwise a
-    /// private one of exactly this engine's lanes.
+    /// The worker pool the engine's session is registered on: the
+    /// caller's for an engine built through [`on_pool`](Self::on_pool),
+    /// otherwise a private one of exactly this engine's lanes.
     pool: Arc<VenuePool>,
     /// `pool` is private: a thread resize replaces it with one of the new
     /// size. A shared pool is kept, and must have the lanes asked for.
@@ -204,57 +201,34 @@ pub struct GovernorOutcome {
     pub commit_ns: u64,
 }
 
-/// Register `graph` as a session of `strategy` with `threads` lanes on
-/// `pool` (one for SEQ). `plan` supplies the blueprint PLAN replays and is
-/// not called for any other strategy.
-pub(crate) fn executor_on_pool(
-    graph: TaskGraph,
-    strategy: Strategy,
-    threads: usize,
-    pool: &Arc<VenuePool>,
-    plan: impl FnOnce(&GraphTopology) -> ScheduleBlueprint,
-) -> Box<dyn GraphExecutor> {
-    use djstar_core::graph::Priority::Depth;
-    let frames = djstar_dsp::BUFFER_FRAMES;
-    match strategy {
-        Strategy::Sequential => Box::new(SequentialExecutor::with_pool(graph, frames, pool)),
-        Strategy::Busy => Box::new(BusyExecutor::with_pool(graph, threads, frames, Depth, pool)),
-        Strategy::Sleep => Box::new(SleepExecutor::with_pool(
-            graph, threads, frames, Depth, pool,
-        )),
-        Strategy::Steal => Box::new(StealExecutor::with_pool(
-            graph, threads, frames, Depth, pool,
-        )),
-        // Extension strategy: a 2000-poll spin budget (~tens of µs)
-        // before parking.
-        Strategy::Hybrid => Box::new(HybridExecutor::with_pool(
-            graph, threads, frames, 2_000, Depth, pool,
-        )),
-        Strategy::Planned => {
-            let blueprint = plan(graph.topology());
-            Box::new(PlannedExecutor::with_pool(graph, frames, blueprint, pool))
-        }
-    }
-}
-
 /// Recorded cycles the probe twin averages over.
 const PROBE_CYCLES: usize = 12;
 
 /// The probe twin: a throwaway SEQ × 1 engine running `shape` on a clone
 /// of `scenario` with `aux` weights, warmed up for 4 cycles, then
 /// [`PROBE_CYCLES`] recorded ones — the measuring half of PLAN compilation
-/// and of venue admission. Returns the per-node mean cost model and the
-/// aux floor: the median TP + GP + VC of the same cycles (ns), phases the
-/// flight recorder does not cover. The clone shares the scenario's track
-/// library, so the twin loads no track the engine it stands in for has
-/// loaded or will load.
-pub(crate) fn probe(scenario: &Scenario, shape: GraphShape, aux: AuxWork) -> (NodeCostModel, u64) {
+/// and of venue admission. Returns the per-node mean cost model, the TP,
+/// GP and VC nodes priced like the rest. The clone shares the scenario's
+/// track library, so the twin loads no track the engine it stands in for
+/// has loaded or will load.
+pub(crate) fn probe(scenario: &Scenario, shape: GraphShape, aux: AuxWork) -> NodeCostModel {
     let mut twin = AudioEngine::with_shape(scenario.clone(), shape, Strategy::Sequential, 1, aux);
     twin.warmup(4);
-    let (samples, mut aux_ns) = twin.record_cycles(PROBE_CYCLES);
-    aux_ns.sort_unstable();
-    let costs = NodeCostModel::from_samples(twin.executor.topology(), &samples);
-    (costs, aux_ns[aux_ns.len() / 2])
+    let samples = twin.measured_node_durations(PROBE_CYCLES);
+    NodeCostModel::from_samples(twin.executor.topology(), &samples)
+}
+
+/// The APC-phase node `node` of `exec` as its concrete processor.
+fn apc_node<T: 'static>(exec: &mut dyn GraphExecutor, node: NodeId) -> &mut T {
+    exec.node_processor(node)
+        .as_any_mut()
+        .and_then(|a| a.downcast_mut::<T>())
+        .expect("an APC node holds its phase's processor")
+}
+
+/// The APC-phase nodes of an engine graph.
+fn apc_nodes(map: &NodeMap) -> ApcNodes {
+    map.apc.expect("an engine graph carries the APC nodes")
 }
 
 impl AudioEngine {
@@ -288,7 +262,7 @@ impl AudioEngine {
         Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, true, None)
     }
 
-    /// Build an engine whose two sessions register on an existing shared
+    /// Build an engine whose session registers on an existing shared
     /// [`VenuePool`] instead of a private one — the venue-server
     /// constructor. `threads` is this session's lane count and must not
     /// exceed the pool's. Sequential engines accept a pool too (they
@@ -309,15 +283,19 @@ impl AudioEngine {
         Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, false, costs)
     }
 
-    /// A pool of exactly the lanes a solo engine uses (SEQ runs everything
-    /// on the driver whatever `threads` says).
+    /// A pool of exactly the lanes a solo engine uses.
     fn private_pool(strategy: Strategy, threads: usize) -> Arc<VenuePool> {
-        let lanes = if strategy == Strategy::Sequential {
+        Arc::new(VenuePool::new(Self::lanes(strategy, threads)))
+    }
+
+    /// Pool lanes a session of `strategy` with `threads` workers occupies
+    /// (SEQ runs everything on the driver whatever `threads` says).
+    fn lanes(strategy: Strategy, threads: usize) -> usize {
+        if strategy == Strategy::Sequential {
             1
         } else {
             threads
-        };
-        Arc::new(VenuePool::new(lanes))
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -331,27 +309,23 @@ impl AudioEngine {
         private_pool: bool,
         costs: Option<NodeCostModel>,
     ) -> Self {
-        let frames = djstar_dsp::BUFFER_FRAMES;
         // PLAN replays a list schedule of measured node costs; every other
-        // strategy schedules online and needs none.
+        // strategy schedules online and needs none. The probe runs at this
+        // engine's aux weights: TP, GP and VC are nodes it prices.
         let costs = costs.unwrap_or_else(|| match strategy {
-            // Aux weights only shape the non-graph phases, so this probe
-            // runs light whatever the engine will use.
-            Strategy::Planned => probe(&scenario, shape, AuxWork::light()).0,
+            Strategy::Planned => probe(&scenario, shape, aux),
             _ => NodeCostModel::uniform(1),
         });
         let (executor, map) =
             Self::build_executor(&scenario, &shape, strategy, threads, &pool, &costs);
-        let front = FrontEnd::new(&scenario, aux, strategy, threads, &pool);
         let mut ctrl = vec![0.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = scenario.crossfader;
         ctrl[controls::MASTER_GAIN] = scenario.master_gain;
         for d in 0..4 {
             ctrl[controls::deck_gain(d)] = scenario.decks[d].gain;
         }
-        AudioEngine {
+        let mut engine = AudioEngine {
             executor,
-            front,
             map,
             shape,
             dropped_events: 0,
@@ -362,12 +336,8 @@ impl AudioEngine {
             costs,
             retired: Vec::new(),
             aux,
-            deck_bufs: (0..4).map(|_| AudioBuf::zeroed(2, frames)).collect(),
             ctrl,
             cycle: 0,
-            beat_clock: 0.0,
-            master_bpm: scenario.decks[0].bpm,
-            aux_sink: 0.0,
             faults: None,
             flight_cfg: None,
             commit_cycles: Vec::new(),
@@ -380,7 +350,9 @@ impl AudioEngine {
             private_pool,
             session: 0,
             scenario,
-        }
+        };
+        engine.set_aux(aux);
+        engine
     }
 
     /// Build the graph executor and its landmark map for a scenario +
@@ -395,11 +367,32 @@ impl AudioEngine {
         pool: &Arc<VenuePool>,
         costs: &NodeCostModel,
     ) -> (Box<dyn GraphExecutor>, NodeMap) {
+        use djstar_core::graph::Priority::Depth;
         let (graph, map) = build_shaped_graph(scenario, shape);
-        let executor = executor_on_pool(graph, strategy, threads, pool, |topo| {
-            list_blueprint(topo, costs.durations_for(topo), threads)
-                .expect("a list schedule always compiles to a valid blueprint")
-        });
+        let frames = djstar_dsp::BUFFER_FRAMES;
+        let executor: Box<dyn GraphExecutor> = match strategy {
+            Strategy::Sequential => Box::new(SequentialExecutor::with_pool(graph, frames, pool)),
+            Strategy::Busy => {
+                Box::new(BusyExecutor::with_pool(graph, threads, frames, Depth, pool))
+            }
+            Strategy::Sleep => Box::new(SleepExecutor::with_pool(
+                graph, threads, frames, Depth, pool,
+            )),
+            Strategy::Steal => Box::new(StealExecutor::with_pool(
+                graph, threads, frames, Depth, pool,
+            )),
+            // Extension strategy: a 2000-poll spin budget (~tens of µs)
+            // before parking.
+            Strategy::Hybrid => Box::new(HybridExecutor::with_pool(
+                graph, threads, frames, 2_000, Depth, pool,
+            )),
+            Strategy::Planned => {
+                let topo = graph.topology();
+                let blueprint = list_blueprint(topo, costs.durations_for(topo), threads)
+                    .expect("a list schedule always compiles to a valid blueprint");
+                Box::new(PlannedExecutor::with_pool(graph, frames, blueprint, pool))
+            }
+        };
         (executor, map)
     }
 
@@ -595,14 +588,6 @@ impl AudioEngine {
         }
     }
 
-    /// Calibrate a [`NodeCostModel`] from `cycles` traced cycles of this
-    /// engine's own execution — the measured input to
-    /// [`AdmissionControl`] and blueprint compilation.
-    pub fn calibrated_costs(&mut self, cycles: usize) -> NodeCostModel {
-        let samples = self.measured_node_durations(cycles);
-        NodeCostModel::from_samples(self.executor.topology(), &samples)
-    }
-
     /// Stage every admissible shape one [`GraphEdit`] away from the
     /// current one into the blueprint cache (shapes already cached are
     /// skipped). This is the eager half of mode-aware scheduling: run it
@@ -695,11 +680,14 @@ impl AudioEngine {
     /// glitch-free swap path. If the script contains
     /// [`GraphEdit::ResizeThreads`], the executor is instead **rebuilt**
     /// with the final shape and new worker count — the one reconfiguration
-    /// that resets graph-node state (deck playback, timecode and control
-    /// state move into the rebuilt front session and survive either way).
-    /// A private pool is replaced by one of the new size; an engine on a
-    /// shared pool re-registers both sessions on it. Returns the executor's
-    /// generation after the change (a rebuild starts over at generation 0).
+    /// that resets graph-node state (the TP, GP and VC nodes — deck
+    /// playback, timecode, nudge, master tempo, beat clock — move into the
+    /// rebuilt graph and survive either way). A private pool is replaced by
+    /// one of the new size; an engine on a shared pool re-registers on it,
+    /// and a resize past that pool's lanes is refused
+    /// ([`EditError::PoolTooSmall`]) with the engine unchanged. Returns the
+    /// executor's generation after the change (a rebuild starts over at
+    /// generation 0).
     pub fn reconfigure(&mut self, edits: &[GraphEdit]) -> Result<u64, ReconfigError> {
         let mut shape = self.shape;
         let mut resize: Option<usize> = None;
@@ -716,18 +704,31 @@ impl AudioEngine {
         }
         if let Some(threads) = resize {
             let strategy = self.strategy();
+            let lanes = Self::lanes(strategy, threads);
             if self.private_pool {
                 self.pool = Self::private_pool(strategy, threads);
+            } else if lanes > self.pool.threads() {
+                let have = self.pool.threads();
+                return Err(EditError::PoolTooSmall { want: lanes, have }.into());
             }
             // A SEQ × 1 probe does not depend on the lane count: the
             // engine's model prices the rebuilt generation too.
             let (scenario, pool, costs) = (&self.scenario, &self.pool, &self.costs);
-            let (executor, map) =
+            let (mut executor, map) =
                 Self::build_executor(scenario, &shape, strategy, threads, pool, costs);
+            let (old, new) = (apc_nodes(&self.map), apc_nodes(&map));
+            for d in 0..4 {
+                std::mem::swap(
+                    apc_node::<DeckFront>(self.executor.as_mut(), old.fronts[d]),
+                    apc_node::<DeckFront>(executor.as_mut(), new.fronts[d]),
+                );
+            }
+            std::mem::swap(
+                apc_node::<VariousCalc>(self.executor.as_mut(), old.vc),
+                apc_node::<VariousCalc>(executor.as_mut(), new.vc),
+            );
             self.executor = executor;
-            self.front.rebuild(strategy, threads, &self.pool);
             self.executor.set_session(self.session);
-            self.front.set_session(self.session);
             self.executor.set_faults(self.faults);
             self.executor.set_flight_recorder(self.flight_cfg);
             self.map = map;
@@ -908,12 +909,20 @@ impl AudioEngine {
         })
     }
 
-    /// Change the non-graph phase weights, here and in the deck tasks.
+    /// Change the non-graph phase weights, here and in the APC nodes.
     fn set_aux(&mut self, aux: AuxWork) {
         self.aux = aux;
         for d in 0..4 {
-            self.front.deck_mut(d).set_aux(aux);
+            self.front_mut(d).set_aux(aux);
         }
+        let vc = apc_nodes(&self.map).vc;
+        apc_node::<VariousCalc>(self.executor.as_mut(), vc).set_aux(aux);
+    }
+
+    /// Deck `d`'s front node (TP + GP).
+    pub(crate) fn front_mut(&mut self, d: usize) -> &mut DeckFront {
+        let node = apc_nodes(&self.map).fronts[d];
+        apc_node(self.executor.as_mut(), node)
     }
 
     /// Arm the network-axis (latency/dropout) governor. Once armed, the
@@ -966,11 +975,6 @@ impl AudioEngine {
             }
         }
         total
-    }
-
-    /// Per-deck jitter-buffer stats; `None` for local decks.
-    pub fn net_deck_stats(&mut self, d: usize) -> Option<NetStats> {
-        self.net_deck_source(d).map(|s| s.net_stats())
     }
 
     /// Current jitter-buffer depth per deck (0 for local decks).
@@ -1112,7 +1116,7 @@ impl AudioEngine {
                 if d >= 4 {
                     return false;
                 }
-                self.front.deck_mut(d).nudge(delta);
+                self.front_mut(d).nudge(delta);
             }
             // Graph-node controls need the node to exist in this shape.
             DeckEq(d, eq) => {
@@ -1191,25 +1195,6 @@ impl AudioEngine {
         true
     }
 
-    /// Phase 4 — VC: master tempo and accounting.
-    fn various_calculations_phase(&mut self) {
-        let mut bpm_sum = 0.0;
-        let mut active = 0u32;
-        for d in 0..4 {
-            if let Some(tempo) = self.front.deck_mut(d).player().map(|p| p.tempo()) {
-                bpm_sum += self.scenario.decks[d].bpm * tempo;
-                active += 1;
-            }
-        }
-        if active > 0 {
-            let target = bpm_sum / active as f32;
-            self.master_bpm = 0.95 * self.master_bpm + 0.05 * target;
-        }
-        self.beat_clock += (self.master_bpm as f64 / 60.0)
-            * (djstar_dsp::BUFFER_FRAMES as f64 / djstar_dsp::SAMPLE_RATE as f64);
-        self.aux_sink += burn(self.aux.vc_iters, self.master_bpm / 200.0);
-    }
-
     /// Tag this engine (and everything it records — telemetry rings,
     /// flight windows) with a venue session id. Re-applied automatically
     /// across thread-resize rebuilds. Takes effect for telemetry rings
@@ -1217,7 +1202,6 @@ impl AudioEngine {
     pub fn set_session(&mut self, session: u32) {
         self.session = session;
         self.executor.set_session(session);
-        self.front.set_session(session);
         if self.flight_cfg.is_some() {
             self.executor.set_flight_recorder(self.flight_cfg);
         }
@@ -1228,89 +1212,73 @@ impl AudioEngine {
         self.session
     }
 
-    /// The worker pool this engine's two sessions (front graph and task
-    /// graph) are registered on. For a venue session it is the venue's
-    /// shared pool; otherwise
-    /// it is private to this engine — `threads()` lanes, replaced on a
-    /// thread resize, its workers joined when the engine drops.
+    /// The worker pool this engine's session is registered on. For a
+    /// venue session it is the venue's shared pool; otherwise it is
+    /// private to this engine — `threads()` lanes, replaced on a thread
+    /// resize, its workers joined when the engine drops.
     pub fn pool(&self) -> &Arc<VenuePool> {
         &self.pool
     }
 
-    /// The deck buffers the last front cycle produced (one stereo buffer
-    /// per deck, silent for idle decks): the graph's external audio.
-    pub fn deck_buffers(&self) -> &[AudioBuf] {
-        &self.deck_bufs
+    /// Beats elapsed at the master tempo, as of the last cycle's VC.
+    pub fn beat_clock(&mut self) -> f64 {
+        let vc = apc_nodes(&self.map).vc;
+        apc_node::<VariousCalc>(self.executor.as_mut(), vc).beat_clock()
     }
 
-    /// Venue cycle, step 1: *stage* this session's front cycle (TP + GP
-    /// per deck) on the shared pool without dispatching it. The venue
-    /// server stages every session, issues one [`VenuePool::dispatch`],
-    /// drives lane 0 via [`VenuePool::run_driver_parts`], then collects
-    /// each session with [`venue_front_collect`](Self::venue_front_collect).
-    /// Returns the staged epoch to collect with.
-    pub fn venue_front_stage(&mut self) -> u64 {
-        self.cycle += 1;
-        self.front.stage(self.cycle)
+    /// Venue cycle, step 1: *stage* this session's APC on the shared pool
+    /// without dispatching it. The venue server stages every session,
+    /// issues one [`VenuePool::dispatch`], drives lane 0 via
+    /// [`VenuePool::run_driver_parts`], then collects each session with
+    /// [`venue_finish`](Self::venue_finish). Returns the staged epoch to
+    /// collect with.
+    pub fn venue_stage(&mut self) -> u64 {
+        self.next_cycle();
+        self.executor.venue_stage(&[], &self.ctrl)
     }
 
-    /// Venue cycle, step 2: wait for the staged front cycle, copy the deck
-    /// buffers out and do the phase alignment. Returns the task time the
-    /// decks spent, from which the venue derives this session's share of
-    /// the batched front window.
-    pub fn venue_front_collect(&mut self, epoch: u64) -> FrontWork {
-        self.front.collect(epoch);
-        self.front.finish(&mut self.deck_bufs)
-    }
-
-    /// Venue cycle, step 3: stage the graph cycle on the pool, exactly as
-    /// step 1 staged the front.
-    pub fn venue_graph_stage(&mut self) -> u64 {
-        self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
-        self.executor.venue_stage(&self.deck_bufs, &self.ctrl)
-    }
-
-    /// Venue cycle, step 4: collect the staged graph result, then run the
-    /// VC phase. `tp` and `gp` are this session's shares of the batched
-    /// front window.
-    pub fn venue_finish(&mut self, epoch: u64, tp: Duration, gp: Duration) -> ApcTiming {
+    /// Venue cycle, step 2: collect the staged APC and return its phase
+    /// timings.
+    pub fn venue_finish(&mut self, epoch: u64) -> ApcTiming {
         let result = self.executor.venue_collect(epoch);
-
-        let t3 = Instant::now();
-        self.various_calculations_phase();
-        let vc = t3.elapsed();
-
-        ApcTiming {
-            tp,
-            gp,
-            graph: result.duration,
-            vc,
-        }
+        self.finish_cycle(result.duration)
     }
 
-    /// Run one full APC and return the phase timings. `tp` and `gp` are
-    /// the front cycle's wall-clock window (handshake, deck tasks on all
-    /// lanes, buffer hand-over, phase alignment) split by the tasks' own
-    /// measured TP and GP time.
+    /// Run one full APC — one pool dispatch — and return the phase
+    /// timings.
     pub fn run_apc(&mut self) -> ApcTiming {
+        self.next_cycle();
+        let result = self.executor.run_cycle(&[], &self.ctrl);
+        self.finish_cycle(result.duration)
+    }
+
+    fn next_cycle(&mut self) {
         self.cycle += 1;
+        self.ctrl[controls::CYCLE] = self.cycle as f32;
+    }
 
-        let t0 = Instant::now();
-        self.front.run(self.cycle);
-        let work = self.front.finish(&mut self.deck_bufs);
-        let (tp, gp) = work.shares(t0.elapsed(), work.total_ns());
-
-        self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
-        let result = self.executor.run_cycle(&self.deck_bufs, &self.ctrl);
-
-        let t3 = Instant::now();
-        self.various_calculations_phase();
-        let vc = t3.elapsed();
-
+    /// Split the `window` a cycle occupied into its four phases: TP, GP
+    /// and VC are their nodes' own task time divided by the session's
+    /// lanes, the graph is the rest. Carries VC's beat clock into the
+    /// controls the next cycle's graph reads.
+    fn finish_cycle(&mut self, window: Duration) -> ApcTiming {
+        let apc = apc_nodes(&self.map);
+        let (mut tp, mut gp) = (0, 0);
+        for node in apc.fronts {
+            let (t, g) = apc_node::<DeckFront>(self.executor.as_mut(), node).work_ns();
+            tp += t;
+            gp += g;
+        }
+        let vc_node = apc_node::<VariousCalc>(self.executor.as_mut(), apc.vc);
+        let vc = vc_node.work_ns();
+        self.ctrl[controls::BEAT_CLOCK] = vc_node.beat_clock() as f32;
+        let lanes = self.threads() as u64;
+        let share = |ns: u64| Duration::from_nanos(ns / lanes);
+        let (tp, gp, vc) = (share(tp), share(gp), share(vc));
         ApcTiming {
             tp,
             gp,
-            graph: result.duration,
+            graph: window.saturating_sub(tp + gp + vc),
             vc,
         }
     }
@@ -1377,15 +1345,8 @@ impl AudioEngine {
     /// Panics if a cycle's window lost spans, rather than return a
     /// sample set with a node sample silently missing.
     pub fn measured_node_durations(&mut self, cycles: usize) -> Vec<Vec<u64>> {
-        self.record_cycles(cycles).0
-    }
-
-    /// [`measured_node_durations`](Self::measured_node_durations) and each
-    /// recorded cycle's TP + GP + VC (ns).
-    fn record_cycles(&mut self, cycles: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
         let n = self.executor.topology().len();
         let mut samples = vec![Vec::with_capacity(cycles); n];
-        let mut aux_ns = Vec::with_capacity(cycles);
         let borrowed = self.flight_cfg.is_some();
         if borrowed {
             self.take_flight_window();
@@ -1393,8 +1354,7 @@ impl AudioEngine {
             self.set_flight_recorder(Some(FlightConfig::default()));
         }
         for _ in 0..cycles {
-            let t = self.run_apc();
-            aux_ns.push((t.tp + t.gp + t.vc).as_nanos() as u64);
+            self.run_apc();
             for e in self.fold_last_cycle().executions() {
                 samples[e.node as usize].push(e.duration_ns());
             }
@@ -1402,7 +1362,7 @@ impl AudioEngine {
         if !borrowed {
             self.set_flight_recorder(None);
         }
-        (samples, aux_ns)
+        samples
     }
 
     /// Calibrate a scenario's work profile so the *sequential* graph time
@@ -1437,6 +1397,7 @@ impl AudioEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use djstar_core::graph::Section;
     use djstar_workload::scenario::Scenario;
 
     fn light_engine(strategy: Strategy, threads: usize) -> AudioEngine {
@@ -1478,7 +1439,7 @@ mod tests {
 
     /// The allocation behind deck `d`'s loaded track.
     fn deck_track(e: &mut AudioEngine, d: usize) -> djstar_workload::Track {
-        let player = e.front.deck_mut(d).player();
+        let player = e.front_mut(d).player();
         player.expect("active deck").track().clone()
     }
 
@@ -1535,8 +1496,8 @@ mod tests {
         let mut target = *e.shape();
         target.fx_slots[0] += 1;
         let edit = [GraphEdit::InsertFxSlot(0)];
-        let one_lane = shape_bound_ns(e.scenario(), &target, &costs, 1, 0);
-        let two_lanes = shape_bound_ns(e.scenario(), &target, &costs, 2, 0);
+        let one_lane = shape_bound_ns(e.scenario(), &target, &costs, 1);
+        let two_lanes = shape_bound_ns(e.scenario(), &target, &costs, 2);
         assert!(two_lanes < one_lane);
         // A budget 1 ns under the one-lane bound: the two-lane engine fits.
         e.enable_admission(AdmissionControl::new(one_lane - 1, 0.0));
@@ -1584,7 +1545,8 @@ mod tests {
         let mut e = light_engine(Strategy::Sequential, 1);
         e.warmup(3);
         let samples = e.measured_node_durations(10);
-        assert_eq!(samples.len(), 67);
+        // The paper's 67 nodes and the APC's five.
+        assert_eq!(samples.len(), 67 + crate::graphbuild::APC_NODES);
         assert!(samples.iter().all(|s| s.len() == 10));
     }
 
@@ -1608,10 +1570,20 @@ mod tests {
         let ring = e.take_telemetry().expect("telemetry on");
         let records: Vec<_> = ring.iter().collect();
         assert_eq!(records.len(), cycles);
+        // TP, GP and VC nodes are recorded, but not booked as graph exec.
+        let topo = e.executor.topology();
+        let graph_nodes: Vec<&Vec<u64>> = (0..topo.len())
+            .filter(|&n| topo.section(djstar_core::graph::NodeId(n as u32)) != Section::Apc)
+            .map(|n| &samples[n])
+            .collect();
+        assert_eq!(
+            graph_nodes.len() + crate::graphbuild::APC_NODES,
+            samples.len()
+        );
         let mut net_ns = 0;
         for (k, rec) in records.iter().enumerate() {
             let t = rec.totals();
-            let folded: u64 = samples.iter().map(|s| s[k]).sum();
+            let folded: u64 = graph_nodes.iter().map(|s| s[k]).sum();
             assert_eq!(folded, t.exec_ns, "cycle {k}: fold vs exec_ns");
             net_ns += t.net_wait_ns + t.net_conceal_ns;
         }
@@ -1701,7 +1673,7 @@ mod tests {
         use crate::events::{ControlEvent, EventQueue};
         let mut e = light_engine(Strategy::Sequential, 1);
         e.warmup(20);
-        let baseline = e.front.deck_mut(0).decoded_speed();
+        let baseline = e.front_mut(0).decoded_speed();
         let mut q = EventQueue::standard();
         q.push(0, ControlEvent::Nudge(0, 0.3));
         e.apply_events(&mut q);
@@ -1709,14 +1681,14 @@ mod tests {
         // a sudden platter acceleration (like a real stylus reading).
         e.run_apc();
         e.run_apc();
-        let nudged = e.front.deck_mut(0).decoded_speed();
+        let nudged = e.front_mut(0).decoded_speed();
         assert!(
             nudged > baseline * 1.06,
             "nudge had no effect: {baseline} -> {nudged}"
         );
         // The nudge decays back.
         e.warmup(80);
-        let settled = e.front.deck_mut(0).decoded_speed();
+        let settled = e.front_mut(0).decoded_speed();
         assert!(
             (settled - baseline).abs() < 0.08,
             "nudge did not decay: {settled}"

@@ -100,11 +100,6 @@ impl TrackPlayer {
         }
     }
 
-    /// Beat phase in `[0, 1)`.
-    pub fn beat_phase(&self) -> f32 {
-        self.beat_phase
-    }
-
     /// Seek to an absolute source sample.
     pub fn seek(&mut self, pos: f64) {
         self.stretcher.seek(pos);
@@ -217,22 +212,15 @@ impl TrackPlayer {
     /// relative to `other`, in `(-0.5, 0.5]` beats. DJ Star shows this to
     /// the DJ for beatmatching.
     pub fn phase_offset_to(&self, other: &TrackPlayer) -> f32 {
-        beat_phase_offset(self.beat_phase, other.beat_phase)
+        let mut d = self.beat_phase - other.beat_phase;
+        if d > 0.5 {
+            d -= 1.0;
+        }
+        if d <= -0.5 {
+            d += 1.0;
+        }
+        d
     }
-}
-
-/// The fractional beat offset of beat phase `a` relative to `b`, in
-/// `(-0.5, 0.5]` beats — [`TrackPlayer::phase_offset_to`] on bare phases,
-/// for callers that cannot borrow both players at once.
-pub fn beat_phase_offset(a: f32, b: f32) -> f32 {
-    let mut d = a - b;
-    if d > 0.5 {
-        d -= 1.0;
-    }
-    if d <= -0.5 {
-        d += 1.0;
-    }
-    d
 }
 
 #[cfg(test)]
@@ -299,7 +287,7 @@ mod tests {
         let mut out = AudioBuf::zeroed(2, 128);
         for _ in 0..500 {
             p.pull(1.0, &mut out);
-            assert!((0.0..1.0).contains(&p.beat_phase()));
+            assert!((0.0..1.0).contains(&p.beat_phase));
         }
     }
 

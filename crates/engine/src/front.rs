@@ -1,42 +1,61 @@
-//! The deck-parallel front end: TP and GP as one task per deck.
+//! The APC's non-graph phases as nodes of the one task graph.
 //!
-//! The paper parallelises only the task graph and leaves timecode
-//! processing (TP) and graph preprocessing (GP) serial on the audio thread.
-//! Both are per-deck work with no cross-deck dependency — deck *d*'s decoded
-//! platter speed feeds only deck *d*'s time-stretched pull — so each deck's
-//! TP → GP chain is one `DeckFront` task, and the four tasks form a tiny
-//! *front graph* that runs as a second session on the very
-//! [`VenuePool`] the APC graph uses: same strategy, same lanes, no thread of
-//! its own. A SEQ or one-lane engine runs the same graph with zero workers,
-//! i.e. inline on the driver; there is no serial variant to select.
+//! The paper's cycle is `T(APC) = T(TP) + T(GP) + T(Graph) + T(VC)` (§VI),
+//! and only the graph runs in parallel. Here every phase is a node of one
+//! task graph, appended after the paper's nodes in [`Section::Apc`] (see
+//! `graphbuild::walk_nodes`), so an APC is one pool dispatch:
 //!
-//! An APC is therefore: front cycle → `FrontEnd::finish` on the driver
-//! (copy the four pulled buffers out, pairwise phase alignment) → graph
-//! cycle → VC. Faults, telemetry and the flight recorder are never
-//! armed on the front session; they keep describing the 67-node graph.
+//! * `FrontA`…`FrontD` (`DeckFront`): deck *d*'s timecode processing
+//!   (TP), then its graph preprocessing (GP). Its output buffer is the
+//!   deck's time-stretched audio, and it feeds through edges the deck-*d*
+//!   nodes that read deck audio: the four SP filters of a local deck,
+//!   `LevelMeter`, `WaveformTap`, `BeatPhase` and `KeyDetect`.
+//! * `VC` (`VariousCalc`): master tempo and the beat clock. It depends on
+//!   the four fronts only — it reads the tempos they settle this cycle —
+//!   so it runs in the graph's slack, beside the effect chains. The graph
+//!   reads the beat clock from `controls::BEAT_CLOCK`, which the engine
+//!   copies out of VC after each cycle: cycle *n* sees VC(*n* − 1).
 //!
-//! Each task times its own TP and GP halves. The driver measures the
-//! wall-clock window the front cycle occupied and splits it in proportion to
-//! those task times ([`FrontWork::shares`]), so `ApcTiming::tp`/`gp` stay
-//! disjoint wall-clock phases that sum to the window whether the tasks ran
-//! one after another or side by side.
+//! Executors inject no faults into [`Section::Apc`] nodes and book none of
+//! their time as graph execution (`exec_ns`); the flight recorder records
+//! them, so a probe prices them like any node. Each node times its own
+//! work, from which `AudioEngine::run_apc` reports TP, GP and VC.
+//!
+//! [`Section::Apc`]: djstar_core::graph::Section::Apc
 
-use crate::apc::{executor_on_pool, AuxWork};
-use crate::deck::{beat_phase_offset, TrackPlayer};
-use crate::reconfig::unit_cost_blueprint;
+use crate::apc::AuxWork;
+use crate::deck::TrackPlayer;
+use crate::nodes::controls;
 use crate::timecode::{TimecodeDecoder, TimecodeGenerator};
-use djstar_core::exec::{GraphExecutor, Strategy, VenuePool};
-use djstar_core::graph::{NodeId, Section, TaskGraphBuilder};
 use djstar_core::processor::{CycleCtx, Processor};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::work::burn;
 use djstar_workload::scenario::Scenario;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// The four decks' tempos of the current cycle: each front writes its
+/// deck's, VC reads all four. The front → VC edges order every write
+/// before the read (the executors publish a node's completion with
+/// `Release` and wait for it with `Acquire`), so the slots need no
+/// ordering of their own.
+#[derive(Debug, Default)]
+pub(crate) struct DeckTempos([AtomicU32; 4]);
+
+impl DeckTempos {
+    fn publish(&self, deck: usize, tempo: f32) {
+        self.0[deck].store(tempo.to_bits(), Relaxed);
+    }
+
+    fn read(&self, deck: usize) -> f32 {
+        f32::from_bits(self.0[deck].load(Relaxed))
+    }
+}
 
 /// Everything one deck needs before the graph can run: its virtual
 /// turntable (timecode generator + decoder), its track player, and the
-/// momentary controller state that steers them. One front-graph node.
+/// momentary controller state that steers them. Node `Front<d>`.
 pub(crate) struct DeckFront {
     deck: usize,
     /// Scenario platter tempo.
@@ -57,31 +76,23 @@ pub(crate) struct DeckFront {
     /// Burn-result sink keeping the aux work observable.
     aux_sink: f32,
     /// Wall time of the last cycle's TP and GP halves, measured by the
-    /// task itself on whichever lane ran it.
+    /// node itself on whichever lane ran it.
     tp_ns: u64,
     gp_ns: u64,
+    tempos: Arc<DeckTempos>,
 }
 
 impl DeckFront {
     /// Deck `d` of `scenario` (loads its track from the scenario's library
-    /// when the deck is active) with the TP/GP weights of `aux`.
-    fn new(scenario: &Scenario, d: usize, aux: AuxWork) -> Self {
+    /// when the deck is active), publishing its tempo into `tempos`. Built
+    /// without aux work; the engine sets its [`AuxWork`].
+    pub(crate) fn new(scenario: &Scenario, d: usize, tempos: Arc<DeckTempos>) -> Self {
         let cfg = &scenario.decks[d];
-        let mut front = Self::vacant(d);
-        front.tempo = cfg.tempo;
-        front.player = cfg.active.then(|| TrackPlayer::new(scenario.track(d)));
-        front.set_aux(aux);
-        front
-    }
-
-    /// A stopped deck with no track: what a [`FrontEnd`] leaves in the old
-    /// front graph when a rebuild moves the real decks into a new one.
-    fn vacant(deck: usize) -> Self {
         let sr = djstar_dsp::SAMPLE_RATE;
         DeckFront {
-            deck,
-            tempo: 1.0,
-            player: None,
+            deck: d,
+            tempo: cfg.tempo,
+            player: cfg.active.then(|| TrackPlayer::new(scenario.track(d))),
             tc_gen: TimecodeGenerator::new(sr),
             tc_dec: TimecodeDecoder::new(sr),
             tc_buf: AudioBuf::zeroed(2, djstar_dsp::BUFFER_FRAMES),
@@ -92,6 +103,7 @@ impl DeckFront {
             aux_sink: 0.0,
             tp_ns: 0,
             gp_ns: 0,
+            tempos,
         }
     }
 
@@ -107,6 +119,7 @@ impl DeckFront {
     }
 
     /// The deck's track player; `None` for a deck the scenario leaves idle.
+    #[cfg(test)]
     pub(crate) fn player(&self) -> Option<&TrackPlayer> {
         self.player.as_ref()
     }
@@ -114,6 +127,11 @@ impl DeckFront {
     pub(crate) fn set_aux(&mut self, aux: AuxWork) {
         self.tp_iters = aux.tp_iters;
         self.gp_iters = aux.gp_iters;
+    }
+
+    /// The last cycle's TP and GP task time (ns).
+    pub(crate) fn work_ns(&self) -> (u64, u64) {
+        (self.tp_ns, self.gp_ns)
     }
 
     /// TP: generate + decode this deck's timecode control signal.
@@ -144,6 +162,7 @@ impl DeckFront {
                     self.tempo
                 };
                 player.pull(tempo, out);
+                self.tempos.publish(self.deck, player.tempo());
                 self.aux_sink += burn(self.gp_iters, tempo);
             }
             None => out.clear(),
@@ -152,11 +171,12 @@ impl DeckFront {
 }
 
 impl Processor for DeckFront {
-    /// One front cycle of this deck; `output` receives the deck buffer the
-    /// graph will read.
+    /// One cycle of this deck; `output` receives the deck audio the deck's
+    /// graph nodes read.
     fn process(&mut self, _inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
         let t0 = Instant::now();
-        self.timecode(ctx.controls[CTRL_CYCLE]);
+        let cycle = ctx.controls.get(controls::CYCLE).copied().unwrap_or(0.0);
+        self.timecode(cycle);
         let t1 = Instant::now();
         self.preprocess(output);
         self.tp_ns = (t1 - t0).as_nanos() as u64;
@@ -168,200 +188,110 @@ impl Processor for DeckFront {
     }
 }
 
-/// Slot of the front graph's control array carrying the engine's cycle
-/// number (as `f32`, the precision the platter wobble is computed in).
-const CTRL_CYCLE: usize = 0;
-
-/// Task time one engine's front cycle spent in TP and in GP, summed over
-/// its four decks (lane time, not wall time: tasks may overlap).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrontWork {
-    /// Σ over decks of the TP half.
-    pub tp_ns: u64,
-    /// Σ over decks of the GP half.
-    pub gp_ns: u64,
+/// VC, node `VC`: the master tempo follows the playing decks' tempos, and
+/// the beat clock advances at the master tempo. Its output buffer stays
+/// silent: the engine reads the beat clock off the node.
+pub(crate) struct VariousCalc {
+    /// Scenario BPM of each deck that plays a track; `None` for idle decks.
+    bpm: [Option<f32>; 4],
+    tempos: Arc<DeckTempos>,
+    master_bpm: f32,
+    beat_clock: f64,
+    vc_iters: u32,
+    /// Burn-result sink keeping the aux work observable.
+    aux_sink: f32,
+    /// Wall time of the last cycle's VC, measured by the node itself.
+    vc_ns: u64,
 }
 
-impl FrontWork {
-    /// TP + GP task time.
-    pub fn total_ns(&self) -> u64 {
-        self.tp_ns + self.gp_ns
-    }
-
-    /// This work's TP and GP shares of a wall-clock `window` in which
-    /// `total_ns` of front task time ran (its own for a solo engine; the
-    /// sum over sessions for a venue batch, so the sessions' shares add up
-    /// to the window).
-    pub fn shares(&self, window: Duration, total_ns: u64) -> (Duration, Duration) {
-        let window = window.as_nanos();
-        let total = u128::from(total_ns.max(1));
-        let tp = window * u128::from(self.tp_ns) / total;
-        let both = window * u128::from(self.total_ns()) / total;
-        (
-            Duration::from_nanos(tp as u64),
-            Duration::from_nanos((both - tp) as u64),
-        )
-    }
-}
-
-/// The front graph of one engine: four independent [`DeckFront`] nodes
-/// (node *d* = deck *d*) behind an executor of the engine's own strategy,
-/// registered on the engine's pool.
-pub(crate) struct FrontEnd {
-    exec: Box<dyn GraphExecutor>,
-    /// Sink keeping the phase-alignment arithmetic observable.
-    align_sink: f32,
-}
-
-impl FrontEnd {
-    /// The front session of an engine running `scenario`: its four decks,
-    /// registered with `threads` lanes on `pool`.
-    pub(crate) fn new(
-        scenario: &Scenario,
-        aux: AuxWork,
-        strategy: Strategy,
-        threads: usize,
-        pool: &Arc<VenuePool>,
-    ) -> Self {
-        let decks = (0..4).map(|d| DeckFront::new(scenario, d, aux)).collect();
-        Self::with_decks(decks, strategy, threads, pool)
-    }
-
-    fn with_decks(
-        decks: Vec<DeckFront>,
-        strategy: Strategy,
-        threads: usize,
-        pool: &Arc<VenuePool>,
-    ) -> Self {
-        let mut b = TaskGraphBuilder::new();
-        for (d, deck) in decks.into_iter().enumerate() {
-            b.add(format!("Front{d}"), Section::deck(d), Box::new(deck), &[]);
-        }
-        let graph = b.build().expect("independent nodes always form a graph");
-        let exec = executor_on_pool(graph, strategy, threads, pool, |topo| {
-            unit_cost_blueprint(topo, threads)
-                .expect("a list schedule always compiles to a valid blueprint")
-        });
-        FrontEnd {
-            exec,
-            align_sink: 0.0,
+impl VariousCalc {
+    /// VC of `scenario`, reading the tempos its fronts publish into
+    /// `tempos`. Built without aux work; the engine sets its [`AuxWork`].
+    pub(crate) fn new(scenario: &Scenario, tempos: Arc<DeckTempos>) -> Self {
+        VariousCalc {
+            bpm: std::array::from_fn(|d| {
+                let cfg = &scenario.decks[d];
+                cfg.active.then_some(cfg.bpm)
+            }),
+            tempos,
+            master_bpm: scenario.decks[0].bpm,
+            beat_clock: 0.0,
+            vc_iters: 0,
+            aux_sink: 0.0,
+            vc_ns: 0,
         }
     }
 
-    /// Re-register the same four decks (playback, timecode and nudge state
-    /// intact) as a fresh session of `threads` lanes on `pool`.
-    pub(crate) fn rebuild(&mut self, strategy: Strategy, threads: usize, pool: &Arc<VenuePool>) {
-        let decks = (0..4)
-            .map(|d| std::mem::replace(self.deck_mut(d), DeckFront::vacant(d)))
-            .collect();
-        *self = FrontEnd::with_decks(decks, strategy, threads, pool);
+    pub(crate) fn set_aux(&mut self, aux: AuxWork) {
+        self.vc_iters = aux.vc_iters;
     }
 
-    pub(crate) fn set_session(&mut self, session: u32) {
-        self.exec.set_session(session);
+    /// Beats elapsed at the master tempo, as of the last cycle.
+    pub(crate) fn beat_clock(&self) -> f64 {
+        self.beat_clock
     }
 
-    pub(crate) fn deck_mut(&mut self, d: usize) -> &mut DeckFront {
-        self.exec
-            .node_processor(NodeId(d as u32))
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<DeckFront>())
-            .expect("front node d is deck d's DeckFront")
+    /// The last cycle's VC task time (ns).
+    pub(crate) fn work_ns(&self) -> u64 {
+        self.vc_ns
     }
+}
 
-    fn controls(cycle: u64) -> [f32; CTRL_CYCLE + 1] {
-        [cycle as f32]
-    }
-
-    /// Run one front cycle to completion (solo engines).
-    pub(crate) fn run(&mut self, cycle: u64) {
-        self.exec.run_cycle(&[], &Self::controls(cycle));
-    }
-
-    /// Venue path, first half: stage the front cycle for the pool's next
-    /// batch.
-    pub(crate) fn stage(&mut self, cycle: u64) -> u64 {
-        self.exec.venue_stage(&[], &Self::controls(cycle))
-    }
-
-    /// Venue path, second half: wait for the staged cycle.
-    pub(crate) fn collect(&mut self, epoch: u64) {
-        self.exec.venue_collect(epoch);
-    }
-
-    /// Driver-side tail of a front cycle: copy each deck's pulled audio
-    /// into `deck_bufs`, compute the pairwise beat offsets DJ Star displays
-    /// (phase alignment), and report the tasks' measured TP/GP time.
-    pub(crate) fn finish(&mut self, deck_bufs: &mut [AudioBuf]) -> FrontWork {
-        let mut work = FrontWork::default();
-        let mut phases = [None; 4];
-        for (d, buf) in deck_bufs.iter_mut().enumerate() {
-            self.exec.read_output(NodeId(d as u32), buf);
-            let deck = self.deck_mut(d);
-            work.tp_ns += deck.tp_ns;
-            work.gp_ns += deck.gp_ns;
-            phases[d] = deck.player().map(TrackPlayer::beat_phase);
-        }
-        let mut align = 0.0f32;
-        for a in 0..4 {
-            for b in (a + 1)..4 {
-                if let (Some(pa), Some(pb)) = (phases[a], phases[b]) {
-                    align += beat_phase_offset(pa, pb);
-                }
+impl Processor for VariousCalc {
+    fn process(&mut self, _inputs: &[&AudioBuf], output: &mut AudioBuf, _ctx: &CycleCtx<'_>) {
+        let t0 = Instant::now();
+        let mut bpm_sum = 0.0;
+        let mut active = 0u32;
+        for (d, bpm) in self.bpm.iter().enumerate() {
+            if let Some(bpm) = bpm {
+                bpm_sum += bpm * self.tempos.read(d);
+                active += 1;
             }
         }
-        self.align_sink += align * 1e-20;
-        work
+        if active > 0 {
+            let target = bpm_sum / active as f32;
+            self.master_bpm = 0.95 * self.master_bpm + 0.05 * target;
+        }
+        self.beat_clock += (self.master_bpm as f64 / 60.0)
+            * (djstar_dsp::BUFFER_FRAMES as f64 / djstar_dsp::SAMPLE_RATE as f64);
+        self.aux_sink += burn(self.vc_iters, self.master_bpm / 200.0);
+        output.clear();
+        self.vc_ns = t0.elapsed().as_nanos() as u64;
+    }
+
+    fn output_channels(&self) -> usize {
+        1
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn shares_split_a_window_in_proportion_and_sum_to_it() {
-        let work = FrontWork {
-            tp_ns: 100,
-            gp_ns: 300,
-        };
-        let (tp, gp) = work.shares(Duration::from_nanos(200), work.total_ns());
-        assert_eq!((tp.as_nanos(), gp.as_nanos()), (50, 150));
-        // Two sessions of a batch: shares add up to the window.
-        let other = FrontWork {
-            tp_ns: 50,
-            gp_ns: 50,
-        };
-        let total = work.total_ns() + other.total_ns();
-        let window = Duration::from_nanos(1_000);
-        let (a_tp, a_gp) = work.shares(window, total);
-        let (b_tp, b_gp) = other.shares(window, total);
-        assert_eq!(a_tp + a_gp + b_tp + b_gp, window);
-        // Degenerate clock: no task time measured, nothing attributed.
-        let (tp, gp) = FrontWork::default().shares(window, 0);
-        assert_eq!((tp, gp), (Duration::ZERO, Duration::ZERO));
-    }
+    use crate::apc::{AudioEngine, AuxWork};
+    use crate::reconfig::GraphEdit;
+    use djstar_core::exec::Strategy;
+    use djstar_workload::scenario::Scenario;
 
     #[test]
     fn rebuild_keeps_deck_state() {
-        let scenario = Scenario::light_test();
-        let pool = Arc::new(VenuePool::new(2));
-        let mut front = FrontEnd::new(&scenario, AuxWork::light(), Strategy::Busy, 2, &pool);
-        let mut bufs: Vec<AudioBuf> = (0..4)
-            .map(|_| AudioBuf::zeroed(2, djstar_dsp::BUFFER_FRAMES))
-            .collect();
-        for cycle in 1..=20 {
-            front.run(cycle);
-            front.finish(&mut bufs);
-        }
-        let speed = front.deck_mut(1).decoded_speed();
-        let position = front.deck_mut(1).player().unwrap().position();
-        assert!(speed > 0.5 && position > 0.0);
-        front.rebuild(Strategy::Planned, 1, &pool);
-        assert_eq!(front.deck_mut(1).decoded_speed(), speed);
-        assert_eq!(front.deck_mut(1).player().unwrap().position(), position);
-        front.run(21);
-        assert!(front.finish(&mut bufs).total_ns() > 0);
-        assert!(bufs[1].rms() > 0.0);
+        let mut e =
+            AudioEngine::with_aux(Scenario::light_test(), Strategy::Busy, 2, AuxWork::light());
+        e.warmup(20);
+        let speed = e.front_mut(1).decoded_speed();
+        let position = e.front_mut(1).player().unwrap().position();
+        let beats = e.beat_clock();
+        assert!(speed > 0.5 && position > 0.0 && beats > 0.0);
+        e.reconfigure(&[GraphEdit::ResizeThreads(1)])
+            .expect("resize");
+        assert_eq!(e.threads(), 1);
+        assert_eq!(e.front_mut(1).decoded_speed(), speed);
+        assert_eq!(e.front_mut(1).player().unwrap().position(), position);
+        assert_eq!(e.beat_clock(), beats);
+        let t = e.run_apc();
+        assert!(t.tp.as_nanos() > 0 && t.gp.as_nanos() > 0);
+        assert!(e.beat_clock() > beats, "VC stopped across the rebuild");
     }
 }

@@ -19,14 +19,24 @@
 //! Node count: 4 decks × (4 SP + 4 FX + 1 Channel + 4 bookkeeping) = 52,
 //! plus 15 master-section nodes = **67** (the paper's count, §IV). Source
 //! nodes: 16 SP + 16 deck bookkeeping + ClockTick = **33**, matching the
-//! paper's measured initial concurrency of 33.
+//! paper's measured initial concurrency of 33. That is
+//! [`build_djstar_graph`], whose deck sources read the deck audio from
+//! `CycleCtx::external_audio`.
+//!
+//! The engine's graph ([`build_shaped_graph`]) appends the APC's own
+//! phases after those nodes, in [`Section::Apc`] (see [`crate::front`]):
+//! `FrontA`…`FrontD` (TP + GP of one deck each) feed their deck's SP and
+//! bookkeeping nodes, and `VC` depends on the four fronts. Appending keeps
+//! every id — hence every burn seed and fault draw — of the paper's nodes.
 
+use crate::front::{DeckFront, DeckTempos, VariousCalc};
 use crate::netnodes::{jitter_config_from_spec, net_plan_from_spec, BroadcastSink, NetDeckSource};
 use crate::nodes::*;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{vacant, Processor};
 use djstar_dsp::effects::EffectKind;
 use djstar_workload::scenario::Scenario;
+use std::sync::Arc;
 
 /// Build-time shape of the DJ Star graph: which decks are loaded and how
 /// many FX slots each loaded deck's chain holds.
@@ -86,20 +96,17 @@ impl GraphShape {
         }
     }
 
-    /// Node count of the graph this shape builds: 15 master nodes, plus
-    /// `4 SP + fx_slots + 1 channel + 4 bookkeeping` per loaded deck, one
-    /// `NetSrc` per loaded remote deck, and the broadcast sink.
+    /// Node count of the graph this shape builds: 15 master nodes and the
+    /// [`APC_NODES`], plus `4 SP + fx_slots + 1 channel + 4 bookkeeping`
+    /// per loaded deck, one `NetSrc` per loaded remote deck, and the
+    /// broadcast sink.
     pub fn node_count(&self) -> usize {
-        15 + usize::from(self.listeners > 0)
+        15 + APC_NODES
+            + usize::from(self.listeners > 0)
             + (0..4)
                 .filter(|&d| self.deck_loaded[d])
                 .map(|d| 9 + self.fx_slots[d] + usize::from(self.remote_decks[d]))
                 .sum::<usize>()
-    }
-
-    /// Indices of the loaded decks, in order.
-    pub fn loaded_decks(&self) -> Vec<usize> {
-        (0..4).filter(|&d| self.deck_loaded[d]).collect()
     }
 }
 
@@ -107,6 +114,19 @@ impl Default for GraphShape {
     fn default() -> Self {
         Self::paper_default()
     }
+}
+
+/// Nodes the APC's own phases add to every shape's graph: four deck
+/// fronts and VC.
+pub const APC_NODES: usize = 5;
+
+/// Ids of the APC-phase nodes.
+#[derive(Debug, Clone, Copy)]
+pub struct ApcNodes {
+    /// `Front<d>`: TP + GP of deck `d`.
+    pub fronts: [NodeId; 4],
+    /// `VC`: master tempo and beat clock.
+    pub vc: NodeId,
 }
 
 /// Landmark node ids of one loaded deck.
@@ -148,6 +168,9 @@ pub struct NodeMap {
     pub net_src: [Option<NodeId>; 4],
     /// The broadcast sink, when the shape has listeners.
     pub broadcast: Option<NodeId>,
+    /// The APC-phase nodes; `None` in the paper graph of
+    /// [`build_djstar_graph`].
+    pub apc: Option<ApcNodes>,
 }
 
 impl NodeMap {
@@ -180,14 +203,19 @@ pub const DECK_FX: [EffectKind; 4] = [
     EffectKind::Overdrive,
 ];
 
-/// Build the paper's fixed-shape DJ Star graph for `scenario`.
+/// Build the paper's fixed-shape DJ Star graph for `scenario`: the 67
+/// nodes of Fig. 3 and no APC-phase nodes, so its deck sources read the
+/// deck audio from `CycleCtx::external_audio`. What the experiment
+/// harnesses analyse.
 ///
 /// Inactive decks still contribute their nodes (the paper's graph always
 /// has 67 nodes; unused decks process silence), but their effects are
 /// disabled. Equivalent to [`build_shaped_graph`] with
-/// [`GraphShape::paper_default`].
+/// [`GraphShape::paper_default`], less its [`APC_NODES`].
 pub fn build_djstar_graph(scenario: &Scenario) -> (TaskGraph, NodeMap) {
-    build_shaped_graph(scenario, &GraphShape::paper_default())
+    assemble(scenario, &GraphShape::paper_default(), false, |spec| {
+        spec.build()
+    })
 }
 
 /// Build the DJ Star graph for `scenario` with an explicit `shape`:
@@ -199,7 +227,7 @@ pub fn build_djstar_graph(scenario: &Scenario) -> (TaskGraph, NodeMap) {
 /// which is what lets the executors' generation swap carry processor
 /// state over by name when the shape changes.
 pub fn build_shaped_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph, NodeMap) {
-    assemble(scenario, shape, |spec| spec.build())
+    assemble(scenario, shape, true, |spec| spec.build())
 }
 
 /// The same graph with every node *hollow*: names, sections, edges and
@@ -208,19 +236,21 @@ pub fn build_shaped_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph
 /// switch stages and the mode cache keeps; [`build_part`] makes the
 /// processors a generation swap cannot carry over.
 pub fn hollow_graph(scenario: &Scenario, shape: &GraphShape) -> (TaskGraph, NodeMap) {
-    assemble(scenario, shape, |spec| vacant(spec.channels))
+    assemble(scenario, shape, true, |spec| vacant(spec.channels))
 }
 
 /// The processor of the node called `name` in `shape`'s graph, exactly as
 /// [`build_shaped_graph`] constructs it (same parameters, same seed);
-/// `None` when the shape has no such node.
+/// `None` when the shape has no such node. A front or VC built alone
+/// shares its tempo slots with no other node: the engine never builds
+/// one alone, because every generation swap carries all five over.
 pub fn build_part(
     scenario: &Scenario,
     shape: &GraphShape,
     name: &str,
 ) -> Option<Box<dyn Processor>> {
     let mut part = None;
-    walk_nodes(scenario, shape, &mut |spec| {
+    walk_nodes(scenario, shape, true, &mut |spec| {
         if spec.name == name {
             part = Some(spec.build());
         }
@@ -231,10 +261,11 @@ pub fn build_part(
 fn assemble(
     scenario: &Scenario,
     shape: &GraphShape,
+    apc: bool,
     part: impl Fn(&NodeSpec<'_>) -> Box<dyn Processor>,
 ) -> (TaskGraph, NodeMap) {
     let mut b = TaskGraphBuilder::new();
-    let map = walk_nodes(scenario, shape, &mut |spec| {
+    let map = walk_nodes(scenario, shape, apc, &mut |spec| {
         let processor = part(&spec);
         debug_assert_eq!(processor.output_channels(), spec.channels, "{}", spec.name);
         b.add(spec.name, spec.section, processor, spec.preds);
@@ -271,14 +302,20 @@ const MONO: usize = 1;
 const STEREO: usize = 2;
 
 /// Present every node of `shape`'s graph to `visit`, in build order, and
-/// return the landmark ids. The one description of the graph:
-/// [`build_shaped_graph`], [`hollow_graph`] and [`build_part`] differ only
-/// in what they do with each [`NodeSpec`].
+/// return the landmark ids — with the [`APC_NODES`] last when `apc`. The
+/// one description of the graph: [`build_shaped_graph`], [`hollow_graph`]
+/// and [`build_part`] differ only in what they do with each [`NodeSpec`].
 pub(crate) fn walk_nodes(
     scenario: &Scenario,
     shape: &GraphShape,
+    apc: bool,
     visit: &mut dyn FnMut(NodeSpec<'_>),
 ) -> NodeMap {
+    // The fronts come last, but the deck nodes they feed name them first.
+    let fronts: Option<[NodeId; 4]> = apc.then(|| {
+        let first = shape.node_count() - APC_NODES;
+        std::array::from_fn(|d| NodeId((first + d) as u32))
+    });
     let mut count = 0u32;
     let mut add =
         |name: String, section: Section, channels: usize, preds: &[NodeId], make: Make<'_>| {
@@ -310,6 +347,7 @@ pub(crate) fn walk_nodes(
         let slots = shape.fx_slots[d].clamp(1, GraphShape::MAX_FX_SLOTS);
         let section = Section::deck(d);
         let cfg = &scenario.decks[d];
+        let front: Vec<NodeId> = fronts.map(|f| f[d]).into_iter().collect();
         // Remote deck: a network receiver feeds the SP filterbank. The
         // name carries no depth — the generation swap's name-keyed carry
         // preserves the jitter buffer's state across reshapes, and the
@@ -325,8 +363,11 @@ pub(crate) fn walk_nodes(
                 &|seed| Box::new(NetDeckSource::new(d, net_plan, jcfg, profile, seed)),
             ));
         }
-        let sp_preds: Vec<NodeId> = net_src[d].into_iter().collect();
-        // Sample-preprocess filterbank (sources for local decks).
+        let sp_preds: Vec<NodeId> = match net_src[d] {
+            Some(src) => vec![src],
+            None => front.clone(),
+        };
+        // Sample-preprocess filterbank.
         let mut sp = [NodeId(0); 4];
         #[allow(clippy::needless_range_loop)] // `band` names the SP slot
         for band in 0..4 {
@@ -378,7 +419,7 @@ pub(crate) fn walk_nodes(
                 ))
             },
         );
-        // Independent bookkeeping sources.
+        // Bookkeeping of the deck audio.
         let bookkeeping: [(&str, Make<'_>); 4] = [
             ("LevelMeter", &|seed| {
                 Box::new(LevelMeterNode::for_deck(d, profile, seed))
@@ -398,7 +439,7 @@ pub(crate) fn walk_nodes(
                 format!("{kind}{}", deck_letter(d)),
                 section,
                 MONO,
-                &[],
+                &front,
                 make,
             );
         }
@@ -498,6 +539,25 @@ pub(crate) fn walk_nodes(
         )
     });
 
+    // The APC's phases; one tempo board links the fronts to VC.
+    let apc = fronts.map(|want| {
+        let tempos = Arc::new(DeckTempos::default());
+        let fronts: [NodeId; 4] = std::array::from_fn(|d| {
+            add(
+                format!("Front{}", deck_letter(d)),
+                Section::Apc,
+                STEREO,
+                &[],
+                &|_| Box::new(DeckFront::new(scenario, d, Arc::clone(&tempos))),
+            )
+        });
+        debug_assert_eq!(fronts, want, "the deck nodes named the wrong fronts");
+        let vc = add("VC".into(), Section::Apc, MONO, &fronts, &|_| {
+            Box::new(VariousCalc::new(scenario, Arc::clone(&tempos)))
+        });
+        ApcNodes { fronts, vc }
+    });
+
     NodeMap {
         decks,
         mixer,
@@ -511,6 +571,7 @@ pub(crate) fn walk_nodes(
         stats,
         net_src,
         broadcast,
+        apc,
     }
 }
 
@@ -569,7 +630,7 @@ mod tests {
         shape.deck_loaded[3] = false;
         let (g, map) = build_shaped_graph(&Scenario::light_test(), &shape);
         assert_eq!(g.len(), shape.node_count());
-        assert_eq!(g.len(), 67 - 2 * 13);
+        assert_eq!(g.len(), 67 - 2 * 13 + APC_NODES);
         assert!(map.deck(0).is_some() && map.deck(1).is_some());
         assert!(map.deck(2).is_none() && map.deck(3).is_none());
         let t = g.topology();
@@ -586,13 +647,13 @@ mod tests {
         shape.fx_slots[1] = 1;
         let (g, map) = build_shaped_graph(&Scenario::light_test(), &shape);
         assert_eq!(g.len(), shape.node_count());
-        assert_eq!(g.len(), 67 + 3 - 3);
+        assert_eq!(g.len(), 67 + 3 - 3 + APC_NODES);
         let t = g.topology();
         assert_eq!(t.name(map.fx(0, 6).unwrap()), "FXA7");
         assert_eq!(map.deck(1).unwrap().fx.len(), 1);
-        // The longer chain stretches the critical path: SP + 7 FX +
-        // Channel + Mixer + MasterBuffer + AudioOut + Stats = 13.
-        assert_eq!(t.critical_path_len(), 13);
+        // The longer chain stretches the critical path: Front + SP + 7 FX
+        // + Channel + Mixer + MasterBuffer + AudioOut + Stats = 14.
+        assert_eq!(t.critical_path_len(), 14);
         // Channel hangs off the last slot of the chain.
         assert_eq!(
             t.preds(map.channel(0).unwrap()),
@@ -611,7 +672,7 @@ mod tests {
             ..GraphShape::paper_default()
         };
         let (g, map) = build_shaped_graph(&Scenario::light_test(), &shape);
-        assert_eq!(g.len(), 15);
+        assert_eq!(g.len(), 15 + APC_NODES);
         let t = g.topology();
         assert_eq!(t.preds(map.mixer), &[map.sampler.0][..]);
         assert!(t.preds(map.cue).is_empty());
@@ -620,15 +681,55 @@ mod tests {
 
     #[test]
     fn default_shape_matches_fixed_builder() {
+        // The paper graph is the engine graph's first 67 nodes, with the
+        // edges from the fronts taken away.
         let scenario = Scenario::light_test();
         let (a, _) = build_djstar_graph(&scenario);
-        let (b, _) = build_shaped_graph(&scenario, &GraphShape::paper_default());
+        let (b, map) = build_shaped_graph(&scenario, &GraphShape::paper_default());
         let (ta, tb) = (a.topology(), b.topology());
-        assert_eq!(ta.len(), tb.len());
+        assert_eq!(ta.len() + APC_NODES, tb.len());
+        let apc = map.apc.expect("engine graph");
         for n in 0..ta.len() as u32 {
             assert_eq!(ta.name(NodeId(n)), tb.name(NodeId(n)));
-            assert_eq!(ta.preds(NodeId(n)), tb.preds(NodeId(n)));
+            let paper: Vec<u32> = tb
+                .preds(NodeId(n))
+                .iter()
+                .copied()
+                .filter(|&p| !apc.fronts.contains(&NodeId(p)))
+                .collect();
+            assert_eq!(ta.preds(NodeId(n)), &paper[..]);
         }
+    }
+
+    #[test]
+    fn apc_nodes_follow_the_paper_graph() {
+        let mut shape = GraphShape::paper_default();
+        shape.deck_loaded[1] = false;
+        let (g, map) = build_shaped_graph(&Scenario::light_test(), &shape);
+        let t = g.topology();
+        let apc = map.apc.expect("engine graph");
+        let first = shape.node_count() - APC_NODES;
+        for (d, &front) in apc.fronts.iter().enumerate() {
+            assert_eq!(front, NodeId((first + d) as u32));
+            assert_eq!(t.name(front), format!("Front{}", ["A", "B", "C", "D"][d]));
+            assert_eq!(t.section(front), Section::Apc);
+            assert!(t.preds(front).is_empty());
+            // Every deck-audio reader of a loaded deck hangs off its front
+            // (an unloaded deck's front feeds VC only).
+            let readers: Vec<&str> = t.succs(front).iter().map(|&n| t.name(NodeId(n))).collect();
+            if shape.deck_loaded[d] {
+                assert_eq!(readers.len(), 4 + 4 + 1, "{readers:?}");
+                assert!(readers.iter().filter(|n| n.starts_with("SP")).count() == 4);
+            } else {
+                assert_eq!(readers, ["VC"]);
+            }
+        }
+        assert_eq!(t.name(apc.vc), "VC");
+        assert_eq!(t.section(apc.vc), Section::Apc);
+        let fronts: Vec<u32> = apc.fronts.iter().map(|f| f.0).collect();
+        assert_eq!(t.preds(apc.vc), &fronts[..]);
+        assert!(t.succs(apc.vc).is_empty());
+        assert!(build_djstar_graph(&Scenario::light_test()).1.apc.is_none());
     }
 
     #[test]
@@ -669,9 +770,9 @@ mod tests {
         scenario.net = djstar_workload::NetSpec::lossy(5);
         let shape = GraphShape::for_net(&scenario.net);
         let (g, map) = build_shaped_graph(&scenario, &shape);
-        // 67 + 2 NetSrc + 1 BroadcastSink.
+        // 67 + 2 NetSrc + 1 BroadcastSink, and the APC nodes.
         assert_eq!(g.len(), shape.node_count());
-        assert_eq!(g.len(), 70);
+        assert_eq!(g.len(), 70 + APC_NODES);
         let t = g.topology();
         let na = map.net_src[0].expect("deck A is remote");
         assert_eq!(t.name(na), "NetSrcA");
@@ -680,8 +781,9 @@ mod tests {
         for band in 0..4 {
             assert_eq!(t.preds(map.sp(0, band).unwrap()), &[na.0][..]);
         }
-        // Local decks keep their SP sources.
-        assert!(t.preds(map.sp(2, 0).unwrap()).is_empty());
+        // Local decks' SP filters read their deck's front.
+        let front_c = map.apc.expect("engine graph").fronts[2];
+        assert_eq!(t.preds(map.sp(2, 0).unwrap()), &[front_c.0][..]);
         let bc = map.broadcast.expect("listeners > 0");
         assert_eq!(t.name(bc), "BroadcastSink[n4]");
         assert_eq!(t.preds(bc), &[map.master_buffer.0][..]);
@@ -706,7 +808,10 @@ mod tests {
         let (g, map) = build_djstar_graph(&Scenario::light_test());
         assert!(map.net_src.iter().all(|n| n.is_none()));
         assert!(map.broadcast.is_none());
-        assert_eq!(g.len(), GraphShape::paper_default().node_count());
+        assert_eq!(
+            g.len() + APC_NODES,
+            GraphShape::paper_default().node_count()
+        );
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //!   external turntables ([`timecode`]), 16 % of the APC in the paper.
 //! * **GP** — graph preprocessing: time stretching, phase alignment and
 //!   buffer management for each deck ([`deck`]), the largest non-graph
-//!   chunk (33 %). Serial in the paper; here TP and GP run as one task per
-//!   deck on the graph's own pool lanes ([`front`]).
+//!   chunk (33 %).
 //! * **Graph** — the 67-node task graph ([`graphbuild`], executed by
 //!   `djstar-core`), 38 %.
 //! * **VC** — various calculations (master tempo, accounting).
 //!
-//! [`apc::AudioEngine`] drives all four phases against a simulated sound
-//! card ([`soundcard`]) with the 2.9 ms deadline, timing each phase in its
+//! The paper runs TP, GP and VC serially around the parallel graph. Here
+//! they are nodes of the same task graph ([`front`]: one TP → GP node per
+//! deck and a VC node), so each APC is one dispatch onto the pool lanes.
+//! [`apc::AudioEngine`] drives it against a simulated sound card
+//! ([`soundcard`]) with the 2.9 ms deadline, timing each phase in its
 //! [`ApcTiming`] — the numbers the §III hotspot analysis sums.
 
 pub mod apc;
@@ -34,9 +36,9 @@ pub mod venue;
 
 pub use apc::{ApcTiming, AudioEngine, AuxWork, GovernorOutcome};
 pub use degrade::{Governor, GovernorAction, GovernorConfig, GovernorEvent};
-pub use front::FrontWork;
 pub use graphbuild::{
-    build_djstar_graph, build_part, build_shaped_graph, hollow_graph, GraphShape, NodeMap,
+    build_djstar_graph, build_part, build_shaped_graph, hollow_graph, ApcNodes, GraphShape,
+    NodeMap, APC_NODES,
 };
 pub use modes::{
     canonical_shape, reachable_edits, shape_fingerprint, AdmissionControl, BlueprintCache,
@@ -47,4 +49,4 @@ pub use reconfig::{
     apply_edit, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
 pub use soundcard::SoundCardSim;
-pub use venue::{SessionCounters, SessionSpec, VenueServer};
+pub use venue::{SessionSpec, VenueServer};

@@ -51,7 +51,7 @@ use std::fmt;
 /// untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unschedulable {
-    /// List-schedule bound of the candidate (plus its aux floor), ns.
+    /// List-schedule bound of the candidate, ns.
     pub bound_ns: u64,
     /// Summed bounds already on the pool (0 for a mode switch), ns.
     pub load_ns: u64,
@@ -341,7 +341,7 @@ impl BlueprintCache {
                 }
             }
             if to_build != 0 {
-                walk_nodes(scenario, entry.staged.shape(), &mut |spec| {
+                walk_nodes(scenario, entry.staged.shape(), true, &mut |spec| {
                     if in_mask(to_build, spec.id) {
                         parts.push(BinPart {
                             part: Some(spec.build()),
@@ -574,21 +574,21 @@ impl NodeCostModel {
 }
 
 /// The list-schedule bound (ns) of `shape`'s graph on `lanes` lanes with
-/// every node priced by `costs`, plus `aux_floor_ns` for the phases the
-/// graph does not cover — the one bound both admission checks compare.
-/// Builds the shape's hollow graph, so call it off the audio path.
+/// every node priced by `costs` — the one bound both admission checks
+/// compare. The graph carries the APC's TP, GP and VC as nodes, so the
+/// bound prices the whole cycle. Builds the shape's hollow graph, so call
+/// it off the audio path.
 pub fn shape_bound_ns(
     scenario: &Scenario,
     shape: &GraphShape,
     costs: &NodeCostModel,
     lanes: usize,
-    aux_floor_ns: u64,
 ) -> u64 {
     let (graph, _) = hollow_graph(scenario, shape);
     let topo = graph.topology();
     let durations = DurationModel::Constant(costs.durations_for(topo));
     let sim = SimGraph::from_topology(topo);
-    session_bound_ns(&sim, &durations, lanes.max(1) as u32, aux_floor_ns)
+    session_bound_ns(&sim, &durations, lanes.max(1) as u32, 0)
 }
 
 /// Schedulability admission: a bound must fit the margined deadline
@@ -663,7 +663,7 @@ impl AdmissionControl {
         let bound_ns = match self.bounds.iter().find(|(k, _)| *k == key) {
             Some(&(_, bound_ns)) => bound_ns,
             None => {
-                let bound_ns = shape_bound_ns(scenario, shape, costs, lanes, 0);
+                let bound_ns = shape_bound_ns(scenario, shape, costs, lanes);
                 self.bounds.push((key, bound_ns));
                 bound_ns
             }
@@ -898,7 +898,7 @@ mod tests {
         shape.deck_loaded[1] = false;
         shape.fx_slots[2] = 7;
         let ctrl = AdmissionControl::new(50_000, 0.2);
-        let bound = shape_bound_ns(&scenario, &shape, &NodeCostModel::uniform(250), 3, 0);
+        let bound = shape_bound_ns(&scenario, &shape, &NodeCostModel::uniform(250), 3);
         // Recompute independently through the public sim API.
         let (graph, _) = build_shaped_graph(&scenario, &shape);
         let topo = graph.topology();

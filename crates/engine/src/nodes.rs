@@ -30,8 +30,26 @@ pub mod controls {
     pub const fn deck_gain(d: usize) -> usize {
         3 + d
     }
+    /// The engine's cycle number (as `f32`, the precision the deck fronts'
+    /// platter wobble is computed in).
+    pub const CYCLE: usize = 7;
     /// Total number of control slots.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 8;
+}
+
+/// The deck audio a deck-section node reads: its wired predecessor (the
+/// deck's front node, or a remote deck's network receiver) when it has
+/// one, else deck `deck`'s external-audio slot (the paper graph of
+/// `build_djstar_graph`, which has no front nodes).
+fn deck_audio<'a>(
+    inputs: &[&'a AudioBuf],
+    ctx: &CycleCtx<'a>,
+    deck: usize,
+) -> Option<&'a AudioBuf> {
+    inputs
+        .first()
+        .copied()
+        .or_else(|| ctx.external_audio.get(deck))
 }
 
 /// Reads a control value, defaulting when the engine supplied none (tests).
@@ -114,7 +132,7 @@ pub(crate) fn sum_inputs(inputs: &[&AudioBuf], out: &mut AudioBuf) {
 // Deck section nodes
 // --------------------------------------------------------------------------
 
-/// SPx: sample-preprocess band filter reading the deck's external audio.
+/// SPx: sample-preprocess band filter reading the deck's audio.
 ///
 /// The four SP nodes of a deck form a Linkwitz–Riley 4-band crossover
 /// (200 / 1200 / 5000 Hz): each node applies its branch of the LR4 split
@@ -173,15 +191,9 @@ impl SpFilterNode {
 
 impl Processor for SpFilterNode {
     fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
-        // A wired predecessor (the deck's network receiver) takes priority
-        // over the local external-audio slot; local decks stay sources.
-        if let Some(src) = inputs.first() {
-            output.copy_from(src);
-        } else {
-            match ctx.external_audio.get(self.deck) {
-                Some(src) => output.copy_from(src),
-                None => output.clear(),
-            }
+        match deck_audio(inputs, ctx, self.deck) {
+            Some(src) => output.copy_from(src),
+            None => output.clear(),
         }
         // One fused pass over the whole 6–8 section chain (channels ride
         // the SIMD lanes, coefficients stay in registers).
@@ -371,7 +383,6 @@ impl Processor for MasterBufferNode {
 pub struct AudioOutNode {
     limiter: Limiter,
     clip: HardClip,
-    clipped: u64,
     cost: CostModel,
 }
 
@@ -381,14 +392,8 @@ impl AudioOutNode {
         AudioOutNode {
             limiter: Limiter::master(djstar_dsp::SAMPLE_RATE),
             clip: HardClip::new(1.0),
-            clipped: 0,
             cost: CostModel::new(NodeClass::MasterChain, profile, seed),
         }
-    }
-
-    /// Total clipped samples so far (the clip indicator).
-    pub fn clipped_samples(&self) -> u64 {
-        self.clipped
     }
 }
 
@@ -396,7 +401,7 @@ impl Processor for AudioOutNode {
     fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, _ctx: &CycleCtx<'_>) {
         sum_inputs(inputs, output);
         self.limiter.process(output);
-        self.clipped += self.clip.process(output) as u64;
+        self.clip.process(output);
         self.cost.apply(output);
     }
 }
@@ -582,7 +587,7 @@ impl Processor for SamplerNode {
 // Bookkeeping nodes (independent or tap nodes; "do not modify the audio")
 // --------------------------------------------------------------------------
 
-/// Per-deck level meter (source: reads the deck's external audio).
+/// Level meter of a deck's audio or of its first graph input.
 pub struct LevelMeterNode {
     deck: Option<usize>,
     meter: LevelMeter,
@@ -590,7 +595,7 @@ pub struct LevelMeterNode {
 }
 
 impl LevelMeterNode {
-    /// A meter reading deck `deck`'s external audio (source node).
+    /// A meter reading deck `deck`'s audio.
     pub fn for_deck(deck: usize, profile: WorkProfile, seed: u32) -> Self {
         LevelMeterNode {
             deck: Some(deck),
@@ -611,16 +616,11 @@ impl LevelMeterNode {
 
 impl Processor for LevelMeterNode {
     fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
-        let (peak, rms) = match self.deck {
-            Some(d) => match ctx.external_audio.get(d) {
-                Some(src) => self.meter.update(src),
-                None => (0.0, 0.0),
-            },
-            None => match inputs.first() {
-                Some(src) => self.meter.update(src),
-                None => (0.0, 0.0),
-            },
+        let src = match self.deck {
+            Some(d) => deck_audio(inputs, ctx, d),
+            None => inputs.first().copied(),
         };
+        let (peak, rms) = src.map_or((0.0, 0.0), |src| self.meter.update(src));
         output.clear();
         output.set_sample(0, 0, peak);
         output.set_sample(0, 1.min(output.frames() - 1), rms);
@@ -632,7 +632,7 @@ impl Processor for LevelMeterNode {
     }
 }
 
-/// Waveform tap: decimated copy of the deck audio for the GUI (source).
+/// Waveform tap: decimated copy of the deck audio for the GUI.
 pub struct WaveformTapNode {
     deck: usize,
     cost: CostModel,
@@ -649,9 +649,9 @@ impl WaveformTapNode {
 }
 
 impl Processor for WaveformTapNode {
-    fn process(&mut self, _inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
+    fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
         output.clear();
-        if let Some(src) = ctx.external_audio.get(self.deck) {
+        if let Some(src) = deck_audio(inputs, ctx, self.deck) {
             let step = 8;
             for (k, i) in (0..src.frames()).step_by(step).enumerate() {
                 if k >= output.frames() {
@@ -668,7 +668,7 @@ impl Processor for WaveformTapNode {
     }
 }
 
-/// Beat-phase estimator: onset energy flux of the deck audio (source).
+/// Beat-phase estimator: onset energy flux of the deck audio.
 pub struct BeatPhaseNode {
     deck: usize,
     prev_energy: f32,
@@ -689,9 +689,9 @@ impl BeatPhaseNode {
 }
 
 impl Processor for BeatPhaseNode {
-    fn process(&mut self, _inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
+    fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
         output.clear();
-        if let Some(src) = ctx.external_audio.get(self.deck) {
+        if let Some(src) = deck_audio(inputs, ctx, self.deck) {
             let e = src.energy() / src.samples().len().max(1) as f32;
             let flux = (e - self.prev_energy).max(0.0);
             self.prev_energy = e;
@@ -707,7 +707,7 @@ impl Processor for BeatPhaseNode {
     }
 }
 
-/// Key detector: crude zero-crossing-rate pitch estimate (source).
+/// Key detector: crude zero-crossing-rate pitch estimate.
 pub struct KeyDetectNode {
     deck: usize,
     smoothed_zcr: f32,
@@ -726,9 +726,9 @@ impl KeyDetectNode {
 }
 
 impl Processor for KeyDetectNode {
-    fn process(&mut self, _inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
+    fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
         output.clear();
-        if let Some(src) = ctx.external_audio.get(self.deck) {
+        if let Some(src) = deck_audio(inputs, ctx, self.deck) {
             let mut zc = 0u32;
             for i in 1..src.frames() {
                 if (src.sample(0, i - 1) <= 0.0) != (src.sample(0, i) <= 0.0) {

@@ -86,6 +86,13 @@ pub enum EditError {
     /// `ResizeThreads` is valid but is not a shape edit — it needs the
     /// executor-rebuild path (`AudioEngine::reconfigure`).
     ResizeNeedsRebuild(usize),
+    /// A resize asking a shared pool for more lanes than it has.
+    PoolTooSmall {
+        /// Lanes the resized session would need.
+        want: usize,
+        /// Lanes the shared pool has.
+        have: usize,
+    },
 }
 
 impl fmt::Display for EditError {
@@ -108,6 +115,9 @@ impl fmt::Display for EditError {
             EditError::BadNetDepth(n) => write!(f, "playout depth {n} must be at least 1"),
             EditError::ResizeNeedsRebuild(n) => {
                 write!(f, "resize to {n} workers requires an executor rebuild")
+            }
+            EditError::PoolTooSmall { want, have } => {
+                write!(f, "resize wants {want} lanes, the shared pool has {have}")
             }
         }
     }
@@ -344,7 +354,7 @@ impl StagedTopology {
             }
         }
         if to_build != 0 {
-            walk_nodes(scenario, &self.shape, &mut |spec| {
+            walk_nodes(scenario, &self.shape, true, &mut |spec| {
                 if in_mask(to_build, spec.id) {
                     *staged.part_mut(spec.id) = spec.build();
                 }
@@ -365,15 +375,6 @@ pub(crate) fn list_blueprint(
     let durations = djstar_sim::DurationModel::Constant(durations);
     let schedule = djstar_sim::list_schedule(&sim, &durations, 0, threads as u32);
     djstar_sim::compile_blueprint(&sim, &schedule)
-}
-
-/// [`list_blueprint`] with every node costing one unit — all the four-node
-/// front graph, whose tasks are alike, ever needs.
-pub(crate) fn unit_cost_blueprint(
-    topo: &GraphTopology,
-    threads: usize,
-) -> Result<ScheduleBlueprint, BlueprintError> {
-    list_blueprint(topo, vec![1; topo.len()], threads)
 }
 
 /// Build a hollow generation for `shape`: the shaped task graph with a
@@ -504,9 +505,11 @@ mod tests {
         let busy = stage_topology(&scenario, &shape, Strategy::Busy, 3, 16, &costs).unwrap();
         assert!(!busy.has_plan());
         assert!(busy.blueprint().is_none());
-        assert_eq!(busy.node_count(), 67);
+        // The paper's 67 nodes and the APC's five.
+        let nodes = 67 + crate::graphbuild::APC_NODES;
+        assert_eq!(busy.node_count(), nodes);
         let plan = stage_topology(&scenario, &shape, Strategy::Planned, 3, 16, &costs).unwrap();
         assert!(plan.has_plan());
-        assert_eq!(plan.blueprint().map(|bp| bp.len()), Some(67));
+        assert_eq!(plan.blueprint().map(|bp| bp.len()), Some(nodes));
     }
 }

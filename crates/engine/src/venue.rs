@@ -2,32 +2,27 @@
 //!
 //! A venue hosts N DJ sessions — each a full [`AudioEngine`] with its own
 //! decks, timecode, control surface and task graph — against **one**
-//! persistent [`VenuePool`]. Every sound-card period the server batches
-//! the sessions' cycles onto the pool in two batches of the same shape —
-//! first every session's front graph (TP + GP, one task per deck), then
-//! every session's task graph:
+//! persistent [`VenuePool`]. Every sound-card period is one batch: each
+//! session's whole APC (TP, GP, graph and VC are nodes of its one task
+//! graph, see [`crate::front`]) goes onto the pool together:
 //!
-//! 1. stage every session ([`AudioEngine::venue_front_stage`], later
-//!    [`AudioEngine::venue_graph_stage`]) without waking anyone,
+//! 1. stage every session ([`AudioEngine::venue_stage`]) without waking
+//!    anyone,
 //! 2. one [`VenuePool::dispatch`] publishing the whole batch to the
 //!    workers,
 //! 3. [`VenuePool::run_driver_parts`] so the driver contributes lane 0,
-//! 4. collect per session ([`AudioEngine::venue_front_collect`], later
-//!    [`AudioEngine::venue_finish`], which also runs VC). A sequential
+//! 4. collect per session ([`AudioEngine::venue_finish`]). A sequential
 //!    session is a one-lane session like any other: step 3 runs it.
-//!
-//! The front batch is one wall-clock window shared by all sessions; each
-//! session's `tp`/`gp` is its share of that window by measured task time,
-//! so the shares sum to the time the venue actually spent there.
 //!
 //! **Admission control** is the engine's one [`AdmissionControl`]: a
 //! candidate session is measured by one probe twin (a throwaway SEQ × 1
-//! engine), its per-cycle cost is bounded by [`shape_bound_ns`] — the list
-//! schedule of its graph on the lanes it requests, nodes priced at their
-//! mean probed cost, plus the median of its non-graph phases — and it is
-//! admitted only if that bound fits the margined deadline beside the
-//! summed bounds of the sessions already admitted. The probe's cost model
-//! goes on to the admitted engine, so a PLAN session is not probed twice.
+//! engine at the session's aux weights), its per-cycle cost is bounded by
+//! [`shape_bound_ns`] — the list schedule of its graph, TP, GP and VC
+//! nodes included, on the lanes it requests, nodes priced at their mean
+//! probed cost — and it is admitted only if that bound fits the margined
+//! deadline beside the summed bounds of the sessions already admitted.
+//! The probe's cost model goes on to the admitted engine, so a PLAN
+//! session is not probed twice.
 //! The bound is a mean-cost list bound that has not been proven sound:
 //! measured two-session batches run longer than the summed bounds
 //! (`sim.bound_slack_pct` reads negative). Rejections are counted.
@@ -40,7 +35,6 @@
 //! offending session.
 
 use crate::apc::{probe, ApcTiming, AudioEngine, AuxWork, GovernorOutcome};
-use crate::front::FrontWork;
 use crate::graphbuild::GraphShape;
 use crate::modes::{shape_bound_ns, AdmissionControl, NodeCostModel, Unschedulable};
 use djstar_core::exec::{Strategy, VenuePool};
@@ -61,21 +55,6 @@ pub struct SessionSpec {
     pub aux: AuxWork,
 }
 
-/// Per-session counters surfaced to telemetry export and reports.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionCounters {
-    /// Venue session id (1-based; 0 means "solo engine").
-    pub id: u32,
-    /// Cycles this session has run in the venue.
-    pub cycles: u64,
-    /// Cycles whose TP+GP+Graph+VC exceeded the venue deadline.
-    pub misses: u64,
-    /// Is the session currently running in shed (degraded) mode?
-    pub degraded: bool,
-    /// The admission-time per-cycle bound (ns).
-    pub bound_ns: u64,
-}
-
 struct VenueSession {
     id: u32,
     engine: AudioEngine,
@@ -83,10 +62,8 @@ struct VenueSession {
     cycles: u64,
     misses: u64,
     last: ApcTiming,
-    /// In-flight scratch of the current batch: the staged epoch (front
-    /// batch, then graph batch) and the front task time just collected.
+    /// The epoch staged for the batch in flight.
     epoch: u64,
-    front: FrontWork,
 }
 
 /// A multi-session host: one worker pool, N engines, per-session
@@ -161,8 +138,8 @@ impl VenueServer {
     /// the admitted engine's. Otherwise count and return the rejection.
     pub fn admit(&mut self, spec: SessionSpec) -> Result<u32, Unschedulable> {
         let shape = GraphShape::for_net(&spec.scenario.net);
-        let (costs, aux_floor_ns) = probe(&spec.scenario, shape, spec.aux);
-        let bound_ns = shape_bound_ns(&spec.scenario, &shape, &costs, spec.threads, aux_floor_ns);
+        let costs = probe(&spec.scenario, shape, spec.aux);
+        let bound_ns = shape_bound_ns(&spec.scenario, &shape, &costs, spec.threads);
         self.admit_priced(spec, bound_ns, Some(costs))
     }
 
@@ -210,7 +187,6 @@ impl VenueServer {
             misses: 0,
             last: ApcTiming::default(),
             epoch: 0,
-            front: FrontWork::default(),
         });
         Ok(id)
     }
@@ -259,22 +235,9 @@ impl VenueServer {
         self.find(id).map(|s| s.last)
     }
 
-    /// Counter snapshot for every admitted session, in admission order.
-    pub fn session_counters(&self) -> Vec<SessionCounters> {
-        self.sessions
-            .iter()
-            .map(|s| SessionCounters {
-                id: s.id,
-                cycles: s.cycles,
-                misses: s.misses,
-                degraded: s.engine.is_degraded(),
-                bound_ns: s.bound_ns,
-            })
-            .collect()
-    }
-
-    /// Run one batched cycle across every session and return the batch
-    /// wall time. Per session: cycle/miss counters update against the
+    /// Run one batched cycle across every session — one pool dispatch —
+    /// and return the batch wall time. Per session: cycle/miss counters
+    /// update against the
     /// venue deadline and, if its degradation governor is armed, the
     /// verdict feeds it (shed/restore commits ride the engine's
     /// glitch-free swap path). Steady-state calls perform no heap
@@ -284,28 +247,14 @@ impl VenueServer {
         if self.sessions.is_empty() {
             return t0.elapsed();
         }
-        // Front batch: every session's four deck tasks on the pool lanes.
-        for s in &mut self.sessions {
-            s.epoch = s.engine.venue_front_stage();
-        }
-        self.pool.dispatch();
-        self.pool.run_driver_parts();
-        let mut front_total_ns = 0;
-        for s in &mut self.sessions {
-            s.front = s.engine.venue_front_collect(s.epoch);
-            front_total_ns += s.front.total_ns();
-        }
-        let front_window = t0.elapsed();
-        // Graph batch.
         let deadline_ns = self.deadline_ns();
         for s in &mut self.sessions {
-            s.epoch = s.engine.venue_graph_stage();
+            s.epoch = s.engine.venue_stage();
         }
         self.pool.dispatch();
         self.pool.run_driver_parts();
         for s in &mut self.sessions {
-            let (tp, gp) = s.front.shares(front_window, front_total_ns);
-            let t = s.engine.venue_finish(s.epoch, tp, gp);
+            let t = s.engine.venue_finish(s.epoch);
             s.cycles += 1;
             s.last = t;
             let missed = t.total().as_nanos() as u64 > deadline_ns;
@@ -412,6 +361,36 @@ mod tests {
             .expect_err("the budget is spent");
         assert_eq!((err.bound_ns, err.load_ns), (venue.budget_ns(), bound));
         assert_eq!(venue.rejections(), 1);
+    }
+
+    #[test]
+    fn a_resize_past_the_shared_pool_is_refused_and_the_session_keeps_running() {
+        use crate::reconfig::{EditError, GraphEdit, ReconfigError};
+        let mut venue = VenueServer::new(2, Duration::from_secs(1), 0.0);
+        let id = venue
+            .admit_bounded(spec(Strategy::Busy, 2), 1)
+            .expect("admit");
+        venue.run_cycles(5);
+        let engine = venue.engine_mut(id).expect("admitted above");
+        let generation = engine.generation();
+        assert_eq!(
+            engine.reconfigure(&[GraphEdit::ResizeThreads(3)]),
+            Err(ReconfigError::Edit(EditError::PoolTooSmall {
+                want: 3,
+                have: 2
+            }))
+        );
+        assert_eq!((engine.threads(), engine.generation()), (2, generation));
+        venue.run_cycles(5);
+        assert_eq!(venue.cycles(id), Some(10));
+        // A resize the pool can serve still rebuilds in place.
+        let engine = venue.engine_mut(id).expect("admitted above");
+        engine
+            .reconfigure(&[GraphEdit::ResizeThreads(1)])
+            .expect("one lane fits");
+        venue.run_cycles(5);
+        let out = venue.engine_mut(id).expect("admitted above").output();
+        assert!(out.is_finite() && out.rms() > 1e-4);
     }
 
     #[test]

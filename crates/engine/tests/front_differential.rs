@@ -1,14 +1,15 @@
-//! Differential determinism of the deck-parallel front end: whatever lanes
-//! the four per-deck TP → GP tasks land on, the deck buffers they hand the
-//! graph — and hence the output packets — must be bit-identical to a
-//! SEQ × 1 twin, which runs the same front graph inline on the driver.
+//! Differential determinism of the deck fronts: whatever lanes the four
+//! per-deck TP → GP nodes land on, the deck audio they hand the graph —
+//! and hence the output packets — must be bit-identical to a SEQ × 1
+//! twin, which runs the same graph inline on the driver.
 //!
-//! The script exercises everything that reaches into the front session
-//! from outside: `Nudge` events (state owned by a deck task, written by
-//! the event middleware between cycles), a deck unload/load walk through
-//! `stage_edits`/`commit` (the graph generation swaps, the front session
-//! must not notice), a thread-resize rebuild (the deck tasks move into a
-//! fresh session), and the venue's batched front stage.
+//! The script exercises everything that reaches into the front nodes from
+//! outside: `Nudge` events (state owned by a front node, written by the
+//! event middleware between cycles), a deck unload/load walk through
+//! `stage_edits`/`commit` (the fronts are carried across every generation
+//! swap), a thread-resize rebuild (the fronts move into a fresh graph),
+//! and the venue's batch. `cycle_golden` pins the same packets to
+//! checksums that do not depend on the twin.
 
 use djstar_core::exec::Strategy;
 use djstar_dsp::AudioBuf;
@@ -16,6 +17,7 @@ use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::events::{ControlEvent, EventQueue};
 use djstar_engine::reconfig::GraphEdit;
 use djstar_engine::venue::{SessionSpec, VenueServer};
+use djstar_engine::APC_NODES;
 use djstar_workload::scenario::{DeckConfig, Scenario};
 use std::time::{Duration, Instant};
 
@@ -35,10 +37,17 @@ fn fold(mut acc: u64, buf: &AudioBuf) -> u64 {
     acc
 }
 
-/// Checksums of one cycle: the four deck buffers, then the output packet.
+/// Checksums of one cycle: the four fronts' deck audio, then the output
+/// packet.
 fn cycle_sums(engine: &mut AudioEngine) -> (u64, u64) {
     let seed = 0xcbf2_9ce4_8422_2325u64;
-    let decks = engine.deck_buffers().iter().fold(seed, fold);
+    let fronts = engine.node_map().apc.expect("engine graph").fronts;
+    let mut buf = AudioBuf::stereo_default();
+    let mut decks = seed;
+    for front in fronts {
+        engine.executor_mut().read_output(front, &mut buf);
+        decks = fold(decks, &buf);
+    }
     (decks, fold(seed, &engine.output()))
 }
 
@@ -115,32 +124,56 @@ fn deck_buffers_and_packets_match_the_seq_twin_on_every_strategy_and_width() {
 }
 
 #[test]
-fn front_and_graph_are_two_sessions_on_one_pool() {
-    for strategy in [Strategy::Busy, Strategy::Steal, Strategy::Planned] {
-        let engine = AudioEngine::with_aux(scenario(), strategy, 3, AuxWork::light());
-        // threads − 1 OS workers serve both sessions; nothing else spawns.
-        assert_eq!(engine.pool().threads(), 3);
-        assert_eq!(engine.pool().sessions(), 2, "{strategy:?}");
+fn one_session_and_one_dispatch_per_cycle() {
+    for (strategy, threads) in [
+        (Strategy::Busy, 2),
+        (Strategy::Planned, 2),
+        (Strategy::Steal, 3),
+        (Strategy::Sequential, 4),
+    ] {
+        let mut engine = AudioEngine::with_aux(scenario(), strategy, threads, AuxWork::light());
+        // threads − 1 OS workers serve the one session (SEQ: a one-lane
+        // pool, whose only lane is the driver's); nothing else spawns.
+        let lanes = if strategy == Strategy::Sequential {
+            1
+        } else {
+            threads
+        };
+        assert_eq!(engine.pool().threads(), lanes);
+        assert_eq!(engine.pool().sessions(), 1, "{strategy:?}");
+        for _ in 0..5 {
+            let before = engine.pool().batches();
+            engine.run_apc();
+            assert_eq!(engine.pool().batches(), before + 1, "{strategy:?}");
+        }
     }
-    // SEQ: a one-lane pool with no worker; both graphs are one-lane
-    // sessions whose only lane is the driver's.
-    let seq = AudioEngine::with_aux(scenario(), Strategy::Sequential, 4, AuxWork::light());
-    assert_eq!(seq.pool().threads(), 1);
-    assert_eq!(seq.pool().sessions(), 2);
+    // A venue period is one batch for every session together.
+    let spec = |strategy| SessionSpec {
+        scenario: scenario(),
+        strategy,
+        threads: 2,
+        aux: AuxWork::light(),
+    };
+    let mut venue = VenueServer::new(2, Duration::from_secs(1), 0.0);
+    venue.admit_bounded(spec(Strategy::Busy), 1).unwrap();
+    venue.admit_bounded(spec(Strategy::Planned), 1).unwrap();
+    assert_eq!(venue.pool().sessions(), 2);
+    for _ in 0..5 {
+        let before = venue.pool().batches();
+        venue.run_cycle();
+        assert_eq!(venue.pool().batches(), before + 1);
+    }
 }
 
 #[test]
 fn telemetry_still_describes_the_graph_only() {
     let mut engine = AudioEngine::with_aux(scenario(), Strategy::Busy, 2, AuxWork::light());
-    let nodes = engine.executor_mut().topology().len() as u64;
+    // TP, GP and VC nodes run in the same cycle but are not graph work.
+    let nodes = (engine.executor_mut().topology().len() - APC_NODES) as u64;
     engine.set_telemetry(true);
     engine.warmup(10);
     let ring = engine.take_telemetry().expect("telemetry ring");
-    assert_eq!(
-        ring.iter().count(),
-        10,
-        "one record per APC, none per front cycle"
-    );
+    assert_eq!(ring.iter().count(), 10, "one record per APC");
     for record in ring.iter() {
         assert_eq!(record.totals().nodes_executed, nodes);
     }
@@ -164,7 +197,7 @@ fn thread_resize_moves_the_deck_tasks_without_a_glitch() {
                 .expect("resize");
             assert_eq!(engine.threads(), 4);
             assert_eq!(engine.pool().threads(), 4);
-            assert_eq!(engine.pool().sessions(), 2);
+            assert_eq!(engine.pool().sessions(), 1);
         }
         engine.run_apc();
         twin.run_apc();
@@ -178,7 +211,7 @@ fn thread_resize_moves_the_deck_tasks_without_a_glitch() {
 }
 
 #[test]
-fn venue_front_batch_is_bit_exact_and_its_shares_sum_to_the_window() {
+fn venue_batch_is_bit_exact_and_its_phase_shares_fit_the_window() {
     let spec = |strategy, threads| SessionSpec {
         scenario: scenario(),
         strategy,
@@ -200,19 +233,18 @@ fn venue_front_batch_is_bit_exact_and_its_shares_sum_to_the_window() {
         let wall = t0.elapsed();
         twin.run_apc();
         let want = cycle_sums(&mut twin);
-        let mut front = Duration::ZERO;
+        let mut phases = Duration::ZERO;
         for id in ids {
             let t = venue.last_timing(id).unwrap();
-            assert!(t.tp > Duration::ZERO && t.gp > Duration::ZERO);
-            front += t.tp + t.gp;
+            assert!(t.tp > Duration::ZERO && t.gp > Duration::ZERO && t.vc > Duration::ZERO);
+            phases += t.tp + t.gp + t.vc;
             let got = cycle_sums(venue.engine_mut(id).unwrap());
             assert_eq!(got, want, "session {id} cycle {cycle}");
         }
-        // Shares of one wall-clock window: together they cannot exceed the
-        // batch that contains it.
+        // Lane shares of one batch: together they cannot exceed it.
         assert!(
-            front <= batch && batch <= wall,
-            "{front:?} {batch:?} {wall:?}"
+            phases <= batch && batch <= wall,
+            "{phases:?} {batch:?} {wall:?}"
         );
     }
 }

@@ -6,17 +6,15 @@
 //! The full side runs on a sequential executor. The hollow side is adopted
 //! by a two-thread BUSY executor that was running an unrelated one-node
 //! graph, so nothing is carried over and every processor that runs came
-//! from `build_part`. Both sides are fed the deck audio of one light
-//! engine, which is what makes the 200 cycles non-trivial (delay lines
-//! ring, meters settle, the jitter buffer of a remote deck conceals).
+//! from `build_part`. On each side the deck fronts play the scenario's
+//! tracks into the graph, which is what makes the 200 cycles non-trivial
+//! (delay lines ring, meters settle, the jitter buffer of a remote deck
+//! conceals).
 
-use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, SequentialExecutor, StagedGeneration, Strategy,
-};
+use djstar_core::exec::{BusyExecutor, GraphExecutor, SequentialExecutor, StagedGeneration};
 use djstar_core::graph::{NodeId, Section, TaskGraphBuilder};
 use djstar_core::processor::Passthrough;
 use djstar_dsp::{AudioBuf, BUFFER_FRAMES};
-use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::nodes::controls;
 use djstar_engine::{build_part, build_shaped_graph, hollow_graph, GraphShape};
 use djstar_workload::scenario::Scenario;
@@ -81,16 +79,14 @@ fn hollow_plus_parts_is_the_full_graph_bit_for_bit() {
 
         let mut full = SequentialExecutor::new(full_graph, BUFFER_FRAMES);
         let mut filled = hollow_executor(&scenario, &shape);
-        let mut source =
-            AudioEngine::with_aux(scenario.clone(), Strategy::Sequential, 1, AuxWork::light());
         let mut ctrl = vec![1.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = 0.5;
         let (mut a, mut b) = (AudioBuf::stereo_default(), AudioBuf::stereo_default());
         for cycle in 0..CYCLES {
-            source.run_apc();
             ctrl[controls::BEAT_CLOCK] = cycle as f32 * 0.0058;
-            full.run_cycle(source.deck_buffers(), &ctrl);
-            filled.run_cycle(source.deck_buffers(), &ctrl);
+            ctrl[controls::CYCLE] = (cycle + 1) as f32;
+            full.run_cycle(&[], &ctrl);
+            filled.run_cycle(&[], &ctrl);
             for n in (0..nodes).map(NodeId) {
                 full.read_output(n, &mut a);
                 filled.read_output(n, &mut b);

@@ -8,9 +8,9 @@
 //! from the cache, the missing parts moved out of the bin), the
 //! cycle-boundary commit (name-keyed carry-over resolves through the
 //! index built at staging time; the replaced generation is parked, not
-//! dropped), and the following audio cycles — each a front cycle (the
-//! four deck tasks on the pool lanes, which a graph generation swap must
-//! leave untouched) followed by a graph cycle. The neighborhood
+//! dropped), and the following audio cycles — each one graph cycle,
+//! whose deck fronts and VC the swap carries over like any node. The
+//! neighborhood
 //! precompile — the background stager's job, never the audio thread's —
 //! runs between windows; it builds, restocks and frees at will.
 //!

@@ -94,6 +94,8 @@ fn lockstep(strategy: Strategy, threads: usize, precompile: bool) -> (u64, u64, 
         acc_c = fold_checksum(acc_c, &cached.output());
         acc_f = fold_checksum(acc_f, &fresh.output());
     }
+    // Every staging compiled: no switch was refused for its blueprint.
+    assert_eq!((cached.stage_failures(), fresh.stage_failures()), (0, 0));
     let stats = cached.mode_cache().expect("cache enabled").stats();
     (acc_c, acc_f, stats.hits, stats.misses)
 }

@@ -7,7 +7,7 @@ use djstar_core::exec::Strategy;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::events::{ControlEvent, EventQueue};
 use djstar_engine::reconfig::GraphEdit;
-use djstar_engine::GraphShape;
+use djstar_engine::{GraphShape, APC_NODES};
 use djstar_workload::scenario::Scenario;
 
 fn light_engine(strategy: Strategy, threads: usize) -> AudioEngine {
@@ -70,17 +70,17 @@ fn all_strategies_swap_generations_without_diverging() {
 fn reconfigure_updates_shape_and_node_map() {
     let mut engine = light_engine(Strategy::Steal, 2);
     engine.warmup(5);
-    assert_eq!(engine.shape().node_count(), 67);
+    assert_eq!(engine.shape().node_count(), 67 + APC_NODES);
     engine.reconfigure(&[GraphEdit::UnloadDeck(2)]).unwrap();
     assert!(!engine.shape().deck_loaded[2]);
-    assert_eq!(engine.shape().node_count(), 67 - 13);
+    assert_eq!(engine.shape().node_count(), 67 - 13 + APC_NODES);
     assert!(engine.node_map().deck(2).is_none());
     assert!(engine.node_map().deck(0).is_some());
     engine
         .reconfigure(&[GraphEdit::LoadDeck(2), GraphEdit::InsertFxSlot(2)])
         .unwrap();
     assert_eq!(engine.shape().fx_slots[2], 5);
-    assert_eq!(engine.shape().node_count(), 67 + 1);
+    assert_eq!(engine.shape().node_count(), 67 + 1 + APC_NODES);
     assert!(engine.node_map().fx(2, 4).is_some());
     engine.warmup(5);
     assert!(engine.output().is_finite());
@@ -118,7 +118,7 @@ fn staging_runs_off_the_audio_thread() {
     });
     engine.warmup(5); // audio keeps flowing while the stager works
     let staged = stager.join().expect("staging thread").expect("staging");
-    assert_eq!(staged.node_count(), 67 - 13 + 1);
+    assert_eq!(staged.node_count(), 67 - 13 + 1 + APC_NODES);
     let generation = engine.commit(staged).expect("commit");
     assert_eq!(generation, 1);
     engine.warmup(10);
@@ -321,7 +321,7 @@ fn shaped_construction_matches_reconfigured_shape() {
         ])
         .unwrap();
     assert_eq!(direct.shape(), edited.shape());
-    assert_eq!(direct.shape().node_count(), 67 - 13 + 2);
+    assert_eq!(direct.shape().node_count(), 67 - 13 + 2 + APC_NODES);
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! Proof that the venue's multi-session hot path allocates nothing.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after
-//! warm-up, full batched venue cycles — the front batch (every session's
-//! four TP + GP deck tasks staged, dispatched and collected on the pool
-//! lanes, buffer hand-over, phase alignment, window shares), the graph
-//! batch (stage, dispatch, driver lane-0 parts, per-session collection),
-//! VC and deadline accounting — must not allocate: in-flight state lives
+//! warm-up, full batched venue cycles — the one batch (every session's
+//! graph, deck fronts and VC included, staged, dispatched, driver lane-0
+//! parts, per-session collection and phase timing) and deadline
+//! accounting — must not allocate: in-flight state lives
 //! in the session records made at admission, the pool entry table is
 //! reused, and the engines' own phases were already allocation-free solo.
 //!
@@ -74,9 +73,8 @@ const DEEPEN_ONCE: GovernorConfig = GovernorConfig {
 fn steady_state_venue_cycles_do_not_allocate() {
     let mut venue = VenueServer::new(3, Duration::from_secs(1), 0.0);
     // A mixed batch: pooled stealer, pooled busy-waiter, a blueprint
-    // replayer (whose front session replays a blueprint too), inline
-    // sequential, one of them networked — every dispatch flavor the
-    // venue hot path has, in both of its batches.
+    // replayer, inline sequential, one of them networked — every dispatch
+    // flavor the venue hot path has, in its one batch.
     let networked = venue
         .admit_bounded(spec(Strategy::Steal, 3, true), 1)
         .expect("admit steal");

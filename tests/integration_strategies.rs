@@ -11,7 +11,7 @@ use djstar_core::graph::{NodeId, Priority};
 use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::AudioBuf;
 use djstar_engine::apc::{AudioEngine, AuxWork};
-use djstar_engine::graphbuild::build_djstar_graph;
+use djstar_engine::graphbuild::{build_djstar_graph, APC_NODES};
 use djstar_sim::gantt::render_trace;
 use djstar_workload::scenario::Scenario;
 
@@ -172,7 +172,8 @@ fn recorded_cycles_render_as_fig11_gantts() {
         engine.warmup(3);
         engine.set_flight_recorder(Some(FlightConfig::default()));
         let trace = engine.run_apc_traced();
-        assert_eq!(trace.executions().len(), 67, "{strategy:?}");
+        // The paper's 67 nodes and the APC's TP, GP and VC nodes.
+        assert_eq!(trace.executions().len(), 67 + APC_NODES, "{strategy:?}");
         let gantt = render_trace(&trace, 110);
         let rows = gantt.lines().filter(|l| l.starts_with('T')).count();
         assert_eq!(rows, 4, "{strategy:?}:\n{gantt}");
