@@ -3,11 +3,9 @@
 //! thread count) and of the virtual-time simulators.
 
 use djstar_bench::microbench::{bench, group};
-use djstar_core::exec::{BusyExecutor, GraphExecutor, Strategy};
-use djstar_core::graph::Priority;
+use djstar_core::exec::Strategy;
 use djstar_engine::apc::{AudioEngine, AuxWork};
-use djstar_engine::graphbuild::build_djstar_graph;
-use djstar_sim::list::{list_schedule_with, Priority as SimPriority};
+use djstar_sim::list::{list_schedule_with, Priority};
 use djstar_sim::model::{DurationModel, SimGraph};
 use djstar_sim::strategy::{simulate_strategy, OverheadModel, SimStrategy};
 use djstar_workload::scenario::Scenario;
@@ -62,42 +60,24 @@ fn bench_simulators() {
     }
 }
 
-/// Depth-order vs critical-path-order priority, on the real BUSY executor
-/// and on the list-scheduler bound (the PLAN compilation input).
+/// The list-scheduler bound (the PLAN compilation input) under each
+/// ready-node priority rule.
 fn bench_priority_order() {
     group("priority_order");
-    for (priority, label) in [
-        (Priority::Depth, "depth"),
-        (Priority::CriticalPath, "critical-path"),
-        (Priority::LongerIsShorter, "longer-is-shorter"),
-        (Priority::GlobalFixed, "global-fixed"),
-    ] {
-        let (graph, _map) = build_djstar_graph(&scenario());
-        let mut exec = BusyExecutor::with_priority(graph, 2, djstar_dsp::BUFFER_FRAMES, priority);
-        for _ in 0..20 {
-            exec.run_cycle(&[], &[]);
-        }
-        bench(&format!("priority_order/busy_2t/{label}"), || {
-            exec.run_cycle(&[], &[]).duration
-        });
-    }
-
     let mut engine = AudioEngine::with_aux(scenario(), Strategy::Sequential, 1, AuxWork::light());
     engine.warmup(20);
     let samples = engine.measured_node_durations(64);
     let graph = SimGraph::from_topology(engine.executor_mut().topology());
     let durations = DurationModel::Empirical(samples);
-    for (priority, label) in [
-        (SimPriority::QueueOrder, "queue-order"),
-        (SimPriority::CriticalPath, "critical-path"),
-        (SimPriority::LongerIsShorter, "longer-is-shorter"),
-        (SimPriority::GlobalFixed, "global-fixed"),
-    ] {
+    for priority in Priority::ALL {
         let mut cycle = 0usize;
-        bench(&format!("priority_order/list_bound_4p/{label}"), || {
-            cycle += 1;
-            list_schedule_with(&graph, &durations, cycle, 4, priority).makespan_ns()
-        });
+        bench(
+            &format!("priority_order/list_bound_4p/{}", priority.label()),
+            || {
+                cycle += 1;
+                list_schedule_with(&graph, &durations, cycle, 4, priority).makespan_ns()
+            },
+        );
     }
 }
 

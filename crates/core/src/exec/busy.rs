@@ -63,7 +63,7 @@ impl Policy for Spin {
     unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
         let sh = lane.sh;
         let topo = sh.graph().topology();
-        for (k, &node) in sh.order().iter().enumerate() {
+        for (k, &node) in topo.queue().iter().enumerate() {
             if k % sh.threads == lane.me {
                 // SAFETY: exactly-once ownership by round-robin assignment;
                 // all predecessors are waited for.
@@ -86,7 +86,6 @@ mod tests {
         diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
     };
     use crate::exec::GraphExecutor;
-    use crate::graph::Priority;
     use djstar_dsp::AudioBuf;
 
     #[test]
@@ -95,23 +94,6 @@ mod tests {
             run_and_check(
                 |g, frames| Box::new(BusyExecutor::new(g, threads, frames)),
                 &format!("busy-{threads}"),
-            );
-        }
-    }
-
-    #[test]
-    fn critical_path_priority_matches_sequential() {
-        for threads in [1, 3] {
-            run_and_check(
-                |g, frames| {
-                    Box::new(BusyExecutor::with_priority(
-                        g,
-                        threads,
-                        frames,
-                        Priority::CriticalPath,
-                    ))
-                },
-                &format!("busy-cp-{threads}"),
             );
         }
     }

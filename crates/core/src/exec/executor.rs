@@ -15,7 +15,7 @@ use super::{
 };
 use crate::faults::FaultPlan;
 use crate::flight::{FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
-use crate::graph::{GraphTopology, NodeId, Priority, Section, TaskGraph};
+use crate::graph::{GraphTopology, NodeId, Section, TaskGraph};
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing, DEFAULT_RING_CAPACITY};
 use djstar_dsp::AudioBuf;
@@ -313,12 +313,11 @@ impl<P: Policy> PoolExecutor<P> {
     pub(crate) fn register(
         exec: ExecGraph,
         threads: usize,
-        priority: Priority,
         pool: &Arc<VenuePool>,
         policy: P,
     ) -> Self {
         assert!((1..=64).contains(&threads), "1..=64 threads supported");
-        let shared = Shared::new(exec, pool.session_handles(threads), priority);
+        let shared = Shared::new(exec, pool.session_handles(threads));
         let session = Arc::new(Session { shared, policy });
         let pool = pool.register(Arc::clone(&session) as Arc<dyn LaneRunner>);
         PoolExecutor {
@@ -491,22 +490,8 @@ impl<P: QueuePolicy> PoolExecutor<P> {
     /// # Panics
     /// Panics if `threads == 0` or `threads > 64`.
     pub fn new(graph: TaskGraph, threads: usize, frames: usize) -> Self {
-        Self::with_priority(graph, threads, frames, Priority::Depth)
-    }
-
-    /// Like [`new`](Self::new), but walking the queue in the order selected
-    /// by `priority` (depth order is the production default). Under
-    /// [`Priority::CriticalPath`] WS pushes the successors a finishing node
-    /// releases in ascending critical-path order, so the LIFO pop takes the
-    /// longest-path successor first.
-    pub fn with_priority(
-        graph: TaskGraph,
-        threads: usize,
-        frames: usize,
-        priority: Priority,
-    ) -> Self {
         let pool = Arc::new(VenuePool::new(threads));
-        Self::with_pool(graph, threads, frames, priority, &pool)
+        Self::with_pool(graph, threads, frames, &pool)
     }
 
     /// Register this session on an existing shared [`VenuePool`] instead of
@@ -516,12 +501,11 @@ impl<P: QueuePolicy> PoolExecutor<P> {
         graph: TaskGraph,
         threads: usize,
         frames: usize,
-        priority: Priority,
         pool: &Arc<VenuePool>,
     ) -> Self {
         let exec = ExecGraph::new(graph, frames);
         let policy = P::for_session(&exec, threads, pool);
-        Self::register(exec, threads, priority, pool, policy)
+        Self::register(exec, threads, pool, policy)
     }
 }
 
@@ -544,7 +528,7 @@ mod tests {
             Strategy::Steal => Box::new(StealExecutor::new(g, lanes, 8)),
             Strategy::Hybrid => Box::new(HybridExecutor::new(g, lanes, 8, 2_000)),
             Strategy::Planned => {
-                let bp = ScheduleBlueprint::round_robin(g.topology(), lanes, Priority::Depth);
+                let bp = ScheduleBlueprint::round_robin(g.topology(), lanes);
                 Box::new(PlannedExecutor::new(g, 8, bp))
             }
         }

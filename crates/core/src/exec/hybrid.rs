@@ -11,7 +11,7 @@ use super::executor::PoolExecutor;
 use super::pool::VenuePool;
 use super::sleeping::Park;
 use super::ExecGraph;
-use crate::graph::{Priority, TaskGraph};
+use crate::graph::TaskGraph;
 use std::sync::Arc;
 
 /// Spin-then-park executor.
@@ -24,20 +24,8 @@ impl HybridExecutor {
     /// # Panics
     /// Panics if `threads == 0` or `threads > 64`.
     pub fn new(graph: TaskGraph, threads: usize, frames: usize, spin_budget: u32) -> Self {
-        Self::with_priority(graph, threads, frames, spin_budget, Priority::Depth)
-    }
-
-    /// Like [`new`](Self::new), but walking the queue in the order selected
-    /// by `priority` (depth order is the production default).
-    pub fn with_priority(
-        graph: TaskGraph,
-        threads: usize,
-        frames: usize,
-        spin_budget: u32,
-        priority: Priority,
-    ) -> Self {
         let pool = Arc::new(VenuePool::new(threads));
-        Self::with_pool(graph, threads, frames, spin_budget, priority, &pool)
+        Self::with_pool(graph, threads, frames, spin_budget, &pool)
     }
 
     /// Register this session on an existing shared [`VenuePool`] instead of
@@ -48,11 +36,10 @@ impl HybridExecutor {
         threads: usize,
         frames: usize,
         spin_budget: u32,
-        priority: Priority,
         pool: &Arc<VenuePool>,
     ) -> Self {
         let exec = ExecGraph::new(graph, frames);
-        Self::register(exec, threads, priority, pool, Park { spin_budget })
+        Self::register(exec, threads, pool, Park { spin_budget })
     }
 }
 
@@ -74,22 +61,6 @@ mod tests {
                 &format!("hybrid-{threads}-{budget}"),
             );
         }
-    }
-
-    #[test]
-    fn critical_path_priority_matches_sequential() {
-        run_and_check(
-            |g, frames| {
-                Box::new(HybridExecutor::with_priority(
-                    g,
-                    3,
-                    frames,
-                    2_000,
-                    Priority::CriticalPath,
-                ))
-            },
-            "hybrid-cp-3",
-        );
     }
 
     #[test]

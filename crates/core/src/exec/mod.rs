@@ -82,7 +82,7 @@ pub use stealing::{Steal, StealExecutor};
 
 use crate::faults::FaultPlan;
 use crate::flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow};
-use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
+use crate::graph::{GraphTopology, NodeId, TaskGraph};
 use crate::pad::CachePadded;
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing};
@@ -93,7 +93,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum number of predecessors a node may have (the DJ Star mixer has 5).
-pub const MAX_INPUTS: usize = 16;
+const MAX_INPUTS: usize = 16;
 
 /// The scheduling strategies of the paper (§V) plus the sequential baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -486,7 +486,7 @@ impl ExecGraph {
     /// `frames` frames with the processor's channel count.
     ///
     /// # Panics
-    /// Panics if any node has more than [`MAX_INPUTS`] predecessors.
+    /// Panics if any node has more than `MAX_INPUTS` (16) predecessors.
     pub fn new(graph: TaskGraph, frames: usize) -> Self {
         let (topo, processors) = graph.into_parts();
         for n in 0..topo.len() {
@@ -571,13 +571,6 @@ impl ExecGraph {
         spins
     }
 
-    /// True when `node` is done for `epoch` (an `Acquire` read: a `true`
-    /// result also makes the node's output visible to the caller).
-    #[inline]
-    pub fn is_done(&self, node: usize, epoch: u64) -> bool {
-        self.cells[node].done_epoch.load(Ordering::Acquire) == epoch
-    }
-
     /// Run `node`'s processor for `ctx.epoch` WITHOUT publishing its
     /// completion; [`publish`](Self::publish) must follow. The two halves
     /// exist so an instrumented caller can take the node's end timestamp
@@ -649,7 +642,7 @@ impl ExecGraph {
     /// processor from, with every processor back where it was. Returns the
     /// number of carried nodes. Driver only, between cycles (`&mut` on both
     /// graphs proves it); allocates only on the error path.
-    pub fn carry_over_from(&mut self, old: &mut ExecGraph) -> Result<usize, SwapError> {
+    fn carry_over_from(&mut self, old: &mut ExecGraph) -> Result<usize, SwapError> {
         let mut carried = 0;
         for n in 0..self.runtimes.len() {
             let Some(o) = self.survivor_in(n, old) else {
@@ -723,8 +716,6 @@ pub(crate) struct Shared {
     pub done_count: CachePadded<AtomicU32>,
     /// Lane count, including the driver (lane 0).
     pub threads: usize,
-    /// Which precomputed topological order the queue walk uses.
-    pub priority: Priority,
     /// Whether to record telemetry counters this cycle.
     pub telemetry: AtomicBool,
     /// The installed flight recorder, if any (one plain load per cycle per
@@ -753,18 +744,13 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Session state for `exec` with one lane per handle.
-    pub(crate) fn new(
-        exec: ExecGraph,
-        handles: Vec<std::thread::Thread>,
-        priority: Priority,
-    ) -> Self {
+    pub(crate) fn new(exec: ExecGraph, handles: Vec<std::thread::Thread>) -> Self {
         let threads = handles.len();
         Shared {
             exec: DriverCell::new(exec),
             generation: AtomicU64::new(0),
             done_count: CachePadded::new(AtomicU32::new(0)),
             threads,
-            priority,
             telemetry: AtomicBool::new(false),
             recorder: DriverCell::new(None),
             counters: (0..threads).map(|_| CycleCounters::new()).collect(),
@@ -830,20 +816,6 @@ impl Shared {
             // SAFETY: driver-only between cycles.
             unsafe { rec.stamp(stamp) };
         }
-    }
-
-    /// The topological order selected by this executor's priority.
-    #[inline]
-    pub(crate) fn order(&self) -> &[u32] {
-        self.graph().topology().order(self.priority)
-    }
-
-    /// Successor iteration order of `node` under this executor's priority.
-    #[inline]
-    pub(crate) fn succ_order(&self, node: u32) -> &[u32] {
-        self.graph()
-            .topology()
-            .succ_order(NodeId(node), self.priority)
     }
 
     /// Driver-side, first half of starting a cycle: reset the graph's
@@ -1118,10 +1090,10 @@ mod tests {
         b.add("a", Section::DeckA, Box::new(Passthrough), &[]);
         let g = b.build().unwrap();
         let exec = ExecGraph::new(g, 4);
-        assert!(!exec.is_done(0, 1));
+        let done = || exec.cells[0].done_epoch.load(Ordering::Acquire);
+        assert_ne!(done(), 1);
         unsafe { exec.execute(0, &CycleCtx::bare(1)) };
-        assert!(exec.is_done(0, 1));
-        assert!(!exec.is_done(0, 2));
+        assert_eq!(done(), 1);
         assert_eq!(exec.spin_until_done(0, 1), 0); // already done: no wait
     }
 

@@ -29,7 +29,7 @@ use super::busy::spin_then_exec;
 use super::executor::{Lane, Policy, PoolExecutor};
 use super::pool::VenuePool;
 use super::{Adoption, DriverCell, ExecGraph, RetiredGeneration, Shared, Strategy, SwapError};
-use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
+use crate::graph::{GraphTopology, NodeId, TaskGraph};
 use std::fmt;
 use std::sync::Arc;
 
@@ -170,14 +170,13 @@ impl ScheduleBlueprint {
         Ok(plan)
     }
 
-    /// The BUSY assignment as a blueprint: position `k` of the order
-    /// selected by `priority` goes to worker `k mod threads`. Useful as a
-    /// baseline and for tests that need a valid blueprint without running
-    /// the simulator.
-    pub fn round_robin(topo: &GraphTopology, threads: usize, priority: Priority) -> Self {
+    /// The BUSY assignment as a blueprint: position `k` of the depth queue
+    /// goes to worker `k mod threads`. Useful as a baseline and for tests
+    /// that need a valid blueprint without running the simulator.
+    pub fn round_robin(topo: &GraphTopology, threads: usize) -> Self {
         assert!(threads >= 1, "at least one worker required");
         let mut assignments: Vec<Vec<(u32, u64)>> = vec![Vec::new(); threads];
-        for (k, &node) in topo.order(priority).iter().enumerate() {
+        for (k, &node) in topo.queue().iter().enumerate() {
             assignments[k % threads].push((node, 0));
         }
         Self::from_assignments(topo, &assignments)
@@ -204,7 +203,7 @@ impl ScheduleBlueprint {
     /// topology's own edges, and re-validate coverage and deadlock
     /// freedom. A blueprint compiled against a disagreeing predecessor
     /// table therefore cannot smuggle in a missing wait.
-    pub fn recompile_for(&self, topo: &GraphTopology) -> Result<Self, BlueprintError> {
+    fn recompile_for(&self, topo: &GraphTopology) -> Result<Self, BlueprintError> {
         Self::from_assignments(
             topo,
             &self
@@ -353,7 +352,7 @@ impl PlannedExecutor {
         let policy = Replay {
             plan: DriverCell::new(plan),
         };
-        Self::register(exec, blueprint.threads(), Priority::Depth, pool, policy)
+        Self::register(exec, blueprint.threads(), pool, policy)
     }
 
     /// The blueprint being replayed (for the current generation).
@@ -391,11 +390,7 @@ impl Policy for Replay {
             Some(p) => p
                 .recompile_for(exec.topology())
                 .map_err(SwapError::Blueprint),
-            None => Ok(ScheduleBlueprint::round_robin(
-                exec.topology(),
-                sh.threads,
-                Priority::Depth,
-            )),
+            None => Ok(ScheduleBlueprint::round_robin(exec.topology(), sh.threads)),
         };
         let mut plan = match plan {
             Ok(plan) => plan,
@@ -431,7 +426,7 @@ mod tests {
         for threads in [1, 2, 3, 4] {
             run_and_check(
                 |g, frames| {
-                    let bp = ScheduleBlueprint::round_robin(g.topology(), threads, Priority::Depth);
+                    let bp = ScheduleBlueprint::round_robin(g.topology(), threads);
                     Box::new(PlannedExecutor::new(g, frames, bp))
                 },
                 &format!("plan-rr-{threads}"),
@@ -441,14 +436,25 @@ mod tests {
 
     #[test]
     fn critical_path_blueprint_matches_sequential() {
+        // Longest path to a sink first, dealt round-robin: placements and
+        // cross-worker waits the depth round-robin never produces.
         for threads in [1, 3] {
             run_and_check(
                 |g, frames| {
-                    let bp = ScheduleBlueprint::round_robin(
-                        g.topology(),
-                        threads,
-                        Priority::CriticalPath,
-                    );
+                    let topo = g.topology();
+                    let mut tail = vec![1u32; topo.len()];
+                    for &v in topo.queue().iter().rev() {
+                        for &s in topo.succs(NodeId(v)) {
+                            tail[v as usize] = tail[v as usize].max(tail[s as usize] + 1);
+                        }
+                    }
+                    let mut order: Vec<u32> = (0..topo.len() as u32).collect();
+                    order.sort_by_key(|&v| std::cmp::Reverse(tail[v as usize]));
+                    let mut lists: Vec<Vec<(u32, u64)>> = vec![Vec::new(); threads];
+                    for (k, &v) in order.iter().enumerate() {
+                        lists[k % threads].push((v, k as u64));
+                    }
+                    let bp = ScheduleBlueprint::from_assignments(topo, &lists).unwrap();
                     Box::new(PlannedExecutor::new(g, frames, bp))
                 },
                 &format!("plan-cp-{threads}"),
@@ -480,7 +486,7 @@ mod tests {
     #[test]
     fn trace_respects_dependencies_and_placement() {
         let g = fan_graph(16);
-        let bp = ScheduleBlueprint::round_robin(g.topology(), 4, Priority::Depth);
+        let bp = ScheduleBlueprint::round_robin(g.topology(), 4);
         let mut ex = PlannedExecutor::new(g, 8, bp);
         record(&mut ex);
         for _ in 0..20 {

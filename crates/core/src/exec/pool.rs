@@ -349,7 +349,6 @@ mod tests {
     use super::super::test_support::{diamond_sum_graph, fan_graph};
     use super::super::{BusyExecutor, GraphExecutor, SequentialExecutor, StealExecutor};
     use super::*;
-    use crate::graph::Priority;
 
     const FRAMES: usize = 64;
 
@@ -360,20 +359,8 @@ mod tests {
         // `run_driver_parts` like any other one-lane session.
         let graphs = [diamond_sum_graph, || fan_graph(7), || fan_graph(5)];
         let mut sessions: Vec<Box<dyn GraphExecutor>> = vec![
-            Box::new(BusyExecutor::with_pool(
-                graphs[0](),
-                3,
-                FRAMES,
-                Priority::Depth,
-                &pool,
-            )),
-            Box::new(StealExecutor::with_pool(
-                graphs[1](),
-                2,
-                FRAMES,
-                Priority::Depth,
-                &pool,
-            )),
+            Box::new(BusyExecutor::with_pool(graphs[0](), 3, FRAMES, &pool)),
+            Box::new(StealExecutor::with_pool(graphs[1](), 2, FRAMES, &pool)),
             Box::new(SequentialExecutor::with_pool(graphs[2](), FRAMES, &pool)),
         ];
         assert_eq!(pool.sessions(), 3);
@@ -415,12 +402,12 @@ mod tests {
     #[test]
     fn register_unregister_midstream() {
         let pool = Arc::new(VenuePool::new(2));
-        let mut a = BusyExecutor::with_pool(fan_graph(5), 2, FRAMES, Priority::Depth, &pool);
+        let mut a = BusyExecutor::with_pool(fan_graph(5), 2, FRAMES, &pool);
         for _ in 0..10 {
             a.run_cycle(&[], &[]);
         }
         {
-            let mut b = BusyExecutor::with_pool(fan_graph(9), 2, FRAMES, Priority::Depth, &pool);
+            let mut b = BusyExecutor::with_pool(fan_graph(9), 2, FRAMES, &pool);
             for _ in 0..10 {
                 let ea = a.venue_stage(&[], &[]);
                 let eb = b.venue_stage(&[], &[]);
@@ -441,6 +428,6 @@ mod tests {
     #[should_panic(expected = "lanes")]
     fn oversized_session_rejected() {
         let pool = Arc::new(VenuePool::new(2));
-        let _ = BusyExecutor::with_pool(fan_graph(5), 4, FRAMES, Priority::Depth, &pool);
+        let _ = BusyExecutor::with_pool(fan_graph(5), 4, FRAMES, &pool);
     }
 }

@@ -15,7 +15,7 @@
 use super::executor::{Lane, Policy, PoolExecutor};
 use super::pool::VenuePool;
 use super::{ExecGraph, Strategy};
-use crate::graph::{Priority, TaskGraph};
+use crate::graph::TaskGraph;
 use std::sync::Arc;
 
 /// The SEQ policy: no waiting — one lane walks the whole depth queue.
@@ -47,7 +47,7 @@ impl SequentialExecutor {
     /// one lane, the driver's.
     pub fn with_pool(graph: TaskGraph, frames: usize, pool: &Arc<VenuePool>) -> Self {
         let exec = ExecGraph::new(graph, frames);
-        Self::register(exec, 1, Priority::Depth, pool, Seq)
+        Self::register(exec, 1, pool, Seq)
     }
 }
 

@@ -101,7 +101,7 @@ impl<const SPIN: bool> Policy for Park<SPIN> {
         let topo = graph.topology();
         // SAFETY: handles were written before the epoch was published.
         let handles = unsafe { sh.handles.get() };
-        for (k, &node) in sh.order().iter().enumerate() {
+        for (k, &node) in topo.queue().iter().enumerate() {
             if k % sh.threads != lane.me {
                 continue;
             }
@@ -160,7 +160,6 @@ mod tests {
         diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
     };
     use crate::exec::GraphExecutor;
-    use crate::graph::Priority;
     use djstar_dsp::AudioBuf;
 
     #[test]
@@ -171,21 +170,6 @@ mod tests {
                 &format!("sleep-{threads}"),
             );
         }
-    }
-
-    #[test]
-    fn critical_path_priority_matches_sequential() {
-        run_and_check(
-            |g, frames| {
-                Box::new(SleepExecutor::with_priority(
-                    g,
-                    3,
-                    frames,
-                    Priority::CriticalPath,
-                ))
-            },
-            "sleep-cp-3",
-        );
     }
 
     #[test]

@@ -118,9 +118,7 @@ impl Steal {
         let sh = lane.sh;
         let mine = &self.deques()[lane.me];
         let mut released = 0u32;
-        // Under critical-path priority successors are visited in ascending
-        // cp-order, so the longest-path one is pushed last and popped first.
-        for &s in sh.succ_order(node) {
+        for &s in sh.graph().topology().succs(NodeId(node)) {
             let pending = &sh.graph().cell(s as usize).pending;
             if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 mine.push(s).expect("deque sized for the whole graph");
@@ -255,7 +253,6 @@ mod tests {
         diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
     };
     use crate::exec::GraphExecutor;
-    use crate::graph::Priority;
     use djstar_dsp::AudioBuf;
 
     #[test]
@@ -264,23 +261,6 @@ mod tests {
             run_and_check(
                 |g, frames| Box::new(StealExecutor::new(g, threads, frames)),
                 &format!("ws-{threads}"),
-            );
-        }
-    }
-
-    #[test]
-    fn critical_path_priority_matches_sequential() {
-        for threads in [1, 4] {
-            run_and_check(
-                |g, frames| {
-                    Box::new(StealExecutor::with_priority(
-                        g,
-                        threads,
-                        frames,
-                        Priority::CriticalPath,
-                    ))
-                },
-                &format!("ws-cp-{threads}"),
             );
         }
     }

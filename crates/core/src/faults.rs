@@ -143,7 +143,7 @@ impl FaultPlan {
 
     /// Kernel iterations the spike draw adds to `node` in `cycle`.
     #[inline]
-    pub fn spike_iters_for(&self, cycle: u64, node: u32) -> u32 {
+    fn spike_iters_for(&self, cycle: u64, node: u32) -> u32 {
         if self.spike_iters == 0 || self.spike_rate <= 0.0 {
             return 0;
         }
@@ -156,7 +156,7 @@ impl FaultPlan {
 
     /// True while the pressure square wave is high in `cycle`.
     #[inline]
-    pub fn pressure_active(&self, cycle: u64) -> bool {
+    fn pressure_active(&self, cycle: u64) -> bool {
         self.pressure_period != 0
             && self.pressure_iters != 0
             && cycle % self.pressure_period < self.pressure_len
@@ -164,7 +164,7 @@ impl FaultPlan {
 
     /// Kernel iterations pressure adds to every node in `cycle`.
     #[inline]
-    pub fn pressure_iters_for(&self, cycle: u64) -> u32 {
+    fn pressure_iters_for(&self, cycle: u64) -> u32 {
         if self.pressure_active(cycle) {
             self.pressure_iters
         } else {
@@ -174,7 +174,7 @@ impl FaultPlan {
 
     /// Kernel iterations the stall draw charges `lane` in `cycle`.
     #[inline]
-    pub fn stall_iters_for(&self, cycle: u64, lane: u32) -> u32 {
+    fn stall_iters_for(&self, cycle: u64, lane: u32) -> u32 {
         if lane >= self.stall_lanes || self.stall_iters == 0 || self.stall_rate <= 0.0 {
             return 0;
         }

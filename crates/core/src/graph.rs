@@ -87,63 +87,6 @@ impl Section {
     }
 }
 
-/// Which precomputed topological order the queue-based executors walk.
-///
-/// DJ Star's production queue sorts by *depth* (distance from the sources).
-/// "Longer Is Shorter" (He et al.) argues for prioritizing nodes on long
-/// dependency chains instead: sort by *critical-path length* (the longest
-/// chain from the node down to a sink), descending. Both orders are valid
-/// topological orders — for any edge `p → n`, `cp_len(p) > cp_len(n)` and
-/// `depth(p) < depth(n)` — so executors can switch between them freely and
-/// both stay benchmarkable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Priority {
-    /// The paper's queue order: ascending depth, insertion order within a
-    /// column. This is the production DJ Star behavior.
-    #[default]
-    Depth,
-    /// Descending critical-path length (longest path to a sink, counted in
-    /// nodes), insertion order within a tie. Nodes that gate the most
-    /// downstream work run first.
-    CriticalPath,
-    /// "Longer Is Shorter" path shaping (He et al.): descending
-    /// critical-path length like [`Priority::CriticalPath`], but ties are
-    /// broken by the longest *total* path through the node
-    /// (`depth + cp_len`, descending) instead of insertion order. Nodes
-    /// sitting on long end-to-end chains are serialized first, which
-    /// lengthens the nominal priority list but shortens the parallel
-    /// response time on skewed graphs. Still a valid topological order:
-    /// edges strictly decrease `cp_len`, so ties never carry edges.
-    LongerIsShorter,
-    /// Global fixed-priority: one static, structure-derived priority per
-    /// node (ascending depth, then descending `cp_len`, then descending
-    /// out-degree), mirroring global fixed-priority DAG response-time
-    /// analysis where every vertex carries a single system-wide priority.
-    /// Ascending depth is the strictly monotone primary key, so the order
-    /// stays topologically valid.
-    GlobalFixed,
-}
-
-impl Priority {
-    /// Every queue policy, in sweep order.
-    pub const ALL: [Priority; 4] = [
-        Priority::Depth,
-        Priority::CriticalPath,
-        Priority::LongerIsShorter,
-        Priority::GlobalFixed,
-    ];
-
-    /// Short label for reports and benchmarks.
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::Depth => "depth",
-            Priority::CriticalPath => "critical-path",
-            Priority::LongerIsShorter => "longer-is-shorter",
-            Priority::GlobalFixed => "global-fixed",
-        }
-    }
-}
-
 /// Errors detected while building a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
@@ -189,27 +132,9 @@ pub struct GraphTopology {
     preds: Vec<Vec<u32>>,
     succs: Vec<Vec<u32>>,
     depth: Vec<u32>,
-    /// Critical-path length of each node: longest chain (in nodes, including
-    /// the node itself) from the node down to any sink.
-    cp_len: Vec<u32>,
     /// Node ids in DJ Star queue order: sorted by depth, insertion order
     /// within equal depth ("column by column, left to right").
     queue: Vec<u32>,
-    /// Node ids sorted by descending critical-path length (stable, so
-    /// insertion order breaks ties). Also a valid topological order.
-    cp_queue: Vec<u32>,
-    /// "Longer Is Shorter" order: descending `cp_len`, ties by descending
-    /// total path through the node (`depth + cp_len`). Topologically valid
-    /// for the same reason as `cp_queue`.
-    lis_queue: Vec<u32>,
-    /// Global fixed-priority order: ascending depth, ties by descending
-    /// `cp_len`, then descending out-degree. Topologically valid because
-    /// depth strictly increases along edges.
-    gfp_queue: Vec<u32>,
-    /// Per-node successor lists re-sorted by ascending critical-path length.
-    /// The work-stealing executor pushes released successors in this order so
-    /// its LIFO deque pops the longest-path successor first.
-    succs_by_cp: Vec<Vec<u32>>,
     /// Nodes with no predecessors, in queue order.
     sources: Vec<u32>,
 }
@@ -262,52 +187,9 @@ impl GraphTopology {
         self.depth[n.idx()]
     }
 
-    /// Critical-path length of a node: the longest dependency chain (counted
-    /// in nodes, including `n` itself) from `n` down to any sink. 1 for
-    /// sinks.
-    pub fn cp_len(&self, n: NodeId) -> u32 {
-        self.cp_len[n.idx()]
-    }
-
     /// The DJ Star execution queue (a valid topological order).
     pub fn queue(&self) -> &[u32] {
         &self.queue
-    }
-
-    /// Node ids by descending critical-path length (also a valid topological
-    /// order: for any edge `p → n`, `cp_len(p) ≥ cp_len(n) + 1`, so ties
-    /// never carry edges).
-    pub fn cp_queue(&self) -> &[u32] {
-        &self.cp_queue
-    }
-
-    /// The execution order selected by `priority`.
-    pub fn order(&self, priority: Priority) -> &[u32] {
-        match priority {
-            Priority::Depth => &self.queue,
-            Priority::CriticalPath => &self.cp_queue,
-            Priority::LongerIsShorter => &self.lis_queue,
-            Priority::GlobalFixed => &self.gfp_queue,
-        }
-    }
-
-    /// Successors of `n` sorted by ascending critical-path length. Pushing
-    /// released successors in this order makes a LIFO deque pop the
-    /// longest-path successor first.
-    pub fn succs_by_cp(&self, n: NodeId) -> &[u32] {
-        &self.succs_by_cp[n.idx()]
-    }
-
-    /// The successor iteration order selected by `priority`: graph order for
-    /// [`Priority::Depth`] and [`Priority::GlobalFixed`] (a single static
-    /// rank needs no per-release reshuffle), ascending critical-path length
-    /// for the path-shaping policies so a LIFO pop takes the longest path
-    /// first.
-    pub fn succ_order(&self, n: NodeId, priority: Priority) -> &[u32] {
-        match priority {
-            Priority::Depth | Priority::GlobalFixed => &self.succs[n.idx()],
-            Priority::CriticalPath | Priority::LongerIsShorter => &self.succs_by_cp[n.idx()],
-        }
     }
 
     /// Source nodes (no dependencies), in queue order.
@@ -522,49 +404,6 @@ impl TaskGraphBuilder {
             .copied()
             .filter(|&i| self.nodes[i as usize].preds.is_empty())
             .collect();
-        // Critical-path length: walk the queue backwards so every successor
-        // is finalized before its predecessors are visited.
-        let mut cp_len = vec![1u32; n];
-        for &v in queue.iter().rev() {
-            for &s in &succs[v as usize] {
-                cp_len[v as usize] = cp_len[v as usize].max(cp_len[s as usize] + 1);
-            }
-        }
-        let mut cp_queue: Vec<u32> = (0..n as u32).collect();
-        cp_queue.sort_by_key(|&i| std::cmp::Reverse(cp_len[i as usize]));
-        // "Longer Is Shorter": same strictly monotone primary key as
-        // cp_queue, but ties prefer the node on the longest end-to-end path
-        // (depth + cp_len counts the node once per term, which is fine for
-        // ranking).
-        let mut lis_queue: Vec<u32> = (0..n as u32).collect();
-        lis_queue.sort_by_key(|&i| {
-            let i = i as usize;
-            (
-                std::cmp::Reverse(cp_len[i]),
-                std::cmp::Reverse(depth[i] + cp_len[i]),
-            )
-        });
-        // Global fixed-priority: one static rank per node. Ascending depth
-        // keeps it a topological order; within a column the node gating the
-        // longest tail (then the most successors) outranks its peers.
-        let mut gfp_queue: Vec<u32> = (0..n as u32).collect();
-        gfp_queue.sort_by_key(|&i| {
-            let i = i as usize;
-            (
-                depth[i],
-                std::cmp::Reverse(cp_len[i]),
-                std::cmp::Reverse(succs[i].len()),
-            )
-        });
-        let succs_by_cp: Vec<Vec<u32>> = succs
-            .iter()
-            .map(|ss| {
-                let mut ss = ss.clone();
-                ss.sort_by_key(|&s| cp_len[s as usize]);
-                ss
-            })
-            .collect();
-
         let mut names = Vec::with_capacity(n);
         let mut sections = Vec::with_capacity(n);
         let mut preds = Vec::with_capacity(n);
@@ -588,12 +427,7 @@ impl TaskGraphBuilder {
                 preds,
                 succs,
                 depth,
-                cp_len,
                 queue,
-                cp_queue,
-                lis_queue,
-                gfp_queue,
-                succs_by_cp,
                 sources,
             },
             processors,
@@ -729,130 +563,6 @@ mod tests {
         }
         assert!(dot.contains("n0 -> n1"));
         assert!(dot.contains("n1 -> n3"));
-    }
-
-    #[test]
-    fn critical_path_lengths_on_diamond() {
-        let g = diamond();
-        let t = g.topology();
-        assert_eq!(t.cp_len(NodeId(0)), 3);
-        assert_eq!(t.cp_len(NodeId(1)), 2);
-        assert_eq!(t.cp_len(NodeId(2)), 2);
-        assert_eq!(t.cp_len(NodeId(3)), 1);
-        assert_eq!(t.cp_queue(), &[0, 1, 2, 3]);
-        assert_eq!(t.order(Priority::Depth), t.queue());
-        assert_eq!(t.order(Priority::CriticalPath), t.cp_queue());
-    }
-
-    #[test]
-    fn cp_queue_is_valid_execution_order() {
-        // Random-ish DAG: cp order must respect every edge even when it
-        // disagrees with the depth order.
-        let mut b = TaskGraphBuilder::new();
-        let mut ids = Vec::new();
-        for i in 0..40u32 {
-            let preds: Vec<NodeId> = ids
-                .iter()
-                .copied()
-                .filter(|p: &NodeId| (i * 3 + p.0).is_multiple_of(5))
-                .collect();
-            ids.push(b.add(format!("n{i}"), Section::Master, pt(), &preds));
-        }
-        let g = b.build().unwrap();
-        let t = g.topology();
-        assert!(t.is_valid_execution_order(t.cp_queue()));
-        // Edges strictly decrease cp_len, so equal-cp nodes never depend on
-        // each other (the property that makes the stable sort safe).
-        for n in 0..t.len() {
-            let id = NodeId(n as u32);
-            for &p in t.preds(id) {
-                assert!(t.cp_len(NodeId(p)) > t.cp_len(id));
-            }
-        }
-    }
-
-    #[test]
-    fn all_priority_orders_are_valid_execution_orders() {
-        // Random-ish DAG: every precomputed policy order must respect every
-        // edge, including the two DAG-literature policies.
-        let mut b = TaskGraphBuilder::new();
-        let mut ids = Vec::new();
-        for i in 0..60u32 {
-            let preds: Vec<NodeId> = ids
-                .iter()
-                .copied()
-                .filter(|p: &NodeId| (i * 5 + p.0 * 2).is_multiple_of(7))
-                .collect();
-            ids.push(b.add(format!("n{i}"), Section::Master, pt(), &preds));
-        }
-        let g = b.build().unwrap();
-        let t = g.topology();
-        for pr in Priority::ALL {
-            assert!(
-                t.is_valid_execution_order(t.order(pr)),
-                "{} order violates dependencies",
-                pr.label()
-            );
-        }
-    }
-
-    #[test]
-    fn longer_is_shorter_ties_prefer_long_total_paths() {
-        // Two nodes with equal cp_len (2): node 1 sits on a depth-1 chain
-        // (total path 3), node 2 is a source (total path 2). LIS must rank
-        // the deeper chain first; plain CP keeps insertion order.
-        let mut b = TaskGraphBuilder::new();
-        let a = b.add("a", Section::DeckA, pt(), &[]);
-        let x = b.add("x", Section::DeckA, pt(), &[a]); // depth 1, cp 2
-        let y = b.add("y", Section::DeckB, pt(), &[]); // depth 0, cp 2
-        b.add("xs", Section::Master, pt(), &[x]);
-        b.add("ys", Section::Master, pt(), &[y]);
-        let g = b.build().unwrap();
-        let t = g.topology();
-        assert_eq!(t.cp_len(x), t.cp_len(y));
-        let lis = t.order(Priority::LongerIsShorter);
-        let px = lis.iter().position(|&n| n == x.0).unwrap();
-        let py = lis.iter().position(|&n| n == y.0).unwrap();
-        assert!(
-            px < py,
-            "LIS must rank the longer total path first: {lis:?}"
-        );
-        assert!(t.is_valid_execution_order(lis));
-    }
-
-    #[test]
-    fn global_fixed_ranks_within_columns() {
-        // Same depth column: the node with the longer tail outranks its
-        // peer regardless of insertion order.
-        let mut b = TaskGraphBuilder::new();
-        let a = b.add("a", Section::DeckA, pt(), &[]);
-        let short = b.add("short", Section::DeckA, pt(), &[a]); // cp 1
-        let long = b.add("long", Section::DeckB, pt(), &[a]); // cp 2
-        b.add("tail", Section::Master, pt(), &[long]);
-        let g = b.build().unwrap();
-        let t = g.topology();
-        let gfp = t.order(Priority::GlobalFixed);
-        let ps = gfp.iter().position(|&n| n == short.0).unwrap();
-        let pl = gfp.iter().position(|&n| n == long.0).unwrap();
-        assert!(pl < ps, "GFP must rank the longer tail first: {gfp:?}");
-        assert!(t.is_valid_execution_order(gfp));
-    }
-
-    #[test]
-    fn succs_by_cp_sorted_ascending() {
-        // chain 0 -> 1 -> 3 and edge 0 -> 2 (sink): succ 2 (cp 1) must come
-        // before succ 1 (cp 2) so a LIFO pop takes the long path first.
-        let mut b = TaskGraphBuilder::new();
-        let a = b.add("a", Section::DeckA, pt(), &[]);
-        let x = b.add("b", Section::DeckA, pt(), &[a]);
-        b.add("c", Section::DeckB, pt(), &[a]);
-        b.add("d", Section::Master, pt(), &[x]);
-        let g = b.build().unwrap();
-        let t = g.topology();
-        assert_eq!(t.succs(NodeId(0)), &[1, 2]);
-        assert_eq!(t.succs_by_cp(NodeId(0)), &[2, 1]);
-        assert_eq!(t.succ_order(NodeId(0), Priority::Depth), &[1, 2]);
-        assert_eq!(t.succ_order(NodeId(0), Priority::CriticalPath), &[2, 1]);
     }
 
     #[test]

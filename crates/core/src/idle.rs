@@ -39,11 +39,6 @@ impl IdleSet {
         }
     }
 
-    /// Number of workers this set can track.
-    pub fn worker_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Register `worker` as idle. Call *before* the final work re-check.
     pub fn register(&self, worker: usize) {
         self.bits.fetch_or(1 << worker, Ordering::SeqCst);
@@ -52,16 +47,6 @@ impl IdleSet {
     /// Deregister `worker` (after waking or finding work).
     pub fn deregister(&self, worker: usize) {
         self.bits.fetch_and(!(1u64 << worker), Ordering::SeqCst);
-    }
-
-    /// True if `worker` is currently registered idle.
-    pub fn is_registered(&self, worker: usize) -> bool {
-        self.bits.load(Ordering::SeqCst) & (1 << worker) != 0
-    }
-
-    /// Number of registered idle workers.
-    pub fn idle_count(&self) -> u32 {
-        self.bits.load(Ordering::SeqCst).count_ones()
     }
 
     /// Wake one registered idle worker, if any. Returns the woken worker.
@@ -104,10 +89,9 @@ mod tests {
     fn register_and_wake_one() {
         let set = IdleSet::new(vec![std::thread::current(); 3]);
         set.register(1);
-        assert!(set.is_registered(1));
-        assert_eq!(set.idle_count(), 1);
+        assert_eq!(set.bits.load(Ordering::SeqCst), 0b10);
         assert_eq!(set.wake_one(), Some(1));
-        assert!(!set.is_registered(1));
+        assert_eq!(set.bits.load(Ordering::SeqCst), 0);
         assert_eq!(set.wake_one(), None);
     }
 
@@ -135,7 +119,7 @@ mod tests {
             set.register(w);
         }
         set.wake_all();
-        assert_eq!(set.idle_count(), 0);
+        assert_eq!(set.bits.load(Ordering::SeqCst), 0);
     }
 
     /// A worker that parks via the protocol is actually woken by a producer.

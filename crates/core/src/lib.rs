@@ -81,7 +81,7 @@ pub use exec::{
 };
 pub use faults::FaultPlan;
 pub use flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
-pub use graph::{GraphError, NodeId, Priority, Section, TaskGraph, TaskGraphBuilder};
+pub use graph::{GraphError, NodeId, Section, TaskGraph, TaskGraphBuilder};
 pub use net::{JitterBuffer, JitterConfig, NetFaultPlan, NetStats};
 pub use pad::CachePadded;
 pub use processor::{CycleCtx, Processor};

@@ -150,7 +150,7 @@ impl NetFaultPlan {
 
     /// True while the jitter-burst square wave is high in `cycle`.
     #[inline]
-    pub fn burst_active(&self, cycle: u64) -> bool {
+    fn burst_active(&self, cycle: u64) -> bool {
         self.burst_period != 0
             && self.burst_jitter != 0
             && cycle % self.burst_period < self.burst_len
@@ -167,7 +167,7 @@ impl NetFaultPlan {
     /// or `None` when it is lost. Pure per-`(seed, cycle, stream)`; the
     /// result is clamped so it never exceeds [`MAX_DELAY`].
     #[inline]
-    pub fn delay_of(&self, cycle: u64, stream: u32) -> Option<u32> {
+    fn delay_of(&self, cycle: u64, stream: u32) -> Option<u32> {
         if self.lost(cycle, stream) {
             return None;
         }

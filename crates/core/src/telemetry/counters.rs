@@ -274,11 +274,6 @@ impl CounterSnapshot {
         self.net_packets_lost + self.net_packets_late + self.net_packets_dup
     }
 
-    /// True when every field is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == CounterSnapshot::default()
-    }
-
     /// Accumulate `other` into `self` (sums everywhere; the deque
     /// high-water mark takes the maximum).
     pub fn merge(&mut self, other: &CounterSnapshot) {
@@ -371,7 +366,11 @@ mod tests {
 
         let mut again = CounterSnapshot::default();
         c.drain_into(&mut again);
-        assert!(again.is_zero(), "drain must reset every counter");
+        assert_eq!(
+            again,
+            CounterSnapshot::default(),
+            "drain must reset every counter"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use djstar_core::exec::{
     SequentialExecutor, SleepExecutor, StealExecutor, Strategy,
 };
 use djstar_core::faults::FaultPlan;
-use djstar_core::graph::{NodeId, Priority, Section, TaskGraph, TaskGraphBuilder};
+use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{CycleCtx, FnProcessor};
 use djstar_dsp::rng::SmallRng;
 use djstar_dsp::AudioBuf;
@@ -73,7 +73,7 @@ fn make_executor(strategy: Strategy, threads: usize) -> Box<dyn GraphExecutor> {
         Strategy::Steal => Box::new(StealExecutor::new(g, threads, FRAMES)),
         Strategy::Hybrid => Box::new(HybridExecutor::new(g, threads, FRAMES, 500)),
         Strategy::Planned => {
-            let bp = ScheduleBlueprint::round_robin(g.topology(), threads, Priority::Depth);
+            let bp = ScheduleBlueprint::round_robin(g.topology(), threads);
             Box::new(PlannedExecutor::new(g, FRAMES, bp))
         }
     }

@@ -9,7 +9,7 @@ use djstar_core::exec::{
     SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor, Strategy, SwapError,
 };
 use djstar_core::flight::FlightConfig;
-use djstar_core::graph::{NodeId, Priority, Section, TaskGraph, TaskGraphBuilder};
+use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{CycleCtx, FnProcessor};
 use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::rng::SmallRng;
@@ -72,6 +72,29 @@ fn expected_values(preds: &[Vec<u32>]) -> Vec<f32> {
     vals
 }
 
+/// A PLAN blueprint that is not the depth round-robin: nodes sorted by
+/// descending longest path to a sink (counted in nodes, ties by index) and
+/// dealt round-robin onto `threads` workers. Edges strictly shorten that
+/// path, so the order is topological and every worker's list replays; the
+/// cross-worker waits differ from the ones the depth queue produces.
+fn longest_path_blueprint(g: &TaskGraph, threads: usize) -> ScheduleBlueprint {
+    let topo = g.topology();
+    let mut tail = vec![1u32; topo.len()];
+    for &v in topo.queue().iter().rev() {
+        for &s in topo.succs(NodeId(v)) {
+            tail[v as usize] = tail[v as usize].max(tail[s as usize] + 1);
+        }
+    }
+    let mut order: Vec<u32> = (0..topo.len() as u32).collect();
+    order.sort_by_key(|&v| std::cmp::Reverse(tail[v as usize]));
+    let mut assignments: Vec<Vec<(u32, u64)>> = vec![Vec::new(); threads];
+    for (k, &v) in order.iter().enumerate() {
+        assignments[k % threads].push((v, k as u64));
+    }
+    ScheduleBlueprint::from_assignments(topo, &assignments)
+        .expect("a round-robin deal of a topological order replays")
+}
+
 #[test]
 fn random_dags_build_with_valid_queues() {
     let mut rng = SmallRng::seed_from_u64(0x9A6);
@@ -105,7 +128,7 @@ fn all_executors_compute_correct_values_on_random_dags() {
         let frames = 4;
         let planned = {
             let g = build_graph(&preds);
-            let bp = ScheduleBlueprint::round_robin(g.topology(), threads, Priority::Depth);
+            let bp = ScheduleBlueprint::round_robin(g.topology(), threads);
             PlannedExecutor::new(g, frames, bp)
         };
         let mut executors: Vec<Box<dyn GraphExecutor>> = vec![
@@ -155,13 +178,13 @@ fn planned_executor_runs_every_node_exactly_once_on_random_dags() {
     for case in 0..16 {
         let preds = random_dag(&mut rng, 20);
         let threads = 1 + rng.below(8);
-        let priority = if rng.chance(0.5) {
-            Priority::Depth
-        } else {
-            Priority::CriticalPath
-        };
+        let longest_path = rng.chance(0.5);
         let g = build_graph(&preds);
-        let bp = ScheduleBlueprint::round_robin(g.topology(), threads, priority);
+        let bp = if longest_path {
+            longest_path_blueprint(&g, threads)
+        } else {
+            ScheduleBlueprint::round_robin(g.topology(), threads)
+        };
         let mut ex = PlannedExecutor::new(g, 4, bp);
         ex.set_flight_recorder(Some(FlightConfig::default()));
         for _ in 0..5 {
@@ -173,13 +196,13 @@ fn planned_executor_runs_every_node_exactly_once_on_random_dags() {
             assert_eq!(
                 nodes,
                 (0..preds.len() as u32).collect::<Vec<_>>(),
-                "case {case} t={threads} {priority:?}"
+                "case {case} t={threads} longest_path={longest_path}"
             );
             // Every dependency edge is respected in wall-clock order.
             let topo = ex.topology();
             assert!(
                 trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()),
-                "case {case} t={threads} {priority:?}"
+                "case {case} t={threads} longest_path={longest_path}"
             );
         }
     }
@@ -194,7 +217,7 @@ fn planned_executor_computes_correct_values_on_random_dags() {
         let want = expected_values(&preds);
         let sink = preds.len() - 1;
         let g = build_graph(&preds);
-        let bp = ScheduleBlueprint::round_robin(g.topology(), threads, Priority::CriticalPath);
+        let bp = longest_path_blueprint(&g, threads);
         let mut ex = PlannedExecutor::new(g, 4, bp);
         for _ in 0..3 {
             ex.run_cycle(&[], &[]);
@@ -226,7 +249,7 @@ fn make_executor(
         Strategy::Steal => Box::new(StealExecutor::new(graph, threads, frames)),
         Strategy::Hybrid => Box::new(HybridExecutor::new(graph, threads, frames, 2000)),
         Strategy::Planned => {
-            let bp = ScheduleBlueprint::round_robin(graph.topology(), threads, Priority::Depth);
+            let bp = ScheduleBlueprint::round_robin(graph.topology(), threads);
             Box::new(PlannedExecutor::new(graph, frames, bp))
         }
     }
@@ -299,13 +322,13 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     let b = random_dag(&mut rng, 16);
     let threads = 3;
     let g_a = build_graph(&a);
-    let bp_a = ScheduleBlueprint::round_robin(g_a.topology(), threads, Priority::Depth);
+    let bp_a = ScheduleBlueprint::round_robin(g_a.topology(), threads);
     let mut ex = PlannedExecutor::new(g_a, 4, bp_a);
     check_cycles(&mut ex, &a, 2, "planned pre-swap");
 
     // A staged generation carrying a freshly compiled blueprint.
     let g_b = build_graph(&b);
-    let bp_b = ScheduleBlueprint::round_robin(g_b.topology(), threads, Priority::CriticalPath);
+    let bp_b = longest_path_blueprint(&g_b, threads);
     let staged = StagedGeneration::with_plan(g_b, 4, bp_b);
     assert!(staged.has_plan());
     assert_eq!(ex.adopt_generation(staged).0.unwrap(), 1);
@@ -314,7 +337,7 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     // Wrong worker count: rejected, running generation untouched.
     let bad_plan = {
         let g = build_graph(&a);
-        ScheduleBlueprint::round_robin(g.topology(), threads + 1, Priority::Depth)
+        ScheduleBlueprint::round_robin(g.topology(), threads + 1)
     };
     let staged = StagedGeneration::with_plan(build_graph(&a), 4, bad_plan);
     match ex.adopt_generation(staged).0 {

@@ -44,7 +44,7 @@ use djstar_core::exec::{
 };
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::FlightConfig;
-use djstar_core::graph::{NodeId, Priority, Section, TaskGraph, TaskGraphBuilder};
+use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{CycleCtx, FnProcessor};
 use djstar_dsp::AudioBuf;
 
@@ -101,7 +101,7 @@ fn telemetry_cycles_do_not_allocate() {
         ),
         ("PLAN", {
             let g = graph();
-            let bp = ScheduleBlueprint::round_robin(g.topology(), THREADS, Priority::Depth);
+            let bp = ScheduleBlueprint::round_robin(g.topology(), THREADS);
             Box::new(PlannedExecutor::new(g, FRAMES, bp))
         }),
     ];

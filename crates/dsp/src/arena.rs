@@ -89,12 +89,6 @@ impl BufferArena {
         self.storage.len() * LINE_FLOATS
     }
 
-    /// The `(channels, frames)` layout of `slot`.
-    pub fn slot_layout(&self, slot: usize) -> (usize, usize) {
-        let s = self.slots[slot];
-        (s.channels, s.frames)
-    }
-
     /// A zeroed-at-allocation [`AudioBuf`] view of `slot`.
     ///
     /// # Safety
@@ -135,7 +129,7 @@ mod tests {
             assert!(v.is_view());
             assert_eq!(
                 (v.channels(), v.frames()),
-                arena.slot_layout(i),
+                (arena.slots[i].channels, arena.slots[i].frames),
                 "slot {i} layout"
             );
             assert_eq!(v.samples().as_ptr() as usize % 64, 0, "slot {i} alignment");

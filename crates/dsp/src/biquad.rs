@@ -299,46 +299,6 @@ fn process_chunk_wide(chain: &mut [Biquad], buf: &mut AudioBuf) {
     }
 }
 
-/// A cascade of identical-topology biquads applied in series, e.g. a 4th
-/// order lowpass built from two 2nd-order sections.
-#[derive(Debug, Clone)]
-pub struct BiquadCascade {
-    sections: Vec<Biquad>,
-}
-
-impl BiquadCascade {
-    /// Cascade of `n` sections with the same design.
-    pub fn design(kind: FilterKind, freq_hz: f32, q: f32, sample_rate: u32, n: usize) -> Self {
-        BiquadCascade {
-            sections: (0..n)
-                .map(|_| Biquad::design(kind, freq_hz, q, sample_rate))
-                .collect(),
-        }
-    }
-
-    /// Number of second-order sections.
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// True when the cascade has no sections (pass-through).
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
-    }
-
-    /// Clear all section states.
-    pub fn reset(&mut self) {
-        for s in &mut self.sections {
-            s.reset();
-        }
-    }
-
-    /// Filter a buffer in place through every section (one fused pass).
-    pub fn process(&mut self, buf: &mut AudioBuf) {
-        process_chain(&mut self.sections, buf);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,31 +406,6 @@ mod tests {
         let mut buf = AudioBuf::from_fn(1, 256, |_, i| if i == 0 { 1.0 } else { 0.0 });
         filt.process(&mut buf);
         assert!(buf.is_finite());
-    }
-
-    #[test]
-    fn cascade_is_steeper_than_single() {
-        let single = response(FilterKind::Lowpass, 1000.0, 4000.0);
-        let mut osc = Oscillator::new(Waveform::Sine, 4000.0, 44_100);
-        let mut casc = BiquadCascade::design(
-            FilterKind::Lowpass,
-            1000.0,
-            core::f32::consts::FRAC_1_SQRT_2,
-            44_100,
-            3,
-        );
-        let mut buf = AudioBuf::zeroed(1, 4096);
-        for s in buf.samples_mut() {
-            *s = osc.next_sample();
-        }
-        casc.process(&mut buf);
-        let mut buf2 = AudioBuf::zeroed(1, 4096);
-        for s in buf2.samples_mut() {
-            *s = osc.next_sample();
-        }
-        casc.process(&mut buf2);
-        let triple = buf2.rms() / core::f32::consts::FRAC_1_SQRT_2;
-        assert!(triple < single * 0.1, "single {single}, cascade {triple}");
     }
 
     #[test]

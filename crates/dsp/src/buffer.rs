@@ -172,7 +172,7 @@ impl AudioBuf {
     /// Both channel planes at once; mono buffers return an empty right
     /// plane.
     #[inline]
-    pub fn as_planar_slices(&self) -> (&[f32], &[f32]) {
+    fn as_planar_slices(&self) -> (&[f32], &[f32]) {
         let frames = self.frames;
         if self.channels == 2 {
             self.as_slice().split_at(frames)
@@ -377,16 +377,6 @@ impl AudioBuf {
         (sum / data.len() as f32).sqrt()
     }
 
-    /// Scalar reference for [`AudioBuf::rms`].
-    pub fn rms_scalar(&self) -> f32 {
-        let data = self.as_slice();
-        if data.is_empty() {
-            return 0.0;
-        }
-        let sum: f32 = data.iter().map(|s| s * s).sum();
-        (sum / data.len() as f32).sqrt()
-    }
-
     /// Largest absolute sample value.
     pub fn peak(&self) -> f32 {
         let data = self.as_slice();
@@ -409,7 +399,7 @@ impl AudioBuf {
     }
 
     /// Scalar reference for [`AudioBuf::peak`].
-    pub fn peak_scalar(&self) -> f32 {
+    fn peak_scalar(&self) -> f32 {
         self.as_slice().iter().fold(0.0f32, |m, s| m.max(s.abs()))
     }
 
@@ -426,7 +416,7 @@ impl AudioBuf {
     }
 
     /// Scalar reference for [`AudioBuf::energy`].
-    pub fn energy_scalar(&self) -> f32 {
+    fn energy_scalar(&self) -> f32 {
         self.as_slice().iter().map(|s| s * s).sum()
     }
 
@@ -644,7 +634,7 @@ mod tests {
     fn reductions_agree_with_scalar() {
         let b = AudioBuf::from_fn(2, 37, |ch, i| ((ch * 37 + i) as f32 * 0.7).sin());
         assert_eq!(b.peak(), b.peak_scalar());
-        assert!((b.rms() - b.rms_scalar()).abs() < 1e-6);
+        assert!((b.rms() - (b.energy_scalar() / b.samples().len() as f32).sqrt()).abs() < 1e-6);
         assert!((b.energy() - b.energy_scalar()).abs() < 1e-4);
     }
 

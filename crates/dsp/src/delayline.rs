@@ -195,11 +195,6 @@ impl StereoDelayLine {
         &mut self.lines[channel]
     }
 
-    /// Immutable access to channel line (for reads).
-    pub fn channel_ref(&self, channel: usize) -> &DelayLine {
-        &self.lines[channel]
-    }
-
     /// Clear both channels.
     pub fn clear(&mut self) {
         for l in &mut self.lines {
@@ -268,7 +263,7 @@ mod tests {
         let mut sdl = StereoDelayLine::new(4);
         sdl.channel(0).push(1.0);
         sdl.channel(1).push(2.0);
-        assert_eq!(sdl.channel_ref(0).read(1), 1.0);
-        assert_eq!(sdl.channel_ref(1).read(1), 2.0);
+        assert_eq!(sdl.lines[0].read(1), 1.0);
+        assert_eq!(sdl.lines[1].read(1), 2.0);
     }
 }

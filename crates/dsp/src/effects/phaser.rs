@@ -42,11 +42,6 @@ impl Phaser {
         }
     }
 
-    /// Number of allpass stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
     /// The per-frame definition of the phaser: one LFO step, then per
     /// channel one pass down the allpass chain. Test and bench oracle for
     /// [`process`](Effect::process); nothing at run time calls it.
@@ -138,8 +133,8 @@ mod tests {
 
     #[test]
     fn stage_count_clamped() {
-        assert_eq!(Phaser::new(44_100, 1.0, 0, 0.5).stage_count(), 1);
-        assert_eq!(Phaser::new(44_100, 1.0, 100, 0.5).stage_count(), 16);
+        assert_eq!(Phaser::new(44_100, 1.0, 0, 0.5).stages.len(), 1);
+        assert_eq!(Phaser::new(44_100, 1.0, 100, 0.5).stages.len(), 16);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl ThreeBandEq {
         ));
     }
 
-    /// Current band gains in dB.
-    pub fn gains_db(&self) -> [f32; 3] {
-        self.gains_db
-    }
-
     /// Clear filter state.
     pub fn reset(&mut self) {
         for s in &mut self.sections {
@@ -216,7 +211,7 @@ mod tests {
     fn gains_clamped() {
         let mut eq = ThreeBandEq::new(44_100);
         eq.set_gains(-100.0, 100.0, 0.0);
-        assert_eq!(eq.gains_db(), [-26.0, 12.0, 0.0]);
+        assert_eq!(eq.gains_db, [-26.0, 12.0, 0.0]);
     }
 
     #[test]

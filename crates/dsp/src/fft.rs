@@ -308,40 +308,6 @@ pub fn fft_real(signal: &[f32]) -> Vec<Complex> {
     data
 }
 
-/// Magnitude spectrum of a real signal (first `n/2 + 1` bins).
-pub fn magnitude_spectrum(signal: &[f32]) -> Vec<f32> {
-    let spec = fft_real(signal);
-    let n = spec.len();
-    spec.iter().take(n / 2 + 1).map(|c| c.abs()).collect()
-}
-
-/// Index of the strongest non-DC bin and its frequency in Hz.
-pub fn dominant_frequency(signal: &[f32], sample_rate: u32) -> f32 {
-    let mags = magnitude_spectrum(signal);
-    let (idx, _) = mags
-        .iter()
-        .enumerate()
-        .skip(1)
-        .fold(
-            (0usize, 0.0f32),
-            |best, (i, &m)| {
-                if m > best.1 {
-                    (i, m)
-                } else {
-                    best
-                }
-            },
-        );
-    idx as f32 * sample_rate as f32 / signal.len() as f32
-}
-
-/// A Hann window of length `n`.
-pub fn hann_window(n: usize) -> Vec<f32> {
-    (0..n)
-        .map(|i| 0.5 - 0.5 * (TAU * i as f32 / n as f32).cos())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,7 +333,8 @@ mod tests {
     #[test]
     fn pure_tone_concentrates_in_its_bin() {
         let signal = sine(512, 17.0);
-        let mags = magnitude_spectrum(&signal);
+        let spec = fft_real(&signal);
+        let mags: Vec<f32> = spec[..=256].iter().map(|c| c.abs()).collect();
         let peak = mags
             .iter()
             .enumerate()
@@ -377,16 +344,6 @@ mod tests {
         assert_eq!(peak, 17);
         // A full-scale sine of exact bin frequency: |X[k]| = n/2.
         assert!((mags[17] - 256.0).abs() < 1.0, "{}", mags[17]);
-    }
-
-    #[test]
-    fn dominant_frequency_detects_tone() {
-        let sr = 44_100u32;
-        let n = 1024;
-        // 10 full cycles in 1024 samples → 10 * 44100/1024 ≈ 430.7 Hz.
-        let signal = sine(n, 10.0);
-        let f = dominant_frequency(&signal, sr);
-        assert!((f - 430.66).abs() < 1.0, "f = {f}");
     }
 
     #[test]
@@ -420,14 +377,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         fft_real(&[0.0; 100]);
-    }
-
-    #[test]
-    fn hann_window_shape() {
-        let w = hann_window(64);
-        assert!(w[0] < 1e-6);
-        assert!((w[32] - 1.0).abs() < 1e-3);
-        assert_eq!(w.len(), 64);
     }
 
     #[test]

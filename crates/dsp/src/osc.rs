@@ -67,11 +67,6 @@ impl Oscillator {
         }
     }
 
-    /// Change the frequency; phase stays continuous.
-    pub fn set_freq(&mut self, freq_hz: f32) {
-        self.freq_hz = freq_hz;
-    }
-
     /// Current frequency in Hz.
     pub fn freq(&self) -> f32 {
         self.freq_hz
@@ -202,17 +197,6 @@ mod tests {
             saw_neg |= s < 0.0;
         }
         assert!(saw_pos && saw_neg);
-    }
-
-    #[test]
-    fn frequency_change_keeps_phase_continuous() {
-        let mut osc = Oscillator::new(Waveform::Sine, 440.0, 44_100);
-        for _ in 0..10 {
-            osc.next_sample();
-        }
-        let phase = osc.phase();
-        osc.set_freq(880.0);
-        assert_eq!(osc.phase(), phase);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 /// Cubic (Catmull-Rom) interpolation over 4 neighbouring samples.
 #[inline]
-pub fn catmull_rom(p0: f32, p1: f32, p2: f32, p3: f32, t: f32) -> f32 {
+fn catmull_rom(p0: f32, p1: f32, p2: f32, p3: f32, t: f32) -> f32 {
     let t2 = t * t;
     let t3 = t2 * t;
     0.5 * ((2.0 * p1)

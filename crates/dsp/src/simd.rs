@@ -40,24 +40,6 @@ pub fn wide_enabled() -> bool {
     !FORCE_SCALAR.load(Ordering::Acquire)
 }
 
-/// Name of the compiled vector backend, for reports.
-pub fn backend() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            "sse2+avx512"
-        } else if avx_available() {
-            "sse2+avx"
-        } else {
-            "sse2"
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        "scalar-4lane"
-    }
-}
-
 /// True when the 8-lane AVX fast paths may run (`x86_64` with AVX detected
 /// at runtime — AVX is *not* part of the baseline ABI, so this is a runtime
 /// check, unlike the unconditional SSE2 shim). The AVX kernels perform the

@@ -36,23 +36,6 @@ pub fn burn(iters: u32, seed: f32) -> f32 {
     acc
 }
 
-/// Measure the host's single-iteration cost of [`burn`] in nanoseconds by
-/// timing a large batch. Used once at calibration time.
-pub fn measure_iter_cost_ns() -> f64 {
-    use std::time::Instant;
-    // Warm up.
-    let mut sink = burn(10_000, 0.37);
-    let iters = 2_000_000u32;
-    let t0 = Instant::now();
-    sink += burn(iters, 0.61);
-    let dt = t0.elapsed();
-    // Keep `sink` observable.
-    if sink.is_nan() {
-        eprintln!("impossible: burn produced NaN");
-    }
-    dt.as_nanos() as f64 / iters as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,11 +61,5 @@ mod tests {
         for i in [1u32, 10, 100, 10_000] {
             assert!(burn(i, 0.123).is_finite());
         }
-    }
-
-    #[test]
-    fn iter_cost_positive_and_sane() {
-        let ns = measure_iter_cost_ns();
-        assert!(ns > 0.0 && ns < 1_000.0, "iteration cost {ns} ns");
     }
 }

@@ -367,24 +367,17 @@ impl AudioEngine {
         pool: &Arc<VenuePool>,
         costs: &NodeCostModel,
     ) -> (Box<dyn GraphExecutor>, NodeMap) {
-        use djstar_core::graph::Priority::Depth;
         let (graph, map) = build_shaped_graph(scenario, shape);
         let frames = djstar_dsp::BUFFER_FRAMES;
         let executor: Box<dyn GraphExecutor> = match strategy {
             Strategy::Sequential => Box::new(SequentialExecutor::with_pool(graph, frames, pool)),
-            Strategy::Busy => {
-                Box::new(BusyExecutor::with_pool(graph, threads, frames, Depth, pool))
-            }
-            Strategy::Sleep => Box::new(SleepExecutor::with_pool(
-                graph, threads, frames, Depth, pool,
-            )),
-            Strategy::Steal => Box::new(StealExecutor::with_pool(
-                graph, threads, frames, Depth, pool,
-            )),
+            Strategy::Busy => Box::new(BusyExecutor::with_pool(graph, threads, frames, pool)),
+            Strategy::Sleep => Box::new(SleepExecutor::with_pool(graph, threads, frames, pool)),
+            Strategy::Steal => Box::new(StealExecutor::with_pool(graph, threads, frames, pool)),
             // Extension strategy: a 2000-poll spin budget (~tens of µs)
             // before parking.
             Strategy::Hybrid => Box::new(HybridExecutor::with_pool(
-                graph, threads, frames, 2_000, Depth, pool,
+                graph, threads, frames, 2_000, pool,
             )),
             Strategy::Planned => {
                 let topo = graph.topology();

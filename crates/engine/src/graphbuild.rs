@@ -196,7 +196,7 @@ impl NodeMap {
 }
 
 /// The effect kinds loaded into the four FX slots of every deck.
-pub const DECK_FX: [EffectKind; 4] = [
+const DECK_FX: [EffectKind; 4] = [
     EffectKind::EchoDelay,
     EffectKind::Flanger,
     EffectKind::Phaser,

@@ -41,8 +41,8 @@ pub use graphbuild::{
     NodeMap, APC_NODES,
 };
 pub use modes::{
-    canonical_shape, reachable_edits, shape_fingerprint, AdmissionControl, BlueprintCache,
-    ModeCacheStats, NodeCostModel, PartsBin, ShapeFingerprint, Unschedulable,
+    reachable_edits, AdmissionControl, BlueprintCache, ModeCacheStats, NodeCostModel, PartsBin,
+    ShapeFingerprint, Unschedulable,
 };
 pub use netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
 pub use reconfig::{

@@ -7,7 +7,7 @@
 //! flipping between a handful of deck/FX *modes* rebuilds the same few
 //! generations over and over. This module closes that gap:
 //!
-//! * [`shape_fingerprint`] canonicalises a [`GraphShape`] into a stable
+//! * `shape_fingerprint` canonicalises a [`GraphShape`] into a stable
 //!   64-bit key. Fields the build ignores (FX slots of an unloaded deck,
 //!   playout depth of a local deck) are zeroed first, so two shapes that
 //!   build the same graph share one cache slot.
@@ -79,17 +79,10 @@ impl std::error::Error for Unschedulable {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShapeFingerprint(u64);
 
-impl ShapeFingerprint {
-    /// The raw 64-bit key.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// `shape` with every build-ignored field zeroed: unloaded decks carry no
 /// FX/remote/depth state, local decks no playout depth. Two shapes with
 /// equal canonical forms build identical graphs.
-pub fn canonical_shape(shape: &GraphShape) -> GraphShape {
+fn canonical_shape(shape: &GraphShape) -> GraphShape {
     let mut c = *shape;
     for d in 0..4 {
         if !c.deck_loaded[d] {
@@ -103,8 +96,8 @@ pub fn canonical_shape(shape: &GraphShape) -> GraphShape {
     c
 }
 
-/// Fingerprint of the [`canonical_shape`] of `shape`.
-pub fn shape_fingerprint(shape: &GraphShape) -> ShapeFingerprint {
+/// Fingerprint of the `canonical_shape` of `shape`.
+fn shape_fingerprint(shape: &GraphShape) -> ShapeFingerprint {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let c = canonical_shape(shape);

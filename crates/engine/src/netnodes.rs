@@ -187,7 +187,7 @@ pub struct BroadcastStats {
 ///
 /// Each cycle enqueues one encoded frame per listener; an unstalled
 /// listener drains up to two frames (so it catches up after a stall), a
-/// stalled one drains none. Queues past [`BroadcastSink::QUEUE_CAP`] drop
+/// stalled one drains none. Queues past `QUEUE_CAP` (8 frames) drop
 /// the overflow — the per-listener backpressure account.
 pub struct BroadcastSink {
     plan: NetFaultPlan,
@@ -200,7 +200,7 @@ pub struct BroadcastSink {
 
 impl BroadcastSink {
     /// Frames a listener may queue before the encoder drops.
-    pub const QUEUE_CAP: u32 = 8;
+    const QUEUE_CAP: u32 = 8;
 
     /// A sink feeding `listeners` simulated downlinks under `plan`.
     pub fn new(listeners: u32, plan: NetFaultPlan, profile: WorkProfile, seed: u32) -> Self {

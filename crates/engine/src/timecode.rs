@@ -23,7 +23,7 @@ use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::osc::advance_phase;
 
 /// Carrier frequency at speed 1.0 (Hz).
-pub const CARRIER_HZ: f32 = 1_000.0;
+const CARRIER_HZ: f32 = 1_000.0;
 
 /// Synthesizes the control signal of a virtual turntable.
 #[derive(Debug, Clone)]

@@ -23,16 +23,14 @@
 //! * [`gantt`] — ASCII Gantt rendering of schedules and real traces
 //!   (Fig. 11).
 //!
-//! On this reproduction's single-vCPU evaluation host the strategy
-//! simulators are the primary source of the parallel numbers; the real
-//! executors in `djstar-core` supply correctness and the single-thread
-//! column, and `djstar-engine::apc::AudioEngine::measured_node_durations`
+//! On a 1–2 vCPU evaluation host the strategy simulators are the primary
+//! source of the parallel numbers; the real executors in `djstar-core`
+//! supply correctness and the one- and two-thread columns, and `djstar-engine::apc::AudioEngine::measured_node_durations`
 //! supplies the per-node, per-cycle duration samples that drive the
 //! simulation (preserving the loud/quiet correlation that makes the
 //! execution-time histograms bimodal).
 
 pub mod earliest;
-pub mod faults;
 pub mod gantt;
 pub mod list;
 pub mod metrics;
@@ -43,12 +41,11 @@ pub mod strategy;
 pub mod venue;
 
 pub use earliest::{earliest_start, EarliestStartResult};
-pub use faults::{faulted_cycle_bound_ns, faulted_model, unavoidable_misses};
 pub use list::list_schedule;
 pub use metrics::ScheduleMetrics;
 pub use model::{DurationModel, Schedule, ScheduleEntry, SimGraph};
-pub use netsim::{dropout_by_depth, dropouts_at_depth, lost_packets, min_adequate_depth};
-pub use planned::{compile_blueprint, simulate_plan, simulate_plan_makespans};
+pub use netsim::lost_packets;
+pub use planned::{compile_blueprint, simulate_plan_makespans};
 pub use strategy::{
     simulate_hybrid, simulate_strategy, simulate_ws_config, OverheadModel, SimStrategy, WsConfig,
 };

@@ -17,9 +17,9 @@ use std::collections::BinaryHeap;
 
 /// Ready-node priority rule.
 ///
-/// Unlike the executor-side [`djstar_core::graph::Priority`] orders, these
-/// rank *ready* nodes only, so they need no topological validity and can use
-/// duration-aware keys freely.
+/// These rank *ready* nodes only, so they need no topological validity and
+/// can use duration-aware keys freely. The executors have no such knob:
+/// they walk the depth queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Priority {
     /// DJ Star queue order (depth, then insertion order).

@@ -1,23 +1,11 @@
-//! Simulated network mirror: E17's dropout lower-bound oracle.
+//! Simulated network mirror: the unavoidable-dropout floor.
 //!
 //! `djstar_core::net::NetFaultPlan` draws are pure functions of
 //! `(seed, cycle, stream)`, so the simulator can replay a trace
-//! clairvoyantly — it knows every packet's fate the moment it is sent —
-//! and answer the question a live jitter buffer cannot: *which dropouts
-//! were unavoidable, and which did the depth policy cause?*
-//!
-//! Two bounds matter:
-//!
-//! * [`lost_packets`] — packets no copy of which ever arrives. No buffer
-//!   at any depth recovers them; this is the floor every strategy's
-//!   concealment count is gated against.
-//! * [`dropouts_at_depth`] — a clairvoyant fixed-depth-`D` receiver plays
-//!   seq `s` at cycle `s + D` and drops it iff its first copy arrives
-//!   later than that (or never). Any *causal* buffer at the same depth
-//!   drops at least these packets, so the per-depth profile
-//!   ([`dropout_by_depth`]) bounds the latency/dropout trade the adaptive
-//!   policy navigates, and [`min_adequate_depth`] is the rung a perfect
-//!   policy would settle on.
+//! clairvoyantly — it knows every packet's fate the moment it is sent.
+//! [`lost_packets`] counts the packets no copy of which ever arrives: no
+//! buffer at any depth recovers them, so this is the floor every
+//! strategy's concealment count is gated against.
 
 use djstar_core::net::NetFaultPlan;
 
@@ -27,132 +15,22 @@ pub fn lost_packets(plan: &NetFaultPlan, stream: u32, cycles: u64) -> usize {
     (0..cycles).filter(|&c| plan.lost(c, stream)).count()
 }
 
-/// Earliest arrival cycle of the packet `stream` sends in `cycle`, or
-/// `None` when it is lost. The duplicate copy never beats the original,
-/// so this is simply send time plus the drawn delay.
-pub fn earliest_arrival(plan: &NetFaultPlan, cycle: u64, stream: u32) -> Option<u64> {
-    plan.delay_of(cycle, stream).map(|d| cycle + d as u64)
-}
-
-/// Dropouts of a clairvoyant fixed-depth-`depth` receiver over
-/// `0..cycles`: seq `s` must play at cycle `s + depth`, so it drops iff
-/// its first copy arrives after that (or never). Monotone non-increasing
-/// in `depth`, with floor [`lost_packets`].
-pub fn dropouts_at_depth(plan: &NetFaultPlan, stream: u32, depth: u32, cycles: u64) -> usize {
-    (0..cycles)
-        .filter(|&s| match earliest_arrival(plan, s, stream) {
-            Some(at) => at > s + depth as u64,
-            None => true,
-        })
-        .count()
-}
-
-/// Clairvoyant dropout count per depth `0..=max_depth` (index = depth).
-/// The latency axis is implicit: depth *is* the added latency in cycles.
-pub fn dropout_by_depth(
-    plan: &NetFaultPlan,
-    stream: u32,
-    max_depth: u32,
-    cycles: u64,
-) -> Vec<usize> {
-    (0..=max_depth)
-        .map(|d| dropouts_at_depth(plan, stream, d, cycles))
-        .collect()
-}
-
-/// The shallowest depth whose clairvoyant dropouts are within
-/// `tolerance` of the unavoidable floor — the rung a perfect adaptive
-/// policy would settle on. Falls back to the plan's full delay horizon
-/// when no shallower rung suffices.
-pub fn min_adequate_depth(plan: &NetFaultPlan, stream: u32, cycles: u64, tolerance: usize) -> u32 {
-    let floor = lost_packets(plan, stream, cycles);
-    let horizon = plan.max_delay();
-    (0..=horizon)
-        .find(|&d| dropouts_at_depth(plan, stream, d, cycles) <= floor + tolerance)
-        .unwrap_or(horizon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lossy() -> NetFaultPlan {
-        NetFaultPlan {
-            base_delay: 1,
-            jitter: 3,
-            loss_rate: 0.05,
-            dup_rate: 0.02,
-            reorder_rate: 0.05,
-            reorder_extra: 4,
-            ..NetFaultPlan::quiet(0xE17)
-        }
-    }
-
-    #[test]
-    fn quiet_plan_has_no_dropouts_past_its_base_delay() {
-        let plan = NetFaultPlan {
-            base_delay: 2,
-            ..NetFaultPlan::quiet(9)
-        };
-        assert_eq!(lost_packets(&plan, 0, 500), 0);
-        let profile = dropout_by_depth(&plan, 0, 4, 500);
-        // Depth below base_delay misses everything; at base_delay the
-        // stream is perfect.
-        assert_eq!(profile[0], 500);
-        assert_eq!(profile[1], 500);
-        for d in plan.base_delay..=4 {
-            assert_eq!(profile[d as usize], 0, "depth {d}");
-        }
-        assert_eq!(min_adequate_depth(&plan, 0, 500, 0), plan.base_delay);
-    }
-
-    #[test]
-    fn dropouts_are_monotone_in_depth_with_the_loss_floor() {
-        let plan = lossy();
-        let cycles = 2000;
-        let floor = lost_packets(&plan, 2, cycles);
-        assert!(floor > 0, "5% loss over 2000 cycles must lose packets");
-        let profile = dropout_by_depth(&plan, 2, plan.max_delay(), cycles);
-        for w in profile.windows(2) {
-            assert!(w[0] >= w[1], "profile must be non-increasing: {profile:?}");
-        }
-        assert_eq!(
-            *profile.last().unwrap(),
-            floor,
-            "full-horizon depth must hit the unavoidable floor"
-        );
-    }
-
     #[test]
     fn oracle_is_deterministic_and_per_stream() {
-        let plan = lossy();
-        assert_eq!(
-            dropout_by_depth(&plan, 1, 6, 1000),
-            dropout_by_depth(&plan, 1, 6, 1000)
-        );
-        // Streams draw independently; at 5% loss over 1000 cycles two
-        // streams agreeing exactly on every depth would be a seed bug.
-        assert_ne!(
-            dropout_by_depth(&plan, 1, 6, 1000),
-            dropout_by_depth(&plan, 3, 6, 1000)
-        );
-    }
-
-    #[test]
-    fn adequate_depth_tracks_the_jitter_horizon() {
-        let calm = NetFaultPlan {
-            jitter: 1,
-            ..lossy()
+        assert_eq!(lost_packets(&NetFaultPlan::quiet(9), 0, 500), 0);
+        let plan = NetFaultPlan {
+            loss_rate: 0.05,
+            ..NetFaultPlan::quiet(0xE17)
         };
-        let wild = NetFaultPlan {
-            jitter: 8,
-            ..lossy()
-        };
-        let d_calm = min_adequate_depth(&calm, 0, 2000, 0);
-        let d_wild = min_adequate_depth(&wild, 0, 2000, 0);
-        assert!(
-            d_calm < d_wild,
-            "wilder jitter needs deeper buffers: {d_calm} vs {d_wild}"
-        );
+        let floor = lost_packets(&plan, 2, 2000);
+        assert!(floor > 0, "5% loss over 2000 cycles must lose packets");
+        assert_eq!(floor, lost_packets(&plan, 2, 2000));
+        // Streams draw independently; two agreeing exactly would be a
+        // seed bug.
+        assert_ne!(floor, lost_packets(&plan, 3, 2000));
     }
 }

@@ -4,7 +4,7 @@
 //! The list scheduler (`sim::list`) produces the resource-constrained
 //! schedule the paper calls "optimal" on four cores; [`compile_blueprint`]
 //! freezes its per-processor timelines into a blueprint the real
-//! `PlannedExecutor` can replay, and [`simulate_plan`] predicts what that
+//! `PlannedExecutor` can replay, and `simulate_plan` predicts what that
 //! replay costs under an [`OverheadModel`]. PLAN's simulated advantage
 //! over BUSY comes from two terms: list-scheduler placement instead of
 //! round-robin (fewer convoy waits), and dependency checks only on the
@@ -47,7 +47,7 @@ pub fn compile_blueprint(
 /// and every wait has finished; a worker that arrives early spins and
 /// notices completion within one poll quantum, exactly like BUSY's wait
 /// loop. Workers spin at the cycle barrier, so no initial wake latency.
-pub fn simulate_plan(
+fn simulate_plan(
     graph: &SimGraph,
     durations: &DurationModel,
     cycle: usize,

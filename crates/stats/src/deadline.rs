@@ -15,15 +15,9 @@ pub struct DeadlineTracker {
     misses: u64,
     worst_ns: u64,
     total_ns: u128,
-    /// Durations of the missed cycles (ns), capped at 1024 entries to keep
-    /// memory bounded over long runs; misses beyond that are still counted.
-    miss_samples: Vec<u64>,
 }
 
 impl DeadlineTracker {
-    /// Maximum number of individual miss durations retained.
-    pub const MAX_MISS_SAMPLES: usize = 1024;
-
     /// Create a tracker with the given deadline in nanoseconds.
     pub fn new(deadline_ns: u64) -> Self {
         DeadlineTracker {
@@ -32,7 +26,6 @@ impl DeadlineTracker {
             misses: 0,
             worst_ns: 0,
             total_ns: 0,
-            miss_samples: Vec::new(),
         }
     }
 
@@ -55,9 +48,6 @@ impl DeadlineTracker {
         self.worst_ns = self.worst_ns.max(duration_ns);
         if duration_ns > self.deadline_ns {
             self.misses += 1;
-            if self.miss_samples.len() < Self::MAX_MISS_SAMPLES {
-                self.miss_samples.push(duration_ns);
-            }
             false
         } else {
             true
@@ -102,11 +92,6 @@ impl DeadlineTracker {
     pub fn mean_headroom_ns(&self) -> f64 {
         self.deadline_ns as f64 - self.mean_ns()
     }
-
-    /// Durations of up to [`Self::MAX_MISS_SAMPLES`] missed cycles.
-    pub fn miss_samples(&self) -> &[u64] {
-        &self.miss_samples
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +115,6 @@ mod tests {
         assert_eq!(t.misses(), 1);
         assert_eq!(t.worst_ns(), 1500);
         assert!((t.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(t.miss_samples(), &[1500]);
     }
 
     #[test]
@@ -147,15 +131,5 @@ mod tests {
         let t = DeadlineTracker::new(100);
         assert_eq!(t.miss_rate(), 0.0);
         assert_eq!(t.mean_ns(), 0.0);
-    }
-
-    #[test]
-    fn miss_sample_storage_is_bounded() {
-        let mut t = DeadlineTracker::new(1);
-        for _ in 0..(DeadlineTracker::MAX_MISS_SAMPLES + 100) {
-            t.record(10);
-        }
-        assert_eq!(t.miss_samples().len(), DeadlineTracker::MAX_MISS_SAMPLES);
-        assert_eq!(t.misses() as usize, DeadlineTracker::MAX_MISS_SAMPLES + 100);
     }
 }

@@ -79,12 +79,6 @@ impl Histogram {
         (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
     }
 
-    /// Midpoint of bin `i` (x coordinate when plotting).
-    pub fn bin_mid(&self, i: usize) -> f64 {
-        let (a, b) = self.bin_range(i);
-        (a + b) / 2.0
-    }
-
     /// Total number of recorded samples (including clamped ones).
     pub fn total(&self) -> u64 {
         self.total
@@ -98,17 +92,6 @@ impl Histogram {
     /// Samples clamped into the last bin from at/above the range.
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Index of the fullest bin, breaking ties toward the lower bin.
-    pub fn mode_bin(&self) -> usize {
-        let mut best = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            if c > self.bins[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Number of local maxima with at least `min_count` samples, where a peak
@@ -303,7 +286,6 @@ mod tests {
             h.record(6.5);
         }
         assert_eq!(h.peak_count(5), 2);
-        assert_eq!(h.mode_bin(), 2);
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod histogram;
 pub mod json;
 pub mod online;
 pub mod render;
-pub mod report;
 pub mod speedup;
 pub mod summary;
 pub mod telemetry;
@@ -36,7 +35,6 @@ pub use forensics::{analyze_miss, BlameBreakdown, MissContext, MissDossier, Path
 pub use histogram::{CumulativeView, Histogram};
 pub use json::Json;
 pub use online::OnlineStats;
-pub use report::CsvReport;
 pub use speedup::SpeedupTable;
 pub use summary::Summary;
 pub use telemetry::TelemetryReport;

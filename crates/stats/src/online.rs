@@ -53,7 +53,7 @@ impl OnlineStats {
     }
 
     /// Sample variance (Bessel-corrected; 0 for fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {

@@ -66,11 +66,6 @@ impl SpeedupTable {
             .map(|(i, (_, t))| (i, t[c]))
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
-
-    /// Parallel efficiency of row `r` at column `c`: speedup / threads.
-    pub fn efficiency(&self, r: usize, c: usize) -> f64 {
-        self.speedup(r, c) / self.threads[c] as f64
-    }
 }
 
 #[cfg(test)]
@@ -104,13 +99,6 @@ mod tests {
         let t = paper_table();
         let (winner, _) = t.best_in_column(3).unwrap();
         assert_eq!(t.rows[winner].0, "BUSY");
-    }
-
-    #[test]
-    fn efficiency_is_speedup_over_threads() {
-        let t = paper_table();
-        let e = t.efficiency(0, 3);
-        assert!((e - t.speedup(0, 3) / 4.0).abs() < 1e-12);
     }
 
     #[test]

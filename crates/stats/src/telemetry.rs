@@ -83,7 +83,7 @@ pub struct TelemetryReport {
     pub wait_pct: Percentiles,
     /// Counter totals over all cycles (deque high water is the maximum).
     pub totals: CounterSnapshot,
-    /// Deadline misses, oldest first (capped at [`Self::MAX_MISSES`]).
+    /// Deadline misses, oldest first (capped at 256 entries).
     pub misses: Vec<MissEntry>,
     /// Total number of misses, including any beyond the ledger cap.
     pub miss_count: u64,
@@ -98,7 +98,7 @@ pub struct TelemetryReport {
 
 impl TelemetryReport {
     /// Maximum entries retained in the miss ledger.
-    pub const MAX_MISSES: usize = 256;
+    const MAX_MISSES: usize = 256;
 
     /// Aggregate `records` (oldest first, e.g. `TelemetryRing::iter`).
     /// Returns `None` when there are no records.

@@ -20,5 +20,5 @@ pub mod track;
 pub use netspec::NetSpec;
 pub use profile::WorkProfile;
 pub use scenario::{DeckConfig, Scenario};
-pub use switches::{shape_walk, toggle_storm, SwitchAction, SwitchEvent, SwitchScript};
+pub use switches::{shape_walk, SwitchAction, SwitchEvent, SwitchScript};
 pub use track::{synth_track, Track, TrackStyle};

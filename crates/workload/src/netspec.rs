@@ -127,11 +127,6 @@ impl NetSpec {
             && self.listener_stall_rate <= 0.0
     }
 
-    /// True when the spec adds no network machinery to the graph at all.
-    pub fn is_disabled(&self) -> bool {
-        self.remote_decks.iter().all(|&r| !r) && self.listeners == 0
-    }
-
     /// The same scenario pinned to a fixed playout depth — the
     /// fixed-depth arms of the E17 latency/dropout sweep.
     pub fn with_fixed_depth(self, depth: u32) -> Self {
@@ -151,14 +146,14 @@ mod tests {
     #[test]
     fn default_is_disabled_and_quiet() {
         let s = NetSpec::default();
-        assert!(s.is_disabled());
+        assert!(s.remote_decks.iter().all(|&r| !r) && s.listeners == 0);
         assert!(s.is_quiet());
     }
 
     #[test]
     fn clean_is_enabled_but_quiet() {
         let s = NetSpec::clean(9);
-        assert!(!s.is_disabled());
+        assert!(s.remote_decks.iter().any(|&r| r));
         assert!(s.is_quiet());
         assert_eq!(s.listeners, 4);
     }

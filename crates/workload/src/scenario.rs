@@ -194,11 +194,6 @@ impl Scenario {
         s.decks[3] = DeckConfig::idle();
         s
     }
-
-    /// Number of active decks.
-    pub fn active_decks(&self) -> usize {
-        self.decks.iter().filter(|d| d.active).count()
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +203,7 @@ mod tests {
     #[test]
     fn paper_default_is_four_full_decks() {
         let s = Scenario::paper_default();
-        assert_eq!(s.active_decks(), 4);
+        assert!(s.decks.iter().all(|d| d.active));
         assert!(s.decks.iter().all(|d| d.fx_enabled.iter().all(|&e| e)));
         // Different tracks per deck, as in the paper.
         let seeds: std::collections::HashSet<u64> = s.decks.iter().map(|d| d.track_seed).collect();
@@ -254,7 +249,8 @@ mod tests {
 
     #[test]
     fn two_deck_mix_has_two_active() {
-        assert_eq!(Scenario::two_deck_mix().active_decks(), 2);
+        let s = Scenario::two_deck_mix();
+        assert_eq!(s.decks.iter().filter(|d| d.active).count(), 2);
     }
 
     #[test]

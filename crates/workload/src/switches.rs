@@ -66,57 +66,6 @@ impl SwitchScript {
 const MIN_FX: usize = 1;
 const MAX_FX: usize = 8;
 
-/// Generate a toggle storm: `switches` valid topology actions, one every
-/// `period_cycles` cycles starting at `period_cycles`, produced by a
-/// seeded RNG so every run of a given `(switches, period_cycles, seed)`
-/// triple replays the identical script.
-///
-/// Decks A and B (0, 1) are never loaded or ejected — they are the
-/// playing decks; the storm churns decks C/D and FX chains on all four
-/// decks. Actions are validated against the shape the script itself has
-/// built up (starting from the paper default: all decks loaded, four FX
-/// slots each), so replaying them in order never produces an invalid
-/// edit.
-pub fn toggle_storm(switches: usize, period_cycles: usize, seed: u64) -> SwitchScript {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let period = period_cycles.max(1);
-    let mut loaded = [true; 4];
-    let mut fx = [4usize; 4];
-    let mut events = Vec::with_capacity(switches);
-    for i in 0..switches {
-        let at_cycle = (i + 1) * period;
-        // Candidate actions valid in the current script-tracked shape.
-        let mut candidates: Vec<SwitchAction> = Vec::with_capacity(12);
-        for (d, &is_loaded) in loaded.iter().enumerate().skip(2) {
-            candidates.push(if is_loaded {
-                SwitchAction::UnloadDeck(d)
-            } else {
-                SwitchAction::LoadDeck(d)
-            });
-        }
-        for d in 0..4 {
-            if !loaded[d] {
-                continue;
-            }
-            if fx[d] < MAX_FX {
-                candidates.push(SwitchAction::InsertFxSlot(d));
-            }
-            if fx[d] > MIN_FX {
-                candidates.push(SwitchAction::RemoveFxSlot(d));
-            }
-        }
-        let action = candidates[rng.below(candidates.len())];
-        match action {
-            SwitchAction::LoadDeck(d) => loaded[d] = true,
-            SwitchAction::UnloadDeck(d) => loaded[d] = false,
-            SwitchAction::InsertFxSlot(d) => fx[d] += 1,
-            SwitchAction::RemoveFxSlot(d) => fx[d] -= 1,
-        }
-        events.push(SwitchEvent { at_cycle, action });
-    }
-    SwitchScript { events }
-}
-
 /// The action that undoes `action` (same deck, opposite direction).
 fn inverse(action: SwitchAction) -> SwitchAction {
     match action {
@@ -127,12 +76,21 @@ fn inverse(action: SwitchAction) -> SwitchAction {
     }
 }
 
-/// Generate a revisit-biased mode walk: like [`toggle_storm`], but every
-/// other step (on average) *undoes* the previous action, so the walk
-/// oscillates between a handful of recurring shapes instead of drifting —
-/// the workload of a performer flipping between set modes, and the access
-/// pattern a per-shape blueprint cache exists for (E19). Same determinism
-/// contract and deck A/B protection as [`toggle_storm`].
+/// Generate a revisit-biased mode walk: `switches` valid topology actions,
+/// one every `period_cycles` cycles starting at `period_cycles`, produced
+/// by a seeded RNG so every run of a given `(switches, period_cycles,
+/// seed)` triple replays the identical script. Every other step (on
+/// average) *undoes* the previous action, so the walk oscillates between a
+/// handful of recurring shapes instead of drifting — the workload of a
+/// performer flipping between set modes, and the access pattern a
+/// per-shape blueprint cache exists for (E19).
+///
+/// Decks A and B (0, 1) are never loaded or ejected — they are the
+/// playing decks; the walk churns decks C/D and FX chains on all four
+/// decks. Actions are validated against the shape the script itself has
+/// built up (starting from the paper default: all decks loaded, four FX
+/// slots each), so replaying them in order never produces an invalid
+/// edit.
 pub fn shape_walk(switches: usize, period_cycles: usize, seed: u64) -> SwitchScript {
     let mut rng = SmallRng::seed_from_u64(seed);
     let period = period_cycles.max(1);
@@ -186,49 +144,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn storm_is_deterministic() {
-        assert_eq!(toggle_storm(100, 10, 7), toggle_storm(100, 10, 7));
-        assert_ne!(
-            toggle_storm(100, 10, 7).events(),
-            toggle_storm(100, 10, 8).events()
-        );
-    }
-
-    #[test]
-    fn storm_actions_are_always_valid_in_order() {
-        let script = toggle_storm(500, 5, 42);
-        assert_eq!(script.len(), 500);
-        let mut loaded = [true; 4];
-        let mut fx = [4usize; 4];
-        let mut last_cycle = 0;
-        for e in script.events() {
-            assert!(e.at_cycle > last_cycle, "switches must be spaced out");
-            last_cycle = e.at_cycle;
-            match e.action {
-                SwitchAction::LoadDeck(d) => {
-                    assert!(d >= 2, "storm must not touch playing decks");
-                    assert!(!loaded[d]);
-                    loaded[d] = true;
-                }
-                SwitchAction::UnloadDeck(d) => {
-                    assert!(d >= 2, "storm must not touch playing decks");
-                    assert!(loaded[d]);
-                    loaded[d] = false;
-                }
-                SwitchAction::InsertFxSlot(d) => {
-                    assert!(loaded[d] && fx[d] < MAX_FX);
-                    fx[d] += 1;
-                }
-                SwitchAction::RemoveFxSlot(d) => {
-                    assert!(loaded[d] && fx[d] > MIN_FX);
-                    fx[d] -= 1;
-                }
-            }
-        }
-        assert_eq!(script.last_cycle(), 2500);
-    }
-
-    #[test]
     fn shape_walk_is_deterministic_valid_and_revisits() {
         assert_eq!(shape_walk(200, 5, 9), shape_walk(200, 5, 9));
         assert_ne!(
@@ -242,7 +157,10 @@ mod tests {
         // steps landing on a shape seen before.
         let mut seen: Vec<([bool; 4], [usize; 4])> = vec![(loaded, fx)];
         let mut revisits = 0usize;
+        let mut last_cycle = 0;
         for e in script.events() {
+            assert!(e.at_cycle > last_cycle, "switches must be spaced out");
+            last_cycle = e.at_cycle;
             match e.action {
                 SwitchAction::LoadDeck(d) => {
                     assert!(d >= 2 && !loaded[d]);
@@ -267,6 +185,7 @@ mod tests {
                 seen.push((loaded, fx));
             }
         }
+        assert_eq!(script.last_cycle(), 1500);
         // The undo bias makes revisits the norm, not the exception.
         assert!(
             revisits >= script.len() / 3,
@@ -276,8 +195,8 @@ mod tests {
     }
 
     #[test]
-    fn storm_exercises_every_action_kind() {
-        let script = toggle_storm(200, 3, 1);
+    fn shape_walk_exercises_every_action_kind() {
+        let script = shape_walk(200, 3, 1);
         let mut kinds = [false; 4];
         for e in script.events() {
             match e.action {
@@ -287,6 +206,6 @@ mod tests {
                 SwitchAction::RemoveFxSlot(_) => kinds[3] = true,
             }
         }
-        assert_eq!(kinds, [true; 4], "a 200-switch storm must mix all kinds");
+        assert_eq!(kinds, [true; 4], "a 200-switch walk must mix all kinds");
     }
 }

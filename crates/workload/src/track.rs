@@ -53,27 +53,6 @@ impl Track {
     pub fn bpm(&self) -> f32 {
         self.bpm
     }
-
-    /// Track length in seconds.
-    pub fn duration_secs(&self) -> f32 {
-        self.samples.len() as f32 / self.sample_rate as f32
-    }
-
-    /// RMS level of the sample window `[start, start+len)` (silence outside).
-    pub fn window_rms(&self, start: usize, len: usize) -> f32 {
-        if len == 0 {
-            return 0.0;
-        }
-        let end = start.saturating_add(len).min(self.samples.len());
-        let sum: f32 = self
-            .samples
-            .get(start..end)
-            .unwrap_or(&[])
-            .iter()
-            .map(|s| s.powi(2))
-            .sum();
-        (sum / len as f32).sqrt()
-    }
 }
 
 /// Samples per beat at `bpm`, clamped to [64 samples, 60 s] so that a
@@ -317,6 +296,11 @@ pub fn synth_track_reference(seed: u64, bpm: f32, seconds: f32, style: TrackStyl
 mod tests {
     use super::*;
 
+    /// RMS level of `samples`.
+    fn rms(samples: &[f32]) -> f32 {
+        (samples.iter().map(|s| s * s).sum::<f32>() / samples.len() as f32).sqrt()
+    }
+
     #[test]
     fn deterministic_for_same_seed() {
         let a = synth_track(7, 128.0, 2.0, TrackStyle::House);
@@ -335,7 +319,6 @@ mod tests {
     fn length_and_bounds() {
         let t = synth_track(3, 120.0, 1.5, TrackStyle::Breakbeat);
         assert_eq!(t.samples().len(), (1.5 * 44_100.0) as usize);
-        assert!((t.duration_secs() - 1.5).abs() < 1e-3);
         assert!(t.samples().iter().all(|s| s.abs() <= 1.0 && s.is_finite()));
     }
 
@@ -346,8 +329,8 @@ mod tests {
         // the second's.
         let t = synth_track(5, 128.0, 16.0, TrackStyle::House);
         let sr = t.sample_rate() as usize;
-        let loud_rms = t.window_rms(sr, sr); // second 1-2 (loud section)
-        let quiet_rms = t.window_rms(8 * sr, sr); // second 8-9 (quiet section)
+        let loud_rms = rms(&t.samples()[sr..2 * sr]); // second 1-2 (loud section)
+        let quiet_rms = rms(&t.samples()[8 * sr..9 * sr]); // second 8-9 (quiet section)
         assert!(
             loud_rms > quiet_rms * 1.5,
             "loud {loud_rms} vs quiet {quiet_rms}"
@@ -358,21 +341,7 @@ mod tests {
     fn house_is_louder_than_ambient() {
         let h = synth_track(9, 125.0, 4.0, TrackStyle::House);
         let a = synth_track(9, 125.0, 4.0, TrackStyle::Ambient);
-        assert!(h.window_rms(0, h.samples().len()) > a.window_rms(0, a.samples().len()));
-    }
-
-    #[test]
-    fn window_rms_out_of_range_is_silent() {
-        let t = synth_track(1, 120.0, 0.5, TrackStyle::House);
-        assert_eq!(t.window_rms(10_000_000, 128), 0.0);
-        assert_eq!(t.window_rms(0, 0), 0.0);
-        assert_eq!(t.window_rms(usize::MAX, 128), 0.0);
-        // A window hanging over the end counts the overhang as silence.
-        let n = t.samples().len();
-        let tail = t.window_rms(n - 64, 64);
-        let over = t.window_rms(n - 64, 128);
-        assert!(tail > 0.0 && (over - tail / 2f32.sqrt()).abs() < 1e-6);
-        assert!(t.window_rms(n - 64, usize::MAX) < 1e-6);
+        assert!(rms(h.samples()) > rms(a.samples()));
     }
 
     fn bits(t: &Track) -> Vec<u32> {

@@ -2,17 +2,19 @@
 //! execution, dependency safety, queue-order properties, stress cycles.
 
 use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
-    SequentialExecutor, SleepExecutor, StealExecutor, Strategy,
+    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, SequentialExecutor,
+    SleepExecutor, StealExecutor, Strategy,
 };
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, SpanKind};
-use djstar_core::graph::{NodeId, Priority};
+use djstar_core::graph::NodeId;
 use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::AudioBuf;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::graphbuild::{build_djstar_graph, APC_NODES};
+use djstar_engine::modes::NodeCostModel;
 use djstar_sim::gantt::render_trace;
+use djstar_sim::{compile_blueprint, list_schedule, DurationModel, SimGraph};
 use djstar_workload::scenario::Scenario;
 
 fn executors(threads: usize) -> Vec<Box<dyn GraphExecutor>> {
@@ -205,8 +207,13 @@ fn all_executors(threads: usize) -> Vec<(Box<dyn GraphExecutor>, NodeId)> {
         Box::new(HybridExecutor::new(g, threads, frames, 1_000)),
         m.audio_out,
     ));
+    // PLAN's blueprint comes from the engine's compile path: a list
+    // schedule over priced node costs, compiled to per-worker slots.
     let (g, m) = mk();
-    let bp = ScheduleBlueprint::round_robin(g.topology(), threads, Priority::CriticalPath);
+    let sim = SimGraph::from_topology(g.topology());
+    let costs = DurationModel::Constant(NodeCostModel::uniform(1_000).durations_for(g.topology()));
+    let schedule = list_schedule(&sim, &costs, 0, threads as u32);
+    let bp = compile_blueprint(&sim, &schedule).expect("a list schedule compiles");
     v.push((Box::new(PlannedExecutor::new(g, frames, bp)), m.audio_out));
     v
 }
