@@ -15,7 +15,8 @@
 //!
 //! On an over-subscribed host (fewer cores than lanes) a pure spin would
 //! starve the producing worker; [`ExecGraph::spin_until_done`] therefore
-//! yields every 4096 spins, which is a no-op when cores are plentiful.
+//! spins for [`SPIN_PHASE`](super::SPIN_PHASE) and then, if another lane
+//! of the session started on this lane's CPU, yields on every poll.
 //!
 //! PLAN ([`Replay`](super::Replay)) is the same wait over a different slot
 //! list — a blueprint's per-worker slices and cross-worker waits in place of
@@ -45,7 +46,7 @@ pub(super) unsafe fn spin_then_exec(lane: &mut Lane<'_>, node: u32, waits: &[u32
     let w0 = lane.clock();
     let mut spins = 0u64;
     for &p in waits {
-        spins += graph.spin_until_done(p as usize, lane.epoch);
+        spins += graph.spin_until_done(p as usize, lane.epoch, || lane.shares_cpu());
     }
     if spins > 0 {
         let ns = lane.waited(SpanKind::BusyWait, node, w0);

@@ -6,12 +6,14 @@
 //! `lane.exec(node)` runs one node with fault injection, telemetry and
 //! flight spans around it, `clock()` / `waited(..)` bracket a wait,
 //! `count(..)` books it. A lane records each interval exactly once, into
-//! the flight recorder; with nothing armed it takes zero clock reads.
+//! the flight recorder, and while learning is armed folds each node's
+//! execution time into that node's cost histogram; with nothing armed it
+//! takes zero clock reads.
 
 use super::pool::{LaneRunner, PoolBinding, VenuePool};
 use super::{
-    Adoption, CycleResult, ExecGraph, GraphExecutor, ScheduleBlueprint, Shared, StagedGeneration,
-    Strategy,
+    current_cpu, Adoption, CycleResult, ExecGraph, GraphExecutor, ScheduleBlueprint, Shared,
+    StagedGeneration, Strategy, UNKNOWN_CPU,
 };
 use crate::faults::FaultPlan;
 use crate::flight::{FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
@@ -19,7 +21,7 @@ use crate::graph::{GraphTopology, NodeId, Section, TaskGraph};
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing, DEFAULT_RING_CAPACITY};
 use djstar_dsp::AudioBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,7 +78,9 @@ pub(crate) struct Lane<'a> {
     /// span ring of it.
     rec: Option<&'a FlightRecorder>,
     telem: bool,
-    /// Anything armed: telemetry or the recorder.
+    /// Cost learning is armed: node times go into the cost histograms.
+    learn: bool,
+    /// Anything armed: telemetry, the recorder or learning.
     armed: bool,
 }
 
@@ -85,6 +89,8 @@ impl<'a> Lane<'a> {
     /// As [`Policy::run_lane`].
     unsafe fn begin(sh: &'a Shared, me: usize, epoch: u64) -> Self {
         let telem = sh.telemetry.load(Ordering::Relaxed);
+        let learn = sh.learning.load(Ordering::Relaxed);
+        sh.lane_cpus[me].store(current_cpu(), Ordering::Relaxed);
         let counters = &sh.counters[me];
         // SAFETY: epoch edge held; externals, the fault plan and the
         // recorder are written by the driver between cycles only.
@@ -111,7 +117,8 @@ impl<'a> Lane<'a> {
             faults,
             rec,
             telem,
-            armed: telem || rec.is_some(),
+            learn,
+            armed: telem || learn || rec.is_some(),
         }
     }
 
@@ -126,7 +133,8 @@ impl<'a> Lane<'a> {
     }
 
     /// Execute `node` and publish it done: the one copy of the
-    /// fault → net counters → process → telemetry / flight block.
+    /// fault → net counters → process → telemetry / learning / flight
+    /// block.
     ///
     /// # Safety
     /// The caller is the exclusive executor of `node` this epoch and has
@@ -161,8 +169,13 @@ impl<'a> Lane<'a> {
         // is pre-empted right here.
         let t1 = Instant::now();
         graph.publish(node as usize, self.epoch);
+        let ns = (t1 - t0).as_nanos() as u64;
         if self.telem && !is_apc() {
-            self.counters.add_exec((t1 - t0).as_nanos() as u64);
+            self.counters.add_exec(ns);
+        }
+        if self.learn {
+            // SAFETY: the caller's contract.
+            unsafe { self.sh.learn(node, ns) };
         }
         if let Some(rec) = self.rec {
             if fault_end > t0 {
@@ -170,6 +183,16 @@ impl<'a> Lane<'a> {
             }
             self.exec_carved(rec, node, fault_end, t1, net0);
         }
+    }
+
+    /// Another lane of this session started its part of the cycle on the
+    /// CPU this lane runs on now (or the platform cannot tell): a wait that
+    /// kept spinning could be keeping that lane off the CPU.
+    pub(crate) fn shares_cpu(&self) -> bool {
+        let cpu = current_cpu();
+        let other_lane_here =
+            |(l, c): (usize, &AtomicU32)| l != self.me && c.load(Ordering::Relaxed) == cpu;
+        cpu == UNKNOWN_CPU || self.sh.lane_cpus.iter().enumerate().any(other_lane_here)
     }
 
     /// Count one node of this cycle complete (`Release`: the lane's last
@@ -298,6 +321,8 @@ pub struct PoolExecutor<P> {
     /// lanes through the pool entry under the pool epoch's `Release`.
     epoch: u64,
     telemetry: Option<TelemetryRing>,
+    /// Cost learning armed from the next staged cycle on.
+    learning: bool,
     tag: u32,
 }
 
@@ -325,6 +350,7 @@ impl<P: Policy> PoolExecutor<P> {
             pool,
             epoch: 0,
             telemetry: None,
+            learning: false,
             tag: 0,
         }
     }
@@ -365,6 +391,7 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         shared
             .telemetry
             .store(self.telemetry.is_some(), Ordering::Relaxed);
+        shared.learning.store(self.learning, Ordering::Relaxed);
         // SAFETY: driver thread, no cycle in flight (`&mut self`), pool
         // quiescent.
         unsafe {
@@ -426,6 +453,21 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         unsafe { self.session.shared.faults.set(plan) };
     }
 
+    fn set_learning(&mut self, on: bool) {
+        if on {
+            self.pool.pool().quiesce();
+            // SAFETY: as `set_faults`.
+            unsafe { self.session.shared.clear_costs() };
+        }
+        self.learning = on;
+    }
+
+    fn learned_quantiles(&mut self, q: f64) -> Vec<Option<u64>> {
+        self.pool.pool().quiesce();
+        // SAFETY: as `set_faults`.
+        unsafe { self.session.shared.cost_quantiles(q) }
+    }
+
     fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
         self.pool.pool().quiesce();
         let (lanes, session) = (self.session.shared.threads, self.tag);
@@ -450,7 +492,13 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         // SAFETY: `&mut self` proves no cycle in flight; the pool is
         // quiescent, so workers touch no session state until the next
         // batch, whose epoch Release store publishes the swap.
-        unsafe { policy.adopt(shared, exec, plan) }
+        let adoption = unsafe { policy.adopt(shared, exec, plan) };
+        if self.learning && adoption.0.is_ok() {
+            // Histograms are indexed by node: a learning window restarts
+            // on the new graph. SAFETY: as above.
+            unsafe { shared.clear_costs() };
+        }
+        adoption
     }
 
     fn generation(&self) -> u64 {

@@ -65,6 +65,7 @@
 mod busy;
 mod executor;
 mod hybrid;
+mod learn;
 mod planned;
 pub mod pool;
 mod sequential;
@@ -87,6 +88,7 @@ use crate::pad::CachePadded;
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing};
 use djstar_dsp::AudioBuf;
+use learn::CostCell;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -353,6 +355,21 @@ pub trait GraphExecutor: Send {
     /// as [`set_faults`](Self::set_faults).
     fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>);
 
+    /// Arm (or disarm) per-node cost learning. While armed, the lane that
+    /// runs a node folds the node's execution time — the interval
+    /// telemetry's `exec_ns` books, injected faults included — into that
+    /// node's preallocated log histogram; arming clears every histogram.
+    /// Takes effect from the next cycle and allocates nothing. A session
+    /// holds one histogram per node of the graph it was built with: after
+    /// a swap to a larger graph, the nodes past that count go unrecorded.
+    fn set_learning(&mut self, on: bool);
+
+    /// The nearest-rank `q`-quantile (`q` in `(0, 1]`) of each node's
+    /// learned execution time in ns, in node order, within 3.2 % (half a
+    /// histogram bucket); `None` for a node with no sample. Driver-only
+    /// between cycles (`&mut self`).
+    fn learned_quantiles(&mut self, q: f64) -> Vec<Option<u64>>;
+
     /// Freeze and take the flight-recorder capture accumulated so far
     /// (spans + cycle stamps); recording continues into the emptied
     /// buffers. `None` when no recorder is installed. Driver-only between
@@ -549,26 +566,25 @@ impl ExecGraph {
         &self.cells[node]
     }
 
-    /// Spin until `node` is done for `epoch` (BUSY dependency wait).
-    /// Returns the number of spin iterations — 0 iff no waiting occurred.
+    /// Wait until `node` is done for `epoch` (BUSY and PLAN dependency
+    /// wait) through a [`Backoff`] whose yield phase `shares_cpu` decides.
+    /// Returns the number of polls — 0 iff no waiting occurred.
     #[inline]
-    pub(crate) fn spin_until_done(&self, node: usize, epoch: u64) -> u64 {
+    pub(crate) fn spin_until_done(
+        &self,
+        node: usize,
+        epoch: u64,
+        shares_cpu: impl Fn() -> bool,
+    ) -> u64 {
         let cell = &self.cells[node];
         if cell.done_epoch.load(Ordering::Acquire) == epoch {
             return 0;
         }
-        let mut spins = 1u64;
+        let mut backoff = Backoff::new();
         while cell.done_epoch.load(Ordering::Acquire) != epoch {
-            spins += 1;
-            if spins.is_multiple_of(4096) {
-                // On over-subscribed machines a pure spin would starve the
-                // worker that must produce this dependency.
-                std::thread::yield_now();
-            } else {
-                core::hint::spin_loop();
-            }
+            backoff.snooze(&shares_cpu);
         }
-        spins
+        backoff.polls()
     }
 
     /// Run `node`'s processor for `ctx.epoch` WITHOUT publishing its
@@ -718,6 +734,14 @@ pub(crate) struct Shared {
     pub threads: usize,
     /// Whether to record telemetry counters this cycle.
     pub telemetry: AtomicBool,
+    /// Whether to fold node execution times into `costs` this cycle.
+    pub learning: AtomicBool,
+    /// The CPU each lane started its part of the current cycle on
+    /// ([`UNKNOWN_CPU`] before its first), written by that lane.
+    pub lane_cpus: Box<[AtomicU32]>,
+    /// One execution-time histogram per node of the graph the session was
+    /// built with, preallocated.
+    costs: Box<[CostCell]>,
     /// The installed flight recorder, if any (one plain load per cycle per
     /// lane when off). Written only by the driver between cycles
     /// ([`GraphExecutor::set_flight_recorder`] takes `&mut`), lanes
@@ -746,12 +770,16 @@ impl Shared {
     /// Session state for `exec` with one lane per handle.
     pub(crate) fn new(exec: ExecGraph, handles: Vec<std::thread::Thread>) -> Self {
         let threads = handles.len();
+        let costs = (0..exec.len()).map(|_| CostCell::new()).collect();
         Shared {
             exec: DriverCell::new(exec),
             generation: AtomicU64::new(0),
             done_count: CachePadded::new(AtomicU32::new(0)),
             threads,
             telemetry: AtomicBool::new(false),
+            learning: AtomicBool::new(false),
+            lane_cpus: (0..threads).map(|_| AtomicU32::new(UNKNOWN_CPU)).collect(),
+            costs,
             recorder: DriverCell::new(None),
             counters: (0..threads).map(|_| CycleCounters::new()).collect(),
             faults: DriverCell::new(None),
@@ -867,12 +895,127 @@ impl Shared {
         spin_yield_until(|| self.done_count.load(Ordering::Acquire) == n);
     }
 
+    /// Fold `ns` into `node`'s cost histogram (a node past the
+    /// histograms the session was built with goes unrecorded).
+    ///
+    /// # Safety
+    /// The caller is the exclusive executor of `node` this epoch.
+    #[inline]
+    pub(crate) unsafe fn learn(&self, node: u32, ns: u64) {
+        if let Some(cell) = self.costs.get(node as usize) {
+            cell.record(ns);
+        }
+    }
+
+    /// Clear every cost histogram.
+    ///
+    /// # Safety
+    /// Driver-only, with no cycle in flight.
+    pub(crate) unsafe fn clear_costs(&self) {
+        for cell in self.costs.iter() {
+            cell.get_mut().clear();
+        }
+    }
+
+    /// The `q`-quantile of every node's cost histogram, in node order.
+    ///
+    /// # Safety
+    /// Driver-only, with no cycle in flight.
+    pub(crate) unsafe fn cost_quantiles(&self, q: f64) -> Vec<Option<u64>> {
+        (0..self.graph().len())
+            .map(|n| self.costs.get(n).and_then(|c| c.get_mut().quantile(q)))
+            .collect()
+    }
+
     /// Record completion of one node; returns `true` when it was the last.
     #[inline]
     pub(crate) fn node_finished(&self) -> bool {
         let prev = self.done_count.fetch_add(1, Ordering::Release) + 1;
         prev == self.graph().len() as u32
     }
+}
+
+/// How long a lane spins on a wait before it starts yielding its CPU.
+/// Most waits of a lane on a CPU of its own end within it, so such lanes
+/// seldom pay a yield; where lanes share a CPU, the lane that must produce
+/// what is waited for gets the CPU after this long. A budget counted in
+/// polls cannot promise either: its length in time is the host's `pause`
+/// latency times the count.
+pub(crate) const SPIN_PHASE: Duration = Duration::from_micros(10);
+
+/// Polls between two clock reads of the spin phase.
+const POLLS_PER_CLOCK_READ: u64 = 64;
+
+/// The two phases of a lane's poll loop: spin until [`SPIN_PHASE`] has
+/// passed (the clock is read every [`POLLS_PER_CLOCK_READ`] polls), then
+/// yield on every poll — if the caller's `shares_cpu` says the CPU is
+/// shared with what it waits for; otherwise spin another phase and ask
+/// again. A yield hands the CPU to any runnable thread, not only to the
+/// one waited for: beside an unrelated busy process it costs a time slice
+/// of several milliseconds, where spinning costs only the spin.
+pub(crate) struct Backoff {
+    polls: u64,
+    yields: u64,
+    since: Instant,
+}
+
+impl Backoff {
+    /// Start the spin phase now.
+    #[inline]
+    pub(crate) fn new() -> Self {
+        Backoff {
+            polls: 1,
+            yields: 0,
+            since: Instant::now(),
+        }
+    }
+
+    /// Wait out one failed poll.
+    #[inline]
+    pub(crate) fn snooze(&mut self, shares_cpu: impl FnOnce() -> bool) {
+        self.polls += 1;
+        if self.yields == 0 {
+            let phase_over = self.polls.is_multiple_of(POLLS_PER_CLOCK_READ)
+                && self.since.elapsed() >= SPIN_PHASE;
+            if !phase_over {
+                return core::hint::spin_loop();
+            }
+            if !shares_cpu() {
+                self.since = Instant::now();
+                return core::hint::spin_loop();
+            }
+        }
+        self.yields += 1;
+        std::thread::yield_now();
+    }
+
+    /// Polls so far, the first included.
+    pub(crate) fn polls(&self) -> u64 {
+        self.polls
+    }
+
+    /// Polls of the yield phase so far.
+    pub(crate) fn yields(&self) -> u64 {
+        self.yields
+    }
+}
+
+/// [`current_cpu`]'s answer where the platform gives none.
+pub(crate) const UNKNOWN_CPU: u32 = u32::MAX;
+
+/// The CPU the calling thread runs on, or [`UNKNOWN_CPU`].
+#[cfg(target_os = "linux")]
+pub(crate) fn current_cpu() -> u32 {
+    extern "C" {
+        fn sched_getcpu() -> i32;
+    }
+    // SAFETY: `sched_getcpu(3)` takes no arguments and writes no memory.
+    u32::try_from(unsafe { sched_getcpu() }).unwrap_or(UNKNOWN_CPU)
+}
+
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn current_cpu() -> u32 {
+    UNKNOWN_CPU
 }
 
 /// Driver-side barrier wait: spin, yielding every 64th poll so an
@@ -1094,7 +1237,7 @@ mod tests {
         assert_ne!(done(), 1);
         unsafe { exec.execute(0, &CycleCtx::bare(1)) };
         assert_eq!(done(), 1);
-        assert_eq!(exec.spin_until_done(0, 1), 0); // already done: no wait
+        assert_eq!(exec.spin_until_done(0, 1, || true), 0); // already done: no wait
     }
 
     #[test]

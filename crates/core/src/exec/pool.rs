@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use super::{spin_yield_until, DriverCell};
+use super::{spin_yield_until, Backoff, DriverCell};
 use crate::pad::CachePadded;
 
 /// What the pool knows about a registered session: how many lanes it has
@@ -114,10 +114,14 @@ fn worker_loop(core: &PoolCore, me: usize) {
     }
 }
 
-/// Worker-side: wait until the pool epoch exceeds `seen` (spin, then park).
-/// Returns the new epoch, or `None` on shutdown.
+/// Yielding polls a worker makes between its spin phase and parking.
+const YIELDS_BEFORE_PARK: u64 = 512;
+
+/// Worker-side: wait until the pool epoch exceeds `seen` — spin for
+/// [`SPIN_PHASE`](super::SPIN_PHASE), yield [`YIELDS_BEFORE_PARK`] times,
+/// then park. Returns the new epoch, or `None` on shutdown.
 fn wait_for_batch(core: &PoolCore, seen: u64) -> Option<u64> {
-    let mut spins = 0u32;
+    let mut backoff = Backoff::new();
     loop {
         let e = core.epoch.load(Ordering::Acquire);
         if e > seen {
@@ -126,11 +130,9 @@ fn wait_for_batch(core: &PoolCore, seen: u64) -> Option<u64> {
         if core.shutdown.load(Ordering::Acquire) {
             return None;
         }
-        spins += 1;
-        if spins < 512 {
-            core::hint::spin_loop();
-        } else if spins < 1024 {
-            std::thread::yield_now();
+        if backoff.yields() < YIELDS_BEFORE_PARK {
+            // The driver that stages the next batch may share this CPU.
+            backoff.snooze(|| true);
         } else {
             std::thread::park();
         }

@@ -9,7 +9,7 @@
 //! every interval exactly once, here; the other views are folds over a
 //! frozen [`FlightWindow`]: the Fig. 11 schedule trace
 //! ([`ScheduleTrace::of_cycle`](crate::trace::ScheduleTrace::of_cycle)),
-//! per-node durations for the cost probes, and — when a cycle blows its
+//! per-node durations for the schedule simulator, and — when a cycle blows its
 //! deadline — forensic analysis of the last N cycles of Exec/BusyWait/
 //! Sleep/Steal/Unpark/Fault intervals (critical-path blame, Chrome Trace
 //! export), all without any allocation ever happening on the hot path.

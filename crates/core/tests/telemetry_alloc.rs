@@ -197,6 +197,23 @@ fn telemetry_cycles_do_not_allocate() {
             );
         }
         exec.set_faults(None);
+        // Cost learning shares the hot path: every node's time goes into
+        // its preallocated histogram, on the lane that ran it.
+        exec.set_learning(true);
+        let mut allocs = measure(&mut exec, &mut cycles_run);
+        if allocs > 0 {
+            allocs = measure(&mut exec, &mut cycles_run);
+        }
+        assert_eq!(
+            allocs, 0,
+            "{label}: learning cycles allocated {allocs} times"
+        );
+        exec.set_learning(false);
+        let learned = exec.learned_quantiles(0.5);
+        assert!(
+            learned.iter().all(Option::is_some),
+            "{label}: a node learned nothing: {learned:?}"
+        );
         // The flight recorder shares the hot path: with a deliberately
         // tiny window the span lanes *wrap* during the measured cycles,
         // so both the record and the overwrite-oldest path must run

@@ -132,9 +132,10 @@ pub struct AudioEngine {
     /// Stagings whose PLAN blueprint failed to compile — surfaced as
     /// [`ReconfigError::Blueprint`] and counted here for telemetry.
     stage_failures: u64,
-    /// What a node costs — the engine's one model: measured by the probe
-    /// twin (at PLAN construction, or by the venue admission that admitted
-    /// this session), one nanosecond a node otherwise, replaced by
+    /// What a node costs — the engine's one model: the static
+    /// [`NodeCostModel::prior`] at construction, replaced by the per-node
+    /// p50s the engine learns over its cycles `LEARN_AFTER + 1 ..=
+    /// LEARN_AFTER + LEARN_CYCLES`, or by
     /// [`recalibrate_admission`](Self::recalibrate_admission). Staged
     /// blueprints and the admission check both price shapes with it.
     costs: NodeCostModel,
@@ -201,22 +202,13 @@ pub struct GovernorOutcome {
     pub commit_ns: u64,
 }
 
-/// Recorded cycles the probe twin averages over.
-const PROBE_CYCLES: usize = 12;
+/// Cycles an engine runs before it learns node costs: stretcher pipelines
+/// fill and caches warm first.
+const LEARN_AFTER: u64 = 4;
 
-/// The probe twin: a throwaway SEQ × 1 engine running `shape` on a clone
-/// of `scenario` with `aux` weights, warmed up for 4 cycles, then
-/// [`PROBE_CYCLES`] recorded ones — the measuring half of PLAN compilation
-/// and of venue admission. Returns the per-node mean cost model, the TP,
-/// GP and VC nodes priced like the rest. The clone shares the scenario's
-/// track library, so the twin loads no track the engine it stands in for
-/// has loaded or will load.
-pub(crate) fn probe(scenario: &Scenario, shape: GraphShape, aux: AuxWork) -> NodeCostModel {
-    let mut twin = AudioEngine::with_shape(scenario.clone(), shape, Strategy::Sequential, 1, aux);
-    twin.warmup(4);
-    let samples = twin.measured_node_durations(PROBE_CYCLES);
-    NodeCostModel::from_samples(twin.executor.topology(), &samples)
-}
+/// Cycles whose node times the learning window records; the engine prices
+/// each node at their p50 when the window closes.
+const LEARN_CYCLES: u64 = 12;
 
 /// The APC-phase node `node` of `exec` as its concrete processor.
 fn apc_node<T: 'static>(exec: &mut dyn GraphExecutor, node: NodeId) -> &mut T {
@@ -259,7 +251,7 @@ impl AudioEngine {
         aux: AuxWork,
     ) -> Self {
         let pool = Self::private_pool(strategy, threads);
-        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, true, None)
+        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, true)
     }
 
     /// Build an engine whose session registers on an existing shared
@@ -267,20 +259,17 @@ impl AudioEngine {
     /// constructor. `threads` is this session's lane count and must not
     /// exceed the pool's. Sequential engines accept a pool too (they
     /// simply never stage work on it), so a venue can host mixed-strategy
-    /// sessions uniformly. `costs` is the node cost model venue
-    /// admission's probe already measured for this session, so a PLAN
-    /// engine builds no second probe twin (`None`: probe here if PLAN).
+    /// sessions uniformly.
     pub(crate) fn on_pool(
         scenario: Scenario,
         strategy: Strategy,
         threads: usize,
         aux: AuxWork,
         pool: &Arc<VenuePool>,
-        costs: Option<NodeCostModel>,
     ) -> Self {
         let shape = GraphShape::for_net(&scenario.net);
         let pool = Arc::clone(pool);
-        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, false, costs)
+        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, false)
     }
 
     /// A pool of exactly the lanes a solo engine uses.
@@ -298,7 +287,6 @@ impl AudioEngine {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn with_shape_on(
         scenario: Scenario,
         shape: GraphShape,
@@ -307,15 +295,10 @@ impl AudioEngine {
         aux: AuxWork,
         pool: Arc<VenuePool>,
         private_pool: bool,
-        costs: Option<NodeCostModel>,
     ) -> Self {
-        // PLAN replays a list schedule of measured node costs; every other
-        // strategy schedules online and needs none. The probe runs at this
-        // engine's aux weights: TP, GP and VC are nodes it prices.
-        let costs = costs.unwrap_or_else(|| match strategy {
-            Strategy::Planned => probe(&scenario, shape, aux),
-            _ => NodeCostModel::uniform(1),
-        });
+        // The first PLAN blueprint is list-scheduled under the prior; the
+        // learning window replaces both.
+        let costs = NodeCostModel::prior(&scenario, &shape, aux);
         let (executor, map) =
             Self::build_executor(&scenario, &shape, strategy, threads, &pool, &costs);
         let mut ctrl = vec![0.0f32; controls::COUNT];
@@ -562,7 +545,9 @@ impl AudioEngine {
     }
 
     /// Swap in a recalibrated [`NodeCostModel`], which prices every
-    /// blueprint staged and every shape admitted from here on.
+    /// blueprint staged and every shape admitted from here on (until the
+    /// learning window closes, if it is still open: then the learned
+    /// costs replace it).
     pub fn recalibrate_admission(&mut self, costs: NodeCostModel) {
         self.costs = costs;
         self.reprice();
@@ -704,8 +689,8 @@ impl AudioEngine {
                 let have = self.pool.threads();
                 return Err(EditError::PoolTooSmall { want: lanes, have }.into());
             }
-            // A SEQ × 1 probe does not depend on the lane count: the
-            // engine's model prices the rebuilt generation too.
+            // Node costs do not depend on the lane count: the engine's
+            // model prices the rebuilt generation too.
             let (scenario, pool, costs) = (&self.scenario, &self.pool, &self.costs);
             let (mut executor, map) =
                 Self::build_executor(scenario, &shape, strategy, threads, pool, costs);
@@ -724,6 +709,7 @@ impl AudioEngine {
             self.executor.set_session(self.session);
             self.executor.set_faults(self.faults);
             self.executor.set_flight_recorder(self.flight_cfg);
+            self.executor.set_learning(self.learning());
             self.map = map;
             self.shape = shape;
             self.commit_cycles.push(self.cycle);
@@ -1248,6 +1234,50 @@ impl AudioEngine {
     fn next_cycle(&mut self) {
         self.cycle += 1;
         self.ctrl[controls::CYCLE] = self.cycle as f32;
+        if self.cycle == LEARN_AFTER + 1 {
+            self.executor.set_learning(true);
+        }
+    }
+
+    /// Between cycles: the learning window is open, armed and not yet
+    /// closed.
+    fn learning(&self) -> bool {
+        (LEARN_AFTER + 1..LEARN_AFTER + LEARN_CYCLES).contains(&self.cycle)
+    }
+
+    /// The cycle just finished closed the learning window: the engine now
+    /// prices nodes at what it measured.
+    pub(crate) fn learned_now(&self) -> bool {
+        self.cycle == LEARN_AFTER + LEARN_CYCLES
+    }
+
+    /// Close the learning window: price every node at the p50 of its
+    /// recorded times (a node without a sample keeps its price), void what
+    /// was priced before, and — PLAN — recompile the running blueprint
+    /// under the learned costs through one stage → commit at this cycle
+    /// boundary.
+    fn learn_costs(&mut self) {
+        self.executor.set_learning(false);
+        let p50s = self.executor.learned_quantiles(0.5);
+        let topo = self.executor.topology();
+        let learned = p50s.iter().enumerate().map(|(n, p50)| {
+            let name = topo.name(NodeId(n as u32));
+            (name, p50.unwrap_or_else(|| self.costs.cost(name)))
+        });
+        self.costs = NodeCostModel::from_costs(learned);
+        self.reprice();
+        if self.strategy() == Strategy::Planned {
+            let shape = self.shape;
+            // The running shape always compiles; every node carries over.
+            if let Ok(mut staged) = self.stage_hollow(&shape) {
+                staged.fill(
+                    &self.scenario,
+                    self.executor.topology(),
+                    &mut PartsBin::default(),
+                );
+                let _ = self.commit(staged);
+            }
+        }
     }
 
     /// Split the `window` a cycle occupied into its four phases: TP, GP
@@ -1268,6 +1298,9 @@ impl AudioEngine {
         let lanes = self.threads() as u64;
         let share = |ns: u64| Duration::from_nanos(ns / lanes);
         let (tp, gp, vc) = (share(tp), share(gp), share(vc));
+        if self.learned_now() {
+            self.learn_costs();
+        }
         ApcTiming {
             tp,
             gp,
@@ -1437,18 +1470,19 @@ mod tests {
     }
 
     #[test]
-    fn a_scenario_loads_each_track_once_for_engine_and_probes() {
+    fn a_scenario_loads_each_track_once_for_engine_and_admitted_session() {
         use crate::venue::{SessionSpec, VenueServer};
         use djstar_workload::Track;
         let s = Scenario::light_test();
-        // A PLAN engine (its constructor probes node costs for the plan),
-        // the probe on its own with both callers' arguments, and an
-        // admitted session whose `admit` probed first. A probe that loaded
-        // its own tracks would leave them in the shared library, not the
-        // engine's.
+        // A PLAN engine and a session the venue admitted, each run past
+        // its learning window (and the PLAN engine past its re-plan
+        // commit). Pricing builds no engine of its own: the prior is a
+        // walk of the graph, the learned costs come from the engine's own
+        // lanes. Tracks loaded anywhere else would be in the shared
+        // library, not the engine's.
         let mut engine = AudioEngine::with_aux(s.clone(), Strategy::Planned, 2, AuxWork::light());
-        probe(&s, GraphShape::paper_default(), AuxWork::light());
-        probe(&s, GraphShape::for_net(&s.net), AuxWork::paper_scale());
+        engine.warmup(20);
+        assert_eq!(engine.commit_cycles(), &[16], "one re-plan commit");
         let mut server = VenueServer::new(2, Duration::from_millis(500), 0.1);
         let id = server
             .admit(SessionSpec {
@@ -1458,6 +1492,7 @@ mod tests {
                 aux: AuxWork::light(),
             })
             .expect("a light session fits a 500 ms period");
+        server.run_cycles(20);
         // Equal configuration, constructed on its own: its own load.
         let mut stranger = light_engine(Strategy::Sequential, 1);
         for d in 0..4 {
@@ -1502,7 +1537,7 @@ mod tests {
         let topo = e.executor.topology();
         assert!(
             e.costs().durations_for(topo).iter().all(|&c| c == 1_000),
-            "a resize must not re-probe the engine's model"
+            "a resize must not re-price the engine's model"
         );
         // Admission prices the shape from that same model on one lane now.
         match e.stage_edits(&edit) {

@@ -18,7 +18,7 @@
 //!
 //! Executors inject no faults into [`Section::Apc`] nodes and book none of
 //! their time as graph execution (`exec_ns`); the flight recorder records
-//! them, so a probe prices them like any node. Each node times its own
+//! them and cost learning prices them like any node. Each node times its own
 //! work, from which `AudioEngine::run_apc` reports TP, GP and VC.
 //!
 //! [`Section::Apc`]: djstar_core::graph::Section::Apc

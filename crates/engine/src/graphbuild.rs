@@ -35,6 +35,7 @@ use crate::nodes::*;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{vacant, Processor};
 use djstar_dsp::effects::EffectKind;
+use djstar_workload::profile::{NodeClass, WorkProfile};
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
 
@@ -277,8 +278,23 @@ fn assemble(
 /// Constructs a node's processor from its burn seed.
 type Make<'a> = &'a dyn Fn(u32) -> Box<dyn Processor>;
 
-/// What a node *is* — id, name, section, predecessors, output channels —
-/// kept apart from the processor that computes it, which
+/// The `burn` work a node does per cycle, as the static cost prior
+/// ([`NodeCostModel::prior`](crate::modes::NodeCostModel::prior)) prices
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Burn {
+    /// `WorkProfile` iterations: at full signal energy on a deck that
+    /// plays (and in the master section, when any deck does), at silence
+    /// otherwise.
+    Iters(u32),
+    /// A deck front: TP, plus GP when the deck plays a track.
+    Front { plays: bool },
+    /// VC.
+    Vc,
+}
+
+/// What a node *is* — id, name, section, predecessors, output channels,
+/// burn work — kept apart from the processor that computes it, which
 /// [`build`](Self::build) constructs on demand.
 pub(crate) struct NodeSpec<'a> {
     pub id: NodeId,
@@ -286,6 +302,7 @@ pub(crate) struct NodeSpec<'a> {
     pub section: Section,
     pub channels: usize,
     pub preds: &'a [NodeId],
+    pub burn: Burn,
     make: Make<'a>,
 }
 
@@ -317,21 +334,31 @@ pub(crate) fn walk_nodes(
         std::array::from_fn(|d| NodeId((first + d) as u32))
     });
     let mut count = 0u32;
-    let mut add =
-        |name: String, section: Section, channels: usize, preds: &[NodeId], make: Make<'_>| {
-            let id = NodeId(count);
-            count += 1;
-            visit(NodeSpec {
-                id,
-                name,
-                section,
-                channels,
-                preds,
-                make,
-            });
-            id
-        };
+    let mut add = |name: String,
+                   section: Section,
+                   channels: usize,
+                   preds: &[NodeId],
+                   burn: Burn,
+                   make: Make<'_>| {
+        let id = NodeId(count);
+        count += 1;
+        visit(NodeSpec {
+            id,
+            name,
+            section,
+            channels,
+            preds,
+            burn,
+            make,
+        });
+        id
+    };
     let profile = scenario.work;
+    // The prior prices a playing deck's nodes at full signal energy and an
+    // idle deck's at silence.
+    let iters = |profile: &WorkProfile, class: NodeClass, plays: bool| {
+        Burn::Iters(profile.effective_iters(class, if plays { 1.0 } else { 0.0 }))
+    };
     let sr = djstar_dsp::SAMPLE_RATE;
     let deck_letter = |d: usize| ["A", "B", "C", "D"][d];
     let net_plan = net_plan_from_spec(&scenario.net);
@@ -347,6 +374,7 @@ pub(crate) fn walk_nodes(
         let slots = shape.fx_slots[d].clamp(1, GraphShape::MAX_FX_SLOTS);
         let section = Section::deck(d);
         let cfg = &scenario.decks[d];
+        let deck_iters = |class| iters(&profile, class, cfg.active);
         let front: Vec<NodeId> = fronts.map(|f| f[d]).into_iter().collect();
         // Remote deck: a network receiver feeds the SP filterbank. The
         // name carries no depth — the generation swap's name-keyed carry
@@ -360,6 +388,7 @@ pub(crate) fn walk_nodes(
                 section,
                 STEREO,
                 &[],
+                deck_iters(NodeClass::SpFilter),
                 &|seed| Box::new(NetDeckSource::new(d, net_plan, jcfg, profile, seed)),
             ));
         }
@@ -376,6 +405,7 @@ pub(crate) fn walk_nodes(
                 section,
                 STEREO,
                 &sp_preds,
+                deck_iters(NodeClass::SpFilter),
                 &|seed| Box::new(SpFilterNode::new(d, band, profile, seed)),
             );
         }
@@ -397,6 +427,7 @@ pub(crate) fn walk_nodes(
                 section,
                 STEREO,
                 &preds,
+                iters(&deck_profile, NodeClass::Effect, cfg.active),
                 &|seed| {
                     let effect = DECK_FX[slot % 4].build(sr);
                     Box::new(EffectNode::new(effect, enabled, deck_profile, seed))
@@ -409,6 +440,7 @@ pub(crate) fn walk_nodes(
             section,
             STEREO,
             &[*fx.last().expect("at least one FX slot")],
+            deck_iters(NodeClass::Channel),
             &|seed| {
                 Box::new(ChannelNode::new(
                     d,
@@ -440,6 +472,7 @@ pub(crate) fn walk_nodes(
                 section,
                 MONO,
                 &front,
+                deck_iters(NodeClass::Bookkeeping),
                 make,
             );
         }
@@ -467,63 +500,121 @@ pub(crate) fn walk_nodes(
 
     // Master section.
     let master = Section::Master;
-    let clock = add("ClockTick".into(), master, MONO, &[], &|seed| {
+    let mix_iters = |class| iters(&profile, class, scenario.decks.iter().any(|c| c.active));
+    let (chain, books) = (
+        mix_iters(NodeClass::MasterChain),
+        mix_iters(NodeClass::Bookkeeping),
+    );
+    let clock = add("ClockTick".into(), master, MONO, &[], books, &|seed| {
         Box::new(ClockTickNode::new(profile, seed))
     });
-    let sampler = add("AudioSampler".into(), master, STEREO, &[clock], &|seed| {
-        Box::new(SamplerNode::new(profile, seed))
-    });
+    let sampler = add(
+        "AudioSampler".into(),
+        master,
+        STEREO,
+        &[clock],
+        chain,
+        &|seed| Box::new(SamplerNode::new(profile, seed)),
+    );
     let mixer_preds: Vec<NodeId> = channel_ids.iter().copied().chain([sampler]).collect();
     let mixer = add(
         format!("Mixer[{wiring}]"),
         master,
         STEREO,
         &mixer_preds,
+        mix_iters(NodeClass::Mixer),
         &|seed| Box::new(MixerNode::with_sides(mixer_sides.clone(), profile, seed)),
     );
-    let master_buffer = add("MasterBuffer".into(), master, STEREO, &[mixer], &|seed| {
-        Box::new(MasterBufferNode::new(profile, seed))
-    });
+    let master_buffer = add(
+        "MasterBuffer".into(),
+        master,
+        STEREO,
+        &[mixer],
+        chain,
+        &|seed| Box::new(MasterBufferNode::new(profile, seed)),
+    );
     let to_master = [master_buffer];
-    let audio_out = add("AudioOut1".into(), master, STEREO, &to_master, &|seed| {
-        Box::new(AudioOutNode::new(profile, seed))
-    });
-    let record = add("RecordBuffer".into(), master, STEREO, &to_master, &|seed| {
-        Box::new(RecordBufferNode::new(profile, seed))
-    });
+    let audio_out = add(
+        "AudioOut1".into(),
+        master,
+        STEREO,
+        &to_master,
+        chain,
+        &|seed| Box::new(AudioOutNode::new(profile, seed)),
+    );
+    let record = add(
+        "RecordBuffer".into(),
+        master,
+        STEREO,
+        &to_master,
+        chain,
+        &|seed| Box::new(RecordBufferNode::new(profile, seed)),
+    );
     let cue = add(
         format!("CueBuffer[{wiring}]"),
         master,
         STEREO,
         &channel_ids,
+        chain,
         &|seed| Box::new(CueBufferNode::new(cue_mask.clone(), profile, seed)),
     );
-    let monitor = add("MonitorBuffer".into(), master, MONO, &[cue], &|seed| {
-        Box::new(MonitorBufferNode::new(profile, seed))
-    });
-    add("MasterMeter".into(), master, MONO, &to_master, &|seed| {
-        Box::new(LevelMeterNode::for_input(profile, seed))
-    });
-    add("SpectrumTap".into(), master, MONO, &to_master, &|seed| {
-        Box::new(SpectrumTapNode::new(profile, seed))
-    });
-    add("HeadroomCalc".into(), master, MONO, &[mixer], &|seed| {
-        Box::new(HeadroomCalcNode::new(profile, seed))
-    });
-    add("AutoGain".into(), master, MONO, &[mixer], &|seed| {
+    let monitor = add(
+        "MonitorBuffer".into(),
+        master,
+        MONO,
+        &[cue],
+        chain,
+        &|seed| Box::new(MonitorBufferNode::new(profile, seed)),
+    );
+    add(
+        "MasterMeter".into(),
+        master,
+        MONO,
+        &to_master,
+        books,
+        &|seed| Box::new(LevelMeterNode::for_input(profile, seed)),
+    );
+    add(
+        "SpectrumTap".into(),
+        master,
+        MONO,
+        &to_master,
+        books,
+        &|seed| Box::new(SpectrumTapNode::new(profile, seed)),
+    );
+    add(
+        "HeadroomCalc".into(),
+        master,
+        MONO,
+        &[mixer],
+        books,
+        &|seed| Box::new(HeadroomCalcNode::new(profile, seed)),
+    );
+    add("AutoGain".into(), master, MONO, &[mixer], books, &|seed| {
         Box::new(AutoGainNode::new(profile, seed))
     });
-    add("TempoMaster".into(), master, MONO, &[clock], &|seed| {
-        Box::new(TempoMasterNode::new(profile, seed))
-    });
-    add("LatencyMon".into(), master, MONO, &[audio_out], &|seed| {
-        Box::new(LatencyMonNode::new(profile, seed))
-    });
+    add(
+        "TempoMaster".into(),
+        master,
+        MONO,
+        &[clock],
+        books,
+        &|seed| Box::new(TempoMasterNode::new(profile, seed)),
+    );
+    add(
+        "LatencyMon".into(),
+        master,
+        MONO,
+        &[audio_out],
+        books,
+        &|seed| Box::new(LatencyMonNode::new(profile, seed)),
+    );
     let stats = add(
         "StatsCollector".into(),
         master,
         MONO,
         &[audio_out, record, monitor],
+        books,
         &|seed| Box::new(StatsCollectorNode::new(profile, seed)),
     );
     // Broadcast sink: encodes the master bus for N listeners. The name
@@ -535,6 +626,7 @@ pub(crate) fn walk_nodes(
             master,
             STEREO,
             &to_master,
+            chain,
             &|seed| Box::new(BroadcastSink::new(shape.listeners, net_plan, profile, seed)),
         )
     });
@@ -548,11 +640,14 @@ pub(crate) fn walk_nodes(
                 Section::Apc,
                 STEREO,
                 &[],
+                Burn::Front {
+                    plays: scenario.decks[d].active,
+                },
                 &|_| Box::new(DeckFront::new(scenario, d, Arc::clone(&tempos))),
             )
         });
         debug_assert_eq!(fronts, want, "the deck nodes named the wrong fronts");
-        let vc = add("VC".into(), Section::Apc, MONO, &fronts, &|_| {
+        let vc = add("VC".into(), Section::Apc, MONO, &fronts, Burn::Vc, &|_| {
             Box::new(VariousCalc::new(scenario, Arc::clone(&tempos)))
         });
         ApcNodes { fronts, vc }

@@ -37,14 +37,18 @@
 //!   [`Unschedulable`] before a single node is built. Venue session
 //!   admission is the same check with the other sessions' load beside it.
 
-use crate::graphbuild::{hollow_graph, walk_nodes, GraphShape};
+use crate::apc::AuxWork;
+use crate::graphbuild::{hollow_graph, walk_nodes, Burn, GraphShape};
 use crate::reconfig::{ids_in, in_mask, orphan_mask, GraphEdit, StagedTopology};
 use djstar_core::graph::{GraphTopology, NodeId};
 use djstar_core::processor::Processor;
+use djstar_dsp::work::burn;
 use djstar_sim::{cycle_budget_ns, session_bound_ns, DurationModel, SimGraph};
 use djstar_workload::scenario::Scenario;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Admission proved a bound cannot fit the margined deadline beside the
 /// load already on the pool. Nothing was staged or built; what runs is
@@ -466,20 +470,41 @@ impl fmt::Debug for BlueprintCache {
     }
 }
 
-/// Per-node cost estimates for the admission bound, calibrated from
-/// traced execution or uniform as a structural fallback.
+/// Per-node cost estimates (ns): what PLAN blueprints are list-scheduled
+/// under and what admission bounds a shape with. An engine starts on the
+/// static [`prior`](Self::prior) and replaces it with the per-node p50s it
+/// learns in place over its first cycles ([`from_costs`](Self::from_costs)).
 ///
 /// Lookup is by node name: exact name first, then the node's *kind* (the
 /// name with its deck letter, slot digits and bracket suffix stripped —
 /// `FXB5` → `FX`, `ChannelC` → `Channel`, `Mixer[0.5/0.5]` → `Mixer`),
-/// then the default. The kind fallback is what lets costs measured on
-/// one shape price a *different* shape: deck C's fifth FX slot costs
-/// about what deck A's slots did, even if no `FXC5` ever ran.
+/// then the default. The kind fallback is what lets costs known for one
+/// shape price a *different* shape: deck C's fifth FX slot costs about
+/// what deck A's slots did, even if no `FXC5` ever ran.
 #[derive(Debug, Clone)]
 pub struct NodeCostModel {
     exact: HashMap<String, u64>,
     kinds: HashMap<String, u64>,
     default_ns: u64,
+}
+
+/// `djstar_dsp::work::burn`'s cost per iteration on this host (ns):
+/// measured once per process, as the fastest of five short timed runs, so
+/// a pre-emption during one cannot inflate it.
+fn burn_ns_per_iter() -> f64 {
+    static NS: OnceLock<f64> = OnceLock::new();
+    *NS.get_or_init(|| {
+        const ITERS: u32 = 20_000;
+        let fastest = (0..5)
+            .map(|k| {
+                let t0 = Instant::now();
+                std::hint::black_box(burn(ITERS, 0.1 + 0.1 * k as f32));
+                t0.elapsed()
+            })
+            .min()
+            .unwrap_or_default();
+        fastest.as_nanos() as f64 / f64::from(ITERS)
+    })
 }
 
 impl NodeCostModel {
@@ -492,28 +517,34 @@ impl NodeCostModel {
         }
     }
 
-    /// Calibrate from per-node duration samples (ns), one sample vector
-    /// per node of `topo` — the shape of
-    /// `AudioEngine::measured_node_durations`. Node cost is the sample
-    /// mean; kind cost is the mean over the kind's nodes; the default is
-    /// the global mean.
-    pub fn from_samples(topo: &GraphTopology, samples: &[Vec<u64>]) -> Self {
-        let mean = |v: &[u64]| -> Option<u64> {
-            if v.is_empty() {
-                None
-            } else {
-                Some((v.iter().sum::<u64>() / v.len() as u64).max(1))
-            }
-        };
-        let mut exact = HashMap::with_capacity(topo.len());
-        let mut kind_sums: HashMap<&str, (u64, u64)> = HashMap::new();
-        let mut total = 0u64;
-        let mut counted = 0u64;
-        for i in 0..topo.len() {
-            let name = topo.name(djstar_core::graph::NodeId(i as u32));
-            let Some(cost) = samples.get(i).and_then(|v| mean(v)) else {
-                continue;
+    /// The static prior of `shape`'s engine graph: one fold over the walk
+    /// that builds it, each node priced at its `burn` iterations times the
+    /// kernel's measured ns/iter. A playing deck's nodes burn at full
+    /// signal energy, an idle deck's at silence; FX nodes carry the deck's
+    /// `fx_weight`; a front costs TP + GP (TP alone on an idle deck) and VC
+    /// its `vc_iters`, all at `aux`.
+    pub fn prior(scenario: &Scenario, shape: &GraphShape, aux: AuxWork) -> Self {
+        let ns_per_iter = burn_ns_per_iter();
+        let mut priced = Vec::with_capacity(shape.node_count());
+        walk_nodes(scenario, shape, true, &mut |spec| {
+            let iters = match spec.burn {
+                Burn::Iters(n) => n,
+                Burn::Front { plays } => aux.tp_iters + if plays { aux.gp_iters } else { 0 },
+                Burn::Vc => aux.vc_iters,
             };
+            priced.push((spec.name, (f64::from(iters) * ns_per_iter).round() as u64));
+        });
+        Self::from_costs(priced.iter().map(|(name, ns)| (name.as_str(), *ns)))
+    }
+
+    /// Price each named node at its cost (ns, floored at 1). A kind costs
+    /// the mean of its nodes, the default the mean of all nodes.
+    pub fn from_costs<'a>(nodes: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
+        let mut exact = HashMap::new();
+        let mut kind_sums: HashMap<&str, (u64, u64)> = HashMap::new();
+        let (mut total, mut counted) = (0u64, 0u64);
+        for (name, cost) in nodes {
+            let cost = cost.max(1);
             exact.entry(name.to_string()).or_insert(cost);
             total += cost;
             counted += 1;
@@ -837,9 +868,13 @@ mod tests {
         let scenario = Scenario::light_test();
         let (graph, _) = build_shaped_graph(&scenario, &GraphShape::paper_default());
         let topo = graph.topology();
-        let samples: Vec<Vec<u64>> = (0..topo.len()).map(|i| vec![100 + i as u64]).collect();
-        let model = NodeCostModel::from_samples(topo, &samples);
-        // Exact names resolve to their own mean.
+        let model = NodeCostModel::from_costs((0..topo.len()).map(|i| {
+            (
+                topo.name(djstar_core::graph::NodeId(i as u32)),
+                100 + i as u64,
+            )
+        }));
+        // Exact names resolve to their own cost.
         let sp_a1 = (0..topo.len())
             .find(|&i| topo.name(djstar_core::graph::NodeId(i as u32)) == "SPA1")
             .unwrap();

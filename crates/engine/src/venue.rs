@@ -15,16 +15,17 @@
 //!    session is a one-lane session like any other: step 3 runs it.
 //!
 //! **Admission control** is the engine's one [`AdmissionControl`]: a
-//! candidate session is measured by one probe twin (a throwaway SEQ × 1
-//! engine at the session's aux weights), its per-cycle cost is bounded by
-//! [`shape_bound_ns`] — the list schedule of its graph, TP, GP and VC
-//! nodes included, on the lanes it requests, nodes priced at their mean
-//! probed cost — and it is admitted only if that bound fits the margined
-//! deadline beside the summed bounds of the sessions already admitted.
-//! The probe's cost model goes on to the admitted engine, so a PLAN
-//! session is not probed twice.
-//! The bound is a mean-cost list bound that has not been proven sound:
-//! measured two-session batches run longer than the summed bounds
+//! candidate session's per-cycle cost is bounded by [`shape_bound_ns`] —
+//! the list schedule of its graph, TP, GP and VC nodes included, on the
+//! lanes it requests, nodes priced by the static
+//! [`NodeCostModel::prior`] at the session's aux weights — and it is
+//! admitted only if that bound fits the margined deadline beside the
+//! summed bounds of the sessions already admitted. Nothing runs to admit
+//! a session. Once the admitted engine has learned its node costs in
+//! place (its cycle 16), the venue re-prices the session's bound under
+//! them, so [`load_ns`](VenueServer::load_ns) becomes a measured value.
+//! The bound is a p50-cost list bound that has not been proven sound:
+//! measured two-session batches can run longer than the summed bounds
 //! (`sim.bound_slack_pct` reads negative). Rejections are counted.
 //!
 //! **Per-session accounting**: each session carries its own cycle/miss
@@ -34,7 +35,7 @@
 //! it records — so a `MissDossier` built from a venue capture names the
 //! offending session.
 
-use crate::apc::{probe, ApcTiming, AudioEngine, AuxWork, GovernorOutcome};
+use crate::apc::{ApcTiming, AudioEngine, AuxWork, GovernorOutcome};
 use crate::graphbuild::GraphShape;
 use crate::modes::{shape_bound_ns, AdmissionControl, NodeCostModel, Unschedulable};
 use djstar_core::exec::{Strategy, VenuePool};
@@ -59,6 +60,10 @@ struct VenueSession {
     id: u32,
     engine: AudioEngine,
     bound_ns: u64,
+    /// `bound_ns` is the venue's own pricing (`admit`), not the caller's
+    /// (`admit_bounded`): it is re-priced once the engine learned its
+    /// node costs.
+    priced: bool,
     cycles: u64,
     misses: u64,
     last: ApcTiming,
@@ -133,31 +138,32 @@ impl VenueServer {
 
     /// Admit `spec` if the venue stays schedulable with it, building its
     /// engine on the shared pool and tagging it with a fresh session id.
-    /// The bound comes from one probe twin of the session's shape at its
-    /// aux weights, on `spec.threads` lanes; the probe's cost model becomes
-    /// the admitted engine's. Otherwise count and return the rejection.
+    /// The bound prices the session's shape with the static cost prior at
+    /// its aux weights, on `spec.threads` lanes, and is re-priced from the
+    /// engine's learned costs once it has them. Otherwise count and return
+    /// the rejection.
     pub fn admit(&mut self, spec: SessionSpec) -> Result<u32, Unschedulable> {
         let shape = GraphShape::for_net(&spec.scenario.net);
-        let costs = probe(&spec.scenario, shape, spec.aux);
+        let costs = NodeCostModel::prior(&spec.scenario, &shape, spec.aux);
         let bound_ns = shape_bound_ns(&spec.scenario, &shape, &costs, spec.threads);
-        self.admit_priced(spec, bound_ns, Some(costs))
+        self.admit_priced(spec, bound_ns, true)
     }
 
-    /// [`admit`](Self::admit) with a caller-supplied bound (skips the
-    /// probe — for harnesses that already measured the workload).
+    /// [`admit`](Self::admit) with a caller-supplied bound, kept as given
+    /// (for harnesses that already measured the workload).
     pub fn admit_bounded(
         &mut self,
         spec: SessionSpec,
         bound_ns: u64,
     ) -> Result<u32, Unschedulable> {
-        self.admit_priced(spec, bound_ns, None)
+        self.admit_priced(spec, bound_ns, false)
     }
 
     fn admit_priced(
         &mut self,
         spec: SessionSpec,
         bound_ns: u64,
-        costs: Option<NodeCostModel>,
+        priced: bool,
     ) -> Result<u32, Unschedulable> {
         assert!(
             spec.threads >= 1 && spec.threads <= self.pool.threads(),
@@ -177,12 +183,13 @@ impl VenueServer {
             threads,
             aux,
         } = spec;
-        let mut engine = AudioEngine::on_pool(scenario, strategy, threads, aux, &self.pool, costs);
+        let mut engine = AudioEngine::on_pool(scenario, strategy, threads, aux, &self.pool);
         engine.set_session(id);
         self.sessions.push(VenueSession {
             id,
             engine,
             bound_ns,
+            priced,
             cycles: 0,
             misses: 0,
             last: ApcTiming::default(),
@@ -215,7 +222,8 @@ impl VenueServer {
             .map(|s| &mut s.engine)
     }
 
-    /// A session's admission-time bound (ns).
+    /// A session's bound (ns): the one it was admitted at, re-priced from
+    /// learned costs for a session [`admit`](Self::admit) priced.
     pub fn bound_ns(&self, id: u32) -> Option<u64> {
         self.find(id).map(|s| s.bound_ns)
     }
@@ -262,6 +270,10 @@ impl VenueServer {
                 s.misses += 1;
             }
             let _: Option<GovernorOutcome> = s.engine.observe_deadline(missed);
+            if s.priced && s.engine.learned_now() {
+                let e = &s.engine;
+                s.bound_ns = shape_bound_ns(e.scenario(), e.shape(), e.costs(), e.threads());
+            }
         }
         t0.elapsed()
     }
@@ -346,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn probed_admission_fills_then_rejects() {
+    fn priced_admission_fills_then_rejects() {
         let mut venue = VenueServer::new(2, Duration::from_secs(2), 0.0);
         let id = venue
             .admit(spec(Strategy::Sleep, 2))

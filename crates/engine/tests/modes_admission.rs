@@ -10,6 +10,9 @@
 //! [`THREADS`] lanes: admission bounds a shape on the engine's own lanes.
 
 use djstar_core::exec::Strategy;
+use djstar_core::flight::FlightConfig;
+use djstar_core::graph::NodeId;
+use djstar_core::trace::ScheduleTrace;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::modes::{AdmissionControl, NodeCostModel};
 use djstar_engine::reconfig::{apply_edit, GraphEdit, ReconfigError};
@@ -244,37 +247,55 @@ fn margin_shrinks_the_budget_like_the_oracle_says() {
 }
 
 #[test]
-fn the_probe_model_prices_exactly_the_per_node_means() {
-    // Venue admission used to bound a session with its probe's raw
-    // per-node means; it now prices the same shape through a
-    // `NodeCostModel`. On every shape of the family (names unique) the
-    // model must hand the list scheduler exactly those means, floor 1 ns
-    // included, so no bound moves.
+fn the_learned_model_prices_each_node_at_the_p50_of_its_window() {
+    // An engine learns its node costs in place: cycles 5 ..= 16 fold every
+    // node's execution time into its histogram, and the model it prices
+    // with afterwards holds each node's p50. The flight recorder sees the
+    // same intervals, so on every shape of the family (names unique) each
+    // node must be priced at the nearest-rank median of its recorded
+    // window, within the histogram's half-bucket error (1/32), floor 1 ns
+    // included. PLAN × 2 on the first shape: its re-plan commit after
+    // cycle 16 must leave the learned model in place.
     let scenario = Scenario::light_test();
-    for shape in shape_family() {
-        let (graph, _) = build_shaped_graph(&scenario, &shape);
-        let topo = graph.topology();
-        let names: Vec<&str> = (0..topo.len())
-            .map(|i| topo.name(djstar_core::graph::NodeId(i as u32)))
+    for (k, shape) in shape_family().into_iter().enumerate() {
+        let (strategy, threads) = match k {
+            0 => (Strategy::Planned, 2),
+            _ => (Strategy::Sequential, 1),
+        };
+        let mut engine =
+            AudioEngine::with_shape(scenario.clone(), shape, strategy, threads, AuxWork::light());
+        engine.set_flight_recorder(Some(FlightConfig::default()));
+        engine.warmup(16);
+        let window = engine.take_flight_window().expect("recorder installed");
+        assert_eq!(window.dropped_spans, 0);
+        let topo = engine.executor_mut().topology();
+        let names: Vec<String> = (0..topo.len())
+            .map(|i| topo.name(NodeId(i as u32)).to_string())
             .collect();
         let mut unique = names.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "node names must be unique");
-        // Deterministic samples; every fifth node sampled at 0 ns.
-        let sample = |i: u64, k: u64| match i % 5 {
-            0 => 0,
-            _ => 100 + (i * 7_919 + k * 104_729) % 3_000,
-        };
-        let samples: Vec<Vec<u64>> = (0..topo.len() as u64)
-            .map(|i| (0..12).map(|k| sample(i, k)).collect())
-            .collect();
-        let means: Vec<u64> = samples
-            .iter()
-            .map(|s| (s.iter().sum::<u64>() / s.len().max(1) as u64).max(1))
-            .collect();
-        assert!(means.contains(&1), "the 1 ns floor is exercised");
-        let model = NodeCostModel::from_samples(topo, &samples);
-        assert_eq!(model.durations_for(topo), means, "shape {shape:?}");
+        let mut samples = vec![Vec::new(); names.len()];
+        for cycle in 5..=16 {
+            let trace = ScheduleTrace::of_cycle(&window, cycle).expect("cycle in window");
+            for e in trace.executions() {
+                samples[e.node as usize].push(e.duration_ns());
+            }
+        }
+        for (n, mut s) in samples.into_iter().enumerate() {
+            let learned = engine.costs().cost(&names[n]);
+            assert_eq!(s.len(), 12, "{}: one sample per window cycle", names[n]);
+            s.sort_unstable();
+            let p50 = s[5].max(1);
+            assert!(
+                learned.abs_diff(p50) * 32 <= p50.max(32),
+                "shape {k} {}: learned {learned} ns, window p50 {p50} ns",
+                names[n]
+            );
+        }
+        if strategy == Strategy::Planned {
+            assert_eq!(engine.commit_cycles(), &[16], "one re-plan commit");
+        }
     }
 }

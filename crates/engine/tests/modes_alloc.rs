@@ -99,6 +99,22 @@ fn warm_cache_storm_does_not_allocate_on_the_audio_thread() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let mut engine =
         AudioEngine::with_aux(Scenario::light_test(), Strategy::Busy, 2, AuxWork::light());
+    // Inside the learning window (cycles 5 ..= 16) the lanes fold node
+    // times into the node histograms: cycles 6 ..= 10, or 11 ..= 15 if
+    // std's one-shot lazy initialization landed in the first, allocate
+    // nothing. Cycle 16 closes the window and may allocate; every window
+    // below starts after it.
+    engine.warmup(5);
+    let learning = |engine: &mut AudioEngine| {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        engine.warmup(5);
+        ALLOCATIONS.load(Ordering::SeqCst) - before
+    };
+    let mut allocs = learning(&mut engine);
+    if allocs > 0 {
+        allocs = learning(&mut engine);
+    }
+    assert_eq!(allocs, 0, "learning cycles allocated {allocs} times");
     engine.warmup(20);
     // Pre-grow the engine's commit ledger past what two measured passes
     // will push (33 commits doubles its capacity to 64), so a `Vec`

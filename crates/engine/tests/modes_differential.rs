@@ -50,10 +50,12 @@ fn lockstep(strategy: Strategy, threads: usize, precompile: bool) -> (u64, u64, 
     let script = shape_walk(SWITCHES, PERIOD, SEED);
     let mut cached = engine(strategy, threads);
     let mut fresh = engine(strategy, threads);
-    cached.warmup(10);
-    fresh.warmup(10);
-    // Staged blueprints are priced by each engine's own PLAN probe, and
-    // two probes never measure the same nanoseconds: give both sides one
+    // Past the learning window (cycles 5 ..= 16), whose close re-prices
+    // each engine and voids its cache.
+    cached.warmup(20);
+    fresh.warmup(20);
+    // Staged blueprints are priced by each engine's own learned costs, and
+    // two engines never measure the same nanoseconds: give both sides one
     // model, so equal blueprints mean an equal compile.
     fresh.recalibrate_admission(cached.costs().clone());
     cached.enable_mode_cache(32);
@@ -136,8 +138,9 @@ fn long_walk_keeps_latent_shape_fields_straight() {
     let script = shape_walk(100, 3, SEED);
     let mut cached = engine(Strategy::Busy, 2);
     let mut fresh = engine(Strategy::Busy, 2);
-    cached.warmup(10);
-    fresh.warmup(10);
+    // Past the learning window, whose close voids the cache.
+    cached.warmup(20);
+    fresh.warmup(20);
     cached.enable_mode_cache(32);
     cached.precompile_neighborhood();
     let mut acc_c = 0xcbf2_9ce4_8422_2325u64;

@@ -62,7 +62,10 @@ fn all_strategies_swap_generations_without_diverging() {
                 "{strategy:?} diverged from sequential at cycle {cycle}"
             );
         }
-        assert_eq!(engine.executor_mut().generation(), 4);
+        // PLAN also commits its one re-plan, when the learning window
+        // closes after cycle 16.
+        let replans = u64::from(strategy == Strategy::Planned);
+        assert_eq!(engine.executor_mut().generation(), 4 + replans);
     }
 }
 

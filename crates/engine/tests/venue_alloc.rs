@@ -87,6 +87,22 @@ fn steady_state_venue_cycles_do_not_allocate() {
     venue
         .admit_bounded(spec(Strategy::Sequential, 1, false), 1)
         .expect("admit sequential");
+    // Cycles 6 ..= 15 lie inside every session's learning window (5 ..=
+    // 16): each lane folds its node times into the node histograms. Two
+    // five-cycle windows, the second only if the first allocated (std's
+    // one-shot lazy initialization, see below); cycle 16 closes the window,
+    // re-prices and re-plans, and is the one cycle allowed to allocate.
+    venue.run_cycles(5);
+    let mut learning = || {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        venue.run_cycles(5);
+        ALLOCATIONS.load(Ordering::SeqCst) - before
+    };
+    let mut allocs = learning();
+    if allocs > 0 {
+        allocs = learning();
+    }
+    assert_eq!(allocs, 0, "learning venue cycles allocated {allocs} times");
     venue.run_cycles(30);
     // Deepen the networked session's buffers to the ceiling through its
     // engine on the first conceal; they then step one rung per cycle

@@ -151,8 +151,8 @@ impl Scenario {
     }
 
     /// Deck `d`'s track, synthesized on first request and shared from then
-    /// on with every clone of this scenario (an engine, its PLAN-compile
-    /// probe, an admission probe, a calibration round): loading a set
+    /// on with every clone of this scenario (an engine, a venue session,
+    /// a calibration round): loading a set
     /// synthesizes each deck once. A deck whose seed, tempo, style or length
     /// has been edited since gets a fresh track, which replaces the old one.
     pub fn track(&self, d: usize) -> Track {
