@@ -5,13 +5,15 @@ use djstar_bench::microbench::{bench, group};
 use djstar_dsp::biquad::{process_chain, process_chain_scalar, Biquad, FilterKind};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::{Compressor, Limiter};
-use djstar_dsp::effects::{EchoDelay, EffectKind, Flanger, Phaser};
+use djstar_dsp::effects::{EchoDelay, EffectKind, Flanger, Overdrive, Phaser};
 use djstar_dsp::eq::ThreeBandEq;
 use djstar_dsp::meter::goertzel_power;
 use djstar_dsp::mix::{mix_into, mix_into_scalar};
 use djstar_dsp::osc::NoiseSource;
 use djstar_dsp::simd;
 use djstar_dsp::stretch::TimeStretcher;
+use djstar_dsp::vmath::{sin_block, tanh_block};
+use djstar_engine::timecode::TimecodeGenerator;
 use djstar_workload::track::{synth_track, synth_track_reference, TrackStyle};
 
 fn music_buf() -> AudioBuf {
@@ -43,6 +45,53 @@ fn bench_effects() {
     reference_row!(EchoDelay, EchoDelay::new(sr, 0.25, 0.45, 0.5));
     reference_row!(Flanger, Flanger::new(sr, 0.4, 0.7, 0.5));
     reference_row!(Phaser, Phaser::new(sr, 0.3, 4, 0.6));
+    reference_row!(Overdrive, Overdrive::new(3.0, 0.7));
+}
+
+/// The libm-identical block kernels against a libm call per element, on
+/// the inputs the audio path feeds them: a 256-sample Overdrive buffer
+/// (drive 3 × music) and 256 LFO / carrier arguments `TAU * phase`. Each
+/// iteration restores its input first, so both rows pay the same copy.
+fn bench_vmath() {
+    group("vmath");
+    let drive: Vec<f32> = music_buf().samples().iter().map(|s| 3.0 * s).collect();
+    let args: Vec<f32> = (0..256)
+        .map(|i| core::f32::consts::TAU * (i as f32 * 0.0043 % 1.0))
+        .collect();
+    let mut xs = vec![0.0f32; 256];
+    for (name, input, libm, block) in [
+        (
+            "tanh_256",
+            &drive,
+            f32::tanh as fn(f32) -> f32,
+            tanh_block as fn(&mut [f32]),
+        ),
+        ("sin_256", &args, f32::sin, sin_block),
+    ] {
+        bench(&format!("vmath/{name}/libm"), || {
+            xs.copy_from_slice(input);
+            for x in xs.iter_mut() {
+                *x = libm(*x);
+            }
+            xs[0]
+        });
+        bench(&format!("vmath/{name}/block"), || {
+            xs.copy_from_slice(input);
+            block(&mut xs);
+            xs[0]
+        });
+    }
+}
+
+/// One deck's timecode carrier for a cycle: two 128-sample quadrature
+/// planes (the per-deck front's signal source).
+fn bench_timecode() {
+    group("timecode");
+    let mut generator = TimecodeGenerator::new(djstar_dsp::SAMPLE_RATE);
+    let mut out = AudioBuf::zeroed(2, djstar_dsp::BUFFER_FRAMES);
+    bench("timecode_generate_128f", || {
+        generator.generate(1.02, &mut out)
+    });
 }
 
 fn bench_filters() {
@@ -55,6 +104,18 @@ fn bench_filters() {
     bench("three_band_eq", || eq.process(&mut buf));
     let mut lim = Limiter::master(djstar_dsp::SAMPLE_RATE);
     bench("limiter", || lim.process(&mut buf));
+    let other = music_buf();
+    bench("buf_mix_add", || buf.mix_add(&other, 0.5));
+    let src: Vec<f32> = (0..44_100)
+        .map(|i| ((i as f32) * 0.06).sin() * 0.7)
+        .collect();
+    let mut st = TimeStretcher::new();
+    let mut out = vec![0.0f32; 512];
+    bench("stretch_512", || {
+        st.seek(1_000.0);
+        st.process(&src, 1.3, &mut out);
+        out[0]
+    });
     let meter_buf = music_buf();
     bench("goertzel_8_bands", || {
         let mut acc = 0.0f32;
@@ -121,11 +182,6 @@ fn bench_simd_pairs() {
     });
     bench("mix_into_8/simd", || mix_into(&mut out, &refs, &gains));
 
-    let mut lim = Limiter::master(djstar_dsp::SAMPLE_RATE);
-    let mut buf = music_buf();
-    bench("limiter/scalar", || lim.process_scalar(&mut buf));
-    bench("limiter/simd", || lim.process(&mut buf));
-
     let mut comp = Compressor::new(0.3, 4.0, 10.0, djstar_dsp::SAMPLE_RATE);
     let mut buf = music_buf();
     bench("compressor/scalar", || comp.process_scalar(&mut buf));
@@ -151,33 +207,12 @@ fn bench_simd_pairs() {
         });
     }
 
-    // The stretcher and the raw buffer kernels dispatch on the global
-    // SIMD switch, so the scalar leg forces it off for the duration.
-    let src: Vec<f32> = (0..44_100)
-        .map(|i| ((i as f32) * 0.06).sin() * 0.7)
-        .collect();
-    let mut st = TimeStretcher::new();
-    let mut out = vec![0.0f32; 512];
+    // The RMS kernel dispatches on the global SIMD switch, so the scalar
+    // leg forces it off for the duration.
+    let buf = music_buf();
     simd::set_force_scalar(true);
-    bench("stretch_512/scalar", || {
-        st.seek(1_000.0);
-        st.process(&src, 1.3, &mut out);
-        out[0]
-    });
-    simd::set_force_scalar(false);
-    bench("stretch_512/simd", || {
-        st.seek(1_000.0);
-        st.process(&src, 1.3, &mut out);
-        out[0]
-    });
-
-    let other = music_buf();
-    let mut buf = music_buf();
-    simd::set_force_scalar(true);
-    bench("buf_mix_add/scalar", || buf.mix_add(&other, 0.5));
     bench("buf_rms/scalar", || buf.rms());
     simd::set_force_scalar(false);
-    bench("buf_mix_add/simd", || buf.mix_add(&other, 0.5));
     bench("buf_rms/simd", || buf.rms());
 }
 
@@ -212,6 +247,8 @@ fn main() {
     bench_filters();
     bench_fft();
     bench_simd_pairs();
+    bench_vmath();
+    bench_timecode();
     bench_track_synth();
     bench_burn();
 }

@@ -266,17 +266,6 @@ impl AudioBuf {
     /// downmix averages left and right.
     pub fn mix_add(&mut self, src: &AudioBuf, gain: f32) {
         assert_eq!(self.frames, src.frames, "frame-count mismatch");
-        if simd::wide_enabled() {
-            self.mix_add_wide(src, gain);
-        } else {
-            self.mix_add_scalar(src, gain);
-        }
-    }
-
-    /// Scalar reference for [`AudioBuf::mix_add`]; bit-identical to the
-    /// vector path (same per-element operations).
-    pub fn mix_add_scalar(&mut self, src: &AudioBuf, gain: f32) {
-        assert_eq!(self.frames, src.frames, "frame-count mismatch");
         match (self.channels, src.channels) {
             (a, b) if a == b => {
                 for (d, s) in self.as_mut_slice().iter_mut().zip(src.as_slice()) {
@@ -296,49 +285,6 @@ impl AudioBuf {
                 let (sl, sr) = src.as_planar_slices();
                 let d = self.channel_mut(0);
                 for i in 0..d.len() {
-                    let s = 0.5 * (sl[i] + sr[i]);
-                    d[i] += gain * s;
-                }
-            }
-            _ => unreachable!("buffers are mono or stereo"),
-        }
-    }
-
-    fn mix_add_wide(&mut self, src: &AudioBuf, gain: f32) {
-        let g = F32x4::splat(gain);
-        match (self.channels, src.channels) {
-            (a, b) if a == b => {
-                axpy_wide(self.as_mut_slice(), src.as_slice(), g, gain);
-            }
-            (2, 1) => {
-                let mono = src.channel(0);
-                let (l, r) = self.as_planar_slices_mut();
-                let n = mono.len() & !3;
-                let mut i = 0;
-                while i < n {
-                    let s = g.mul(F32x4::load(&mono[i..]));
-                    F32x4::load(&l[i..]).add(s).store(&mut l[i..]);
-                    F32x4::load(&r[i..]).add(s).store(&mut r[i..]);
-                    i += 4;
-                }
-                for i in n..mono.len() {
-                    let s = gain * mono[i];
-                    l[i] += s;
-                    r[i] += s;
-                }
-            }
-            (1, 2) => {
-                let (sl, sr) = src.as_planar_slices();
-                let d = self.channel_mut(0);
-                let half = F32x4::splat(0.5);
-                let n = d.len() & !3;
-                let mut i = 0;
-                while i < n {
-                    let s = half.mul(F32x4::load(&sl[i..]).add(F32x4::load(&sr[i..])));
-                    F32x4::load(&d[i..]).add(g.mul(s)).store(&mut d[i..]);
-                    i += 4;
-                }
-                for i in n..d.len() {
                     let s = 0.5 * (sl[i] + sr[i]);
                     d[i] += gain * s;
                 }
@@ -423,21 +369,6 @@ impl AudioBuf {
     /// True if every sample is finite (no NaN/inf escaped a filter).
     pub fn is_finite(&self) -> bool {
         self.as_slice().iter().all(|s| s.is_finite())
-    }
-}
-
-/// `dst[i] += g * src[i]` over equal-length slices, 4 lanes at a time.
-fn axpy_wide(dst: &mut [f32], src: &[f32], g: F32x4, gain: f32) {
-    let n = dst.len() & !3;
-    let mut i = 0;
-    while i < n {
-        F32x4::load(&dst[i..])
-            .add(g.mul(F32x4::load(&src[i..])))
-            .store(&mut dst[i..]);
-        i += 4;
-    }
-    for i in n..dst.len() {
-        dst[i] += gain * src[i];
     }
 }
 
@@ -606,19 +537,6 @@ mod tests {
         st.set_sample(1, 0, 3.0);
         mono.mix_add(&st, 1.0);
         assert_eq!(mono.sample(0, 0), 2.0);
-    }
-
-    #[test]
-    fn wide_mix_matches_scalar_exactly() {
-        // Odd frame counts exercise the non-lane-multiple tails.
-        for (dc, sc, frames) in [(2, 2, 19), (2, 1, 19), (1, 2, 19), (1, 1, 4), (2, 2, 3)] {
-            let src = AudioBuf::from_fn(sc, frames, |ch, i| ((ch + 1) * (i + 3)) as f32 * 0.013);
-            let mut a = AudioBuf::from_fn(dc, frames, |ch, i| (ch as f32 - i as f32) * 0.07);
-            let mut b = a.clone();
-            a.mix_add(&src, 0.8);
-            b.mix_add_scalar(&src, 0.8);
-            assert_eq!(a.samples(), b.samples(), "{dc}ch += {sc}ch x {frames}");
-        }
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! audio outputs; these are those processors.
 //!
 //! The limiter and compressor have a serial per-frame envelope follower
-//! sandwiched between two embarrassingly-parallel phases. The vector path
-//! stages frames through fixed stack chunks: per-frame peaks (or mean
-//! squares) are computed 4 lanes at a time, the envelope/gain recurrence
+//! sandwiched between two embarrassingly-parallel phases. The compressor's
+//! vector path stages frames through fixed stack chunks: per-frame mean
+//! squares are computed 4 lanes at a time, the envelope/gain recurrence
 //! runs scalar over the chunk, and the gains are applied back to each
 //! channel plane 4 lanes at a time. Every per-frame formula matches the
 //! scalar reference operation-for-operation, so the result is
-//! bit-identical.
+//! bit-identical. The limiter is scalar only: its peak-and-clamp form of
+//! the same staging measured no faster than the per-frame loop.
 
 use crate::buffer::AudioBuf;
 use crate::simd::{self, F32x4};
@@ -88,19 +89,10 @@ impl Limiter {
         self.envelope = 0.0;
     }
 
-    /// Limit a buffer in place.
+    /// Limit a buffer in place: per frame, the peak across channels drives
+    /// the envelope, and the frame's gain is applied with a safety clamp.
     pub fn process(&mut self, buf: &mut AudioBuf) {
         let _t = crate::kprof::timer(crate::kprof::Family::Dynamics);
-        if simd::wide_enabled() {
-            self.process_wide(buf);
-        } else {
-            self.process_scalar(buf);
-        }
-    }
-
-    /// Scalar reference for [`Limiter::process`]: the seed's per-frame
-    /// loop. Bit-identical to the vector path.
-    pub fn process_scalar(&mut self, buf: &mut AudioBuf) {
         let channels = buf.channels();
         let frames = buf.frames();
         for i in 0..frames {
@@ -132,57 +124,6 @@ impl Limiter {
             self.ceiling / over
         } else {
             1.0
-        }
-    }
-
-    fn process_wide(&mut self, buf: &mut AudioBuf) {
-        let ceiling = self.ceiling;
-        let lo = F32x4::splat(-ceiling);
-        let hi = F32x4::splat(ceiling);
-        let mut peaks = [0.0f32; CHUNK];
-        let mut gains = [0.0f32; CHUNK];
-        for (l, r) in buf.frames_chunks_mut(CHUNK) {
-            let m = l.len();
-            let stereo = !r.is_empty();
-            let n = m & !3;
-            let mut i = 0;
-            while i < n {
-                let mut p = F32x4::zero().max(F32x4::load(&l[i..]).abs());
-                if stereo {
-                    p = p.max(F32x4::load(&r[i..]).abs());
-                }
-                p.store(&mut peaks[i..]);
-                i += 4;
-            }
-            for i in n..m {
-                let mut peak = 0.0f32.max(l[i].abs());
-                if stereo {
-                    peak = peak.max(r[i].abs());
-                }
-                peaks[i] = peak;
-            }
-            // The envelope recurrence is inherently serial.
-            for i in 0..m {
-                gains[i] = self.gain_step(peaks[i]);
-            }
-            for plane in [&mut *l, r] {
-                if plane.is_empty() {
-                    continue;
-                }
-                let mut i = 0;
-                while i < n {
-                    let g = F32x4::load(&gains[i..]);
-                    F32x4::load(&plane[i..])
-                        .mul(g)
-                        .max(lo)
-                        .min(hi)
-                        .store(&mut plane[i..]);
-                    i += 4;
-                }
-                for i in n..m {
-                    plane[i] = (plane[i] * gains[i]).clamp(-ceiling, ceiling);
-                }
-            }
         }
     }
 }
@@ -385,27 +326,6 @@ mod tests {
         let gain = comp.process(&mut buf);
         assert!(gain < 0.8, "gain {gain}");
         assert!(buf.rms() < 0.5);
-    }
-
-    #[test]
-    fn limiter_wide_matches_scalar_exactly() {
-        // Mono + stereo, odd frame counts (tail path), envelope carried
-        // across several buffers.
-        for channels in [1usize, 2] {
-            let mut wide = Limiter::new(0.6, 0.3, 8.0, 44_100);
-            let mut scalar = wide.clone();
-            for (block, frames) in [(0u32, 128usize), (1, 37), (2, 128), (3, 5)] {
-                let buf = AudioBuf::from_fn(channels, frames, |ch, i| {
-                    1.8 * ((block as usize * 131 + ch * 7 + i) as f32 * 0.23).sin()
-                });
-                let mut a = buf.clone();
-                let mut b = buf;
-                wide.process(&mut a);
-                scalar.process_scalar(&mut b);
-                assert_eq!(a.samples(), b.samples(), "ch={channels} block={block}");
-            }
-            assert_eq!(wide.envelope, scalar.envelope);
-        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::buffer::AudioBuf;
 use crate::effects::Effect;
+use crate::vmath::tanh_block;
 
 /// Soft-clipping waveshaper: `out = tanh(drive * in) * level`.
 #[derive(Debug, Clone)]
@@ -18,12 +19,29 @@ impl Overdrive {
             level: level.clamp(0.0, 1.0),
         }
     }
+
+    /// The per-sample definition: `tanh(drive * x) * level` through libm.
+    /// Test and bench oracle for [`process`](Effect::process); nothing at
+    /// run time calls it.
+    pub fn process_reference(&mut self, buf: &mut AudioBuf) {
+        for s in buf.samples_mut() {
+            *s = (*s * self.drive).tanh() * self.level;
+        }
+    }
 }
 
 impl Effect for Overdrive {
+    /// Bit for bit [`process_reference`](Overdrive::process_reference):
+    /// the same three operations per sample, with the `tanh` of the whole
+    /// buffer in one [`tanh_block`] call.
     fn process(&mut self, buf: &mut AudioBuf) {
-        for s in buf.samples_mut() {
-            *s = (*s * self.drive).tanh() * self.level;
+        let samples = buf.samples_mut();
+        for s in samples.iter_mut() {
+            *s *= self.drive;
+        }
+        tanh_block(samples);
+        for s in samples {
+            *s *= self.level;
         }
     }
 

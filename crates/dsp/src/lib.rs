@@ -29,6 +29,7 @@ pub mod resample;
 pub mod rng;
 pub mod simd;
 pub mod stretch;
+pub mod vmath;
 pub mod wav;
 pub mod work;
 

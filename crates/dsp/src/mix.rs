@@ -139,7 +139,7 @@ pub fn mix_into_scalar(out: &mut AudioBuf, inputs: &[&AudioBuf], gains: &[f32]) 
     assert_eq!(inputs.len(), gains.len(), "one gain per input");
     out.clear();
     for (buf, &g) in inputs.iter().zip(gains) {
-        out.mix_add_scalar(buf, g);
+        out.mix_add(buf, g);
     }
 }
 

@@ -3,6 +3,8 @@
 
 use core::f32::consts::TAU;
 
+use crate::vmath::sin_block;
+
 /// Waveform shapes produced by [`Oscillator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Waveform {
@@ -102,11 +104,22 @@ impl Oscillator {
         v
     }
 
-    /// Fill `out` with consecutive samples.
+    /// Fill `out` with consecutive samples: bit for bit `out.len()` calls
+    /// of [`next_sample`](Self::next_sample). A sine runs the serial phase
+    /// walk first, then `TAU * phase` and one [`sin_block`] over the buffer.
     pub fn fill(&mut self, out: &mut [f32]) {
-        for s in out {
-            *s = self.next_sample();
+        if self.waveform != Waveform::Sine {
+            for s in out {
+                *s = self.next_sample();
+            }
+            return;
         }
+        let inc = self.freq_hz / self.sample_rate;
+        for s in out.iter_mut() {
+            *s = TAU * self.phase;
+            self.phase = advance_phase(self.phase, inc);
+        }
+        sin_block(out);
     }
 }
 

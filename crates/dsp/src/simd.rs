@@ -12,9 +12,8 @@
 //! cross-strategy audio equality) byte-for-byte stable.
 //!
 //! [`set_force_scalar`] flips every dispatching kernel in the crate onto its
-//! scalar reference path; `tests/simd_parity.rs` uses it to hold the
-//! stretcher's two paths bit-equal and the `dsp_kernels` bench for timed
-//! scalar↔SIMD pairs.
+//! scalar reference path; the `dsp_kernels` bench uses it for timed
+//! scalar↔SIMD pairs of the kernels without a scalar entry point.
 
 use core::sync::atomic::{AtomicBool, Ordering};
 
@@ -51,6 +50,20 @@ pub fn avx_available() -> bool {
     {
         // `is_x86_feature_detected!` caches the CPUID result internally.
         std::arch::is_x86_feature_detected!("avx")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when AVX2 and FMA are both present: the condition under which
+/// glibc's `sinf` ifunc selects its FMA variant, and so the condition under
+/// which [`crate::vmath`]'s libm-identical kernels take their vector path.
+pub fn avx2_fma_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -145,11 +158,6 @@ mod imp {
         #[inline]
         pub fn mul(self, rhs: Self) -> Self {
             F32x4(unsafe { _mm_mul_ps(self.0, rhs.0) })
-        }
-
-        #[inline]
-        pub fn min(self, rhs: Self) -> Self {
-            F32x4(unsafe { _mm_min_ps(self.0, rhs.0) })
         }
 
         #[inline]
@@ -254,21 +262,6 @@ mod imp {
         }
 
         #[inline]
-        pub fn min(self, rhs: Self) -> Self {
-            // `_mm_min_ps(a, b)` is `b < a ? b : a` (second operand on
-            // ties/NaN); mirror it exactly.
-            let mut out = [0.0; 4];
-            for i in 0..4 {
-                out[i] = if rhs.0[i] < self.0[i] {
-                    rhs.0[i]
-                } else {
-                    self.0[i]
-                };
-            }
-            F32x4(out)
-        }
-
-        #[inline]
         pub fn max(self, rhs: Self) -> Self {
             let mut out = [0.0; 4];
             for i in 0..4 {
@@ -335,8 +328,7 @@ mod tests {
         assert_eq!(v.hmax(), 4.0);
         assert_eq!(v.abs().hsum(), (1.0 + 3.0) + (2.0 + 4.0));
         let lo = F32x4::splat(-0.5);
-        let hi = F32x4::splat(0.5);
-        assert_eq!(v.max(lo).min(hi).to_array(), [-0.5, 0.5, -0.5, 0.5]);
+        assert_eq!(v.max(lo).to_array(), [-0.5, 2.0, -0.5, 4.0]);
     }
 
     #[test]

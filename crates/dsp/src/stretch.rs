@@ -8,14 +8,12 @@
 //! phase discontinuities of naive overlap-add.
 //!
 //! Hot-path notes: the crossfade gains are precomputed once (same formula,
-//! same values as computing them inline) and the crossfade itself runs 4
-//! lanes at a time when the whole segment is in range; the correlation
-//! search keeps its strictly serial accumulation order — reassociating it
-//! could flip the argmax and cascade into a different (still valid, but
-//! not bit-identical) output — and instead gains a bounds-check-free fast
-//! path.
-
-use crate::simd::{self, F32x4};
+//! same values as computing them inline); the in-range crossfade is an
+//! element-wise loop over slices, which the compiler vectorizes, so it
+//! needs no explicit 4-lane form; the correlation search keeps its
+//! strictly serial accumulation order — reassociating it could flip the
+//! argmax and cascade into a different (still valid, but not
+//! bit-identical) output — and instead gains a bounds-check-free fast path.
 
 /// Synthesis frame length (samples).
 const FRAME: usize = 512;
@@ -131,8 +129,8 @@ impl TimeStretcher {
         let start = natural + offset;
 
         // When the whole frame lies inside `src`, use slices (no per-sample
-        // bounds logic) and the 4-lane crossfade; edges fall back to the
-        // per-sample loop. Both paths evaluate the identical formula.
+        // bounds logic); edges fall back to per-sample reads. Both evaluate
+        // the identical formula.
         let in_range =
             start >= 0 && start as usize <= src.len() && src.len() - start as usize >= FRAME;
 
@@ -147,21 +145,20 @@ impl TimeStretcher {
                 }
             }
             self.priming = false;
-        } else if in_range && simd::wide_enabled() {
-            // Crossfade prev_tail (fading out) with the new segment
-            // (fading in); HOP is a multiple of 4, so no scalar tail.
+        } else if in_range {
+            // Crossfade prev_tail (fading out) with the new segment (fading
+            // in), element-wise over slices so the loop vectorizes.
             let s = start as usize;
             let seg = &src[s..s + HOP];
             let base = self.ready.len();
             self.ready.resize(base + HOP, 0.0);
-            let out = &mut self.ready[base..];
-            let mut i = 0;
-            while i < HOP {
-                F32x4::load(&self.prev_tail[i..])
-                    .mul(F32x4::load(&self.fade_out[i..]))
-                    .add(F32x4::load(&seg[i..]).mul(F32x4::load(&self.fade_in[i..])))
-                    .store(&mut out[i..]);
-                i += 4;
+            let fades = self.fade_out.iter().zip(&self.fade_in);
+            for ((out, (tail, new)), (fo, fi)) in self.ready[base..]
+                .iter_mut()
+                .zip(self.prev_tail.iter().zip(seg))
+                .zip(fades)
+            {
+                *out = tail * fo + new * fi;
             }
         } else {
             for i in 0..HOP {
@@ -319,23 +316,6 @@ mod tests {
         let mut out2 = vec![0.0f32; 1024];
         st.process(&src, 1.0, &mut out2);
         assert_eq!(out1, out2);
-    }
-
-    #[test]
-    fn wide_crossfade_matches_scalar_exactly() {
-        // Short source so frames also cross the end (slow-path parity).
-        for src_len in [2_000usize, 44_100] {
-            let src = sine(src_len, 440.0);
-            crate::simd::set_force_scalar(true);
-            let mut st = TimeStretcher::new();
-            let mut scalar = vec![0.0f32; 6144];
-            st.process(&src, 1.3, &mut scalar);
-            crate::simd::set_force_scalar(false);
-            let mut st = TimeStretcher::new();
-            let mut wide = vec![0.0f32; 6144];
-            st.process(&src, 1.3, &mut wide);
-            assert_eq!(scalar, wide, "src_len {src_len}");
-        }
     }
 
     #[test]

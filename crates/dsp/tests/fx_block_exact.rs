@@ -1,13 +1,14 @@
-//! Exact equality of the block-rate effect kernels with their per-frame
-//! references (`process` vs `process_reference`, the PR 7 `*_scalar`
-//! pattern): two twins of one effect are fed the same chained blocks and
+//! Exact equality of the block-rate effect kernels (the Overdrive's one
+//! `tanh_block` per buffer included) with their per-frame references
+//! (`process` vs `process_reference`, the `*_scalar` pattern of the SIMD
+//! kernels): two twins of one effect are fed the same chained blocks and
 //! every output sample is compared with `to_bits`, across buffer lengths on
 //! both sides of the 128-frame modulation table, mono and stereo, and a
 //! `reset()` in mid-stream.
 
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::delayline::DelayLine;
-use djstar_dsp::effects::{EchoDelay, Effect, Flanger, Phaser};
+use djstar_dsp::effects::{EchoDelay, Effect, Flanger, Overdrive, Phaser};
 use djstar_dsp::rng::SmallRng;
 
 const BLOCKS: usize = 400;
@@ -92,6 +93,19 @@ fn phaser_block_equals_reference() {
             &format!("phaser {stages}"),
             || Phaser::new(44_100, 0.3, stages, 0.6),
             Phaser::process_reference,
+        );
+    }
+}
+
+#[test]
+fn overdrive_block_equals_reference() {
+    // The default slot (drive 3), a hot drive that pushes samples past
+    // |x| = 22 (the per-lane libm fallback), and the minimum drive.
+    for (drive, level) in [(3.0, 0.7), (40.0, 1.0), (0.1, 0.5)] {
+        assert_twins(
+            &format!("overdrive {drive}"),
+            || Overdrive::new(drive, level),
+            Overdrive::process_reference,
         );
     }
 }

@@ -11,6 +11,8 @@
 //!   per-band `goertzel_power`.
 //! * An oscillator and the flanger end to end (400 blocks), against twins
 //!   rebuilt on the reference forms.
+//! * `Oscillator::fill` (a serial phase walk, then one `vmath::sin_block`
+//!   for a sine) against chained `next_sample` calls, over 400 blocks.
 
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::delayline::DelayLine;
@@ -165,6 +167,39 @@ fn flanger_matches_a_reference_twin_over_400_blocks() {
                     want.to_bits(),
                     "block {block} frame {i} ch {ch}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn oscillator_fill_equals_chained_next_sample_over_400_blocks() {
+    let mut rng = SmallRng::seed_from_u64(0x0F11);
+    for waveform in [
+        Waveform::Sine,
+        Waveform::Saw,
+        Waveform::Square,
+        Waveform::Triangle,
+    ] {
+        for _ in 0..4 {
+            // LFO rates up to audio rates past Nyquist (the floor form).
+            let freq = [rng.f32() * 10.0, rng.f32() * 2_000.0, rng.f32() * 60_000.0][rng.below(3)];
+            let mut block = Oscillator::new(waveform, freq, 44_100);
+            let mut chained = block.clone();
+            let mut out = [0.0f32; 300];
+            for round in 0..400 {
+                let len = [1, 7, 8, 127, 128, 129, 300][round % 7];
+                let out = &mut out[..len];
+                block.fill(out);
+                for (i, &got) in out.iter().enumerate() {
+                    let want = chained.next_sample();
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{waveform:?} at {freq} Hz, block {round}, sample {i}"
+                    );
+                }
+                assert_eq!(block.phase().to_bits(), chained.phase().to_bits());
             }
         }
     }

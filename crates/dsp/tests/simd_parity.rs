@@ -8,23 +8,18 @@
 //! seeded [`SmallRng`], so every run checks the same cases (the workspace
 //! builds offline, without proptest).
 //!
-//! Kernels with explicit `*_scalar` reference entry points are compared
-//! through those; the stretcher (which only dispatches on the global
-//! switch) uses `set_force_scalar`. The toggle is process-global, but both
-//! paths are bit-identical by construction, so concurrent tests flipping
-//! it cannot change any kernel's output — only which (equal) path ran.
+//! Kernels are compared through their explicit `*_scalar` reference entry
+//! points.
 
 use djstar_dsp::biquad::{process_chain, process_chain_scalar, Biquad, FilterKind};
 use djstar_dsp::buffer::AudioBuf;
-use djstar_dsp::dynamics::{Compressor, Limiter};
+use djstar_dsp::dynamics::Compressor;
 use djstar_dsp::eq::ThreeBandEq;
 use djstar_dsp::fft::{fft_inplace, Complex, Fft};
 use djstar_dsp::mix::{
     apply_strip, apply_strip_scalar, mix_into, mix_into_scalar, ChannelStripParams,
 };
 use djstar_dsp::rng::SmallRng;
-use djstar_dsp::simd;
-use djstar_dsp::stretch::TimeStretcher;
 
 fn rand_buf(rng: &mut SmallRng, channels: usize, frames: usize) -> AudioBuf {
     let mut buf = AudioBuf::zeroed(channels, frames);
@@ -166,8 +161,6 @@ fn dynamics_bit_exact_over_multi_block_streams() {
     let mut rng = SmallRng::seed_from_u64(0xD1A);
     for _ in 0..25 {
         let ch = 1 + rng.below(2);
-        let mut lim_w = Limiter::master(djstar_dsp::SAMPLE_RATE);
-        let mut lim_s = Limiter::master(djstar_dsp::SAMPLE_RATE);
         let mut comp_w = Compressor::new(0.25, 4.0, 8.0, djstar_dsp::SAMPLE_RATE);
         let mut comp_s = Compressor::new(0.25, 4.0, 8.0, djstar_dsp::SAMPLE_RATE);
         // A stream of ragged block sizes so the chunked wide paths hit
@@ -176,11 +169,6 @@ fn dynamics_bit_exact_over_multi_block_streams() {
             let frames = 1 + rng.below(200);
             let mut input = rand_buf(&mut rng, ch, frames);
             input.scale(1.8); // hot enough to engage gain reduction
-            let mut a = input.clone();
-            let mut b = input.clone();
-            lim_w.process(&mut a);
-            lim_s.process_scalar(&mut b);
-            assert_eq!(a.samples(), b.samples(), "limiter {ch}ch x {frames}f");
             let mut a = input.clone();
             let mut b = input;
             let gw = comp_w.process(&mut a);
@@ -213,27 +201,5 @@ fn fft_plan_bit_exact_against_legacy_and_scalar() {
                 assert_eq!(wide[i].im.to_bits(), scalar[i].im.to_bits(), "n={n} i={i}");
             }
         }
-    }
-}
-
-#[test]
-fn stretch_bit_exact_for_any_tempo_and_source_length() {
-    let mut rng = SmallRng::seed_from_u64(0x57E7);
-    for _ in 0..10 {
-        let src_len = 1_500 + rng.below(40_000);
-        let src: Vec<f32> = (0..src_len).map(|_| rng.f32() * 2.0 - 1.0).collect();
-        let tempo = 0.5 + rng.f32() * 2.0;
-        let out_len = 512 + rng.below(4096);
-        let run = |force_scalar: bool| {
-            simd::set_force_scalar(force_scalar);
-            let mut st = TimeStretcher::new();
-            let mut out = vec![0.0f32; out_len];
-            st.process(&src, tempo, &mut out);
-            simd::set_force_scalar(false);
-            out
-        };
-        let scalar = run(true);
-        let wide = run(false);
-        assert_eq!(scalar, wide, "src {src_len}, tempo {tempo}, out {out_len}");
     }
 }

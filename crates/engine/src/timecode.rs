@@ -19,8 +19,11 @@
 //! (documented in DESIGN.md). The per-cycle compute shape — a few passes of
 //! signal analysis per deck — is preserved.
 
+use core::f32::consts::TAU;
+
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::osc::advance_phase;
+use djstar_dsp::vmath::sin_block;
 
 /// Carrier frequency at speed 1.0 (Hz).
 const CARRIER_HZ: f32 = 1_000.0;
@@ -52,10 +55,20 @@ impl TimecodeGenerator {
         // temporal meaning — exactly like a physical quadrature pickup).
         let quad_off = -0.25f32;
         let (left, right) = out.as_planar_slices_mut();
-        for (l, r) in left.iter_mut().zip(right) {
-            *l = (core::f32::consts::TAU * self.phase).sin() * amp;
-            *r = (core::f32::consts::TAU * (self.phase + quad_off)).sin() * amp;
+        // Per sample: `sin(TAU * phase) * amp` and `sin(TAU * (phase +
+        // quad_off)) * amp`. The arguments of both planes first, then one
+        // `sin_block` per plane, then the gain: the same operations per
+        // sample as one libm `sinf` each.
+        for (l, r) in left.iter_mut().zip(right.iter_mut()) {
+            *l = TAU * self.phase;
+            *r = TAU * (self.phase + quad_off);
             self.phase = advance_phase(self.phase, dphi);
+        }
+        for plane in [left, right] {
+            sin_block(plane);
+            for s in plane {
+                *s *= amp;
+            }
         }
     }
 }
@@ -208,6 +221,37 @@ mod tests {
             last = dec.decode(&buf);
         }
         last
+    }
+
+    #[test]
+    fn generate_equals_its_per_sample_form_over_400_blocks() {
+        // The per-sample carrier: one libm `sinf` per plane and sample.
+        let mut gen = TimecodeGenerator::new(44_100);
+        let mut phase = 0.0f32;
+        let mut buf = AudioBuf::zeroed(2, 128);
+        for block in 0..400 {
+            // Forward, reverse, stopped, past the amplitude clamp, and a
+            // scratch fast enough to alias.
+            let speed = [1.0, 1.02, -0.97, 0.0, 2.5, -31.0, 0.013][block % 7];
+            gen.generate(speed, &mut buf);
+            let amp = speed.abs().clamp(0.0, 2.0).sqrt().min(1.0);
+            let dphi = CARRIER_HZ * speed / 44_100.0;
+            for i in 0..128 {
+                let l = (TAU * phase).sin() * amp;
+                let r = (TAU * (phase - 0.25)).sin() * amp;
+                phase = advance_phase(phase, dphi);
+                assert_eq!(
+                    buf.sample(0, i).to_bits(),
+                    l.to_bits(),
+                    "block {block} left {i}"
+                );
+                assert_eq!(
+                    buf.sample(1, i).to_bits(),
+                    r.to_bits(),
+                    "block {block} right {i}"
+                );
+            }
+        }
     }
 
     #[test]
