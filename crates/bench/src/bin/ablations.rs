@@ -3,11 +3,9 @@
 //! 1. **Queue priority** — DJ Star's depth-order queue vs critical-path
 //!    priority in the resource-constrained list scheduler (§IV keeps "the
 //!    queue structure simple"; how much does that cost?).
-//! 2. **WS seeding** — section-affinity seeding (§V-C) vs plain
-//!    round-robin distribution of the source nodes.
-//! 3. **WS local pop order** — LIFO (the paper's cache-locality choice) vs
-//!    FIFO.
-//! 4. **Cycle-length sensitivity** — the paper's core claim is that
+//! 2. **Hybrid spin budget** — the spin-then-park extension strategy swept
+//!    from budget 0 (SLEEP) to unbounded (BUSY plus SLEEP's notify duty).
+//! 3. **Cycle-length sensitivity** — the paper's core claim is that
 //!    busy-waiting wins *because APC cycles are short*: "the time it takes
 //!    to pause a thread and wake it up … costs too much time". Scaling all
 //!    node durations shows where SLEEP closes the gap.
@@ -15,9 +13,7 @@
 use djstar_bench::{build_harness, mean_ms, sim_cycles};
 use djstar_sim::list::{list_schedule_with, Priority};
 use djstar_sim::model::DurationModel;
-use djstar_sim::strategy::{
-    simulate_hybrid, simulate_makespans, simulate_ws_config, SimStrategy, WsConfig,
-};
+use djstar_sim::strategy::{simulate_hybrid, simulate_makespans, SimStrategy};
 
 fn main() {
     let h = build_harness();
@@ -36,47 +32,7 @@ fn main() {
         println!("{label:>30}: {:>8.1} us", s.makespan_ns() as f64 / 1e3);
     }
 
-    println!("\n## 2/3. Work-stealing design choices (mean over {cycles} cycles)\n");
-    for (label, cfg) in [
-        (
-            "section seed + LIFO (paper)",
-            WsConfig {
-                seed_by_section: true,
-                lifo_local: true,
-            },
-        ),
-        (
-            "round-robin seed + LIFO",
-            WsConfig {
-                seed_by_section: false,
-                lifo_local: true,
-            },
-        ),
-        (
-            "section seed + FIFO local",
-            WsConfig {
-                seed_by_section: true,
-                lifo_local: false,
-            },
-        ),
-        (
-            "round-robin seed + FIFO",
-            WsConfig {
-                seed_by_section: false,
-                lifo_local: false,
-            },
-        ),
-    ] {
-        let ms: Vec<u64> = (0..cycles)
-            .map(|c| {
-                simulate_ws_config(&h.graph, &h.durations, c, threads, &h.overheads, cfg)
-                    .makespan_ns()
-            })
-            .collect();
-        println!("{label:>30}: {:.4} ms", mean_ms(&ms));
-    }
-
-    println!("\n## 4. Hybrid spin-then-park (extension strategy)\n");
+    println!("\n## 2. Hybrid spin-then-park (extension strategy)\n");
     println!("(spin budget 0 behaves like SLEEP, unbounded like BUSY-with-notify)\n");
     println!("| spin budget | mean ms |");
     println!("|---|---|");
@@ -96,7 +52,7 @@ fn main() {
         println!("| {label} | {:.4} |", mean_ms(&ms));
     }
 
-    println!("\n## 5. Cycle-length sensitivity: BUSY vs SLEEP gap\n");
+    println!("\n## 3. Cycle-length sensitivity: BUSY vs SLEEP gap\n");
     println!("(the paper's key finding holds only for short cycles; scaling all");
     println!("node durations by k shows the wake-up overhead amortizing away)\n");
     println!("| duration scale | BUSY ms | SLEEP ms | SLEEP penalty |");

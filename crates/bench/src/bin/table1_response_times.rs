@@ -1,11 +1,11 @@
 //! E3 + E4 — Table I (average task-graph response times) and Fig. 8
 //! (speedup over the sequential baseline), strategies × 1–4 threads.
 //!
-//! Methodology (single-vCPU host): per-node durations are measured on the
+//! Methodology (two-vCPU host): per-node durations are measured on the
 //! real engine, then each strategy is replayed in virtual time by
 //! `djstar-sim` over `DJSTAR_CYCLES` cycles — the paper's own Fig. 12
-//! validation technique. Set `DJSTAR_REAL=1` on a multi-core host to also
-//! measure the real executors.
+//! validation technique. Set `DJSTAR_REAL=1` to also measure the real
+//! executors (wall-clock speedup shows only up to the host's core count).
 
 use djstar_bench::{
     build_harness, mean_ms, real_executor_times, run_real_executors, sim_cycles, PAPER_TABLE1,

@@ -623,7 +623,13 @@ mod tests {
                 // the running one alone.
                 let mut b = TaskGraphBuilder::new();
                 b.add("ghost", Section::Master, crate::processor::vacant(2), &[]);
-                let staged = StagedGeneration::new(b.build().unwrap(), 8);
+                let ghost = b.build().unwrap();
+                let staged = if strategy == Strategy::Planned {
+                    let bp = ScheduleBlueprint::round_robin(ghost.topology(), lanes);
+                    StagedGeneration::with_plan(ghost, 8, bp).unwrap()
+                } else {
+                    StagedGeneration::new(ghost, 8)
+                };
                 let (verdict, retired) = ex.adopt_generation(staged);
                 let missing = SwapError::MissingPart {
                     name: "ghost".into(),

@@ -58,8 +58,9 @@ pub struct Steal {
 pub type StealExecutor = PoolExecutor<Steal>;
 
 /// Which worker a section's source nodes are seeded to (§V-C's
-/// deck-affinity categorization).
-pub(crate) fn seed_target(section: Section, threads: usize) -> usize {
+/// deck-affinity categorization). The simulator's WS replica seeds with
+/// it too.
+pub fn seed_target(section: Section, threads: usize) -> usize {
     match section.deck_index() {
         Some(d) => d % threads,
         None => 4 % threads,

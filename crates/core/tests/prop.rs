@@ -5,8 +5,9 @@
 
 use djstar_core::deque::{Steal, WorkDeque};
 use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
-    SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor, Strategy, SwapError,
+    BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
+    ScheduleBlueprint, SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor,
+    Strategy, SwapError,
 };
 use djstar_core::flight::FlightConfig;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
@@ -304,7 +305,13 @@ fn generation_swaps_preserve_exactly_once_and_dep_safety() {
             assert_eq!(ex.generation(), 0, "{tag}");
             check_cycles(ex.as_mut(), &a, 3, &format!("{tag} gen0"));
             for (gen, preds) in [(1u64, &b), (2, &c)] {
-                let staged = StagedGeneration::new(build_graph(preds), 4);
+                let graph = build_graph(preds);
+                let staged = if strategy == Strategy::Planned {
+                    let bp = ScheduleBlueprint::round_robin(graph.topology(), threads);
+                    StagedGeneration::with_plan(graph, 4, bp).expect("round-robin fits")
+                } else {
+                    StagedGeneration::new(graph, 4)
+                };
                 let got = ex.adopt_generation(staged).0.expect("swap must succeed");
                 assert_eq!(got, gen, "{tag}");
                 assert_eq!(ex.generation(), gen, "{tag}");
@@ -329,7 +336,7 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     // A staged generation carrying a freshly compiled blueprint.
     let g_b = build_graph(&b);
     let bp_b = longest_path_blueprint(&g_b, threads);
-    let staged = StagedGeneration::with_plan(g_b, 4, bp_b);
+    let staged = StagedGeneration::with_plan(g_b, 4, bp_b).unwrap();
     assert!(staged.has_plan());
     assert_eq!(ex.adopt_generation(staged).0.unwrap(), 1);
     check_cycles(&mut ex, &b, 2, "planned post-swap");
@@ -339,7 +346,7 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
         let g = build_graph(&a);
         ScheduleBlueprint::round_robin(g.topology(), threads + 1)
     };
-    let staged = StagedGeneration::with_plan(build_graph(&a), 4, bad_plan);
+    let staged = StagedGeneration::with_plan(build_graph(&a), 4, bad_plan).unwrap();
     match ex.adopt_generation(staged).0 {
         Err(SwapError::ThreadMismatch { expected, got }) => {
             assert_eq!((expected, got), (threads, threads + 1));
@@ -349,16 +356,23 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     assert_eq!(ex.generation(), 1);
     check_cycles(&mut ex, &b, 2, "planned after rejected swap");
 
-    // Blueprint for a different node set: rejected by recompilation.
+    // Blueprint for a different node set: refused by the recompile at
+    // staging, so nothing reaches the executor.
     let stale = ex.blueprint().clone();
     let bigger: Vec<Vec<u32>> = (0..b.len() + 4).map(|_| Vec::new()).collect();
-    let staged = StagedGeneration::with_plan(build_graph(&bigger), 4, stale);
-    match ex.adopt_generation(staged).0 {
-        Err(SwapError::Blueprint(_)) => {}
-        other => panic!("expected Blueprint error, got {other:?}"),
+    match StagedGeneration::with_plan(build_graph(&bigger), 4, stale) {
+        Err(BlueprintError::Incomplete { .. }) => {}
+        Err(other) => panic!("expected Incomplete, got {other:?}"),
+        Ok(_) => panic!("a blueprint for another node set must not stage"),
     }
     assert_eq!(ex.generation(), 1);
     check_cycles(&mut ex, &b, 2, "planned after second rejected swap");
+
+    // A planless generation: refused, running generation untouched.
+    let staged = StagedGeneration::new(build_graph(&a), 4);
+    assert_eq!(ex.adopt_generation(staged).0, Err(SwapError::NoPlan));
+    assert_eq!(ex.generation(), 1);
+    check_cycles(&mut ex, &b, 2, "planned after planless swap");
 }
 
 /// A graph holding a stateful counter node named "acc" (its output value

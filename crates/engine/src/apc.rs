@@ -624,7 +624,7 @@ impl AudioEngine {
 
     /// Stagings whose PLAN blueprint failed to compile (each surfaced as
     /// a typed [`ReconfigError::Blueprint`]). Nonzero means a mode switch
-    /// was refused rather than silently committed planless.
+    /// was refused at staging.
     pub fn stage_failures(&self) -> u64 {
         self.stage_failures
     }

@@ -189,11 +189,6 @@ impl Governor {
         }
     }
 
-    /// The (clamped) configuration in force.
-    pub fn config(&self) -> GovernorConfig {
-        self.cfg
-    }
-
     /// The rung the governor currently holds.
     pub fn rung(&self) -> u32 {
         self.rung
@@ -589,7 +584,7 @@ mod tests {
     #[test]
     fn net_degenerate_configs_are_clamped_not_fatal() {
         let p = Governor::depth(ZERO, 0, 0, 0, 0);
-        let c = p.config();
+        let c = p.cfg;
         assert_eq!(c.window, 1);
         assert_eq!(c.shed_misses, 1);
         assert_eq!(c.restore_clean, 1);
@@ -605,7 +600,7 @@ mod tests {
             restore_tolerance: 9,
             ..ZERO
         });
-        let c = p.config();
+        let c = p.cfg;
         assert_eq!(c.window, 1);
         assert_eq!(c.shed_misses, 1);
         assert_eq!(c.restore_clean, 1);

@@ -135,8 +135,8 @@ pub enum ReconfigError {
     Swap(SwapError),
     /// The PLAN blueprint for the target shape failed to compile. Staging
     /// surfaces this as a typed error (and the engine counts it in
-    /// telemetry) instead of silently committing a planless generation
-    /// that would fall back to a round-robin schedule.
+    /// telemetry) instead of staging a planless generation, which the
+    /// PLAN executor would refuse at commit.
     Blueprint(BlueprintError),
     /// The schedulability admission check proved the target shape cannot
     /// meet the margined deadline; nothing was staged.
@@ -384,9 +384,10 @@ pub(crate) fn list_blueprint(
 /// expensive half of a reconfiguration and runs on any thread;
 /// [`StagedTopology::fill`] makes the result committable.
 ///
-/// A blueprint that fails to compile is a typed
-/// [`BlueprintError`] — never a silent fall-back to an unplanned
-/// generation, which the PLAN executor would quietly round-robin.
+/// A blueprint that fails to compile — here, or when
+/// [`StagedGeneration::with_plan`] recompiles it against the graph — is a
+/// typed [`BlueprintError`], never an unplanned generation, which the PLAN
+/// executor would refuse at commit.
 pub fn stage_topology(
     scenario: &Scenario,
     shape: &GraphShape,
@@ -399,7 +400,7 @@ pub fn stage_topology(
     let staged = if strategy == Strategy::Planned {
         let topo = graph.topology();
         let bp = list_blueprint(topo, costs.durations_for(topo), threads)?;
-        StagedGeneration::with_plan(graph, frames, bp)
+        StagedGeneration::with_plan(graph, frames, bp)?
     } else {
         StagedGeneration::new(graph, frames)
     };

@@ -1,5 +1,6 @@
 //! Proof that a mode storm served from a warm blueprint cache neither
-//! allocates nor frees anything on the audio thread, and that a cached
+//! allocates nor frees anything on the audio thread, under every strategy
+//! (a PLAN commit swaps in a blueprint compiled at staging), and that a cached
 //! mode is as small as a plan ought to be.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. The
@@ -97,8 +98,24 @@ fn warm_storm(engine: &mut AudioEngine) -> (u64, u64) {
 #[test]
 fn warm_cache_storm_does_not_allocate_on_the_audio_thread() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // Every strategy: SEQ on its one lane, the others on two, and PLAN —
+    // the one whose commit swaps a blueprint too — also on three.
+    for strategy in Strategy::ALL {
+        let lanes: &[usize] = match strategy {
+            Strategy::Sequential => &[1],
+            Strategy::Planned => &[2, 3],
+            _ => &[2],
+        };
+        for &threads in lanes {
+            warm_storm_case(strategy, threads);
+        }
+    }
+}
+
+fn warm_storm_case(strategy: Strategy, threads: usize) {
+    let tag = format!("{} x {threads}", strategy.label());
     let mut engine =
-        AudioEngine::with_aux(Scenario::light_test(), Strategy::Busy, 2, AuxWork::light());
+        AudioEngine::with_aux(Scenario::light_test(), strategy, threads, AuxWork::light());
     // Inside the learning window (cycles 5 ..= 16) the lanes fold node
     // times into the node histograms: cycles 6 ..= 10, or 11 ..= 15 if
     // std's one-shot lazy initialization landed in the first, allocate
@@ -114,12 +131,13 @@ fn warm_cache_storm_does_not_allocate_on_the_audio_thread() {
     if allocs > 0 {
         allocs = learning(&mut engine);
     }
-    assert_eq!(allocs, 0, "learning cycles allocated {allocs} times");
+    assert_eq!(allocs, 0, "{tag}: learning cycles allocated {allocs} times");
     engine.warmup(20);
     // Pre-grow the engine's commit ledger past what two measured passes
-    // will push (33 commits doubles its capacity to 64), so a `Vec`
-    // growth never lands inside a window. (The first of these commits also
-    // gives the retired-generation list its capacity.)
+    // will push (33 commits doubles its capacity to 64; PLAN's re-plan at
+    // cycle 16 adds one), so a `Vec` growth never lands inside a window.
+    // (The first of these commits also gives the retired-generation list
+    // its capacity.)
     for i in 0..33 {
         let edit = if i % 2 == 0 {
             GraphEdit::InsertFxSlot(3)
@@ -141,22 +159,25 @@ fn warm_cache_storm_does_not_allocate_on_the_audio_thread() {
     assert_eq!(
         hot,
         (0, 0),
-        "warm storm (allocated, freed) {hot:?} times inside the audio windows"
+        "{tag}: warm storm (allocated, freed) {hot:?} times inside the audio windows"
     );
     // The zero-alloc claim is about the *hit* path — prove the storm
     // really was served from cache, not from fresh compiles.
     let stats = engine.mode_cache().expect("cache armed").stats();
     assert!(
         stats.hits >= SWITCHES as u64,
-        "storm was not served from cache: {stats:?}"
+        "{tag}: storm was not served from cache: {stats:?}"
     );
-    assert_eq!(stats.misses, 0, "a warm storm must never miss: {stats:?}");
+    assert_eq!(
+        stats.misses, 0,
+        "{tag}: a warm storm must never miss: {stats:?}"
+    );
     // FXC5 came out of the bin every other switch; no hit had to build.
-    assert_eq!(stats.parts_built_on_hit, 0, "{stats:?}");
+    assert_eq!(stats.parts_built_on_hit, 0, "{tag}: {stats:?}");
     // The last commit's generation waits for the next control-plane call.
-    assert_eq!(engine.mode_stats().retired_pending, 1);
+    assert_eq!(engine.mode_stats().retired_pending, 1, "{tag}");
     engine.precompile_neighborhood();
-    assert_eq!(engine.mode_stats().retired_pending, 0);
+    assert_eq!(engine.mode_stats().retired_pending, 0, "{tag}");
 }
 
 #[test]

@@ -17,9 +17,12 @@
 //!   analysis: 33-wide start, dropping to 4, tailing to 1).
 //! * [`list`] — resource-constrained list scheduling on `P` processors
 //!   (the paper's "optimal schedule" on four cores: 324 µs vs 295 µs).
-//! * [`strategy`] — virtual-time replicas of the BUSY, SLEEP and WS
-//!   executors including scheduling overheads, used to regenerate
-//!   Table I / Figs. 8–12 on hosts without enough physical cores.
+//! * [`strategy`] — virtual-time replicas of the executors including
+//!   scheduling overheads: one lane walk replays BUSY, SLEEP, HYBRID and
+//!   (through [`planned`]) PLAN, an event simulation replays WS. They
+//!   regenerate Table I / Figs. 8–12 on hosts without enough cores.
+//! * [`planned`] — compiles a list schedule into the PLAN executor's
+//!   blueprint and replays it.
 //! * [`gantt`] — ASCII Gantt rendering of schedules and real traces
 //!   (Fig. 11).
 //!
@@ -46,7 +49,5 @@ pub use metrics::ScheduleMetrics;
 pub use model::{DurationModel, Schedule, ScheduleEntry, SimGraph};
 pub use netsim::lost_packets;
 pub use planned::{compile_blueprint, simulate_plan_makespans};
-pub use strategy::{
-    simulate_hybrid, simulate_strategy, simulate_ws_config, OverheadModel, SimStrategy, WsConfig,
-};
+pub use strategy::{simulate_hybrid, simulate_strategy, OverheadModel, SimStrategy};
 pub use venue::{admissible, cycle_budget_ns, session_bound_ns};

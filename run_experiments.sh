@@ -6,6 +6,7 @@
 # Takes a few minutes at full scale; override DJSTAR_CYCLES /
 # DJSTAR_MEASURE_CYCLES to trade fidelity for time.
 # Performance claims are measured with benchmark/ instead (README.md).
+# A binary that fails stops the script with a nonzero status.
 #
 # Usage: ./run_experiments.sh [--check]
 #   --check   run the lint/test gate (scripts/check.sh) first
@@ -15,6 +16,8 @@ if [ "${1:-}" = "--check" ]; then
 fi
 cargo build --release -p djstar-bench --bins
 mkdir -p results
+failed=$(mktemp)
+trap 'rm -f "$failed"' EXIT
 for bin in hotspot_analysis fig4_optimal_schedule table1_response_times \
            fig9_histograms fig11_schedules fig12_busy_sim deadline_misses \
            thread_scaling ablations; do
@@ -24,5 +27,12 @@ for bin in hotspot_analysis fig4_optimal_schedule table1_response_times \
     exit 1
   fi
   echo "=== $bin ==="
-  ./target/release/$bin | tee "results/$bin.txt"
+  # A pipeline's status is its last command's (tee's), so the binary's
+  # own failure is carried out through a status file.
+  rm -f "$failed"
+  { "./target/release/$bin" || echo $? > "$failed"; } | tee "results/$bin.txt"
+  if [ -e "$failed" ]; then
+    echo "error: '$bin' exited with status $(cat "$failed")" >&2
+    exit 1
+  fi
 done
