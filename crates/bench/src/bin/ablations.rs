@@ -4,13 +4,15 @@
 //!    priority in the resource-constrained list scheduler (§IV keeps "the
 //!    queue structure simple"; how much does that cost?).
 //! 2. **Hybrid spin budget** — the spin-then-park extension strategy swept
-//!    from budget 0 (SLEEP) to unbounded (BUSY plus SLEEP's notify duty).
+//!    from budget 0 (SLEEP) to unbounded (BUSY plus SLEEP's notify duty),
+//!    with a row at the executor's own spin phase (`exec::SPIN_PHASE`).
 //! 3. **Cycle-length sensitivity** — the paper's core claim is that
 //!    busy-waiting wins *because APC cycles are short*: "the time it takes
 //!    to pause a thread and wake it up … costs too much time". Scaling all
 //!    node durations shows where SLEEP closes the gap.
 
 use djstar_bench::{build_harness, mean_ms, sim_cycles};
+use djstar_core::exec::SPIN_PHASE;
 use djstar_sim::list::{list_schedule_with, Priority};
 use djstar_sim::model::DurationModel;
 use djstar_sim::strategy::{simulate_hybrid, simulate_makespans, SimStrategy};
@@ -36,7 +38,8 @@ fn main() {
     println!("(spin budget 0 behaves like SLEEP, unbounded like BUSY-with-notify)\n");
     println!("| spin budget | mean ms |");
     println!("|---|---|");
-    for budget_us in [0u64, 1, 5, 20, 100, u64::MAX / 1_000] {
+    let executor_us = SPIN_PHASE.as_micros() as u64;
+    for budget_us in [0u64, 1, 5, executor_us, 20, 100, u64::MAX / 1_000] {
         let budget_ns = budget_us.saturating_mul(1_000);
         let ms: Vec<u64> = (0..cycles)
             .map(|c| {
@@ -46,6 +49,8 @@ fn main() {
             .collect();
         let label = if budget_us > 1_000_000 {
             "unbounded".to_string()
+        } else if budget_us == executor_us {
+            format!("{budget_us} us (executor's HYBRID)")
         } else {
             format!("{budget_us} us")
         };

@@ -51,7 +51,7 @@ pub(crate) trait Policy: Send + Sync + 'static {
     fn settle(&self, _sh: &Shared) {}
 
     /// Swap in a staged generation (and whatever policy state is sized or
-    /// compiled for it).
+    /// bound to it).
     ///
     /// # Safety
     /// Driver-only, with no cycle in flight and the pool quiesced.
@@ -561,8 +561,8 @@ impl<P: QueuePolicy> PoolExecutor<P> {
 mod tests {
     use super::super::test_support::fan_graph;
     use super::super::{
-        BusyExecutor, HybridExecutor, PlannedExecutor, SequentialExecutor, SleepExecutor,
-        StealExecutor, SwapError,
+        round_robin_lanes, BusyExecutor, HybridExecutor, PlannedExecutor, SequentialExecutor,
+        SleepExecutor, StealExecutor, SwapError,
     };
     use super::*;
     use crate::graph::{Section, TaskGraphBuilder};
@@ -574,10 +574,10 @@ mod tests {
             Strategy::Busy => Box::new(BusyExecutor::new(g, lanes, 8)),
             Strategy::Sleep => Box::new(SleepExecutor::new(g, lanes, 8)),
             Strategy::Steal => Box::new(StealExecutor::new(g, lanes, 8)),
-            Strategy::Hybrid => Box::new(HybridExecutor::new(g, lanes, 8, 2_000)),
+            Strategy::Hybrid => Box::new(HybridExecutor::new(g, lanes, 8)),
             Strategy::Planned => {
-                let bp = ScheduleBlueprint::round_robin(g.topology(), lanes);
-                Box::new(PlannedExecutor::new(g, 8, bp))
+                let lanes = round_robin_lanes(g.topology(), lanes);
+                Box::new(PlannedExecutor::new(g, 8, &lanes))
             }
         }
     }
@@ -625,8 +625,8 @@ mod tests {
                 b.add("ghost", Section::Master, crate::processor::vacant(2), &[]);
                 let ghost = b.build().unwrap();
                 let staged = if strategy == Strategy::Planned {
-                    let bp = ScheduleBlueprint::round_robin(ghost.topology(), lanes);
-                    StagedGeneration::with_plan(ghost, 8, bp).unwrap()
+                    let lanes = round_robin_lanes(ghost.topology(), lanes);
+                    StagedGeneration::with_plan(ghost, 8, &lanes).unwrap()
                 } else {
                     StagedGeneration::new(ghost, 8)
                 };

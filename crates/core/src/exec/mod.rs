@@ -9,11 +9,17 @@
 //! | policy | labels | a lane waits by | hooks |
 //! |---|---|---|---|
 //! | [`Seq`] | SEQ | not at all: one lane walks the whole queue | — |
-//! | [`Spin`] / [`Replay`] | BUSY / PLAN | spinning on `done_epoch` (round-robin slots / blueprint slots) | `adopt` (PLAN: check the lane count + swap the blueprint, compiled at staging) |
-//! | [`Park`] | SLEEP, HYBRID | spinning `spin_budget` polls (0 / 2000), then parking on `pending` | — |
+//! | [`Spin`] / [`Replay`] | BUSY / PLAN | a `Backoff` wait on `done_epoch` (round-robin slots / blueprint slots) | `adopt` (PLAN: check the lane count + swap the blueprint, bound at staging) |
+//! | [`Park`] | SLEEP, HYBRID | parking on `pending` — HYBRID after `Backoff`'s spin phase | — |
 //! | [`Steal`] | WS | popping, stealing, then parking in the idle set | `seed`, `settle`, `adopt` |
 //!
 //! The six `*Executor` names are type aliases of [`PoolExecutor`].
+//! `Backoff` is the one poll loop: every wait above that polls, the
+//! driver's done barrier, WS `settle` and the pool's batch wait and
+//! quiesce run through it. A PLAN schedule reaches core as per-lane node
+//! orders and is bound to a graph once, where the two meet
+//! ([`ScheduleBlueprint::bind`], called by [`PlannedExecutor::new`] and
+//! [`StagedGeneration::with_plan`]).
 //!
 //! # The epoch protocol
 //!
@@ -44,7 +50,7 @@
 //! # Generation swaps
 //!
 //! Topology is *generational*: a [`StagedGeneration`] (a fully built
-//! [`ExecGraph`], plus an optional [`ScheduleBlueprint`] for PLAN) is
+//! [`ExecGraph`], plus for PLAN a [`ScheduleBlueprint`] bound to it) is
 //! prepared away from the audio thread, then adopted between cycles through
 //! [`GraphExecutor::adopt_generation`]. The swap is driver-only (`&mut
 //! self` plus a pool quiesce proves no cycle is in flight; pool workers sit
@@ -75,7 +81,9 @@ mod stealing;
 pub use busy::{BusyExecutor, Spin};
 pub use executor::PoolExecutor;
 pub use hybrid::HybridExecutor;
-pub use planned::{BlueprintError, PlannedExecutor, PlannedNode, Replay, ScheduleBlueprint};
+pub use planned::{
+    round_robin_lanes, BlueprintError, PlannedExecutor, PlannedNode, Replay, ScheduleBlueprint,
+};
 pub use pool::VenuePool;
 pub use sequential::{Seq, SequentialExecutor};
 pub use sleeping::{Park, SleepExecutor};
@@ -111,9 +119,9 @@ pub enum Strategy {
     Steal,
     /// Extension (not in the paper): spin for a bounded budget, then park.
     Hybrid,
-    /// Extension: execute a precompiled static schedule (a
-    /// [`ScheduleBlueprint`], typically compiled from `djstar-sim`'s
-    /// resource-constrained list schedule) with zero runtime queue
+    /// Extension: execute a static schedule (per-lane node orders,
+    /// typically `djstar-sim`'s resource-constrained list schedule, bound
+    /// to the graph as a [`ScheduleBlueprint`]) with zero runtime queue
     /// management.
     Planned,
 }
@@ -147,7 +155,7 @@ impl Strategy {
 /// [`GraphExecutor::adopt_generation`].
 ///
 /// The expensive work — graph construction, buffer allocation and (for
-/// PLAN) blueprint compilation — happens in [`StagedGeneration::new`] /
+/// PLAN) binding the schedule's lanes to the graph — happens in [`StagedGeneration::new`] /
 /// [`StagedGeneration::with_plan`], which any thread may call. The adopt
 /// itself is then a pointer-sized swap plus a name-keyed state carry-over.
 pub struct StagedGeneration {
@@ -164,17 +172,19 @@ impl StagedGeneration {
         }
     }
 
-    /// Stage `graph` together with a PLAN blueprint, recompiled here
-    /// against `graph`'s own edges (placements kept, waits rebuilt,
-    /// re-validated), so the adopt only checks the lane count and swaps.
-    /// Executors other than PLAN ignore the blueprint; PLAN refuses a
-    /// generation staged without one ([`SwapError::NoPlan`]).
+    /// Stage `graph` together with a PLAN schedule: `lanes` (lane `w`'s
+    /// node ids, in execution order) are bound here to `graph`'s own edges
+    /// — the one binding a staged plan gets — so the adopt only checks the
+    /// lane count and swaps. Executors other than PLAN ignore the
+    /// blueprint; PLAN refuses a generation staged without one
+    /// ([`SwapError::NoPlan`]).
     pub fn with_plan(
         graph: TaskGraph,
         frames: usize,
-        plan: ScheduleBlueprint,
+        lanes: &[Vec<u32>],
     ) -> Result<Self, BlueprintError> {
-        let plan = plan.recompile_for(graph.topology())?;
+        let topo = graph.topology();
+        let plan = ScheduleBlueprint::bind(lanes, topo.len(), |n| topo.preds(NodeId(n)))?;
         Ok(StagedGeneration {
             exec: ExecGraph::new(graph, frames),
             plan: Some(plan),
@@ -201,7 +211,7 @@ impl StagedGeneration {
         self.plan.is_some()
     }
 
-    /// The staged PLAN blueprint, when one was compiled alongside the
+    /// The staged PLAN blueprint, when one was bound alongside the
     /// graph. Lets differential tests compare cached generations against
     /// freshly staged ones slot by slot.
     pub fn plan(&self) -> Option<&ScheduleBlueprint> {
@@ -254,12 +264,12 @@ pub enum SwapError {
     /// ([`StagedGeneration::new`] instead of
     /// [`StagedGeneration::with_plan`]).
     NoPlan,
-    /// PLAN: the staged blueprint was compiled for a different worker
-    /// count than the executor runs.
+    /// PLAN: the staged blueprint was bound for a different worker count
+    /// than the executor runs.
     ThreadMismatch {
         /// Workers the executor runs.
         expected: usize,
-        /// Workers the blueprint was compiled for.
+        /// Workers the blueprint was bound for.
         got: usize,
     },
     /// A staged node holds a [`Vacant`](crate::processor::Vacant)
@@ -278,7 +288,7 @@ impl std::fmt::Display for SwapError {
             SwapError::ThreadMismatch { expected, got } => {
                 write!(
                     f,
-                    "blueprint compiled for {got} workers, executor has {expected}"
+                    "blueprint bound for {got} workers, executor has {expected}"
                 )
             }
             SwapError::MissingPart { name } => {
@@ -727,7 +737,7 @@ impl ExecGraph {
 
 /// One session's state, shared between the driver and the pool workers
 /// running its lanes. Everything here is strategy-independent; what a
-/// strategy adds (deques, a blueprint, a spin budget) lives in its policy.
+/// strategy adds (deques, a blueprint) lives in its policy.
 pub(crate) struct Shared {
     /// The current topology generation's runtime graph. Replaced only by
     /// the driver between cycles ([`Shared::adopt_exec`]); workers read it
@@ -897,10 +907,10 @@ impl Shared {
         self.cycle_start.set(Instant::now());
     }
 
-    /// Driver-side: wait until all nodes finished (spin-then-yield).
+    /// Driver-side: wait until all nodes finished.
     pub(crate) fn wait_cycle_done(&self) {
         let n = self.graph().len() as u32;
-        spin_yield_until(|| self.done_count.load(Ordering::Acquire) == n);
+        Backoff::wait_until(|| self.done_count.load(Ordering::Acquire) == n);
     }
 
     /// Fold `ns` into `node`'s cost histogram (a node past the
@@ -948,19 +958,21 @@ impl Shared {
 /// seldom pay a yield; where lanes share a CPU, the lane that must produce
 /// what is waited for gets the CPU after this long. A budget counted in
 /// polls cannot promise either: its length in time is the host's `pause`
-/// latency times the count.
-pub(crate) const SPIN_PHASE: Duration = Duration::from_micros(10);
+/// latency times the count. HYBRID parks after it.
+pub const SPIN_PHASE: Duration = Duration::from_micros(10);
 
 /// Polls between two clock reads of the spin phase.
 const POLLS_PER_CLOCK_READ: u64 = 64;
 
-/// The two phases of a lane's poll loop: spin until [`SPIN_PHASE`] has
-/// passed (the clock is read every [`POLLS_PER_CLOCK_READ`] polls), then
-/// yield on every poll — if the caller's `shares_cpu` says the CPU is
-/// shared with what it waits for; otherwise spin another phase and ask
-/// again. A yield hands the CPU to any runnable thread, not only to the
-/// one waited for: beside an unrelated busy process it costs a time slice
-/// of several milliseconds, where spinning costs only the spin.
+/// The executors' one poll loop: spin until [`SPIN_PHASE`] has passed
+/// (the clock is read every [`POLLS_PER_CLOCK_READ`] polls), then yield on
+/// every poll — if the caller's `shares_cpu` says the CPU is shared with
+/// what it waits for; otherwise spin another phase and ask again. A yield
+/// hands the CPU to any runnable thread, not only to the one waited for:
+/// beside an unrelated busy process it costs a time slice of several
+/// milliseconds, where spinning costs only the spin. A waiter that parks
+/// instead of yielding (HYBRID) runs only the spin phase, through
+/// [`spin`](Self::spin).
 pub(crate) struct Backoff {
     polls: u64,
     yields: u64,
@@ -978,20 +990,41 @@ impl Backoff {
         }
     }
 
+    /// Wait until `done` holds, yielding after the spin phase: a driver
+    /// waiting for lanes that may share its CPU.
+    pub(crate) fn wait_until(done: impl Fn() -> bool) {
+        let mut backoff = Backoff::new();
+        while !done() {
+            backoff.snooze(|| true);
+        }
+    }
+
+    /// Spin out one failed poll of the spin phase; `false` (and no wait)
+    /// once the phase has passed.
+    #[inline]
+    pub(crate) fn spin(&mut self) -> bool {
+        self.polls += 1;
+        let phase_over =
+            self.polls.is_multiple_of(POLLS_PER_CLOCK_READ) && self.since.elapsed() >= SPIN_PHASE;
+        if !phase_over {
+            core::hint::spin_loop();
+        }
+        !phase_over
+    }
+
     /// Wait out one failed poll.
     #[inline]
     pub(crate) fn snooze(&mut self, shares_cpu: impl FnOnce() -> bool) {
-        self.polls += 1;
         if self.yields == 0 {
-            let phase_over = self.polls.is_multiple_of(POLLS_PER_CLOCK_READ)
-                && self.since.elapsed() >= SPIN_PHASE;
-            if !phase_over {
-                return core::hint::spin_loop();
+            if self.spin() {
+                return;
             }
             if !shares_cpu() {
                 self.since = Instant::now();
                 return core::hint::spin_loop();
             }
+        } else {
+            self.polls += 1;
         }
         self.yields += 1;
         std::thread::yield_now();
@@ -1024,20 +1057,6 @@ pub(crate) fn current_cpu() -> u32 {
 #[cfg(not(target_os = "linux"))]
 pub(crate) fn current_cpu() -> u32 {
     UNKNOWN_CPU
-}
-
-/// Driver-side barrier wait: spin, yielding every 64th poll so an
-/// over-subscribed host still schedules the workers being waited for.
-pub(crate) fn spin_yield_until(done: impl Fn() -> bool) {
-    let mut spins = 0u32;
-    while !done() {
-        spins += 1;
-        if spins.is_multiple_of(64) {
-            std::thread::yield_now();
-        } else {
-            core::hint::spin_loop();
-        }
-    }
 }
 
 /// Graphs and checks shared by the executor test suites.
@@ -1246,6 +1265,46 @@ mod tests {
         unsafe { exec.execute(0, &CycleCtx::bare(1)) };
         assert_eq!(done(), 1);
         assert_eq!(exec.spin_until_done(0, 1, || true), 0); // already done: no wait
+    }
+
+    #[test]
+    fn backoff_spins_by_the_clock_then_shares_cpu_alone_decides() {
+        let asked = std::cell::Cell::new(0);
+        let ask = |answer: bool| {
+            asked.set(asked.get() + 1);
+            answer
+        };
+        // The spin phase ends by the clock: the first question comes after
+        // SPIN_PHASE, with nothing yielded.
+        let t0 = Instant::now();
+        let mut backoff = Backoff::new();
+        while asked.get() == 0 {
+            backoff.snooze(|| ask(false));
+        }
+        assert!(t0.elapsed() >= SPIN_PHASE);
+        assert_eq!(backoff.yields(), 0);
+        // "Not shared": spin another whole phase, then ask again.
+        while asked.get() == 1 {
+            backoff.snooze(|| ask(false));
+        }
+        assert!(t0.elapsed() >= 2 * SPIN_PHASE);
+        assert_eq!(backoff.yields(), 0);
+        // "Shared": yield, and on every later poll, without asking again.
+        while backoff.yields() == 0 {
+            backoff.snooze(|| ask(true));
+        }
+        for n in 2..=5 {
+            backoff.snooze(|| unreachable!("the yield phase asks nothing"));
+            assert_eq!(backoff.yields(), n);
+        }
+        assert_eq!(asked.get(), 3);
+        // A parking waiter runs the spin phase alone: `spin` says when the
+        // clock has ended it, and never yields.
+        let t0 = Instant::now();
+        let mut backoff = Backoff::new();
+        while backoff.spin() {}
+        assert!(t0.elapsed() >= SPIN_PHASE);
+        assert_eq!(backoff.yields(), 0);
     }
 
     #[test]

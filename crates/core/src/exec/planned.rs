@@ -3,27 +3,28 @@
 //! The paper's Fig. 4 derives a resource-constrained list schedule whose
 //! makespan beats every online strategy, but DJ Star never *runs* it — the
 //! schedule only exists inside the simulator. This executor closes that
-//! gap: a [`ScheduleBlueprint`] fixes, per worker, the exact node order of
-//! one cycle (typically compiled from `djstar-sim`'s list scheduler over
-//! measured node durations), and the executor replays it with **zero
-//! runtime queue management**. There is nothing to pop, steal or assign:
-//! each worker walks its precompiled slice and spin-checks only the
-//! *cross-worker* dependencies the compiler identified — same-worker
+//! gap: a schedule's lanes fix, per worker, the exact node order of one
+//! cycle (typically `djstar-sim`'s list schedule over priced node
+//! durations); bound to the executor's graph as a [`ScheduleBlueprint`],
+//! they are replayed with **zero runtime queue management**. There is
+//! nothing to pop, steal or assign: each worker walks its slice and
+//! spin-checks only the
+//! *cross-worker* dependencies the binding identified — same-worker
 //! predecessors are already ordered before their dependents, so program
 //! order alone covers them.
 //!
 //! Compared to BUSY, which round-robins the depth queue and spins on every
 //! unmet predecessor, PLAN (a) places nodes where the list scheduler wants
 //! them instead of `k mod T`, and (b) skips the dependency checks the
-//! compiler proved redundant. The wait itself is BUSY's
+//! binding proved redundant. The wait itself is BUSY's
 //! ([`spin_then_exec`]), so the memory-safety argument is identical: a
 //! worker reads a predecessor's output only after acquiring its
 //! `done_epoch`, and blueprint validation guarantees exactly-once ownership
 //! per cycle.
 //!
-//! Deadlock freedom: [`ScheduleBlueprint`] construction verifies (by
-//! replaying the plan) that every wait refers to a node scheduled earlier
-//! in the induced partial order, so the waits-for relation is acyclic.
+//! Deadlock freedom: [`ScheduleBlueprint::bind`] verifies (by replaying
+//! the plan) that every wait refers to a node scheduled earlier in the
+//! induced partial order, so the waits-for relation is acyclic.
 
 use super::busy::spin_then_exec;
 use super::executor::{Lane, Policy, PoolExecutor};
@@ -33,15 +34,11 @@ use crate::graph::{GraphTopology, NodeId, TaskGraph};
 use std::fmt;
 use std::sync::Arc;
 
-/// One slot of a worker's precompiled schedule.
+/// One slot of a worker's bound schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedNode {
     /// The node to execute.
     pub node: u32,
-    /// Expected start offset from cycle start (ns) in the schedule the
-    /// blueprint was compiled from. Informational: the executor is purely
-    /// dependency-driven and never delays to match it.
-    pub expected_start_ns: u64,
     /// Predecessors assigned to *other* workers — the only dependencies
     /// that need a runtime check. Same-worker predecessors are implicitly
     /// satisfied by slice order.
@@ -55,7 +52,7 @@ impl PlannedNode {
     }
 }
 
-/// Errors detected while compiling or validating a blueprint.
+/// Errors detected while binding a schedule's lanes to a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlueprintError {
     /// The assignment lists no workers.
@@ -89,52 +86,51 @@ impl fmt::Display for BlueprintError {
 
 impl std::error::Error for BlueprintError {}
 
-/// A compiled static schedule: per-worker node orders plus the cross-worker
-/// dependency checks each slot needs.
+/// A static schedule's lanes bound to a graph: per-worker node orders plus
+/// the cross-worker dependency checks each slot needs.
 ///
-/// Build one from a simulated schedule (see `djstar-sim`'s
-/// `compile_blueprint`) or from [`round_robin`](Self::round_robin), which
-/// reproduces the BUSY assignment for baselines and tests.
+/// A schedule reaches core as its *lanes* — lane `w`'s node ids in
+/// execution order, from `djstar-sim`'s list scheduler or
+/// [`round_robin_lanes`] — and [`PlannedExecutor::new`] /
+/// [`StagedGeneration::with_plan`](super::StagedGeneration::with_plan) bind
+/// them to the graph they run. [`bind`](Self::bind) is the one binding
+/// constructor; the simulator uses it on its own graph for its replay
+/// only, since no executor takes a bound blueprint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleBlueprint {
     workers: Vec<Vec<PlannedNode>>,
 }
 
+/// The BUSY assignment as lanes: position `k` of the depth queue on lane
+/// `k mod threads`. A plan for baselines and tests that need one without
+/// running the simulator.
+pub fn round_robin_lanes(topo: &GraphTopology, threads: usize) -> Vec<Vec<u32>> {
+    assert!(threads >= 1, "at least one worker required");
+    let mut lanes = vec![Vec::new(); threads];
+    for (k, &node) in topo.queue().iter().enumerate() {
+        lanes[k % threads].push(node);
+    }
+    lanes
+}
+
 impl ScheduleBlueprint {
-    /// Compile a blueprint from explicit per-worker `(node, start_ns)`
-    /// assignments, ordered by start within each worker. Validates coverage
+    /// Bind `lanes` (lane `w`'s node ids, in execution order) to the graph
+    /// of `nodes` nodes whose predecessors `preds` lists: each slot's
+    /// waits are its predecessors on other lanes. Validates coverage
     /// (every node exactly once) and replays the plan to prove it
     /// deadlock-free.
-    pub fn from_assignments(
-        topo: &GraphTopology,
-        assignments: &[Vec<(u32, u64)>],
-    ) -> Result<Self, BlueprintError> {
-        Self::build(topo.len(), |n| topo.preds(NodeId(n)), assignments)
-    }
-
-    /// Like [`from_assignments`](Self::from_assignments), but over a raw
-    /// predecessor table (`preds[n]` = predecessors of node `n`). Lets the
-    /// simulator compile blueprints for synthetic graphs that have no
-    /// [`GraphTopology`].
-    pub fn from_node_preds(
-        preds: &[Vec<u32>],
-        assignments: &[Vec<(u32, u64)>],
-    ) -> Result<Self, BlueprintError> {
-        Self::build(preds.len(), |n| &preds[n as usize], assignments)
-    }
-
-    fn build<'a>(
-        n: usize,
+    pub fn bind<'a>(
+        lanes: &[Vec<u32>],
+        nodes: usize,
         preds: impl Fn(u32) -> &'a [u32],
-        assignments: &[Vec<(u32, u64)>],
     ) -> Result<Self, BlueprintError> {
-        if assignments.is_empty() {
+        if lanes.is_empty() {
             return Err(BlueprintError::NoWorkers);
         }
-        let mut owner = vec![usize::MAX; n];
+        let mut owner = vec![usize::MAX; nodes];
         let mut assigned = 0usize;
-        for (w, list) in assignments.iter().enumerate() {
-            for &(node, _) in list {
+        for (w, lane) in lanes.iter().enumerate() {
+            for &node in lane {
                 let slot = owner
                     .get_mut(node as usize)
                     .ok_or(BlueprintError::UnknownNode(node))?;
@@ -145,17 +141,16 @@ impl ScheduleBlueprint {
                 assigned += 1;
             }
         }
-        if assigned != n {
-            return Err(BlueprintError::Incomplete { assigned, nodes: n });
+        if assigned != nodes {
+            return Err(BlueprintError::Incomplete { assigned, nodes });
         }
-        let workers: Vec<Vec<PlannedNode>> = assignments
+        let workers: Vec<Vec<PlannedNode>> = lanes
             .iter()
             .enumerate()
-            .map(|(w, list)| {
-                list.iter()
-                    .map(|&(node, start)| PlannedNode {
+            .map(|(w, lane)| {
+                lane.iter()
+                    .map(|&node| PlannedNode {
                         node,
-                        expected_start_ns: start,
                         waits: preds(node)
                             .iter()
                             .copied()
@@ -166,24 +161,11 @@ impl ScheduleBlueprint {
             })
             .collect();
         let plan = ScheduleBlueprint { workers };
-        plan.check_schedulable(n, &preds)?;
+        plan.check_schedulable(nodes, &preds)?;
         Ok(plan)
     }
 
-    /// The BUSY assignment as a blueprint: position `k` of the depth queue
-    /// goes to worker `k mod threads`. Useful as a baseline and for tests
-    /// that need a valid blueprint without running the simulator.
-    pub fn round_robin(topo: &GraphTopology, threads: usize) -> Self {
-        assert!(threads >= 1, "at least one worker required");
-        let mut assignments: Vec<Vec<(u32, u64)>> = vec![Vec::new(); threads];
-        for (k, &node) in topo.queue().iter().enumerate() {
-            assignments[k % threads].push((node, 0));
-        }
-        Self::from_assignments(topo, &assignments)
-            .expect("round-robin over a topological order is always schedulable")
-    }
-
-    /// Number of workers the plan was compiled for.
+    /// Number of workers the plan was bound for.
     pub fn threads(&self) -> usize {
         self.workers.len()
     }
@@ -198,26 +180,6 @@ impl ScheduleBlueprint {
         self.workers.iter().map(Vec::len).sum()
     }
 
-    /// Recompile this blueprint against `topo`: keep the placements and
-    /// per-worker orders, rebuild the cross-worker waits from the
-    /// topology's own edges, and re-validate coverage and deadlock
-    /// freedom. A blueprint compiled against a disagreeing predecessor
-    /// table therefore cannot smuggle in a missing wait.
-    pub(crate) fn recompile_for(&self, topo: &GraphTopology) -> Result<Self, BlueprintError> {
-        Self::from_assignments(
-            topo,
-            &self
-                .workers
-                .iter()
-                .map(|list| {
-                    list.iter()
-                        .map(|e| (e.node, e.expected_start_ns))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>(),
-        )
-    }
-
     /// True when no slots are planned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -226,7 +188,7 @@ impl ScheduleBlueprint {
     /// Replay the plan: verify every predecessor of every slot is either an
     /// earlier same-worker slot or a listed wait, and that the waits-for
     /// relation cannot cycle. This is the executor's deadlock-freedom
-    /// proof, run once at compile time.
+    /// proof, run once at binding time.
     fn check_schedulable<'a>(
         &self,
         n: usize,
@@ -318,41 +280,39 @@ impl Replay {
 
 impl PlannedExecutor {
     /// Build the executor over `graph` with `frames`-frame buffers,
-    /// replaying `blueprint`. The worker count is the blueprint's.
+    /// replaying `lanes` (lane `w`'s node ids, in execution order). The
+    /// worker count is the number of lanes.
     ///
-    /// The blueprint is recompiled against *this* graph's topology before
-    /// use: the placements and per-worker orders are kept, but the
-    /// cross-worker waits are rebuilt from the graph's own edges. A
-    /// blueprint compiled against a predecessor table that disagrees with
-    /// `graph` therefore cannot smuggle in a missing wait — the executor
-    /// always replays waits derived from the graph it actually runs.
+    /// The lanes are bound here, to *this* graph's topology: the
+    /// cross-worker waits come from the edges of the graph the executor
+    /// actually runs, and no blueprint bound elsewhere can reach it.
     ///
     /// # Panics
-    /// Panics if the blueprint's worker count is outside `1..=64` or the
-    /// blueprint does not recompile against `graph`'s topology (wrong node
-    /// set or an unschedulable order).
-    pub fn new(graph: TaskGraph, frames: usize, blueprint: ScheduleBlueprint) -> Self {
-        let pool = Arc::new(VenuePool::new(blueprint.threads().clamp(1, 64)));
-        Self::with_pool(graph, frames, blueprint, &pool)
+    /// Panics if the lane count is outside `1..=64` or the lanes do not
+    /// bind to `graph`'s topology (wrong node set or an unschedulable
+    /// order).
+    pub fn new(graph: TaskGraph, frames: usize, lanes: &[Vec<u32>]) -> Self {
+        let pool = Arc::new(VenuePool::new(lanes.len().clamp(1, 64)));
+        Self::with_pool(graph, frames, lanes, &pool)
     }
 
     /// Register this session on an existing shared [`VenuePool`] instead of
-    /// spawning private threads. The blueprint's worker count is this
-    /// session's lane count and must not exceed the pool's.
+    /// spawning private threads. The lane count is this session's and must
+    /// not exceed the pool's.
     pub fn with_pool(
         graph: TaskGraph,
         frames: usize,
-        blueprint: ScheduleBlueprint,
+        lanes: &[Vec<u32>],
         pool: &Arc<VenuePool>,
     ) -> Self {
         let exec = ExecGraph::new(graph, frames);
-        let plan = blueprint
-            .recompile_for(exec.topology())
-            .unwrap_or_else(|e| panic!("blueprint does not fit this graph: {e}"));
+        let topo = exec.topology();
+        let plan = ScheduleBlueprint::bind(lanes, topo.len(), |n| topo.preds(NodeId(n)))
+            .unwrap_or_else(|e| panic!("lanes do not bind to this graph: {e}"));
         let policy = Replay {
             plan: DriverCell::new(plan),
         };
-        Self::register(exec, blueprint.threads(), pool, policy)
+        Self::register(exec, lanes.len(), pool, policy)
     }
 
     /// The blueprint being replayed (for the current generation).
@@ -379,7 +339,7 @@ impl Policy for Replay {
         exec: ExecGraph,
         staged_plan: Option<ScheduleBlueprint>,
     ) -> Adoption {
-        // The staged plan was recompiled against the staged topology by
+        // The staged plan was bound to the staged topology by
         // `StagedGeneration::with_plan`; all that is left to check is that
         // it has this session's lane count.
         let mut plan = match staged_plan {
@@ -417,13 +377,28 @@ mod tests {
     use crate::exec::{GraphExecutor, StagedGeneration};
     use djstar_dsp::AudioBuf;
 
+    /// Bind `lanes` to `g`'s own topology.
+    fn bind(g: &TaskGraph, lanes: &[Vec<u32>]) -> Result<ScheduleBlueprint, BlueprintError> {
+        let topo = g.topology();
+        ScheduleBlueprint::bind(lanes, topo.len(), |n| topo.preds(NodeId(n)))
+    }
+
+    fn assert_diamond_sums(ex: &mut PlannedExecutor) {
+        for _ in 0..200 {
+            ex.run_cycle(&[], &[]);
+            let mut out = AudioBuf::zeroed(2, 8);
+            ex.read_output(NodeId(3), &mut out);
+            assert_eq!(out.sample(0, 0), 3.0);
+        }
+    }
+
     #[test]
     fn round_robin_blueprint_matches_sequential() {
         for threads in [1, 2, 3, 4] {
             run_and_check(
                 |g, frames| {
-                    let bp = ScheduleBlueprint::round_robin(g.topology(), threads);
-                    Box::new(PlannedExecutor::new(g, frames, bp))
+                    let lanes = round_robin_lanes(g.topology(), threads);
+                    Box::new(PlannedExecutor::new(g, frames, &lanes))
                 },
                 &format!("plan-rr-{threads}"),
             );
@@ -446,12 +421,11 @@ mod tests {
                     }
                     let mut order: Vec<u32> = (0..topo.len() as u32).collect();
                     order.sort_by_key(|&v| std::cmp::Reverse(tail[v as usize]));
-                    let mut lists: Vec<Vec<(u32, u64)>> = vec![Vec::new(); threads];
+                    let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); threads];
                     for (k, &v) in order.iter().enumerate() {
-                        lists[k % threads].push((v, k as u64));
+                        lanes[k % threads].push(v);
                     }
-                    let bp = ScheduleBlueprint::from_assignments(topo, &lists).unwrap();
-                    Box::new(PlannedExecutor::new(g, frames, bp))
+                    Box::new(PlannedExecutor::new(g, frames, &lanes))
                 },
                 &format!("plan-cp-{threads}"),
             );
@@ -463,27 +437,20 @@ mod tests {
         let g = diamond_sum_graph();
         // Worker 0: n0, n2, n3; worker 1: n1. n2 waits on n1 (cross), n0 is
         // same-worker; n3's pred n2 is same-worker.
-        let bp = ScheduleBlueprint::from_assignments(
-            g.topology(),
-            &[vec![(0, 0), (2, 100), (3, 200)], vec![(1, 0)]],
-        )
-        .unwrap();
+        let lanes = [vec![0, 2, 3], vec![1]];
+        let bp = bind(&g, &lanes).unwrap();
         assert_eq!(bp.worker(0)[1].waits(), &[1]);
         assert_eq!(bp.worker(0)[2].waits(), &[] as &[u32]);
-        let mut ex = PlannedExecutor::new(g, 8, bp);
-        for _ in 0..200 {
-            ex.run_cycle(&[], &[]);
-            let mut out = AudioBuf::zeroed(2, 8);
-            ex.read_output(NodeId(3), &mut out);
-            assert_eq!(out.sample(0, 0), 3.0);
-        }
+        let mut ex = PlannedExecutor::new(g, 8, &lanes);
+        assert_eq!(ex.blueprint(), &bp);
+        assert_diamond_sums(&mut ex);
     }
 
     #[test]
     fn trace_respects_dependencies_and_placement() {
         let g = fan_graph(16);
-        let bp = ScheduleBlueprint::round_robin(g.topology(), 4);
-        let mut ex = PlannedExecutor::new(g, 8, bp);
+        let lanes = round_robin_lanes(g.topology(), 4);
+        let mut ex = PlannedExecutor::new(g, 8, &lanes);
         record(&mut ex);
         for _ in 0..20 {
             let trace = traced_cycle(&mut ex);
@@ -500,76 +467,51 @@ mod tests {
 
     #[test]
     fn executor_rebuilds_waits_from_the_real_graph() {
-        // Compile against a predecessor table with NO edges: the blueprint
-        // validates (nothing to wait for) but its waits are empty, so
-        // replaying it verbatim against the diamond graph would skip the
-        // cross-worker check on n1 -> n2. The executor must recompile the
-        // waits from the graph it actually runs.
-        let no_edges: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        let bp = ScheduleBlueprint::from_node_preds(
-            &no_edges,
-            &[vec![(0, 0), (2, 100), (3, 200)], vec![(1, 0)]],
-        )
-        .unwrap();
-        assert_eq!(bp.worker(0)[1].waits(), &[] as &[u32]);
-        let mut ex = PlannedExecutor::new(diamond_sum_graph(), 8, bp);
+        // The same lanes bound to a predecessor table with NO edges carry
+        // no waits, so replaying that binding against the diamond would
+        // skip the cross-worker check on n1 -> n2. The executor takes
+        // lanes, not a binding, and binds them to the graph it runs.
+        let lanes = [vec![0, 2, 3], vec![1]];
+        let edgeless = ScheduleBlueprint::bind(&lanes, 4, |_| &[]).unwrap();
+        assert_eq!(edgeless.worker(0)[1].waits(), &[] as &[u32]);
+        let mut ex = PlannedExecutor::new(diamond_sum_graph(), 8, &lanes);
         assert_eq!(ex.blueprint().worker(0)[1].waits(), &[1]);
-        for _ in 0..200 {
-            ex.run_cycle(&[], &[]);
-            let mut out = AudioBuf::zeroed(2, 8);
-            ex.read_output(NodeId(3), &mut out);
-            assert_eq!(out.sample(0, 0), 3.0);
-        }
+        assert_diamond_sums(&mut ex);
     }
 
     #[test]
     fn staging_rebuilds_waits_from_the_real_graph() {
-        // The staging-time twin of the test above: the same edgeless
-        // blueprint, staged beside the diamond, carries the graph's own
-        // waits before it ever reaches the executor.
-        let no_edges: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        let bp = ScheduleBlueprint::from_node_preds(
-            &no_edges,
-            &[vec![(0, 0), (2, 100), (3, 200)], vec![(1, 0)]],
-        )
-        .unwrap();
-        let staged = StagedGeneration::with_plan(diamond_sum_graph(), 8, bp).unwrap();
+        // The staging-time twin of the test above: the same lanes, staged
+        // beside the diamond, carry the graph's own waits before they ever
+        // reach the executor.
+        let lanes = [vec![0, 2, 3], vec![1]];
+        let staged = StagedGeneration::with_plan(diamond_sum_graph(), 8, &lanes).unwrap();
         assert_eq!(staged.plan().unwrap().worker(0)[1].waits(), &[1]);
         let g = diamond_sum_graph();
-        let rr = ScheduleBlueprint::round_robin(g.topology(), 2);
-        let mut ex = PlannedExecutor::new(g, 8, rr);
+        let rr = round_robin_lanes(g.topology(), 2);
+        let mut ex = PlannedExecutor::new(g, 8, &rr);
         assert_eq!(ex.adopt_generation(staged).0, Ok(1));
         assert_eq!(ex.blueprint().worker(0)[1].waits(), &[1]);
-        for _ in 0..200 {
-            ex.run_cycle(&[], &[]);
-            let mut out = AudioBuf::zeroed(2, 8);
-            ex.read_output(NodeId(3), &mut out);
-            assert_eq!(out.sample(0, 0), 3.0);
-        }
+        assert_diamond_sums(&mut ex);
     }
 
     #[test]
     fn blueprint_rejects_duplicates_and_gaps() {
         let g = diamond_sum_graph();
-        let t = g.topology();
         assert_eq!(
-            ScheduleBlueprint::from_assignments(t, &[vec![(0, 0), (0, 1)]]).unwrap_err(),
+            bind(&g, &[vec![0, 0]]).unwrap_err(),
             BlueprintError::Duplicate(0)
         );
         assert_eq!(
-            ScheduleBlueprint::from_assignments(t, &[vec![(0, 0), (1, 1)]]).unwrap_err(),
+            bind(&g, &[vec![0, 1]]).unwrap_err(),
             BlueprintError::Incomplete {
                 assigned: 2,
                 nodes: 4
             }
         );
+        assert_eq!(bind(&g, &[]).unwrap_err(), BlueprintError::NoWorkers);
         assert_eq!(
-            ScheduleBlueprint::from_assignments(t, &[]).unwrap_err(),
-            BlueprintError::NoWorkers
-        );
-        assert_eq!(
-            ScheduleBlueprint::from_assignments(t, &[vec![(0, 0), (1, 1), (2, 2), (9, 3)]])
-                .unwrap_err(),
+            bind(&g, &[vec![0, 1, 2, 9]]).unwrap_err(),
             BlueprintError::UnknownNode(9)
         );
     }
@@ -579,11 +521,7 @@ mod tests {
         let g = diamond_sum_graph();
         // n3 before its predecessor n2 on the same worker: unschedulable.
         assert_eq!(
-            ScheduleBlueprint::from_assignments(
-                g.topology(),
-                &[vec![(0, 0), (1, 1), (3, 2), (2, 3)]]
-            )
-            .unwrap_err(),
+            bind(&g, &[vec![0, 1, 3, 2]]).unwrap_err(),
             BlueprintError::Unschedulable(3)
         );
     }

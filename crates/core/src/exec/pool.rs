@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use super::{spin_yield_until, Backoff, DriverCell};
+use super::{Backoff, DriverCell};
 use crate::pad::CachePadded;
 
 /// What the pool knows about a registered session: how many lanes it has
@@ -304,7 +304,7 @@ impl VenuePool {
         if !self.in_flight.swap(false, Ordering::Relaxed) {
             return;
         }
-        spin_yield_until(|| self.core.exited.load(Ordering::Acquire) == self.core.workers);
+        Backoff::wait_until(|| self.core.exited.load(Ordering::Acquire) == self.core.workers);
     }
 }
 

@@ -9,34 +9,32 @@
 //!
 //! Mechanics: each node has a `pending` counter (unmet predecessors this
 //! epoch) and a `waiter` slot. A lane arriving at a node with `pending > 0`
-//! first polls the counter up to `spin_budget` times, then registers itself
-//! in `waiter`, re-checks, and parks (register → re-check → park, so a wake
-//! between the check and the park is never lost — `unpark` before `park`
-//! leaves a token). A lane finishing a node decrements each successor's
-//! `pending` with `AcqRel`; the one that brings it to zero swaps out the
-//! `waiter` and unparks it. The `AcqRel` read-modify-write chain forms a
-//! release sequence, so the executor that observes `pending == 0` with
-//! `Acquire` sees every predecessor's output.
+//! registers itself in `waiter`, re-checks, and parks (register →
+//! re-check → park, so a wake between the check and the park is never
+//! lost — `unpark` before `park` leaves a token). A lane finishing a node
+//! decrements each successor's `pending` with `AcqRel`; the one that
+//! brings it to zero swaps out the `waiter` and unparks it. The `AcqRel`
+//! read-modify-write chain forms a release sequence, so the executor that
+//! observes `pending == 0` with `Acquire` sees every predecessor's output.
 //!
-//! SLEEP is budget 0 — the paper's strategy, straight to the park. HYBRID
-//! (see [`hybrid`](super::hybrid)) is the same policy with a budget.
+//! SLEEP parks at once — the paper's strategy. HYBRID (see
+//! [`hybrid`](super::hybrid)) is the same policy that first polls through
+//! the spin phase of the executors' one poll loop, `Backoff`
+//! ([`SPIN_PHASE`](super::SPIN_PHASE), 10 µs by the clock).
 //!
 //! Deadlock freedom follows from the same queue-position argument as BUSY.
 
 use super::executor::{Lane, Policy, PoolExecutor, QueuePolicy};
 use super::pool::VenuePool;
-use super::{ExecGraph, NodeCell, Strategy};
+use super::{Backoff, ExecGraph, NodeCell, Strategy};
 use crate::flight::SpanKind;
 use crate::graph::NodeId;
 use std::sync::atomic::Ordering;
 
-/// The SLEEP / HYBRID policy: static round-robin assignment, spin for at
-/// most `spin_budget` polls, then park. `SPIN` only says which of the two
-/// labels (and constructor signatures) a session carries: `Park<false>` is
-/// SLEEP and always has budget 0, `Park<true>` is HYBRID.
-pub struct Park<const SPIN: bool> {
-    pub(super) spin_budget: u32,
-}
+/// The SLEEP / HYBRID policy: static round-robin assignment, park on an
+/// unmet dependency. `SPIN` picks whether a lane first polls through the
+/// spin phase: `Park<false>` is SLEEP, `Park<true>` is HYBRID.
+pub struct Park<const SPIN: bool>;
 
 /// Thread-sleeping executor.
 pub type SleepExecutor = PoolExecutor<Park<false>>;
@@ -45,7 +43,7 @@ pub type SleepExecutor = PoolExecutor<Park<false>>;
 enum Waited {
     /// Ready on arrival.
     No,
-    /// Became ready within the spin budget, after this many polls.
+    /// Became ready within the spin phase, after this many polls.
     Spun(u64),
     /// Registered as the node's waiter after `spins` polls; `parks` is the
     /// number of `park()` calls actually made (0 when the dependency
@@ -53,23 +51,23 @@ enum Waited {
     Parked { spins: u64, parks: u64 },
 }
 
-/// Spin up to `budget` polls, then register-and-park until `pending == 0`.
-fn wait_ready(cell: &NodeCell, me: usize, budget: u32) -> Waited {
+/// With `SPIN`, poll through the spin phase; then register-and-park until
+/// `pending == 0`.
+fn wait_ready<const SPIN: bool>(cell: &NodeCell, me: usize) -> Waited {
     let ready = || cell.pending.load(Ordering::Acquire) == 0;
     if ready() {
         return Waited::No;
     }
-    for i in 0..budget {
-        if ready() {
-            return Waited::Spun(u64::from(i) + 1);
+    let mut spins = 0;
+    if SPIN {
+        let mut backoff = Backoff::new();
+        while backoff.spin() {
+            if ready() {
+                return Waited::Spun(backoff.polls());
+            }
         }
-        if i % 1024 == 1023 {
-            std::thread::yield_now();
-        } else {
-            core::hint::spin_loop();
-        }
+        spins = backoff.polls();
     }
-    let spins = u64::from(budget);
     let mut parks = 0u64;
     loop {
         // Register as this node's executor, then re-check before parking.
@@ -106,16 +104,16 @@ impl<const SPIN: bool> Policy for Park<SPIN> {
                 continue;
             }
             let w0 = lane.clock();
-            match wait_ready(graph.cell(node as usize), lane.me, self.spin_budget) {
+            match wait_ready::<SPIN>(graph.cell(node as usize), lane.me) {
                 Waited::No => {}
                 Waited::Spun(spins) => {
                     let ns = lane.waited(SpanKind::BusyWait, node, w0);
                     lane.count(|c| c.add_spin(spins, ns));
                 }
                 Waited::Parked { spins, parks } => {
-                    // The wait spanned the spin budget and the park; the
+                    // The wait spanned the spin phase and the park; the
                     // duration is booked against the park, which dominates
-                    // once the budget is exhausted.
+                    // once the phase is over.
                     let ns = lane.waited(SpanKind::Sleep, node, w0);
                     lane.count(|c| {
                         if spins > 0 {
@@ -147,9 +145,9 @@ impl<const SPIN: bool> Policy for Park<SPIN> {
     }
 }
 
-impl QueuePolicy for Park<false> {
+impl<const SPIN: bool> QueuePolicy for Park<SPIN> {
     fn for_session(_: &ExecGraph, _: usize, _: &VenuePool) -> Self {
-        Park { spin_budget: 0 }
+        Park
     }
 }
 

@@ -19,7 +19,8 @@
 //! successors wakes sleepers to come and steal. "Sleeping in fact only
 //! occurs when there are solely nodes available with unfinished
 //! dependencies" — i.e. near the end of the graph (§VI). The driver (lane
-//! 0) never parks intra-cycle; it spin-yields so it can observe completion.
+//! 0) never parks intra-cycle: it polls through the executors' one
+//! `Backoff` (spin, then yield) so it can observe completion.
 //!
 //! WS is the one policy that uses every hook: `seed` fills the deques
 //! before the epoch is published, `settle` waits for the exit barrier (a
@@ -28,9 +29,7 @@
 
 use super::executor::{Lane, Policy, PoolExecutor, QueuePolicy};
 use super::pool::VenuePool;
-use super::{
-    spin_yield_until, Adoption, DriverCell, ExecGraph, ScheduleBlueprint, Shared, Strategy,
-};
+use super::{Adoption, Backoff, DriverCell, ExecGraph, ScheduleBlueprint, Shared, Strategy};
 use crate::deque::{Steal as Stolen, WorkDeque};
 use crate::flight::{Span, SpanKind};
 use crate::graph::{NodeId, Section};
@@ -154,9 +153,12 @@ impl Policy for Steal {
         let me = lane.me;
         let total = sh.graph().len() as u32;
         let cycle_done = || sh.done_count.load(Ordering::Acquire) == total;
+        // Lane 0's idle wait, restarted whenever the lane finds work.
+        let mut backoff: Option<Backoff> = None;
         loop {
             // 1. Local work, newest first (LIFO: §V-C cache-locality argument).
             if let Some(node) = self.deques()[me].pop() {
+                backoff = None;
                 // SAFETY: popped from own deque.
                 unsafe { self.run_node(lane, node) };
                 continue;
@@ -166,6 +168,7 @@ impl Policy for Steal {
             let stolen = self.steal_sweep(me);
             lane.count(|c| c.add_steal(stolen.is_some()));
             if let Some(node) = stolen {
+                backoff = None;
                 lane.waited(SpanKind::Steal, node, s0);
                 // SAFETY: stolen exactly once.
                 unsafe { self.run_node(lane, node) };
@@ -175,11 +178,12 @@ impl Policy for Steal {
             if cycle_done() {
                 break;
             }
-            // 4. Idle. The driver spin-yields (it must observe completion and
-            //    may be running on a thread the IdleSet has no handle for);
-            //    workers park until new work is released.
+            // 4. Idle. The driver polls through a `Backoff` that yields
+            //    after the spin phase (it must observe completion and may be
+            //    running on a thread the IdleSet has no handle for); workers
+            //    park until new work is released.
             if me == 0 {
-                std::thread::yield_now();
+                backoff.get_or_insert_with(Backoff::new).snooze(|| true);
                 continue;
             }
             self.idle.register(me);
@@ -225,7 +229,7 @@ impl Policy for Steal {
     /// none can touch the deques the next cycle seeds.
     fn settle(&self, sh: &Shared) {
         let lanes = sh.threads as u32;
-        spin_yield_until(|| self.exited.load(Ordering::Acquire) == lanes);
+        Backoff::wait_until(|| self.exited.load(Ordering::Acquire) == lanes);
     }
 
     unsafe fn adopt(

@@ -20,9 +20,9 @@
 //!   [`BusyExecutor`],
 //!   [`SleepExecutor`],
 //!   [`StealExecutor`],
-//!   [`HybridExecutor`] and the precompiled-schedule
-//!   [`PlannedExecutor`] (a [`ScheduleBlueprint`]
-//!   compiled offline, e.g. from `djstar-sim`'s list scheduler).
+//!   [`HybridExecutor`] and the static-schedule
+//!   [`PlannedExecutor`] (per-lane node orders, e.g. from `djstar-sim`'s
+//!   list scheduler, bound to its graph as a [`ScheduleBlueprint`]).
 //! * [`deque`] — a fixed-capacity Chase–Lev work-stealing deque (owner pops
 //!   LIFO from the bottom, thieves steal FIFO from the top — the exact
 //!   convention of §V-C).
@@ -75,9 +75,9 @@ pub mod telemetry;
 pub mod trace;
 
 pub use exec::{
-    BlueprintError, BusyExecutor, CycleResult, ExecGraph, GraphExecutor, HybridExecutor,
-    PlannedExecutor, PlannedNode, RetiredGeneration, ScheduleBlueprint, SequentialExecutor,
-    SleepExecutor, StagedGeneration, StealExecutor, Strategy, SwapError,
+    round_robin_lanes, BlueprintError, BusyExecutor, CycleResult, ExecGraph, GraphExecutor,
+    HybridExecutor, PlannedExecutor, PlannedNode, RetiredGeneration, ScheduleBlueprint,
+    SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor, Strategy, SwapError,
 };
 pub use faults::FaultPlan;
 pub use flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};

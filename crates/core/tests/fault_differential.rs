@@ -8,7 +8,7 @@
 //! A repeat run of the whole matrix must reproduce every number.
 
 use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
+    round_robin_lanes, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
     SequentialExecutor, SleepExecutor, StealExecutor, Strategy,
 };
 use djstar_core::faults::FaultPlan;
@@ -71,10 +71,10 @@ fn make_executor(strategy: Strategy, threads: usize) -> Box<dyn GraphExecutor> {
         Strategy::Busy => Box::new(BusyExecutor::new(g, threads, FRAMES)),
         Strategy::Sleep => Box::new(SleepExecutor::new(g, threads, FRAMES)),
         Strategy::Steal => Box::new(StealExecutor::new(g, threads, FRAMES)),
-        Strategy::Hybrid => Box::new(HybridExecutor::new(g, threads, FRAMES, 500)),
+        Strategy::Hybrid => Box::new(HybridExecutor::new(g, threads, FRAMES)),
         Strategy::Planned => {
-            let bp = ScheduleBlueprint::round_robin(g.topology(), threads);
-            Box::new(PlannedExecutor::new(g, FRAMES, bp))
+            let lanes = round_robin_lanes(g.topology(), threads);
+            Box::new(PlannedExecutor::new(g, FRAMES, &lanes))
         }
     }
 }

@@ -5,9 +5,9 @@
 
 use djstar_core::deque::{Steal, WorkDeque};
 use djstar_core::exec::{
-    BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
-    ScheduleBlueprint, SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor,
-    Strategy, SwapError,
+    round_robin_lanes, BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor,
+    PlannedExecutor, SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor, Strategy,
+    SwapError,
 };
 use djstar_core::flight::FlightConfig;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
@@ -73,12 +73,12 @@ fn expected_values(preds: &[Vec<u32>]) -> Vec<f32> {
     vals
 }
 
-/// A PLAN blueprint that is not the depth round-robin: nodes sorted by
+/// PLAN lanes that are not the depth round-robin: nodes sorted by
 /// descending longest path to a sink (counted in nodes, ties by index) and
 /// dealt round-robin onto `threads` workers. Edges strictly shorten that
 /// path, so the order is topological and every worker's list replays; the
 /// cross-worker waits differ from the ones the depth queue produces.
-fn longest_path_blueprint(g: &TaskGraph, threads: usize) -> ScheduleBlueprint {
+fn longest_path_lanes(g: &TaskGraph, threads: usize) -> Vec<Vec<u32>> {
     let topo = g.topology();
     let mut tail = vec![1u32; topo.len()];
     for &v in topo.queue().iter().rev() {
@@ -88,12 +88,11 @@ fn longest_path_blueprint(g: &TaskGraph, threads: usize) -> ScheduleBlueprint {
     }
     let mut order: Vec<u32> = (0..topo.len() as u32).collect();
     order.sort_by_key(|&v| std::cmp::Reverse(tail[v as usize]));
-    let mut assignments: Vec<Vec<(u32, u64)>> = vec![Vec::new(); threads];
+    let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); threads];
     for (k, &v) in order.iter().enumerate() {
-        assignments[k % threads].push((v, k as u64));
+        lanes[k % threads].push(v);
     }
-    ScheduleBlueprint::from_assignments(topo, &assignments)
-        .expect("a round-robin deal of a topological order replays")
+    lanes
 }
 
 #[test]
@@ -129,8 +128,8 @@ fn all_executors_compute_correct_values_on_random_dags() {
         let frames = 4;
         let planned = {
             let g = build_graph(&preds);
-            let bp = ScheduleBlueprint::round_robin(g.topology(), threads);
-            PlannedExecutor::new(g, frames, bp)
+            let lanes = round_robin_lanes(g.topology(), threads);
+            PlannedExecutor::new(g, frames, &lanes)
         };
         let mut executors: Vec<Box<dyn GraphExecutor>> = vec![
             Box::new(SequentialExecutor::new(build_graph(&preds), frames)),
@@ -181,12 +180,12 @@ fn planned_executor_runs_every_node_exactly_once_on_random_dags() {
         let threads = 1 + rng.below(8);
         let longest_path = rng.chance(0.5);
         let g = build_graph(&preds);
-        let bp = if longest_path {
-            longest_path_blueprint(&g, threads)
+        let lanes = if longest_path {
+            longest_path_lanes(&g, threads)
         } else {
-            ScheduleBlueprint::round_robin(g.topology(), threads)
+            round_robin_lanes(g.topology(), threads)
         };
-        let mut ex = PlannedExecutor::new(g, 4, bp);
+        let mut ex = PlannedExecutor::new(g, 4, &lanes);
         ex.set_flight_recorder(Some(FlightConfig::default()));
         for _ in 0..5 {
             let trace = traced_cycle(&mut ex);
@@ -218,8 +217,8 @@ fn planned_executor_computes_correct_values_on_random_dags() {
         let want = expected_values(&preds);
         let sink = preds.len() - 1;
         let g = build_graph(&preds);
-        let bp = longest_path_blueprint(&g, threads);
-        let mut ex = PlannedExecutor::new(g, 4, bp);
+        let lanes = longest_path_lanes(&g, threads);
+        let mut ex = PlannedExecutor::new(g, 4, &lanes);
         for _ in 0..3 {
             ex.run_cycle(&[], &[]);
         }
@@ -235,8 +234,7 @@ fn planned_executor_computes_correct_values_on_random_dags() {
 }
 
 /// Build a fresh executor of `strategy` over `graph` with `threads`
-/// workers. Sequential ignores `threads`; Planned gets a round-robin
-/// blueprint (the swap path exercises the `plan: None` fallback).
+/// workers. Sequential ignores `threads`; Planned gets round-robin lanes.
 fn make_executor(
     strategy: Strategy,
     graph: TaskGraph,
@@ -248,10 +246,10 @@ fn make_executor(
         Strategy::Busy => Box::new(BusyExecutor::new(graph, threads, frames)),
         Strategy::Sleep => Box::new(SleepExecutor::new(graph, threads, frames)),
         Strategy::Steal => Box::new(StealExecutor::new(graph, threads, frames)),
-        Strategy::Hybrid => Box::new(HybridExecutor::new(graph, threads, frames, 2000)),
+        Strategy::Hybrid => Box::new(HybridExecutor::new(graph, threads, frames)),
         Strategy::Planned => {
-            let bp = ScheduleBlueprint::round_robin(graph.topology(), threads);
-            Box::new(PlannedExecutor::new(graph, frames, bp))
+            let lanes = round_robin_lanes(graph.topology(), threads);
+            Box::new(PlannedExecutor::new(graph, frames, &lanes))
         }
     }
 }
@@ -307,8 +305,8 @@ fn generation_swaps_preserve_exactly_once_and_dep_safety() {
             for (gen, preds) in [(1u64, &b), (2, &c)] {
                 let graph = build_graph(preds);
                 let staged = if strategy == Strategy::Planned {
-                    let bp = ScheduleBlueprint::round_robin(graph.topology(), threads);
-                    StagedGeneration::with_plan(graph, 4, bp).expect("round-robin fits")
+                    let lanes = round_robin_lanes(graph.topology(), threads);
+                    StagedGeneration::with_plan(graph, 4, &lanes).expect("round-robin fits")
                 } else {
                     StagedGeneration::new(graph, 4)
                 };
@@ -329,24 +327,24 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     let b = random_dag(&mut rng, 16);
     let threads = 3;
     let g_a = build_graph(&a);
-    let bp_a = ScheduleBlueprint::round_robin(g_a.topology(), threads);
-    let mut ex = PlannedExecutor::new(g_a, 4, bp_a);
+    let lanes_a = round_robin_lanes(g_a.topology(), threads);
+    let mut ex = PlannedExecutor::new(g_a, 4, &lanes_a);
     check_cycles(&mut ex, &a, 2, "planned pre-swap");
 
-    // A staged generation carrying a freshly compiled blueprint.
+    // A staged generation carrying freshly bound lanes.
     let g_b = build_graph(&b);
-    let bp_b = longest_path_blueprint(&g_b, threads);
-    let staged = StagedGeneration::with_plan(g_b, 4, bp_b).unwrap();
+    let lanes_b = longest_path_lanes(&g_b, threads);
+    let staged = StagedGeneration::with_plan(g_b, 4, &lanes_b).unwrap();
     assert!(staged.has_plan());
     assert_eq!(ex.adopt_generation(staged).0.unwrap(), 1);
     check_cycles(&mut ex, &b, 2, "planned post-swap");
 
     // Wrong worker count: rejected, running generation untouched.
-    let bad_plan = {
+    let bad_lanes = {
         let g = build_graph(&a);
-        ScheduleBlueprint::round_robin(g.topology(), threads + 1)
+        round_robin_lanes(g.topology(), threads + 1)
     };
-    let staged = StagedGeneration::with_plan(build_graph(&a), 4, bad_plan).unwrap();
+    let staged = StagedGeneration::with_plan(build_graph(&a), 4, &bad_lanes).unwrap();
     match ex.adopt_generation(staged).0 {
         Err(SwapError::ThreadMismatch { expected, got }) => {
             assert_eq!((expected, got), (threads, threads + 1));
@@ -356,11 +354,10 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     assert_eq!(ex.generation(), 1);
     check_cycles(&mut ex, &b, 2, "planned after rejected swap");
 
-    // Blueprint for a different node set: refused by the recompile at
-    // staging, so nothing reaches the executor.
-    let stale = ex.blueprint().clone();
+    // Lanes for a different node set: refused by the binding at staging,
+    // so nothing reaches the executor.
     let bigger: Vec<Vec<u32>> = (0..b.len() + 4).map(|_| Vec::new()).collect();
-    match StagedGeneration::with_plan(build_graph(&bigger), 4, stale) {
+    match StagedGeneration::with_plan(build_graph(&bigger), 4, &lanes_b) {
         Err(BlueprintError::Incomplete { .. }) => {}
         Err(other) => panic!("expected Incomplete, got {other:?}"),
         Ok(_) => panic!("a blueprint for another node set must not stage"),

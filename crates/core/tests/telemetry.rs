@@ -73,12 +73,7 @@ fn executors(graph: &[Vec<u32>], threads: usize) -> Vec<(&'static str, Box<dyn G
         ),
         (
             "HYBRID",
-            Box::new(HybridExecutor::new(
-                build_graph(graph),
-                threads,
-                FRAMES,
-                200,
-            )),
+            Box::new(HybridExecutor::new(build_graph(graph), threads, FRAMES)),
         ),
     ];
     if threads == 1 {

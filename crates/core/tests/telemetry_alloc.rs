@@ -39,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
+    round_robin_lanes, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
     SequentialExecutor, SleepExecutor, StealExecutor,
 };
 use djstar_core::faults::FaultPlan;
@@ -97,12 +97,12 @@ fn telemetry_cycles_do_not_allocate() {
         ("WS", Box::new(StealExecutor::new(graph(), THREADS, FRAMES))),
         (
             "HYBRID",
-            Box::new(HybridExecutor::new(graph(), THREADS, FRAMES, 200)),
+            Box::new(HybridExecutor::new(graph(), THREADS, FRAMES)),
         ),
         ("PLAN", {
             let g = graph();
-            let bp = ScheduleBlueprint::round_robin(g.topology(), THREADS);
-            Box::new(PlannedExecutor::new(g, FRAMES, bp))
+            let lanes = round_robin_lanes(g.topology(), THREADS);
+            Box::new(PlannedExecutor::new(g, FRAMES, &lanes))
         }),
     ];
     for (label, mut exec) in execs {

@@ -22,7 +22,7 @@ use crate::modes::{
 use crate::netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
 use crate::nodes::controls;
 use crate::reconfig::{
-    apply_edit, list_blueprint, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
+    apply_edit, list_lanes, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
 use djstar_core::exec::{
     BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
@@ -357,16 +357,11 @@ impl AudioEngine {
             Strategy::Busy => Box::new(BusyExecutor::with_pool(graph, threads, frames, pool)),
             Strategy::Sleep => Box::new(SleepExecutor::with_pool(graph, threads, frames, pool)),
             Strategy::Steal => Box::new(StealExecutor::with_pool(graph, threads, frames, pool)),
-            // Extension strategy: a 2000-poll spin budget (~tens of µs)
-            // before parking.
-            Strategy::Hybrid => Box::new(HybridExecutor::with_pool(
-                graph, threads, frames, 2_000, pool,
-            )),
+            Strategy::Hybrid => Box::new(HybridExecutor::with_pool(graph, threads, frames, pool)),
             Strategy::Planned => {
                 let topo = graph.topology();
-                let blueprint = list_blueprint(topo, costs.durations_for(topo), threads)
-                    .expect("a list schedule always compiles to a valid blueprint");
-                Box::new(PlannedExecutor::with_pool(graph, frames, blueprint, pool))
+                let lanes = list_lanes(topo, costs.durations_for(topo), threads);
+                Box::new(PlannedExecutor::with_pool(graph, frames, &lanes, pool))
             }
         };
         (executor, map)
@@ -487,9 +482,7 @@ impl AudioEngine {
 
     /// Arm the mode-aware blueprint cache with room for `capacity` staged
     /// generations. Fill it with
-    /// [`precompile_neighborhood`](Self::precompile_neighborhood) (inline
-    /// or from a background thread via
-    /// [`take_mode_cache`](Self::take_mode_cache)).
+    /// [`precompile_neighborhood`](Self::precompile_neighborhood).
     pub fn enable_mode_cache(&mut self, capacity: usize) {
         self.modes = Some(BlueprintCache::new(capacity));
     }
@@ -506,22 +499,6 @@ impl AudioEngine {
             retired_pending: self.retired.len() as u64,
             ..self.modes.as_ref().map(|c| c.stats()).unwrap_or_default()
         }
-    }
-
-    /// Detach the cache so a background thread can fill it with
-    /// [`stage_topology`] results ([`StagedTopology`] is `Send`) while the
-    /// audio thread keeps cycling cache-less; reinstall with
-    /// [`install_mode_cache`](Self::install_mode_cache).
-    pub fn take_mode_cache(&mut self) -> Option<BlueprintCache> {
-        self.modes.take()
-    }
-
-    /// Reinstall a cache detached by
-    /// [`take_mode_cache`](Self::take_mode_cache).
-    pub fn install_mode_cache(&mut self, mut cache: BlueprintCache) {
-        // Commits made while it was detached never reached its flag.
-        cache.stocked = false;
-        self.modes = Some(cache);
     }
 
     /// Arm schedulability admission: every subsequent staging first proves
@@ -554,9 +531,8 @@ impl AudioEngine {
     }
 
     /// The cost model or the lane count changed: void every cached
-    /// blueprint and admission bound. A blueprint compiled against stale
-    /// inputs must never be committed, and the cache's epoch bump also
-    /// voids any background precompile still in flight.
+    /// blueprint and admission bound. A blueprint scheduled under stale
+    /// inputs must never be committed.
     fn reprice(&mut self) {
         if let Some(cache) = self.modes.as_mut() {
             cache.invalidate();
@@ -569,9 +545,8 @@ impl AudioEngine {
     /// Stage every admissible shape one [`GraphEdit`] away from the
     /// current one into the blueprint cache (shapes already cached are
     /// skipped). This is the eager half of mode-aware scheduling: run it
-    /// off the audio path — after a commit, between cycles, or on a
-    /// background thread via [`take_mode_cache`](Self::take_mode_cache) —
-    /// and the next mode switch is a warm hit. Returns how many fresh
+    /// off the audio path — after a commit, between cycles — and the next
+    /// mode switch is a warm hit. Returns how many fresh
     /// generations were staged. No-op `0` when the cache is unarmed.
     ///
     /// Also the engine's housekeeping call: it frees the generations
@@ -607,12 +582,10 @@ impl AudioEngine {
             if cache.touch(&target) {
                 continue;
             }
-            let epoch = cache.epoch();
             if let Ok(staged) = self.stage_hollow(&target) {
                 if let Some(cache) = self.modes.as_mut() {
-                    if cache.insert_at(epoch, staged) {
-                        staged_new += 1;
-                    }
+                    cache.insert(staged);
+                    staged_new += 1;
                 }
             }
         }
@@ -1253,7 +1226,7 @@ impl AudioEngine {
 
     /// Close the learning window: price every node at the p50 of its
     /// recorded times (a node without a sample keeps its price), void what
-    /// was priced before, and — PLAN — recompile the running blueprint
+    /// was priced before, and — PLAN — re-plan the running schedule
     /// under the learned costs through one stage → commit at this cycle
     /// boundary.
     fn learn_costs(&mut self) {

@@ -17,9 +17,9 @@
 //!   processor. A cached mode is a plan, not a second engine. Hits are
 //!   *take-once*: the generation moves out of the cache and into the
 //!   commit, so a hit allocates nothing. Capacity is bounded (LRU
-//!   eviction) and a **generation epoch** invalidates every entry when
-//!   the node-cost calibration or the worker count changes — a blueprint
-//!   compiled against stale costs must never be committed.
+//!   eviction), and every entry is invalidated when the node-cost
+//!   calibration or the worker count changes — a blueprint
+//!   scheduled under stale costs must never be committed.
 //! * [`PartsBin`] holds the processors those plans will need: at most one
 //!   never-run part per node name that a cached generation has and the
 //!   running graph lacks. Filling a hit from the bin keeps the warm switch
@@ -164,9 +164,7 @@ pub struct ModeCacheStats {
     pub inserted: u64,
     /// Entries evicted to respect the capacity bound.
     pub evicted: u64,
-    /// Inserts dropped because their epoch was stale.
-    pub stale_rejected: u64,
-    /// Times the whole cache was invalidated (epoch bumps).
+    /// Times the whole cache was invalidated.
     pub invalidations: u64,
     /// Bytes of buffers and node cells the cached generations hold now.
     pub entry_bytes: u64,
@@ -232,14 +230,13 @@ struct CacheEntry {
 /// fingerprint, plus the [`PartsBin`] that stocks their missing parts.
 ///
 /// Hits are take-once (the generation moves out, zero allocation on the
-/// taking thread); capacity evicts least-recently-inserted; and the
-/// **epoch** guards against stale blueprints: [`invalidate`](BlueprintCache::invalidate)
-/// bumps it and clears the cache, and any
-/// insert stamped with an older epoch (a background precompile that
-/// raced a recalibration) is dropped instead of stored.
+/// taking thread); capacity evicts least-recently-inserted; and
+/// [`invalidate`](BlueprintCache::invalidate) clears the cache when the
+/// inputs its blueprints were scheduled under change. The engine holds the
+/// cache and fills it through `&mut self`, so no staging can race an
+/// invalidation.
 pub struct BlueprintCache {
     capacity: usize,
-    epoch: u64,
     clock: u64,
     entries: Vec<CacheEntry>,
     pub(crate) bin: PartsBin,
@@ -256,20 +253,12 @@ impl BlueprintCache {
         let capacity = capacity.max(1);
         BlueprintCache {
             capacity,
-            epoch: 0,
             clock: 0,
             entries: Vec::with_capacity(capacity),
             bin: PartsBin::default(),
             stocked: false,
             stats: ModeCacheStats::default(),
         }
-    }
-
-    /// Current generation epoch. Capture it before staging off-thread and
-    /// pass it to [`insert_at`](Self::insert_at) so a racing
-    /// recalibration voids the work instead of caching a stale blueprint.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of cached generations.
@@ -405,22 +394,10 @@ impl BlueprintCache {
         }
     }
 
-    /// Insert a staged generation under the current epoch. Replaces any
-    /// entry for the same canonical shape; evicts the least-recently
-    /// inserted entry when full. Returns whether it was stored.
-    pub fn insert(&mut self, staged: StagedTopology) -> bool {
-        let epoch = self.epoch;
-        self.insert_at(epoch, staged)
-    }
-
-    /// Insert a generation staged under `epoch`. Dropped (returns
-    /// `false`) when `epoch` is no longer current — the staging raced an
-    /// [`invalidate`](Self::invalidate) and its blueprint is stale.
-    pub fn insert_at(&mut self, epoch: u64, staged: StagedTopology) -> bool {
-        if epoch != self.epoch {
-            self.stats.stale_rejected += 1;
-            return false;
-        }
+    /// Insert a staged generation. Replaces any entry for the same
+    /// canonical shape; evicts the least-recently inserted entry when
+    /// full.
+    pub fn insert(&mut self, staged: StagedTopology) {
         let key = shape_fingerprint(staged.shape());
         self.stocked = false;
         self.clock += 1;
@@ -428,7 +405,7 @@ impl BlueprintCache {
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             self.entries[i] = CacheEntry { key, stamp, staged };
             self.stats.inserted += 1;
-            return true;
+            return;
         }
         if self.entries.len() >= self.capacity {
             if let Some(oldest) = self
@@ -444,17 +421,15 @@ impl BlueprintCache {
         }
         self.entries.push(CacheEntry { key, stamp, staged });
         self.stats.inserted += 1;
-        true
     }
 
-    /// Void every cached generation and bump the epoch. Called whenever
+    /// Void every cached generation. Called whenever
     /// the inputs a blueprint bakes in change: node-cost recalibration,
     /// worker-count resize, strategy change.
     pub fn invalidate(&mut self) {
         self.entries.clear();
         self.bin = PartsBin::default();
         self.stocked = false;
-        self.epoch += 1;
         self.stats.invalidations += 1;
     }
 }
@@ -464,7 +439,7 @@ impl fmt::Debug for BlueprintCache {
         f.debug_struct("BlueprintCache")
             .field("len", &self.entries.len())
             .field("capacity", &self.capacity)
-            .field("epoch", &self.epoch)
+            .field("invalidations", &self.stats.invalidations)
             .field("stats", &self.stats)
             .finish()
     }
@@ -780,7 +755,7 @@ mod tests {
         let mut cache = BlueprintCache::new(4);
         let shape = GraphShape::paper_default();
         assert!(cache.take(&shape).is_none());
-        assert!(cache.insert(staged_for(&shape)));
+        cache.insert(staged_for(&shape));
         assert!(cache.contains(&shape));
         let hit = cache.take(&shape).expect("warm hit");
         assert_eq!(hit.shape(), &shape);
@@ -846,20 +821,16 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_bumps_epoch_and_voids_stale_inserts() {
+    fn invalidation_empties_the_cache_and_counts() {
         let mut cache = BlueprintCache::new(4);
         let shape = GraphShape::paper_default();
-        let epoch = cache.epoch();
         cache.insert(staged_for(&shape));
         cache.invalidate();
         assert!(cache.is_empty());
-        assert_eq!(cache.epoch(), epoch + 1);
-        // A precompile that was in flight under the old epoch is dropped.
-        assert!(!cache.insert_at(epoch, staged_for(&shape)));
         assert!(!cache.contains(&shape));
-        assert_eq!(cache.stats().stale_rejected, 1);
-        // Under the fresh epoch it stores fine.
-        assert!(cache.insert_at(cache.epoch(), staged_for(&shape)));
+        assert_eq!(cache.stats().invalidations, 1);
+        // It stores fine afterwards.
+        cache.insert(staged_for(&shape));
         assert!(cache.contains(&shape));
     }
 

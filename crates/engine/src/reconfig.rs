@@ -364,17 +364,17 @@ impl StagedTopology {
     }
 }
 
-/// A PLAN blueprint for `topo` on `threads` workers: the list schedule of
-/// the graph under per-node `durations` (ns, node order), frozen.
-pub(crate) fn list_blueprint(
+/// PLAN lanes for `topo` on `threads` workers: the list schedule of the
+/// graph under per-node `durations` (ns, node order), one node order per
+/// lane. The executor or the staged generation binds them to the graph.
+pub(crate) fn list_lanes(
     topo: &GraphTopology,
     durations: Vec<u64>,
     threads: usize,
-) -> Result<ScheduleBlueprint, BlueprintError> {
+) -> Vec<Vec<u32>> {
     let sim = djstar_sim::SimGraph::from_topology(topo);
     let durations = djstar_sim::DurationModel::Constant(durations);
-    let schedule = djstar_sim::list_schedule(&sim, &durations, 0, threads as u32);
-    djstar_sim::compile_blueprint(&sim, &schedule)
+    djstar_sim::list_schedule(&sim, &durations, 0, threads as u32).lanes()
 }
 
 /// Build a hollow generation for `shape`: the shaped task graph with a
@@ -384,10 +384,10 @@ pub(crate) fn list_blueprint(
 /// expensive half of a reconfiguration and runs on any thread;
 /// [`StagedTopology::fill`] makes the result committable.
 ///
-/// A blueprint that fails to compile — here, or when
-/// [`StagedGeneration::with_plan`] recompiles it against the graph — is a
-/// typed [`BlueprintError`], never an unplanned generation, which the PLAN
-/// executor would refuse at commit.
+/// Lanes that fail to bind to the graph in
+/// [`StagedGeneration::with_plan`] are a typed [`BlueprintError`], never
+/// an unplanned generation, which the PLAN executor would refuse at
+/// commit.
 pub fn stage_topology(
     scenario: &Scenario,
     shape: &GraphShape,
@@ -399,8 +399,8 @@ pub fn stage_topology(
     let (graph, map) = hollow_graph(scenario, shape);
     let staged = if strategy == Strategy::Planned {
         let topo = graph.topology();
-        let bp = list_blueprint(topo, costs.durations_for(topo), threads)?;
-        StagedGeneration::with_plan(graph, frames, bp)?
+        let lanes = list_lanes(topo, costs.durations_for(topo), threads);
+        StagedGeneration::with_plan(graph, frames, &lanes)?
     } else {
         StagedGeneration::new(graph, frames)
     };

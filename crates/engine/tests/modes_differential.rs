@@ -197,14 +197,14 @@ fn recalibration_invalidates_midwalk_without_audible_effect() {
     let mut acc_c = 0xcbf2_9ce4_8422_2325u64;
     let mut acc_f = acc_c;
     let mut next = 0usize;
-    let mut epoch_before = 0;
-    let mut epoch_after = 0;
+    let mut invalidations_before = 0;
+    let mut invalidations_after = 0;
     for cycle in 0..total {
         while next < script.len() && script.events()[next].at_cycle == cycle {
             if next == SWITCHES / 2 {
-                epoch_before = cached.mode_cache().unwrap().epoch();
+                invalidations_before = cached.mode_cache().unwrap().stats().invalidations;
                 cached.recalibrate_admission(NodeCostModel::uniform(1_000));
-                epoch_after = cached.mode_cache().unwrap().epoch();
+                invalidations_after = cached.mode_cache().unwrap().stats().invalidations;
                 assert!(cached.mode_cache().unwrap().is_empty());
             }
             let edit = edit_for(script.events()[next].action);
@@ -222,8 +222,8 @@ fn recalibration_invalidates_midwalk_without_audible_effect() {
         acc_f = fold_checksum(acc_f, &fresh.output());
     }
     assert!(
-        epoch_after > epoch_before,
-        "recalibration must bump the epoch"
+        invalidations_after > invalidations_before,
+        "recalibration must invalidate the cache"
     );
     assert_eq!(acc_c, acc_f, "post-invalidation audio diverged");
     let stats = cached.mode_cache().unwrap().stats();

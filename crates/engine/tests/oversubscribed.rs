@@ -4,8 +4,8 @@
 //! spins for a fixed count of polls before it yields turns every
 //! cross-lane hand-off into that many polls of dead time. The waits are
 //! budgeted in time instead (`djstar_core::exec`'s spin phase), so a
-//! two-lane engine squeezed onto one CPU runs within a small factor of
-//! the one-lane engine doing the same work.
+//! two-lane engine of any strategy squeezed onto one CPU runs within a
+//! small factor of the one-lane engine doing the same work.
 //!
 //! Linux only (the CPU mask is set with `sched_setaffinity(2)`, as the
 //! benchmark's `affinity` module does); skipped on a one-CPU host or
@@ -66,7 +66,10 @@ fn two_lanes_on_one_cpu_run_within_three_times_one_lane() {
         return;
     }
     let seq = run(Strategy::Sequential, 1);
-    for strategy in [Strategy::Planned, Strategy::Busy] {
+    let multi_lane = Strategy::ALL
+        .into_iter()
+        .filter(|&s| s != Strategy::Sequential);
+    for strategy in multi_lane {
         let two = run(strategy, 2);
         eprintln!("{strategy:?} x 2 on one CPU: {two:?}, SEQ x 1: {seq:?}");
         assert!(

@@ -216,6 +216,14 @@ impl Schedule {
         v
     }
 
+    /// The schedule's lanes: processor `p`'s nodes in start order — the
+    /// form in which a static schedule reaches the PLAN executor.
+    pub fn lanes(&self) -> Vec<Vec<u32>> {
+        (0..self.procs)
+            .map(|p| self.proc_timeline(p).iter().map(|e| e.node).collect())
+            .collect()
+    }
+
     /// Validates the schedule against `graph`: every node exactly once, no
     /// overlap on a processor, no node before its predecessors.
     pub fn is_valid(&self, graph: &SimGraph) -> bool {

@@ -1,11 +1,11 @@
-//! Virtual-time replica of the PLAN executor, and the compiler that turns
-//! a simulated [`Schedule`] into the executor's [`ScheduleBlueprint`].
+//! Virtual-time replica of the PLAN executor.
 //!
 //! The list scheduler (`sim::list`) produces the resource-constrained
-//! schedule the paper calls "optimal" on four cores; [`compile_blueprint`]
-//! freezes its per-processor timelines into a blueprint the real
-//! `PlannedExecutor` can replay, and [`simulate_plan`] predicts what that
-//! replay costs under an [`OverheadModel`] — through the same lane walk
+//! schedule the paper calls "optimal" on four cores; its per-processor
+//! timelines ([`Schedule::lanes`]) are what the real `PlannedExecutor`
+//! binds to its graph and replays. [`compile_blueprint`] makes the same
+//! binding against a [`SimGraph`], and [`simulate_plan`] predicts what
+//! the replay costs under an [`OverheadModel`] — through the same lane walk
 //! that replays BUSY, SLEEP and HYBRID (`strategy`). PLAN's simulated
 //! advantage over BUSY comes from two terms: list-scheduler placement
 //! instead of round-robin (fewer convoy waits), and dependency checks only
@@ -16,28 +16,18 @@ use crate::model::{DurationModel, Schedule, SimGraph};
 use crate::strategy::{walk_lanes, OverheadModel, Slot, Wait};
 use djstar_core::{BlueprintError, ScheduleBlueprint};
 
-/// Freeze a simulated schedule into a per-worker blueprint. Each processor
-/// lane of `schedule` becomes one worker's static node order; cross-worker
-/// dependencies become spin-check waits. Fails if the schedule does not
-/// cover the graph exactly once or is not replayable (never the case for
-/// `sim::list` output, which is validated by construction).
+/// Bind a simulated schedule's lanes to `graph` for the replay: each
+/// processor lane of `schedule` becomes one worker's static node order,
+/// and cross-worker dependencies become spin-check waits. Fails if the
+/// schedule does not cover the graph exactly once or is not replayable
+/// (never the case for `sim::list` output, which is validated by
+/// construction). The executor takes the lanes themselves
+/// ([`Schedule::lanes`]) and binds them to the graph it runs.
 pub fn compile_blueprint(
     graph: &SimGraph,
     schedule: &Schedule,
 ) -> Result<ScheduleBlueprint, BlueprintError> {
-    let preds: Vec<Vec<u32>> = (0..graph.len() as u32)
-        .map(|i| graph.preds(i).to_vec())
-        .collect();
-    let assignments: Vec<Vec<(u32, u64)>> = (0..schedule.procs)
-        .map(|p| {
-            schedule
-                .proc_timeline(p)
-                .iter()
-                .map(|e| (e.node, e.start_ns))
-                .collect()
-        })
-        .collect();
-    ScheduleBlueprint::from_node_preds(&preds, &assignments)
+    ScheduleBlueprint::bind(&schedule.lanes(), graph.len(), |n| graph.preds(n))
 }
 
 /// Simulate one cycle of the PLAN executor replaying `blueprint`: the

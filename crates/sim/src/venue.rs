@@ -11,12 +11,12 @@
 //! ```
 //!
 //! where each session's bound is its list-schedule makespan on the lane
-//! count it was admitted with ([`list_schedule`]) plus the measured floor
-//! of its non-graph phases (TP + GP + VC, which also serialize across
-//! sessions). It is a mean-cost list bound that has not been proven sound:
-//! nodes are priced at their mean measured cost, and dispatch, wake-up and
-//! tail effects are left out, so measured two-session batches run *longer*
-//! than the summed bounds (`sim.bound_slack_pct` reads negative in the
+//! count it was admitted with ([`list_schedule`]). The APC's TP, GP and
+//! VC phases are nodes of that graph, so the makespan covers them. The
+//! bound has not been proven sound: each node is priced at a point cost
+//! (the engine's static prior, then the per-node p50s it learns), and
+//! dispatch, wake-up and tail effects are left out, so measured batches
+//! can run *longer* than the summed bounds (`sim.bound_slack_pct` in the
 //! benchmark). [`admissible`] is the test oracle the engine's admission
 //! check is compared against.
 
@@ -25,7 +25,8 @@ use crate::model::{DurationModel, SimGraph};
 
 /// List bound (ns) of one session's per-cycle cost on `threads` pool
 /// lanes: the list-schedule makespan of its graph under `durations` plus
-/// `aux_floor_ns`, the measured driver-side cost of its non-graph phases.
+/// `aux_floor_ns`, a cost outside the graph (0 for an APC graph, whose
+/// TP, GP and VC phases are nodes).
 pub fn session_bound_ns(
     graph: &SimGraph,
     durations: &DurationModel,

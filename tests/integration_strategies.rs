@@ -14,7 +14,7 @@ use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::graphbuild::{build_djstar_graph, APC_NODES};
 use djstar_engine::modes::NodeCostModel;
 use djstar_sim::gantt::render_trace;
-use djstar_sim::{compile_blueprint, list_schedule, DurationModel, SimGraph};
+use djstar_sim::{list_schedule, DurationModel, SimGraph};
 use djstar_workload::scenario::Scenario;
 
 fn executors(threads: usize) -> Vec<Box<dyn GraphExecutor>> {
@@ -25,7 +25,7 @@ fn executors(threads: usize) -> Vec<Box<dyn GraphExecutor>> {
         Box::new(BusyExecutor::new(mk(), threads, frames)),
         Box::new(SleepExecutor::new(mk(), threads, frames)),
         Box::new(StealExecutor::new(mk(), threads, frames)),
-        Box::new(HybridExecutor::new(mk(), threads, frames, 1_000)),
+        Box::new(HybridExecutor::new(mk(), threads, frames)),
     ]
 }
 
@@ -204,17 +204,19 @@ fn all_executors(threads: usize) -> Vec<(Box<dyn GraphExecutor>, NodeId)> {
     ));
     let (g, m) = mk();
     v.push((
-        Box::new(HybridExecutor::new(g, threads, frames, 1_000)),
+        Box::new(HybridExecutor::new(g, threads, frames)),
         m.audio_out,
     ));
-    // PLAN's blueprint comes from the engine's compile path: a list
-    // schedule over priced node costs, compiled to per-worker slots.
+    // PLAN's lanes come from the engine's path: a list schedule over
+    // priced node costs, which the executor binds to its graph.
     let (g, m) = mk();
     let sim = SimGraph::from_topology(g.topology());
     let costs = DurationModel::Constant(NodeCostModel::uniform(1_000).durations_for(g.topology()));
-    let schedule = list_schedule(&sim, &costs, 0, threads as u32);
-    let bp = compile_blueprint(&sim, &schedule).expect("a list schedule compiles");
-    v.push((Box::new(PlannedExecutor::new(g, frames, bp)), m.audio_out));
+    let lanes = list_schedule(&sim, &costs, 0, threads as u32).lanes();
+    v.push((
+        Box::new(PlannedExecutor::new(g, frames, &lanes)),
+        m.audio_out,
+    ));
     v
 }
 
