@@ -993,6 +993,9 @@ impl Backoff {
     /// Wait until `done` holds, yielding after the spin phase: a driver
     /// waiting for lanes that may share its CPU.
     pub(crate) fn wait_until(done: impl Fn() -> bool) {
+        if done() {
+            return;
+        }
         let mut backoff = Backoff::new();
         while !done() {
             backoff.snooze(|| true);
