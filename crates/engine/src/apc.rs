@@ -546,8 +546,8 @@ impl AudioEngine {
     /// current one into the blueprint cache (shapes already cached are
     /// skipped). This is the eager half of mode-aware scheduling: run it
     /// off the audio path — after a commit, between cycles — and the next
-    /// mode switch is a warm hit. Returns how many fresh
-    /// generations were staged. No-op `0` when the cache is unarmed.
+    /// mode switch is a warm hit. Returns how many fresh generations were
+    /// staged. No-op `0` when the cache is unarmed.
     ///
     /// Also the engine's housekeeping call: it frees the generations
     /// earlier commits retired, and restocks the parts bin against the

@@ -18,8 +18,8 @@
 //!   *take-once*: the generation moves out of the cache and into the
 //!   commit, so a hit allocates nothing. Capacity is bounded (LRU
 //!   eviction), and every entry is invalidated when the node-cost
-//!   calibration or the worker count changes — a blueprint
-//!   scheduled under stale costs must never be committed.
+//!   calibration or the worker count changes — a blueprint scheduled
+//!   under stale costs must never be committed.
 //! * [`PartsBin`] holds the processors those plans will need: at most one
 //!   never-run part per node name that a cached generation has and the
 //!   running graph lacks. Filling a hit from the bin keeps the warm switch
@@ -423,9 +423,9 @@ impl BlueprintCache {
         self.stats.inserted += 1;
     }
 
-    /// Void every cached generation. Called whenever
-    /// the inputs a blueprint bakes in change: node-cost recalibration,
-    /// worker-count resize, strategy change.
+    /// Void every cached generation. Called whenever the inputs a
+    /// blueprint bakes in change: node-cost recalibration, worker-count
+    /// resize, strategy change.
     pub fn invalidate(&mut self) {
         self.entries.clear();
         self.bin = PartsBin::default();
@@ -439,7 +439,6 @@ impl fmt::Debug for BlueprintCache {
         f.debug_struct("BlueprintCache")
             .field("len", &self.entries.len())
             .field("capacity", &self.capacity)
-            .field("invalidations", &self.stats.invalidations)
             .field("stats", &self.stats)
             .finish()
     }
