@@ -50,13 +50,18 @@ fn bench_effects() {
 
 /// The libm-identical block kernels against a libm call per element, on
 /// the inputs the audio path feeds them: a 256-sample Overdrive buffer
-/// (drive 3 × music) and 256 LFO / carrier arguments `TAU * phase`. Each
+/// (drive 3 × music) and 256 LFO / carrier arguments `TAU * phase` — and
+/// on what a track load feeds `sin`: 256 lead-voice arguments `w · t`
+/// spread over 30 s (up to ~6·10⁴ rad, the large-argument path). Each
 /// iteration restores its input first, so both rows pay the same copy.
 fn bench_vmath() {
     group("vmath");
     let drive: Vec<f32> = music_buf().samples().iter().map(|s| 3.0 * s).collect();
     let args: Vec<f32> = (0..256)
         .map(|i| core::f32::consts::TAU * (i as f32 * 0.0043 % 1.0))
+        .collect();
+    let track_args: Vec<f32> = (0..256)
+        .map(|i| core::f32::consts::TAU * 311.1 * ((i * 5_167) as f32 / 44_100.0))
         .collect();
     let mut xs = vec![0.0f32; 256];
     for (name, input, libm, block) in [
@@ -67,6 +72,7 @@ fn bench_vmath() {
             tanh_block as fn(&mut [f32]),
         ),
         ("sin_256", &args, f32::sin, sin_block),
+        ("sin_large_256", &track_args, f32::sin, sin_block),
     ] {
         bench(&format!("vmath/{name}/libm"), || {
             xs.copy_from_slice(input);
@@ -216,12 +222,14 @@ fn bench_simd_pairs() {
     bench("buf_rms/simd", || buf.rms());
 }
 
-/// A 30-s deck track, per-sample reference vs the run-based table-driven
-/// path every engine loads through (bit-equal; four of these per set).
+/// A 30-s deck track, per-sample reference vs the run-based vector path
+/// every engine loads through (bit-equal; four of these per set), for the
+/// three styles of the `paper_default` decks.
 fn bench_track_synth() {
     group("track_synth_30s");
     for (style, seed, bpm) in [
         (TrackStyle::House, 11, 126.0),
+        (TrackStyle::Breakbeat, 22, 132.0),
         (TrackStyle::Ambient, 44, 128.0),
     ] {
         bench(&format!("track_synth/{style:?}/reference"), || {

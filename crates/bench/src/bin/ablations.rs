@@ -10,6 +10,9 @@
 //!    busy-waiting wins *because APC cycles are short*: "the time it takes
 //!    to pause a thread and wake it up … costs too much time". Scaling all
 //!    node durations shows where SLEEP closes the gap.
+//!
+//! The harness calibrates its work profile on the host, so the header
+//! prints the profile it chose and the sequential mean it measured.
 
 use djstar_bench::{build_harness, mean_ms, sim_cycles};
 use djstar_core::exec::SPIN_PHASE;
@@ -24,6 +27,23 @@ fn main() {
     let means = h.durations.means(h.graph.len());
 
     println!("# Ablations (4 threads)\n");
+    let w = &h.scenario.work;
+    println!(
+        "Calibrated work profile (burn iterations): sp {}, fx {}, channel {}, mixer {}, \
+         master {}, bookkeeping {}; data dependence {}.",
+        w.sp_iters,
+        w.fx_iters,
+        w.channel_iters,
+        w.mixer_iters,
+        w.master_iters,
+        w.bookkeeping_iters,
+        w.data_dependence
+    );
+    println!(
+        "Measured sequential mean: {:.4} ms over {} cycles.\n",
+        h.sequential_mean_ms(),
+        h.sequential_ns.len()
+    );
 
     println!("## 1. List-scheduler priority (per-node mean durations)\n");
     for (label, prio) in [

@@ -16,7 +16,8 @@
 //! On an over-subscribed host (fewer cores than lanes) a pure spin would
 //! starve the producing worker; [`ExecGraph::spin_until_done`] therefore
 //! spins for [`SPIN_PHASE`](super::SPIN_PHASE) and then, if another lane
-//! of the session started on this lane's CPU, yields on every poll.
+//! of the session started on this lane's CPU, yields on every poll; the
+//! lane's later waits of that cycle yield from their first poll.
 //!
 //! PLAN ([`Replay`](super::Replay)) is the same wait over a different slot
 //! list — a blueprint's per-worker slices and cross-worker waits in place of
@@ -46,7 +47,9 @@ pub(super) unsafe fn spin_then_exec(lane: &mut Lane<'_>, node: u32, waits: &[u32
     let w0 = lane.clock();
     let mut spins = 0u64;
     for &p in waits {
-        spins += graph.spin_until_done(p as usize, lane.epoch, || lane.shares_cpu());
+        spins += graph.spin_until_done(p as usize, lane.epoch, lane.known_shared(), || {
+            lane.shares_cpu()
+        });
     }
     if spins > 0 {
         let ns = lane.waited(SpanKind::BusyWait, node, w0);

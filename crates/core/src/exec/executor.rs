@@ -21,6 +21,7 @@ use crate::graph::{GraphTopology, NodeId, Section, TaskGraph};
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing, DEFAULT_RING_CAPACITY};
 use djstar_dsp::AudioBuf;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,6 +83,8 @@ pub(crate) struct Lane<'a> {
     learn: bool,
     /// Anything armed: telemetry, the recorder or learning.
     armed: bool,
+    /// A wait of this cycle found [`shares_cpu`](Self::shares_cpu) true.
+    shared: Cell<bool>,
 }
 
 impl<'a> Lane<'a> {
@@ -119,6 +122,7 @@ impl<'a> Lane<'a> {
             telem,
             learn,
             armed: telem || learn || rec.is_some(),
+            shared: Cell::new(false),
         }
     }
 
@@ -187,12 +191,25 @@ impl<'a> Lane<'a> {
 
     /// Another lane of this session started its part of the cycle on the
     /// CPU this lane runs on now (or the platform cannot tell): a wait that
-    /// kept spinning could be keeping that lane off the CPU.
+    /// kept spinning could be keeping that lane off the CPU. Once true, it
+    /// stays true for the rest of the cycle without asking again.
     pub(crate) fn shares_cpu(&self) -> bool {
+        if self.shared.get() {
+            return true;
+        }
         let cpu = current_cpu();
         let other_lane_here =
             |(l, c): (usize, &AtomicU32)| l != self.me && c.load(Ordering::Relaxed) == cpu;
-        cpu == UNKNOWN_CPU || self.sh.lane_cpus.iter().enumerate().any(other_lane_here)
+        let shared =
+            cpu == UNKNOWN_CPU || self.sh.lane_cpus.iter().enumerate().any(other_lane_here);
+        self.shared.set(shared);
+        shared
+    }
+
+    /// An earlier wait of this cycle found the CPU shared: a later one
+    /// yields (BUSY, PLAN) or parks (HYBRID) without spinning first.
+    pub(crate) fn known_shared(&self) -> bool {
+        self.shared.get()
     }
 
     /// Count one node of this cycle complete (`Release`: the lane's last

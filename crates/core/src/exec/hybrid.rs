@@ -6,7 +6,9 @@
 //! — spin for a bounded time, then park — is the obvious follow-up the
 //! paper leaves open. It is the [`Park`] policy with its spin phase on: a
 //! blocked lane polls for [`SPIN_PHASE`](super::SPIN_PHASE) (10 µs by the
-//! clock, the spin phase of every executor wait), then parks like SLEEP.
+//! clock, the spin phase of every executor wait), then parks like SLEEP;
+//! once a phase that ran out finds the lane's CPU shared with another lane
+//! of the session, the lane's later waits of that cycle park at once.
 //! This module only names it; the simulator's `simulate_hybrid` sweeps
 //! other spin lengths as a what-if.
 

@@ -586,20 +586,26 @@ impl ExecGraph {
     }
 
     /// Wait until `node` is done for `epoch` (BUSY and PLAN dependency
-    /// wait) through a [`Backoff`] whose yield phase `shares_cpu` decides.
+    /// wait) through a [`Backoff`] whose yield phase `shares_cpu` decides
+    /// — from the first poll when the caller already knows it is `shared`.
     /// Returns the number of polls — 0 iff no waiting occurred.
     #[inline]
     pub(crate) fn spin_until_done(
         &self,
         node: usize,
         epoch: u64,
+        shared: bool,
         shares_cpu: impl Fn() -> bool,
     ) -> u64 {
         let cell = &self.cells[node];
         if cell.done_epoch.load(Ordering::Acquire) == epoch {
             return 0;
         }
-        let mut backoff = Backoff::new();
+        let mut backoff = if shared {
+            Backoff::yielding()
+        } else {
+            Backoff::new()
+        };
         while cell.done_epoch.load(Ordering::Acquire) != epoch {
             backoff.snooze(&shares_cpu);
         }
@@ -972,10 +978,14 @@ const POLLS_PER_CLOCK_READ: u64 = 64;
 /// beside an unrelated busy process it costs a time slice of several
 /// milliseconds, where spinning costs only the spin. A waiter that parks
 /// instead of yielding (HYBRID) runs only the spin phase, through
-/// [`spin`](Self::spin).
+/// [`spin`](Self::spin). A waiter that already knows it shares its CPU
+/// skips the spin phase: [`yielding`](Self::yielding).
 pub(crate) struct Backoff {
     polls: u64,
     yields: u64,
+    /// In the spin phase: `snooze` spins, and asks `shares_cpu` when the
+    /// phase has passed.
+    spinning: bool,
     since: Instant,
 }
 
@@ -986,7 +996,17 @@ impl Backoff {
         Backoff {
             polls: 1,
             yields: 0,
+            spinning: true,
             since: Instant::now(),
+        }
+    }
+
+    /// Start in the yield phase: every poll yields, and nothing is asked.
+    #[inline]
+    pub(crate) fn yielding() -> Self {
+        Backoff {
+            spinning: false,
+            ..Backoff::new()
         }
     }
 
@@ -1018,7 +1038,7 @@ impl Backoff {
     /// Wait out one failed poll.
     #[inline]
     pub(crate) fn snooze(&mut self, shares_cpu: impl FnOnce() -> bool) {
-        if self.yields == 0 {
+        if self.spinning {
             if self.spin() {
                 return;
             }
@@ -1026,6 +1046,7 @@ impl Backoff {
                 self.since = Instant::now();
                 return core::hint::spin_loop();
             }
+            self.spinning = false;
         } else {
             self.polls += 1;
         }
@@ -1267,7 +1288,7 @@ mod tests {
         assert_ne!(done(), 1);
         unsafe { exec.execute(0, &CycleCtx::bare(1)) };
         assert_eq!(done(), 1);
-        assert_eq!(exec.spin_until_done(0, 1, || true), 0); // already done: no wait
+        assert_eq!(exec.spin_until_done(0, 1, false, || true), 0); // already done: no wait
     }
 
     #[test]
@@ -1301,6 +1322,10 @@ mod tests {
             assert_eq!(backoff.yields(), n);
         }
         assert_eq!(asked.get(), 3);
+        // A waiter that knows its CPU is shared yields from its first poll.
+        let mut backoff = Backoff::yielding();
+        backoff.snooze(|| unreachable!("a yielding backoff asks nothing"));
+        assert_eq!((backoff.polls(), backoff.yields()), (2, 1));
         // A parking waiter runs the spin phase alone: `spin` says when the
         // clock has ended it, and never yields.
         let t0 = Instant::now();

@@ -20,7 +20,9 @@
 //! SLEEP parks at once — the paper's strategy. HYBRID (see
 //! [`hybrid`](super::hybrid)) is the same policy that first polls through
 //! the spin phase of the executors' one poll loop, `Backoff`
-//! ([`SPIN_PHASE`](super::SPIN_PHASE), 10 µs by the clock).
+//! ([`SPIN_PHASE`](super::SPIN_PHASE), 10 µs by the clock) — until a
+//! phase that ran out finds the lane's CPU shared with another lane of the
+//! session; its later waits of that cycle park at once.
 //!
 //! Deadlock freedom follows from the same queue-position argument as BUSY.
 
@@ -51,15 +53,17 @@ enum Waited {
     Parked { spins: u64, parks: u64 },
 }
 
-/// With `SPIN`, poll through the spin phase; then register-and-park until
-/// `pending == 0`.
-fn wait_ready<const SPIN: bool>(cell: &NodeCell, me: usize) -> Waited {
+/// With `SPIN`, poll through the spin phase — unless an earlier wait of
+/// this cycle found the lane's CPU shared, where spinning only delays the
+/// lane it waits for; then register-and-park until `pending == 0`.
+fn wait_ready<const SPIN: bool>(cell: &NodeCell, lane: &Lane<'_>) -> Waited {
     let ready = || cell.pending.load(Ordering::Acquire) == 0;
     if ready() {
         return Waited::No;
     }
+    let me = lane.me;
     let mut spins = 0;
-    if SPIN {
+    if SPIN && !lane.known_shared() {
         let mut backoff = Backoff::new();
         while backoff.spin() {
             if ready() {
@@ -67,6 +71,8 @@ fn wait_ready<const SPIN: bool>(cell: &NodeCell, me: usize) -> Waited {
             }
         }
         spins = backoff.polls();
+        // Asked once per spin phase that ran out; the answer is kept.
+        lane.shares_cpu();
     }
     let mut parks = 0u64;
     loop {
@@ -104,7 +110,7 @@ impl<const SPIN: bool> Policy for Park<SPIN> {
                 continue;
             }
             let w0 = lane.clock();
-            match wait_ready::<SPIN>(graph.cell(node as usize), lane.me) {
+            match wait_ready::<SPIN>(graph.cell(node as usize), lane) {
                 Waited::No => {}
                 Waited::Spun(spins) => {
                     let ns = lane.waited(SpanKind::BusyWait, node, w0);

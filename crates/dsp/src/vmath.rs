@@ -3,26 +3,30 @@
 //!
 //! The audio path calls `tanhf` in [`Overdrive`](crate::effects::Overdrive)
 //! and `sinf` in every sine [`Oscillator`](crate::osc::Oscillator) (the
-//! Flanger/Phaser LFOs) and in the timecode carrier. An approximation would
-//! move every checksum, so these kernels are ports of the exact algorithms
-//! glibc 2.36 runs on `x86_64`, operation for operation:
+//! Flanger/Phaser LFOs) and in the timecode carrier; loading a track calls
+//! it once or twice per sample, on arguments up to ~10⁵ rad (30 s of a
+//! lead voice). An approximation would move every checksum, so these
+//! kernels are ports of the exact algorithms glibc 2.36 runs on `x86_64`,
+//! operation for operation:
 //!
 //! * [`tanh_block`] — fdlibm's `tanhf` over fdlibm's `expm1f`, both in plain
 //!   single precision (glibc builds them without contraction, so the port
 //!   uses **no fused multiply-add**), eight lanes per AVX2 vector. Each
 //!   branch of the scalar code becomes a lane blend.
 //! * [`sin_block`] — glibc's `__sinf_fma`: widen to `f64`, reduce by π/2
-//!   with one fused multiply-add, evaluate the sine or cosine polynomial of
-//!   `__sincosf_table`, narrow. Four `f64` lanes per AVX2 vector, fused
-//!   exactly where that function fuses.
+//!   (below 120 with one fused multiply-add; from 120 on with the library's
+//!   integer `reduce_large` against 192 bits of 2/π), evaluate the sine or
+//!   cosine polynomial of `__sincosf_table`, narrow. Four `f64` lanes per
+//!   AVX2 vector, fused exactly where that function fuses. A group of eight
+//!   below 120 never runs the large path.
 //!
 //! Both take the vector path when [`simd::avx2_fma_available`] — the
 //! condition under which glibc's own `sinf` ifunc selects `__sinf_fma` — and
 //! [`simd::wide_enabled`]. Lanes outside the ported domain (`tanh`:
-//! |x| < 2⁻⁵⁵, |x| ≥ 22, NaN, ±∞; `sin`: |x| ≥ 120, NaN, ±∞), the last
-//! `len % 8` elements, and hosts without AVX2 + FMA call `f32::tanh` /
-//! `f32::sin` per element, which is also the reference the tests hold the
-//! kernels to. The `#[ignore]`d tests below prove equality on all 2³²
+//! |x| < 2⁻⁵⁵, |x| ≥ 22, NaN, ±∞; `sin`: NaN, ±∞ — every finite `f32` is
+//! ported), the last `len % 8` elements, and hosts without AVX2 + FMA call
+//! `f32::tanh` / `f32::sin` per element, which is also the reference the
+//! tests hold the kernels to. The `#[ignore]`d tests below prove equality on all 2³²
 //! inputs against the host libm (`cargo test --release -p djstar-dsp --
 //! --ignored`); on a libm whose `tanhf`/`sinf` differ from glibc 2.36's they
 //! fail, by design.
@@ -240,7 +244,7 @@ mod x86 {
     /// (`C`) and sine (`S`) coefficients interleaved as the library stores
     /// them. The table's quadrant signs {1, −1, −1, 1} and its entry 1 (this
     /// one with the cosine coefficients negated) become one sign flip in
-    /// [`sin4`].
+    /// [`sinf_poly`].
     const HPI_INV: u64 = 0x4164_5F30_6DC9_C883;
     const HPI: u64 = 0x3FF9_21FB_5444_2D18;
     const C0: u64 = 0x3FF0_0000_0000_0000;
@@ -252,33 +256,78 @@ mod x86 {
     const S3: u64 = 0xBF29_94EB_3774_CF24;
     const C4: u64 = 0x3EF9_9343_027B_F8C3;
 
-    /// `__sinf_fma` on four lanes. Returns the results and a 4-bit mask of
-    /// the lanes in the ported domain, |x| < 120.
+    /// `__sinf_fma` on eight lanes. Returns the results and an 8-bit mask
+    /// of the lanes in the ported domain — every lane but NaN and ±∞.
+    ///
+    /// Lanes below 120 take the library's fast path, the rest its large
+    /// path; each path runs only for a group with a lane that needs it, so
+    /// a group of small arguments pays for the fast path alone.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn sin4(y: __m128) -> (__m128, i32) {
-        let f = |bits: u64| _mm256_set1_pd(f64::from_bits(bits));
-        // The library's abstop12: the top 12 bits of |y| (exponent and
+    pub(super) unsafe fn sin8(x: __m256) -> (__m256, i32) {
+        let i32s = _mm256_set1_epi32;
+        // The library's abstop12: the top 12 bits of |x| (exponent and
         // three mantissa bits).
-        let top = _mm_srli_epi32(
-            _mm_and_si128(_mm_castps_si128(y), _mm_set1_epi32(0x7FFF_FFFF)),
+        let top = _mm256_srli_epi32(
+            _mm256_and_si256(_mm256_castps_si256(x), i32s(0x7FFF_FFFF)),
             20,
         );
-        let ok = _mm_cmplt_epi32(top, _mm_set1_epi32(0x42F));
-        let tiny = _mm_cmplt_epi32(top, _mm_set1_epi32(0x398));
+        let fast = _mm256_castsi256_ps(_mm256_cmpgt_epi32(i32s(0x42F), top));
+        let ok = _mm256_movemask_ps(fast);
+        if ok == 0xFF {
+            return (sin8_fast(x, top), ok);
+        }
+        let finite = _mm256_castsi256_ps(_mm256_cmpgt_epi32(i32s(0x7F8), top));
+        let mut y = sin8_large(x);
+        if ok != 0 {
+            y = _mm256_blendv_ps(y, sin8_fast(x, top), fast);
+        }
+        (y, _mm256_movemask_ps(finite))
+    }
 
+    /// `__sinf_fma`'s fast path on eight lanes, |x| < 120 (other lanes
+    /// hold garbage), given the lanes' abstop12 `top`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sin8_fast(x: __m256, top: __m256i) -> __m256 {
+        // |x| < 2⁻¹² returns x.
+        let tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x398), top);
+        let y = _mm256_set_m128(
+            sin4_fast(_mm256_extractf128_ps(x, 1)),
+            sin4_fast(_mm256_castps256_ps128(x)),
+        );
+        _mm256_blendv_ps(y, x, _mm256_castsi256_ps(tiny))
+    }
+
+    /// The fast path's reduction and polynomial on four lanes.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sin4_fast(y: __m128) -> __m128 {
         // n = nearest quadrant (0 for |y| < π/4, where the library skips
         // the reduction: r = y − 0·π/2 is then y exactly).
         let x = _mm256_cvtps_pd(y);
-        let ni = _mm256_cvttpd_epi32(_mm256_mul_pd(x, f(HPI_INV)));
+        let ni = _mm256_cvttpd_epi32(_mm256_mul_pd(x, f64s(HPI_INV)));
         let n = _mm_srai_epi32(_mm_add_epi32(ni, _mm_set1_epi32(0x80_0000)), 24);
-        let r = _mm256_fnmadd_pd(_mm256_cvtepi32_pd(n), f(HPI), x);
+        let r = _mm256_fnmadd_pd(_mm256_cvtepi32_pd(n), f64s(HPI), x);
+        sinf_poly(r, n, n)
+    }
+
+    /// Broadcast an `f64` given by its bits.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn f64s(bits: u64) -> __m256d {
+        _mm256_set1_pd(f64::from_bits(bits))
+    }
+
+    /// The library's `sinf_poly` on four reduced arguments `r`, narrowed:
+    /// the sine polynomial where `n` is even, the cosine polynomial where it
+    /// is odd, negated where bit 1 of `neg` is set.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sinf_poly(r: __m256d, n: __m128i, neg: __m128i) -> __m128 {
+        let f = f64s;
         let wide = |m: __m128i| _mm256_castsi256_pd(_mm256_cvtepi32_epi64(m));
         let odd = wide(_mm_cmpeq_epi32(
             _mm_and_si128(n, _mm_set1_epi32(1)),
             _mm_set1_epi32(1),
         ));
         let flip = wide(_mm_cmpeq_epi32(
-            _mm_and_si128(n, _mm_set1_epi32(2)),
+            _mm_and_si128(neg, _mm_set1_epi32(2)),
             _mm_set1_epi32(2),
         ));
         let x2 = _mm256_mul_pd(r, r);
@@ -295,23 +344,114 @@ mod x86 {
         let x6 = _mm256_mul_pd(x2, x4);
         let cc = _mm256_fmadd_pd(x4, f(C2), c1);
         let cos = _mm256_fmadd_pd(c2, x6, cc);
-        // n & 2: the library multiplies r by sign[n & 3] = -1 (sine) or
-        // takes table entry 1, whose cosine coefficients are negated. Both
-        // negate every intermediate exactly, so the result is negated: one
-        // sign flip here, and no result is zero (|sin| ≥ |r|/2, cos ≥ 0.7).
+        // The library multiplies r by sign[q & 3] = -1 for q & 3 ∈ {1, 2}
+        // (sine) or takes table entry 1, whose cosine coefficients are
+        // negated, for q & 2 (cosine); q is n, plus 1 for a negative x on
+        // the large path. Both negate every intermediate exactly, so the
+        // result is negated: one sign flip here, where the caller passes
+        // `neg` = q for the cosine and q + 1 for the sine. No result is
+        // zero (|sin| ≥ |r|/2, cos ≥ 0.7, and r ≠ 0 on the large path).
         let v = _mm256_blendv_pd(sin, cos, odd);
         let v = _mm256_xor_pd(v, _mm256_and_pd(flip, _mm256_set1_pd(-0.0)));
-        let v = _mm256_cvtpd_ps(v);
-        let v = _mm_blendv_ps(v, y, _mm_castsi128_ps(tiny));
-        (v, _mm_movemask_ps(_mm_castsi128_ps(ok)))
+        _mm256_cvtpd_ps(v)
     }
 
-    /// [`sin4`] on both halves of eight lanes.
+    /// glibc 2.36's `__inv_pio4`: 2/π to 192 bits, each entry the next 32
+    /// bits eight bits further on, so that any 96-bit window starting on a
+    /// byte is three aligned loads.
+    static INV_PIO4: [u32; 24] = [
+        0xa2, 0xa2f9, 0xa2f983, 0xa2f9836e, 0xf9836e4e, 0x836e4e44, 0x6e4e4415, 0x4e441529,
+        0x441529fc, 0x1529fc27, 0x29fc2757, 0xfc2757d1, 0x2757d1f5, 0x57d1f534, 0xd1f534dd,
+        0xf534ddc0, 0x34ddc0db, 0xddc0db62, 0xc0db6295, 0xdb629599, 0x6295993c, 0x95993c43,
+        0x993c4390, 0x3c439041,
+    ];
+    /// π/2 · 2⁻⁶² (`pi63`): one unit of the 2.62 fixed-point fraction.
+    const PI63: u64 = 0x3C19_21FB_5444_2D18;
+
+    /// `__sinf_fma`'s large path on eight lanes, 120 ≤ |x| < ∞ (other
+    /// lanes hold garbage): `reduce_large`, then [`sinf_poly`] with the
+    /// sign of x folded into the quadrant.
+    ///
+    /// `reduce_large` multiplies the 24-bit significand, shifted left by
+    /// the exponent's low three bits, by the 96 bits of 2/π that the
+    /// exponent's next four bits select: three 32×32 products whose sum,
+    /// modulo 2⁶⁴, is the position in the period as a 2.62 fixed-point
+    /// number — the top two bits the quadrant n, the rest the remainder.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn sin8(x: __m256) -> (__m256, i32) {
-        let (lo, ok_lo) = sin4(_mm256_castps256_ps128(x));
-        let (hi, ok_hi) = sin4(_mm256_extractf128_ps(x, 1));
-        (_mm256_set_m128(hi, lo), ok_lo | ok_hi << 4)
+    unsafe fn sin8_large(y: __m256) -> __m256 {
+        let i32s = _mm256_set1_epi32;
+        let xi = _mm256_castps_si256(y);
+        let idx = _mm256_and_si256(_mm256_srli_epi32(xi, 26), i32s(15));
+        let shift = _mm256_and_si256(_mm256_srli_epi32(xi, 23), i32s(7));
+        let m = _mm256_sllv_epi32(
+            _mm256_or_si256(_mm256_and_si256(xi, i32s(0xFF_FFFF)), i32s(0x80_0000)),
+            shift,
+        );
+        // arr[idx + k] for idx < 16: the eight-entry window at k or at
+        // k + 8, whichever bit 3 of idx (moved to the sign bit) selects,
+        // indexed by idx's low three bits.
+        let upper = _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28));
+        let window = |k: usize| _mm256_loadu_si256(INV_PIO4[k..k + 8].as_ptr().cast());
+        let look = |k: usize| {
+            _mm256_castps_si256(_mm256_blendv_ps(
+                _mm256_castsi256_ps(_mm256_permutevar8x32_epi32(window(k), idx)),
+                _mm256_castsi256_ps(_mm256_permutevar8x32_epi32(window(k + 8), idx)),
+                upper,
+            ))
+        };
+        let (a0, a4, a8) = (look(0), look(4), look(8));
+
+        // res0 = (m · arr[0] mod 2³²) · 2³² + (m · arr[8]) / 2³² + m · arr[4]
+        // mod 2⁶⁴, in 64-bit lanes: the even lanes' products, then the odd
+        // lanes' (their operands shifted down).
+        let r0 = _mm256_mullo_epi32(m, a0);
+        let odd = |v: __m256i| _mm256_srli_epi64(v, 32);
+        let res0 = |m: __m256i, a4: __m256i, a8: __m256i, r0_hi: __m256i| {
+            _mm256_add_epi64(
+                _mm256_or_si256(r0_hi, odd(_mm256_mul_epu32(m, a8))),
+                _mm256_mul_epu32(m, a4),
+            )
+        };
+        let even = res0(m, a4, a8, _mm256_slli_epi64(r0, 32));
+        let r0_odd = _mm256_and_si256(r0, _mm256_set1_epi64x(-1 << 32));
+        let odd_lanes = res0(odd(m), odd(a4), odd(a8), r0_odd);
+        // The low and the high 32 bits of res0, lane for lane.
+        let lo = _mm256_blend_epi32::<0xAA>(even, _mm256_slli_epi64(odd_lanes, 32));
+        let hi = _mm256_blend_epi32::<0xAA>(odd(even), odd_lanes);
+        // n = (res0 + 2⁶¹) >> 62 and res0 − n·2⁶², on the high halves:
+        // adding 2⁶¹ carries nothing out of the low half.
+        let hb = _mm256_add_epi32(hi, i32s(0x2000_0000));
+        let n = _mm256_srli_epi32(hb, 30);
+        let hi = _mm256_sub_epi32(_mm256_and_si256(hb, i32s(0x3FFF_FFFF)), i32s(0x2000_0000));
+        // The low half, less 2³¹, as a signed integer.
+        let lo = _mm256_xor_si256(lo, i32s(i32::MIN));
+        // Sine where n is even: negated iff (n + sign + 1) & 2; cosine
+        // where n is odd: iff (n + sign) & 2. Both are (n | 1) + sign.
+        let neg = _mm256_add_epi32(_mm256_or_si256(n, i32s(1)), _mm256_srli_epi32(xi, 31));
+
+        let half = |v: __m256i, h: usize| {
+            if h == 0 {
+                _mm256_castsi256_si128(v)
+            } else {
+                _mm256_extracti128_si256::<1>(v)
+            }
+        };
+        let out: [__m128; 2] = core::array::from_fn(|h| {
+            // (double)(int64_t)res0 as hi · 2³² + lo in one rounding (AVX2
+            // has no 64-bit integer conversion): both parts convert
+            // exactly, the product is exact, and the fused add rounds once.
+            let lo = _mm256_add_pd(
+                _mm256_cvtepi32_pd(half(lo, h)),
+                _mm256_set1_pd(2_147_483_648.0),
+            );
+            let x = _mm256_fmadd_pd(
+                _mm256_cvtepi32_pd(half(hi, h)),
+                _mm256_set1_pd(4_294_967_296.0),
+                lo,
+            );
+            sinf_poly(_mm256_mul_pd(x, f64s(PI63)), half(n, h), half(neg, h))
+        });
+        _mm256_set_m128(out[1], out[0])
     }
 }
 
@@ -424,7 +564,7 @@ mod tests {
             t0.elapsed()
         );
         assert_eq!(bad, 0, "mismatches against libm sinf");
-        // The body accepts exactly |x| < 120.
-        assert_eq!(accepted, domain(0, 0x42F0_0000));
+        // The body accepts every finite pattern.
+        assert_eq!(accepted, domain(0, 0x7F80_0000));
     }
 }

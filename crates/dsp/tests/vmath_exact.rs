@@ -4,8 +4,9 @@
 //! (so eight-lane groups straddle each one, lanes on both sides, in and out
 //! of the vector domain), a strided sweep of all 2³² bit patterns, a dense
 //! sweep of the ranges the audio path feeds them, and every slice length up
-//! to two groups plus a tail. The all-2³² proof is the
-//! `#[ignore]`d pair in `vmath.rs`.
+//! to two groups plus a tail, and the large-argument domain of `sin`
+//! (|x| ≥ 120) exponent by exponent. The all-2³² proof is the `#[ignore]`d
+//! pair in `vmath.rs`.
 
 use djstar_dsp::vmath::{sin_block, tanh_block};
 
@@ -84,6 +85,44 @@ fn sin_block_matches_libm_around_every_threshold() {
         k += 1.0;
     }
     assert_block_matches(&xs, sin_block, f32::sin, "sin");
+}
+
+#[test]
+fn sin_block_matches_libm_on_large_arguments() {
+    let mut xs = Vec::new();
+    // The edge of the fast path: 120 and its predecessor.
+    around(120.0, 1, &mut xs);
+    // Every exponent's first and last significand (the table index and the
+    // shift of the reduction change with the exponent), up to f32::MAX.
+    for exp in 1..=254u32 {
+        around(f32::from_bits(exp << 23), 0, &mut xs);
+        around(f32::from_bits(exp << 23 | 0x7F_FFFF), 0, &mut xs);
+    }
+    // A strided sweep of 120 <= |x| < ∞ (an odd stride: every table index
+    // and shift, varied low bits), 200 074 inputs.
+    let (lo, hi) = (120f32.to_bits(), f32::INFINITY.to_bits());
+    for bits in (lo..hi).step_by(10_157) {
+        around(f32::from_bits(bits), 0, &mut xs);
+    }
+    assert_block_matches(&xs, sin_block, f32::sin, "sin");
+
+    // ±∞ and NaN are not in the vector domain: libm's own NaN, bit for bit,
+    // in every lane of a group of eight.
+    for special in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+        let mut group = [
+            1e4,
+            special,
+            -f32::MAX,
+            120.0,
+            special,
+            5e7,
+            -130.0,
+            special,
+        ];
+        let want = group.map(f32::sin);
+        sin_block(&mut group);
+        assert_eq!(group.map(f32::to_bits), want.map(f32::to_bits), "{special}");
+    }
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! because the effect nodes' data-dependent cost follows signal energy.
 
 use djstar_dsp::rng::SmallRng;
+use djstar_dsp::vmath::sin_block;
 use djstar_dsp::SAMPLE_RATE;
 use std::sync::Arc;
 
@@ -136,6 +137,17 @@ fn hat_env_at(hat_level: f32, hat_pos: usize) -> f32 {
     hat_level * (-tt * 200.0).exp()
 }
 
+/// `ph.fract()` for 0 ≤ ph < 2³¹, without the library `truncf` call that
+/// `f32::fract` makes per sample: the `i32` cast truncates exactly in that
+/// range (from 2²³ on, `ph` is an integer and the result `+0.0`, as
+/// `fract`'s).
+fn fract_nonneg(ph: f32) -> f32 {
+    ph - (ph as i32 as f32)
+}
+
+/// Samples per vector pass of [`synth_track`]: the scratch buffers' length.
+const PASS: usize = 512;
+
 /// Synthesize a deterministic track.
 ///
 /// `seed` selects note material; `bpm` the tempo; `seconds` the length.
@@ -144,8 +156,14 @@ fn hat_env_at(hat_level: f32, hat_pos: usize) -> f32 {
 /// run: a bar falls into sixteen runs (sixteenth notes) inside which beat,
 /// bass note and lead note are constant, so the per-sample index arithmetic
 /// is paid once per run, and the kick and the hat envelope — functions of
-/// the position in the beat only — are tabulated once per track. Every
-/// floating-point expression keeps the reference's operand order.
+/// the position in the beat only — are tabulated once per track. Each run,
+/// cut where the hat burst starts and ends, is rendered in vector passes of
+/// up to 512 samples: the sample times, the lead (and pad) sines in one
+/// [`sin_block`] each, the hat noise drawn in the reference's order, then
+/// one straight loop that adds the voices in the reference's order. An
+/// absent kick or hat adds `+0.0`, which changes no partial sum (none is
+/// `-0.0`). Every floating-point expression keeps the reference's operand
+/// order.
 pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Track {
     use core::f32::consts::TAU;
     let sr = SAMPLE_RATE as f32;
@@ -164,7 +182,11 @@ pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Trac
         .map(|p| hat_env_at(v.hat_level, p))
         .collect();
     let w_pad = TAU * v.root_hz * 2.0;
+    let pad = v.pad_level > 0.0;
 
+    let zeros = [0.0f32; PASS];
+    let (mut ts, mut lead, mut pads, mut hats) =
+        ([0.0f32; PASS], [0.0; PASS], [0.0; PASS], [0.0; PASS]);
     // Run `j` of a bar starts at in-bar sample ceil(j * bar_len / 16).
     let run_start = |j: usize| (j * bar_len).div_ceil(16);
     'bars: for bar in 0usize.. {
@@ -193,33 +215,60 @@ pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Trac
                 hi,
             ];
             for (piece, w) in cuts.windows(2).enumerate() {
-                let (from, to) = (w[0], w[1]);
-                if from == to {
-                    continue;
-                }
-                let i0 = first + (from - lo);
-                let out = &mut samples[i0..i0 + (to - from)];
-                let kick = kick_on.then(|| &kick[from..to]);
-                let hat = (loud && piece == 1).then(|| &hat_env[from - hat_start..to - hat_start]);
-                for (k, out) in out.iter_mut().enumerate() {
-                    let t = (i0 + k) as f32 / sr;
-                    let mut s = 0.0f32;
-                    if let Some(kick) = kick {
+                let hat_on = loud && piece == 1;
+                for from in (w[0]..w[1]).step_by(PASS) {
+                    let len = (w[1] - from).min(PASS);
+                    let i0 = first + (from - lo);
+                    let (ts, lead, pads, hats) = (
+                        &mut ts[..len],
+                        &mut lead[..len],
+                        &mut pads[..len],
+                        &mut hats[..len],
+                    );
+                    // `i0 + k` < one hour of samples < 2³¹: the i32 cast is
+                    // exact, and converts like the reference's usize cast.
+                    for (k, t) in ts.iter_mut().enumerate() {
+                        *t = (i0 + k) as i32 as f32 / sr;
+                    }
+                    for (a, &t) in lead.iter_mut().zip(&*ts) {
+                        *a = w_lead * t;
+                    }
+                    sin_block(lead);
+                    if pad {
+                        for (a, &t) in pads.iter_mut().zip(&*ts) {
+                            *a = w_pad * t;
+                        }
+                        sin_block(pads);
+                    }
+                    let kick = if kick_on {
+                        &kick[from..from + len]
+                    } else {
+                        &zeros[..len]
+                    };
+                    if hat_on {
+                        let env = &hat_env[from - hat_start..from - hat_start + len];
+                        for (h, &e) in hats.iter_mut().zip(env) {
+                            *h = e * noise.next();
+                        }
+                    } else {
+                        hats.fill(0.0);
+                    }
+                    let out = &mut samples[i0..i0 + len];
+                    for k in 0..len {
+                        let mut s = 0.0f32;
                         s += kick[k];
+                        s += hats[k];
+                        // Bass: saw following the note sequence, eighth notes.
+                        let saw = 2.0 * fract_nonneg(ts[k] * f_bass) - 1.0;
+                        s += bass_gain * saw;
+                        // Lead: sine arpeggio, sixteenth notes.
+                        s += lead_gain * lead[k];
+                        // Ambient pad.
+                        if pad {
+                            s += v.pad_level * pads[k] * 0.5;
+                        }
+                        out[k] = (s * 0.8).clamp(-1.0, 1.0);
                     }
-                    if let Some(hat) = hat {
-                        s += hat[k] * noise.next();
-                    }
-                    // Bass: saw following the note sequence, eighth notes.
-                    let saw = 2.0 * ((t * f_bass).fract()) - 1.0;
-                    s += bass_gain * saw;
-                    // Lead: sine arpeggio, sixteenth notes.
-                    s += lead_gain * (w_lead * t).sin();
-                    // Ambient pad.
-                    if v.pad_level > 0.0 {
-                        s += v.pad_level * (w_pad * t).sin() * 0.5;
-                    }
-                    *out = (s * 0.8).clamp(-1.0, 1.0);
                 }
             }
         }
@@ -382,6 +431,40 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn paper_decks_equal_reference_at_full_length() {
+        // The four `paper_default` decks at the 30 s every set loads: the
+        // lead and pad arguments reach ~10^5 rad, far into `sin_block`'s
+        // large-argument path.
+        for (seed, bpm, style) in [
+            (11, 126.0, TrackStyle::House),
+            (22, 132.0, TrackStyle::Breakbeat),
+            (33, 124.0, TrackStyle::House),
+            (44, 128.0, TrackStyle::Ambient),
+        ] {
+            let fast = synth_track(seed, bpm, 30.0, style);
+            let reference = synth_track_reference(seed, bpm, 30.0, style);
+            assert!(bits(&fast) == bits(&reference), "{style:?} seed {seed}");
+        }
+    }
+
+    #[test]
+    fn exact_trunc_fract_equals_fract_up_to_2_pow_31() {
+        let below_one = 1.0 - f32::EPSILON / 2.0;
+        for ph in [
+            0.0,
+            0.5,
+            below_one,
+            1.0,
+            8_388_607.5, // the last half below 2^23
+            8_388_608.0, // 2^23: every f32 from here on is an integer
+            16_777_216.0,
+            2_147_483_520.0, // 2^31 - 128, the largest f32 below 2^31
+        ] {
+            assert_eq!(fract_nonneg(ph).to_bits(), ph.fract().to_bits(), "{ph}");
         }
     }
 
