@@ -22,12 +22,11 @@ use crate::modes::{
 use crate::netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
 use crate::nodes::controls;
 use crate::reconfig::{
-    apply_edit, list_lanes, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
+    apply_edit, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
 use djstar_core::exec::{
-    BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
-    RetiredGeneration, SequentialExecutor, SleepExecutor, StealExecutor, Strategy, SwapError,
-    VenuePool,
+    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, RetiredGeneration,
+    SequentialExecutor, SleepExecutor, StealExecutor, Strategy, SwapError, VenuePool,
 };
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, FlightWindow};
@@ -35,6 +34,7 @@ use djstar_core::graph::NodeId;
 use djstar_core::net::NetStats;
 use djstar_core::trace::ScheduleTrace;
 use djstar_dsp::buffer::AudioBuf;
+use djstar_sim::Schedule;
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -250,8 +250,7 @@ impl AudioEngine {
         threads: usize,
         aux: AuxWork,
     ) -> Self {
-        let pool = Self::private_pool(strategy, threads);
-        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, true)
+        Self::with_shape_on(scenario, shape, strategy, threads, aux, None, None)
     }
 
     /// Build an engine whose session registers on an existing shared
@@ -259,17 +258,18 @@ impl AudioEngine {
     /// constructor. `threads` is this session's lane count and must not
     /// exceed the pool's. Sequential engines accept a pool too (they
     /// simply never stage work on it), so a venue can host mixed-strategy
-    /// sessions uniformly.
+    /// sessions uniformly. `priced`: the cost model and schedule the venue
+    /// admitted the session with, which the engine starts on.
     pub(crate) fn on_pool(
         scenario: Scenario,
         strategy: Strategy,
         threads: usize,
         aux: AuxWork,
         pool: &Arc<VenuePool>,
+        priced: Option<(NodeCostModel, Schedule)>,
     ) -> Self {
         let shape = GraphShape::for_net(&scenario.net);
-        let pool = Arc::clone(pool);
-        Self::with_shape_on(scenario, shape, strategy, threads, aux, pool, false)
+        Self::with_shape_on(scenario, shape, strategy, threads, aux, Some(pool), priced)
     }
 
     /// A pool of exactly the lanes a solo engine uses.
@@ -293,14 +293,18 @@ impl AudioEngine {
         strategy: Strategy,
         threads: usize,
         aux: AuxWork,
-        pool: Arc<VenuePool>,
-        private_pool: bool,
+        pool: Option<&Arc<VenuePool>>,
+        priced: Option<(NodeCostModel, Schedule)>,
     ) -> Self {
+        let private_pool = pool.is_none();
+        let pool = pool.map_or_else(|| Self::private_pool(strategy, threads), Arc::clone);
         // The first PLAN blueprint is list-scheduled under the prior; the
         // learning window replaces both.
-        let costs = NodeCostModel::prior(&scenario, &shape, aux);
-        let (executor, map) =
-            Self::build_executor(&scenario, &shape, strategy, threads, &pool, &costs);
+        let (costs, schedule) = priced.unzip();
+        let costs = costs.unwrap_or_else(|| NodeCostModel::prior(&scenario, &shape, aux));
+        let (executor, map) = Self::build_executor(
+            &scenario, &shape, strategy, threads, &pool, &costs, schedule,
+        );
         let mut ctrl = vec![0.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = scenario.crossfader;
         ctrl[controls::MASTER_GAIN] = scenario.master_gain;
@@ -339,9 +343,10 @@ impl AudioEngine {
     }
 
     /// Build the graph executor and its landmark map for a scenario +
-    /// shape on `pool`; PLAN list-schedules `costs` onto `threads` lanes
-    /// and replays that. Shared by the constructors and the thread-resize
-    /// rebuild path.
+    /// shape on `pool`; PLAN replays `schedule`, or the graph's
+    /// [`schedule`](NodeCostModel::schedule) under `costs` on `threads`
+    /// lanes. Shared by the constructors and the thread-resize rebuild
+    /// path.
     fn build_executor(
         scenario: &Scenario,
         shape: &GraphShape,
@@ -349,6 +354,7 @@ impl AudioEngine {
         threads: usize,
         pool: &Arc<VenuePool>,
         costs: &NodeCostModel,
+        schedule: Option<Schedule>,
     ) -> (Box<dyn GraphExecutor>, NodeMap) {
         let (graph, map) = build_shaped_graph(scenario, shape);
         let frames = djstar_dsp::BUFFER_FRAMES;
@@ -359,8 +365,10 @@ impl AudioEngine {
             Strategy::Steal => Box::new(StealExecutor::with_pool(graph, threads, frames, pool)),
             Strategy::Hybrid => Box::new(HybridExecutor::with_pool(graph, threads, frames, pool)),
             Strategy::Planned => {
-                let topo = graph.topology();
-                let lanes = list_lanes(topo, costs.durations_for(topo), threads);
+                let lanes = match schedule {
+                    Some(schedule) => schedule.lanes(),
+                    None => costs.schedule(graph.topology(), &map.keys, threads).lanes(),
+                };
                 Box::new(PlannedExecutor::with_pool(graph, frames, &lanes, pool))
             }
         };
@@ -421,9 +429,9 @@ impl AudioEngine {
     /// [`StagedTopology::fill`] there (the result is `Send`); the
     /// cycle-boundary half is [`commit`](Self::commit) either way.
     ///
-    /// With [`enable_admission`](Self::enable_admission) armed, the target
-    /// shape is first checked against the list-schedule bound and rejected
-    /// ([`ReconfigError::Unschedulable`]) before anything is built. With
+    /// With [`enable_admission`](Self::enable_admission) armed, a shape
+    /// whose bound does not fit is rejected
+    /// ([`ReconfigError::Unschedulable`]) before any processor is built. With
     /// [`enable_mode_cache`](Self::enable_mode_cache) armed, an admitted
     /// shape whose generation was precompiled is served straight from the
     /// cache and its missing parts from the bin — a take-once hit that
@@ -440,21 +448,19 @@ impl AudioEngine {
         self.stage_shape(&shape)
     }
 
-    /// Admission gate → hollow generation (cache hit, else built here) →
-    /// fill what the running graph cannot hand over, in that order. The
-    /// shared tail of [`stage_edits`](Self::stage_edits) and
-    /// [`reconfigure`](Self::reconfigure).
+    /// Hollow generation (cache hit, else built and admitted here) → fill
+    /// what the running graph cannot hand over, in that order. The shared
+    /// tail of [`stage_edits`](Self::stage_edits) and
+    /// [`reconfigure`](Self::reconfigure). A cached generation needs no
+    /// admission check: with admission armed, only admitted shapes are
+    /// cached.
     fn stage_shape(&mut self, shape: &GraphShape) -> Result<StagedTopology, ReconfigError> {
         self.retired.clear();
-        let threads = self.threads();
-        if let Some(adm) = self.admission.as_mut() {
-            adm.check(&self.scenario, shape, &self.costs, threads)?;
-        }
         let hit = self.modes.as_mut().and_then(|c| c.take(shape));
         let was_hit = hit.is_some();
         let mut staged = match hit {
             Some(hit) => hit,
-            None => self.stage_hollow(shape).map_err(ReconfigError::Blueprint)?,
+            None => self.stage_hollow(shape)?,
         };
         let mut no_bin = PartsBin::default();
         let bin = self.modes.as_mut().map_or(&mut no_bin, |c| &mut c.bin);
@@ -465,19 +471,17 @@ impl AudioEngine {
         Ok(staged)
     }
 
-    /// [`stage_topology`] for this engine, failures counted.
-    fn stage_hollow(&mut self, shape: &GraphShape) -> Result<StagedTopology, BlueprintError> {
+    /// [`stage_topology`] for this engine, admission included, blueprint
+    /// failures counted.
+    fn stage_hollow(&mut self, shape: &GraphShape) -> Result<StagedTopology, ReconfigError> {
         let (strategy, threads) = (self.strategy(), self.threads());
         let frames = djstar_dsp::BUFFER_FRAMES;
-        stage_topology(
-            &self.scenario,
-            shape,
-            strategy,
-            threads,
-            frames,
-            &self.costs,
-        )
-        .inspect_err(|_| self.stage_failures += 1)
+        let (costs, adm) = (&self.costs, self.admission.as_mut());
+        let staged = stage_topology(&self.scenario, shape, strategy, threads, frames, costs, adm);
+        if let Err(ReconfigError::Blueprint(_)) = staged {
+            self.stage_failures += 1;
+        }
+        staged
     }
 
     /// Arm the mode-aware blueprint cache with room for `capacity` staged
@@ -504,10 +508,11 @@ impl AudioEngine {
     /// Arm schedulability admission: every subsequent staging first proves
     /// the target shape's bound — under [`costs`](Self::costs) on
     /// [`threads`](Self::threads) lanes — fits the margined deadline, or is
-    /// rejected typed.
-    pub fn enable_admission(&mut self, mut ctrl: AdmissionControl) {
-        ctrl.forget_bounds();
+    /// rejected typed. Empties the mode cache, whose generations were
+    /// staged without that proof.
+    pub fn enable_admission(&mut self, ctrl: AdmissionControl) {
         self.admission = Some(ctrl);
+        self.reprice();
     }
 
     /// The node cost model staged blueprints are list-scheduled under and
@@ -557,28 +562,20 @@ impl AudioEngine {
         if self.modes.is_none() {
             return 0;
         }
-        let (base, threads) = (self.shape, self.threads());
+        let base = self.shape;
         let mut staged_new = 0;
         for edit in reachable_edits(&base) {
             let mut target = base;
             if apply_edit(&mut target, edit).is_err() {
                 continue;
             }
-            // Never precompile what admission would reject at switch time.
-            if let Some(adm) = self.admission.as_mut() {
-                if adm
-                    .check(&self.scenario, &target, &self.costs, threads)
-                    .is_err()
-                {
-                    continue;
-                }
-            }
             let Some(cache) = self.modes.as_mut() else {
                 break;
             };
             // Already staged: refresh its LRU stamp instead of
             // recompiling, so a still-reachable neighbor is never the
-            // eviction victim of this pass's fresh inserts.
+            // eviction victim of this pass's fresh inserts. Staging
+            // admits first: what admission rejects is never precompiled.
             if cache.touch(&target) {
                 continue;
             }
@@ -666,7 +663,7 @@ impl AudioEngine {
             // model prices the rebuilt generation too.
             let (scenario, pool, costs) = (&self.scenario, &self.pool, &self.costs);
             let (mut executor, map) =
-                Self::build_executor(scenario, &shape, strategy, threads, pool, costs);
+                Self::build_executor(scenario, &shape, strategy, threads, pool, costs, None);
             let (old, new) = (apc_nodes(&self.map), apc_nodes(&map));
             for d in 0..4 {
                 std::mem::swap(
@@ -1224,6 +1221,14 @@ impl AudioEngine {
         self.cycle == LEARN_AFTER + LEARN_CYCLES
     }
 
+    /// The running graph's admission bound under [`costs`](Self::costs).
+    pub(crate) fn bound_ns(&self) -> u64 {
+        let topo = self.executor.topology();
+        self.costs
+            .schedule(topo, &self.map.keys, self.threads())
+            .makespan_ns()
+    }
+
     /// Close the learning window: price every node at the p50 of its
     /// recorded times (a node without a sample keeps its price), void what
     /// was priced before, and — PLAN — re-plan the running schedule
@@ -1232,11 +1237,12 @@ impl AudioEngine {
     fn learn_costs(&mut self) {
         self.executor.set_learning(false);
         let p50s = self.executor.learned_quantiles(0.5);
-        let topo = self.executor.topology();
-        let learned = p50s.iter().enumerate().map(|(n, p50)| {
-            let name = topo.name(NodeId(n as u32));
-            (name, p50.unwrap_or_else(|| self.costs.cost(name)))
-        });
+        let learned = self
+            .map
+            .keys
+            .iter()
+            .zip(p50s)
+            .map(|(&key, p50)| (key, p50.unwrap_or_else(|| self.costs.cost(key))));
         self.costs = NodeCostModel::from_costs(learned);
         self.reprice();
         if self.strategy() == Strategy::Planned {
@@ -1490,15 +1496,19 @@ mod tests {
 
     #[test]
     fn a_resize_keeps_the_engine_cost_model_for_staging_and_admission() {
-        use crate::modes::shape_bound_ns;
         let mut e = light_engine(Strategy::Planned, 2);
         let costs = NodeCostModel::uniform(1_000);
         e.recalibrate_admission(costs.clone());
         let mut target = *e.shape();
         target.fx_slots[0] += 1;
         let edit = [GraphEdit::InsertFxSlot(0)];
-        let one_lane = shape_bound_ns(e.scenario(), &target, &costs, 1);
-        let two_lanes = shape_bound_ns(e.scenario(), &target, &costs, 2);
+        let (graph, map) = crate::graphbuild::hollow_graph(e.scenario(), &target);
+        let bound = |lanes| {
+            costs
+                .schedule(graph.topology(), &map.keys, lanes)
+                .makespan_ns()
+        };
+        let (one_lane, two_lanes) = (bound(1), bound(2));
         assert!(two_lanes < one_lane);
         // A budget 1 ns under the one-lane bound: the two-lane engine fits.
         e.enable_admission(AdmissionControl::new(one_lane - 1, 0.0));
@@ -1507,9 +1517,8 @@ mod tests {
         e.reconfigure(&[GraphEdit::ResizeThreads(1)])
             .expect("resize");
         assert_eq!(e.threads(), 1);
-        let topo = e.executor.topology();
         assert!(
-            e.costs().durations_for(topo).iter().all(|&c| c == 1_000),
+            e.map.keys.iter().all(|&key| e.costs().cost(key) == 1_000),
             "a resize must not re-price the engine's model"
         );
         // Admission prices the shape from that same model on one lane now.

@@ -10,9 +10,10 @@
 //!    [`AudioEngine::stage_edits`](crate::apc::AudioEngine::stage_edits)
 //!    for both): build the new [`GraphShape`]'s task graph *hollow* —
 //!    every node a placeholder — allocate its buffers and (for the PLAN
-//!    strategy) list-schedule a blueprint under the engine's measured
-//!    node costs; then give a real processor to exactly the nodes the
-//!    running graph has no counterpart for. This is the expensive part
+//!    strategy, or to bound it for admission) list-schedule it once
+//!    under the engine's measured node costs; then give a real
+//!    processor to exactly the nodes the running graph has no
+//!    counterpart for. This is the expensive part
 //!    and runs on any thread — the audio thread never blocks on it.
 //! 2. **Commit** ([`AudioEngine::commit`](crate::apc::AudioEngine::commit)):
 //!    hand the staged generation to the running executor between two
@@ -29,7 +30,7 @@
 //! implements that split.
 
 use crate::graphbuild::{hollow_graph, walk_nodes, GraphShape, NodeMap};
-use crate::modes::{NodeCostModel, PartsBin, Unschedulable};
+use crate::modes::{AdmissionControl, NodeCostModel, PartsBin, Unschedulable};
 use djstar_core::exec::{BlueprintError, ScheduleBlueprint, StagedGeneration, Strategy, SwapError};
 use djstar_core::graph::{GraphTopology, NodeId};
 use djstar_workload::scenario::Scenario;
@@ -347,7 +348,7 @@ impl StagedTopology {
         let mut to_build = 0u128;
         for id in ids_in(orphans) {
             if staged.part_mut(id).is_vacant() {
-                match bin.take(staged.topology().name(id), id) {
+                match bin.take(self.map.keys[id.0 as usize], id) {
                     Some(part) => *staged.part_mut(id) = part,
                     None => to_build |= 1 << id.0,
                 }
@@ -364,25 +365,16 @@ impl StagedTopology {
     }
 }
 
-/// PLAN lanes for `topo` on `threads` workers: the list schedule of the
-/// graph under per-node `durations` (ns, node order), one node order per
-/// lane. The executor or the staged generation binds them to the graph.
-pub(crate) fn list_lanes(
-    topo: &GraphTopology,
-    durations: Vec<u64>,
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    let sim = djstar_sim::SimGraph::from_topology(topo);
-    let durations = djstar_sim::DurationModel::Constant(durations);
-    djstar_sim::list_schedule(&sim, &durations, 0, threads as u32).lanes()
-}
-
 /// Build a hollow generation for `shape`: the shaped task graph with a
 /// placeholder in every node, its buffers, and — when `strategy` is PLAN —
 /// a schedule blueprint for `threads` workers, list-scheduled with each
-/// node priced by `costs` (exact name, else kind, else mean). This is the
-/// expensive half of a reconfiguration and runs on any thread;
-/// [`StagedTopology::fill`] makes the result committable.
+/// node priced by `costs` (its own cost, else its kind's, else the mean).
+/// With `admission`, that same schedule's makespan is the bound the shape
+/// must fit first; a shape whose bound admission remembers is judged
+/// before anything is built. The schedule is computed only when PLAN or
+/// admission needs it. This is the expensive half of a reconfiguration
+/// and runs on any thread; [`StagedTopology::fill`] makes the result
+/// committable.
 ///
 /// Lanes that fail to bind to the graph in
 /// [`StagedGeneration::with_plan`] are a typed [`BlueprintError`], never
@@ -395,14 +387,23 @@ pub fn stage_topology(
     threads: usize,
     frames: usize,
     costs: &NodeCostModel,
-) -> Result<StagedTopology, BlueprintError> {
+    admission: Option<&mut AdmissionControl>,
+) -> Result<StagedTopology, ReconfigError> {
+    let known = admission
+        .as_ref()
+        .and_then(|a| a.recall(shape))
+        .transpose()?;
+    let admission = admission.filter(|_| known.is_none());
+    let planned = strategy == Strategy::Planned;
     let (graph, map) = hollow_graph(scenario, shape);
-    let staged = if strategy == Strategy::Planned {
-        let topo = graph.topology();
-        let lanes = list_lanes(topo, costs.durations_for(topo), threads);
-        StagedGeneration::with_plan(graph, frames, &lanes)?
-    } else {
-        StagedGeneration::new(graph, frames)
+    let schedule = (planned || admission.is_some())
+        .then(|| costs.schedule(graph.topology(), &map.keys, threads));
+    if let (Some(adm), Some(schedule)) = (admission, &schedule) {
+        adm.check(shape, schedule.makespan_ns())?;
+    }
+    let staged = match schedule.filter(|_| planned) {
+        Some(schedule) => StagedGeneration::with_plan(graph, frames, &schedule.lanes())?,
+        None => StagedGeneration::new(graph, frames),
     };
     Ok(StagedTopology {
         shape: *shape,
@@ -503,13 +504,14 @@ mod tests {
         let scenario = Scenario::light_test();
         let shape = GraphShape::paper_default();
         let costs = NodeCostModel::uniform(1);
-        let busy = stage_topology(&scenario, &shape, Strategy::Busy, 3, 16, &costs).unwrap();
+        let busy = stage_topology(&scenario, &shape, Strategy::Busy, 3, 16, &costs, None).unwrap();
         assert!(!busy.has_plan());
         assert!(busy.blueprint().is_none());
         // The paper's 67 nodes and the APC's five.
         let nodes = 67 + crate::graphbuild::APC_NODES;
         assert_eq!(busy.node_count(), nodes);
-        let plan = stage_topology(&scenario, &shape, Strategy::Planned, 3, 16, &costs).unwrap();
+        let plan =
+            stage_topology(&scenario, &shape, Strategy::Planned, 3, 16, &costs, None).unwrap();
         assert!(plan.has_plan());
         assert_eq!(plan.blueprint().map(|bp| bp.len()), Some(nodes));
     }

@@ -15,15 +15,16 @@
 //!    session is a one-lane session like any other: step 3 runs it.
 //!
 //! **Admission control** is the engine's one [`AdmissionControl`]: a
-//! candidate session's per-cycle cost is bounded by [`shape_bound_ns`] —
-//! the list schedule of its graph, TP, GP and VC nodes included, on the
-//! lanes it requests, nodes priced by the static
+//! candidate session's per-cycle cost is bounded by the makespan of its
+//! graph's [`schedule`](NodeCostModel::schedule) — TP, GP and VC nodes
+//! included, on the lanes it requests, nodes priced by the static
 //! [`NodeCostModel::prior`] at the session's aux weights — and it is
 //! admitted only if that bound fits the margined deadline beside the
 //! summed bounds of the sessions already admitted. Nothing runs to admit
-//! a session. Once the admitted engine has learned its node costs in
-//! place (its cycle 16), the venue re-prices the session's bound under
-//! them, so [`load_ns`](VenueServer::load_ns) becomes a measured value.
+//! a session, and the admitted engine starts on that prior and that
+//! schedule. Once it has learned its node costs in place (its cycle 16),
+//! the venue re-prices the session's bound on the running graph, so
+//! [`load_ns`](VenueServer::load_ns) becomes a measured value.
 //! The bound is a p50-cost list bound that has not been proven sound:
 //! measured two-session batches can run longer than the summed bounds
 //! (`sim.bound_slack_pct` reads negative). Rejections are counted.
@@ -36,9 +37,10 @@
 //! offending session.
 
 use crate::apc::{ApcTiming, AudioEngine, AuxWork, GovernorOutcome};
-use crate::graphbuild::GraphShape;
-use crate::modes::{shape_bound_ns, AdmissionControl, NodeCostModel, Unschedulable};
+use crate::graphbuild::{hollow_graph, GraphShape};
+use crate::modes::{AdmissionControl, NodeCostModel, Unschedulable};
 use djstar_core::exec::{Strategy, VenuePool};
+use djstar_sim::Schedule;
 use djstar_workload::scenario::Scenario;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -145,8 +147,9 @@ impl VenueServer {
     pub fn admit(&mut self, spec: SessionSpec) -> Result<u32, Unschedulable> {
         let shape = GraphShape::for_net(&spec.scenario.net);
         let costs = NodeCostModel::prior(&spec.scenario, &shape, spec.aux);
-        let bound_ns = shape_bound_ns(&spec.scenario, &shape, &costs, spec.threads);
-        self.admit_priced(spec, bound_ns, true)
+        let (graph, map) = hollow_graph(&spec.scenario, &shape);
+        let schedule = costs.schedule(graph.topology(), &map.keys, spec.threads);
+        self.admit_priced(spec, schedule.makespan_ns(), Some((costs, schedule)))
     }
 
     /// [`admit`](Self::admit) with a caller-supplied bound, kept as given
@@ -156,14 +159,14 @@ impl VenueServer {
         spec: SessionSpec,
         bound_ns: u64,
     ) -> Result<u32, Unschedulable> {
-        self.admit_priced(spec, bound_ns, false)
+        self.admit_priced(spec, bound_ns, None)
     }
 
     fn admit_priced(
         &mut self,
         spec: SessionSpec,
         bound_ns: u64,
-        priced: bool,
+        priced: Option<(NodeCostModel, Schedule)>,
     ) -> Result<u32, Unschedulable> {
         assert!(
             spec.threads >= 1 && spec.threads <= self.pool.threads(),
@@ -183,13 +186,14 @@ impl VenueServer {
             threads,
             aux,
         } = spec;
-        let mut engine = AudioEngine::on_pool(scenario, strategy, threads, aux, &self.pool);
+        let priced_here = priced.is_some();
+        let mut engine = AudioEngine::on_pool(scenario, strategy, threads, aux, &self.pool, priced);
         engine.set_session(id);
         self.sessions.push(VenueSession {
             id,
             engine,
             bound_ns,
-            priced,
+            priced: priced_here,
             cycles: 0,
             misses: 0,
             last: ApcTiming::default(),
@@ -271,8 +275,7 @@ impl VenueServer {
             }
             let _: Option<GovernorOutcome> = s.engine.observe_deadline(missed);
             if s.priced && s.engine.learned_now() {
-                let e = &s.engine;
-                s.bound_ns = shape_bound_ns(e.scenario(), e.shape(), e.costs(), e.threads());
+                s.bound_ns = s.engine.bound_ns();
             }
         }
         t0.elapsed()

@@ -103,10 +103,11 @@ fn edits_to(from: &GraphShape, to: &GraphShape) -> Vec<GraphEdit> {
 /// Oracle bound: the same sim primitives, invoked without going through
 /// [`AdmissionControl`] (the PR 9 venue-oracle pattern).
 fn oracle_bound_ns(scenario: &Scenario, shape: &GraphShape, costs: &NodeCostModel) -> u64 {
-    let (graph, _) = build_shaped_graph(scenario, shape);
+    let (graph, map) = build_shaped_graph(scenario, shape);
     let topo = graph.topology();
     let sim = djstar_sim::SimGraph::from_topology(topo);
-    let durations = djstar_sim::DurationModel::Constant(costs.durations_for(topo));
+    let durations = map.keys.iter().map(|&key| costs.cost(key)).collect();
+    let durations = djstar_sim::DurationModel::Constant(durations);
     djstar_sim::session_bound_ns(&sim, &durations, THREADS as u32, 0)
 }
 
@@ -284,7 +285,7 @@ fn the_learned_model_prices_each_node_at_the_p50_of_its_window() {
             }
         }
         for (n, mut s) in samples.into_iter().enumerate() {
-            let learned = engine.costs().cost(&names[n]);
+            let learned = engine.costs().cost(engine.node_map().keys[n]);
             assert_eq!(s.len(), 12, "{}: one sample per window cycle", names[n]);
             s.sort_unstable();
             let p50 = s[5].max(1);
@@ -298,4 +299,63 @@ fn the_learned_model_prices_each_node_at_the_p50_of_its_window() {
             assert_eq!(engine.commit_cycles(), &[16], "one re-plan commit");
         }
     }
+}
+
+#[test]
+fn a_cache_miss_stagings_bound_is_the_makespan_of_its_blueprint() {
+    // PLAN × 2 on learned costs, admission armed, the cache armed and
+    // empty: the staging misses, prices the shape once, and the bound
+    // admission compared must be the makespan of the very blueprint the
+    // staging bound — its lanes replayed as soon as each node's
+    // predecessors are done, every node at its priced cost.
+    let scenario = Scenario::light_test();
+    let mut engine =
+        AudioEngine::with_aux(scenario.clone(), Strategy::Planned, 2, AuxWork::light());
+    engine.warmup(20);
+    engine.enable_mode_cache(4);
+    let edit = [GraphEdit::InsertFxSlot(0)];
+    let mut target = *engine.shape();
+    apply_edit(&mut target, edit[0]).unwrap();
+
+    engine.enable_admission(AdmissionControl::new(u64::MAX, 0.0));
+    let staged = engine
+        .stage_edits(&edit)
+        .expect("an unbounded budget admits");
+    assert_eq!(
+        engine.mode_stats().misses,
+        1,
+        "the staging missed the cache"
+    );
+    let bp = staged.blueprint().expect("PLAN stages a blueprint");
+    let (graph, map) = djstar_engine::hollow_graph(&scenario, &target);
+    let topo = graph.topology();
+    let mut end = vec![None::<u64>; topo.len()];
+    let mut next = vec![0usize; bp.threads()];
+    let mut lane_free = vec![0u64; bp.threads()];
+    while end.iter().any(Option::is_none) {
+        for w in 0..bp.threads() {
+            while let Some(slot) = bp.worker(w).get(next[w]) {
+                let preds = topo.preds(NodeId(slot.node));
+                let ready = preds
+                    .iter()
+                    .try_fold(0, |t, &p| end[p as usize].map(|e| e.max(t)));
+                let Some(ready) = ready else { break };
+                let start = ready.max(lane_free[w]);
+                lane_free[w] = start + engine.costs().cost(map.keys[slot.node as usize]);
+                end[slot.node as usize] = Some(lane_free[w]);
+                next[w] += 1;
+            }
+        }
+    }
+    let makespan = end.iter().flatten().copied().max().unwrap();
+
+    // A budget one nanosecond under that makespan is rejected with it as
+    // the bound; at the makespan the shape is admitted.
+    engine.enable_admission(AdmissionControl::new(makespan - 1, 0.0));
+    match engine.stage_edits(&edit) {
+        Err(ReconfigError::Unschedulable(u)) => assert_eq!(u.bound_ns, makespan),
+        other => panic!("expected Unschedulable, got {:?}", other.err()),
+    }
+    engine.enable_admission(AdmissionControl::new(makespan, 0.0));
+    assert!(engine.stage_edits(&edit).is_ok());
 }

@@ -59,7 +59,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use djstar_core::exec::Strategy;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::reconfig::{stage_topology, GraphEdit};
-use djstar_engine::{hollow_graph, BlueprintCache, GraphShape, NodeCostModel};
+use djstar_engine::{hollow_graph, BlueprintCache, GraphShape, NodeCostModel, NodeKey};
 use djstar_workload::scenario::Scenario;
 
 const SWITCHES: usize = 10;
@@ -194,7 +194,15 @@ fn a_cached_mode_weighs_what_a_plan_weighs() {
         shape.fx_slots[0] = 1 + i % 8;
         shape.fx_slots[1] = 1 + 2 * (i / 8);
         let frames = djstar_dsp::BUFFER_FRAMES;
-        let staged = stage_topology(&scenario, &shape, Strategy::Planned, 2, frames, &costs);
+        let staged = stage_topology(
+            &scenario,
+            &shape,
+            Strategy::Planned,
+            2,
+            frames,
+            &costs,
+            None,
+        );
         cache.insert(staged.expect("stages"));
     }
     let per_entry = (LIVE_BYTES.load(Ordering::SeqCst) - before) / 32;
@@ -212,7 +220,7 @@ fn a_cached_mode_weighs_what_a_plan_weighs() {
     // graph — the slots past the fourth of decks A and B — once per name.
     let (running, _) = hollow_graph(&scenario, &GraphShape::paper_default());
     cache.restock(&scenario, running.topology());
-    let mut names: Vec<&str> = cache.bin().names().collect();
+    let mut names: Vec<String> = cache.bin().keys().map(NodeKey::name).collect();
     names.sort_unstable();
     assert_eq!(
         names,

@@ -112,7 +112,8 @@ fn staging_runs_off_the_audio_thread() {
         apply_edit(&mut shape, GraphEdit::UnloadDeck(3)).unwrap();
         apply_edit(&mut shape, GraphEdit::InsertFxSlot(1)).unwrap();
         let frames = djstar_dsp::BUFFER_FRAMES;
-        stage_topology(&scenario, &shape, strategy, threads, frames, &costs).map(|mut staged| {
+        let staged = stage_topology(&scenario, &shape, strategy, threads, frames, &costs, None);
+        staged.map(|mut staged| {
             let (running, _) = hollow_graph(&scenario, &running);
             let built = staged.fill(&scenario, running.topology(), &mut PartsBin::default());
             assert_eq!(built, 3);
@@ -150,6 +151,7 @@ fn an_unfilled_generation_is_refused_whole() {
         2,
         frames,
         engine.costs(),
+        None,
     )
     .expect("stages");
     let refused = engine.commit(staged);

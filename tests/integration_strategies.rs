@@ -14,7 +14,6 @@ use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::graphbuild::{build_djstar_graph, APC_NODES};
 use djstar_engine::modes::NodeCostModel;
 use djstar_sim::gantt::render_trace;
-use djstar_sim::{list_schedule, DurationModel, SimGraph};
 use djstar_workload::scenario::Scenario;
 
 fn executors(threads: usize) -> Vec<Box<dyn GraphExecutor>> {
@@ -210,9 +209,9 @@ fn all_executors(threads: usize) -> Vec<(Box<dyn GraphExecutor>, NodeId)> {
     // PLAN's lanes come from the engine's path: a list schedule over
     // priced node costs, which the executor binds to its graph.
     let (g, m) = mk();
-    let sim = SimGraph::from_topology(g.topology());
-    let costs = DurationModel::Constant(NodeCostModel::uniform(1_000).durations_for(g.topology()));
-    let lanes = list_schedule(&sim, &costs, 0, threads as u32).lanes();
+    let lanes = NodeCostModel::uniform(1_000)
+        .schedule(g.topology(), &m.keys, threads)
+        .lanes();
     v.push((
         Box::new(PlannedExecutor::new(g, frames, &lanes)),
         m.audio_out,
