@@ -407,29 +407,33 @@ mod tests {
         // The four `paper_default` decks, plus two tempi whose beat lengths
         // (27 194 and 25 689 samples) put run boundaries off the /4, /8 and
         // /16 grid; the second is odd, so the hat burst starts mid-sample-pair.
-        let decks = [
-            (11, 126.0),
-            (22, 132.0),
-            (33, 124.0),
-            (44, 128.0),
-            (5, 97.3),
-            (6, 103.0),
-        ];
+        let paper = [(11, 126.0), (22, 132.0), (33, 124.0), (44, 128.0)];
+        let off_grid = [(5, 97.3), (6, 103.0)];
         assert_eq!(beat_len(103.0) % 2, 1);
-        // 0 s, shorter than a beat, ending mid-beat, ending mid-bar, and
-        // long enough to cross a loud -> quiet -> loud section change.
-        let lengths = [0.0, 0.2, 0.7, 3.1, 17.0];
+        // Every deck at 0 s, shorter than a beat and ending mid-beat. The
+        // off-grid decks also run 50 ms past eight bars: across a loud ->
+        // quiet -> loud section change, ending mid-bar. (The paper decks
+        // cross it in `paper_decks_equal_reference_at_full_length`.)
+        let short = [0.0, 0.2, 0.7];
+        let past_eight_bars = |bpm| (32 * beat_len(bpm)) as f32 / 44_100.0 + 0.05;
         for style in styles {
-            for (seed, bpm) in decks {
-                for secs in lengths {
-                    let fast = synth_track(seed, bpm, secs, style);
-                    let reference = synth_track_reference(seed, bpm, secs, style);
-                    assert_eq!(fast.samples().len(), (secs * 44_100.0) as usize);
-                    assert!(
-                        bits(&fast) == bits(&reference),
-                        "{style:?} seed {seed} bpm {bpm} secs {secs}"
-                    );
-                }
+            let paper = paper
+                .iter()
+                .flat_map(|&(seed, bpm)| short.map(|s| (seed, bpm, s)));
+            let off_grid = off_grid.iter().flat_map(|&(seed, bpm)| {
+                short
+                    .into_iter()
+                    .chain([past_eight_bars(bpm)])
+                    .map(move |s| (seed, bpm, s))
+            });
+            for (seed, bpm, secs) in paper.chain(off_grid) {
+                let fast = synth_track(seed, bpm, secs, style);
+                let reference = synth_track_reference(seed, bpm, secs, style);
+                assert_eq!(fast.samples().len(), (secs * 44_100.0) as usize);
+                assert!(
+                    bits(&fast) == bits(&reference),
+                    "{style:?} seed {seed} bpm {bpm} secs {secs}"
+                );
             }
         }
     }
