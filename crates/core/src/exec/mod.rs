@@ -63,7 +63,7 @@
 //! that survive the swap is carried over by node name, so DSP state and the
 //! last rendered audio persist and the handover is glitch-free. A staged
 //! generation may be *hollow* — its surviving nodes hold a
-//! [`Vacant`](crate::processor::Vacant) placeholder for the carry-over to
+//! [`vacant`](crate::processor::vacant) placeholder for the carry-over to
 //! fill — and the adopt hands the generation it replaced back to the
 //! caller as a [`RetiredGeneration`] instead of freeing it on the audio
 //! thread.
@@ -220,7 +220,7 @@ impl StagedGeneration {
 
     /// The processor slot of `node`: how a stager installs a real
     /// processor where the graph was built with a
-    /// [`Vacant`](crate::processor::Vacant) one. The replacement must
+    /// [`vacant`](crate::processor::vacant) one. The replacement must
     /// declare the same `output_channels` (the node's buffer is already
     /// laid out).
     pub fn part_mut(&mut self, node: NodeId) -> &mut Box<dyn Processor> {
@@ -272,7 +272,7 @@ pub enum SwapError {
         /// Workers the blueprint was bound for.
         got: usize,
     },
-    /// A staged node holds a [`Vacant`](crate::processor::Vacant)
+    /// A staged node holds a [`vacant`](crate::processor::vacant)
     /// placeholder and the running generation has no node of that name and
     /// channel count to carry a processor over from.
     MissingPart {
@@ -678,7 +678,7 @@ impl ExecGraph {
     /// node keeps its processor box (filters, delay lines, knob settings)
     /// and its last rendered output, so reads between the swap and the next
     /// cycle still see valid audio; `old` is left holding what this graph
-    /// held there (a [`Vacant`](crate::processor::Vacant), for a hollow
+    /// held there (a [`vacant`](crate::processor::vacant), for a hollow
     /// generation). Fails when a vacant node has no survivor to take a
     /// processor from, with every processor back where it was. Returns the
     /// number of carried nodes. Driver only, between cycles (`&mut` on both

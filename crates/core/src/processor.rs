@@ -61,9 +61,9 @@ pub trait Processor: Send {
         None
     }
 
-    /// True only for [`Vacant`]: the node holds no processor of its own and
-    /// must be given one (installed, or carried over by a generation swap)
-    /// before it runs.
+    /// True only for [`vacant`]'s placeholder: the node holds no processor
+    /// of its own and must be given one (installed, or carried over by a
+    /// generation swap) before it runs.
     fn is_vacant(&self) -> bool {
         false
     }
@@ -74,7 +74,7 @@ pub trait Processor: Send {
 /// generation owns topology, buffers and blueprint but no DSP state. A
 /// generation swap refuses to run one (`SwapError::MissingPart`).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Vacant<const CHANNELS: usize>;
+struct Vacant<const CHANNELS: usize>;
 
 impl<const CHANNELS: usize> Processor for Vacant<CHANNELS> {
     fn process(&mut self, _inputs: &[&AudioBuf], output: &mut AudioBuf, _ctx: &CycleCtx<'_>) {
@@ -91,7 +91,7 @@ impl<const CHANNELS: usize> Processor for Vacant<CHANNELS> {
     }
 }
 
-/// A boxed [`Vacant`] with `channels` outputs (1 = mono, anything else
+/// A boxed `Vacant` placeholder with `channels` outputs (1 = mono, anything else
 /// stereo — the two layouts a [`Processor`] may have). Zero-sized, so the
 /// box owns no allocation and dropping it frees nothing.
 pub fn vacant(channels: usize) -> Box<dyn Processor> {

@@ -1,7 +1,10 @@
 #!/bin/sh
-# Callerless public items: a `pub fn` (also `const`/`unsafe`), `pub const`
-# or `pub static` in any crate's src/ that no other source file names is
-# dead API, unless scripts/callerless-allowlist.txt names it with a reason.
+# Callerless public items: a `pub fn` (also `const`/`unsafe`), `pub const`,
+# `pub static`, `pub struct`, `pub enum`, `pub type` or `pub trait` in any
+# crate's src/ that no other source file names is dead API, unless
+# scripts/callerless-allowlist.txt names it with a reason. A type other
+# files use only through a value (a return type, a field) is not named
+# there: narrow it, or allowlist it saying whose value it is.
 # A `pub use` re-export or a comment is not a caller. An allowlist entry
 # that has gained a caller or no longer exists fails too.
 # Run from the repository root: `sh scripts/callerless.sh`.
@@ -27,7 +30,8 @@ bad=""
 for f in $(find crates/*/src -name '*.rs' | sort); do
     names=$(sed -n \
         -e 's/^ *pub \(const \|unsafe \|const unsafe \)\{0,1\}fn \([A-Za-z0-9_]*\).*/\2/p' \
-        -e 's/^ *pub \(const\|static\) \([A-Za-z0-9_]*\) *:.*/\2/p' "$f" | sort -u)
+        -e 's/^ *pub \(const\|static\) \([A-Za-z0-9_]*\) *:.*/\2/p' \
+        -e 's/^ *pub \(struct\|enum\|type\|trait\) \([A-Za-z0-9_]*\).*/\2/p' "$f" | sort -u)
     for name in $names; do
         grep -rlw "$name" "$corpus" | grep -qvx "$corpus/$f" && continue
         flagged="$flagged $name"
