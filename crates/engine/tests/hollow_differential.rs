@@ -16,7 +16,7 @@ use djstar_core::graph::{NodeId, Section, TaskGraphBuilder};
 use djstar_core::processor::Passthrough;
 use djstar_dsp::{AudioBuf, BUFFER_FRAMES};
 use djstar_engine::nodes::controls;
-use djstar_engine::{build_part, build_shaped_graph, hollow_graph, GraphShape};
+use djstar_engine::{build_part, build_shaped_graph, hollow_graph, GraphShape, NodeKey, NodeKind};
 use djstar_workload::scenario::Scenario;
 use djstar_workload::NetSpec;
 
@@ -47,12 +47,12 @@ fn hollow_executor(scenario: &Scenario, shape: &GraphShape) -> Box<dyn GraphExec
     let mut seed = TaskGraphBuilder::new();
     seed.add("nobody", Section::Master, Box::new(Passthrough), &[]);
     let mut exec = BusyExecutor::new(seed.build().unwrap(), 2, BUFFER_FRAMES);
-    let (graph, _) = hollow_graph(scenario, shape);
+    let (graph, map) = hollow_graph(scenario, shape);
     let mut staged = StagedGeneration::new(graph, BUFFER_FRAMES);
     for n in (0..staged.len() as u32).map(NodeId) {
         assert!(staged.part_mut(n).is_vacant());
-        let name = staged.topology().name(n).to_string();
-        *staged.part_mut(n) = build_part(scenario, shape, &name).expect("node of this shape");
+        let key = map.keys[n.0 as usize];
+        *staged.part_mut(n) = build_part(scenario, shape, key).expect("node of this shape");
     }
     let (verdict, _retired) = exec.adopt_generation(staged);
     assert_eq!(verdict, Ok(1));
@@ -75,7 +75,12 @@ fn hollow_plus_parts_is_the_full_graph_bit_for_bit() {
             assert_eq!(th.channels(n), tf.channels(n), "{label} {}", tf.name(n));
         }
         assert_eq!(hollow_map.audio_out, full_map.audio_out, "{label}");
-        assert!(build_part(&scenario, &shape, "FXE1").is_none());
+        let fx_e1 = NodeKey {
+            kind: NodeKind::FX,
+            deck: Some(4),
+            slot: 1,
+        };
+        assert!(build_part(&scenario, &shape, fx_e1).is_none());
 
         let mut full = SequentialExecutor::new(full_graph, BUFFER_FRAMES);
         let mut filled = hollow_executor(&scenario, &shape);
