@@ -10,7 +10,6 @@ use djstar_dsp::eq::ThreeBandEq;
 use djstar_dsp::meter::goertzel_power;
 use djstar_dsp::mix::{mix_into, mix_into_scalar};
 use djstar_dsp::osc::NoiseSource;
-use djstar_dsp::simd;
 use djstar_dsp::stretch::TimeStretcher;
 use djstar_dsp::vmath::{sin_block, tanh_block};
 use djstar_engine::timecode::TimecodeGenerator;
@@ -112,6 +111,7 @@ fn bench_filters() {
     bench("limiter", || lim.process(&mut buf));
     let other = music_buf();
     bench("buf_mix_add", || buf.mix_add(&other, 0.5));
+    bench("buf_rms", || other.rms());
     let src: Vec<f32> = (0..44_100)
         .map(|i| ((i as f32) * 0.06).sin() * 0.7)
         .collect();
@@ -133,7 +133,7 @@ fn bench_filters() {
 }
 
 fn bench_fft() {
-    use djstar_dsp::fft::{fft_inplace, fft_real, Complex};
+    use djstar_dsp::fft::{fft_inplace, fft_real, Complex, Fft};
     group("fft");
     for n in [128usize, 512, 2048] {
         let signal: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.13).sin()).collect();
@@ -143,6 +143,13 @@ fn bench_fft() {
             let mut data = template.clone();
             fft_inplace(&mut data, false);
             fft_inplace(&mut data, true);
+            data[0].re
+        });
+        let mut plan = Fft::new(n);
+        let mut data = template;
+        bench(&format!("fft/plan_roundtrip/{n}"), || {
+            plan.process(&mut data, false);
+            plan.process(&mut data, true);
             data[0].re
         });
     }
@@ -161,8 +168,9 @@ fn spfilter_chain() -> Vec<Biquad> {
     ]
 }
 
-/// Every vectorized kernel, scalar vs SIMD on the same corpus — the raw
-/// per-kernel speedups (the benchmark's `dsp.*_ns` rows track the SIMD side).
+/// Every vectorized kernel that has a scalar reference, scalar vs SIMD on
+/// the same corpus — the raw per-kernel speedups (the benchmark's
+/// `dsp.*_ns` rows track the SIMD side).
 fn bench_simd_pairs() {
     group("simd_vs_scalar_128f");
 
@@ -179,47 +187,25 @@ fn bench_simd_pairs() {
     bench("three_band_eq/scalar", || eq.process_scalar(&mut buf));
     bench("three_band_eq/simd", || eq.process(&mut buf));
 
+    // The summing node's sizes: one to five inputs (the graph's widest
+    // sum), plus eight.
     let inputs: Vec<AudioBuf> = (0..8).map(|_| music_buf()).collect();
-    let refs: Vec<&AudioBuf> = inputs.iter().collect();
     let gains = [0.5f32; 8];
     let mut out = AudioBuf::zeroed(2, djstar_dsp::BUFFER_FRAMES);
-    bench("mix_into_8/scalar", || {
-        mix_into_scalar(&mut out, &refs, &gains)
-    });
-    bench("mix_into_8/simd", || mix_into(&mut out, &refs, &gains));
+    for n in [1usize, 2, 3, 4, 5, 8] {
+        let refs: Vec<&AudioBuf> = inputs[..n].iter().collect();
+        bench(&format!("mix_into_{n}/scalar"), || {
+            mix_into_scalar(&mut out, &refs, &gains[..n])
+        });
+        bench(&format!("mix_into_{n}/simd"), || {
+            mix_into(&mut out, &refs, &gains[..n])
+        });
+    }
 
     let mut comp = Compressor::new(0.3, 4.0, 10.0, djstar_dsp::SAMPLE_RATE);
     let mut buf = music_buf();
     bench("compressor/scalar", || comp.process_scalar(&mut buf));
     bench("compressor/simd", || comp.process(&mut buf));
-
-    use djstar_dsp::fft::{Complex, Fft};
-    for n in [128usize, 1024] {
-        let mut plan = Fft::new(n);
-        let template: Vec<Complex> = (0..n)
-            .map(|i| Complex::new(((i as f32) * 0.13).sin(), 0.0))
-            .collect();
-        let mut data = template.clone();
-        bench(&format!("fft_plan/{n}/scalar"), || {
-            plan.process_scalar(&mut data, false);
-            plan.process_scalar(&mut data, true);
-            data[0].re
-        });
-        let mut data = template;
-        bench(&format!("fft_plan/{n}/simd"), || {
-            plan.process(&mut data, false);
-            plan.process(&mut data, true);
-            data[0].re
-        });
-    }
-
-    // The RMS kernel dispatches on the global SIMD switch, so the scalar
-    // leg forces it off for the duration.
-    let buf = music_buf();
-    simd::set_force_scalar(true);
-    bench("buf_rms/scalar", || buf.rms());
-    simd::set_force_scalar(false);
-    bench("buf_rms/simd", || buf.rms());
 }
 
 /// A 30-s deck track, per-sample reference vs the run-based vector path

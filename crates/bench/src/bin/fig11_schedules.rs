@@ -14,6 +14,7 @@
 use djstar_bench::{build_harness, run_real_executors};
 use djstar_core::exec::Strategy;
 use djstar_core::flight::FlightConfig;
+use djstar_core::graph::NodeId;
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_sim::gantt::{render_schedule, render_trace};
 use djstar_sim::strategy::{simulate_makespans, simulate_strategy, SimStrategy};
@@ -59,7 +60,7 @@ fn main() {
         let first: Vec<String> = order
             .iter()
             .take(8)
-            .map(|&(_, n)| h.graph.name(n).to_string())
+            .map(|&(_, n)| h.topology.name(NodeId(n)).to_string())
             .collect();
         println!("first nodes started: {}\n", first.join(", "));
     }

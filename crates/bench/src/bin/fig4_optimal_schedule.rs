@@ -4,6 +4,7 @@
 //! schedule (paper: 324 µs, +8 %).
 
 use djstar_bench::build_harness;
+use djstar_core::graph::NodeId;
 use djstar_sim::earliest::earliest_start;
 use djstar_sim::gantt::render_schedule;
 use djstar_sim::list::list_schedule;
@@ -31,7 +32,7 @@ fn main() {
         inf.critical_path.len(),
         inf.critical_path
             .iter()
-            .map(|&n| h.graph.name(n))
+            .map(|&n| h.topology.name(NodeId(n)))
             .collect::<Vec<_>>()
             .join(" -> ")
     );

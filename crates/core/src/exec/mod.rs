@@ -318,7 +318,8 @@ pub trait GraphExecutor: Send {
     /// Number of worker threads (including the calling thread).
     fn threads(&self) -> usize;
 
-    /// Execute one full graph cycle with the given external inputs.
+    /// Execute one full graph cycle with the given external audio (see
+    /// [`CycleCtx::external_audio`]; the engine passes none) and controls.
     fn run_cycle(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> CycleResult;
 
     /// Venue path, first half: publish this session's cycle (reset the

@@ -119,7 +119,7 @@ impl std::error::Error for GraphError {}
 
 /// Immutable structural data of a validated graph, shared by executors and
 /// the schedule simulator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GraphTopology {
     names: Vec<String>,
     /// Node index by name (the last node of a name when names repeat),

@@ -5,16 +5,19 @@ use djstar_dsp::AudioBuf;
 
 /// Per-cycle context handed to every node processor.
 ///
-/// The graph itself is application-agnostic; the engine supplies the audio
-/// produced by preprocessing (one buffer per deck) and a flat array of
-/// control values (fader positions, EQ gains, …) that processors index by
-/// convention.
+/// The graph itself is application-agnostic; the caller of
+/// [`GraphExecutor::run_cycle`](crate::exec::GraphExecutor::run_cycle)
+/// supplies external audio buffers and a flat array of control values
+/// (fader positions, EQ gains, …) that processors index by convention. The
+/// engine passes controls only: its graph computes the deck audio in its
+/// own front nodes, so `external_audio` is empty there.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleCtx<'a> {
     /// Monotonically increasing cycle number (also the dependency epoch).
     pub epoch: u64,
-    /// External audio inputs produced by graph preprocessing, e.g. the
-    /// time-stretched deck audio. Source nodes read these.
+    /// External audio inputs, one buffer per deck. Only the paper's
+    /// fixed 67-node graph (`build_djstar_graph`, which has no front
+    /// nodes) reads them, in tests; the engine passes none.
     pub external_audio: &'a [AudioBuf],
     /// External scalar controls (interpretation is up to the application).
     pub controls: &'a [f32],

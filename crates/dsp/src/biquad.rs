@@ -5,17 +5,19 @@
 //! Bristow-Johnson's cookbook formulas; the state uses transposed direct
 //! form II, which is well-behaved in `f32`.
 //!
-//! Whole-buffer filtering is vectorized with channels-in-lanes: both
-//! channels of a frame ride one [`F32x4`], and [`process_chain`] fuses a
-//! whole cascade into a *single* pass over the buffer (per-section state
-//! lives in registers), instead of one read-modify-write pass per section.
-//! The fused pass is bit-identical to the per-section reference: section
-//! `k` still sees exactly the sequence section `k-1` produced, and every
-//! lane operation is the same IEEE-754 single operation the scalar
-//! expression performs (no FMA, no reassociation).
+//! A cascade is vectorized with channels-in-lanes: both channels of a
+//! frame ride one [`F32x4`], and [`process_chain`] fuses the cascade into a
+//! *single* pass over the buffer (per-section state lives in registers),
+//! instead of one read-modify-write pass per section. The fused pass is
+//! bit-identical to the per-section reference [`process_chain_scalar`]:
+//! section `k` still sees exactly the sequence section `k-1` produced, and
+//! every lane operation is the same IEEE-754 single operation the scalar
+//! expression performs (no FMA, no reassociation). A single section
+//! ([`Biquad::process`]) is the per-sample loop: the fused pass measured no
+//! faster on one section (EXPERIMENTS.md E37).
 
 use crate::buffer::AudioBuf;
-use crate::simd::{self, F32x4};
+use crate::simd::F32x4;
 
 /// Filter kinds supported by [`BiquadCoeffs::design`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,16 +192,11 @@ impl Biquad {
     /// Filter a whole buffer in place.
     pub fn process(&mut self, buf: &mut AudioBuf) {
         let _t = crate::kprof::timer(crate::kprof::Family::Biquad);
-        if simd::wide_enabled() {
-            process_chunk_wide(core::slice::from_mut(self), buf);
-        } else {
-            self.process_scalar(buf);
-        }
+        self.tick_buffer(buf);
     }
 
-    /// Scalar reference for [`Biquad::process`]: the seed's per-sample
-    /// `tick` loop. Bit-identical to the vector path.
-    pub fn process_scalar(&mut self, buf: &mut AudioBuf) {
+    /// The per-sample `tick` loop over a buffer, untimed.
+    fn tick_buffer(&mut self, buf: &mut AudioBuf) {
         let channels = buf.channels();
         let frames = buf.frames();
         for i in 0..frames {
@@ -224,19 +221,16 @@ pub fn process_chain(chain: &mut [Biquad], buf: &mut AudioBuf) {
 /// [`process_chain`] without the kernel-family timer, for callers (the EQ)
 /// that account the time to their own family.
 pub(crate) fn chain_dispatch(chain: &mut [Biquad], buf: &mut AudioBuf) {
-    if simd::wide_enabled() {
-        for chunk in chain.chunks_mut(MAX_FUSED) {
-            process_chunk_wide(chunk, buf);
-        }
-    } else {
-        process_chain_scalar(chain, buf);
+    for chunk in chain.chunks_mut(MAX_FUSED) {
+        process_chunk_wide(chunk, buf);
     }
 }
 
-/// Scalar reference for [`process_chain`]: one buffer pass per section.
+/// Scalar reference for [`process_chain`]: one per-sample buffer pass per
+/// section.
 pub fn process_chain_scalar(chain: &mut [Biquad], buf: &mut AudioBuf) {
     for section in chain {
-        section.process_scalar(buf);
+        section.tick_buffer(buf);
     }
 }
 
@@ -448,6 +442,8 @@ mod tests {
 
     #[test]
     fn single_biquad_wide_matches_scalar_exactly() {
+        // A one-section chain through the fused pass against the
+        // per-sample loop `Biquad::process` runs.
         use crate::osc::NoiseSource;
         let mut noise = NoiseSource::new(5);
         let mut wide = Biquad::design(FilterKind::Lowpass, 900.0, 0.9, 44_100);
@@ -456,9 +452,10 @@ mod tests {
             let buf = AudioBuf::from_fn(2, 61, |_, _| noise.next_sample());
             let mut a = buf.clone();
             let mut b = buf.clone();
-            wide.process(&mut a);
-            scalar.process_scalar(&mut b);
+            process_chain(core::slice::from_mut(&mut wide), &mut a);
+            scalar.process(&mut b);
             assert_eq!(a.samples(), b.samples());
+            assert_eq!(wide.state(), scalar.state());
         }
     }
 
@@ -469,8 +466,10 @@ mod tests {
         let mut st = AudioBuf::from_fn(2, 32, |_, _| 1.0);
         filt.process(&mut st);
         let before = filt.clone();
+        // Both paths: the fused pass carries lane 1 as zeros for mono.
         let mut mono = AudioBuf::from_fn(1, 32, |_, _| 0.25);
         filt.process(&mut mono);
+        process_chain(core::slice::from_mut(&mut filt), &mut mono);
         assert_eq!(filt.z1[1], before.z1[1]);
         assert_eq!(filt.z2[1], before.z2[1]);
         assert_ne!(filt.z1[0], before.z1[0]);

@@ -11,7 +11,7 @@
 //! every node output of an executor graph. Views are created once at graph
 //! build time, so the audio hot path never touches the allocator.
 
-use crate::simd::{self, F32x4};
+use crate::simd::F32x4;
 
 /// How a buffer's samples are stored.
 enum Storage {
@@ -293,17 +293,9 @@ impl AudioBuf {
         }
     }
 
-    /// Multiply every sample by `gain`.
+    /// Multiply every sample by `gain`. A plain loop: the compiler
+    /// vectorizes it, and it timed faster than a hand-written 4-lane pass.
     pub fn scale(&mut self, gain: f32) {
-        if simd::wide_enabled() {
-            scale_slice_wide(self.as_mut_slice(), gain);
-        } else {
-            self.scale_scalar(gain);
-        }
-    }
-
-    /// Scalar reference for [`AudioBuf::scale`].
-    pub fn scale_scalar(&mut self, gain: f32) {
         for s in self.as_mut_slice() {
             *s *= gain;
         }
@@ -315,37 +307,11 @@ impl AudioBuf {
         if data.is_empty() {
             return 0.0;
         }
-        let sum = if simd::wide_enabled() {
-            sum_squares_wide(data)
-        } else {
-            data.iter().map(|s| s * s).sum()
-        };
-        (sum / data.len() as f32).sqrt()
+        (sum_squares(data) / data.len() as f32).sqrt()
     }
 
     /// Largest absolute sample value.
     pub fn peak(&self) -> f32 {
-        let data = self.as_slice();
-        if simd::wide_enabled() && data.len() >= 4 {
-            let mut acc = F32x4::zero();
-            let n = data.len() & !3;
-            let mut i = 0;
-            while i < n {
-                acc = acc.max(F32x4::load(&data[i..]).abs());
-                i += 4;
-            }
-            let mut m = acc.hmax();
-            for s in &data[n..] {
-                m = m.max(s.abs());
-            }
-            m
-        } else {
-            self.peak_scalar()
-        }
-    }
-
-    /// Scalar reference for [`AudioBuf::peak`].
-    fn peak_scalar(&self) -> f32 {
         self.as_slice().iter().fold(0.0f32, |m, s| m.max(s.abs()))
     }
 
@@ -353,17 +319,7 @@ impl AudioBuf {
     /// node cost model, mirroring the paper's observation that node run-time
     /// "additionally depends on the actual audio stream data" (§IV).
     pub fn energy(&self) -> f32 {
-        let data = self.as_slice();
-        if simd::wide_enabled() {
-            sum_squares_wide(data)
-        } else {
-            self.energy_scalar()
-        }
-    }
-
-    /// Scalar reference for [`AudioBuf::energy`].
-    fn energy_scalar(&self) -> f32 {
-        self.as_slice().iter().map(|s| s * s).sum()
+        sum_squares(self.as_slice())
     }
 
     /// True if every sample is finite (no NaN/inf escaped a filter).
@@ -372,23 +328,11 @@ impl AudioBuf {
     }
 }
 
-/// `s[i] *= gain` over a slice, 4 lanes at a time.
-pub(crate) fn scale_slice_wide(data: &mut [f32], gain: f32) {
-    let g = F32x4::splat(gain);
-    let n = data.len() & !3;
-    let mut i = 0;
-    while i < n {
-        g.mul(F32x4::load(&data[i..])).store(&mut data[i..]);
-        i += 4;
-    }
-    for s in &mut data[n..] {
-        *s *= gain;
-    }
-}
-
-/// Four-accumulator sum of squares (reassociated; reductions are not part
-/// of the bit-exactness contract, only within-1e-6 agreement).
-fn sum_squares_wide(data: &[f32]) -> f32 {
+/// Sum of squares in four lane accumulators, paired by [`F32x4::hsum`],
+/// then the `len % 4` tail in order. This reassociated sum is the one
+/// form: the cost model seeds `burn` with [`AudioBuf::energy`], so the
+/// engine's output depends on these bits.
+fn sum_squares(data: &[f32]) -> f32 {
     let mut acc = F32x4::zero();
     let n = data.len() & !3;
     let mut i = 0;
@@ -540,20 +484,34 @@ mod tests {
     }
 
     #[test]
-    fn wide_scale_matches_scalar_exactly() {
-        let mut a = AudioBuf::from_fn(2, 21, |ch, i| (ch + i) as f32 * 0.31);
-        let mut b = a.clone();
-        a.scale(0.77);
-        b.scale_scalar(0.77);
-        assert_eq!(a.samples(), b.samples());
-    }
-
-    #[test]
     fn reductions_agree_with_scalar() {
-        let b = AudioBuf::from_fn(2, 37, |ch, i| ((ch * 37 + i) as f32 * 0.7).sin());
-        assert_eq!(b.peak(), b.peak_scalar());
-        assert!((b.rms() - (b.energy_scalar() / b.samples().len() as f32).sqrt()).abs() < 1e-6);
-        assert!((b.energy() - b.energy_scalar()).abs() < 1e-4);
+        // `energy` against a scalar model of its order: lane k sums every
+        // fourth square from k, lanes pair as (0 + 2) + (1 + 3), then the
+        // tail. Mono lengths 0..=9 cover every tail; 37 stereo frames are
+        // 74 samples.
+        for (channels, frames) in (0..=9).map(|f| (1, f)).chain([(2, 37)]) {
+            let b = AudioBuf::from_fn(channels, frames, |ch, i| {
+                ((ch * 37 + i) as f32 * 0.7).sin() * 3.1
+            });
+            let data = b.samples();
+            let len = data.len();
+            let n = len & !3;
+            let mut lanes = [0.0f32; 4];
+            for (i, s) in data[..n].iter().enumerate() {
+                lanes[i % 4] += s * s;
+            }
+            let mut sum = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+            for s in &data[n..] {
+                sum += s * s;
+            }
+            assert_eq!(b.energy().to_bits(), sum.to_bits(), "len {len}");
+            let rms = if len == 0 {
+                0.0
+            } else {
+                (sum / len as f32).sqrt()
+            };
+            assert_eq!(b.rms().to_bits(), rms.to_bits(), "len {len}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the same staging measured no faster than the per-frame loop.
 
 use crate::buffer::AudioBuf;
-use crate::simd::{self, F32x4};
+use crate::simd::F32x4;
 
 /// Frames staged per stack chunk (one engine buffer); no heap involved.
 const CHUNK: usize = 128;
@@ -159,11 +159,7 @@ impl Compressor {
     /// metering).
     pub fn process(&mut self, buf: &mut AudioBuf) -> f32 {
         let _t = crate::kprof::timer(crate::kprof::Family::Dynamics);
-        if simd::wide_enabled() {
-            self.process_wide(buf)
-        } else {
-            self.process_scalar(buf)
-        }
+        self.process_wide(buf)
     }
 
     /// Scalar reference for [`Compressor::process`]: the seed's per-frame

@@ -9,15 +9,12 @@
 //!
 //! * [`fft_inplace`] — the original one-shot transform; recomputes twiddle
 //!   factors incrementally on every call.
-//! * [`Fft`] — a reusable plan that precomputes the bit-reversal table and
-//!   per-stage twiddles once, then runs butterflies over split re/im planes
-//!   4 lanes at a time. The plan's scalar and vector paths share the same
-//!   twiddle tables and evaluate the same formulas element-for-element, so
-//!   they are bit-identical to each other (and the scalar path reproduces
-//!   [`fft_inplace`] exactly, because the tables are built with the same
-//!   incremental recurrence).
+//! * [`Fft`] — a reusable plan that precomputes the per-stage twiddles once,
+//!   then runs butterflies over split re/im planes. It reproduces
+//!   [`fft_inplace`] bit for bit, because the tables are built with the
+//!   same incremental recurrence. The butterflies are a scalar loop: a
+//!   4-lane pass was not ≥ 10 % faster in every run (EXPERIMENTS.md E37).
 
-use crate::simd::{self, F32x4};
 use core::f32::consts::TAU;
 
 /// A complex number in rectangular form.
@@ -193,16 +190,6 @@ impl Fft {
     /// Panics unless `data.len()` equals the planned length.
     pub fn process(&mut self, data: &mut [Complex], inverse: bool) {
         let _t = crate::kprof::timer(crate::kprof::Family::Fft);
-        self.run(data, inverse, simd::wide_enabled());
-    }
-
-    /// Scalar reference for [`Fft::process`]; bit-identical to the vector
-    /// path (and to [`fft_inplace`]).
-    pub fn process_scalar(&mut self, data: &mut [Complex], inverse: bool) {
-        self.run(data, inverse, false);
-    }
-
-    fn run(&mut self, data: &mut [Complex], inverse: bool, wide: bool) {
         let n = self.n;
         assert_eq!(data.len(), n, "buffer length must match the plan");
         if n <= 1 {
@@ -235,7 +222,7 @@ impl Fft {
             while i < n {
                 let (ur, vr) = self.scratch_re[i..i + len].split_at_mut(half);
                 let (ui, vi) = self.scratch_im[i..i + len].split_at_mut(half);
-                butterflies(ur, vr, ui, vi, wr, wi, wide);
+                butterflies(ur, vr, ui, vi, wr, wi);
                 i += len;
             }
             off += half;
@@ -255,9 +242,8 @@ impl Fft {
 }
 
 /// One stage's butterflies over a split block: `u ± w·v` with `u` in
-/// `(ur, ui)` and `v` in `(vr, vi)`. The vector and scalar loops evaluate
-/// the identical per-element formula (no reassociation), so the paths are
-/// bit-identical.
+/// `(ur, ui)` and `v` in `(vr, vi)`, the per-element formula of
+/// [`fft_inplace`].
 fn butterflies(
     ur: &mut [f32],
     vr: &mut [f32],
@@ -265,28 +251,8 @@ fn butterflies(
     vi: &mut [f32],
     wr: &[f32],
     wi: &[f32],
-    wide: bool,
 ) {
-    let half = wr.len();
-    let mut k = 0;
-    if wide {
-        while k + 4 <= half {
-            let wrv = F32x4::load(&wr[k..]);
-            let wiv = F32x4::load(&wi[k..]);
-            let vrv = F32x4::load(&vr[k..]);
-            let viv = F32x4::load(&vi[k..]);
-            let tr = vrv.mul(wrv).sub(viv.mul(wiv));
-            let ti = vrv.mul(wiv).add(viv.mul(wrv));
-            let urv = F32x4::load(&ur[k..]);
-            let uiv = F32x4::load(&ui[k..]);
-            urv.add(tr).store(&mut ur[k..]);
-            uiv.add(ti).store(&mut ui[k..]);
-            urv.sub(tr).store(&mut vr[k..]);
-            uiv.sub(ti).store(&mut vi[k..]);
-            k += 4;
-        }
-    }
-    while k < half {
+    for k in 0..wr.len() {
         let tr = vr[k] * wr[k] - vi[k] * wi[k];
         let ti = vr[k] * wi[k] + vi[k] * wr[k];
         let (a, b) = (ur[k], ui[k]);
@@ -294,7 +260,6 @@ fn butterflies(
         ui[k] = b + ti;
         vr[k] = a - tr;
         vi[k] = b - ti;
-        k += 1;
     }
 }
 
@@ -388,28 +353,10 @@ mod tests {
             let mut plan = Fft::new(n);
             for inverse in [false, true] {
                 fft_inplace(&mut legacy, inverse);
-                plan.process_scalar(&mut planned, inverse);
+                plan.process(&mut planned, inverse);
                 for (a, b) in legacy.iter().zip(&planned) {
                     assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n} inverse={inverse}");
                     assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n} inverse={inverse}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn plan_wide_matches_scalar_exactly() {
-        for n in [2usize, 4, 16, 128, 1024] {
-            let signal = sine(n, 5.0);
-            let mut a: Vec<Complex> = signal.iter().map(|&s| Complex::new(s, 0.25)).collect();
-            let mut b = a.clone();
-            let mut plan = Fft::new(n);
-            for inverse in [false, true] {
-                plan.process(&mut a, inverse);
-                plan.process_scalar(&mut b, inverse);
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "n={n} inverse={inverse}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "n={n} inverse={inverse}");
                 }
             }
         }

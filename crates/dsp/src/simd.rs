@@ -5,46 +5,23 @@
 //! target guarantees — SSE2 `__m128` on `x86_64` (part of the baseline ABI,
 //! no runtime feature detection needed) — behind [`F32x4`], with a plain
 //! `[f32; 4]` fallback elsewhere. Every operation is a lane-wise IEEE-754
-//! single operation (no FMA, no reassociation), so a kernel written against
-//! [`F32x4`] produces **bit-identical** results to the equivalent scalar
-//! loop; the vectorized kernels in this crate lean on that to keep the
-//! determinism-sensitive tests (fault differential, reconfig carry-over,
-//! cross-strategy audio equality) byte-for-byte stable.
+//! single operation (no FMA), so a kernel written against [`F32x4`] that
+//! keeps the scalar loop's per-sample order produces **bit-identical**
+//! results to it; the fused biquad cascade and the compressor lean on that
+//! and are tested against their scalar references bit for bit. A horizontal
+//! reduction ([`F32x4::hsum`]) reassociates its sum and is not equal to a
+//! serial loop: `AudioBuf::{rms, energy}` have that one reassociated form
+//! and no other.
 //!
-//! [`set_force_scalar`] flips every dispatching kernel in the crate onto its
-//! scalar reference path; the `dsp_kernels` bench uses it for timed
-//! scalar↔SIMD pairs of the kernels without a scalar entry point.
+//! Each kernel has one production path. The only run-time choices are CPU
+//! features ([`avx_available`], [`avx2_fma_available`]), never a setting.
 
-use core::sync::atomic::{AtomicBool, Ordering};
-
-/// Lane count of [`F32x4`].
-pub const LANES: usize = 4;
-
-/// When set, [`wide_enabled`] reports `false` and every dispatching kernel
-/// takes its scalar reference path.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Force (or release) the scalar reference path crate-wide.
-///
-/// Only the bench/experiment harnesses flip this; it is racy-by-design in
-/// the sense that in-flight cycles may finish on the old path, so callers
-/// toggle it between engine runs, never mid-cycle.
-pub fn set_force_scalar(force: bool) {
-    FORCE_SCALAR.store(force, Ordering::Release);
-}
-
-/// True when kernels should take their vector path.
-#[inline]
-pub fn wide_enabled() -> bool {
-    !FORCE_SCALAR.load(Ordering::Acquire)
-}
-
-/// True when the 8-lane AVX fast paths may run (`x86_64` with AVX detected
+/// True when the 8-lane AVX mixer pass may run (`x86_64` with AVX detected
 /// at runtime — AVX is *not* part of the baseline ABI, so this is a runtime
-/// check, unlike the unconditional SSE2 shim). The AVX kernels perform the
-/// same lane-wise IEEE-754 single operations in the same per-sample order
-/// as the 4-lane and scalar paths (`vmulps`/`vaddps`, no FMA), so they only
-/// widen throughput; results stay bit-identical.
+/// check, unlike the unconditional SSE2 shim). The pass performs the same
+/// lane-wise IEEE-754 single operations in the same per-sample order as the
+/// scalar path (`vmulps`/`vaddps`, no FMA), so it only widens throughput;
+/// results stay bit-identical.
 pub fn avx_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -64,20 +41,6 @@ pub fn avx2_fma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// True when the 16-lane AVX-512 fast paths may run. Same bit-exactness
-/// contract as [`avx_available`]: lane-wise `vmulps`/`vaddps` only, wider
-/// registers, identical per-sample rounding.
-pub fn avx512_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -160,18 +123,6 @@ mod imp {
             F32x4(unsafe { _mm_mul_ps(self.0, rhs.0) })
         }
 
-        #[inline]
-        pub fn max(self, rhs: Self) -> Self {
-            F32x4(unsafe { _mm_max_ps(self.0, rhs.0) })
-        }
-
-        /// Lane-wise absolute value (sign-bit mask, exact for every input).
-        #[inline]
-        pub fn abs(self) -> Self {
-            let mask = unsafe { _mm_castsi128_ps(_mm_set1_epi32(0x7FFF_FFFF)) };
-            F32x4(unsafe { _mm_and_ps(self.0, mask) })
-        }
-
         /// Horizontal sum as `(l0 + l2) + (l1 + l3)`.
         ///
         /// The pairing is part of the contract: the fallback implementation
@@ -181,13 +132,6 @@ mod imp {
         pub fn hsum(self) -> f32 {
             let [l0, l1, l2, l3] = self.to_array();
             (l0 + l2) + (l1 + l3)
-        }
-
-        /// Horizontal max of all four lanes.
-        #[inline]
-        pub fn hmax(self) -> f32 {
-            let [l0, l1, l2, l3] = self.to_array();
-            l0.max(l2).max(l1.max(l3))
         }
     }
 }
@@ -262,37 +206,9 @@ mod imp {
         }
 
         #[inline]
-        pub fn max(self, rhs: Self) -> Self {
-            let mut out = [0.0; 4];
-            for i in 0..4 {
-                out[i] = if rhs.0[i] > self.0[i] {
-                    rhs.0[i]
-                } else {
-                    self.0[i]
-                };
-            }
-            F32x4(out)
-        }
-
-        #[inline]
-        pub fn abs(self) -> Self {
-            let mut out = [0.0; 4];
-            for i in 0..4 {
-                out[i] = f32::from_bits(self.0[i].to_bits() & 0x7FFF_FFFF);
-            }
-            F32x4(out)
-        }
-
-        #[inline]
         pub fn hsum(self) -> f32 {
             let [l0, l1, l2, l3] = self.0;
             (l0 + l2) + (l1 + l3)
-        }
-
-        #[inline]
-        pub fn hmax(self) -> f32 {
-            let [l0, l1, l2, l3] = self.0;
-            l0.max(l2).max(l1.max(l3))
         }
     }
 }
@@ -322,21 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn abs_minmax_and_reductions() {
-        let v = F32x4::from_array([-1.0, 2.0, -3.0, 4.0]);
-        assert_eq!(v.abs().to_array(), [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(v.hmax(), 4.0);
-        assert_eq!(v.abs().hsum(), (1.0 + 3.0) + (2.0 + 4.0));
-        let lo = F32x4::splat(-0.5);
-        assert_eq!(v.max(lo).to_array(), [-0.5, 2.0, -0.5, 4.0]);
-    }
-
-    #[test]
-    fn force_scalar_toggles_dispatch() {
-        assert!(wide_enabled());
-        set_force_scalar(true);
-        assert!(!wide_enabled());
-        set_force_scalar(false);
-        assert!(wide_enabled());
+    fn hsum_pairs_lanes() {
+        let v = F32x4::from_array([1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(v.hsum(), (1.0 + 3.0) + (2.0 + 4.0));
+        // 1e8 absorbs a 1 alone but not a 2: the pairing is observable.
+        let v = F32x4::from_array([1e8, 1.0, -1e8, 1.0]);
+        assert_eq!(v.hsum(), 2.0);
     }
 }

@@ -21,8 +21,7 @@
 //!   below 120 never runs the large path.
 //!
 //! Both take the vector path when [`simd::avx2_fma_available`] — the
-//! condition under which glibc's own `sinf` ifunc selects `__sinf_fma` — and
-//! [`simd::wide_enabled`]. Lanes outside the ported domain (`tanh`:
+//! condition under which glibc's own `sinf` ifunc selects `__sinf_fma`. Lanes outside the ported domain (`tanh`:
 //! |x| < 2⁻⁵⁵, |x| ≥ 22, NaN, ±∞; `sin`: NaN, ±∞ — every finite `f32` is
 //! ported), the last `len % 8` elements, and hosts without AVX2 + FMA call
 //! `f32::tanh` / `f32::sin` per element, which is also the reference the
@@ -36,7 +35,7 @@ use crate::simd;
 /// `x.tanh()` for every element of `xs`, bit-identical to libm.
 pub fn tanh_block(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if simd::wide_enabled() && simd::avx2_fma_available() {
+    if simd::avx2_fma_available() {
         // SAFETY: AVX2 and FMA presence was just verified at runtime.
         unsafe { x86::tanh_slice(xs) };
         return;
@@ -49,7 +48,7 @@ pub fn tanh_block(xs: &mut [f32]) {
 /// `x.sin()` for every element of `xs`, bit-identical to libm.
 pub fn sin_block(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if simd::wide_enabled() && simd::avx2_fma_available() {
+    if simd::avx2_fma_available() {
         // SAFETY: AVX2 and FMA presence was just verified at runtime.
         unsafe { x86::sin_slice(xs) };
         return;

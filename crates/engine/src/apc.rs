@@ -139,6 +139,11 @@ pub struct AudioEngine {
     /// [`recalibrate_admission`](Self::recalibrate_admission). Staged
     /// blueprints and the admission check both price shapes with it.
     costs: NodeCostModel,
+    /// The running graph's bound under `costs` on this engine's lanes,
+    /// when the staging it committed list-scheduled it (PLAN or
+    /// admission); `None` when no such schedule exists or `costs` or the
+    /// lanes changed since.
+    running_makespan: Option<u64>,
     /// Generations (and their landmark maps) that commits replaced or
     /// refused, kept so the audio thread frees nothing at a switch; dropped
     /// at the next control-plane call.
@@ -321,6 +326,7 @@ impl AudioEngine {
             admission: None,
             stage_failures: 0,
             costs,
+            running_makespan: None,
             retired: Vec::new(),
             aux,
             ctrl,
@@ -539,6 +545,7 @@ impl AudioEngine {
     /// blueprint and admission bound. A blueprint scheduled under stale
     /// inputs must never be committed.
     fn reprice(&mut self) {
+        self.running_makespan = None;
         if let Some(cache) = self.modes.as_mut() {
             cache.invalidate();
         }
@@ -611,9 +618,11 @@ impl AudioEngine {
     /// [`precompile_neighborhood`](Self::precompile_neighborhood).
     pub fn commit(&mut self, staged: StagedTopology) -> Result<u64, SwapError> {
         let (shape, mut map) = (staged.shape, staged.map);
+        let makespan_ns = staged.makespan_ns;
         let (verdict, retired) = self.executor.adopt_generation(staged.staged);
         if verdict.is_ok() {
             self.shape = shape;
+            self.running_makespan = makespan_ns;
             std::mem::swap(&mut self.map, &mut map);
             self.commit_cycles.push(self.cycle);
             if let Some(cache) = self.modes.as_mut() {
@@ -1221,12 +1230,16 @@ impl AudioEngine {
         self.cycle == LEARN_AFTER + LEARN_CYCLES
     }
 
-    /// The running graph's admission bound under [`costs`](Self::costs).
+    /// The running graph's admission bound under [`costs`](Self::costs):
+    /// the makespan its committed staging recorded (a PLAN engine's
+    /// learning re-plan records one), else one list schedule of it.
     pub(crate) fn bound_ns(&self) -> u64 {
-        let topo = self.executor.topology();
-        self.costs
-            .schedule(topo, &self.map.keys, self.threads())
-            .makespan_ns()
+        self.running_makespan.unwrap_or_else(|| {
+            let topo = self.executor.topology();
+            self.costs
+                .schedule(topo, &self.map.keys, self.threads())
+                .makespan_ns()
+        })
     }
 
     /// Close the learning window: price every node at the p50 of its

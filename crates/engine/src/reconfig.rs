@@ -278,6 +278,10 @@ pub struct StagedTopology {
     /// worked it out ahead of the switch (`BlueprintCache::restock`);
     /// [`fill`](Self::fill) computes it otherwise.
     pub(crate) orphans: Option<u128>,
+    /// The makespan of the schedule this generation was staged with, when
+    /// PLAN or admission list-scheduled it: the bound of the graph once it
+    /// is committed, under the costs it was staged with.
+    pub(crate) makespan_ns: Option<u64>,
 }
 
 /// Bit `n` is set when node `n` of `staged` is an orphan: `running` has no
@@ -398,8 +402,9 @@ pub fn stage_topology(
     let (graph, map) = hollow_graph(scenario, shape);
     let schedule = (planned || admission.is_some())
         .then(|| costs.schedule(graph.topology(), &map.keys, threads));
-    if let (Some(adm), Some(schedule)) = (admission, &schedule) {
-        adm.check(shape, schedule.makespan_ns())?;
+    let makespan_ns = schedule.as_ref().map(|s| s.makespan_ns());
+    if let (Some(adm), Some(bound)) = (admission, makespan_ns) {
+        adm.check(shape, bound)?;
     }
     let staged = match schedule.filter(|_| planned) {
         Some(schedule) => StagedGeneration::with_plan(graph, frames, &schedule.lanes())?,
@@ -410,6 +415,7 @@ pub fn stage_topology(
         map,
         staged,
         orphans: None,
+        makespan_ns,
     })
 }
 

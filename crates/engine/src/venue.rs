@@ -379,6 +379,28 @@ mod tests {
     }
 
     #[test]
+    fn the_learned_rebound_is_the_makespan_of_the_running_schedule() {
+        // Cycle 16 closes the learning window: a PLAN session re-plans and
+        // its re-plan's makespan is the bound; a BUSY session schedules its
+        // running graph once. Either way the venue's bound is the list
+        // schedule of the running graph under the learned costs.
+        let mut venue = VenueServer::new(2, Duration::from_secs(2), 0.0);
+        let plan = venue.admit(spec(Strategy::Planned, 2)).expect("fits");
+        let busy = venue.admit(spec(Strategy::Busy, 2)).expect("fits");
+        let priors = [plan, busy].map(|id| venue.bound_ns(id).expect("admitted"));
+        venue.run_cycles(20);
+        for (id, prior) in [plan, busy].into_iter().zip(priors) {
+            let engine = venue.engine_mut(id).expect("admitted above");
+            let (keys, lanes) = (engine.node_map().keys.clone(), engine.threads());
+            let costs = engine.costs().clone();
+            let running = costs.schedule(engine.executor_mut().topology(), &keys, lanes);
+            let bound = venue.bound_ns(id).expect("admitted above");
+            assert_eq!(bound, running.makespan_ns(), "session {id}");
+            assert_ne!(bound, prior, "session {id} was re-priced");
+        }
+    }
+
+    #[test]
     fn a_resize_past_the_shared_pool_is_refused_and_the_session_keeps_running() {
         use crate::reconfig::{EditError, GraphEdit, ReconfigError};
         let mut venue = VenueServer::new(2, Duration::from_secs(1), 0.0);

@@ -4,10 +4,10 @@ use djstar_core::graph::{GraphTopology, NodeId, Section};
 
 /// A self-contained copy of the graph structure used by the simulators
 /// (decoupled from `djstar-core` executors so schedules can be simulated
-/// for arbitrary synthetic graphs too).
+/// for arbitrary synthetic graphs too). It holds no names: node `n` is
+/// named by the [`GraphTopology`] it was captured from.
 #[derive(Debug, Clone)]
 pub struct SimGraph {
-    names: Vec<String>,
     sections: Vec<Section>,
     preds: Vec<Vec<u32>>,
     succs: Vec<Vec<u32>>,
@@ -20,9 +20,6 @@ impl SimGraph {
     pub fn from_topology(topo: &GraphTopology) -> Self {
         let n = topo.len();
         SimGraph {
-            names: (0..n)
-                .map(|i| topo.name(NodeId(i as u32)).to_string())
-                .collect(),
             sections: (0..n).map(|i| topo.section(NodeId(i as u32))).collect(),
             preds: (0..n)
                 .map(|i| topo.preds(NodeId(i as u32)).to_vec())
@@ -62,7 +59,6 @@ impl SimGraph {
             .filter(|&i| preds[i as usize].is_empty())
             .collect();
         SimGraph {
-            names: (0..n).map(|i| format!("n{i}")).collect(),
             sections: vec![Section::Master; n],
             preds,
             succs,
@@ -73,17 +69,12 @@ impl SimGraph {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.sections.len()
     }
 
     /// True when the graph is empty.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Node name.
-    pub fn name(&self, n: u32) -> &str {
-        &self.names[n as usize]
+        self.sections.is_empty()
     }
 
     /// Node section.

@@ -117,7 +117,7 @@ fn main() {
         inf.makespan_ns as f64 / 1e3,
         inf.critical_path
             .iter()
-            .map(|&n| graph.name(n))
+            .map(|&n| engine.executor_mut().topology().name(NodeId(n)).to_string())
             .collect::<Vec<_>>()
             .join(" -> ")
     );

@@ -3,6 +3,7 @@
 //! agree with real traces where physics allows.
 
 use djstar_core::exec::Strategy;
+use djstar_core::graph::{NodeId, TaskGraph};
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::graphbuild::build_djstar_graph;
 use djstar_sim::earliest::earliest_start;
@@ -12,8 +13,13 @@ use djstar_sim::strategy::{simulate_strategy, OverheadModel, SimStrategy};
 use djstar_workload::scenario::Scenario;
 
 fn dj_sim_graph() -> SimGraph {
-    let (graph, _) = build_djstar_graph(&Scenario::light_test());
-    SimGraph::from_topology(graph.topology())
+    SimGraph::from_topology(dj_graph().topology())
+}
+
+/// The paper's graph on the light scenario; its topology names the nodes
+/// of [`dj_sim_graph`].
+fn dj_graph() -> TaskGraph {
+    build_djstar_graph(&Scenario::light_test()).0
 }
 
 fn uniform(graph: &SimGraph, ns: u64) -> DurationModel {
@@ -40,12 +46,13 @@ fn earliest_start_on_dj_graph_shows_the_paper_structure() {
 fn four_core_schedule_close_to_unbounded_on_dj_graph() {
     // The paper's §IV observation: 4 cores cost only ~8 % over infinite
     // cores, because structural parallelism is 4 after the source burst.
-    let graph = dj_sim_graph();
+    let paper = dj_graph();
+    let graph = SimGraph::from_topology(paper.topology());
     // Effect-heavy realistic durations.
     let d = DurationModel::Constant(
         (0..graph.len())
             .map(|n| {
-                let name = graph.name(n as u32);
+                let name = paper.topology().name(NodeId(n as u32));
                 if name.starts_with("FX") {
                     50_000
                 } else if name.starts_with("Channel") {
@@ -109,11 +116,12 @@ fn busy_simulation_tracks_real_sequential_time_at_one_thread() {
 #[test]
 fn speedup_ordering_on_dj_graph_with_realistic_imbalance() {
     // Heaviest chain ~1.5x the lightest, like the paper's Fig. 11.
-    let graph = dj_sim_graph();
+    let paper = dj_graph();
+    let graph = SimGraph::from_topology(paper.topology());
     let d = DurationModel::Constant(
         (0..graph.len())
             .map(|n| {
-                let name = graph.name(n as u32);
+                let name = paper.topology().name(NodeId(n as u32));
                 match name.chars().nth(2) {
                     _ if !name.starts_with("FX") => 3_000,
                     Some('A') => 60_000u64,
