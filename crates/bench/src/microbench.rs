@@ -2,13 +2,20 @@
 //!
 //! The workspace builds offline without Criterion, so the `benches/` targets
 //! use this instead: adaptive batch sizing (double the iteration count until
-//! a batch is long enough to time reliably), then a fixed measurement window,
-//! reporting mean and best ns/iter. Run via `cargo bench` as usual; set
-//! `DJSTAR_BENCH_MS` to change the per-benchmark measurement window.
+//! a batch is long enough to time reliably), then a fixed number of
+//! measurement windows, reporting the median ns/iter of the windows and
+//! their interquartile range — the row's own spread, against which a
+//! difference between two rows can be read. Run via `cargo bench` as usual;
+//! set `DJSTAR_BENCH_MS` to change the per-benchmark measurement time.
 
+use djstar_stats::Summary;
 use std::time::{Duration, Instant};
 
-/// Measurement window per benchmark (milliseconds), `DJSTAR_BENCH_MS`.
+/// Measurement windows per benchmark: the samples of its median and IQR.
+const WINDOWS: u32 = 15;
+
+/// Measurement time per benchmark (milliseconds), `DJSTAR_BENCH_MS`, split
+/// into [`WINDOWS`] windows.
 fn window_ms() -> u64 {
     std::env::var("DJSTAR_BENCH_MS")
         .ok()
@@ -16,7 +23,9 @@ fn window_ms() -> u64 {
         .unwrap_or(200)
 }
 
-/// Time `f`, printing `name  <mean> ns/iter (best <min>)`.
+/// Time `f`, printing `name  <median> ns/iter  (IQR <q3 − q1> ns = <%>, ...)`
+/// over `WINDOWS` (15) windows that split the measurement time evenly; each
+/// window runs whole batches, at least one.
 ///
 /// The closure's return value is passed through [`std::hint::black_box`] so
 /// the optimizer cannot delete the measured work.
@@ -33,24 +42,26 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
         }
         iters *= 2;
     }
-    // Measure whole batches inside the window.
-    let window = Duration::from_millis(window_ms());
-    let start = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut total_ns = 0u128;
-    let mut batches = 0u32;
-    while batches < 3 || (start.elapsed() < window && batches < 1000) {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let ns = t0.elapsed().as_nanos();
-        best = best.min(ns as f64 / iters as f64);
-        total_ns += ns;
-        batches += 1;
-    }
-    let mean = total_ns as f64 / (batches as u64 * iters) as f64;
-    println!("{name:<44} {mean:>12.1} ns/iter   (best {best:.1}, {batches} x {iters})");
+    let window = Duration::from_millis(window_ms()) / WINDOWS;
+    let per_iter: Vec<f64> = (0..WINDOWS)
+        .map(|_| {
+            let start = Instant::now();
+            let mut batches = 0u64;
+            while batches == 0 || start.elapsed() < window {
+                for _ in 0..iters {
+                    std::hint::black_box(f());
+                }
+                batches += 1;
+            }
+            start.elapsed().as_nanos() as f64 / (batches * iters) as f64
+        })
+        .collect();
+    let q = |p| Summary::percentile(&per_iter, p).expect("WINDOWS > 0");
+    let (median, iqr) = (q(50.0), q(75.0) - q(25.0));
+    let pct = 100.0 * iqr / median;
+    println!(
+        "{name:<44} {median:>12.1} ns/iter   (IQR {iqr:.1} = {pct:.1} %, {WINDOWS} windows x {iters})"
+    );
 }
 
 /// Print a section header, mirroring Criterion's group labels.

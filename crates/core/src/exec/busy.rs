@@ -19,21 +19,13 @@
 //! of the session started on this lane's CPU, yields on every poll; the
 //! lane's later waits of that cycle yield from their first poll.
 //!
-//! PLAN ([`Replay`](super::Replay)) is the same wait over a different slot
+//! PLAN (the `Replay` policy) is the same wait over a different slot
 //! list — a blueprint's per-worker slices and cross-worker waits in place of
 //! `k mod T` and all predecessors — so the two share [`spin_then_exec`].
 
-use super::executor::{Lane, Policy, PoolExecutor, QueuePolicy};
-use super::pool::VenuePool;
-use super::{ExecGraph, Strategy};
+use super::executor::Lane;
 use crate::flight::SpanKind;
 use crate::graph::NodeId;
-
-/// The BUSY policy: static round-robin assignment + spin waits.
-pub struct Spin;
-
-/// Busy-waiting executor.
-pub type BusyExecutor = PoolExecutor<Spin>;
 
 /// Spin until every node of `waits` is done for this epoch, then execute
 /// `node` and count it complete.
@@ -61,25 +53,19 @@ pub(super) unsafe fn spin_then_exec(lane: &mut Lane<'_>, node: u32, waits: &[u32
     lane.done();
 }
 
-impl Policy for Spin {
-    const STRATEGY: Strategy = Strategy::Busy;
-
-    unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
-        let sh = lane.sh;
-        let topo = sh.graph().topology();
-        for (k, &node) in topo.queue().iter().enumerate() {
-            if k % sh.threads == lane.me {
-                // SAFETY: exactly-once ownership by round-robin assignment;
-                // all predecessors are waited for.
-                unsafe { spin_then_exec(lane, node, topo.preds(NodeId(node))) };
-            }
+/// The BUSY lane loop: static round-robin assignment + spin waits.
+///
+/// # Safety
+/// As `Policy::run_lane`.
+pub(super) unsafe fn run_lane(lane: &mut Lane<'_>) {
+    let sh = lane.sh;
+    let topo = sh.graph().topology();
+    for (k, &node) in topo.queue().iter().enumerate() {
+        if k % sh.threads == lane.me {
+            // SAFETY: exactly-once ownership by round-robin assignment;
+            // all predecessors are waited for.
+            unsafe { spin_then_exec(lane, node, topo.preds(NodeId(node))) };
         }
-    }
-}
-
-impl QueuePolicy for Spin {
-    fn for_session(_: &ExecGraph, _: usize, _: &VenuePool) -> Self {
-        Spin
     }
 }
 
@@ -87,16 +73,16 @@ impl QueuePolicy for Spin {
 mod tests {
     use super::*;
     use crate::exec::test_support::{
-        diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
+        build, diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
     };
-    use crate::exec::GraphExecutor;
+    use crate::exec::Strategy;
     use djstar_dsp::AudioBuf;
 
     #[test]
     fn computes_same_result_as_sequential() {
         for threads in [1, 2, 3, 4] {
             run_and_check(
-                |g, frames| Box::new(BusyExecutor::new(g, threads, frames)),
+                |g| build(Strategy::Busy, g, threads),
                 &format!("busy-{threads}"),
             );
         }
@@ -104,7 +90,7 @@ mod tests {
 
     #[test]
     fn diamond_sums_correctly_many_cycles() {
-        let mut ex = BusyExecutor::new(diamond_sum_graph(), 2, 8);
+        let mut ex = build(Strategy::Busy, diamond_sum_graph(), 2);
         for _ in 0..200 {
             ex.run_cycle(&[], &[]);
             let mut out = AudioBuf::zeroed(2, 8);
@@ -115,7 +101,7 @@ mod tests {
 
     #[test]
     fn trace_respects_dependencies() {
-        let mut ex = BusyExecutor::new(fan_graph(16), 4, 8);
+        let mut ex = build(Strategy::Busy, fan_graph(16), 4);
         record(&mut ex);
         for _ in 0..20 {
             let trace = traced_cycle(&mut ex);
@@ -127,7 +113,7 @@ mod tests {
 
     #[test]
     fn round_robin_assignment_visible_in_trace() {
-        let mut ex = BusyExecutor::new(fan_graph(8), 2, 8);
+        let mut ex = build(Strategy::Busy, fan_graph(8), 2);
         record(&mut ex);
         let trace = traced_cycle(&mut ex);
         let topo = ex.topology();

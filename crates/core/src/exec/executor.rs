@@ -1,6 +1,6 @@
-//! [`PoolExecutor<P>`]: the one executor (see the module docs of
-//! [`exec`](super) for the policy table), the [`Policy`] trait, and the
-//! [`Lane`] every policy drives.
+//! [`PoolExecutor`]: the one executor (see the module docs of
+//! [`exec`](super) for the policy table), the [`Policy`] value that makes a
+//! session one strategy, and the [`Lane`] every policy drives.
 //!
 //! Policies never touch a clock, a counter or a recorder directly:
 //! `lane.exec(node)` runs one node with fault injection, telemetry and
@@ -10,14 +10,16 @@
 //! execution time into that node's cost histogram; with nothing armed it
 //! takes zero clock reads.
 
-use super::pool::{LaneRunner, PoolBinding, VenuePool};
+use super::planned::Replay;
+use super::pool::{PoolBinding, VenuePool};
+use super::stealing::Steal;
 use super::{
-    current_cpu, Adoption, CycleResult, ExecGraph, GraphExecutor, ScheduleBlueprint, Shared,
-    StagedGeneration, Strategy, UNKNOWN_CPU,
+    busy, current_cpu, sequential, sleeping, Adoption, CycleResult, ExecGraph, ScheduleBlueprint,
+    Shared, StagedGeneration, Strategy, SwapError, UNKNOWN_CPU,
 };
 use crate::faults::FaultPlan;
 use crate::flight::{FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
-use crate::graph::{GraphTopology, NodeId, Section, TaskGraph};
+use crate::graph::{GraphTopology, NodeId, Section};
 use crate::processor::{CycleCtx, Processor};
 use crate::telemetry::{CycleCounters, TelemetryRing, DEFAULT_RING_CAPACITY};
 use djstar_dsp::AudioBuf;
@@ -27,11 +29,73 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How the lanes of a session wait for dependencies: the part of a §V
-/// strategy that is not shared. The set is closed — the four policies of
-/// this module tree — which is why the trait stays crate-private.
-pub(crate) trait Policy: Send + Sync + 'static {
+/// strategy that is not shared, chosen from the [`Strategy`] when the
+/// session is built. Only WS has state of its own beside the graph; PLAN
+/// holds its bound blueprint.
+// One per session, inside the session's `Arc`: WS's padded state stays
+// inline, one pointer from the lanes.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Policy {
+    /// SEQ: no waiting — one lane walks the whole depth queue.
+    Seq,
+    /// BUSY: static round-robin assignment + `Backoff` waits.
+    Spin,
+    /// PLAN: BUSY's wait over a blueprint's slots.
+    Replay(Replay),
+    /// SLEEP (`spin: false`): static round-robin assignment, park on an
+    /// unmet dependency.
+    ///
+    /// HYBRID (`spin: true`), an extension: §VI frames the BUSY-vs-SLEEP
+    /// trade-off as all-or-nothing — spinning wins because cycles are
+    /// short, "if wasting resources on waiting is not an option,
+    /// work-stealing is a solid alternative". The classic middle ground,
+    /// spin for a bounded time and then park, is the follow-up the paper
+    /// leaves open: a blocked lane polls for [`SPIN_PHASE`](super::SPIN_PHASE)
+    /// (10 µs by the clock, the spin phase of every executor wait), then
+    /// parks like SLEEP; once a phase that ran out finds the lane's CPU
+    /// shared with another lane of the session, the lane's later waits of
+    /// that cycle park at once. The simulator's `simulate_hybrid` sweeps
+    /// other spin lengths as a what-if.
+    Park {
+        /// Poll through the spin phase before parking.
+        spin: bool,
+    },
+    /// WS: per-lane deques of ready nodes plus the idle set.
+    Steal(Steal),
+}
+
+impl Policy {
+    /// The policy of a `lanes`-lane `strategy` session over `exec` on
+    /// `pool`; PLAN replays `plan`, which must have been bound for
+    /// `lanes` lanes — the check [`adopt`](Self::adopt) makes too.
+    fn new(
+        strategy: Strategy,
+        exec: &ExecGraph,
+        plan: Option<ScheduleBlueprint>,
+        lanes: usize,
+        pool: &VenuePool,
+    ) -> Result<Self, SwapError> {
+        Ok(match strategy {
+            Strategy::Sequential => Policy::Seq,
+            Strategy::Busy => Policy::Spin,
+            Strategy::Sleep => Policy::Park { spin: false },
+            Strategy::Hybrid => Policy::Park { spin: true },
+            Strategy::Steal => Policy::Steal(Steal::new(exec.len(), lanes, pool)),
+            Strategy::Planned => Policy::Replay(Replay::new(plan, lanes)?),
+        })
+    }
+
     /// The label sessions of this policy report.
-    const STRATEGY: Strategy;
+    fn strategy(&self) -> Strategy {
+        match self {
+            Policy::Seq => Strategy::Sequential,
+            Policy::Spin => Strategy::Busy,
+            Policy::Replay(_) => Strategy::Planned,
+            Policy::Park { spin: false } => Strategy::Sleep,
+            Policy::Park { spin: true } => Strategy::Hybrid,
+            Policy::Steal(_) => Strategy::Steal,
+        }
+    }
 
     /// Run lane `lane.me` of cycle `lane.epoch` to completion: execute
     /// every node this lane owns, each exactly once and only after its
@@ -41,18 +105,39 @@ pub(crate) trait Policy: Send + Sync + 'static {
     /// The caller holds the epoch happens-before edge (pool-epoch `Acquire`
     /// for workers; the driver published the cycle itself) and is the only
     /// participant running this lane of this session this cycle.
-    unsafe fn run_lane(&self, lane: &mut Lane<'_>);
+    unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
+        // SAFETY: the caller's contract is each loop's.
+        unsafe {
+            match self {
+                Policy::Seq => sequential::run_lane(lane),
+                Policy::Spin => busy::run_lane(lane),
+                Policy::Replay(replay) => replay.run_lane(lane),
+                Policy::Park { spin } => sleeping::run_lane(lane, *spin),
+                Policy::Steal(steal) => steal.run_lane(lane),
+            }
+        }
+    }
 
     /// Driver-side, after `prepare_cycle` and before the epoch is
-    /// published: hand out the cycle's initial work.
-    fn seed(&self, _sh: &Shared) {}
+    /// published: hand out the cycle's initial work (WS seeds its deques).
+    fn seed(&self, sh: &Shared) {
+        if let Policy::Steal(steal) = self {
+            steal.seed(sh);
+        }
+    }
 
     /// Driver-side, after the done-count barrier: wait for whatever else
-    /// must be quiet before the driver owns the session again.
-    fn settle(&self, _sh: &Shared) {}
+    /// must be quiet before the driver owns the session again (WS: its
+    /// exit barrier).
+    fn settle(&self, sh: &Shared) {
+        if let Policy::Steal(steal) = self {
+            steal.settle(sh);
+        }
+    }
 
-    /// Swap in a staged generation (and whatever policy state is sized or
-    /// bound to it).
+    /// Swap in a staged generation, and whatever policy state is sized or
+    /// bound to it: PLAN checks and swaps the blueprint, WS grows its
+    /// deques.
     ///
     /// # Safety
     /// Driver-only, with no cycle in flight and the pool quiesced.
@@ -62,7 +147,14 @@ pub(crate) trait Policy: Send + Sync + 'static {
         exec: ExecGraph,
         plan: Option<ScheduleBlueprint>,
     ) -> Adoption {
-        sh.adopt_exec(exec, plan)
+        // SAFETY: the caller's contract.
+        unsafe {
+            match self {
+                Policy::Replay(replay) => replay.adopt(sh, exec, plan),
+                Policy::Steal(steal) => steal.adopt(sh, exec, plan),
+                _ => sh.adopt_exec(exec, plan),
+            }
+        }
     }
 }
 
@@ -306,18 +398,23 @@ impl<'a> Lane<'a> {
 }
 
 /// What a pool entry points at: one session's shared state and its policy.
-pub(crate) struct Session<P> {
+pub(crate) struct Session {
     pub(crate) shared: Shared,
-    pub(crate) policy: P,
+    pub(crate) policy: Policy,
 }
 
-impl<P: Policy> LaneRunner for Session<P> {
-    fn lanes(&self) -> usize {
+impl Session {
+    /// Lanes this session runs on (`1..=pool lanes`).
+    pub(crate) fn lanes(&self) -> usize {
         self.shared.threads
     }
 
-    unsafe fn run_lane(&self, me: usize, epoch: u64) {
-        // SAFETY: the caller's contract is `Policy::run_lane`'s.
+    /// Run lane `me` of this session's cycle `epoch`.
+    ///
+    /// # Safety
+    /// As [`Policy::run_lane`].
+    pub(crate) unsafe fn run_lane(&self, me: usize, epoch: u64) {
+        // SAFETY: the caller's contract.
         unsafe {
             let mut lane = Lane::begin(&self.shared, me, epoch);
             lane.stalls();
@@ -326,13 +423,11 @@ impl<P: Policy> LaneRunner for Session<P> {
     }
 }
 
-/// A graph session on a [`VenuePool`], scheduled by wait policy `P`. All
-/// six strategies are this type (see the aliases: `SequentialExecutor`,
-/// `BusyExecutor`, `SleepExecutor`, `StealExecutor`, `HybridExecutor`,
-/// `PlannedExecutor`); a solo executor is the one session of a private
-/// pool.
-pub struct PoolExecutor<P> {
-    session: Arc<Session<P>>,
+/// A graph session on a [`VenuePool`], scheduled by the wait policy of its
+/// [`Strategy`]. Every strategy is this type; a solo executor is the one
+/// session of a private pool, SEQ a one-lane session.
+pub struct PoolExecutor {
+    session: Arc<Session>,
     pool: PoolBinding,
     /// The last cycle epoch handed out; driver-owned, published to the
     /// lanes through the pool entry under the pool epoch's `Release`.
@@ -343,54 +438,83 @@ pub struct PoolExecutor<P> {
     tag: u32,
 }
 
-// The policy traits are crate-private on purpose (a closed set): from
-// outside, these impls are reachable only through the six aliases.
-#[allow(private_bounds)]
-impl<P: Policy> PoolExecutor<P> {
-    /// Register `exec` as a session of `threads` lanes on `pool`, scheduled
-    /// by `policy`.
+impl PoolExecutor {
+    /// Build a `strategy` session of `lanes` lanes (including the calling
+    /// thread; SEQ takes one whatever `lanes` says) running `staged`, on a
+    /// private pool of exactly those lanes. See
+    /// [`with_pool`](Self::with_pool).
     ///
     /// # Panics
-    /// Panics if `threads` is outside `1..=64` or exceeds the pool's lanes.
-    pub(crate) fn register(
-        exec: ExecGraph,
-        threads: usize,
+    /// Panics if the session's lane count is outside `1..=64`.
+    pub fn new(
+        strategy: Strategy,
+        staged: StagedGeneration,
+        lanes: usize,
+    ) -> Result<Self, SwapError> {
+        let pool = Arc::new(VenuePool::new(strategy.lanes(lanes)));
+        Self::with_pool(strategy, staged, lanes, &pool)
+    }
+
+    /// Build a `strategy` session of `lanes` lanes running `staged` and
+    /// register it on `pool`. The session takes `staged` the way
+    /// [`adopt_generation`](Self::adopt_generation) would, from a running
+    /// generation with no nodes: PLAN refuses a generation staged without
+    /// a blueprint or bound for another lane count, and every strategy
+    /// refuses a [`vacant`](crate::processor::vacant) node. Other
+    /// strategies ignore a staged blueprint.
+    ///
+    /// # Panics
+    /// Panics if the session's lane count is outside `1..=64` or exceeds
+    /// the pool's.
+    pub fn with_pool(
+        strategy: Strategy,
+        staged: StagedGeneration,
+        lanes: usize,
         pool: &Arc<VenuePool>,
-        policy: P,
-    ) -> Self {
-        assert!((1..=64).contains(&threads), "1..=64 threads supported");
-        let shared = Shared::new(exec, pool.session_handles(threads));
+    ) -> Result<Self, SwapError> {
+        let lanes = strategy.lanes(lanes);
+        assert!((1..=64).contains(&lanes), "1..=64 lanes supported");
+        let (mut exec, plan) = staged.into_parts();
+        exec.check_filled()?;
+        let policy = Policy::new(strategy, &exec, plan, lanes, pool)?;
+        let shared = Shared::new(exec, pool.session_handles(lanes));
         let session = Arc::new(Session { shared, policy });
-        let pool = pool.register(Arc::clone(&session) as Arc<dyn LaneRunner>);
-        PoolExecutor {
+        let pool = pool.register(Arc::clone(&session));
+        Ok(PoolExecutor {
             session,
             pool,
             epoch: 0,
             telemetry: None,
             learning: false,
             tag: 0,
-        }
-    }
-
-    pub(crate) fn policy(&self) -> &P {
-        &self.session.policy
+        })
     }
 
     fn ring(&self, capacity: usize) -> TelemetryRing {
         TelemetryRing::with_session(capacity, self.session.shared.threads, self.tag)
     }
-}
 
-impl<P: Policy> GraphExecutor for PoolExecutor<P> {
-    fn strategy(&self) -> Strategy {
-        P::STRATEGY
+    /// Which strategy this executor runs.
+    pub fn strategy(&self) -> Strategy {
+        self.session.policy.strategy()
     }
 
-    fn threads(&self) -> usize {
+    /// Number of lanes (including the calling thread).
+    pub fn threads(&self) -> usize {
         self.session.shared.threads
     }
 
-    fn run_cycle(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> CycleResult {
+    /// PLAN: the blueprint being replayed (for the current generation).
+    pub fn blueprint(&self) -> Option<&ScheduleBlueprint> {
+        match &self.session.policy {
+            Policy::Replay(replay) => Some(replay.plan()),
+            _ => None,
+        }
+    }
+
+    /// Execute one full graph cycle with the given external audio (see
+    /// [`CycleCtx::external_audio`]; the engine passes none) and controls.
+    pub fn run_cycle(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> CycleResult {
         let epoch = self.venue_stage(external_audio, controls);
         self.pool.pool().dispatch();
         // SAFETY: the driver published this cycle itself and lane 0 is its.
@@ -400,7 +524,14 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         result
     }
 
-    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> u64 {
+    /// Venue path, first half: publish this session's cycle (reset the
+    /// graph, copy externals, bump the session epoch) WITHOUT dispatching
+    /// pool workers, and stage it for the pool's next batch. Returns the
+    /// session epoch to pass to [`venue_collect`](Self::venue_collect).
+    /// After staging every session, the caller fires one
+    /// [`VenuePool::dispatch`], runs each staged session's driver share via
+    /// [`VenuePool::run_driver_parts`], and collects.
+    pub fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> u64 {
         // The previous batch must be fully exited before any session state
         // is reset (a lagging pool worker could still be inside it).
         self.pool.pool().quiesce();
@@ -421,7 +552,13 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         self.epoch
     }
 
-    fn venue_collect(&mut self, epoch: u64) -> CycleResult {
+    /// Venue path, second half: wait for this session's staged cycle
+    /// (published by [`venue_stage`](Self::venue_stage)) to complete and
+    /// harvest its timing, telemetry and cycle stamp exactly as
+    /// `run_cycle` would. Must only be called with the epoch returned by
+    /// the matching `venue_stage`, after the batch was dispatched and the
+    /// driver parts ran.
+    pub fn venue_collect(&mut self, epoch: u64) -> CycleResult {
         let Session { shared, policy } = &*self.session;
         shared.wait_cycle_done();
         policy.settle(shared);
@@ -443,14 +580,21 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         CycleResult { duration }
     }
 
-    fn set_session(&mut self, session: u32) {
+    /// Tag this executor's exported telemetry rings and flight windows
+    /// with a venue session id (0 = single-session default). Takes effect
+    /// for rings/recorders installed *after* the call; the venue server
+    /// sets it once, right after construction.
+    pub fn set_session(&mut self, session: u32) {
         self.tag = session;
         if let Some(r) = &self.telemetry {
             self.telemetry = Some(self.ring(r.capacity()));
         }
     }
 
-    fn set_telemetry(&mut self, on: bool) {
+    /// Enable/disable telemetry counter collection (a handful of
+    /// `Relaxed` counter adds per node, no allocation inside a cycle); off
+    /// by default.
+    pub fn set_telemetry(&mut self, on: bool) {
         if !on {
             self.telemetry = None;
         } else if self.telemetry.is_none() {
@@ -458,19 +602,34 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         }
     }
 
-    fn take_telemetry(&mut self) -> Option<TelemetryRing> {
+    /// Take the ring of per-cycle telemetry records collected so far.
+    /// Collection continues afterwards (with a fresh ring) if telemetry is
+    /// still enabled. `None` when telemetry is off.
+    pub fn take_telemetry(&mut self) -> Option<TelemetryRing> {
         let fresh = self.telemetry.as_ref().map(|r| self.ring(r.capacity()));
         std::mem::replace(&mut self.telemetry, fresh)
     }
 
-    fn set_faults(&mut self, plan: Option<FaultPlan>) {
+    /// Install (or clear, with `None`) a fault-injection plan. Driver-only
+    /// between cycles (`&mut self`); takes effect from the next
+    /// `run_cycle`. With no plan installed the node-execution path pays
+    /// one well-predicted branch on an already-loaded `Option` per node,
+    /// nothing more.
+    pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
         self.pool.pool().quiesce();
         // SAFETY: driver-only between cycles (`&mut self`), pool quiescent;
         // published to workers by the next epoch Release store.
         unsafe { self.session.shared.faults.set(plan) };
     }
 
-    fn set_learning(&mut self, on: bool) {
+    /// Arm (or disarm) per-node cost learning. While armed, the lane that
+    /// runs a node folds the node's execution time — the interval
+    /// telemetry's `exec_ns` books, injected faults included — into that
+    /// node's preallocated log histogram; arming clears every histogram.
+    /// Takes effect from the next cycle and allocates nothing. A session
+    /// holds one histogram per node of the graph it was built with: after
+    /// a swap to a larger graph, the nodes past that count go unrecorded.
+    pub fn set_learning(&mut self, on: bool) {
         if on {
             self.pool.pool().quiesce();
             // SAFETY: as `set_faults`.
@@ -479,13 +638,27 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         self.learning = on;
     }
 
-    fn learned_quantiles(&mut self, q: f64) -> Vec<Option<u64>> {
+    /// The nearest-rank `q`-quantile (`q` in `(0, 1]`) of each node's
+    /// learned execution time in ns, in node order, within 3.2 % (half a
+    /// histogram bucket); `None` for a node with no sample. Driver-only
+    /// between cycles (`&mut self`).
+    pub fn learned_quantiles(&mut self, q: f64) -> Vec<Option<u64>> {
         self.pool.pool().quiesce();
         // SAFETY: as `set_faults`.
         unsafe { self.session.shared.cost_quantiles(q) }
     }
 
-    fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
+    /// Install (or clear, with `None`) a flight recorder sized by `cfg`
+    /// and tagged with the executor's session id. All buffers are
+    /// allocated here, up front; from the next cycle the executor records
+    /// every Exec/BusyWait/Sleep/Steal/Unpark/Fault/NetWait/Conceal
+    /// interval into pre-allocated overwrite-oldest per-worker rings — the
+    /// executor's one recording primitive, which
+    /// [`ScheduleTrace::of_cycle`](crate::trace::ScheduleTrace::of_cycle)
+    /// folds into a cycle's schedule trace. Disabled, the hot path pays one
+    /// plain load of the empty slot — the same zero-cost-when-off contract
+    /// as [`set_faults`](Self::set_faults).
+    pub fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
         self.pool.pool().quiesce();
         let (lanes, session) = (self.session.shared.threads, self.tag);
         let rec = cfg.map(|c| FlightRecorder::new(lanes, FlightConfig { session, ..c }));
@@ -493,7 +666,11 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         unsafe { self.session.shared.recorder.set(rec) };
     }
 
-    fn take_flight_window(&mut self) -> Option<FlightWindow> {
+    /// Freeze and take the flight-recorder capture accumulated so far
+    /// (spans + cycle stamps); recording continues into the emptied
+    /// buffers. `None` when no recorder is installed. Driver-only between
+    /// cycles (`&mut self`).
+    pub fn take_flight_window(&mut self) -> Option<FlightWindow> {
         self.pool.pool().quiesce();
         // SAFETY: as `set_faults`; recording continues into the emptied
         // buffers.
@@ -502,7 +679,15 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
             .map(|r| r.take_window())
     }
 
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
+    /// Adopt a staged topology generation at a cycle boundary (`&mut self`
+    /// proves no cycle is in flight). Runtime state of nodes that exist in
+    /// both generations (matched by name) is carried over; workers are not
+    /// torn down — the next cycle's epoch store publishes the new graph.
+    /// Returns the new generation number; on `Err` the running generation
+    /// is unchanged. Either way a generation comes back — the replaced one,
+    /// or the refused `staged` — for the caller to drop off the audio
+    /// thread: the adopt itself frees neither.
+    pub fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption {
         let (exec, plan) = staged.into_parts();
         self.pool.pool().quiesce();
         let Session { shared, policy } = &*self.session;
@@ -518,86 +703,39 @@ impl<P: Policy> GraphExecutor for PoolExecutor<P> {
         adoption
     }
 
-    fn generation(&self) -> u64 {
+    /// The topology generation currently running (0 before any swap).
+    pub fn generation(&self) -> u64 {
         self.session.shared.generation.load(Ordering::Relaxed)
     }
 
-    fn read_output(&mut self, node: NodeId, dst: &mut AudioBuf) {
+    /// Copy a node's output buffer into `dst` (call between cycles only;
+    /// enforced by `&mut self`).
+    pub fn read_output(&mut self, node: NodeId, dst: &mut AudioBuf) {
         self.pool.pool().quiesce();
         // SAFETY: `&mut self` proves no cycle in flight; the pool is
         // quiescent, so workers touch no node state.
         unsafe { self.session.shared.graph().read_output_unsync(node, dst) };
     }
 
-    fn node_processor(&mut self, node: NodeId) -> &mut dyn Processor {
+    /// Mutable access to a node's processor between cycles (to turn knobs).
+    pub fn node_processor(&mut self, node: NodeId) -> &mut dyn Processor {
         self.pool.pool().quiesce();
         // SAFETY: as in `read_output`.
         unsafe { self.session.shared.graph().node_processor_unsync(node) }
     }
 
-    fn topology(&self) -> &GraphTopology {
+    /// The graph topology.
+    pub fn topology(&self) -> &GraphTopology {
         self.session.shared.graph().topology()
-    }
-}
-
-/// A policy that needs nothing from its caller but the session's shape —
-/// BUSY, SLEEP and WS. Their executors share one set of constructors.
-pub(crate) trait QueuePolicy: Policy {
-    /// The policy state for a `threads`-lane session over `exec` on `pool`.
-    fn for_session(exec: &ExecGraph, threads: usize, pool: &VenuePool) -> Self;
-}
-
-#[allow(private_bounds)]
-impl<P: QueuePolicy> PoolExecutor<P> {
-    /// Build the executor with `threads` lanes (including the calling
-    /// thread) over `graph` with `frames`-frame buffers, on a private pool.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0` or `threads > 64`.
-    pub fn new(graph: TaskGraph, threads: usize, frames: usize) -> Self {
-        let pool = Arc::new(VenuePool::new(threads));
-        Self::with_pool(graph, threads, frames, &pool)
-    }
-
-    /// Register this session on an existing shared [`VenuePool`] instead of
-    /// spawning private threads. `threads` is this session's lane count and
-    /// must not exceed the pool's.
-    pub fn with_pool(
-        graph: TaskGraph,
-        threads: usize,
-        frames: usize,
-        pool: &Arc<VenuePool>,
-    ) -> Self {
-        let exec = ExecGraph::new(graph, frames);
-        let policy = P::for_session(&exec, threads, pool);
-        Self::register(exec, threads, pool, policy)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::fan_graph;
-    use super::super::{
-        round_robin_lanes, BusyExecutor, HybridExecutor, PlannedExecutor, SequentialExecutor,
-        SleepExecutor, StealExecutor, SwapError,
-    };
+    use super::super::test_support::{build, fan_graph};
+    use super::super::SwapError;
     use super::*;
-    use crate::graph::{Section, TaskGraphBuilder};
-
-    fn make(strategy: Strategy, lanes: usize) -> Box<dyn GraphExecutor> {
-        let g = fan_graph(5);
-        match strategy {
-            Strategy::Sequential => Box::new(SequentialExecutor::new(g, 8)),
-            Strategy::Busy => Box::new(BusyExecutor::new(g, lanes, 8)),
-            Strategy::Sleep => Box::new(SleepExecutor::new(g, lanes, 8)),
-            Strategy::Steal => Box::new(StealExecutor::new(g, lanes, 8)),
-            Strategy::Hybrid => Box::new(HybridExecutor::new(g, lanes, 8)),
-            Strategy::Planned => {
-                let lanes = round_robin_lanes(g.topology(), lanes);
-                Box::new(PlannedExecutor::new(g, 8, &lanes))
-            }
-        }
-    }
+    use crate::graph::TaskGraphBuilder;
 
     /// Every strategy is the same executor, so the control surface is the
     /// same: nothing is "unsupported" anywhere.
@@ -606,7 +744,7 @@ mod tests {
         for strategy in Strategy::ALL {
             for lanes in 1..=3 {
                 let tag = format!("{strategy:?} x {lanes}");
-                let mut ex = make(strategy, lanes);
+                let mut ex = build(strategy, fan_graph(5), lanes);
                 let nodes = ex.topology().len();
                 assert_eq!(ex.strategy(), strategy, "{tag}");
                 let want = if strategy == Strategy::Sequential {
@@ -641,12 +779,7 @@ mod tests {
                 let mut b = TaskGraphBuilder::new();
                 b.add("ghost", Section::Master, crate::processor::vacant(2), &[]);
                 let ghost = b.build().unwrap();
-                let staged = if strategy == Strategy::Planned {
-                    let lanes = round_robin_lanes(ghost.topology(), lanes);
-                    StagedGeneration::with_plan(ghost, 8, &lanes).unwrap()
-                } else {
-                    StagedGeneration::new(ghost, 8)
-                };
+                let staged = StagedGeneration::round_robin(ghost, 8, lanes);
                 let (verdict, retired) = ex.adopt_generation(staged);
                 let missing = SwapError::MissingPart {
                     name: "ghost".into(),
@@ -659,6 +792,38 @@ mod tests {
         }
     }
 
+    /// A session is built the way it adopts: PLAN refuses a generation
+    /// staged without a blueprint or for another lane count, every
+    /// strategy a vacant node; SEQ takes one lane whatever it is given.
+    #[test]
+    fn construction_refuses_what_adopt_refuses() {
+        let planless = StagedGeneration::new(fan_graph(5), 8);
+        let refused = PoolExecutor::new(Strategy::Planned, planless, 2).err();
+        assert_eq!(refused, Some(SwapError::NoPlan));
+        let three = StagedGeneration::round_robin(fan_graph(5), 8, 3);
+        let refused = PoolExecutor::new(Strategy::Planned, three, 2).err();
+        let mismatch = SwapError::ThreadMismatch {
+            expected: 2,
+            got: 3,
+        };
+        assert_eq!(refused, Some(mismatch));
+        for strategy in Strategy::ALL {
+            let mut b = TaskGraphBuilder::new();
+            b.add("ghost", Section::Master, crate::processor::vacant(2), &[]);
+            let staged = StagedGeneration::round_robin(b.build().unwrap(), 8, 2);
+            let missing = SwapError::MissingPart {
+                name: "ghost".into(),
+            };
+            let refused = PoolExecutor::new(strategy, staged, 2).err();
+            assert_eq!(refused, Some(missing), "{strategy:?}");
+        }
+        let seq = build(Strategy::Sequential, fan_graph(5), 4);
+        assert_eq!((seq.threads(), seq.blueprint()), (1, None));
+        // An executor can move to the thread that drives it.
+        fn assert_send<T: Send>() {}
+        assert_send::<PoolExecutor>();
+    }
+
     /// An APC-phase node runs and is recorded like any node, but takes no
     /// fault and is not booked as graph execution.
     #[test]
@@ -667,7 +832,7 @@ mod tests {
         let mut b = TaskGraphBuilder::new();
         let phase = b.add("phase", Section::Apc, pt(), &[]);
         b.add("graph", Section::Master, pt(), &[phase]);
-        let mut ex = SequentialExecutor::new(b.build().unwrap(), 8);
+        let mut ex = build(Strategy::Sequential, b.build().unwrap(), 1);
         let every_node_spikes = FaultPlan {
             spike_rate: 1.0,
             spike_iters: 10,

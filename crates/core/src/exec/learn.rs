@@ -1,7 +1,7 @@
 //! In-place node-cost learning: one preallocated, fixed-bucket log
 //! histogram per node of a session, into which the lane that ran a node
 //! folds the node's execution time while the session's learning bit is
-//! armed (see [`GraphExecutor::set_learning`](super::GraphExecutor::set_learning)).
+//! armed (see [`PoolExecutor::set_learning`](super::PoolExecutor::set_learning)).
 //!
 //! Buckets are exact below 16 ns and then split every power of two into
 //! 16 equal sub-buckets, so a bucket spans at most 1/16 of its lower edge

@@ -4,22 +4,25 @@
 //! The paper's §V strategies share one queue and one graph and differ only
 //! in *how a thread waits for a dependency*. The code says the same: a
 //! [`PoolExecutor`] owns the session state, the pool membership and all
-//! instrumentation, and a small wait *policy* supplies the lane loop —
+//! instrumentation, and a wait *policy*, a value chosen from the
+//! [`Strategy`] when the session is built, supplies the lane loop —
 //!
 //! | policy | labels | a lane waits by | hooks |
 //! |---|---|---|---|
-//! | [`Seq`] | SEQ | not at all: one lane walks the whole queue | — |
-//! | [`Spin`] / [`Replay`] | BUSY / PLAN | a `Backoff` wait on `done_epoch` (round-robin slots / blueprint slots) | `adopt` (PLAN: check the lane count + swap the blueprint, bound at staging) |
-//! | [`Park`] | SLEEP, HYBRID | parking on `pending` — HYBRID after `Backoff`'s spin phase | — |
-//! | [`Steal`] | WS | popping, stealing, then parking in the idle set | `seed`, `settle`, `adopt` |
+//! | `Seq` | SEQ | not at all: one lane walks the whole queue | — |
+//! | `Spin` / `Replay` | BUSY / PLAN | a `Backoff` wait on `done_epoch` (round-robin slots / blueprint slots) | `adopt` (PLAN: check the lane count + swap the blueprint, bound at staging) |
+//! | `Park { spin }` | SLEEP, HYBRID | parking on `pending` — HYBRID after `Backoff`'s spin phase | — |
+//! | `Steal` | WS | popping, stealing, then parking in the idle set | `seed`, `settle`, `adopt` |
 //!
-//! The six `*Executor` names are type aliases of [`PoolExecutor`].
+//! An executor is built from a strategy, a [`StagedGeneration`], a lane
+//! count and a pool ([`PoolExecutor::new`] for a private one,
+//! [`PoolExecutor::with_pool`] for a shared one), and takes its first
+//! generation the way it adopts every later one.
 //! `Backoff` is the one poll loop: every wait above that polls, the
 //! driver's done barrier, WS `settle` and the pool's batch wait and
 //! quiesce run through it. A PLAN schedule reaches core as per-lane node
-//! orders and is bound to a graph once, where the two meet
-//! ([`ScheduleBlueprint::bind`], called by [`PlannedExecutor::new`] and
-//! [`StagedGeneration::with_plan`]).
+//! orders and is bound to a graph once, where the two meet:
+//! [`StagedGeneration::with_plan`] calls [`ScheduleBlueprint::bind`].
 //!
 //! # The epoch protocol
 //!
@@ -52,7 +55,7 @@
 //! Topology is *generational*: a [`StagedGeneration`] (a fully built
 //! [`ExecGraph`], plus for PLAN a [`ScheduleBlueprint`] bound to it) is
 //! prepared away from the audio thread, then adopted between cycles through
-//! [`GraphExecutor::adopt_generation`]. The swap is driver-only (`&mut
+//! [`PoolExecutor::adopt_generation`]. The swap is driver-only (`&mut
 //! self` plus a pool quiesce proves no cycle is in flight; pool workers sit
 //! in the batch wait loop, touching only pool atomics) and becomes visible to the
 //! workers through the very next epoch `Release` store — the same edge that
@@ -70,7 +73,6 @@
 
 mod busy;
 mod executor;
-mod hybrid;
 mod learn;
 mod planned;
 pub mod pool;
@@ -78,23 +80,17 @@ mod sequential;
 mod sleeping;
 mod stealing;
 
-pub use busy::{BusyExecutor, Spin};
 pub use executor::PoolExecutor;
-pub use hybrid::HybridExecutor;
-pub use planned::{
-    round_robin_lanes, BlueprintError, PlannedExecutor, PlannedNode, Replay, ScheduleBlueprint,
-};
+pub use planned::{round_robin_lanes, BlueprintError, PlannedNode, ScheduleBlueprint};
 pub use pool::VenuePool;
-pub use sequential::{Seq, SequentialExecutor};
-pub use sleeping::{Park, SleepExecutor};
-pub use stealing::{seed_target, Steal, StealExecutor};
+pub use stealing::seed_target;
 
 use crate::faults::FaultPlan;
-use crate::flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow};
+use crate::flight::{CycleStamp, FlightRecorder};
 use crate::graph::{GraphTopology, NodeId, TaskGraph};
 use crate::pad::CachePadded;
 use crate::processor::{CycleCtx, Processor};
-use crate::telemetry::{CycleCounters, TelemetryRing};
+use crate::telemetry::CycleCounters;
 use djstar_dsp::AudioBuf;
 use learn::CostCell;
 use std::cell::UnsafeCell;
@@ -148,11 +144,21 @@ impl Strategy {
         Strategy::Hybrid,
         Strategy::Planned,
     ];
+
+    /// Lanes a session of this strategy runs on when asked for `lanes`:
+    /// SEQ runs everything on the driver, whatever `lanes` says.
+    pub fn lanes(self, lanes: usize) -> usize {
+        if self == Strategy::Sequential {
+            1
+        } else {
+            lanes
+        }
+    }
 }
 
-/// A fully prepared topology generation, buildable off the audio thread and
-/// handed to a running executor through
-/// [`GraphExecutor::adopt_generation`].
+/// A fully prepared topology generation, buildable off the audio thread:
+/// the first one an executor is built with, or one handed to a running
+/// executor through [`PoolExecutor::adopt_generation`].
 ///
 /// The expensive work — graph construction, buffer allocation and (for
 /// PLAN) binding the schedule's lanes to the graph — happens in [`StagedGeneration::new`] /
@@ -174,10 +180,11 @@ impl StagedGeneration {
 
     /// Stage `graph` together with a PLAN schedule: `lanes` (lane `w`'s
     /// node ids, in execution order) are bound here to `graph`'s own edges
-    /// — the one binding a staged plan gets — so the adopt only checks the
-    /// lane count and swaps. Executors other than PLAN ignore the
-    /// blueprint; PLAN refuses a generation staged without one
-    /// ([`SwapError::NoPlan`]).
+    /// — the one binding a staged plan gets, and core's one call of
+    /// [`ScheduleBlueprint::bind`] — so building a PLAN executor or
+    /// adopting the generation only checks the lane count. Other
+    /// strategies ignore the blueprint; PLAN refuses a generation staged
+    /// without one ([`SwapError::NoPlan`]).
     pub fn with_plan(
         graph: TaskGraph,
         frames: usize,
@@ -189,6 +196,14 @@ impl StagedGeneration {
             exec: ExecGraph::new(graph, frames),
             plan: Some(plan),
         })
+    }
+
+    /// Stage `graph` with the round-robin plan on `lanes` lanes
+    /// ([`round_robin_lanes`]: BUSY's placement), which binds to every
+    /// graph — a generation every strategy runs, PLAN on `lanes` lanes.
+    pub fn round_robin(graph: TaskGraph, frames: usize, lanes: usize) -> Self {
+        let plan = round_robin_lanes(graph.topology(), lanes);
+        Self::with_plan(graph, frames, &plan).expect("a depth-queue round-robin always binds")
     }
 
     /// The staged topology.
@@ -240,7 +255,7 @@ impl StagedGeneration {
     }
 }
 
-/// What [`GraphExecutor::adopt_generation`] returns: the new generation
+/// What [`PoolExecutor::adopt_generation`] returns: the new generation
 /// number or the refusal, and the generation to drop elsewhere.
 pub type Adoption = (Result<u64, SwapError>, RetiredGeneration);
 
@@ -308,116 +323,6 @@ impl std::error::Error for SwapError {}
 pub struct CycleResult {
     /// Wall-clock graph execution time (what Table I reports).
     pub duration: Duration,
-}
-
-/// Object-safe executor interface shared by all strategies.
-pub trait GraphExecutor: Send {
-    /// Which strategy this executor implements.
-    fn strategy(&self) -> Strategy;
-
-    /// Number of worker threads (including the calling thread).
-    fn threads(&self) -> usize;
-
-    /// Execute one full graph cycle with the given external audio (see
-    /// [`CycleCtx::external_audio`]; the engine passes none) and controls.
-    fn run_cycle(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> CycleResult;
-
-    /// Venue path, first half: publish this session's cycle (reset the
-    /// graph, copy externals, bump the session epoch) WITHOUT dispatching
-    /// pool workers, and stage it for the pool's next batch. Returns the
-    /// session epoch to pass to [`venue_collect`](Self::venue_collect).
-    /// After staging every session, the caller fires one
-    /// `VenuePool::dispatch`, runs each staged session's driver share via
-    /// `VenuePool::run_driver_parts`, and collects.
-    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> u64;
-
-    /// Venue path, second half: wait for this session's staged cycle
-    /// (published by [`venue_stage`](Self::venue_stage)) to complete and
-    /// harvest its timing, telemetry and cycle stamp exactly as
-    /// `run_cycle` would.
-    /// Must only be called with the epoch returned by the matching
-    /// `venue_stage`, after the batch was dispatched and the driver parts
-    /// ran.
-    fn venue_collect(&mut self, epoch: u64) -> CycleResult;
-
-    /// Tag this executor's exported telemetry rings and flight windows
-    /// with a venue session id (0 = single-session default). Takes effect
-    /// for rings/recorders installed *after* the call; the venue server
-    /// sets it once, right after construction.
-    fn set_session(&mut self, session: u32);
-
-    /// Enable/disable telemetry counter collection (a handful of
-    /// `Relaxed` counter adds per node, no allocation inside a cycle); off
-    /// by default.
-    fn set_telemetry(&mut self, on: bool);
-
-    /// Take the ring of per-cycle telemetry records collected so far.
-    /// Collection continues afterwards (with a fresh ring) if telemetry is
-    /// still enabled. `None` when telemetry is off.
-    fn take_telemetry(&mut self) -> Option<TelemetryRing>;
-
-    /// Install (or clear, with `None`) a fault-injection plan. Driver-only
-    /// between cycles (`&mut self`); takes effect from the next
-    /// `run_cycle`. With no plan installed the node-execution path pays
-    /// one well-predicted branch on an already-loaded `Option` per node,
-    /// nothing more.
-    fn set_faults(&mut self, plan: Option<FaultPlan>);
-
-    /// Install (or clear, with `None`) a flight recorder sized by `cfg`
-    /// and tagged with the executor's session id. All buffers are
-    /// allocated here, up front; from the next cycle the executor records
-    /// every Exec/BusyWait/Sleep/Steal/Unpark/Fault/NetWait/Conceal
-    /// interval into pre-allocated overwrite-oldest per-worker rings — the
-    /// executor's one recording primitive, which
-    /// [`ScheduleTrace::of_cycle`](crate::trace::ScheduleTrace::of_cycle)
-    /// folds into a cycle's schedule trace. Disabled, the hot path pays one
-    /// plain load of the empty slot — the same zero-cost-when-off contract
-    /// as [`set_faults`](Self::set_faults).
-    fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>);
-
-    /// Arm (or disarm) per-node cost learning. While armed, the lane that
-    /// runs a node folds the node's execution time — the interval
-    /// telemetry's `exec_ns` books, injected faults included — into that
-    /// node's preallocated log histogram; arming clears every histogram.
-    /// Takes effect from the next cycle and allocates nothing. A session
-    /// holds one histogram per node of the graph it was built with: after
-    /// a swap to a larger graph, the nodes past that count go unrecorded.
-    fn set_learning(&mut self, on: bool);
-
-    /// The nearest-rank `q`-quantile (`q` in `(0, 1]`) of each node's
-    /// learned execution time in ns, in node order, within 3.2 % (half a
-    /// histogram bucket); `None` for a node with no sample. Driver-only
-    /// between cycles (`&mut self`).
-    fn learned_quantiles(&mut self, q: f64) -> Vec<Option<u64>>;
-
-    /// Freeze and take the flight-recorder capture accumulated so far
-    /// (spans + cycle stamps); recording continues into the emptied
-    /// buffers. `None` when no recorder is installed. Driver-only between
-    /// cycles (`&mut self`).
-    fn take_flight_window(&mut self) -> Option<FlightWindow>;
-
-    /// Adopt a staged topology generation at a cycle boundary (`&mut self`
-    /// proves no cycle is in flight). Runtime state of nodes that exist in
-    /// both generations (matched by name) is carried over; workers are not
-    /// torn down — the next cycle's epoch store publishes the new graph.
-    /// Returns the new generation number; on `Err` the running generation
-    /// is unchanged. Either way a generation comes back — the replaced one,
-    /// or the refused `staged` — for the caller to drop off the audio
-    /// thread: the adopt itself frees neither.
-    fn adopt_generation(&mut self, staged: StagedGeneration) -> Adoption;
-
-    /// The topology generation currently running (0 before any swap).
-    fn generation(&self) -> u64;
-
-    /// Copy a node's output buffer into `dst` (call between cycles only;
-    /// enforced by `&mut self`).
-    fn read_output(&mut self, node: NodeId, dst: &mut AudioBuf);
-
-    /// Mutable access to a node's processor between cycles (to turn knobs).
-    fn node_processor(&mut self, node: NodeId) -> &mut dyn Processor;
-
-    /// The graph topology.
-    fn topology(&self) -> &GraphTopology;
 }
 
 /// Runtime payload of a node (behind the `UnsafeCell`).
@@ -665,6 +570,19 @@ impl ExecGraph {
         }
     }
 
+    /// Refuse a graph a node of which is still
+    /// [`vacant`](crate::processor::vacant): what an adopt does when the
+    /// running generation has no node to carry a processor over from.
+    fn check_filled(&mut self) -> Result<(), SwapError> {
+        let vacant = |rt: &mut RuntimeCell| rt.0.get_mut().processor.is_vacant();
+        match self.runtimes.iter_mut().position(vacant) {
+            Some(n) => Err(SwapError::MissingPart {
+                name: self.topo.name(NodeId(n as u32)).to_string(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// The node of `old` that node `n` of this graph continues.
     fn survivor_in(&self, n: usize, old: &ExecGraph) -> Option<usize> {
         let id = NodeId(n as u32);
@@ -770,7 +688,7 @@ pub(crate) struct Shared {
     costs: Box<[CostCell]>,
     /// The installed flight recorder, if any (one plain load per cycle per
     /// lane when off). Written only by the driver between cycles
-    /// ([`GraphExecutor::set_flight_recorder`] takes `&mut`), lanes
+    /// ([`PoolExecutor::set_flight_recorder`] takes `&mut`), lanes
     /// written by their owning workers during a cycle — the contract
     /// documented in [`crate::flight`].
     pub recorder: DriverCell<Option<FlightRecorder>>,
@@ -778,7 +696,7 @@ pub(crate) struct Shared {
     /// and drained by the driver between cycles.
     pub counters: Box<[CycleCounters]>,
     /// The installed fault-injection plan, if any. Written only by the
-    /// driver between cycles ([`GraphExecutor::set_faults`] takes `&mut`),
+    /// driver between cycles ([`PoolExecutor::set_faults`] takes `&mut`),
     /// read by workers after the epoch-acquire edge — the same contract as
     /// `exec` and `external`.
     pub faults: DriverCell<Option<FaultPlan>>,
@@ -1093,14 +1011,21 @@ pub(crate) mod test_support {
     use crate::processor::FnProcessor;
     use crate::trace::ScheduleTrace;
 
+    /// A `strategy` executor of `lanes` lanes over `graph` with 8-frame
+    /// buffers on a private pool; PLAN replays the round-robin lanes.
+    pub(crate) fn build(strategy: Strategy, graph: TaskGraph, lanes: usize) -> PoolExecutor {
+        let staged = StagedGeneration::round_robin(graph, 8, lanes);
+        PoolExecutor::new(strategy, staged, lanes).expect("a filled round-robin generation")
+    }
+
     /// Install a default-sized flight recorder on `ex`.
-    pub(crate) fn record(ex: &mut dyn GraphExecutor) {
+    pub(crate) fn record(ex: &mut PoolExecutor) {
         ex.set_flight_recorder(Some(FlightConfig::default()));
     }
 
     /// Run one cycle of `ex`, whose flight recorder must be installed, and
     /// fold it into its schedule trace.
-    pub(crate) fn traced_cycle(ex: &mut dyn GraphExecutor) -> ScheduleTrace {
+    pub(crate) fn traced_cycle(ex: &mut PoolExecutor) -> ScheduleTrace {
         ex.run_cycle(&[], &[]);
         let window = ex.take_flight_window().expect("recorder installed");
         let cycle = window.cycles.last().expect("cycle stamped").cycle;
@@ -1213,13 +1138,10 @@ pub(crate) mod test_support {
 
     /// Run a candidate executor against the sequential baseline on the same
     /// graph for 50 cycles and require identical sink output each cycle.
-    pub(crate) fn run_and_check(
-        make: impl Fn(TaskGraph, usize) -> Box<dyn GraphExecutor>,
-        label: &str,
-    ) {
+    pub(crate) fn run_and_check(make: impl FnOnce(TaskGraph) -> PoolExecutor, label: &str) {
         let frames = 8;
-        let mut seq = SequentialExecutor::new(fan_graph(13), frames);
-        let mut cand = make(fan_graph(13), frames);
+        let mut seq = build(Strategy::Sequential, fan_graph(13), 1);
+        let mut cand = make(fan_graph(13));
         assert_eq!(seq.topology().len(), cand.topology().len());
         let sink = NodeId((seq.topology().len() - 1) as u32);
         for cycle in 0..50 {

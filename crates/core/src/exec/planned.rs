@@ -2,7 +2,7 @@
 //!
 //! The paper's Fig. 4 derives a resource-constrained list schedule whose
 //! makespan beats every online strategy, but DJ Star never *runs* it — the
-//! schedule only exists inside the simulator. This executor closes that
+//! schedule only exists inside the simulator. The PLAN policy closes that
 //! gap: a schedule's lanes fix, per worker, the exact node order of one
 //! cycle (typically `djstar-sim`'s list schedule over priced node
 //! durations); bound to the executor's graph as a [`ScheduleBlueprint`],
@@ -27,12 +27,10 @@
 //! induced partial order, so the waits-for relation is acyclic.
 
 use super::busy::spin_then_exec;
-use super::executor::{Lane, Policy, PoolExecutor};
-use super::pool::VenuePool;
-use super::{Adoption, DriverCell, ExecGraph, RetiredGeneration, Shared, Strategy, SwapError};
-use crate::graph::{GraphTopology, NodeId, TaskGraph};
+use super::executor::Lane;
+use super::{Adoption, DriverCell, ExecGraph, RetiredGeneration, Shared, SwapError};
+use crate::graph::GraphTopology;
 use std::fmt;
-use std::sync::Arc;
 
 /// One slot of a worker's bound schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,11 +89,11 @@ impl std::error::Error for BlueprintError {}
 ///
 /// A schedule reaches core as its *lanes* — lane `w`'s node ids in
 /// execution order, from `djstar-sim`'s list scheduler or
-/// [`round_robin_lanes`] — and [`PlannedExecutor::new`] /
-/// [`StagedGeneration::with_plan`](super::StagedGeneration::with_plan) bind
-/// them to the graph they run. [`bind`](Self::bind) is the one binding
-/// constructor; the simulator uses it on its own graph for its replay
-/// only, since no executor takes a bound blueprint.
+/// [`round_robin_lanes`] — and
+/// [`StagedGeneration::with_plan`](super::StagedGeneration::with_plan)
+/// binds them to the graph they run. [`bind`](Self::bind) is the one
+/// binding constructor; the simulator uses it on its own graph for its
+/// replay only, since no executor takes a bound blueprint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleBlueprint {
     workers: Vec<Vec<PlannedNode>>,
@@ -252,79 +250,66 @@ impl ScheduleBlueprint {
     }
 }
 
-/// The PLAN policy: BUSY's spin wait over a blueprint's slots.
+/// The PLAN policy's state: the blueprint whose slots BUSY's spin wait
+/// walks.
 ///
 /// Like `Shared`'s graph, the plan is swapped only by the driver between
 /// cycles and published to workers by the next epoch Release store, so it
 /// lives in a `DriverCell` with the same safety argument.
-pub struct Replay {
+pub(crate) struct Replay {
     plan: DriverCell<ScheduleBlueprint>,
 }
 
-/// Executor that replays a [`ScheduleBlueprint`].
-pub type PlannedExecutor = PoolExecutor<Replay>;
+/// `plan` if a `lanes`-lane session can replay it; else why not, with the
+/// plan. The one check of a staged blueprint: its binding to the staged
+/// graph already happened in `StagedGeneration::with_plan`.
+fn check(
+    plan: Option<ScheduleBlueprint>,
+    lanes: usize,
+) -> Result<ScheduleBlueprint, (SwapError, Option<ScheduleBlueprint>)> {
+    match plan {
+        Some(p) if p.threads() == lanes => Ok(p),
+        Some(p) => {
+            let got = p.threads();
+            Err((
+                SwapError::ThreadMismatch {
+                    expected: lanes,
+                    got,
+                },
+                Some(p),
+            ))
+        }
+        None => Err((SwapError::NoPlan, None)),
+    }
+}
 
 impl Replay {
+    /// A `lanes`-lane session's replay of the staged `plan`.
+    pub(super) fn new(plan: Option<ScheduleBlueprint>, lanes: usize) -> Result<Self, SwapError> {
+        let plan = check(plan, lanes).map_err(|(err, _)| err)?;
+        Ok(Replay {
+            plan: DriverCell::new(plan),
+        })
+    }
+
     /// The current plan.
     ///
     /// Reads are sound everywhere a graph read is sound: drivers hold
     /// `&mut` on the executor, and workers have acquired the epoch whose
     /// Release store published any swap.
     #[inline]
-    fn plan(&self) -> &ScheduleBlueprint {
+    pub(super) fn plan(&self) -> &ScheduleBlueprint {
         // SAFETY: swaps are driver-only between cycles, published by the
         // next epoch Release store (see `Shared::graph`).
         unsafe { self.plan.get() }
     }
-}
 
-impl PlannedExecutor {
-    /// Build the executor over `graph` with `frames`-frame buffers,
-    /// replaying `lanes` (lane `w`'s node ids, in execution order). The
-    /// worker count is the number of lanes.
+    /// The PLAN lane loop: walk this lane's slots, spin-checking only the
+    /// cross-lane waits.
     ///
-    /// The lanes are bound here, to *this* graph's topology: the
-    /// cross-worker waits come from the edges of the graph the executor
-    /// actually runs, and no blueprint bound elsewhere can reach it.
-    ///
-    /// # Panics
-    /// Panics if the lane count is outside `1..=64` or the lanes do not
-    /// bind to `graph`'s topology (wrong node set or an unschedulable
-    /// order).
-    pub fn new(graph: TaskGraph, frames: usize, lanes: &[Vec<u32>]) -> Self {
-        let pool = Arc::new(VenuePool::new(lanes.len().clamp(1, 64)));
-        Self::with_pool(graph, frames, lanes, &pool)
-    }
-
-    /// Register this session on an existing shared [`VenuePool`] instead of
-    /// spawning private threads. The lane count is this session's and must
-    /// not exceed the pool's.
-    pub fn with_pool(
-        graph: TaskGraph,
-        frames: usize,
-        lanes: &[Vec<u32>],
-        pool: &Arc<VenuePool>,
-    ) -> Self {
-        let exec = ExecGraph::new(graph, frames);
-        let topo = exec.topology();
-        let plan = ScheduleBlueprint::bind(lanes, topo.len(), |n| topo.preds(NodeId(n)))
-            .unwrap_or_else(|e| panic!("lanes do not bind to this graph: {e}"));
-        let policy = Replay {
-            plan: DriverCell::new(plan),
-        };
-        Self::register(exec, lanes.len(), pool, policy)
-    }
-
-    /// The blueprint being replayed (for the current generation).
-    pub fn blueprint(&self) -> &ScheduleBlueprint {
-        self.policy().plan()
-    }
-}
-
-impl Policy for Replay {
-    const STRATEGY: Strategy = Strategy::Planned;
-
-    unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
+    /// # Safety
+    /// As `Policy::run_lane`.
+    pub(super) unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
         for slot in self.plan().worker(lane.me) {
             // SAFETY: exactly-once ownership by blueprint validation;
             // same-worker predecessors are done by program order, the
@@ -333,27 +318,19 @@ impl Policy for Replay {
         }
     }
 
-    unsafe fn adopt(
+    /// Check the staged plan's lane count, then swap graph and plan.
+    ///
+    /// # Safety
+    /// As `Policy::adopt`.
+    pub(super) unsafe fn adopt(
         &self,
         sh: &Shared,
         exec: ExecGraph,
         staged_plan: Option<ScheduleBlueprint>,
     ) -> Adoption {
-        // The staged plan was bound to the staged topology by
-        // `StagedGeneration::with_plan`; all that is left to check is that
-        // it has this session's lane count.
-        let mut plan = match staged_plan {
-            Some(p) if p.threads() == sh.threads => p,
-            plan => {
-                let err = match &plan {
-                    Some(p) => SwapError::ThreadMismatch {
-                        expected: sh.threads,
-                        got: p.threads(),
-                    },
-                    None => SwapError::NoPlan,
-                };
-                return (Err(err), RetiredGeneration { exec, plan });
-            }
+        let mut plan = match check(staged_plan, sh.threads) {
+            Ok(plan) => plan,
+            Err((err, plan)) => return (Err(err), RetiredGeneration { exec, plan }),
         };
         // SAFETY: the caller's contract; workers read the plan only after
         // acquiring the next epoch's Release store, which publishes both
@@ -374,8 +351,16 @@ mod tests {
     use crate::exec::test_support::{
         diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
     };
-    use crate::exec::{GraphExecutor, StagedGeneration};
+    use crate::exec::{PoolExecutor, StagedGeneration, Strategy};
+    use crate::graph::{NodeId, TaskGraph};
     use djstar_dsp::AudioBuf;
+
+    /// A PLAN executor over `g` replaying `lanes`, bound where they are
+    /// staged.
+    fn replay(g: TaskGraph, lanes: &[Vec<u32>]) -> PoolExecutor {
+        let staged = StagedGeneration::with_plan(g, 8, lanes).expect("lanes bind to g");
+        PoolExecutor::new(Strategy::Planned, staged, lanes.len()).expect("a filled plan")
+    }
 
     /// Bind `lanes` to `g`'s own topology.
     fn bind(g: &TaskGraph, lanes: &[Vec<u32>]) -> Result<ScheduleBlueprint, BlueprintError> {
@@ -383,7 +368,7 @@ mod tests {
         ScheduleBlueprint::bind(lanes, topo.len(), |n| topo.preds(NodeId(n)))
     }
 
-    fn assert_diamond_sums(ex: &mut PlannedExecutor) {
+    fn assert_diamond_sums(ex: &mut PoolExecutor) {
         for _ in 0..200 {
             ex.run_cycle(&[], &[]);
             let mut out = AudioBuf::zeroed(2, 8);
@@ -396,9 +381,9 @@ mod tests {
     fn round_robin_blueprint_matches_sequential() {
         for threads in [1, 2, 3, 4] {
             run_and_check(
-                |g, frames| {
+                |g| {
                     let lanes = round_robin_lanes(g.topology(), threads);
-                    Box::new(PlannedExecutor::new(g, frames, &lanes))
+                    replay(g, &lanes)
                 },
                 &format!("plan-rr-{threads}"),
             );
@@ -411,7 +396,7 @@ mod tests {
         // cross-worker waits the depth round-robin never produces.
         for threads in [1, 3] {
             run_and_check(
-                |g, frames| {
+                |g| {
                     let topo = g.topology();
                     let mut tail = vec![1u32; topo.len()];
                     for &v in topo.queue().iter().rev() {
@@ -425,7 +410,7 @@ mod tests {
                     for (k, &v) in order.iter().enumerate() {
                         lanes[k % threads].push(v);
                     }
-                    Box::new(PlannedExecutor::new(g, frames, &lanes))
+                    replay(g, &lanes)
                 },
                 &format!("plan-cp-{threads}"),
             );
@@ -441,8 +426,8 @@ mod tests {
         let bp = bind(&g, &lanes).unwrap();
         assert_eq!(bp.worker(0)[1].waits(), &[1]);
         assert_eq!(bp.worker(0)[2].waits(), &[] as &[u32]);
-        let mut ex = PlannedExecutor::new(g, 8, &lanes);
-        assert_eq!(ex.blueprint(), &bp);
+        let mut ex = replay(g, &lanes);
+        assert_eq!(ex.blueprint(), Some(&bp));
         assert_diamond_sums(&mut ex);
     }
 
@@ -450,7 +435,7 @@ mod tests {
     fn trace_respects_dependencies_and_placement() {
         let g = fan_graph(16);
         let lanes = round_robin_lanes(g.topology(), 4);
-        let mut ex = PlannedExecutor::new(g, 8, &lanes);
+        let mut ex = replay(g, &lanes);
         record(&mut ex);
         for _ in 0..20 {
             let trace = traced_cycle(&mut ex);
@@ -470,12 +455,12 @@ mod tests {
         // The same lanes bound to a predecessor table with NO edges carry
         // no waits, so replaying that binding against the diamond would
         // skip the cross-worker check on n1 -> n2. The executor takes
-        // lanes, not a binding, and binds them to the graph it runs.
+        // lanes staged beside its graph, not a binding made elsewhere.
         let lanes = [vec![0, 2, 3], vec![1]];
         let edgeless = ScheduleBlueprint::bind(&lanes, 4, |_| &[]).unwrap();
         assert_eq!(edgeless.worker(0)[1].waits(), &[] as &[u32]);
-        let mut ex = PlannedExecutor::new(diamond_sum_graph(), 8, &lanes);
-        assert_eq!(ex.blueprint().worker(0)[1].waits(), &[1]);
+        let mut ex = replay(diamond_sum_graph(), &lanes);
+        assert_eq!(ex.blueprint().unwrap().worker(0)[1].waits(), &[1]);
         assert_diamond_sums(&mut ex);
     }
 
@@ -489,9 +474,9 @@ mod tests {
         assert_eq!(staged.plan().unwrap().worker(0)[1].waits(), &[1]);
         let g = diamond_sum_graph();
         let rr = round_robin_lanes(g.topology(), 2);
-        let mut ex = PlannedExecutor::new(g, 8, &rr);
+        let mut ex = replay(g, &rr);
         assert_eq!(ex.adopt_generation(staged).0, Ok(1));
-        assert_eq!(ex.blueprint().worker(0)[1].waits(), &[1]);
+        assert_eq!(ex.blueprint().unwrap().worker(0)[1].waits(), &[1]);
         assert_diamond_sums(&mut ex);
     }
 

@@ -21,7 +21,7 @@
 //!    loop publishes *all* staged-session driver writes at once.
 //! 3. Worker `w` walks the entry table in order and runs lane `w` of every
 //!    session staged for this batch (skipping sessions whose configured
-//!    lane count is ≤ `w`) through the session's `LaneRunner`. The
+//!    lane count is ≤ `w`) through the session's wait policy. The
 //!    driver does the same for lane 0 (directly, or via
 //!    [`VenuePool::run_driver_parts`]).
 //! 4. Per session, cycle completion is the session's own business: the
@@ -43,30 +43,16 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use super::executor::Session;
 use super::{Backoff, DriverCell};
 use crate::pad::CachePadded;
-
-/// What the pool knows about a registered session: how many lanes it has
-/// and how to run one. The strategy behind it is erased.
-pub(crate) trait LaneRunner: Send + Sync {
-    /// Lanes this session runs on (`1..=pool lanes`).
-    fn lanes(&self) -> usize;
-
-    /// Run lane `me` of this session's cycle `epoch`.
-    ///
-    /// # Safety
-    /// Caller holds the epoch happens-before edge (pool-epoch `Acquire`
-    /// for workers; the driver published the cycle itself) and is the only
-    /// participant running lane `me` of this session this cycle.
-    unsafe fn run_lane(&self, me: usize, epoch: u64);
-}
 
 /// One registered session in the pool's entry table. Plain (non-atomic)
 /// fields: mutated only between batches, when [`VenuePool::quiesce`] has
 /// proven every worker is parked outside the table.
 struct PoolEntry {
     id: u64,
-    session: Arc<dyn LaneRunner>,
+    session: Arc<Session>,
     /// Pool epoch this session is staged for (a worker runs the entry only
     /// when this equals the batch it woke for).
     batch_epoch: u64,
@@ -226,7 +212,7 @@ impl VenuePool {
     /// Register a session whose lanes were sized by
     /// [`session_handles`](Self::session_handles). Driver-only; waits for
     /// any in-flight batch.
-    pub(crate) fn register(self: &Arc<Self>, session: Arc<dyn LaneRunner>) -> PoolBinding {
+    pub(crate) fn register(self: &Arc<Self>, session: Arc<Session>) -> PoolBinding {
         debug_assert!(session.lanes() <= self.threads);
         self.quiesce();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -349,10 +335,22 @@ impl Drop for PoolBinding {
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{diamond_sum_graph, fan_graph};
-    use super::super::{BusyExecutor, GraphExecutor, SequentialExecutor, StealExecutor};
+    use super::super::{PoolExecutor, StagedGeneration, Strategy};
     use super::*;
+    use crate::graph::TaskGraph;
 
     const FRAMES: usize = 64;
+
+    /// A `strategy` session of `lanes` lanes over `graph` on `pool`.
+    fn on(
+        strategy: Strategy,
+        graph: TaskGraph,
+        lanes: usize,
+        pool: &Arc<VenuePool>,
+    ) -> PoolExecutor {
+        let staged = StagedGeneration::new(graph, FRAMES);
+        PoolExecutor::with_pool(strategy, staged, lanes, pool).expect("a filled generation")
+    }
 
     #[test]
     fn two_sessions_share_one_pool() {
@@ -360,17 +358,18 @@ mod tests {
         // Three sessions of three policies — SEQ is staged and run by
         // `run_driver_parts` like any other one-lane session.
         let graphs = [diamond_sum_graph, || fan_graph(7), || fan_graph(5)];
-        let mut sessions: Vec<Box<dyn GraphExecutor>> = vec![
-            Box::new(BusyExecutor::with_pool(graphs[0](), 3, FRAMES, &pool)),
-            Box::new(StealExecutor::with_pool(graphs[1](), 2, FRAMES, &pool)),
-            Box::new(SequentialExecutor::with_pool(graphs[2](), FRAMES, &pool)),
+        let mut sessions = vec![
+            on(Strategy::Busy, graphs[0](), 3, &pool),
+            on(Strategy::Steal, graphs[1](), 2, &pool),
+            on(Strategy::Sequential, graphs[2](), 1, &pool),
         ];
         assert_eq!(pool.sessions(), 3);
 
         // Each session's solo twin, on its own private pool.
         let mut twins: Vec<_> = graphs
             .iter()
-            .map(|g| SequentialExecutor::new(g(), FRAMES))
+            .map(|g| PoolExecutor::new(Strategy::Sequential, StagedGeneration::new(g(), FRAMES), 1))
+            .map(|twin| twin.expect("a filled generation"))
             .collect();
         let mut buf = djstar_dsp::AudioBuf::zeroed(2, FRAMES);
         let mut want = djstar_dsp::AudioBuf::zeroed(2, FRAMES);
@@ -404,12 +403,12 @@ mod tests {
     #[test]
     fn register_unregister_midstream() {
         let pool = Arc::new(VenuePool::new(2));
-        let mut a = BusyExecutor::with_pool(fan_graph(5), 2, FRAMES, &pool);
+        let mut a = on(Strategy::Busy, fan_graph(5), 2, &pool);
         for _ in 0..10 {
             a.run_cycle(&[], &[]);
         }
         {
-            let mut b = BusyExecutor::with_pool(fan_graph(9), 2, FRAMES, &pool);
+            let mut b = on(Strategy::Busy, fan_graph(9), 2, &pool);
             for _ in 0..10 {
                 let ea = a.venue_stage(&[], &[]);
                 let eb = b.venue_stage(&[], &[]);
@@ -430,6 +429,6 @@ mod tests {
     #[should_panic(expected = "lanes")]
     fn oversized_session_rejected() {
         let pool = Arc::new(VenuePool::new(2));
-        let _ = BusyExecutor::with_pool(fan_graph(5), 4, FRAMES, &pool);
+        let _ = on(Strategy::Busy, fan_graph(5), 4, &pool);
     }
 }

@@ -12,51 +12,26 @@
 //! it, and two independent *scheduling* loops are what make that
 //! comparison mean something. Everything around the loop is shared.
 
-use super::executor::{Lane, Policy, PoolExecutor};
-use super::pool::VenuePool;
-use super::{ExecGraph, Strategy};
-use crate::graph::TaskGraph;
-use std::sync::Arc;
+use super::executor::Lane;
 
-/// The SEQ policy: no waiting — one lane walks the whole depth queue.
-pub struct Seq;
-
-impl Policy for Seq {
-    const STRATEGY: Strategy = Strategy::Sequential;
-
-    unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
-        for &n in lane.sh.graph().topology().queue() {
-            // SAFETY: a single lane executes every node in queue order,
-            // which is a valid topological order.
-            unsafe { lane.exec(n) };
-            lane.done();
-        }
-    }
-}
-
-/// Single-threaded FIFO execution of the depth-sorted queue.
-pub type SequentialExecutor = PoolExecutor<Seq>;
-
-impl SequentialExecutor {
-    /// Build a sequential executor over `graph` with `frames`-frame buffers.
-    pub fn new(graph: TaskGraph, frames: usize) -> Self {
-        Self::with_pool(graph, frames, &Arc::new(VenuePool::new(1)))
-    }
-
-    /// Register this session on an existing shared [`VenuePool`]: it takes
-    /// one lane, the driver's.
-    pub fn with_pool(graph: TaskGraph, frames: usize, pool: &Arc<VenuePool>) -> Self {
-        let exec = ExecGraph::new(graph, frames);
-        Self::register(exec, 1, pool, Seq)
+/// The SEQ lane loop: no waiting — one lane walks the whole depth queue.
+///
+/// # Safety
+/// As `Policy::run_lane`.
+pub(super) unsafe fn run_lane(lane: &mut Lane<'_>) {
+    for &n in lane.sh.graph().topology().queue() {
+        // SAFETY: a single lane executes every node in queue order, which
+        // is a valid topological order.
+        unsafe { lane.exec(n) };
+        lane.done();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::exec::test_support::{record, traced_cycle};
-    use crate::exec::GraphExecutor;
-    use crate::graph::{NodeId, Section, TaskGraphBuilder};
+    use crate::exec::test_support::{build, record, traced_cycle};
+    use crate::exec::Strategy;
+    use crate::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
     use crate::processor::{CycleCtx, FnProcessor};
     use crate::trace::ScheduleTrace;
     use djstar_dsp::AudioBuf;
@@ -83,16 +58,16 @@ mod tests {
 
     #[test]
     fn chain_accumulates_through_cycle() {
-        let mut ex = SequentialExecutor::new(chain_graph(5), 4);
+        let mut ex = build(Strategy::Sequential, chain_graph(5), 1);
         ex.run_cycle(&[], &[]);
-        let mut out = AudioBuf::zeroed(2, 4);
+        let mut out = AudioBuf::zeroed(2, 8);
         ex.read_output(NodeId(4), &mut out);
         assert_eq!(out.sample(0, 0), 5.0);
     }
 
     #[test]
     fn trace_is_a_valid_order_on_one_worker() {
-        let mut ex = SequentialExecutor::new(chain_graph(6), 4);
+        let mut ex = build(Strategy::Sequential, chain_graph(6), 1);
         record(&mut ex);
         let trace = traced_cycle(&mut ex);
         assert_eq!(trace.executions().len(), 6);
@@ -105,7 +80,7 @@ mod tests {
 
     #[test]
     fn of_cycle_none_when_the_stamp_is_not_in_the_window() {
-        let mut ex = SequentialExecutor::new(chain_graph(2), 4);
+        let mut ex = build(Strategy::Sequential, chain_graph(2), 1);
         ex.run_cycle(&[], &[]);
         assert!(ex.take_flight_window().is_none(), "nothing recorded");
         record(&mut ex);
@@ -120,12 +95,12 @@ mod tests {
 
     #[test]
     fn epochs_isolate_cycles() {
-        let mut ex = SequentialExecutor::new(chain_graph(3), 4);
+        let mut ex = build(Strategy::Sequential, chain_graph(3), 1);
         let r1 = ex.run_cycle(&[], &[]);
         let r2 = ex.run_cycle(&[], &[]);
         assert!(r1.duration.as_nanos() > 0);
         assert!(r2.duration.as_nanos() > 0);
-        let mut out = AudioBuf::zeroed(2, 4);
+        let mut out = AudioBuf::zeroed(2, 8);
         ex.read_output(NodeId(2), &mut out);
         assert_eq!(out.sample(0, 0), 3.0);
     }

@@ -27,9 +27,9 @@
 //! lane still scanning deques must not see next cycle's seeds), and `adopt`
 //! grows the deques when a staged graph outgrows them.
 
-use super::executor::{Lane, Policy, PoolExecutor, QueuePolicy};
+use super::executor::Lane;
 use super::pool::VenuePool;
-use super::{Adoption, Backoff, DriverCell, ExecGraph, ScheduleBlueprint, Shared, Strategy};
+use super::{Adoption, Backoff, DriverCell, ExecGraph, ScheduleBlueprint, Shared};
 use crate::deque::{Steal as Stolen, WorkDeque};
 use crate::flight::{Span, SpanKind};
 use crate::graph::{NodeId, Section};
@@ -37,8 +37,8 @@ use crate::idle::IdleSet;
 use crate::pad::CachePadded;
 use std::sync::atomic::{fence, AtomicU32, Ordering};
 
-/// The WS policy: per-lane deques of ready nodes plus the idle set.
-pub struct Steal {
+/// The WS policy's state: per-lane deques of ready nodes plus the idle set.
+pub(crate) struct Steal {
     /// Per-lane deques. Behind a [`DriverCell`] so a generation swap can
     /// replace them with larger ones; the replacement happens between
     /// cycles (after the exit barrier the deques are quiescent) and is
@@ -52,9 +52,6 @@ pub struct Steal {
     /// the same reason as `Shared::done_count`.
     exited: CachePadded<AtomicU32>,
 }
-
-/// Work-stealing executor.
-pub type StealExecutor = PoolExecutor<Steal>;
 
 /// Which worker a section's source nodes are seeded to (§V-C's
 /// deck-affinity categorization). The simulator's WS replica seeds with
@@ -70,17 +67,16 @@ fn deques_for(nodes: usize, threads: usize) -> Vec<WorkDeque> {
     (0..threads).map(|_| WorkDeque::new(nodes.max(4))).collect()
 }
 
-impl QueuePolicy for Steal {
-    fn for_session(exec: &ExecGraph, threads: usize, pool: &VenuePool) -> Self {
+impl Steal {
+    /// The state of a `threads`-lane session of `nodes` nodes on `pool`.
+    pub(super) fn new(nodes: usize, threads: usize, pool: &VenuePool) -> Self {
         Steal {
-            deques: DriverCell::new(deques_for(exec.len(), threads)),
+            deques: DriverCell::new(deques_for(nodes, threads)),
             idle: IdleSet::new(pool.session_handles(threads)),
             exited: CachePadded::new(AtomicU32::new(0)),
         }
     }
-}
 
-impl Steal {
     /// The per-lane deques; same access contract as [`Shared::graph`].
     #[inline]
     fn deques(&self) -> &[WorkDeque] {
@@ -143,12 +139,12 @@ impl Steal {
             self.idle.wake_all();
         }
     }
-}
 
-impl Policy for Steal {
-    const STRATEGY: Strategy = Strategy::Steal;
-
-    unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
+    /// The WS lane loop: pop, steal, then park in the idle set.
+    ///
+    /// # Safety
+    /// As `Policy::run_lane`.
+    pub(super) unsafe fn run_lane(&self, lane: &mut Lane<'_>) {
         let sh = lane.sh;
         let me = lane.me;
         let total = sh.graph().len() as u32;
@@ -208,7 +204,7 @@ impl Policy for Steal {
     /// published; the deques are quiescent between cycles, so these pushes
     /// are ordinary owner pushes logically performed on behalf of each
     /// target lane.
-    fn seed(&self, sh: &Shared) {
+    pub(super) fn seed(&self, sh: &Shared) {
         self.exited.store(0, Ordering::Relaxed);
         let topo = sh.graph().topology();
         for &src in topo.sources() {
@@ -227,12 +223,16 @@ impl Policy for Steal {
 
     /// All nodes are done; wait for every lane to leave the work loop so
     /// none can touch the deques the next cycle seeds.
-    fn settle(&self, sh: &Shared) {
+    pub(super) fn settle(&self, sh: &Shared) {
         let lanes = sh.threads as u32;
         Backoff::wait_until(|| self.exited.load(Ordering::Acquire) == lanes);
     }
 
-    unsafe fn adopt(
+    /// Grow the deques when the staged graph outgrows them, then swap.
+    ///
+    /// # Safety
+    /// As `Policy::adopt`.
+    pub(super) unsafe fn adopt(
         &self,
         sh: &Shared,
         exec: ExecGraph,
@@ -255,16 +255,16 @@ impl Policy for Steal {
 mod tests {
     use super::*;
     use crate::exec::test_support::{
-        diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
+        build, diamond_sum_graph, fan_graph, record, run_and_check, traced_cycle,
     };
-    use crate::exec::GraphExecutor;
+    use crate::exec::Strategy;
     use djstar_dsp::AudioBuf;
 
     #[test]
     fn computes_same_result_as_sequential() {
         for threads in [1, 2, 3, 4] {
             run_and_check(
-                |g, frames| Box::new(StealExecutor::new(g, threads, frames)),
+                |g| build(Strategy::Steal, g, threads),
                 &format!("ws-{threads}"),
             );
         }
@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn diamond_many_cycles() {
-        let mut ex = StealExecutor::new(diamond_sum_graph(), 4, 8);
+        let mut ex = build(Strategy::Steal, diamond_sum_graph(), 4);
         for _ in 0..200 {
             ex.run_cycle(&[], &[]);
             let mut out = AudioBuf::zeroed(2, 8);
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn every_node_executed_exactly_once_per_cycle() {
-        let mut ex = StealExecutor::new(fan_graph(16), 4, 8);
+        let mut ex = build(Strategy::Steal, fan_graph(16), 4);
         record(&mut ex);
         for _ in 0..30 {
             let trace = traced_cycle(&mut ex);

@@ -5,7 +5,7 @@
 //! driver-side ring of per-cycle [`CycleStamp`]s, recorded by every
 //! executor behind a single plain flag load (the same
 //! zero-cost-when-disabled pattern as
-//! [`set_faults`](crate::exec::GraphExecutor::set_faults)). A lane records
+//! [`set_faults`](crate::exec::PoolExecutor::set_faults)). A lane records
 //! every interval exactly once, here; the other views are folds over a
 //! frozen [`FlightWindow`]: the Fig. 11 schedule trace
 //! ([`ScheduleTrace::of_cycle`](crate::trace::ScheduleTrace::of_cycle)),

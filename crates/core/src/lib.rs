@@ -12,17 +12,11 @@
 //! * [`processor`] — the [`Processor`] trait node
 //!   payloads implement, and the per-cycle context handed to them.
 //! * [`exec`] — the runtime: an [`ExecGraph`] with atomic
-//!   per-node dependency state, and one executor,
-//!   [`PoolExecutor`](exec::PoolExecutor), a session on a shared
-//!   [`VenuePool`](exec::VenuePool) whose wait policy is the strategy. The
-//!   per-strategy names are aliases of it:
-//!   [`SequentialExecutor`],
-//!   [`BusyExecutor`],
-//!   [`SleepExecutor`],
-//!   [`StealExecutor`],
-//!   [`HybridExecutor`] and the static-schedule
-//!   [`PlannedExecutor`] (per-lane node orders, e.g. from `djstar-sim`'s
-//!   list scheduler, bound to its graph as a [`ScheduleBlueprint`]).
+//!   per-node dependency state, and one executor, [`PoolExecutor`], a
+//!   session on a shared [`VenuePool`](exec::VenuePool) whose wait policy
+//!   is its [`Strategy`] — SEQ, BUSY, SLEEP, WS, HYBRID, or PLAN, which
+//!   replays per-lane node orders (e.g. from `djstar-sim`'s list
+//!   scheduler) bound to its graph as a [`ScheduleBlueprint`].
 //! * [`deque`] — a fixed-capacity Chase–Lev work-stealing deque (owner pops
 //!   LIFO from the bottom, thieves steal FIFO from the top — the exact
 //!   convention of §V-C).
@@ -39,7 +33,7 @@
 //!   drained between cycles into a fixed-capacity ring.
 //! * [`faults`] — seeded, deterministic fault injection (node duration
 //!   spikes, worker stalls, CPU-pressure episodes) hooked into every
-//!   executor's node-execution path via [`exec::GraphExecutor::set_faults`];
+//!   executor's node-execution path via [`PoolExecutor::set_faults`];
 //!   zero-cost when no plan is installed.
 //! * [`net`] — seeded network-fault traces ([`net::NetFaultPlan`]: loss,
 //!   duplication, reorder, jitter bursts per `(cycle, stream)`) and the
@@ -49,7 +43,7 @@
 //!   primitive: pre-allocated, overwrite-oldest per-worker span rings
 //!   capturing the last N cycles of Exec/BusyWait/Sleep/Steal/Unpark/Fault
 //!   intervals with zero hot-path allocation, behind
-//!   [`exec::GraphExecutor::set_flight_recorder`]; the raw material for
+//!   [`PoolExecutor::set_flight_recorder`]; the raw material for
 //!   schedule traces, deadline-miss forensics and Chrome-trace export.
 //!
 //! # Memory-safety argument
@@ -75,9 +69,8 @@ pub mod telemetry;
 pub mod trace;
 
 pub use exec::{
-    round_robin_lanes, BlueprintError, BusyExecutor, CycleResult, ExecGraph, GraphExecutor,
-    HybridExecutor, PlannedExecutor, PlannedNode, RetiredGeneration, ScheduleBlueprint,
-    SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor, Strategy, SwapError,
+    round_robin_lanes, BlueprintError, CycleResult, ExecGraph, PlannedNode, PoolExecutor,
+    RetiredGeneration, ScheduleBlueprint, StagedGeneration, Strategy, SwapError,
 };
 pub use faults::FaultPlan;
 pub use flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};

@@ -202,7 +202,7 @@ impl NetFaultPlan {
 
     /// Upper bound (inclusive) on any packet's delay under this plan.
     #[inline]
-    pub fn max_delay(&self) -> u32 {
+    fn max_delay(&self) -> u32 {
         let jitter_top = self.base_delay + self.jitter + self.burst_jitter + self.reorder_extra;
         (jitter_top + self.dup_delay.max(1)).min(MAX_DELAY)
     }

@@ -6,7 +6,7 @@ use djstar_dsp::AudioBuf;
 /// Per-cycle context handed to every node processor.
 ///
 /// The graph itself is application-agnostic; the caller of
-/// [`GraphExecutor::run_cycle`](crate::exec::GraphExecutor::run_cycle)
+/// [`PoolExecutor::run_cycle`](crate::exec::PoolExecutor::run_cycle)
 /// supplies external audio buffers and a flat array of control values
 /// (fader positions, EQ gains, …) that processors index by convention. The
 /// engine passes controls only: its graph computes the deck audio in its

@@ -24,7 +24,7 @@
 //! * **Bounded memory.** The ring overwrites its oldest record; a run of
 //!   any length holds at most [`ring::DEFAULT_RING_CAPACITY`] records
 //!   (unless a taker drains it periodically via
-//!   [`GraphExecutor::take_telemetry`](crate::exec::GraphExecutor::take_telemetry)).
+//!   [`PoolExecutor::take_telemetry`](crate::exec::PoolExecutor::take_telemetry)).
 
 pub mod counters;
 pub mod ring;

@@ -12,7 +12,7 @@
 //! regime their medians fall in. A sleep's length does not depend on the
 //! CPU's speed.
 
-use djstar_core::exec::{GraphExecutor, SequentialExecutor};
+use djstar_core::exec::{PoolExecutor, StagedGeneration, Strategy};
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::FlightConfig;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
@@ -107,7 +107,7 @@ fn burn_iters_lasting(at_least: Duration) -> u32 {
 }
 
 /// Node `node`'s samples of the recorded window, from the flight recorder.
-fn window_samples(ex: &mut dyn GraphExecutor, node: u32) -> Vec<u64> {
+fn window_samples(ex: &mut PoolExecutor, node: u32) -> Vec<u64> {
     let window = ex.take_flight_window().expect("recorder installed");
     assert_eq!(window.dropped_spans, 0);
     (SKIP + 1..=SKIP + RECORD)
@@ -125,8 +125,9 @@ fn mean(v: &[u64]) -> f64 {
 
 #[test]
 fn a_stall_in_the_window_moves_the_mean_but_not_the_learned_p50() {
-    let mut clean = SequentialExecutor::new(graph(), 8);
-    let mut stalled = SequentialExecutor::new(graph(), 8);
+    let seq = || PoolExecutor::new(Strategy::Sequential, StagedGeneration::new(graph(), 8), 1);
+    let mut clean = seq().expect("a filled generation");
+    let mut stalled = seq().expect("a filled generation");
     let tape = NodeId(0);
     assert_eq!(clean.topology().name(tape), "tape");
     let nodes = clean.topology().len() as u32;
@@ -160,7 +161,7 @@ fn a_stall_in_the_window_moves_the_mean_but_not_the_learned_p50() {
             && s[RECORD as usize - 1] >= 10_000_000,
         "the stall did not land in the window's last cycle alone: {s:?}"
     );
-    let learned = |ex: &mut SequentialExecutor| {
+    let learned = |ex: &mut PoolExecutor| {
         ex.learned_quantiles(0.5)[tape.idx()].expect("tape was recorded") as f64
     };
     let (lc, ls) = (learned(&mut clean), learned(&mut stalled));

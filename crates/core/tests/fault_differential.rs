@@ -7,10 +7,7 @@
 //! per cycle, the injection totals the plan computes arithmetically.
 //! A repeat run of the whole matrix must reproduce every number.
 
-use djstar_core::exec::{
-    round_robin_lanes, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
-    SequentialExecutor, SleepExecutor, StealExecutor, Strategy,
-};
+use djstar_core::exec::{PoolExecutor, StagedGeneration, Strategy};
 use djstar_core::faults::FaultPlan;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
 use djstar_core::processor::{CycleCtx, FnProcessor};
@@ -64,21 +61,6 @@ fn graph() -> TaskGraph {
     b.build().unwrap()
 }
 
-fn make_executor(strategy: Strategy, threads: usize) -> Box<dyn GraphExecutor> {
-    let g = graph();
-    match strategy {
-        Strategy::Sequential => Box::new(SequentialExecutor::new(g, FRAMES)),
-        Strategy::Busy => Box::new(BusyExecutor::new(g, threads, FRAMES)),
-        Strategy::Sleep => Box::new(SleepExecutor::new(g, threads, FRAMES)),
-        Strategy::Steal => Box::new(StealExecutor::new(g, threads, FRAMES)),
-        Strategy::Hybrid => Box::new(HybridExecutor::new(g, threads, FRAMES)),
-        Strategy::Planned => {
-            let lanes = round_robin_lanes(g.topology(), threads);
-            Box::new(PlannedExecutor::new(g, FRAMES, &lanes))
-        }
-    }
-}
-
 /// Everything a run must reproduce: the sink's exact output bits and the
 /// summed fault telemetry, broken out per class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +77,8 @@ struct Fingerprint {
 /// plan installed, every telemetry record is also checked against the
 /// plan's arithmetic ground truth for that exact cycle number.
 fn run_one(strategy: Strategy, threads: usize, plan: Option<FaultPlan>, tag: &str) -> Fingerprint {
-    let mut ex = make_executor(strategy, threads);
+    let staged = StagedGeneration::round_robin(graph(), FRAMES, threads);
+    let mut ex = PoolExecutor::new(strategy, staged, threads).expect("a filled generation");
     let nodes = ex.topology().len();
     let sink = NodeId(nodes as u32 - 1);
     ex.set_faults(plan);
@@ -200,7 +183,8 @@ fn repeat_runs_reproduce_every_fingerprint() {
 
 #[test]
 fn clearing_the_plan_silences_injection_mid_stream() {
-    let mut ex = make_executor(Strategy::Busy, 2);
+    let staged = StagedGeneration::new(graph(), FRAMES);
+    let mut ex = PoolExecutor::new(Strategy::Busy, staged, 2).expect("a filled generation");
     ex.set_faults(Some(storm()));
     ex.set_telemetry(true);
     for _ in 0..16 {

@@ -5,9 +5,7 @@
 
 use djstar_core::deque::{Steal, WorkDeque};
 use djstar_core::exec::{
-    round_robin_lanes, BlueprintError, BusyExecutor, GraphExecutor, HybridExecutor,
-    PlannedExecutor, SequentialExecutor, SleepExecutor, StagedGeneration, StealExecutor, Strategy,
-    SwapError,
+    round_robin_lanes, BlueprintError, PoolExecutor, StagedGeneration, Strategy, SwapError,
 };
 use djstar_core::flight::FlightConfig;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
@@ -18,11 +16,24 @@ use djstar_dsp::AudioBuf;
 
 /// Run one cycle of `ex`, whose flight recorder must be installed, and
 /// fold it into its schedule trace.
-fn traced_cycle(ex: &mut dyn GraphExecutor) -> ScheduleTrace {
+fn traced_cycle(ex: &mut PoolExecutor) -> ScheduleTrace {
     ex.run_cycle(&[], &[]);
     let window = ex.take_flight_window().expect("recorder installed");
     let cycle = window.cycles.last().expect("cycle stamped").cycle;
     ScheduleTrace::of_cycle(&window, cycle).expect("stamp in its window")
+}
+
+/// A `strategy` executor of `threads` lanes over `graph` with 4-frame
+/// buffers; PLAN replays the round-robin lanes.
+fn build(strategy: Strategy, graph: TaskGraph, threads: usize) -> PoolExecutor {
+    let staged = StagedGeneration::round_robin(graph, 4, threads);
+    PoolExecutor::new(strategy, staged, threads).expect("a filled generation")
+}
+
+/// A PLAN executor over `g` with 4-frame buffers, replaying `lanes`.
+fn replay(g: TaskGraph, lanes: &[Vec<u32>]) -> PoolExecutor {
+    let staged = StagedGeneration::with_plan(g, 4, lanes).expect("lanes bind to g");
+    PoolExecutor::new(Strategy::Planned, staged, lanes.len()).expect("a filled plan")
 }
 
 /// Random DAG description: for node i, a set of predecessors drawn from the
@@ -125,29 +136,16 @@ fn all_executors_compute_correct_values_on_random_dags() {
         let threads = 1 + rng.below(4);
         let want = expected_values(&preds);
         let sink = preds.len() - 1;
-        let frames = 4;
-        let planned = {
-            let g = build_graph(&preds);
-            let lanes = round_robin_lanes(g.topology(), threads);
-            PlannedExecutor::new(g, frames, &lanes)
-        };
-        let mut executors: Vec<Box<dyn GraphExecutor>> = vec![
-            Box::new(SequentialExecutor::new(build_graph(&preds), frames)),
-            Box::new(BusyExecutor::new(build_graph(&preds), threads, frames)),
-            Box::new(SleepExecutor::new(build_graph(&preds), threads, frames)),
-            Box::new(StealExecutor::new(build_graph(&preds), threads, frames)),
-            Box::new(planned),
-        ];
-        for ex in &mut executors {
+        for strategy in Strategy::ALL {
+            let mut ex = build(strategy, build_graph(&preds), threads);
             for _ in 0..3 {
                 ex.run_cycle(&[], &[]);
             }
-            let mut out = AudioBuf::zeroed(2, frames);
+            let mut out = AudioBuf::zeroed(2, 4);
             ex.read_output(NodeId(sink as u32), &mut out);
             assert!(
                 (out.sample(0, 0) - want[sink]).abs() < 1e-4,
-                "case {case} {:?}: got {}, want {}",
-                ex.strategy(),
+                "case {case} {strategy:?}: got {}, want {}",
                 out.sample(0, 0),
                 want[sink]
             );
@@ -161,7 +159,7 @@ fn traces_on_random_dags_respect_dependencies() {
     for _ in 0..16 {
         let preds = random_dag(&mut rng, 16);
         let threads = 2 + rng.below(3);
-        let mut ex = StealExecutor::new(build_graph(&preds), threads, 4);
+        let mut ex = build(Strategy::Steal, build_graph(&preds), threads);
         ex.set_flight_recorder(Some(FlightConfig::default()));
         for _ in 0..5 {
             let trace = traced_cycle(&mut ex);
@@ -185,7 +183,7 @@ fn planned_executor_runs_every_node_exactly_once_on_random_dags() {
         } else {
             round_robin_lanes(g.topology(), threads)
         };
-        let mut ex = PlannedExecutor::new(g, 4, &lanes);
+        let mut ex = replay(g, &lanes);
         ex.set_flight_recorder(Some(FlightConfig::default()));
         for _ in 0..5 {
             let trace = traced_cycle(&mut ex);
@@ -218,7 +216,7 @@ fn planned_executor_computes_correct_values_on_random_dags() {
         let sink = preds.len() - 1;
         let g = build_graph(&preds);
         let lanes = longest_path_lanes(&g, threads);
-        let mut ex = PlannedExecutor::new(g, 4, &lanes);
+        let mut ex = replay(g, &lanes);
         for _ in 0..3 {
             ex.run_cycle(&[], &[]);
         }
@@ -233,31 +231,10 @@ fn planned_executor_computes_correct_values_on_random_dags() {
     }
 }
 
-/// Build a fresh executor of `strategy` over `graph` with `threads`
-/// workers. Sequential ignores `threads`; Planned gets round-robin lanes.
-fn make_executor(
-    strategy: Strategy,
-    graph: TaskGraph,
-    threads: usize,
-    frames: usize,
-) -> Box<dyn GraphExecutor> {
-    match strategy {
-        Strategy::Sequential => Box::new(SequentialExecutor::new(graph, frames)),
-        Strategy::Busy => Box::new(BusyExecutor::new(graph, threads, frames)),
-        Strategy::Sleep => Box::new(SleepExecutor::new(graph, threads, frames)),
-        Strategy::Steal => Box::new(StealExecutor::new(graph, threads, frames)),
-        Strategy::Hybrid => Box::new(HybridExecutor::new(graph, threads, frames)),
-        Strategy::Planned => {
-            let lanes = round_robin_lanes(graph.topology(), threads);
-            Box::new(PlannedExecutor::new(graph, frames, &lanes))
-        }
-    }
-}
-
 /// Run `cycles` recorded cycles and check exactly-once execution,
 /// dependency safety and the schedule-independent sink value against
 /// `preds`.
-fn check_cycles(ex: &mut dyn GraphExecutor, preds: &[Vec<u32>], cycles: usize, tag: &str) {
+fn check_cycles(ex: &mut PoolExecutor, preds: &[Vec<u32>], cycles: usize, tag: &str) {
     let want = expected_values(preds);
     let sink = preds.len() - 1;
     ex.set_flight_recorder(Some(FlightConfig::default()));
@@ -299,22 +276,16 @@ fn generation_swaps_preserve_exactly_once_and_dep_safety() {
             let b = random_dag(&mut rng, 20);
             let c = random_dag(&mut rng, 20);
             let tag = format!("{strategy:?} t={threads}");
-            let mut ex = make_executor(strategy, build_graph(&a), threads, 4);
+            let mut ex = build(strategy, build_graph(&a), threads);
             assert_eq!(ex.generation(), 0, "{tag}");
-            check_cycles(ex.as_mut(), &a, 3, &format!("{tag} gen0"));
+            check_cycles(&mut ex, &a, 3, &format!("{tag} gen0"));
             for (gen, preds) in [(1u64, &b), (2, &c)] {
-                let graph = build_graph(preds);
-                let staged = if strategy == Strategy::Planned {
-                    let lanes = round_robin_lanes(graph.topology(), threads);
-                    StagedGeneration::with_plan(graph, 4, &lanes).expect("round-robin fits")
-                } else {
-                    StagedGeneration::new(graph, 4)
-                };
+                let staged = StagedGeneration::round_robin(build_graph(preds), 4, threads);
                 let got = ex.adopt_generation(staged).0.expect("swap must succeed");
                 assert_eq!(got, gen, "{tag}");
                 assert_eq!(ex.generation(), gen, "{tag}");
                 assert_eq!(ex.topology().len(), preds.len(), "{tag}");
-                check_cycles(ex.as_mut(), preds, 3, &format!("{tag} gen{gen}"));
+                check_cycles(&mut ex, preds, 3, &format!("{tag} gen{gen}"));
             }
         }
     }
@@ -328,7 +299,7 @@ fn planned_swap_accepts_staged_blueprint_and_rejects_misfits() {
     let threads = 3;
     let g_a = build_graph(&a);
     let lanes_a = round_robin_lanes(g_a.topology(), threads);
-    let mut ex = PlannedExecutor::new(g_a, 4, &lanes_a);
+    let mut ex = replay(g_a, &lanes_a);
     check_cycles(&mut ex, &a, 2, "planned pre-swap");
 
     // A staged generation carrying freshly bound lanes.
@@ -405,7 +376,7 @@ fn counter_graph(extra: usize, prefix: &str) -> TaskGraph {
     b.build().unwrap()
 }
 
-fn node_named(ex: &dyn GraphExecutor, name: &str) -> NodeId {
+fn node_named(ex: &PoolExecutor, name: &str) -> NodeId {
     let topo = ex.topology();
     (0..topo.len() as u32)
         .map(NodeId)
@@ -415,20 +386,16 @@ fn node_named(ex: &dyn GraphExecutor, name: &str) -> NodeId {
 
 #[test]
 fn swap_carries_processor_state_by_name() {
-    // Both the sequential path (executor-owned graph) and the shared path
-    // (adopt_exec) must keep the stateful "acc" processor running across
-    // a swap to a differently shaped graph.
-    let execs: Vec<Box<dyn GraphExecutor>> = vec![
-        Box::new(SequentialExecutor::new(counter_graph(2, "a"), 4)),
-        Box::new(BusyExecutor::new(counter_graph(2, "a"), 2, 4)),
-    ];
-    for mut ex in execs {
+    // A one-lane and a two-lane session must keep the stateful "acc"
+    // processor running across a swap to a differently shaped graph.
+    for (strategy, lanes) in [(Strategy::Sequential, 1), (Strategy::Busy, 2)] {
+        let mut ex = build(strategy, counter_graph(2, "a"), lanes);
         let tag = format!("{:?}", ex.strategy());
         for _ in 0..5 {
             ex.run_cycle(&[], &[]);
         }
         let mut out = AudioBuf::zeroed(2, 4);
-        ex.read_output(node_named(ex.as_ref(), "acc"), &mut out);
+        ex.read_output(node_named(&ex, "acc"), &mut out);
         assert_eq!(out.sample(0, 0), 5.0, "{tag} pre-swap");
 
         ex.adopt_generation(StagedGeneration::new(counter_graph(5, "b"), 4))
@@ -438,13 +405,13 @@ fn swap_carries_processor_state_by_name() {
             ex.run_cycle(&[], &[]);
         }
         let mut out = AudioBuf::zeroed(2, 4);
-        ex.read_output(node_named(ex.as_ref(), "acc"), &mut out);
+        ex.read_output(node_named(&ex, "acc"), &mut out);
         // 5 pre-swap cycles + 3 post-swap cycles: the counter kept its
         // state through the handover.
         assert_eq!(out.sample(0, 0), 8.0, "{tag} post-swap");
         // The swapped-in stateless node computes from the carried value.
         let mut tap = AudioBuf::zeroed(2, 4);
-        ex.read_output(node_named(ex.as_ref(), "b0"), &mut tap);
+        ex.read_output(node_named(&ex, "b0"), &mut tap);
         assert_eq!(tap.sample(0, 0), 8.0, "{tag} successor");
     }
 }
@@ -468,11 +435,8 @@ fn hollow_swap_takes_survivors_and_refuses_orphans() {
             },
         ))
     };
-    let execs: Vec<Box<dyn GraphExecutor>> = vec![
-        Box::new(SequentialExecutor::new(counter_graph(2, "a"), 4)),
-        Box::new(BusyExecutor::new(counter_graph(2, "a"), 2, 4)),
-    ];
-    for mut ex in execs {
+    for (strategy, lanes) in [(Strategy::Sequential, 1), (Strategy::Busy, 2)] {
+        let mut ex = build(strategy, counter_graph(2, "a"), lanes);
         let tag = format!("{:?}", ex.strategy());
         for _ in 0..5 {
             ex.run_cycle(&[], &[]);
@@ -504,7 +468,7 @@ fn hollow_swap_takes_survivors_and_refuses_orphans() {
         assert_eq!(verdict, Ok(1), "{tag}");
         ex.run_cycle(&[], &[]);
         let mut out = AudioBuf::zeroed(2, 4);
-        ex.read_output(node_named(ex.as_ref(), "b0"), &mut out);
+        ex.read_output(node_named(&ex, "b0"), &mut out);
         // 6 cycles before the swap, 1 after: the carried counter reads 7.
         assert_eq!(out.sample(0, 0), 7.0, "{tag}");
     }
@@ -524,7 +488,7 @@ fn swap_to_larger_graph_grows_steal_deques() {
             }
         })
         .collect();
-    let mut ex = StealExecutor::new(build_graph(&small), 4, 4);
+    let mut ex = build(Strategy::Steal, build_graph(&small), 4);
     check_cycles(&mut ex, &small, 2, "steal small");
     ex.adopt_generation(StagedGeneration::new(build_graph(&big), 4))
         .0

@@ -9,9 +9,7 @@
 //! trace's total execution time to the nanosecond — also when injected
 //! faults split a node's interval into several spans.
 
-use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, SequentialExecutor, SleepExecutor, StealExecutor,
-};
+use djstar_core::exec::{PoolExecutor, StagedGeneration, Strategy};
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, Span, SpanKind};
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
@@ -55,34 +53,15 @@ fn build_graph(preds: &[Vec<u32>]) -> TaskGraph {
     b.build().expect("forward edges only: always a DAG")
 }
 
-/// Every strategy at `threads` workers (SEQ only when threads == 1).
-fn executors(graph: &[Vec<u32>], threads: usize) -> Vec<(&'static str, Box<dyn GraphExecutor>)> {
+/// Every strategy at `threads` lanes (SEQ takes one), by its label.
+fn executors(graph: &[Vec<u32>], threads: usize) -> Vec<(&'static str, PoolExecutor)> {
     const FRAMES: usize = 8;
-    let mut v: Vec<(&'static str, Box<dyn GraphExecutor>)> = vec![
-        (
-            "BUSY",
-            Box::new(BusyExecutor::new(build_graph(graph), threads, FRAMES)),
-        ),
-        (
-            "SLEEP",
-            Box::new(SleepExecutor::new(build_graph(graph), threads, FRAMES)),
-        ),
-        (
-            "WS",
-            Box::new(StealExecutor::new(build_graph(graph), threads, FRAMES)),
-        ),
-        (
-            "HYBRID",
-            Box::new(HybridExecutor::new(build_graph(graph), threads, FRAMES)),
-        ),
-    ];
-    if threads == 1 {
-        v.push((
-            "SEQ",
-            Box::new(SequentialExecutor::new(build_graph(graph), FRAMES)),
-        ));
-    }
-    v
+    let build = |strategy: Strategy| {
+        let staged = StagedGeneration::round_robin(build_graph(graph), FRAMES, threads);
+        let ex = PoolExecutor::new(strategy, staged, threads).expect("a filled generation");
+        (strategy.label(), ex)
+    };
+    Strategy::ALL.into_iter().map(build).collect()
 }
 
 #[test]
@@ -155,7 +134,7 @@ fn counters_are_consistent_with_traces_on_all_strategies() {
                 // Unparks were counted waker-side and never exceed parks
                 // plus the workers a cycle can wake at exit (wake_all at
                 // cycle end is uncounted, so unpark_count can be lower).
-                if label == "SEQ" || label == "BUSY" {
+                if label == "SEQ" || label == "BUSY" || label == "PLAN" {
                     assert_eq!(t.park_count, 0, "{label} never parks");
                     assert_eq!(t.unpark_count, 0, "{label} never unparks");
                 }
@@ -254,7 +233,7 @@ fn parallel_strategies_account_waits_when_dependencies_block() {
             totals.merge(&rec.totals());
         }
         match label {
-            "BUSY" => assert!(totals.spin_iters > 0, "BUSY must spin on a chain"),
+            "BUSY" | "PLAN" => assert!(totals.spin_iters > 0, "{label} must spin on a chain"),
             "SLEEP" => assert!(
                 totals.park_count > 0 || totals.wait_ns() > 0,
                 "SLEEP must park on a chain"

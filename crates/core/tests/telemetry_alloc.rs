@@ -38,10 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use djstar_core::exec::{
-    round_robin_lanes, BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor,
-    SequentialExecutor, SleepExecutor, StealExecutor,
-};
+use djstar_core::exec::{PoolExecutor, StagedGeneration, Strategy};
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::FlightConfig;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
@@ -84,28 +81,10 @@ fn graph() -> TaskGraph {
 fn telemetry_cycles_do_not_allocate() {
     const FRAMES: usize = 8;
     const THREADS: usize = 3;
-    let execs: Vec<(&str, Box<dyn GraphExecutor>)> = vec![
-        ("SEQ", Box::new(SequentialExecutor::new(graph(), FRAMES))),
-        (
-            "BUSY",
-            Box::new(BusyExecutor::new(graph(), THREADS, FRAMES)),
-        ),
-        (
-            "SLEEP",
-            Box::new(SleepExecutor::new(graph(), THREADS, FRAMES)),
-        ),
-        ("WS", Box::new(StealExecutor::new(graph(), THREADS, FRAMES))),
-        (
-            "HYBRID",
-            Box::new(HybridExecutor::new(graph(), THREADS, FRAMES)),
-        ),
-        ("PLAN", {
-            let g = graph();
-            let lanes = round_robin_lanes(g.topology(), THREADS);
-            Box::new(PlannedExecutor::new(g, FRAMES, &lanes))
-        }),
-    ];
-    for (label, mut exec) in execs {
+    for strategy in Strategy::ALL {
+        let label = strategy.label();
+        let staged = StagedGeneration::round_robin(graph(), FRAMES, THREADS);
+        let mut exec = PoolExecutor::new(strategy, staged, THREADS).expect("a filled generation");
         exec.set_telemetry(true);
         let mut cycles_run = 0u64;
         // Warm up: first telemetry-on cycles may lazily settle thread
@@ -118,7 +97,7 @@ fn telemetry_cycles_do_not_allocate() {
         // allocation repeats every window, so re-measuring once filters
         // the rare one-shot lazy initialization std performs under
         // memory pressure without weakening the per-cycle claim.
-        let measure = |exec: &mut Box<dyn GraphExecutor>, cycles_run: &mut u64| -> u64 {
+        let measure = |exec: &mut PoolExecutor, cycles_run: &mut u64| -> u64 {
             let before = ALLOCATIONS.load(Ordering::SeqCst);
             for _ in 0..50 {
                 exec.run_cycle(&[], &[]);
@@ -141,7 +120,7 @@ fn telemetry_cycles_do_not_allocate() {
         // copy and the clear + mix_add paths) must also allocate nothing.
         let mut stereo_sink = AudioBuf::zeroed(2, FRAMES);
         let mut mono_sink = AudioBuf::zeroed(1, FRAMES);
-        let measure_reads = |exec: &mut Box<dyn GraphExecutor>,
+        let measure_reads = |exec: &mut PoolExecutor,
                              cycles_run: &mut u64,
                              stereo: &mut AudioBuf,
                              mono: &mut AudioBuf|

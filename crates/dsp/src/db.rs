@@ -1,4 +1,4 @@
-//! Decibel/linear conversions and pan laws.
+//! Decibel/linear conversions and the crossfade law.
 
 /// Convert a gain in decibels to a linear amplitude factor.
 #[inline]
@@ -15,15 +15,6 @@ pub fn gain_to_db(gain: f32) -> f32 {
     } else {
         (20.0 * gain.log10()).max(-120.0)
     }
-}
-
-/// Equal-power pan law. `pos` ranges from -1 (hard left) to +1 (hard right);
-/// returns `(left_gain, right_gain)` with `l² + r² = 1`.
-#[inline]
-pub fn pan_gains(pos: f32) -> (f32, f32) {
-    let pos = pos.clamp(-1.0, 1.0);
-    let theta = (pos + 1.0) * core::f32::consts::FRAC_PI_4;
-    (theta.cos(), theta.sin())
 }
 
 /// Equal-power crossfade between two sources. `x` ranges 0 (all `a`) to 1
@@ -57,18 +48,6 @@ mod tests {
     fn silence_floor() {
         assert_eq!(gain_to_db(0.0), -120.0);
         assert_eq!(gain_to_db(-1.0), -120.0);
-    }
-
-    #[test]
-    fn pan_is_equal_power() {
-        for pos in [-1.0f32, -0.5, 0.0, 0.5, 1.0] {
-            let (l, r) = pan_gains(pos);
-            assert!((l * l + r * r - 1.0).abs() < 1e-5, "pos {pos}");
-        }
-        let (l, r) = pan_gains(-1.0);
-        assert!((l - 1.0).abs() < 1e-6 && r.abs() < 1e-6);
-        let (l, r) = pan_gains(0.0);
-        assert!((l - r).abs() < 1e-6);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use djstar_dsp::biquad::{Biquad, FilterKind};
 use djstar_dsp::buffer::AudioBuf;
-use djstar_dsp::db::{crossfade_gains, db_to_gain, gain_to_db, pan_gains};
+use djstar_dsp::db::{crossfade_gains, db_to_gain, gain_to_db};
 use djstar_dsp::dynamics::{HardClip, Limiter};
 use djstar_dsp::effects::EffectKind;
 use djstar_dsp::resample::VarRateReader;
@@ -34,12 +34,10 @@ fn db_round_trip_everywhere() {
 }
 
 #[test]
-fn pan_and_crossfade_are_equal_power() {
+fn crossfade_is_equal_power() {
     let mut rng = SmallRng::seed_from_u64(0x9A4);
     for _ in 0..256 {
         let x = rand_in(&mut rng, -1.0, 1.0);
-        let (l, r) = pan_gains(x);
-        assert!((l * l + r * r - 1.0).abs() < 1e-4);
         let (a, b) = crossfade_gains((x + 1.0) / 2.0);
         assert!((a * a + b * b - 1.0).abs() < 1e-4);
     }

@@ -25,8 +25,7 @@ use crate::reconfig::{
     apply_edit, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
 };
 use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, RetiredGeneration,
-    SequentialExecutor, SleepExecutor, StealExecutor, Strategy, SwapError, VenuePool,
+    PoolExecutor, RetiredGeneration, StagedGeneration, Strategy, SwapError, VenuePool,
 };
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, FlightWindow};
@@ -111,7 +110,7 @@ impl ApcTiming {
 /// master tempo and beat clock.
 pub struct AudioEngine {
     scenario: Scenario,
-    executor: Box<dyn GraphExecutor>,
+    executor: PoolExecutor,
     map: NodeMap,
     shape: GraphShape,
     /// Control events dropped for referring to decks/slots that do not
@@ -216,7 +215,7 @@ const LEARN_AFTER: u64 = 4;
 const LEARN_CYCLES: u64 = 12;
 
 /// The APC-phase node `node` of `exec` as its concrete processor.
-fn apc_node<T: 'static>(exec: &mut dyn GraphExecutor, node: NodeId) -> &mut T {
+fn apc_node<T: 'static>(exec: &mut PoolExecutor, node: NodeId) -> &mut T {
     exec.node_processor(node)
         .as_any_mut()
         .and_then(|a| a.downcast_mut::<T>())
@@ -279,17 +278,7 @@ impl AudioEngine {
 
     /// A pool of exactly the lanes a solo engine uses.
     fn private_pool(strategy: Strategy, threads: usize) -> Arc<VenuePool> {
-        Arc::new(VenuePool::new(Self::lanes(strategy, threads)))
-    }
-
-    /// Pool lanes a session of `strategy` with `threads` workers occupies
-    /// (SEQ runs everything on the driver whatever `threads` says).
-    fn lanes(strategy: Strategy, threads: usize) -> usize {
-        if strategy == Strategy::Sequential {
-            1
-        } else {
-            threads
-        }
+        Arc::new(VenuePool::new(strategy.lanes(threads)))
     }
 
     fn with_shape_on(
@@ -361,23 +350,20 @@ impl AudioEngine {
         pool: &Arc<VenuePool>,
         costs: &NodeCostModel,
         schedule: Option<Schedule>,
-    ) -> (Box<dyn GraphExecutor>, NodeMap) {
+    ) -> (PoolExecutor, NodeMap) {
         let (graph, map) = build_shaped_graph(scenario, shape);
         let frames = djstar_dsp::BUFFER_FRAMES;
-        let executor: Box<dyn GraphExecutor> = match strategy {
-            Strategy::Sequential => Box::new(SequentialExecutor::with_pool(graph, frames, pool)),
-            Strategy::Busy => Box::new(BusyExecutor::with_pool(graph, threads, frames, pool)),
-            Strategy::Sleep => Box::new(SleepExecutor::with_pool(graph, threads, frames, pool)),
-            Strategy::Steal => Box::new(StealExecutor::with_pool(graph, threads, frames, pool)),
-            Strategy::Hybrid => Box::new(HybridExecutor::with_pool(graph, threads, frames, pool)),
-            Strategy::Planned => {
-                let lanes = match schedule {
-                    Some(schedule) => schedule.lanes(),
-                    None => costs.schedule(graph.topology(), &map.keys, threads).lanes(),
-                };
-                Box::new(PlannedExecutor::with_pool(graph, frames, &lanes, pool))
-            }
+        let staged = if strategy == Strategy::Planned {
+            let lanes = schedule
+                .unwrap_or_else(|| costs.schedule(graph.topology(), &map.keys, threads))
+                .lanes();
+            StagedGeneration::with_plan(graph, frames, &lanes)
+                .unwrap_or_else(|e| panic!("lanes do not bind to this graph: {e}"))
+        } else {
+            StagedGeneration::new(graph, frames)
         };
+        let executor = PoolExecutor::with_pool(strategy, staged, threads, pool)
+            .expect("a whole graph, planned for these lanes");
         (executor, map)
     }
 
@@ -661,7 +647,7 @@ impl AudioEngine {
         }
         if let Some(threads) = resize {
             let strategy = self.strategy();
-            let lanes = Self::lanes(strategy, threads);
+            let lanes = strategy.lanes(threads);
             if self.private_pool {
                 self.pool = Self::private_pool(strategy, threads);
             } else if lanes > self.pool.threads() {
@@ -676,13 +662,13 @@ impl AudioEngine {
             let (old, new) = (apc_nodes(&self.map), apc_nodes(&map));
             for d in 0..4 {
                 std::mem::swap(
-                    apc_node::<DeckFront>(self.executor.as_mut(), old.fronts[d]),
-                    apc_node::<DeckFront>(executor.as_mut(), new.fronts[d]),
+                    apc_node::<DeckFront>(&mut self.executor, old.fronts[d]),
+                    apc_node::<DeckFront>(&mut executor, new.fronts[d]),
                 );
             }
             std::mem::swap(
-                apc_node::<VariousCalc>(self.executor.as_mut(), old.vc),
-                apc_node::<VariousCalc>(executor.as_mut(), new.vc),
+                apc_node::<VariousCalc>(&mut self.executor, old.vc),
+                apc_node::<VariousCalc>(&mut executor, new.vc),
             );
             self.executor = executor;
             self.executor.set_session(self.session);
@@ -702,8 +688,8 @@ impl AudioEngine {
     }
 
     /// The underlying executor (for knob turning, output reads).
-    pub fn executor_mut(&mut self) -> &mut dyn GraphExecutor {
-        self.executor.as_mut()
+    pub fn executor_mut(&mut self) -> &mut PoolExecutor {
+        &mut self.executor
     }
 
     /// Enable or disable executor telemetry (per-worker cycle counters
@@ -874,13 +860,13 @@ impl AudioEngine {
             self.front_mut(d).set_aux(aux);
         }
         let vc = apc_nodes(&self.map).vc;
-        apc_node::<VariousCalc>(self.executor.as_mut(), vc).set_aux(aux);
+        apc_node::<VariousCalc>(&mut self.executor, vc).set_aux(aux);
     }
 
     /// Deck `d`'s front node (TP + GP).
     pub(crate) fn front_mut(&mut self, d: usize) -> &mut DeckFront {
         let node = apc_nodes(&self.map).fronts[d];
-        apc_node(self.executor.as_mut(), node)
+        apc_node(&mut self.executor, node)
     }
 
     /// Arm the network-axis (latency/dropout) governor. Once armed, the
@@ -1181,7 +1167,7 @@ impl AudioEngine {
     /// Beats elapsed at the master tempo, as of the last cycle's VC.
     pub fn beat_clock(&mut self) -> f64 {
         let vc = apc_nodes(&self.map).vc;
-        apc_node::<VariousCalc>(self.executor.as_mut(), vc).beat_clock()
+        apc_node::<VariousCalc>(&mut self.executor, vc).beat_clock()
     }
 
     /// Venue cycle, step 1: *stage* this session's APC on the shared pool
@@ -1280,11 +1266,11 @@ impl AudioEngine {
         let apc = apc_nodes(&self.map);
         let (mut tp, mut gp) = (0, 0);
         for node in apc.fronts {
-            let (t, g) = apc_node::<DeckFront>(self.executor.as_mut(), node).work_ns();
+            let (t, g) = apc_node::<DeckFront>(&mut self.executor, node).work_ns();
             tp += t;
             gp += g;
         }
-        let vc_node = apc_node::<VariousCalc>(self.executor.as_mut(), apc.vc);
+        let vc_node = apc_node::<VariousCalc>(&mut self.executor, apc.vc);
         let vc = vc_node.work_ns();
         self.ctrl[controls::BEAT_CLOCK] = vc_node.beat_clock() as f32;
         let lanes = self.threads() as u64;

@@ -31,7 +31,6 @@ pub mod nodes;
 mod pricing_golden;
 pub mod reconfig;
 pub mod soundcard;
-pub mod sync;
 pub mod timecode;
 pub mod venue;
 

@@ -11,7 +11,7 @@
 //! (delay lines ring, meters settle, the jitter buffer of a remote deck
 //! conceals).
 
-use djstar_core::exec::{BusyExecutor, GraphExecutor, SequentialExecutor, StagedGeneration};
+use djstar_core::exec::{PoolExecutor, StagedGeneration, Strategy};
 use djstar_core::graph::{NodeId, Section, TaskGraphBuilder};
 use djstar_core::processor::Passthrough;
 use djstar_dsp::{AudioBuf, BUFFER_FRAMES};
@@ -43,10 +43,11 @@ fn cases() -> Vec<(&'static str, Scenario, GraphShape)> {
 
 /// A BUSY × 2 executor running `shape`'s graph built hollow, every node
 /// filled by `build_part`.
-fn hollow_executor(scenario: &Scenario, shape: &GraphShape) -> Box<dyn GraphExecutor> {
+fn hollow_executor(scenario: &Scenario, shape: &GraphShape) -> PoolExecutor {
     let mut seed = TaskGraphBuilder::new();
     seed.add("nobody", Section::Master, Box::new(Passthrough), &[]);
-    let mut exec = BusyExecutor::new(seed.build().unwrap(), 2, BUFFER_FRAMES);
+    let seed = StagedGeneration::new(seed.build().unwrap(), BUFFER_FRAMES);
+    let mut exec = PoolExecutor::new(Strategy::Busy, seed, 2).expect("a filled generation");
     let (graph, map) = hollow_graph(scenario, shape);
     let mut staged = StagedGeneration::new(graph, BUFFER_FRAMES);
     for n in (0..staged.len() as u32).map(NodeId) {
@@ -56,7 +57,7 @@ fn hollow_executor(scenario: &Scenario, shape: &GraphShape) -> Box<dyn GraphExec
     }
     let (verdict, _retired) = exec.adopt_generation(staged);
     assert_eq!(verdict, Ok(1));
-    Box::new(exec)
+    exec
 }
 
 #[test]
@@ -82,7 +83,8 @@ fn hollow_plus_parts_is_the_full_graph_bit_for_bit() {
         };
         assert!(build_part(&scenario, &shape, fx_e1).is_none());
 
-        let mut full = SequentialExecutor::new(full_graph, BUFFER_FRAMES);
+        let full = StagedGeneration::new(full_graph, BUFFER_FRAMES);
+        let mut full = PoolExecutor::new(Strategy::Sequential, full, 1).expect("a full graph");
         let mut filled = hollow_executor(&scenario, &shape);
         let mut ctrl = vec![1.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = 0.5;

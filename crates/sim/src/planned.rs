@@ -2,8 +2,8 @@
 //!
 //! The list scheduler (`sim::list`) produces the resource-constrained
 //! schedule the paper calls "optimal" on four cores; its per-processor
-//! timelines ([`Schedule::lanes`]) are what the real `PlannedExecutor`
-//! binds to its graph and replays. [`compile_blueprint`] makes the same
+//! timelines ([`Schedule::lanes`]) are what a real PLAN executor replays,
+//! bound to its graph where the generation is staged. [`compile_blueprint`] makes the same
 //! binding against a [`SimGraph`], and [`simulate_plan`] predicts what
 //! the replay costs under an [`OverheadModel`] — through the same lane walk
 //! that replays BUSY, SLEEP and HYBRID (`strategy`). PLAN's simulated

@@ -7,8 +7,11 @@
 # item of its own crate that is called names it: a `pub fn` signature, a
 # `pub type` alias or a `pub` field of a `pub struct` (followed to a fixed
 # point, so a field type of a called return type is called too).
-# A `pub use` re-export or a comment is not a caller. An allowlist entry
-# that has gained a caller or no longer exists fails too.
+# A `pub use` re-export or a comment is not a caller, and neither is a
+# file that declares an item of the same name itself (a `const LANES` of
+# its own), unless it names the item through a path (`simd::LANES`) or a
+# `use`. An allowlist entry that has gained a caller or no longer exists
+# fails too.
 # Run from the repository root: `sh scripts/callerless.sh`.
 set -e
 allow=scripts/callerless-allowlist.txt
@@ -27,6 +30,22 @@ find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | 
     ' "$f" >"$corpus/src/$f"
 done
 
+# Whether file $1, which declares an item named $2 itself, names another
+# item $2 through a path or a `use` statement (multi-line ones included).
+via_path_or_use() {
+    grep -qE "::$2([^A-Za-z0-9_]|\$)" "$1" && return 0
+    awk -v name="$2" '
+        /^[[:space:]]*use / { inuse = 1; text = "" }
+        inuse {
+            text = text " " $0
+            if (!index($0, ";")) next
+            inuse = 0
+            if (match(text, "(^|[^A-Za-z0-9_])" name "([^A-Za-z0-9_]|$)")) found = 1
+        }
+        END { exit !found }
+    ' "$1"
+}
+
 # One line per public item: crate, name, kind (fn or type), whether another
 # file names it (1) or not (0), file. And one line per place an item names
 # a type (the crate, the naming item, the text): a `pub fn` signature up
@@ -40,7 +59,14 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
         -e 's/^ *pub \(struct\|enum\|type\|trait\) \([A-Za-z0-9_]*\).*/type \2/p' "$f" |
         sort -u | while read -r kind name; do
             named=0
-            grep -rlw "$name" "$corpus/src" | grep -qvx "$corpus/src/$f" && named=1
+            own="(^|[^A-Za-z0-9_])(fn|const|static|struct|enum|type|trait|mod)[[:space:]]+$name([^A-Za-z0-9_]|\$)"
+            for g in $(grep -rlw "$name" "$corpus/src" | grep -vx "$corpus/src/$f"); do
+                if grep -qE "$own" "$g" && ! via_path_or_use "$g" "$name"; then
+                    continue
+                fi
+                named=1
+                break
+            done
             printf '%s\t%s\t%s\t%s\t%s\n' "$crate" "$name" "$kind" "$named" "$f"
         done >>"$corpus/items"
     awk -v crate="$crate" '

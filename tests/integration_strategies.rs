@@ -1,10 +1,7 @@
 //! Scheduler correctness on the real 67-node DJ Star graph: exactly-once
 //! execution, dependency safety, queue-order properties, stress cycles.
 
-use djstar_core::exec::{
-    BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, SequentialExecutor,
-    SleepExecutor, StealExecutor, Strategy,
-};
+use djstar_core::exec::{PoolExecutor, StagedGeneration, Strategy};
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::{FlightConfig, SpanKind};
 use djstar_core::graph::NodeId;
@@ -16,26 +13,40 @@ use djstar_engine::modes::NodeCostModel;
 use djstar_sim::gantt::render_trace;
 use djstar_workload::scenario::Scenario;
 
-fn executors(threads: usize) -> Vec<Box<dyn GraphExecutor>> {
-    let frames = djstar_dsp::BUFFER_FRAMES;
-    let mk = || build_djstar_graph(&Scenario::light_test()).0;
-    vec![
-        Box::new(SequentialExecutor::new(mk(), frames)),
-        Box::new(BusyExecutor::new(mk(), threads, frames)),
-        Box::new(SleepExecutor::new(mk(), threads, frames)),
-        Box::new(StealExecutor::new(mk(), threads, frames)),
-        Box::new(HybridExecutor::new(mk(), threads, frames)),
-    ]
+/// Every strategy over the real graph with `threads` lanes (SEQ takes
+/// one), each paired with its master output node (graphs are built per
+/// executor, so node ids are per-pair). PLAN's lanes come from the
+/// engine's path: a list schedule over priced node costs, bound to the
+/// graph where it is staged.
+fn executors(threads: usize) -> Vec<(PoolExecutor, NodeId)> {
+    let build = |strategy: Strategy| {
+        let (g, m) = build_djstar_graph(&Scenario::light_test());
+        let lanes = NodeCostModel::uniform(1_000)
+            .schedule(g.topology(), &m.keys, threads)
+            .lanes();
+        let staged = StagedGeneration::with_plan(g, djstar_dsp::BUFFER_FRAMES, &lanes)
+            .expect("a list schedule binds to its own graph");
+        let ex = PoolExecutor::new(strategy, staged, threads).expect("a whole graph");
+        (ex, m.audio_out)
+    };
+    Strategy::ALL.into_iter().map(build).collect()
+}
+
+/// A `strategy` executor over the real graph with `threads` lanes.
+fn executor(strategy: Strategy, threads: usize) -> PoolExecutor {
+    let (graph, _) = build_djstar_graph(&Scenario::light_test());
+    let staged = StagedGeneration::new(graph, djstar_dsp::BUFFER_FRAMES);
+    PoolExecutor::new(strategy, staged, threads).expect("a whole graph")
 }
 
 /// Install a default-sized flight recorder on `ex`.
-fn record(ex: &mut dyn GraphExecutor) {
+fn record(ex: &mut PoolExecutor) {
     ex.set_flight_recorder(Some(FlightConfig::default()));
 }
 
 /// Run one cycle of `ex`, whose flight recorder must be installed, and
 /// fold it into its schedule trace.
-fn traced_cycle(ex: &mut dyn GraphExecutor, audio: &[AudioBuf], controls: &[f32]) -> ScheduleTrace {
+fn traced_cycle(ex: &mut PoolExecutor, audio: &[AudioBuf], controls: &[f32]) -> ScheduleTrace {
     ex.run_cycle(audio, controls);
     let window = ex.take_flight_window().expect("recorder installed");
     let cycle = window.cycles.last().expect("cycle stamped").cycle;
@@ -56,10 +67,10 @@ fn deck_audio() -> Vec<AudioBuf> {
 fn every_strategy_executes_all_67_nodes_exactly_once() {
     let audio = deck_audio();
     let controls = vec![0.5, 0.9, 0.0, 0.8, 0.8, 0.8, 0.8];
-    for mut ex in executors(4) {
-        record(ex.as_mut());
+    for (mut ex, _) in executors(4) {
+        record(&mut ex);
         for cycle in 0..25 {
-            let trace = traced_cycle(ex.as_mut(), &audio, &controls);
+            let trace = traced_cycle(&mut ex, &audio, &controls);
             let mut nodes: Vec<u32> = trace.executions().iter().map(|e| e.node).collect();
             nodes.sort_unstable();
             assert_eq!(
@@ -77,10 +88,10 @@ fn traces_respect_dependencies_across_strategies_and_threads() {
     let audio = deck_audio();
     let controls = vec![0.5, 0.9, 0.0, 0.8, 0.8, 0.8, 0.8];
     for threads in [2, 3, 4, 5] {
-        for mut ex in executors(threads) {
-            record(ex.as_mut());
+        for (mut ex, _) in executors(threads) {
+            record(&mut ex);
             for _ in 0..10 {
-                let trace = traced_cycle(ex.as_mut(), &audio, &controls);
+                let trace = traced_cycle(&mut ex, &audio, &controls);
                 let topo = ex.topology();
                 assert!(
                     trace.respects_dependencies(|n| topo.preds(NodeId(n)).to_vec()),
@@ -94,9 +105,8 @@ fn traces_respect_dependencies_across_strategies_and_threads() {
 
 #[test]
 fn sequential_trace_follows_queue_order_exactly() {
-    let (graph, _) = build_djstar_graph(&Scenario::light_test());
-    let queue = graph.topology().queue().to_vec();
-    let mut ex = SequentialExecutor::new(graph, djstar_dsp::BUFFER_FRAMES);
+    let mut ex = executor(Strategy::Sequential, 1);
+    let queue = ex.topology().queue().to_vec();
     record(&mut ex);
     let order = traced_cycle(&mut ex, &deck_audio(), &[]).execution_order();
     assert_eq!(order, queue);
@@ -104,8 +114,7 @@ fn sequential_trace_follows_queue_order_exactly() {
 
 #[test]
 fn busy_trace_contains_busywait_not_sleep() {
-    let (graph, _) = build_djstar_graph(&Scenario::light_test());
-    let mut ex = BusyExecutor::new(graph, 4, djstar_dsp::BUFFER_FRAMES);
+    let mut ex = executor(Strategy::Busy, 4);
     record(&mut ex);
     let mut kinds = std::collections::HashSet::new();
     for _ in 0..20 {
@@ -119,8 +128,7 @@ fn busy_trace_contains_busywait_not_sleep() {
 
 #[test]
 fn sleep_trace_contains_sleep_not_busywait() {
-    let (graph, _) = build_djstar_graph(&Scenario::light_test());
-    let mut ex = SleepExecutor::new(graph, 4, djstar_dsp::BUFFER_FRAMES);
+    let mut ex = executor(Strategy::Sleep, 4);
     record(&mut ex);
     let mut kinds = std::collections::HashSet::new();
     for _ in 0..20 {
@@ -137,7 +145,8 @@ fn stress_thousand_cycles_with_odd_thread_counts() {
     let audio = deck_audio();
     for threads in [1usize, 3, 5, 7] {
         let (graph, map) = build_djstar_graph(&Scenario::light_test());
-        let mut ex = StealExecutor::new(graph, threads, djstar_dsp::BUFFER_FRAMES);
+        let staged = StagedGeneration::new(graph, djstar_dsp::BUFFER_FRAMES);
+        let mut ex = PoolExecutor::new(Strategy::Steal, staged, threads).expect("a whole graph");
         let mut out = AudioBuf::stereo_default();
         for _ in 0..300 {
             ex.run_cycle(&audio, &[0.5, 0.9, 0.0, 0.8, 0.8, 0.8, 0.8]);
@@ -151,8 +160,7 @@ fn stress_thousand_cycles_with_odd_thread_counts() {
 fn executors_are_reusable_after_idle_gaps() {
     // Simulates the engine idling between sound-card callbacks: workers
     // park and must wake for the next cycle.
-    let (graph, _) = build_djstar_graph(&Scenario::light_test());
-    let mut ex = BusyExecutor::new(graph, 4, djstar_dsp::BUFFER_FRAMES);
+    let mut ex = executor(Strategy::Busy, 4);
     let audio = deck_audio();
     for _ in 0..5 {
         ex.run_cycle(&audio, &[]);
@@ -181,44 +189,6 @@ fn recorded_cycles_render_as_fig11_gantts() {
     }
 }
 
-/// All six strategies over the real graph, each paired with its master
-/// output node (graphs are built per executor, so node ids are per-pair).
-fn all_executors(threads: usize) -> Vec<(Box<dyn GraphExecutor>, NodeId)> {
-    let frames = djstar_dsp::BUFFER_FRAMES;
-    let mk = || build_djstar_graph(&Scenario::light_test());
-    let mut v: Vec<(Box<dyn GraphExecutor>, NodeId)> = Vec::new();
-    let (g, m) = mk();
-    v.push((Box::new(SequentialExecutor::new(g, frames)), m.audio_out));
-    let (g, m) = mk();
-    v.push((Box::new(BusyExecutor::new(g, threads, frames)), m.audio_out));
-    let (g, m) = mk();
-    v.push((
-        Box::new(SleepExecutor::new(g, threads, frames)),
-        m.audio_out,
-    ));
-    let (g, m) = mk();
-    v.push((
-        Box::new(StealExecutor::new(g, threads, frames)),
-        m.audio_out,
-    ));
-    let (g, m) = mk();
-    v.push((
-        Box::new(HybridExecutor::new(g, threads, frames)),
-        m.audio_out,
-    ));
-    // PLAN's lanes come from the engine's path: a list schedule over
-    // priced node costs, which the executor binds to its graph.
-    let (g, m) = mk();
-    let lanes = NodeCostModel::uniform(1_000)
-        .schedule(g.topology(), &m.keys, threads)
-        .lanes();
-    v.push((
-        Box::new(PlannedExecutor::new(g, frames, &lanes)),
-        m.audio_out,
-    ));
-    v
-}
-
 #[test]
 fn fault_storm_is_deterministic_and_audio_transparent_on_the_real_graph() {
     // One fixed seed; every strategy must (1) keep the master output
@@ -239,7 +209,7 @@ fn fault_storm_is_deterministic_and_audio_transparent_on_the_real_graph() {
         pressure_iters: 40,
     };
     let run = |plan: Option<FaultPlan>| -> Vec<(Vec<u32>, u64, u64)> {
-        all_executors(4)
+        executors(4)
             .into_iter()
             .map(|(mut ex, out_node)| {
                 ex.set_faults(plan);
@@ -280,7 +250,8 @@ fn fault_storm_is_deterministic_and_audio_transparent_on_the_real_graph() {
 #[test]
 fn node_processor_access_allows_live_retuning() {
     let (graph, map) = build_djstar_graph(&Scenario::light_test());
-    let mut ex = SequentialExecutor::new(graph, djstar_dsp::BUFFER_FRAMES);
+    let staged = StagedGeneration::new(graph, djstar_dsp::BUFFER_FRAMES);
+    let mut ex = PoolExecutor::new(Strategy::Sequential, staged, 1).expect("a whole graph");
     let audio = deck_audio();
     let controls = vec![0.0, 0.9, 0.0, 0.8, 0.8, 0.8, 0.8]; // full deck A
     for _ in 0..30 {
