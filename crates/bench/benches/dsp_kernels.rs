@@ -2,7 +2,9 @@
 //! the raw material of the graph's node-duration distribution.
 
 use djstar_bench::microbench::{bench, group};
-use djstar_dsp::biquad::{process_chain, process_chain_scalar, Biquad, FilterKind};
+use djstar_dsp::biquad::{
+    process_chain, process_chain_fused, process_chain_scalar, Biquad, FilterKind,
+};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::{Compressor, Limiter};
 use djstar_dsp::effects::{EchoDelay, EffectKind, Flanger, Overdrive, Phaser};
@@ -122,6 +124,13 @@ fn bench_filters() {
         st.process(&src, 1.3, &mut out);
         out[0]
     });
+    // The search alone, on the stretcher's state after that read: the
+    // offsets in lanes against one offset after another.
+    let natural = 2_000;
+    bench("stretch_search/lanes", || st.best_offset(&src, natural));
+    bench("stretch_search/serial", || {
+        st.best_offset_serial(&src, natural)
+    });
     let meter_buf = music_buf();
     bench("goertzel_8_bands", || {
         let mut acc = 0.0f32;
@@ -155,31 +164,40 @@ fn bench_fft() {
     }
 }
 
-/// A six-section cascade shaped like `SpFilterNode`'s chain.
-fn spfilter_chain() -> Vec<Biquad> {
+/// The first `sections` filters of the fourth band's `SpFilterNode`
+/// chain: two sections (band 0's length), four (band 1's), six (bands 2
+/// and 3); three is the `ThreeBandEq`'s length.
+fn sp_chain(sections: usize) -> Vec<Biquad> {
     let sr = djstar_dsp::SAMPLE_RATE;
-    vec![
-        Biquad::design(FilterKind::Highpass, 30.0, 0.7, sr),
-        Biquad::design(FilterKind::Peaking { gain_db: 2.0 }, 120.0, 1.1, sr),
-        Biquad::design(FilterKind::Peaking { gain_db: -3.0 }, 800.0, 0.9, sr),
-        Biquad::design(FilterKind::Peaking { gain_db: 1.5 }, 2_500.0, 1.3, sr),
-        Biquad::design(FilterKind::HighShelf { gain_db: -1.0 }, 8_000.0, 0.7, sr),
-        Biquad::design(FilterKind::Lowpass, 16_000.0, 0.7, sr),
-    ]
+    let q = core::f32::consts::FRAC_1_SQRT_2;
+    [200.0, 200.0, 1_200.0, 1_200.0, 5_000.0, 5_000.0]
+        .iter()
+        .take(sections)
+        .map(|&f| Biquad::design(FilterKind::Highpass, f, q, sr))
+        .collect()
 }
 
 /// Every vectorized kernel that has a scalar reference, scalar vs SIMD on
 /// the same corpus — the raw per-kernel speedups (the benchmark's
-/// `dsp.*_ns` rows track the SIMD side).
+/// `dsp.*_ns` rows track the SIMD side). A cascade's `lanes` row is the
+/// wavefront every graph cascade runs on an AVX2 host, `fused` the
+/// one-`F32x4` pass it replaces there.
 fn bench_simd_pairs() {
     group("simd_vs_scalar_128f");
 
-    let mut chain = spfilter_chain();
-    let mut buf = music_buf();
-    bench("biquad_chain6/scalar", || {
-        process_chain_scalar(&mut chain, &mut buf)
-    });
-    bench("biquad_chain6/simd", || process_chain(&mut chain, &mut buf));
+    for n in [2usize, 3, 4, 6] {
+        let mut chain = sp_chain(n);
+        let mut buf = music_buf();
+        bench(&format!("biquad_chain{n}/scalar"), || {
+            process_chain_scalar(&mut chain, &mut buf)
+        });
+        bench(&format!("biquad_chain{n}/fused"), || {
+            process_chain_fused(&mut chain, &mut buf)
+        });
+        bench(&format!("biquad_chain{n}/lanes"), || {
+            process_chain(&mut chain, &mut buf)
+        });
+    }
 
     let mut eq = ThreeBandEq::new(djstar_dsp::SAMPLE_RATE);
     eq.set_gains(3.0, -2.0, 4.0);

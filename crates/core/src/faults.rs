@@ -120,13 +120,6 @@ impl FaultPlan {
         }
     }
 
-    /// True when no draw can ever fire.
-    pub fn is_quiet(&self) -> bool {
-        (self.spike_rate <= 0.0 || self.spike_iters == 0)
-            && (self.stall_lanes == 0 || self.stall_rate <= 0.0 || self.stall_iters == 0)
-            && (self.pressure_period == 0 || self.pressure_len == 0 || self.pressure_iters == 0)
-    }
-
     /// One stateless SplitMix64 draw for `(salt, a, b)`, mapped to `[0,1)`.
     #[inline]
     fn draw(&self, salt: u64, a: u64, b: u64) -> f64 {
@@ -272,6 +265,19 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True when no draw can ever fire.
+    trait Quiet {
+        fn is_quiet(&self) -> bool;
+    }
+
+    impl Quiet for FaultPlan {
+        fn is_quiet(&self) -> bool {
+            (self.spike_rate <= 0.0 || self.spike_iters == 0)
+                && (self.stall_lanes == 0 || self.stall_rate <= 0.0 || self.stall_iters == 0)
+                && (self.pressure_period == 0 || self.pressure_len == 0 || self.pressure_iters == 0)
+        }
+    }
 
     fn storm() -> FaultPlan {
         FaultPlan {

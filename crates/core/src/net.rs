@@ -124,16 +124,6 @@ impl NetFaultPlan {
         }
     }
 
-    /// True when no draw can ever perturb a packet.
-    pub fn is_quiet(&self) -> bool {
-        self.jitter == 0
-            && self.loss_rate <= 0.0
-            && self.dup_rate <= 0.0
-            && (self.reorder_rate <= 0.0 || self.reorder_extra == 0)
-            && (self.burst_period == 0 || self.burst_len == 0 || self.burst_jitter == 0)
-            && self.listener_stall_rate <= 0.0
-    }
-
     /// One stateless SplitMix64 draw for `(salt, a, b)`, mapped to `[0,1)`.
     #[inline]
     fn draw(&self, salt: u64, a: u64, b: u64) -> f64 {
@@ -570,6 +560,22 @@ impl JitterBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True when no draw can ever perturb a packet.
+    trait Quiet {
+        fn is_quiet(&self) -> bool;
+    }
+
+    impl Quiet for NetFaultPlan {
+        fn is_quiet(&self) -> bool {
+            self.jitter == 0
+                && self.loss_rate <= 0.0
+                && self.dup_rate <= 0.0
+                && (self.reorder_rate <= 0.0 || self.reorder_extra == 0)
+                && (self.burst_period == 0 || self.burst_len == 0 || self.burst_jitter == 0)
+                && self.listener_stall_rate <= 0.0
+        }
+    }
 
     fn stormy() -> NetFaultPlan {
         NetFaultPlan {

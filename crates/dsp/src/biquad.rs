@@ -5,15 +5,24 @@
 //! Bristow-Johnson's cookbook formulas; the state uses transposed direct
 //! form II, which is well-behaved in `f32`.
 //!
-//! A cascade is vectorized with channels-in-lanes: both channels of a
-//! frame ride one [`F32x4`], and [`process_chain`] fuses the cascade into a
-//! *single* pass over the buffer (per-section state lives in registers),
-//! instead of one read-modify-write pass per section. The fused pass is
-//! bit-identical to the per-section reference [`process_chain_scalar`]:
-//! section `k` still sees exactly the sequence section `k-1` produced, and
-//! every lane operation is the same IEEE-754 single operation the scalar
-//! expression performs (no FMA, no reassociation). A single section
-//! ([`Biquad::process`]) is the per-sample loop: the fused pass measured no
+//! A cascade ([`process_chain`]) runs as a *wavefront* on a CPU with AVX2:
+//! lane `2s + c` of an 8-lane vector holds section `s`, channel `c`, and at
+//! step `t` section `s` filters frame `t − s`, so four sections advance per
+//! vector operation. Section `s`'s input is the vector section `s − 1`
+//! produced one step earlier, moved up one section; frame `t` enters
+//! lanes 0–1. Five to eight sections ride two vectors in the same loop;
+//! a chunk of one or two sections takes the fused pass below.
+//! During the `n − 1` steps that fill the pipeline and the `n − 1` that
+//! drain it, a lane whose frame lies outside the buffer keeps its state
+//! (a masked blend), so every lane performs exactly the per-sample
+//! recurrence of its section and channel, in order. The lanes hold
+//! independent recurrences, never a reassociated sum: each lane operation
+//! is the IEEE-754 single operation the scalar expression performs (no
+//! FMA, no reordering), so the output is bit-identical to the
+//! per-section reference [`process_chain_scalar`]. Without AVX2 the
+//! cascade is [`process_chain_fused`]: one pass with both channels of a
+//! frame in one [`F32x4`] and the sections in series. A single section
+//! ([`Biquad::process`]) is the per-sample loop: a fused pass measured no
 //! faster on one section (EXPERIMENTS.md E37).
 
 use crate::buffer::AudioBuf;
@@ -208,11 +217,16 @@ impl Biquad {
     }
 }
 
-/// Most fused sections per buffer pass; longer chains run in fused chunks.
+/// Most sections per buffer pass; longer chains run in chunks.
 const MAX_FUSED: usize = 8;
 
-/// Filter `buf` through every section of `chain` in series, fusing up to
-/// `MAX_FUSED` sections into one pass over the buffer.
+/// Fewest sections the wavefront takes. One or two sections leave at
+/// least half its lanes idle: the recurrence bounds both forms alike, and
+/// the fused pass skips the fill and drain (EXPERIMENTS.md E39).
+const MIN_WAVEFRONT: usize = 3;
+
+/// Filter `buf` through every section of `chain` in series, up to
+/// `MAX_FUSED` sections per pass over the buffer.
 pub fn process_chain(chain: &mut [Biquad], buf: &mut AudioBuf) {
     let _t = crate::kprof::timer(crate::kprof::Family::Biquad);
     chain_dispatch(chain, buf);
@@ -221,9 +235,20 @@ pub fn process_chain(chain: &mut [Biquad], buf: &mut AudioBuf) {
 /// [`process_chain`] without the kernel-family timer, for callers (the EQ)
 /// that account the time to their own family.
 pub(crate) fn chain_dispatch(chain: &mut [Biquad], buf: &mut AudioBuf) {
-    for chunk in chain.chunks_mut(MAX_FUSED) {
-        process_chunk_wide(chunk, buf);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_fma_available() {
+        for chunk in chain.chunks_mut(MAX_FUSED) {
+            if chunk.len() < MIN_WAVEFRONT {
+                process_chunk_wide(chunk, buf);
+            } else {
+                let (l, r) = buf.as_planar_slices_mut();
+                // SAFETY: AVX2 presence was just verified at runtime.
+                unsafe { x86::wavefront(chunk, l, r) };
+            }
+        }
+        return;
     }
+    process_chain_fused(chain, buf);
 }
 
 /// Scalar reference for [`process_chain`]: one per-sample buffer pass per
@@ -231,6 +256,14 @@ pub(crate) fn chain_dispatch(chain: &mut [Biquad], buf: &mut AudioBuf) {
 pub fn process_chain_scalar(chain: &mut [Biquad], buf: &mut AudioBuf) {
     for section in chain {
         section.tick_buffer(buf);
+    }
+}
+
+/// The cascade on a CPU without AVX2, and the wavefront's timing twin in
+/// `dsp_kernels`: one fused pass per `MAX_FUSED` sections.
+pub fn process_chain_fused(chain: &mut [Biquad], buf: &mut AudioBuf) {
+    for chunk in chain.chunks_mut(MAX_FUSED) {
+        process_chunk_wide(chunk, buf);
     }
 }
 
@@ -289,6 +322,184 @@ fn process_chunk_wide(chain: &mut [Biquad], buf: &mut AudioBuf) {
         if stereo {
             s.z1[1] = s1[1];
             s.z2[1] = s2[1];
+        }
+    }
+}
+
+/// The AVX2 wavefront cascade.
+///
+/// # Safety
+/// Every `unsafe fn` here requires a CPU with AVX2: the caller checks
+/// [`crate::simd::avx2_fma_available`] first. Vector loads and stores
+/// touch only stack arrays of eight lanes; the planes are indexed as
+/// slices.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::Biquad;
+    use crate::simd::wave::{frame, live_lanes, pair, rotate_up};
+    use core::arch::x86_64::*;
+
+    /// Sections per vector: lane `2s + c` holds section `s`, channel `c`.
+    const PER_VEC: usize = 4;
+
+    /// One wavefront pass of `chain` (1–8 sections) over the planes `l`
+    /// and `r` in place. `r` is empty for a mono buffer: its lanes then
+    /// filter zeros and the right-channel state is left as it was.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn wavefront(chain: &mut [Biquad], l: &mut [f32], r: &mut [f32]) {
+        if chain.is_empty() || l.is_empty() {
+            return;
+        }
+        if chain.len() <= PER_VEC {
+            Skew::<1>::load(chain)
+                .run(chain.len(), l, r)
+                .store(chain, !r.is_empty());
+        } else {
+            Skew::<2>::load(chain)
+                .run(chain.len(), l, r)
+                .store(chain, !r.is_empty());
+        }
+    }
+
+    /// Coefficients, state and last outputs of up to `4 · V` sections, by
+    /// lane; lanes past the chain hold zeros and are never read back.
+    struct Skew<const V: usize> {
+        b0: [__m256; V],
+        b1: [__m256; V],
+        b2: [__m256; V],
+        a1: [__m256; V],
+        a2: [__m256; V],
+        z1: [__m256; V],
+        z2: [__m256; V],
+        y: [__m256; V],
+        /// Each lane's section index.
+        section: [__m256i; V],
+    }
+
+    impl<const V: usize> Skew<V> {
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(chain: &[Biquad]) -> Self {
+            // b0, b1, b2, a1, a2, z1, z2 by vector and lane.
+            let mut rows = [[[0.0f32; 8]; V]; 7];
+            for (s, sec) in chain.iter().enumerate() {
+                let c = sec.coeffs;
+                for ch in 0..2 {
+                    let vals = [c.b0, c.b1, c.b2, c.a1, c.a2, sec.z1[ch], sec.z2[ch]];
+                    for (row, v) in rows.iter_mut().zip(vals) {
+                        row[s / PER_VEC][2 * (s % PER_VEC) + ch] = v;
+                    }
+                }
+            }
+            let vec = |row: &[[f32; 8]; V]| -> [__m256; V] {
+                core::array::from_fn(|v| _mm256_loadu_ps(row[v].as_ptr()))
+            };
+            let pairs = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+            Skew {
+                b0: vec(&rows[0]),
+                b1: vec(&rows[1]),
+                b2: vec(&rows[2]),
+                a1: vec(&rows[3]),
+                a2: vec(&rows[4]),
+                z1: vec(&rows[5]),
+                z2: vec(&rows[6]),
+                y: [_mm256_setzero_ps(); V],
+                section: core::array::from_fn(|v| {
+                    _mm256_add_epi32(pairs, _mm256_set1_epi32((PER_VEC * v) as i32))
+                }),
+            }
+        }
+
+        /// Write the lanes' state back to `chain` (channel 1 only for a
+        /// stereo pass).
+        #[target_feature(enable = "avx2")]
+        unsafe fn store(&self, chain: &mut [Biquad], stereo: bool) {
+            let mut z1 = [[0.0f32; 8]; V];
+            let mut z2 = [[0.0f32; 8]; V];
+            for v in 0..V {
+                _mm256_storeu_ps(z1[v].as_mut_ptr(), self.z1[v]);
+                _mm256_storeu_ps(z2[v].as_mut_ptr(), self.z2[v]);
+            }
+            for (s, sec) in chain.iter_mut().enumerate() {
+                for ch in 0..1 + stereo as usize {
+                    let (v, lane) = (s / PER_VEC, 2 * (s % PER_VEC) + ch);
+                    sec.z1[ch] = z1[v][lane];
+                    sec.z2[ch] = z2[v][lane];
+                }
+            }
+        }
+
+        /// Run `n` sections over `frames = l.len()` frames: `n − 1` masked
+        /// steps fill the pipeline, the steady steps need no mask, and
+        /// `n − 1` masked steps drain it. The last section's lanes write
+        /// frame `t − n + 1` at step `t`, after frame `t` was read.
+        #[target_feature(enable = "avx2")]
+        unsafe fn run(mut self, n: usize, l: &mut [f32], r: &mut [f32]) -> Self {
+            let frames = l.len();
+            // The last section sits in the last vector (1–4 sections ride
+            // one vector, 5–8 two).
+            let last = 2 * ((n - 1) % PER_VEC);
+            for t in 0..n - 1 {
+                let x = if t < frames {
+                    frame(l, r, t)
+                } else {
+                    _mm256_setzero_ps()
+                };
+                self.step::<true>(t, frames, x);
+            }
+            for t in n - 1..frames {
+                self.step::<false>(t, frames, frame(l, r, t));
+                emit(self.y[V - 1], last, l, r, t + 1 - n);
+            }
+            for t in frames.max(n - 1)..frames + n - 1 {
+                self.step::<true>(t, frames, _mm256_setzero_ps());
+                emit(self.y[V - 1], last, l, r, t + 1 - n);
+            }
+            self
+        }
+
+        /// Step `t`: every section takes the output its predecessor made
+        /// at step `t − 1` (section 0 takes `fresh`, frame `t`) and runs
+        /// `tick`'s three statements. With `MASKED`, a lane whose frame
+        /// `t − s` lies outside `0..frames` keeps its state.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn step<const MASKED: bool>(&mut self, t: usize, frames: usize, fresh: __m256) {
+            // Lanes 6–7 of each vector move to lanes 0–1 of the next.
+            let mut carry = fresh;
+            for v in 0..V {
+                let moved = rotate_up(self.y[v]);
+                let x = _mm256_blend_ps::<0b11>(moved, carry);
+                carry = moved;
+                // y = b0·x + z1
+                let y = _mm256_add_ps(_mm256_mul_ps(self.b0[v], x), self.z1[v]);
+                // z1 = (b1·x − a1·y) + z2
+                let z1 = _mm256_add_ps(
+                    _mm256_sub_ps(_mm256_mul_ps(self.b1[v], x), _mm256_mul_ps(self.a1[v], y)),
+                    self.z2[v],
+                );
+                // z2 = b2·x − a2·y
+                let z2 = _mm256_sub_ps(_mm256_mul_ps(self.b2[v], x), _mm256_mul_ps(self.a2[v], y));
+                if MASKED {
+                    let live = live_lanes(self.section[v], t, frames);
+                    self.z1[v] = _mm256_blendv_ps(self.z1[v], z1, live);
+                    self.z2[v] = _mm256_blendv_ps(self.z2[v], z2, live);
+                } else {
+                    self.z1[v] = z1;
+                    self.z2[v] = z2;
+                }
+                self.y[v] = y;
+            }
+        }
+    }
+
+    /// Write lanes `last` and `last + 1` of `y` to frame `f` of the planes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn emit(y: __m256, last: usize, l: &mut [f32], r: &mut [f32], f: usize) {
+        let (left, right) = pair(y, last);
+        l[f] = left;
+        if !r.is_empty() {
+            r[f] = right;
         }
     }
 }

@@ -215,6 +215,56 @@ mod imp {
 
 pub use imp::F32x4;
 
+/// Helpers of the AVX2 wavefront kernels (the biquad cascade, the
+/// Phaser): lane `2s + c` holds stage `s`, channel `c`, and at step `t`
+/// stage `s` works on frame `t − s`.
+///
+/// # Safety
+/// Every `unsafe fn` here requires a CPU with AVX2: the kernels' callers
+/// check [`avx2_fma_available`] first.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod wave {
+    use core::arch::x86_64::*;
+
+    /// `y` moved up one stage: lane `i` takes lane `i − 2`, lanes 0–1 take
+    /// lanes 6–7 (the carry into the next vector, or the slot the caller
+    /// blends the next frame into).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) unsafe fn rotate_up(y: __m256) -> __m256 {
+        _mm256_permutevar8x32_ps(y, _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5))
+    }
+
+    /// Frame `t` of the planes in lanes 0–1 (a mono buffer's lane 1 is 0).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) unsafe fn frame(l: &[f32], r: &[f32], t: usize) -> __m256 {
+        let right = if r.is_empty() { 0.0 } else { r[t] };
+        _mm256_setr_ps(l[t], right, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    }
+
+    /// Lanes `lane` and `lane + 1` of `y`: a stage's two channels, read in
+    /// registers rather than through a store and a reload.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) unsafe fn pair(y: __m256, lane: usize) -> (f32, f32) {
+        let index = _mm256_setr_epi32(lane as i32, lane as i32 + 1, 0, 0, 0, 0, 0, 0);
+        let two = _mm256_castps256_ps128(_mm256_permutevar8x32_ps(y, index));
+        (_mm_cvtss_f32(two), _mm_cvtss_f32(_mm_movehdup_ps(two)))
+    }
+
+    /// All-ones in each lane whose stage index `s` (per lane) has its frame
+    /// `t − s` inside `0..frames`: `t − frames < s ≤ t`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) unsafe fn live_lanes(stage: __m256i, t: usize, frames: usize) -> __m256 {
+        let lo = _mm256_set1_epi32(t as i32 - frames as i32);
+        let hi = _mm256_set1_epi32(t as i32 + 1);
+        let live = _mm256_and_si256(_mm256_cmpgt_epi32(stage, lo), _mm256_cmpgt_epi32(hi, stage));
+        _mm256_castsi256_ps(live)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

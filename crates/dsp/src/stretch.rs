@@ -10,10 +10,11 @@
 //! Hot-path notes: the crossfade gains are precomputed once (same formula,
 //! same values as computing them inline); the in-range crossfade is an
 //! element-wise loop over slices, which the compiler vectorizes, so it
-//! needs no explicit 4-lane form; the correlation search keeps its
-//! strictly serial accumulation order — reassociating it could flip the
+//! needs no explicit 4-lane form. The correlation search keeps each
+//! offset's sums strictly serial — reassociating them could flip the
 //! argmax and cascade into a different (still valid, but not
-//! bit-identical) output — and instead gains a bounds-check-free fast path.
+//! bit-identical) output — and on a CPU with AVX2 runs the offsets side by
+//! side, one per lane, each lane its offset's serial sums.
 
 /// Synthesis frame length (samples).
 const FRAME: usize = 512;
@@ -179,19 +180,38 @@ impl TimeStretcher {
         self.in_pos += HOP as f64 * tempo;
     }
 
-    /// Find the offset in `[-SEARCH, SEARCH]` whose segment best matches the
-    /// previous tail (maximum normalized cross-correlation).
-    fn best_offset(&self, src: &[f32], natural: isize) -> isize {
-        // The accumulation below stays strictly serial and in order:
-        // reassociating it (e.g. 4-lane partial sums) can flip the argmax
-        // between near-tied candidates and cascade into a different output.
-        // The fast path only removes the per-sample bounds branch.
-        let in_range = natural - (SEARCH as isize) >= 0
-            && natural + (SEARCH + HOP) as isize <= src.len() as isize;
-        let mut best_off = 0isize;
-        let mut best_score = f32::NEG_INFINITY;
-        let mut d = -(SEARCH as isize);
-        while d <= SEARCH as isize {
+    /// Find the offset in `[-SEARCH, SEARCH]` (step 4) whose segment best
+    /// matches the previous tail (maximum normalized cross-correlation):
+    /// the search the stretcher runs. Bit for bit
+    /// [`best_offset_serial`](Self::best_offset_serial): on a CPU with
+    /// AVX2, a search window inside `src` runs with one offset per lane.
+    pub fn best_offset(&self, src: &[f32], natural: isize) -> isize {
+        #[cfg(target_arch = "x86_64")]
+        if search_in_range(src, natural) && crate::simd::avx2_fma_available() {
+            let lo = natural as usize - SEARCH;
+            let window = &src[lo..lo + 2 * SEARCH + HOP];
+            // SAFETY: AVX2 presence was just verified at runtime.
+            return best_of(unsafe { x86::sums(window, &self.prev_tail) });
+        }
+        self.best_offset_serial(src, natural)
+    }
+
+    /// The serial search, one offset after another: the out-of-range path
+    /// of [`best_offset`](Self::best_offset), and its test and bench twin.
+    pub fn best_offset_serial(&self, src: &[f32], natural: isize) -> isize {
+        best_of(self.serial_sums(src, natural))
+    }
+
+    /// Each grid offset's sums, one offset after another. Each offset's
+    /// sums stay strictly serial and in order: reassociating them (e.g.
+    /// 4-lane partial sums) can flip the argmax between near-tied
+    /// candidates and cascade into a different output. The in-range path
+    /// only removes the per-sample bounds branch.
+    fn serial_sums(&self, src: &[f32], natural: isize) -> Sums {
+        let in_range = search_in_range(src, natural);
+        let mut sums = ([0.0f32; OFFSETS], [0.0f32; OFFSETS]);
+        for j in 0..OFFSETS {
+            let d = 4 * j as isize - SEARCH as isize; // coarse search grid
             let mut corr = 0.0f32;
             let mut energy = 1e-9f32;
             // Correlate on a decimated grid: every 2nd sample is plenty for
@@ -214,20 +234,225 @@ impl TimeStretcher {
                     i += 2;
                 }
             }
-            let score = corr / energy.sqrt();
-            if score > best_score {
-                best_score = score;
-                best_off = d;
-            }
-            d += 4; // coarse search grid
+            (sums.0[j], sums.1[j]) = (corr, energy);
         }
-        best_off
+        sums
+    }
+}
+
+/// Offsets on the search grid: `-SEARCH, -SEARCH + 4, …, SEARCH`.
+const OFFSETS: usize = SEARCH / 2 + 1;
+
+/// Each grid offset's `(corr, energy)` sums, in grid order.
+type Sums = ([f32; OFFSETS], [f32; OFFSETS]);
+
+/// The grid offset with the highest normalized correlation
+/// `corr / √energy`, scanned in grid order with a strict `>`: of exactly
+/// tied offsets, the first wins.
+fn best_of((corr, energy): Sums) -> isize {
+    let mut best_off = 0isize;
+    let mut best_score = f32::NEG_INFINITY;
+    for (j, (&corr, &energy)) in corr.iter().zip(&energy).enumerate() {
+        let score = corr / energy.sqrt();
+        if score > best_score {
+            best_score = score;
+            best_off = 4 * j as isize - SEARCH as isize;
+        }
+    }
+    best_off
+}
+
+/// True when every offset's segment lies inside `src`:
+/// `natural − SEARCH ≥ 0` and `natural + SEARCH + HOP ≤ src.len()`.
+fn search_in_range(src: &[f32], natural: isize) -> bool {
+    natural - (SEARCH as isize) >= 0 && natural + (SEARCH + HOP) as isize <= src.len() as isize
+}
+
+/// The search with one offset per lane.
+///
+/// # Safety
+/// Every `unsafe fn` here requires a CPU with AVX2: the caller checks
+/// [`crate::simd::avx2_fma_available`] first.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Sums, HOP, OFFSETS, SEARCH};
+    use core::arch::x86_64::*;
+
+    /// Vectors of eight offsets covering the grid.
+    const GROUPS: usize = OFFSETS.div_ceil(8);
+    /// Entries of each decimated copy of the window.
+    const QUADS: usize = (2 * SEARCH + HOP) / 4;
+
+    /// The serial sums of every grid offset over
+    /// `window = src[natural − SEARCH .. natural + SEARCH + HOP]`.
+    /// Lane `j` of vector `g` holds offset `d = 4(8g + j) − SEARCH` and
+    /// accumulates `corr += s·tail[i]`, `energy += s·s` from `1e-9` for
+    /// `i = 0, 2, …, HOP − 2`, in that order: the serial sums, one per lane,
+    /// never a reassociated one.
+    ///
+    /// Offset `d` reads `window[4(8g + j) + i]`. For `i = 4k` that is
+    /// `quad[0][8g + j + k]` with `quad[0][m] = window[4m]`, for
+    /// `i = 4k + 2` it is `quad[1][8g + j + k]` with
+    /// `quad[1][m] = window[4m + 2]`: eight offsets read eight
+    /// consecutive entries, one load. The highest sample read is
+    /// `window[4 · 95 + 2]`, `src[natural + 318]`, below
+    /// `natural + SEARCH + HOP ≤ src.len()` (the caller's
+    /// `search_in_range`). The lanes past the grid read the zero padding
+    /// and are never scanned.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sums(window: &[f32], tail: &[f32]) -> Sums {
+        assert!(window.len() == 2 * SEARCH + HOP && tail.len() == HOP);
+        let mut quad = [[0.0f32; 8 * GROUPS + HOP / 4]; 2];
+        for m in 0..QUADS {
+            quad[0][m] = window[4 * m];
+            quad[1][m] = window[4 * m + 2];
+        }
+        let mut corr = [_mm256_setzero_ps(); GROUPS];
+        let mut energy = [_mm256_set1_ps(1e-9); GROUPS];
+        for k in 0..HOP / 4 {
+            for (h, quad) in quad.iter().enumerate() {
+                let t = _mm256_set1_ps(tail[4 * k + 2 * h]);
+                for g in 0..GROUPS {
+                    let s = _mm256_loadu_ps(quad[8 * g + k..8 * g + k + 8].as_ptr());
+                    corr[g] = _mm256_add_ps(corr[g], _mm256_mul_ps(s, t));
+                    energy[g] = _mm256_add_ps(energy[g], _mm256_mul_ps(s, s));
+                }
+            }
+        }
+        let (mut c, mut e) = ([0.0f32; 8 * GROUPS], [0.0f32; 8 * GROUPS]);
+        for g in 0..GROUPS {
+            _mm256_storeu_ps(c[8 * g..].as_mut_ptr(), corr[g]);
+            _mm256_storeu_ps(e[8 * g..].as_mut_ptr(), energy[g]);
+        }
+        let mut sums = ([0.0f32; OFFSETS], [0.0f32; OFFSETS]);
+        sums.0.copy_from_slice(&c[..OFFSETS]);
+        sums.1.copy_from_slice(&e[..OFFSETS]);
+        sums
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
+
+    /// A stretcher past priming whose overlap reference is `tail`.
+    fn with_tail(tail: &[f32]) -> TimeStretcher {
+        let mut st = TimeStretcher::new();
+        st.prev_tail.copy_from_slice(tail);
+        st.priming = false;
+        st
+    }
+
+    fn noise(rng: &mut SmallRng, n: usize) -> Vec<f32> {
+        (0..n).map(|_| rng.f32() * 2.0 - 1.0).collect()
+    }
+
+    #[test]
+    fn search_equals_serial_search_on_random_signals() {
+        let mut rng = SmallRng::seed_from_u64(0x5EA7);
+        for round in 0..300 {
+            let len = 2 * SEARCH + HOP + rng.below(600);
+            let src = noise(&mut rng, len);
+            // Half the rounds match the tail to a segment, so the argmax
+            // lies inside the grid rather than at a noise peak.
+            let last = (len - SEARCH - HOP) as isize;
+            let natural = SEARCH as isize + rng.below(last as usize - SEARCH + 1) as isize;
+            let tail = if round % 2 == 0 {
+                noise(&mut rng, HOP)
+            } else {
+                let at = (natural + 4 * rng.below(33) as isize - SEARCH as isize) as usize;
+                src[at..at + HOP]
+                    .iter()
+                    .map(|s| s + 0.3 * (rng.f32() - 0.5))
+                    .collect()
+            };
+            let st = with_tail(&tail);
+            // The exact in-range boundary at both ends, a point between,
+            // and points outside it (the serial branch on both sides).
+            for natural in [
+                SEARCH as isize,
+                last,
+                natural,
+                SEARCH as isize - 1,
+                last + 1,
+                -7,
+            ] {
+                assert_eq!(
+                    st.best_offset(&src, natural),
+                    st.best_offset_serial(&src, natural),
+                    "len {len}, natural {natural}"
+                );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_sums_equal_serial_sums_to_the_bit() {
+        // Every offset's two sums, not only the argmax they pick: a sum
+        // rounded differently shows here even where no tie is near.
+        if !crate::simd::avx2_fma_available() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5095);
+        for _ in 0..100 {
+            let len = 2 * SEARCH + HOP + rng.below(300);
+            let src = noise(&mut rng, len);
+            let st = with_tail(&noise(&mut rng, HOP));
+            let natural = SEARCH + rng.below(len - 2 * SEARCH - HOP + 1);
+            let window = &src[natural - SEARCH..natural + SEARCH + HOP];
+            // SAFETY: AVX2 presence was just checked.
+            let lanes = unsafe { x86::sums(window, &st.prev_tail) };
+            let serial = st.serial_sums(&src, natural as isize);
+            for (l, s) in [(lanes.0, serial.0), (lanes.1, serial.1)] {
+                assert_eq!(
+                    l.map(f32::to_bits),
+                    s.map(f32::to_bits),
+                    "natural {natural}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn search_window_boundary_is_in_range() {
+        // `natural = SEARCH` and `natural + SEARCH + HOP = len`: the window
+        // is the whole source, and the lanes read up to its last even
+        // sample but one.
+        let mut rng = SmallRng::seed_from_u64(0xB0);
+        let len = 2 * SEARCH + HOP;
+        let src = noise(&mut rng, len);
+        assert!(search_in_range(&src, SEARCH as isize));
+        assert!(!search_in_range(&src[..len - 1], SEARCH as isize));
+        assert!(!search_in_range(&src, SEARCH as isize - 1));
+        let st = with_tail(&src[len - HOP..]);
+        assert_eq!(
+            st.best_offset(&src, SEARCH as isize),
+            st.best_offset_serial(&src, SEARCH as isize)
+        );
+        assert_eq!(st.best_offset(&src, SEARCH as isize), SEARCH as isize);
+    }
+
+    #[test]
+    fn exact_ties_pick_the_first_offset() {
+        // A period of 8: offsets `d` and `d + 8` read the same samples, so
+        // their scores tie to the bit and both forms must keep the first
+        // (`-SEARCH` or `-SEARCH + 4`, the first of each residue class).
+        let mut rng = SmallRng::seed_from_u64(0x717E);
+        for _ in 0..50 {
+            let period = noise(&mut rng, 8);
+            let src: Vec<f32> = (0..1_024).map(|i| period[i % 8]).collect();
+            let st = with_tail(&noise(&mut rng, HOP));
+            let natural = 300;
+            let got = st.best_offset(&src, natural);
+            assert_eq!(got, st.best_offset_serial(&src, natural));
+            assert!(
+                got == -(SEARCH as isize) || got == 4 - SEARCH as isize,
+                "{got}"
+            );
+        }
+    }
 
     fn sine(n: usize, freq: f32) -> Vec<f32> {
         (0..n)

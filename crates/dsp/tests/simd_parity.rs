@@ -12,7 +12,9 @@
 //! points; the FFT plan, whose one path is scalar, against the one-shot
 //! `fft_inplace`.
 
-use djstar_dsp::biquad::{process_chain, process_chain_scalar, Biquad, FilterKind};
+use djstar_dsp::biquad::{
+    process_chain, process_chain_fused, process_chain_scalar, Biquad, FilterKind,
+};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::Compressor;
 use djstar_dsp::eq::ThreeBandEq;
@@ -76,6 +78,59 @@ fn biquad_chains_bit_exact_for_any_shape_and_length() {
         }
         for (w, s) in wide.iter().zip(&scalar) {
             assert_eq!(w.state(), s.state(), "filter state diverged");
+        }
+    }
+}
+
+/// Every sample's bit pattern.
+fn bits(buf: &AudioBuf) -> Vec<u32> {
+    buf.samples().iter().map(|s| s.to_bits()).collect()
+}
+
+/// The cascade's edges: every chain length 1–12 (one vector, two, and a
+/// second chunk past eight), frame counts below, at and past the pipeline
+/// depth (1, 2, 3, `sections − 1`) and around a block (127, 128, 129),
+/// mono and stereo, with state carried over four calls and across a
+/// `reset` after the second. The wavefront ([`process_chain`] on an AVX2
+/// host) and the fused pass (its form without AVX2) are each held to the
+/// per-section reference, bit for bit, samples and state.
+#[test]
+fn biquad_cascades_bit_exact_at_every_edge() {
+    let mut rng = SmallRng::seed_from_u64(0x3A7E);
+    for sections in 1..=12usize {
+        for channels in [1, 2] {
+            let mut lengths = vec![1, 2, 3, 127, 128, 129];
+            if sections > 1 {
+                lengths.push(sections - 1);
+            }
+            for frames in lengths {
+                let chain: Vec<Biquad> = (0..sections).map(|_| rand_filter(&mut rng)).collect();
+                let (mut lanes, mut fused, mut scalar) = (chain.clone(), chain.clone(), chain);
+                for call in 0..4 {
+                    if call == 2 {
+                        for section in lanes.iter_mut().chain(&mut fused).chain(&mut scalar) {
+                            section.reset();
+                        }
+                    }
+                    let input = rand_buf(&mut rng, channels, frames);
+                    let (mut a, mut b, mut want) = (input.clone(), input.clone(), input);
+                    process_chain(&mut lanes, &mut a);
+                    process_chain_fused(&mut fused, &mut b);
+                    process_chain_scalar(&mut scalar, &mut want);
+                    let case =
+                        format!("{sections} sections, {channels} ch x {frames}, call {call}");
+                    assert_eq!(bits(&a), bits(&want), "wavefront: {case}");
+                    assert_eq!(bits(&b), bits(&want), "fused: {case}");
+                    for ((l, f), s) in lanes.iter().zip(&fused).zip(&scalar) {
+                        let state = |b: &Biquad| {
+                            let (z1, z2) = b.state();
+                            [z1[0], z1[1], z2[0], z2[1]].map(f32::to_bits)
+                        };
+                        assert_eq!(state(l), state(s), "wavefront state: {case}");
+                        assert_eq!(state(f), state(s), "fused state: {case}");
+                    }
+                }
+            }
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::graphbuild::{build_shaped_graph, ApcNodes, GraphShape, NodeMap};
 use crate::modes::{
     reachable_edits, AdmissionControl, BlueprintCache, ModeCacheStats, NodeCostModel, PartsBin,
 };
-use crate::netnodes::{BroadcastSink, BroadcastStats, NetDeckSource};
+use crate::netnodes::NetDeckSource;
 use crate::nodes::controls;
 use crate::reconfig::{
     apply_edit, stage_topology, EditError, GraphEdit, ReconfigError, StagedTopology,
@@ -932,16 +932,6 @@ impl AudioEngine {
         out
     }
 
-    /// Broadcast-sink statistics, when the graph carries one.
-    pub fn broadcast_stats(&mut self) -> Option<BroadcastStats> {
-        let node = self.map.broadcast?;
-        self.executor
-            .node_processor(node)
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<BroadcastSink>())
-            .map(|s| s.broadcast_stats())
-    }
-
     /// Borrow deck `d`'s network receiver, if that deck is remote.
     fn net_deck_source(&mut self, d: usize) -> Option<&mut NetDeckSource> {
         let node = *self.map.net_src.get(d)?;
@@ -1403,6 +1393,24 @@ mod tests {
     use super::*;
     use djstar_core::graph::Section;
     use djstar_workload::scenario::Scenario;
+
+    use crate::netnodes::{BroadcastSink, BroadcastStats};
+
+    /// Broadcast-sink statistics, when the graph carries one.
+    trait BroadcastRead {
+        fn broadcast_stats(&mut self) -> Option<BroadcastStats>;
+    }
+
+    impl BroadcastRead for AudioEngine {
+        fn broadcast_stats(&mut self) -> Option<BroadcastStats> {
+            let node = self.map.broadcast?;
+            self.executor
+                .node_processor(node)
+                .as_any_mut()
+                .and_then(|a| a.downcast_mut::<BroadcastSink>())
+                .map(|s| s.broadcast_stats())
+        }
+    }
 
     fn light_engine(strategy: Strategy, threads: usize) -> AudioEngine {
         AudioEngine::with_aux(Scenario::light_test(), strategy, threads, AuxWork::light())

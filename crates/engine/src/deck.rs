@@ -207,26 +207,32 @@ impl TrackPlayer {
             self.track.bpm() * self.tempo / 60.0 * frames as f32 / self.track.sample_rate() as f32;
         self.beat_phase = (self.beat_phase + beats_per_buffer).fract();
     }
-
-    /// Phase alignment (part of GP): the fractional beat offset of this deck
-    /// relative to `other`, in `(-0.5, 0.5]` beats. DJ Star shows this to
-    /// the DJ for beatmatching.
-    pub fn phase_offset_to(&self, other: &TrackPlayer) -> f32 {
-        let mut d = self.beat_phase - other.beat_phase;
-        if d > 0.5 {
-            d -= 1.0;
-        }
-        if d <= -0.5 {
-            d += 1.0;
-        }
-        d
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use djstar_workload::track::{synth_track, TrackStyle};
+
+    /// Phase alignment (part of GP): the fractional beat offset of this deck
+    /// relative to `other`, in `(-0.5, 0.5]` beats. DJ Star shows this to
+    /// the DJ for beatmatching.
+    trait PhaseOffset {
+        fn phase_offset_to(&self, other: &TrackPlayer) -> f32;
+    }
+
+    impl PhaseOffset for TrackPlayer {
+        fn phase_offset_to(&self, other: &TrackPlayer) -> f32 {
+            let mut d = self.beat_phase - other.beat_phase;
+            if d > 0.5 {
+                d -= 1.0;
+            }
+            if d <= -0.5 {
+                d += 1.0;
+            }
+            d
+        }
+    }
 
     fn player() -> TrackPlayer {
         TrackPlayer::new(synth_track(3, 128.0, 4.0, TrackStyle::House))

@@ -217,11 +217,6 @@ impl BroadcastSink {
     pub fn listeners(&self) -> u32 {
         self.queues.len() as u32
     }
-
-    /// Lifetime delivery statistics.
-    pub fn broadcast_stats(&self) -> BroadcastStats {
-        self.stats
-    }
 }
 
 impl Processor for BroadcastSink {
@@ -257,6 +252,15 @@ impl Processor for BroadcastSink {
         }
 
         self.cost.apply(output);
+    }
+}
+
+#[cfg(test)]
+impl BroadcastSink {
+    /// Lifetime delivery statistics.
+    #[cfg(test)]
+    pub(crate) fn broadcast_stats(&self) -> BroadcastStats {
+        self.stats
     }
 }
 

@@ -195,8 +195,8 @@ impl Processor for SpFilterNode {
             Some(src) => output.copy_from(src),
             None => output.clear(),
         }
-        // One fused pass over the whole 6–8 section chain (channels ride
-        // the SIMD lanes, coefficients stay in registers).
+        // One pass over the whole 2–6 section chain (on an AVX2 host a
+        // wavefront: sections and channels ride the lanes).
         djstar_dsp::biquad::process_chain(&mut self.chain, output);
         self.cost.apply(output);
     }

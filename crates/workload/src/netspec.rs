@@ -117,16 +117,6 @@ impl NetSpec {
         }
     }
 
-    /// True when no draw can ever perturb a packet or listener.
-    pub fn is_quiet(&self) -> bool {
-        self.jitter == 0
-            && self.loss_rate <= 0.0
-            && self.dup_rate <= 0.0
-            && (self.reorder_rate <= 0.0 || self.reorder_extra == 0)
-            && (self.burst_period == 0 || self.burst_len == 0 || self.burst_jitter == 0)
-            && self.listener_stall_rate <= 0.0
-    }
-
     /// The same scenario pinned to a fixed playout depth — the
     /// fixed-depth arms of the E17 latency/dropout sweep.
     pub fn with_fixed_depth(self, depth: u32) -> Self {
@@ -142,6 +132,22 @@ impl NetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True when no draw can ever perturb a packet or listener.
+    trait Quiet {
+        fn is_quiet(&self) -> bool;
+    }
+
+    impl Quiet for NetSpec {
+        fn is_quiet(&self) -> bool {
+            self.jitter == 0
+                && self.loss_rate <= 0.0
+                && self.dup_rate <= 0.0
+                && (self.reorder_rate <= 0.0 || self.reorder_extra == 0)
+                && (self.burst_period == 0 || self.burst_len == 0 || self.burst_jitter == 0)
+                && self.listener_stall_rate <= 0.0
+        }
+    }
 
     #[test]
     fn default_is_disabled_and_quiet() {
