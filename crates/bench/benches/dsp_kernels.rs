@@ -3,7 +3,8 @@
 
 use djstar_bench::microbench::{bench, group};
 use djstar_dsp::biquad::{
-    process_chain, process_chain_fused, process_chain_scalar, Biquad, FilterKind,
+    process_chain, process_chain_fused, process_chain_scalar, process_crossover_tree, Biquad,
+    FilterKind,
 };
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::{Compressor, Limiter};
@@ -226,6 +227,47 @@ fn bench_simd_pairs() {
     bench("compressor/simd", || comp.process(&mut buf));
 }
 
+/// One deck's four SP bands as the SP nodes build them: the LR4 split
+/// tree's branches at 200, 1 200 and 5 000 Hz (2, 4, 6 and 6 sections).
+fn sp_bands() -> [Vec<Biquad>; 4] {
+    let sr = djstar_dsp::SAMPLE_RATE;
+    let q = core::f32::consts::FRAC_1_SQRT_2;
+    let pair = |kind, f| [0; 2].map(|_| Biquad::design(kind, f, q, sr));
+    let [lp1, hp1] = [FilterKind::Lowpass, FilterKind::Highpass].map(|k| pair(k, 200.0));
+    let [lp2, hp2] = [FilterKind::Lowpass, FilterKind::Highpass].map(|k| pair(k, 1_200.0));
+    let [lp3, hp3] = [FilterKind::Lowpass, FilterKind::Highpass].map(|k| pair(k, 5_000.0));
+    [
+        lp1.to_vec(),
+        [&hp1[..], &lp2].concat(),
+        [&hp1[..], &hp2, &lp3].concat(),
+        [&hp1[..], &hp2, &hp3].concat(),
+    ]
+}
+
+/// A deck's SP filterbank on one 128-frame buffer: each band copying the
+/// deck audio and running its own chain (what BUSY, SLEEP, WS and PLAN
+/// run), against the shared LR4 tree SEQ's sibling batch runs (bit-equal).
+fn bench_sp_crossover() {
+    group("sp_crossover_128f");
+    let src = music_buf();
+    let mut outs: [AudioBuf; 4] = std::array::from_fn(|_| music_buf());
+    let mut bands = sp_bands();
+    bench("sp_crossover/per_band", || {
+        for (chain, out) in bands.iter_mut().zip(&mut outs) {
+            out.copy_from(&src);
+            process_chain(chain, out);
+        }
+    });
+    let mut bands = sp_bands();
+    bench("sp_crossover/tree", || {
+        process_crossover_tree(
+            bands.each_mut().map(Vec::as_mut_slice),
+            &src,
+            outs.each_mut(),
+        )
+    });
+}
+
 /// A 30-s deck track, per-sample reference vs the run-based vector path
 /// every engine loads through (bit-equal; four of these per set), for the
 /// three styles of the `paper_default` decks.
@@ -259,6 +301,7 @@ fn main() {
     bench_filters();
     bench_fft();
     bench_simd_pairs();
+    bench_sp_crossover();
     bench_vmath();
     bench_timecode();
     bench_track_synth();

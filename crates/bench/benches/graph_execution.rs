@@ -43,7 +43,9 @@ fn bench_real_executors() {
 
 fn bench_simulators() {
     // Build the empirical inputs once.
-    let mut engine = AudioEngine::with_aux(scenario(), Strategy::Sequential, 1, AuxWork::light());
+    // BUSY x 1: SEQ's queue order with every node run alone (SEQ batches
+    // a deck's SP bands).
+    let mut engine = AudioEngine::with_aux(scenario(), Strategy::Busy, 1, AuxWork::light());
     engine.warmup(20);
     let samples = engine.measured_node_durations(64);
     let graph = SimGraph::from_topology(engine.executor_mut().topology());
@@ -64,7 +66,9 @@ fn bench_simulators() {
 /// ready-node priority rule.
 fn bench_priority_order() {
     group("priority_order");
-    let mut engine = AudioEngine::with_aux(scenario(), Strategy::Sequential, 1, AuxWork::light());
+    // BUSY x 1: SEQ's queue order with every node run alone (SEQ batches
+    // a deck's SP bands).
+    let mut engine = AudioEngine::with_aux(scenario(), Strategy::Busy, 1, AuxWork::light());
     engine.warmup(20);
     let samples = engine.measured_node_durations(64);
     let graph = SimGraph::from_topology(engine.executor_mut().topology());

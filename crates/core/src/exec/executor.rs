@@ -281,6 +281,77 @@ impl<'a> Lane<'a> {
         }
     }
 
+    /// Execute the sibling group `members` as one batch and publish every
+    /// member done: faults are injected per member, then one
+    /// [`ExecGraph::process_batch`] runs them all. When armed, each member
+    /// is booked an equal share of the batch's interval — its `exec_ns`,
+    /// its learned cost and its flight span, laid contiguously in member
+    /// order — so the shares sum to the interval exactly. Allocates
+    /// nothing.
+    ///
+    /// # Safety
+    /// As [`exec`](Self::exec), for every member; `members` is one of the
+    /// topology's [`runs`](GraphTopology::runs).
+    pub(crate) unsafe fn exec_batch(&mut self, members: &[u32]) {
+        let graph = self.sh.graph();
+        let inject = |plan: &FaultPlan| {
+            let each = members
+                .iter()
+                .map(|&m| plan.inject_node(self.epoch, m, self.counters));
+            each.sum::<u64>()
+        };
+        if !self.armed {
+            if let Some(plan) = self.faults {
+                inject(plan);
+            }
+            // SAFETY: the caller's contract.
+            unsafe { graph.process_batch(members, &self.ctx) };
+            for &m in members {
+                graph.publish(m as usize, self.epoch);
+            }
+            return;
+        }
+        let t0 = Instant::now();
+        let mut fault_end = t0;
+        if self.faults.map_or(0, inject) > 0 && self.rec.is_some() {
+            fault_end = Instant::now();
+        }
+        let net0 = self.counters.net_ns();
+        // SAFETY: the caller's contract.
+        unsafe { graph.process_batch(members, &self.ctx) };
+        // Stamped before the publishing stores, as in `exec`.
+        let t1 = Instant::now();
+        for &m in members {
+            graph.publish(m as usize, self.epoch);
+        }
+        // Member k's share of `total`: [total·k/n, total·(k+1)/n).
+        let n = members.len() as u64;
+        let share = |total: u64, k: u64| (total * k / n, total * (k + 1) / n);
+        let total = (t1 - t0).as_nanos() as u64;
+        for (k, &m) in (0..).zip(members) {
+            let (from, to) = share(total, k);
+            if self.telem {
+                self.counters.add_exec(to - from);
+            }
+            if self.learn {
+                // SAFETY: the caller's contract.
+                unsafe { self.sh.learn(m, to - from) };
+            }
+        }
+        if let Some(rec) = self.rec {
+            if fault_end > t0 {
+                self.span(members[0], SpanKind::Fault, t0, fault_end);
+            }
+            let (s, e) = (rec.now_ns(fault_end), rec.now_ns(t1));
+            let mut net_before = net0;
+            for (k, &m) in (0..).zip(members) {
+                let (from, to) = share(e - s, k);
+                self.exec_carved_ns(rec, m, s + from, s + to, net_before);
+                net_before = self.counters.net_ns();
+            }
+        }
+    }
+
     /// Another lane of this session started its part of the cycle on the
     /// CPU this lane runs on now (or the platform cannot tell): a wait that
     /// kept spinning could be keeping that lane off the CPU. Once true, it
@@ -374,10 +445,22 @@ impl<'a> Lane<'a> {
         end: Instant,
         net_before: (u64, u64),
     ) {
+        let (s, e) = (rec.now_ns(start), rec.now_ns(end));
+        self.exec_carved_ns(rec, node, s, e, net_before);
+    }
+
+    /// [`exec_carved`](Self::exec_carved) on recorder nanoseconds `[s, e]`.
+    fn exec_carved_ns(
+        &self,
+        rec: &FlightRecorder,
+        node: u32,
+        s: u64,
+        e: u64,
+        net_before: (u64, u64),
+    ) {
         let (w1, c1) = self.counters.net_ns();
         let wait = w1.wrapping_sub(net_before.0);
         let conceal = c1.wrapping_sub(net_before.1);
-        let (s, e) = (rec.now_ns(start), rec.now_ns(end));
         if wait == 0 && conceal == 0 {
             return self.span_ns(rec, node, SpanKind::Exec, s, e);
         }

@@ -87,13 +87,14 @@ pub use stealing::seed_target;
 
 use crate::faults::FaultPlan;
 use crate::flight::{CycleStamp, FlightRecorder};
-use crate::graph::{GraphTopology, NodeId, TaskGraph};
+use crate::graph::{GraphTopology, NodeId, TaskGraph, MAX_GROUP};
 use crate::pad::CachePadded;
-use crate::processor::{CycleCtx, Processor};
+use crate::processor::{CycleCtx, Processor, Sibling};
 use crate::telemetry::CycleCounters;
 use djstar_dsp::AudioBuf;
 use learn::CostCell;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -541,6 +542,57 @@ impl ExecGraph {
         let rt = &mut *self.runtimes[node].0.get();
         rt.processor
             .process(&inputs[..preds.len()], &mut rt.output, ctx);
+    }
+
+    /// Run the sibling group `members` for `ctx.epoch` WITHOUT publishing
+    /// any of them: one [`Processor::process_batch`] call on the first
+    /// member, with the others' processors and outputs staged on the
+    /// stack, or — when it declines — each member's
+    /// [`process`](Self::process) in order. Allocates nothing.
+    ///
+    /// # Safety
+    /// As [`process`](Self::process), for every member; `members` is a
+    /// group the graph's builder checked (distinct nodes, one predecessor
+    /// list, at most [`MAX_GROUP`]).
+    pub(crate) unsafe fn process_batch(&self, members: &[u32], ctx: &CycleCtx<'_>) {
+        let Some((&lead, rest)) = members.split_first() else {
+            return;
+        };
+        debug_assert!(members.len() <= MAX_GROUP);
+        let preds = self.topo.preds(NodeId(lead));
+        let mut inputs: [&AudioBuf; MAX_INPUTS] = [&self.empty; MAX_INPUTS];
+        for (k, &p) in preds.iter().enumerate() {
+            // SAFETY: as in `process`; every member shares these
+            // predecessors.
+            inputs[k] = &(*self.runtimes[p as usize].0.get()).output;
+        }
+        let mut staged = [const { MaybeUninit::<Sibling<'_>>::uninit() }; MAX_GROUP];
+        for (slot, &m) in staged.iter_mut().zip(rest) {
+            // SAFETY: exclusive ownership of every member this epoch, and
+            // the members are distinct nodes, so no two references alias.
+            let rt = &mut *self.runtimes[m as usize].0.get();
+            slot.write(Sibling {
+                processor: &mut *rt.processor,
+                output: &mut rt.output,
+            });
+        }
+        // SAFETY: the first `rest.len()` slots were just written, and a
+        // `Sibling` is two references: nothing to drop.
+        let siblings =
+            std::slice::from_raw_parts_mut(staged.as_mut_ptr().cast::<Sibling<'_>>(), rest.len());
+        // SAFETY: exclusive ownership of the lead member this epoch.
+        let rt = &mut *self.runtimes[lead as usize].0.get();
+        let inputs = &inputs[..preds.len()];
+        if !rt
+            .processor
+            .process_batch(&mut rt.output, siblings, inputs, ctx)
+        {
+            for &m in members {
+                // SAFETY: the caller's contract; the batch's references
+                // are dead.
+                self.process(m as usize, ctx);
+            }
+        }
     }
 
     /// Publish `node` as done for `epoch` (`Release`: the output written

@@ -11,6 +11,17 @@
 //! queue walk — the differential tests compare every other policy against
 //! it, and two independent *scheduling* loops are what make that
 //! comparison mean something. Everything around the loop is shared.
+//!
+//! The walk goes run by run ([`GraphTopology::runs`]): a node alone is one
+//! `exec`, a declared sibling group — adjacent in the queue, one input list
+//! — one `exec_batch`, whose processor may compute the whole group in one
+//! call (the engine's SP bands: one shared crossover tree). That makes
+//! BUSY × 1 SEQ's unbatched twin: the same queue order, each node run
+//! alone, through a loop of its own, so a SEQ × 1 / BUSY × 1 differential
+//! still compares two independent loops, and now batched against
+//! unbatched work as well.
+//!
+//! [`GraphTopology::runs`]: crate::graph::GraphTopology::runs
 
 use super::executor::Lane;
 
@@ -19,11 +30,19 @@ use super::executor::Lane;
 /// # Safety
 /// As `Policy::run_lane`.
 pub(super) unsafe fn run_lane(lane: &mut Lane<'_>) {
-    for &n in lane.sh.graph().topology().queue() {
+    for run in lane.sh.graph().topology().runs() {
         // SAFETY: a single lane executes every node in queue order, which
-        // is a valid topological order.
-        unsafe { lane.exec(n) };
-        lane.done();
+        // is a valid topological order; a run's members depend only on
+        // nodes before it.
+        unsafe {
+            match run {
+                [n] => lane.exec(*n),
+                group => lane.exec_batch(group),
+            }
+        }
+        for _ in run {
+            lane.done();
+        }
     }
 }
 

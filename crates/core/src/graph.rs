@@ -98,6 +98,9 @@ pub enum GraphError {
     DuplicateEdge { node: u32, pred: u32 },
     /// The graph has no nodes.
     Empty,
+    /// A declared sibling group cannot run as one batch: `node` is the
+    /// first member that breaks `rule`.
+    Group { node: u32, rule: &'static str },
 }
 
 impl fmt::Display for GraphError {
@@ -111,6 +114,9 @@ impl fmt::Display for GraphError {
                 write!(f, "node {node} lists predecessor {pred} twice")
             }
             GraphError::Empty => write!(f, "graph has no nodes"),
+            GraphError::Group { node, rule } => {
+                write!(f, "sibling group member {node}: {rule}")
+            }
         }
     }
 }
@@ -137,6 +143,9 @@ pub struct GraphTopology {
     queue: Vec<u32>,
     /// Nodes with no predecessors, in queue order.
     sources: Vec<u32>,
+    /// The queue cut into runs, as `(start, end)` positions: a declared
+    /// sibling group is one run, every other node a run of its own.
+    runs: Vec<(u32, u32)>,
 }
 
 impl GraphTopology {
@@ -195,6 +204,14 @@ impl GraphTopology {
     /// Source nodes (no dependencies), in queue order.
     pub fn sources(&self) -> &[u32] {
         &self.sources
+    }
+
+    /// The queue cut into runs, in order: each declared sibling group
+    /// ([`TaskGraphBuilder::group`]) is one run of its members, every
+    /// other node a run of one. Together they are the queue.
+    pub fn runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let run = |&(start, end): &(u32, u32)| &self.queue[start as usize..end as usize];
+        self.runs.iter().map(run)
     }
 
     /// Length of the critical path in *node count* (not time): the longest
@@ -308,7 +325,11 @@ struct BuildNode {
 #[derive(Default)]
 pub struct TaskGraphBuilder {
     nodes: Vec<BuildNode>,
+    groups: Vec<Vec<u32>>,
 }
+
+/// Most members a sibling group may have.
+pub const MAX_GROUP: usize = 8;
 
 impl TaskGraphBuilder {
     /// An empty builder.
@@ -343,6 +364,69 @@ impl TaskGraphBuilder {
             preds: preds.iter().map(|p| p.0).collect(),
         });
         id
+    }
+
+    /// Declare `members` a sibling group: nodes that read the same inputs
+    /// and can be computed by one batch call
+    /// ([`Processor::process_batch`]). [`build`](Self::build) checks that
+    /// the group has 2–[`MAX_GROUP`] members outside [`Section::Apc`] and
+    /// in no other group, that they share one predecessor list, have no
+    /// edges among themselves and sit next to each other, in this order,
+    /// in the depth queue. A group is topology: every executor may still
+    /// run its members one by one.
+    pub fn group(&mut self, members: &[NodeId]) {
+        self.groups.push(members.iter().map(|m| m.0).collect());
+    }
+
+    /// The queue's runs: each group, checked, as one run; every other
+    /// node as a run of one.
+    fn runs(&self, queue: &[u32]) -> Result<Vec<(u32, u32)>, GraphError> {
+        let n = self.nodes.len();
+        let mut pos = vec![0u32; n];
+        for (i, &q) in queue.iter().enumerate() {
+            pos[q as usize] = i as u32;
+        }
+        // The length of the group starting at each queue position.
+        let mut group_at = vec![1u32; n];
+        let mut grouped = vec![false; n];
+        for members in &self.groups {
+            let first = members.first().copied().unwrap_or(0);
+            let bad = |node: u32, rule| Err(GraphError::Group { node, rule });
+            if !(2..=MAX_GROUP).contains(&members.len()) {
+                return bad(first, "a group has 2 to MAX_GROUP members");
+            }
+            if let Some(&m) = members.iter().find(|&&m| m as usize >= n) {
+                return bad(m, "not a node of the graph");
+            }
+            let lead = &self.nodes[first as usize];
+            for (k, &m) in members.iter().enumerate() {
+                let node = &self.nodes[m as usize];
+                if std::mem::replace(&mut grouped[m as usize], true) {
+                    return bad(m, "already in a group");
+                }
+                if node.section == Section::Apc {
+                    return bad(m, "APC-phase nodes run alone");
+                }
+                if node.preds != lead.preds {
+                    return bad(m, "members share one predecessor list");
+                }
+                if node.preds.iter().any(|p| members.contains(p)) {
+                    return bad(m, "members do not depend on each other");
+                }
+                if pos[m as usize] != pos[first as usize] + k as u32 {
+                    return bad(m, "members are adjacent in the queue, in order");
+                }
+            }
+            group_at[pos[first as usize] as usize] = members.len() as u32;
+        }
+        let mut runs = Vec::with_capacity(n);
+        let mut start = 0u32;
+        while (start as usize) < n {
+            let end = start + group_at[start as usize];
+            runs.push((start, end));
+            start = end;
+        }
+        Ok(runs)
     }
 
     /// Validate and produce the graph.
@@ -404,6 +488,7 @@ impl TaskGraphBuilder {
             .copied()
             .filter(|&i| self.nodes[i as usize].preds.is_empty())
             .collect();
+        let runs = self.runs(&queue)?;
         let mut names = Vec::with_capacity(n);
         let mut sections = Vec::with_capacity(n);
         let mut preds = Vec::with_capacity(n);
@@ -429,6 +514,7 @@ impl TaskGraphBuilder {
                 depth,
                 queue,
                 sources,
+                runs,
             },
             processors,
         })
@@ -563,6 +649,43 @@ mod tests {
         }
         assert!(dot.contains("n0 -> n1"));
         assert!(dot.contains("n1 -> n3"));
+    }
+
+    /// Two sources that share their (empty) predecessor list and a third
+    /// that reads them.
+    fn siblings(group: &[u32]) -> Result<TaskGraph, GraphError> {
+        let mut b = TaskGraphBuilder::new();
+        let a = b.add("a", Section::DeckA, pt(), &[]);
+        let x = b.add("x", Section::DeckA, pt(), &[]);
+        let y = b.add("y", Section::DeckA, pt(), &[]);
+        b.add("sum", Section::Master, pt(), &[a, x, y]);
+        b.add("apc", Section::Apc, pt(), &[]);
+        b.group(&group.iter().map(|&n| NodeId(n)).collect::<Vec<_>>());
+        b.build()
+    }
+
+    #[test]
+    fn a_group_is_one_run_of_the_queue() {
+        let g = siblings(&[1, 2]).unwrap();
+        let runs: Vec<&[u32]> = g.topology().runs().collect();
+        assert_eq!(g.topology().queue(), &[0, 1, 2, 4, 3]);
+        assert_eq!(runs, [&[0][..], &[1, 2], &[4], &[3]]);
+    }
+
+    #[test]
+    fn groups_that_cannot_batch_are_refused() {
+        let rule = |group: &[u32]| match siblings(group) {
+            Err(GraphError::Group { node, .. }) => Some(node),
+            _ => None,
+        };
+        assert_eq!(rule(&[1]), Some(1), "one member");
+        assert_eq!(rule(&[1, 9]), Some(9), "unknown node");
+        assert_eq!(rule(&[1, 1]), Some(1), "a member twice");
+        assert_eq!(rule(&[2, 1]), Some(1), "out of queue order");
+        assert_eq!(rule(&[0, 2]), Some(2), "not adjacent");
+        assert_eq!(rule(&[0, 3]), Some(3), "other predecessors");
+        assert_eq!(rule(&[2, 4]), Some(4), "an APC node");
+        assert_eq!(rule(&[0, 1, 2]), None);
     }
 
     #[test]

@@ -64,12 +64,41 @@ pub trait Processor: Send {
         None
     }
 
+    /// Compute this node and the other members of its sibling group
+    /// ([`TaskGraphBuilder::group`](crate::graph::TaskGraphBuilder::group))
+    /// in one call, or decline. `output` is this node's buffer; `siblings`
+    /// are the other members in group order; `inputs` are the outputs of
+    /// the predecessors every member shares. A batch must leave every
+    /// member's output and state exactly as its own [`process`](Self::process)
+    /// would have, called in member order. Return `false`, having changed
+    /// nothing, to decline: the executor then runs each member's
+    /// `process`. The default declines.
+    fn process_batch(
+        &mut self,
+        output: &mut AudioBuf,
+        siblings: &mut [Sibling<'_>],
+        inputs: &[&AudioBuf],
+        ctx: &CycleCtx<'_>,
+    ) -> bool {
+        let _ = (output, siblings, inputs, ctx);
+        false
+    }
+
     /// True only for [`vacant`]'s placeholder: the node holds no processor
     /// of its own and must be given one (installed, or carried over by a
     /// generation swap) before it runs.
     fn is_vacant(&self) -> bool {
         false
     }
+}
+
+/// One other member of a sibling batch
+/// ([`Processor::process_batch`]): its processor and its output buffer.
+pub struct Sibling<'a> {
+    /// The member's processor.
+    pub processor: &'a mut dyn Processor,
+    /// The member's output buffer.
+    pub output: &'a mut AudioBuf,
 }
 
 /// The zero-sized placeholder a *hollow* generation's node holds: it says

@@ -5,7 +5,9 @@
 //! with the flight recorder, the executors' one span capture, armed —
 //! must not allocate on the *driver* thread or any worker: the ring, the
 //! span rings and all counter storage are preallocated, and recording
-//! only overwrites slots in place.
+//! only overwrites slots in place. The graph's sources are a sibling
+//! group, so the SEQ rows run a batched cycle: its staging is on the
+//! stack.
 //!
 //! This lives in its own integration test binary because a global
 //! allocator is process-wide; the single test keeps the count
@@ -42,10 +44,35 @@ use djstar_core::exec::{PoolExecutor, StagedGeneration, Strategy};
 use djstar_core::faults::FaultPlan;
 use djstar_core::flight::FlightConfig;
 use djstar_core::graph::{NodeId, Section, TaskGraph, TaskGraphBuilder};
-use djstar_core::processor::{CycleCtx, FnProcessor};
+use djstar_core::processor::{CycleCtx, FnProcessor, Processor, Sibling};
 use djstar_dsp::AudioBuf;
 
-/// A diamond-ish graph with enough nodes to exercise waiting paths.
+/// A source that fills its output with its level, alone or for its whole
+/// sibling group in one batch call.
+struct Level(f32);
+
+impl Processor for Level {
+    fn process(&mut self, _: &[&AudioBuf], out: &mut AudioBuf, _: &CycleCtx<'_>) {
+        out.samples_mut().fill(self.0);
+    }
+
+    fn process_batch(
+        &mut self,
+        out: &mut AudioBuf,
+        siblings: &mut [Sibling<'_>],
+        inputs: &[&AudioBuf],
+        ctx: &CycleCtx<'_>,
+    ) -> bool {
+        self.process(inputs, out, ctx);
+        for s in siblings {
+            s.processor.process(inputs, s.output, ctx);
+        }
+        true
+    }
+}
+
+/// A diamond-ish graph with enough nodes to exercise waiting paths; its
+/// four sources are a sibling group, which SEQ runs as one batch.
 fn graph() -> TaskGraph {
     let mut b = TaskGraphBuilder::new();
     let mut layer: Vec<NodeId> = Vec::new();
@@ -60,17 +87,20 @@ fn graph() -> TaskGraph {
             } else {
                 vec![prev[i]]
             };
-            layer.push(b.add(
-                format!("d{depth}n{i}"),
-                Section::deck(i),
+            let processor: Box<dyn Processor> = if depth == 0 {
+                Box::new(Level(1.0 + i as f32))
+            } else {
                 Box::new(FnProcessor(
                     |inp: &[&AudioBuf], out: &mut AudioBuf, _: &CycleCtx<'_>| {
                         let base = inp.iter().map(|b| b.sample(0, 0)).sum::<f32>();
                         out.samples_mut().fill(base + 1.0);
                     },
-                )),
-                &preds,
-            ));
+                ))
+            };
+            layer.push(b.add(format!("d{depth}n{i}"), Section::deck(i), processor, &preds));
+        }
+        if depth == 0 {
+            b.group(&layer);
         }
         prev = layer.clone();
     }

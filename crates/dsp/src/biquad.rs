@@ -24,6 +24,12 @@
 //! frame in one [`F32x4`] and the sections in series. A single section
 //! ([`Biquad::process`]) is the per-sample loop: a fused pass measured no
 //! faster on one section (EXPERIMENTS.md E37).
+//!
+//! A deck's four LR4 crossover bands, when one caller holds all four, run
+//! as one split tree ([`process_crossover_tree`], EXPERIMENTS.md E40): the
+//! highpass prefix the bands share is filtered once, and the tree's six
+//! depths ride three vectors side by side, under the same masked fill and
+//! drain and the same no-FMA rule, bit for bit the four chains.
 
 use crate::buffer::AudioBuf;
 use crate::simd::F32x4;
@@ -267,6 +273,69 @@ pub fn process_chain_fused(chain: &mut [Biquad], buf: &mut AudioBuf) {
     }
 }
 
+/// Sections in the LR4 split tree's four branches: band `k` leaves the
+/// tree after section `2k + 1` (the last band after the last section).
+const TREE_SHAPE: [usize; 4] = [2, 4, 6, 6];
+
+/// A deck's four LR4 crossover bands in one pass: `bands[k]` filters `src`
+/// into `outs[k]`, bit for bit what copying `src` into each output and
+/// running [`process_chain_scalar`] on it produces, states included.
+///
+/// The branches of an LR4 split tree share their highpass prefixes —
+/// sections 0–1 of bands 1–3, sections 2–3 of bands 2–3 — so the tree runs
+/// 12 sections where four chains run 18, and runs them side by side: AVX2
+/// vector `v` holds tree depths `2v` (lanes 0–3) and `2v + 1` (lanes 4–7),
+/// and at each depth lanes 0–1 hold the section of the band that leaves
+/// the tree there, lanes 2–3 the highpass that continues. A shared
+/// section's state is written back into every chain that holds it.
+///
+/// Sharing is exact only while the shared sections are bit-equal in every
+/// chain that holds them (coefficients and state), which they are when the
+/// chains were designed alike and have always filtered the same input.
+/// Returns `false` and touches nothing when they are not, when the chains
+/// are not 2, 4, 6 and 6 sections long, when the buffers are not all
+/// stereo of one length, or when the CPU lacks AVX2; the caller then runs
+/// each band's own [`process_chain`].
+pub fn process_crossover_tree(
+    bands: [&mut [Biquad]; 4],
+    src: &AudioBuf,
+    outs: [&mut AudioBuf; 4],
+) -> bool {
+    let _t = crate::kprof::timer(crate::kprof::Family::Biquad);
+    let frames = src.frames();
+    let stereo = |b: &AudioBuf| b.channels() == 2 && b.frames() == frames;
+    let shaped = bands.iter().zip(TREE_SHAPE).all(|(b, n)| b.len() == n);
+    if !shaped || !stereo(src) || !outs.iter().all(|o| stereo(o)) || !shared_prefixes_equal(&bands)
+    {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_fma_available() {
+        let planes = outs.map(|o| o.as_planar_slices_mut());
+        // SAFETY: AVX2 presence was just verified at runtime.
+        unsafe { x86::crossover_tree(bands, (src.channel(0), src.channel(1)), planes) };
+        return true;
+    }
+    false
+}
+
+/// Whether every section the LR4 tree shares is bit-equal, coefficients
+/// and state, in each band that holds it: section `d` of bands
+/// `d / 2 + 1 ..= 3`.
+fn shared_prefixes_equal(bands: &[&mut [Biquad]; 4]) -> bool {
+    let bits = |s: &Biquad| {
+        let c = s.coeffs;
+        [
+            c.b0, c.b1, c.b2, c.a1, c.a2, s.z1[0], s.z1[1], s.z2[0], s.z2[1],
+        ]
+        .map(f32::to_bits)
+    };
+    (0..TREE_SHAPE[3]).all(|d| {
+        let holders = &bands[d / 2 + 1..];
+        holders.iter().all(|b| bits(&b[d]) == bits(&holders[0][d]))
+    })
+}
+
 /// One fused pass: per-section coefficients and state in lanes, channels
 /// 0/1 in lanes 0/1. Lanes 2–3 (and lane 1 for mono buffers) carry zeros
 /// whose results are discarded, so unused channel state is left untouched.
@@ -488,6 +557,210 @@ mod x86 {
                     self.z2[v] = z2;
                 }
                 self.y[v] = y;
+            }
+        }
+    }
+
+    /// Vectors of the crossover tree: two depths each.
+    const TREE_VECS: usize = 3;
+
+    /// Left and right output planes of one band.
+    pub(super) type Planes<'a> = (&'a mut [f32], &'a mut [f32]);
+
+    /// The LR4 split tree of [`super::process_crossover_tree`] over the
+    /// stereo planes `src` into `outs` (all of one length; the shape and
+    /// the shared prefixes were checked).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn crossover_tree(
+        mut bands: [&mut [Biquad]; 4],
+        src: (&[f32], &[f32]),
+        mut outs: [Planes<'_>; 4],
+    ) {
+        let mut tree = Tree::load(&bands);
+        let (l, r) = src;
+        let frames = l.len();
+        let fresh = |t: usize| _mm256_setr_ps(l[t], r[t], l[t], r[t], 0.0, 0.0, 0.0, 0.0);
+        let zero = _mm256_setzero_ps();
+        for t in 0..TREE_LAG {
+            tree.step::<true>(t, frames, if t < frames { fresh(t) } else { zero });
+            tree.emit_live(&mut outs, t, frames);
+        }
+        for t in TREE_LAG..frames {
+            tree.step::<false>(t, frames, fresh(t));
+            tree.emit(&mut outs, t);
+        }
+        for t in frames.max(TREE_LAG)..frames + TREE_LAG {
+            tree.step::<true>(t, frames, zero);
+            tree.emit_live(&mut outs, t, frames);
+        }
+        tree.store(&mut bands);
+    }
+
+    /// Steps a frame takes from the tree's root to its deepest depth.
+    const TREE_LAG: usize = 2 * TREE_VECS - 1;
+
+    /// Steps from the root to where band `k` leaves the tree: the odd
+    /// depth `2k + 1`, the last band beside the one before it.
+    const BAND_LAG: [usize; 4] = [1, 3, 5, 5];
+
+    /// Coefficients, state and last outputs of the tree's 12 sections by
+    /// depth and lane (see [`super::process_crossover_tree`]).
+    struct Tree {
+        b0: [__m256; TREE_VECS],
+        b1: [__m256; TREE_VECS],
+        b2: [__m256; TREE_VECS],
+        a1: [__m256; TREE_VECS],
+        a2: [__m256; TREE_VECS],
+        z1: [__m256; TREE_VECS],
+        z2: [__m256; TREE_VECS],
+        y: [__m256; TREE_VECS],
+        /// Each lane's depth.
+        depth: [__m256i; TREE_VECS],
+    }
+
+    /// The section of `bands` at tree depth `d`, lanes `2 · side` and
+    /// `2 · side + 1` of its half: side 0 is the band leaving the tree at
+    /// depth `d`'s vector, side 1 the highpass continuing past it.
+    fn tree_section(bands: &[&mut [Biquad]; 4], d: usize, side: usize) -> Biquad {
+        bands[d / 2 + side][d].clone()
+    }
+
+    impl Tree {
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(bands: &[&mut [Biquad]; 4]) -> Self {
+            // b0, b1, b2, a1, a2, z1, z2 by vector and lane.
+            let mut rows = [[[0.0f32; 8]; TREE_VECS]; 7];
+            for d in 0..2 * TREE_VECS {
+                for side in 0..2 {
+                    let sec = tree_section(bands, d, side);
+                    let c = sec.coeffs;
+                    for ch in 0..2 {
+                        let vals = [c.b0, c.b1, c.b2, c.a1, c.a2, sec.z1[ch], sec.z2[ch]];
+                        for (row, v) in rows.iter_mut().zip(vals) {
+                            row[d / 2][4 * (d % 2) + 2 * side + ch] = v;
+                        }
+                    }
+                }
+            }
+            let vec = |row: &[[f32; 8]; TREE_VECS]| -> [__m256; TREE_VECS] {
+                core::array::from_fn(|v| _mm256_loadu_ps(row[v].as_ptr()))
+            };
+            let halves = _mm256_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1);
+            Tree {
+                b0: vec(&rows[0]),
+                b1: vec(&rows[1]),
+                b2: vec(&rows[2]),
+                a1: vec(&rows[3]),
+                a2: vec(&rows[4]),
+                z1: vec(&rows[5]),
+                z2: vec(&rows[6]),
+                y: [_mm256_setzero_ps(); TREE_VECS],
+                depth: core::array::from_fn(|v| {
+                    _mm256_add_epi32(halves, _mm256_set1_epi32(2 * v as i32))
+                }),
+            }
+        }
+
+        /// Write the lanes' state back: a leaving section into its band, a
+        /// continuing one into every band that holds it.
+        #[target_feature(enable = "avx2")]
+        unsafe fn store(&self, bands: &mut [&mut [Biquad]; 4]) {
+            let mut z1 = [[0.0f32; 8]; TREE_VECS];
+            let mut z2 = [[0.0f32; 8]; TREE_VECS];
+            for v in 0..TREE_VECS {
+                _mm256_storeu_ps(z1[v].as_mut_ptr(), self.z1[v]);
+                _mm256_storeu_ps(z2[v].as_mut_ptr(), self.z2[v]);
+            }
+            for d in 0..2 * TREE_VECS {
+                for side in 0..2 {
+                    let lane = 4 * (d % 2) + 2 * side;
+                    let holders = if side == 0 {
+                        d / 2..d / 2 + 1
+                    } else {
+                        d / 2 + 1..4
+                    };
+                    for band in &mut bands[holders] {
+                        let sec = &mut band[d];
+                        sec.z1 = [z1[d / 2][lane], z1[d / 2][lane + 1]];
+                        sec.z2 = [z2[d / 2][lane], z2[d / 2][lane + 1]];
+                    }
+                }
+            }
+        }
+
+        /// Step `t`: depth `2v` takes the fresh frame (`v = 0`) or the
+        /// continuing highpass of depth `2v − 1` from step `t − 1`, in
+        /// both sides; depth `2v + 1` takes depth `2v`'s lanes from step
+        /// `t − 1`. One permute moves both: lanes 6–7 to 0–1 and 2–3 (for
+        /// the next vector), lanes 0–3 to 4–7 (for this one). Then
+        /// `tick`'s three statements; with `MASKED`, a lane whose frame
+        /// `t − depth` lies outside `0..frames` keeps its state.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn step<const MASKED: bool>(&mut self, t: usize, frames: usize, fresh: __m256) {
+            let up = _mm256_setr_epi32(6, 7, 6, 7, 0, 1, 2, 3);
+            let mut carry = fresh;
+            for v in 0..TREE_VECS {
+                let moved = _mm256_permutevar8x32_ps(self.y[v], up);
+                let x = _mm256_blend_ps::<0b1111>(moved, carry);
+                carry = moved;
+                // y = b0·x + z1
+                let y = _mm256_add_ps(_mm256_mul_ps(self.b0[v], x), self.z1[v]);
+                // z1 = (b1·x − a1·y) + z2
+                let z1 = _mm256_add_ps(
+                    _mm256_sub_ps(_mm256_mul_ps(self.b1[v], x), _mm256_mul_ps(self.a1[v], y)),
+                    self.z2[v],
+                );
+                // z2 = b2·x − a2·y
+                let z2 = _mm256_sub_ps(_mm256_mul_ps(self.b2[v], x), _mm256_mul_ps(self.a2[v], y));
+                if MASKED {
+                    let live = live_lanes(self.depth[v], t, frames);
+                    self.z1[v] = _mm256_blendv_ps(self.z1[v], z1, live);
+                    self.z2[v] = _mm256_blendv_ps(self.z2[v], z2, live);
+                } else {
+                    self.z1[v] = z1;
+                    self.z2[v] = z2;
+                }
+                self.y[v] = y;
+            }
+        }
+
+        /// After step `t`, band `k`'s frame `t − BAND_LAG[k]` sits in the
+        /// upper half of vector `min(k, 2)`: lanes 4–5, the last band
+        /// lanes 6–7.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn band(&self, k: usize) -> (f32, f32) {
+            let upper = _mm256_extractf128_ps::<1>(self.y[k.min(TREE_VECS - 1)]);
+            let two = if k == 3 {
+                _mm_movehl_ps(upper, upper)
+            } else {
+                upper
+            };
+            (_mm_cvtss_f32(two), _mm_cvtss_f32(_mm_movehdup_ps(two)))
+        }
+
+        /// Every band's frame of step `t` (all lie inside the buffer).
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn emit(&self, outs: &mut [Planes<'_>; 4], t: usize) {
+            for (k, (l, r)) in outs.iter_mut().enumerate() {
+                let (left, right) = self.band(k);
+                l[t - BAND_LAG[k]] = left;
+                r[t - BAND_LAG[k]] = right;
+            }
+        }
+
+        /// The bands' frames of step `t` that lie inside `0..frames`.
+        #[target_feature(enable = "avx2")]
+        unsafe fn emit_live(&self, outs: &mut [Planes<'_>; 4], t: usize, frames: usize) {
+            for (k, (l, r)) in outs.iter_mut().enumerate() {
+                let Some(f) = t.checked_sub(BAND_LAG[k]).filter(|&f| f < frames) else {
+                    continue;
+                };
+                let (left, right) = self.band(k);
+                l[f] = left;
+                r[f] = right;
             }
         }
     }

@@ -33,10 +33,9 @@ impl DelayLine {
         self.buf.len()
     }
 
-    /// Longest fractional delay: `capacity - 1`, so that the tap after it is
-    /// still in the line — and never below the shortest, 1.
+    /// Longest fractional delay (see [`max_delay`]).
     fn max_delay(&self) -> f32 {
-        (self.buf.len() - 1).max(1) as f32
+        max_delay(self.buf.len())
     }
 
     /// Push one sample of input.
@@ -94,9 +93,10 @@ impl DelayLine {
     }
 
     /// Block form of "[`push`](Self::push) the sample, then
-    /// [`read_frac`](Self::read_frac) `TAPS` modulated taps": for frame `i`,
-    /// `plane[i]` is pushed, tap `k` is read at `delays[k][i]`, and
-    /// `plane[i]` becomes `mix(dry, taps)`. Bit for bit the per-sample calls.
+    /// [`read_frac`](Self::read_frac) one modulated tap": for frame `i`,
+    /// `plane[i]` is pushed, the tap `wet` is read at `delays[i]`, and
+    /// `plane[i]` becomes `dry * (1 - mix) + wet * mix` — a flanger's
+    /// dry/wet mix. Bit for bit the per-sample calls.
     ///
     /// The delay is clamped as `read_frac` clamps it before the tap is taken
     /// (a NaN delay stays NaN and yields a NaN tap there too), so truncating
@@ -104,39 +104,41 @@ impl DelayLine {
     /// compare-and-add wraps it, and the second tap is the slot before it.
     /// Exact for capacities below 2^31 samples.
     ///
+    /// On a CPU with AVX2, each block of eight frames runs in lanes: its
+    /// eight samples are pushed first, then each lane takes the scalar
+    /// loop's clamp, truncation, `frac` and two wrapped taps (two gathers)
+    /// and interpolates and mixes in the scalar order, without FMA. A
+    /// block whose delays include a NaN, or whose taps reach back so far
+    /// that a slot a later frame of the block overwrote could be read
+    /// (within eight samples of the capacity), runs the scalar loop, as do
+    /// the frames after the last whole block.
+    ///
     /// # Panics
-    /// Panics if a delay table is shorter than `plane`.
-    pub fn modulated_taps<const TAPS: usize>(
-        &mut self,
-        plane: &mut [f32],
-        delays: [&[f32]; TAPS],
-        mut mix: impl FnMut(f32, [f32; TAPS]) -> f32,
-    ) {
-        let delays = delays.map(|table| &table[..plane.len()]);
-        let n = self.buf.len();
-        let max = self.max_delay();
-        let ring = &mut self.buf[..];
-        let mut write = self.write;
-        for (i, x) in plane.iter_mut().enumerate() {
-            let dry = *x;
-            ring[write] = dry;
-            write += 1;
-            if write == n {
-                write = 0;
+    /// Panics if `delays` is shorter than `plane`.
+    pub fn modulated_taps(&mut self, plane: &mut [f32], delays: &[f32], mix: f32) {
+        let delays = &delays[..plane.len()];
+        let mut taps = Taps {
+            ring: &mut self.buf[..],
+            write: self.write,
+            mix,
+        };
+        // Frames the lanes took, in whole blocks.
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut whole = 0;
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2_fma_available() && taps.lanes_fit() {
+            whole = plane.len() / x86::LANES * x86::LANES;
+            let blocks = plane[..whole].chunks_exact_mut(x86::LANES);
+            for (block, delays) in blocks.zip(delays.chunks_exact(x86::LANES)) {
+                // SAFETY: AVX2 presence was just verified at runtime, the
+                // line fits the lanes, and the blocks hold `LANES` frames.
+                if !unsafe { x86::taps_block(&mut taps, block, delays) } {
+                    taps.run(block, delays);
+                }
             }
-            let taps = delays.map(|table| {
-                let d = table[i].clamp(1.0, max);
-                let tap = d as i32;
-                let frac = d - tap as f32;
-                // 0 <= tap <= n (0 only for NaN, n only when n is 1), write < n.
-                let near = write as isize - tap as isize;
-                let near = if near < 0 { near + n as isize } else { near } as usize;
-                let far = if near == 0 { n - 1 } else { near - 1 };
-                ring[near] * (1.0 - frac) + ring[far] * frac
-            });
-            *x = mix(dry, taps);
         }
-        self.write = write;
+        taps.run(&mut plane[whole..], &delays[whole..]);
+        self.write = taps.write;
     }
 
     /// Block form of a feedback delay: for each `x` of `plane`, in order,
@@ -173,6 +175,134 @@ impl DelayLine {
     pub fn clear(&mut self) {
         self.buf.fill(0.0);
         self.write = 0;
+    }
+}
+
+/// [`DelayLine::modulated_taps`]' ring, its write index held in a local,
+/// and the dry/wet mix.
+struct Taps<'a> {
+    ring: &'a mut [f32],
+    write: usize,
+    mix: f32,
+}
+
+/// Longest fractional delay of a `capacity`-sample line: `capacity - 1`,
+/// so that the tap after it is still in the line — and never below the
+/// shortest, 1.
+fn max_delay(capacity: usize) -> f32 {
+    (capacity - 1).max(1) as f32
+}
+
+impl Taps<'_> {
+    /// Whether a block can ever run in lanes: a delay within eight samples
+    /// of the capacity is needed for one, and the limit must be exact as an
+    /// `f32`.
+    #[cfg(target_arch = "x86_64")]
+    fn lanes_fit(&self) -> bool {
+        (x86::LANES + 1..=1 << 24).contains(&self.ring.len())
+    }
+
+    /// The per-frame loop: push, read the tap, mix.
+    fn run(&mut self, plane: &mut [f32], delays: &[f32]) {
+        let n = self.ring.len();
+        let max = max_delay(n);
+        let mix = self.mix;
+        for (x, &delay) in plane.iter_mut().zip(delays) {
+            let dry = *x;
+            self.ring[self.write] = dry;
+            self.write += 1;
+            if self.write == n {
+                self.write = 0;
+            }
+            let d = delay.clamp(1.0, max);
+            let tap = d as i32;
+            let frac = d - tap as f32;
+            // 0 <= tap <= n (0 only for NaN, n only when n is 1), write < n.
+            let near = self.write as isize - tap as isize;
+            let near = if near < 0 { near + n as isize } else { near } as usize;
+            let far = if near == 0 { n - 1 } else { near - 1 };
+            let wet = self.ring[near] * (1.0 - frac) + self.ring[far] * frac;
+            *x = dry * (1.0 - mix) + wet * mix;
+        }
+    }
+}
+
+/// The AVX2 block of [`DelayLine::modulated_taps`].
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::Taps;
+    use core::arch::x86_64::*;
+
+    /// Frames per block: one per lane.
+    pub(super) const LANES: usize = 8;
+
+    /// Run `block` (`LANES` frames) in lanes and return `true`, or return
+    /// `false` with nothing touched when a delay is NaN or a tap could
+    /// read a slot a later frame of the block overwrites.
+    ///
+    /// # Safety
+    /// Requires AVX2, `block.len() == delays.len() == LANES` and
+    /// [`Taps::lanes_fit`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn taps_block(
+        taps: &mut Taps<'_>,
+        block: &mut [f32],
+        delays: &[f32],
+    ) -> bool {
+        let n = taps.ring.len();
+        // `delays` and `block` hold `LANES` floats: the caller's contract.
+        let raw = _mm256_loadu_ps(delays.as_ptr());
+        let one = _mm256_set1_ps(1.0);
+        // `clamp(1, max)` of a number (NaN blocks never get here).
+        let d = _mm256_min_ps(_mm256_max_ps(raw, one), _mm256_set1_ps(super::max_delay(n)));
+        // Frame j's taps read slots `write_j − tap` and the one before;
+        // frames j + 1 … 7 overwrite the `7 − j` slots after `write_j − 1`.
+        // A tap of at most n − 8 keeps every read clear of them.
+        let limit = _mm256_set1_ps((n - LANES) as f32);
+        let ordered = _mm256_cmp_ps::<_CMP_ORD_Q>(raw, raw);
+        let near_enough = _mm256_cmp_ps::<_CMP_LE_OQ>(d, limit);
+        if _mm256_movemask_ps(_mm256_and_ps(ordered, near_enough)) != 0xFF {
+            return false;
+        }
+        let dry = _mm256_loadu_ps(block.as_ptr());
+        for &x in block.iter() {
+            taps.ring[taps.write] = x;
+            taps.write += 1;
+            if taps.write == n {
+                taps.write = 0;
+            }
+        }
+        let nv = _mm256_set1_epi32(n as i32);
+        let zero = _mm256_setzero_si256();
+        // Write index after frame j's push: the block's end, minus 7 − j,
+        // wrapped.
+        let end = _mm256_set1_epi32(taps.write as i32);
+        let write = _mm256_sub_epi32(end, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
+        let write = _mm256_add_epi32(write, _mm256_and_si256(_mm256_cmpgt_epi32(zero, write), nv));
+        let tap = _mm256_cvttps_epi32(d);
+        let frac = _mm256_sub_ps(d, _mm256_cvtepi32_ps(tap));
+        let near = _mm256_sub_epi32(write, tap);
+        let near = _mm256_add_epi32(near, _mm256_and_si256(_mm256_cmpgt_epi32(zero, near), nv));
+        let far = _mm256_sub_epi32(near, _mm256_set1_epi32(1));
+        let far = _mm256_add_epi32(far, _mm256_and_si256(_mm256_cmpgt_epi32(zero, far), nv));
+        // SAFETY: `near` and `far` lie in `0..n`, the ring's length.
+        let (a, b) = unsafe {
+            (
+                _mm256_i32gather_ps::<4>(taps.ring.as_ptr(), near),
+                _mm256_i32gather_ps::<4>(taps.ring.as_ptr(), far),
+            )
+        };
+        // wet = a·(1 − frac) + b·frac; out = dry·(1 − mix) + wet·mix
+        let wet = _mm256_add_ps(
+            _mm256_mul_ps(a, _mm256_sub_ps(one, frac)),
+            _mm256_mul_ps(b, frac),
+        );
+        let out = _mm256_add_ps(
+            _mm256_mul_ps(dry, _mm256_set1_ps(1.0 - taps.mix)),
+            _mm256_mul_ps(wet, _mm256_set1_ps(taps.mix)),
+        );
+        _mm256_storeu_ps(block.as_mut_ptr(), out);
+        true
     }
 }
 

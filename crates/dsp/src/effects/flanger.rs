@@ -76,9 +76,7 @@ impl Effect for Flanger {
             modulation_table(&mut self.lfo, delays, center, swing);
             for ch in 0..channels {
                 let plane = &mut buf.channel_mut(ch)[start..start + delays.len()];
-                self.lines
-                    .channel(ch)
-                    .modulated_taps(plane, [delays], |dry, [wet]| dry * (1.0 - mix) + wet * mix);
+                self.lines.channel(ch).modulated_taps(plane, delays, mix);
             }
         }
     }

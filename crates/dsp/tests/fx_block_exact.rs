@@ -139,24 +139,71 @@ fn modulated_taps_equal_push_then_read_frac() {
             1 + rng.below(600)
         };
         let (mut block, mut per_sample) = (DelayLine::new(capacity), DelayLine::new(capacity));
+        let mix = rng.f32();
         for _ in 0..8 {
             let len = rng.below(300);
             let dry: Vec<f32> = (0..len).map(|_| rng.f32() * 2.0 - 1.0).collect();
-            let d_a: Vec<f32> = (0..len).map(|_| rand_delay(&mut rng, capacity)).collect();
-            let d_b: Vec<f32> = (0..len).map(|_| rand_delay(&mut rng, capacity)).collect();
+            let delays: Vec<f32> = (0..len).map(|_| rand_delay(&mut rng, capacity)).collect();
             let mut got = dry.clone();
-            block.modulated_taps(&mut got, [&d_a, &d_b], |x, [a, b]| x * 0.25 + (a - b));
+            block.modulated_taps(&mut got, &delays, mix);
             for i in 0..len {
                 per_sample.push(dry[i]);
-                let (a, b) = (per_sample.read_frac(d_a[i]), per_sample.read_frac(d_b[i]));
-                let want = dry[i] * 0.25 + (a - b);
+                let want = dry[i] * (1.0 - mix) + per_sample.read_frac(delays[i]) * mix;
                 assert_eq!(
                     got[i].to_bits(),
                     want.to_bits(),
-                    "capacity {capacity}, delays {} / {}",
-                    d_a[i],
-                    d_b[i]
+                    "capacity {capacity}, delay {}",
+                    delays[i]
                 );
+            }
+        }
+    }
+}
+
+/// The Flanger's taps in lanes at their edges, against push-then-
+/// `read_frac` bit for bit: plane lengths around the 8-frame block (1, 7,
+/// 8, 9) and the 128-frame buffer (127, 128, 129); delays swept between
+/// both clamp bounds (a block reaching within eight samples of the
+/// capacity runs the scalar loop) and past them; a NaN delay inside a
+/// block; the write index wrapping inside a block; and lines of 8 and 9
+/// samples, too short for lanes and just long enough.
+#[test]
+fn modulated_taps_lanes_equal_push_then_read_frac_at_every_edge() {
+    let mut rng = SmallRng::seed_from_u64(0x1A9E);
+    for capacity in [8usize, 9, 16, 356, 1_000] {
+        for len in [1usize, 7, 8, 9, 127, 128, 129] {
+            let (mut block, mut per_sample) = (DelayLine::new(capacity), DelayLine::new(capacity));
+            let mut phase = rng.f32();
+            for call in 0..12 {
+                let dry: Vec<f32> = (0..len).map(|_| rng.f32() * 2.0 - 1.0).collect();
+                let mut delays: Vec<f32> = (0..len)
+                    .map(|_| {
+                        phase += 0.013;
+                        // From below 1 to past the capacity.
+                        (capacity as f32 + 4.0) * (0.5 + 0.55 * (phase * 6.0).sin())
+                    })
+                    .collect();
+                if call == 5 {
+                    delays[len / 2] = f32::NAN;
+                }
+                if call == 7 {
+                    delays.fill(1.0);
+                }
+                if call == 8 {
+                    delays.fill((capacity - 1) as f32);
+                }
+                let mut got = dry.clone();
+                block.modulated_taps(&mut got, &delays, 0.5);
+                for i in 0..len {
+                    per_sample.push(dry[i]);
+                    let want = dry[i] * 0.5 + per_sample.read_frac(delays[i]) * 0.5;
+                    assert_eq!(
+                        got[i].to_bits(),
+                        want.to_bits(),
+                        "capacity {capacity}, {len} frames, call {call}, frame {i}, delay {}",
+                        delays[i]
+                    );
+                }
             }
         }
     }
@@ -203,9 +250,10 @@ fn one_sample_line_reads_its_sample() {
         assert_eq!(line.read_frac_reference(delay), 0.75, "delay {delay}");
     }
     assert!(line.read_frac(f32::NAN).is_nan());
+    // Each frame's one tap is the sample it pushed: an even mix is dry.
     let mut plane = [0.1f32, -0.2, 0.3];
-    line.modulated_taps(&mut plane, [&[-1.0, 5.0, 0.0]], |dry, [wet]| dry + wet);
-    assert_eq!(plane, [0.2, -0.4, 0.6]);
+    line.modulated_taps(&mut plane, &[-1.0, 5.0, 0.0], 0.5);
+    assert_eq!(plane, [0.1, -0.2, 0.3]);
     assert_eq!(line.read(1), 0.3);
 }
 
@@ -222,7 +270,7 @@ fn non_finite_delays_clamp_in_both_forms() {
     let mut block = line.clone();
     let mut plane = [8.0f32, 9.0, 10.0];
     let delays = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-    block.modulated_taps(&mut plane, [&delays], |_, [wet]| wet);
+    block.modulated_taps(&mut plane, &delays, 1.0);
     // After pushing 8, 9, 10: the oldest of seven, the newest, not a number.
     assert_eq!(plane[0], 2.0);
     assert_eq!(plane[1], 9.0);

@@ -13,7 +13,8 @@
 //! `fft_inplace`.
 
 use djstar_dsp::biquad::{
-    process_chain, process_chain_fused, process_chain_scalar, Biquad, FilterKind,
+    process_chain, process_chain_fused, process_chain_scalar, process_crossover_tree, Biquad,
+    FilterKind,
 };
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::Compressor;
@@ -132,6 +133,140 @@ fn biquad_cascades_bit_exact_at_every_edge() {
                 }
             }
         }
+    }
+}
+
+/// A deck's four crossover bands as the SP nodes hold them: sections 0–1
+/// shared by bands 1–3 and 2–3 by bands 2–3 (clones, so bit-equal), every
+/// other section a band's own. `lr4` designs the engine's LR4 tree (200,
+/// 1 200 and 5 000 Hz); otherwise every section is a random filter.
+fn tree_bands(rng: &mut SmallRng, lr4: bool) -> [Vec<Biquad>; 4] {
+    let q = core::f32::consts::FRAC_1_SQRT_2;
+    let mut pair = |kind, f| -> [Biquad; 2] {
+        if lr4 {
+            [0; 2].map(|_| Biquad::design(kind, f, q, djstar_dsp::SAMPLE_RATE))
+        } else {
+            [0; 2].map(|_| rand_filter(rng))
+        }
+    };
+    let (lp1, hp1) = (
+        pair(FilterKind::Lowpass, 200.0),
+        pair(FilterKind::Highpass, 200.0),
+    );
+    let (lp2, hp2) = (
+        pair(FilterKind::Lowpass, 1_200.0),
+        pair(FilterKind::Highpass, 1_200.0),
+    );
+    let (lp3, hp3) = (
+        pair(FilterKind::Lowpass, 5_000.0),
+        pair(FilterKind::Highpass, 5_000.0),
+    );
+    [
+        lp1.to_vec(),
+        [&hp1[..], &lp2].concat(),
+        [&hp1[..], &hp2, &lp3].concat(),
+        [&hp1[..], &hp2, &hp3].concat(),
+    ]
+}
+
+fn state_bits(chain: &[Biquad]) -> Vec<[u32; 4]> {
+    let state = |b: &Biquad| {
+        let (z1, z2) = b.state();
+        [z1[0], z1[1], z2[0], z2[1]].map(f32::to_bits)
+    };
+    chain.iter().map(state).collect()
+}
+
+/// Run the tree over `blocks` chained blocks of `frames` frames against
+/// each band's copy-then-[`process_chain_scalar`], bit for bit, samples
+/// and every section's state.
+fn assert_tree_equals_chains(mut tree: [Vec<Biquad>; 4], frames: usize, blocks: usize, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut scalar = tree.clone();
+    for block in 0..blocks {
+        let src = rand_buf(&mut rng, 2, frames);
+        let mut outs: [AudioBuf; 4] = core::array::from_fn(|_| AudioBuf::zeroed(2, frames));
+        let ran = process_crossover_tree(
+            tree.each_mut().map(Vec::as_mut_slice),
+            &src,
+            outs.each_mut(),
+        );
+        assert_eq!(
+            ran,
+            djstar_dsp::simd::avx2_fma_available(),
+            "the tree declined"
+        );
+        if !ran {
+            return;
+        }
+        for (k, (out, chain)) in outs.iter().zip(&mut scalar).enumerate() {
+            let mut want = src.clone();
+            process_chain_scalar(chain, &mut want);
+            let case = format!("band {k}, {frames} frames, block {block}");
+            assert_eq!(bits(out), bits(&want), "{case}");
+            assert_eq!(state_bits(&tree[k]), state_bits(chain), "state: {case}");
+        }
+    }
+}
+
+/// The crossover tree against four per-band scalar chains: the engine's
+/// LR4 bands over 50 blocks of 128 frames, and random sections at frame
+/// counts below, at and past the tree's five-step lag and around a block.
+#[test]
+fn crossover_tree_bit_exact_against_per_band_chains() {
+    let mut rng = SmallRng::seed_from_u64(0x7EE5);
+    assert_tree_equals_chains(tree_bands(&mut rng, true), 128, 50, 1);
+    for frames in [1, 2, 4, 5, 6, 7, 8, 9, 127, 128, 129] {
+        let bands = tree_bands(&mut rng, false);
+        assert_tree_equals_chains(bands, frames, 6, frames as u64);
+    }
+}
+
+/// The tree runs only where it is exact: a shared section one ulp apart in
+/// one band, a chain of the wrong length or a mono source make it decline,
+/// with every output and every section untouched.
+#[test]
+fn crossover_tree_declines_without_touching_anything() {
+    let mut rng = SmallRng::seed_from_u64(0xDEC1);
+    let bands = tree_bands(&mut rng, true);
+    // Warm the state so a perturbation is not a zero.
+    let mut warm = bands.clone();
+    assert_tree_equals_chains(bands, 64, 3, 9);
+    for chain in &mut warm {
+        process_chain_scalar(chain, &mut rand_buf(&mut rng, 2, 64));
+    }
+    // One more frame through band 2's copy of a shared section only.
+    let mut nudged_state = warm.clone();
+    let mut frame = AudioBuf::from_fn(2, 1, |_, _| 1e-3);
+    process_chain_scalar(&mut nudged_state[2][1..2], &mut frame);
+    let mut nudged_coeffs = warm.clone();
+    let mut c = nudged_coeffs[3][2].coeffs();
+    c.b0 = f32::from_bits(c.b0.to_bits() + 1);
+    nudged_coeffs[3][2].set_coeffs(c);
+    let mut short = warm.clone();
+    short[1].pop();
+    let stereo = rand_buf(&mut rng, 2, 32);
+    let mono = rand_buf(&mut rng, 1, 32);
+    for (label, mut bands, src) in [
+        ("shared state", nudged_state, &stereo),
+        ("shared coefficients", nudged_coeffs, &stereo),
+        ("shape", short, &stereo),
+        ("mono source", warm.clone(), &mono),
+    ] {
+        let before: Vec<_> = bands.iter().map(|b| state_bits(b)).collect();
+        let mut outs: [AudioBuf; 4] = core::array::from_fn(|_| AudioBuf::zeroed(2, 32));
+        let ran = process_crossover_tree(
+            bands.each_mut().map(Vec::as_mut_slice),
+            src,
+            outs.each_mut(),
+        );
+        assert!(!ran, "{label}: the tree ran");
+        assert!(
+            outs.iter().all(|o| o.peak() == 0.0),
+            "{label}: an output was written"
+        );
+        let after: Vec<_> = bands.iter().map(|b| state_bits(b)).collect();
+        assert_eq!(before, after, "{label}: a section changed");
     }
 }
 

@@ -274,6 +274,11 @@ fn assemble(
         debug_assert_eq!(processor.output_channels(), spec.channels, "{name}");
         b.add(name, section, processor, spec.preds);
     });
+    // A deck's four SP bands read the same deck audio: one sibling group,
+    // which SEQ runs as one shared crossover tree.
+    for deck in map.decks.iter().flatten() {
+        b.group(&deck.sp);
+    }
     let graph = b.build().expect("the DJ Star graph is a valid DAG");
     (graph, map)
 }
@@ -884,6 +889,41 @@ mod tests {
             g.len() + APC_NODES,
             GraphShape::paper_default().node_count()
         );
+    }
+
+    /// Every deck's four SP bands form one run of the queue — in the
+    /// paper graph, the engine graph and with a remote deck — and no other
+    /// node shares a run.
+    #[test]
+    fn each_decks_sp_bands_are_one_run_of_four() {
+        let scenario = Scenario::light_test();
+        let mut remote = GraphShape::paper_default();
+        remote.remote_decks[1] = true;
+        for (label, (g, map)) in [
+            ("paper", build_djstar_graph(&scenario)),
+            (
+                "engine",
+                build_shaped_graph(&scenario, &GraphShape::paper_default()),
+            ),
+            ("remote", build_shaped_graph(&scenario, &remote)),
+            ("hollow", hollow_graph(&scenario, &remote)),
+        ] {
+            let t = g.topology();
+            let batches: Vec<&[u32]> = t.runs().filter(|r| r.len() > 1).collect();
+            let bands: Vec<Vec<u32>> = map
+                .decks
+                .iter()
+                .flatten()
+                .map(|d| d.sp.iter().map(|n| n.0).collect())
+                .collect();
+            assert_eq!(batches, bands, "{label}");
+            assert_eq!(
+                t.runs().map(<[u32]>::len).sum::<usize>(),
+                t.len(),
+                "{label}"
+            );
+            assert_eq!(t.runs().flatten().copied().collect::<Vec<_>>(), t.queue());
+        }
     }
 
     #[test]

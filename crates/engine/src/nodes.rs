@@ -7,8 +7,8 @@
 //! (see `djstar_workload::profile`) — this is what gives our graph the
 //! paper's heterogeneous, data-dependent node-cost distribution.
 
-use djstar_core::processor::{CycleCtx, Processor};
-use djstar_dsp::biquad::{Biquad, FilterKind};
+use djstar_core::processor::{CycleCtx, Processor, Sibling};
+use djstar_dsp::biquad::{process_crossover_tree, Biquad, FilterKind};
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::dynamics::{Compressor, HardClip, Limiter};
 use djstar_dsp::effects::Effect;
@@ -137,9 +137,15 @@ pub(crate) fn sum_inputs(inputs: &[&AudioBuf], out: &mut AudioBuf) {
 /// The four SP nodes of a deck form a Linkwitz–Riley 4-band crossover
 /// (200 / 1200 / 5000 Hz): each node applies its branch of the LR4 split
 /// tree, so when the first effect node sums the four bands the deck signal
-/// reconstructs flat. Each node owns its own
-/// filter chain — the graph decomposition demands independent nodes — and
-/// the shared tree prefixes are simply duplicated per branch.
+/// reconstructs flat. Each node owns its own filter chain — the graph
+/// decomposition demands independent nodes — so a branch holds its own
+/// copy of the highpass prefix it shares with its siblings, and run one
+/// by one (BUSY, SLEEP, WS, PLAN) the four nodes filter 18 sections.
+/// The graph declares a deck's four SP nodes a sibling group; SEQ runs the
+/// group as one [`process_batch`](Processor::process_batch), which filters
+/// the deck audio through the shared tree once ([`process_crossover_tree`]:
+/// 12 sections in AVX2 lanes, every copy of a shared section kept
+/// bit-equal), bit for bit the four nodes' own runs.
 pub struct SpFilterNode {
     deck: usize,
     chain: Vec<Biquad>,
@@ -190,6 +196,10 @@ impl SpFilterNode {
 }
 
 impl Processor for SpFilterNode {
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+
     fn process(&mut self, inputs: &[&AudioBuf], output: &mut AudioBuf, ctx: &CycleCtx<'_>) {
         match deck_audio(inputs, ctx, self.deck) {
             Some(src) => output.copy_from(src),
@@ -200,6 +210,49 @@ impl Processor for SpFilterNode {
         djstar_dsp::biquad::process_chain(&mut self.chain, output);
         self.cost.apply(output);
     }
+
+    /// A deck's four bands, in band order, as one shared LR4 tree; then
+    /// each band's cost model, in band order. Declines (the tree's own
+    /// checks, or siblings that are not this deck's other three bands)
+    /// before touching anything.
+    fn process_batch(
+        &mut self,
+        output: &mut AudioBuf,
+        siblings: &mut [Sibling<'_>],
+        inputs: &[&AudioBuf],
+        ctx: &CycleCtx<'_>,
+    ) -> bool {
+        let deck = self.deck;
+        let Some(src) = deck_audio(inputs, ctx, deck) else {
+            return false;
+        };
+        let [b, c, d] = siblings else {
+            return false;
+        };
+        let (Some(nb), Some(nc), Some(nd)) = (
+            sp_band(&mut *b.processor, deck),
+            sp_band(&mut *c.processor, deck),
+            sp_band(&mut *d.processor, deck),
+        ) else {
+            return false;
+        };
+        let chains = [&mut self.chain, &mut nb.chain, &mut nc.chain, &mut nd.chain];
+        let outs = [&mut *output, &mut *b.output, &mut *c.output, &mut *d.output];
+        if !process_crossover_tree(chains.map(|c| c.as_mut_slice()), src, outs) {
+            return false;
+        }
+        self.cost.apply(output);
+        nb.cost.apply(b.output);
+        nc.cost.apply(c.output);
+        nd.cost.apply(d.output);
+        true
+    }
+}
+
+/// `processor` as an SP node of `deck`, if it is one.
+fn sp_band(processor: &mut dyn Processor, deck: usize) -> Option<&mut SpFilterNode> {
+    let node = processor.as_any_mut()?.downcast_mut::<SpFilterNode>()?;
+    (node.deck == deck).then_some(node)
 }
 
 /// FXn: a deck effect; the first in the chain sums the four SP bands.
@@ -989,6 +1042,66 @@ mod tests {
         let mut out = AudioBuf::zeroed(2, 128);
         node.process(&[], &mut out, &ctx_with(&[], &[]));
         assert!(out.peak() < 1e-10);
+    }
+
+    /// A deck's four SP bands, batched through the shared tree, equal
+    /// the four run alone — outputs and burn residue — and a band of
+    /// another deck, or a band whose shared state drifted, makes the
+    /// batch decline without touching anything.
+    #[test]
+    fn sp_batch_equals_the_bands_alone_and_declines_when_it_must() {
+        let mk = |deck| -> Vec<SpFilterNode> {
+            (0..4)
+                .map(|b| SpFilterNode::new(deck, b, light(), 3 + b as u32))
+                .collect()
+        };
+        let (mut batched, mut alone) = (mk(1), mk(1));
+        let mut rng = djstar_dsp::rng::SmallRng::seed_from_u64(0x5BA7);
+        let out = || AudioBuf::zeroed(2, 128);
+        let batch = |nodes: &mut [SpFilterNode], src: &AudioBuf, outs: &mut [AudioBuf]| {
+            let ([lead, rest @ ..], [o0, o_rest @ ..]) = (nodes, outs) else {
+                unreachable!()
+            };
+            let mut sibs: Vec<Sibling<'_>> = rest
+                .iter_mut()
+                .zip(o_rest.iter_mut())
+                .map(|(p, o)| Sibling {
+                    processor: p as &mut dyn Processor,
+                    output: o,
+                })
+                .collect();
+            lead.process_batch(o0, &mut sibs, &[src], &CycleCtx::bare(1))
+        };
+        for _ in 0..20 {
+            let src = AudioBuf::from_fn(2, 128, |_, _| rng.f32() - 0.5);
+            let mut got: Vec<AudioBuf> = (0..4).map(|_| out()).collect();
+            assert_eq!(
+                batch(&mut batched, &src, &mut got),
+                djstar_dsp::simd::avx2_fma_available()
+            );
+            for (k, node) in alone.iter_mut().enumerate() {
+                let mut want = out();
+                node.process(&[&src], &mut want, &CycleCtx::bare(1));
+                if djstar_dsp::simd::avx2_fma_available() {
+                    assert_eq!(got[k].samples(), want.samples(), "band {k}");
+                }
+            }
+        }
+        let src = AudioBuf::from_fn(2, 128, |_, i| i as f32 * 1e-3);
+        // A band of another deck in the group.
+        let mut mixed = mk(1);
+        mixed[3] = SpFilterNode::new(2, 3, light(), 6);
+        // Band 3's copy of the shared highpass filtered one buffer more.
+        let mut drifted = mk(1);
+        drifted[3].process(&[&src], &mut out(), &CycleCtx::bare(1));
+        for (label, mut nodes) in [("another deck", mixed), ("drifted", drifted)] {
+            let mut outs: Vec<AudioBuf> = (0..4).map(|_| out()).collect();
+            let before: Vec<_> = nodes.iter().map(|n| n.chain[0].state()).collect();
+            assert!(!batch(&mut nodes, &src, &mut outs), "{label}: batch ran");
+            assert!(outs.iter().all(|o| o.peak() == 0.0), "{label}");
+            let after: Vec<_> = nodes.iter().map(|n| n.chain[0].state()).collect();
+            assert_eq!(before, after, "{label}");
+        }
     }
 
     #[test]

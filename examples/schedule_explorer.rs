@@ -8,8 +8,9 @@
 //!
 //! With `--dot` the graph is printed in Graphviz format instead. With
 //! `--costs` the *nodes* layer of the budget tree (APC → phases → nodes →
-//! kernel families) is printed instead: SEQ x 1 on the light (default) or
-//! paper-scale work profile, one row per node, most expensive first.
+//! kernel families) is printed instead: BUSY x 1 (SEQ's queue order, each
+//! node run alone) on the light (default) or paper-scale work profile,
+//! one row per node, most expensive first.
 
 use djstar_core::exec::Strategy;
 use djstar_core::graph::NodeId;
@@ -25,8 +26,9 @@ use djstar_workload::profile::WorkProfile;
 use djstar_workload::scenario::Scenario;
 
 /// Per-node cost table of the scenario `benchmark/`'s `dsp_seq` (light) or
-/// `paper_busy` (paper) workload runs, on SEQ x 1 so a node's duration is
-/// its own work and nothing else.
+/// `paper_busy` (paper) workload runs, on BUSY x 1 so a node's duration is
+/// its own work and nothing else: one lane never waits, and, unlike SEQ,
+/// it runs a deck's SP bands one by one rather than as one batch.
 fn print_costs(profile: &str) {
     let (work, aux) = match profile {
         "light" => (WorkProfile::light(), AuxWork::light()),
@@ -39,7 +41,7 @@ fn print_costs(profile: &str) {
     let mut scenario = Scenario::paper_default();
     scenario.work = work;
     eprintln!("measuring node durations (200 warm-up + 4000 cycles) ...");
-    let mut engine = AudioEngine::with_aux(scenario, Strategy::Sequential, 1, aux);
+    let mut engine = AudioEngine::with_aux(scenario, Strategy::Busy, 1, aux);
     engine.warmup(200);
     let samples = engine.measured_node_durations(4_000);
     let topology = engine.executor_mut().topology();
@@ -99,7 +101,7 @@ fn main() {
     eprintln!("measuring node durations (400 cycles) ...");
     let mut engine = AudioEngine::with_aux(
         Scenario::paper_default(),
-        Strategy::Sequential,
+        Strategy::Busy,
         1,
         AuxWork::light(),
     );

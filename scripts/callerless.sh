@@ -46,32 +46,47 @@ via_path_or_use() {
     ' "$1"
 }
 
-# One line per public item: crate, name, kind (fn or type), whether another
-# file names it (1) or not (0), file. And one line per place an item names
-# a type (the crate, the naming item, the text): a `pub fn` signature up
-# to its body, a `pub type` alias' right-hand side, a `pub struct`'s
-# `pub` field. Test modules are not read for places.
-for f in $(find crates/*/src -name '*.rs' | sort); do
-    crate=${f%%/src/*}
-    sed -n \
-        -e 's/^ *pub \(const \|unsafe \|const unsafe \)\{0,1\}fn \([A-Za-z0-9_]*\).*/fn \2/p' \
-        -e 's/^ *pub \(const\|static\) \([A-Za-z0-9_]*\) *:.*/fn \2/p' \
-        -e 's/^ *pub \(struct\|enum\|type\|trait\) \([A-Za-z0-9_]*\).*/type \2/p' "$f" |
-        sort -u | while read -r kind name; do
-            named=0
-            own="(^|[^A-Za-z0-9_])(fn|const|static|struct|enum|type|trait|mod)[[:space:]]+$name([^A-Za-z0-9_]|\$)"
-            for g in $(grep -rlw "$name" "$corpus/src" | grep -vx "$corpus/src/$f"); do
-                if grep -qE "$own" "$g" && ! via_path_or_use "$g" "$name"; then
-                    continue
-                fi
-                named=1
-                break
-            done
-            printf '%s\t%s\t%s\t%s\t%s\n' "$crate" "$name" "$kind" "$named" "$f"
-        done >>"$corpus/items"
-    awk -v crate="$crate" '
+# awk rules both readers below start with: a `#[cfg(test)]` module ends
+# what is read of a file, and a `#[cfg(test)]` item — its attributes, its
+# signature and its body, up to the `;` or the `}` that closes it — is
+# skipped.
+cfg_test='
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*(pub(\([a-z:]+\))? )?mod / { exit }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tested = 1; next }
+    tested && /^[[:space:]]*(#\[|\/\/)/ { next }
+    tested && /^[[:space:]]*(pub(\([a-z:]+\))? )?mod / { exit }
+    tested { tested = 0; skip = 1; depth = 0; opened = 0 }
+    skip {
+        if (index($0, "{")) opened = 1
+        depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+        if (opened ? depth <= 0 : index($0, ";")) skip = 0
+        next
+    }
+'
+
+# The public items of file $1, one `kind name` line each (kind fn or
+# type).
+items_of() {
+    awk "$cfg_test"'
         function ident(s) { sub(/[^A-Za-z0-9_].*/, "", s); return s }
-        /#\[cfg\(test\)\]/ { exit }
+        /^ *pub (const |unsafe |const unsafe )?fn [A-Za-z0-9_]/ {
+            sub(/^ *pub (const |unsafe |const unsafe )?fn /, ""); print "fn " ident($0); next
+        }
+        /^ *pub (const|static) [A-Za-z0-9_]* *:/ {
+            sub(/^ *pub (const|static) /, ""); print "fn " ident($0); next
+        }
+        /^ *pub (struct|enum|type|trait) [A-Za-z0-9_]/ {
+            sub(/^ *pub (struct|enum|type|trait) /, ""); print "type " ident($0)
+        }
+    ' "$1" | sort -u
+}
+
+# The places file $2 of crate $1 names a type, one `crate owner text` line
+# each: a `pub fn` signature up to its body, a `pub type` alias'
+# right-hand side, a `pub struct`'s `pub` field.
+places_of() {
+    awk -v crate="$1" "$cfg_test"'
+        function ident(s) { sub(/[^A-Za-z0-9_].*/, "", s); return s }
         /^[[:space:]]*\/\// { next }
         sig { text = text " " $0; if ($0 ~ /[{;]/) { print crate "\t" owner "\t" text; sig = 0 } next }
         /^ *pub (const |unsafe |const unsafe )?fn [A-Za-z0-9_]/ {
@@ -90,7 +105,57 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
         /struct .*\{ *$/ { st = ""; next }
         /^\}/ { st = ""; next }
         st != "" && /^ *pub [a-z_][a-z0-9_]* *:/ { print crate "\t" st "\t" $0 }
-    ' "$f" >>"$corpus/places"
+    ' "$2"
+}
+
+# The readers on a fixture: an item behind `#[cfg(test)]` is skipped, the
+# `pub fn` after it is read, signature and all, and the `#[cfg(test)]`
+# module ends the file.
+cat >"$corpus/fixture.rs" <<'FIXTURE'
+#[cfg(test)]
+#[allow(dead_code)]
+pub fn only_in_tests(x: Hidden) -> Hidden {
+    x
+}
+
+pub fn read_after(
+    x: Shown,
+) -> Shown {
+    x
+}
+
+#[cfg(test)]
+mod tests {
+    pub fn in_test_module() {}
+}
+FIXTURE
+fixture_items=$(items_of "$corpus/fixture.rs")
+fixture_places=$(places_of fixture "$corpus/fixture.rs")
+if [ "$fixture_items" != "fn read_after" ] ||
+    ! echo "$fixture_places" | grep -q "read_after.*x: Shown, ) -> Shown {" ||
+    echo "$fixture_places" | grep -q Hidden; then
+    echo "callerless.sh misreads #[cfg(test)]: items '$fixture_items', places '$fixture_places'"
+    exit 1
+fi
+
+# One line per public item: crate, name, kind (fn or type), whether another
+# file names it (1) or not (0), file. And one line per place an item names
+# a type. Test modules and `#[cfg(test)]` items are not read.
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    crate=${f%%/src/*}
+    items_of "$f" | while read -r kind name; do
+            named=0
+            own="(^|[^A-Za-z0-9_])(fn|const|static|struct|enum|type|trait|mod)[[:space:]]+$name([^A-Za-z0-9_]|\$)"
+            for g in $(grep -rlw "$name" "$corpus/src" | grep -vx "$corpus/src/$f"); do
+                if grep -qE "$own" "$g" && ! via_path_or_use "$g" "$name"; then
+                    continue
+                fi
+                named=1
+                break
+            done
+            printf '%s\t%s\t%s\t%s\t%s\n' "$crate" "$name" "$kind" "$named" "$f"
+        done >>"$corpus/items"
+    places_of "$crate" "$f" >>"$corpus/places"
 done
 
 # Called: named by another file, or a type a called item of its crate
